@@ -800,7 +800,7 @@ def amplification(config: Optional[AmplificationConfig] = None, *,
     from repro.runtime.registry import ProbeRegistry
     from repro.runtime.sharding import ShardedScanEngine
     from repro.scan.engine import EngineConfig
-    from repro.scan.modules.ntp import scan_ntp
+    from repro.scan.modules.ntp import refused_ntp, scan_ntp
 
     config = config or AmplificationConfig()
     with use_registry() as registry:
@@ -815,7 +815,7 @@ def amplification(config: Optional[AmplificationConfig] = None, *,
             host.bind_udp(123, control_service_for(
                 config.seed, address, max_entries=config.max_entries))
         probes = ProbeRegistry()
-        probes.register("ntp", scan_ntp, 123)
+        probes.register("ntp", scan_ntp, 123, refused=refused_ntp)
         engine_config = EngineConfig(drive_clock=False)
         pool = _context_pool(ctx, config.workers)
         if pool is not None:

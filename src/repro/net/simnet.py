@@ -259,6 +259,28 @@ class Network:
             self._ephemeral = 49152
         return port
 
+    def skip_refused(self, host: Optional[Host], port: int) -> bool:
+        """Settle a refused probe without delivering it, where nothing
+        could tell the difference; True when settled.
+
+        ``host`` is :meth:`host` of the target.  The probe is refused
+        when the host is missing or unreachable, or has nothing bound on
+        ``port`` (on either transport, so a port bound on the other one
+        takes the full path).  Skipping delivery is only unobservable
+        with no tap attached (no record to offer) and ``loss_rate == 0``
+        (no loss draw to consume).  A settled attempt still takes the
+        ephemeral port :meth:`tcp_connect` or :meth:`udp_request` would
+        have, because servers record client ports (the NTP monitor
+        table), so later ports do not shift.
+        """
+        if self._taps or self.loss_rate > 0:
+            return False
+        if host is not None and host.reachable and (
+                port in host.tcp_services or port in host.udp_handlers):
+            return False
+        self.ephemeral_port()
+        return True
+
     # -- delivery -----------------------------------------------------
 
     def _lost(self) -> bool:

@@ -11,13 +11,20 @@ The simulator also runs the pool's *monitoring*: servers are probed with
 real SNTP queries and are only eligible for DNS rotation while their
 score is above the acceptance threshold, matching how real pool members
 gain/lose traffic.
+
+Resolution is the collection campaign's hot path (one GeoDNS lookup per
+client poll), so the pool caches each zone's *rotation* — its
+in-rotation servers, or the global fallback, with their cumulative
+netspeed weights — and clears the cache whenever registration, weights
+or monitor scores change.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.net.simnet import Network
 from repro.ntp.client import NtpClient
@@ -35,7 +42,12 @@ SCORE_MIN = -100.0
 
 @dataclass
 class PoolServer:
-    """One pool member: address, zone, weight, and monitor state."""
+    """One pool member: address, zone, weight, and monitor state.
+
+    Change a member only through :class:`NtpPool` (``deregister``,
+    ``set_netspeed``, ``run_monitor``): the pool caches rotations built
+    from these fields and clears the cache in those methods.
+    """
 
     address: int
     zone: str
@@ -59,6 +71,8 @@ class NtpPool:
         self._rng = rng or random.Random(0x9001)
         self._servers: Dict[int, PoolServer] = {}
         self._zones: Dict[str, List[PoolServer]] = {}
+        #: zone → (candidates, cumulative netspeeds); see :meth:`_rotation`.
+        self._rotations: Dict[str, Tuple[List[PoolServer], List[int]]] = {}
         self._monitor_client: Optional[NtpClient] = None
         if monitor_address is not None:
             self._monitor_client = NtpClient(network, monitor_address)
@@ -76,6 +90,7 @@ class NtpPool:
                             operator=operator)
         self._servers[address] = server
         self._zones.setdefault(zone, []).append(server)
+        self._rotations.clear()
         return server
 
     def deregister(self, address: int) -> None:
@@ -88,6 +103,7 @@ class NtpPool:
         if server is None:
             raise KeyError(f"server {address:#x} not registered")
         server.advertised = False
+        self._rotations.clear()
 
     def set_netspeed(self, address: int, netspeed: int) -> None:
         """Operator weight adjustment (the paper tunes this upward until
@@ -95,6 +111,7 @@ class NtpPool:
         if netspeed <= 0:
             raise ValueError(f"netspeed must be positive, got {netspeed}")
         self._servers[address].netspeed = netspeed
+        self._rotations.clear()
 
     def server(self, address: int) -> PoolServer:
         return self._servers[address]
@@ -115,21 +132,40 @@ class NtpPool:
 
     # -- resolution -----------------------------------------------------
 
+    def _rotation(self, zone: str) -> Tuple[List[PoolServer], List[int]]:
+        """The servers a client in ``zone`` is handed, with weights.
+
+        The zone's in-rotation servers, or — when it has none — every
+        in-rotation server of the pool (the global fallback), in
+        registration order, paired with their cumulative netspeeds.
+        Both lists are empty when nothing is in rotation.  Cached per
+        zone; callers must not mutate the lists.
+        """
+        rotation = self._rotations.get(zone)
+        if rotation is None:
+            candidates = self.zone_servers(zone) or [
+                server for server in self._servers.values()
+                if server.in_rotation]
+            rotation = (candidates, list(itertools.accumulate(
+                server.netspeed for server in candidates)))
+            self._rotations[zone] = rotation
+        return rotation
+
     def resolve(self, country: str, rng: Optional[random.Random] = None) -> Optional[int]:
         """GeoDNS lookup: one server address for a client in ``country``.
 
         Selection is netspeed-weighted within the client's country zone;
         clients in empty zones fall back to the global rotation across
-        all advertised servers.
+        every in-rotation server (advertised, with a monitor score of at
+        least :data:`SCORE_THRESHOLD`).  A lookup that finds a server
+        draws exactly one ``random()`` from ``rng`` (default: the
+        pool's own).
         """
-        chooser = rng or self._rng
-        candidates = self.zone_servers(country)
-        if not candidates:
-            candidates = [s for s in self._servers.values() if s.in_rotation]
+        candidates, cum_weights = self._rotation(country)
         if not candidates:
             return None
-        weights = [server.netspeed for server in candidates]
-        return chooser.choices(candidates, weights=weights, k=1)[0].address
+        chooser = rng or self._rng
+        return chooser.choices(candidates, cum_weights=cum_weights)[0].address
 
     # -- monitoring -----------------------------------------------------
 
@@ -148,26 +184,24 @@ class NtpPool:
                 server.score = min(SCORE_MAX, server.score + 1.0)
             else:
                 server.score = max(SCORE_MIN, server.score - 5.0)
+        self._rotations.clear()
 
 
 def weighted_request_rates(pool: NtpPool, zone_demand: Dict[str, float]) -> Dict[int, float]:
     """Expected request share per server given per-zone client demand.
 
-    A closed-form companion to the event-driven simulation: demand of a
-    populated zone is split across its rotation by netspeed; demand of
-    empty zones is split across the global rotation.  Used by tests to
-    cross-check the emergent collection volumes.
+    A closed-form companion to the event-driven simulation: each zone's
+    demand is split by netspeed across the same rotation
+    :meth:`NtpPool.resolve` samples from (the zone's own servers, or the
+    global fallback for empty zones).  Used by tests to cross-check the
+    emergent collection volumes.
     """
     rates: Dict[int, float] = {server.address: 0.0 for server in pool.servers}
-    all_rotation = [s for s in pool.servers if s.in_rotation]
-    global_weight = sum(s.netspeed for s in all_rotation)
     for zone, demand in zone_demand.items():
-        members = pool.zone_servers(zone)
-        if members:
-            total = sum(s.netspeed for s in members)
-            for server in members:
-                rates[server.address] += demand * server.netspeed / total
-        elif global_weight:
-            for server in all_rotation:
-                rates[server.address] += demand * server.netspeed / global_weight
+        members, cum_weights = pool._rotation(zone)
+        if not members:
+            continue
+        total = cum_weights[-1]
+        for server in members:
+            rates[server.address] += demand * server.netspeed / total
     return rates

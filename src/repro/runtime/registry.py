@@ -14,6 +14,13 @@ registry makes the probe set a *campaign parameter*:
   ``ok`` and ``protocol`` attributes for :class:`ScanResults` to route
   and aggregate it.
 
+A spec may also carry its module's *refused* grab builder: the grab the
+probe returns when its connection is refused or its request goes
+unanswered.  With it, the executor answers a probe the network would
+refuse without running the module (see
+:meth:`repro.net.simnet.Network.skip_refused`); without it, the probe
+always runs.
+
 Probe order is insertion order and therefore deterministic, which the
 golden-value pipeline tests rely on.
 """
@@ -21,18 +28,32 @@ golden-value pipeline tests rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.net.simnet import Network
-from repro.scan.modules.amqp import scan_amqp, scan_amqps
-from repro.scan.modules.coap import scan_coap
-from repro.scan.modules.http import scan_http, scan_https
-from repro.scan.modules.mqtt import scan_mqtt, scan_mqtts
-from repro.scan.modules.ssh import scan_ssh
+from repro.scan.modules.amqp import (
+    refused_amqp,
+    refused_amqps,
+    scan_amqp,
+    scan_amqps,
+)
+from repro.scan.modules.coap import refused_coap, scan_coap
+from repro.scan.modules.http import refused_http, scan_http, scan_https
+from repro.scan.modules.mqtt import (
+    refused_mqtt,
+    refused_mqtts,
+    scan_mqtt,
+    scan_mqtts,
+)
+from repro.scan.modules.ssh import refused_ssh, scan_ssh
 from repro.scan.result import PROTOCOL_PORTS, Grab
 
 #: A probe: (network, source, target) → one grab record.
 Probe = Callable[[Network, int, int], Grab]
+
+#: A refused grab builder: (address, time, port) → the grab its probe
+#: returns when the connection is refused or the request unanswered.
+Refusal = Callable[[int, float, int], Grab]
 
 #: Approximate packet cost charged per protocol probe (the seed's
 #: engine-wide constant, now a per-probe property).
@@ -48,6 +69,10 @@ class ProbeSpec:
     port: int
     #: Packets charged against the engine's pps budget per probe.
     packet_cost: float = DEFAULT_PACKET_COST
+    #: The probe's own refused grab.  Only for a probe that, when
+    #: refused, makes exactly one connection attempt or request, to
+    #: ``port``, and returns ``refused(target, now, port)``.
+    refused: Optional[Refusal] = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -75,10 +100,11 @@ class ProbeRegistry:
         return spec
 
     def register(self, name: str, probe: Probe, port: int,
-                 packet_cost: float = DEFAULT_PACKET_COST) -> ProbeSpec:
+                 packet_cost: float = DEFAULT_PACKET_COST,
+                 refused: Optional[Refusal] = None) -> ProbeSpec:
         """Register a new protocol module by parts."""
         return self.add(ProbeSpec(name=name, probe=probe, port=port,
-                                  packet_cost=packet_cost))
+                                  packet_cost=packet_cost, refused=refused))
 
     def unregister(self, name: str) -> ProbeSpec:
         """Remove a probe (e.g. a campaign dropping a protocol)."""
@@ -121,15 +147,15 @@ class ProbeRegistry:
 def default_registry() -> ProbeRegistry:
     """The paper's probe set, in the paper's probe order."""
     registry = ProbeRegistry()
-    for name, probe in (
-        ("http", scan_http),
-        ("https", scan_https),
-        ("ssh", scan_ssh),
-        ("mqtt", scan_mqtt),
-        ("mqtts", scan_mqtts),
-        ("amqp", scan_amqp),
-        ("amqps", scan_amqps),
-        ("coap", scan_coap),
+    for name, probe, refused in (
+        ("http", scan_http, refused_http),
+        ("https", scan_https, refused_http),
+        ("ssh", scan_ssh, refused_ssh),
+        ("mqtt", scan_mqtt, refused_mqtt),
+        ("mqtts", scan_mqtts, refused_mqtts),
+        ("amqp", scan_amqp, refused_amqp),
+        ("amqps", scan_amqps, refused_amqps),
+        ("coap", scan_coap, refused_coap),
     ):
-        registry.register(name, probe, PROTOCOL_PORTS[name])
+        registry.register(name, probe, PROTOCOL_PORTS[name], refused=refused)
     return registry

@@ -210,64 +210,42 @@ class ProbeExecutor:
             self._instruments[protocol] = instruments
         return instruments
 
-    def execute(self, target: int,
-                scheduler: Optional[ScanScheduler] = None) -> List[Grab]:
-        """Probe ``target`` with every registered module, in order."""
-        grabs: List[Grab] = []
-        clock = self.network.clock
-        for index, spec in enumerate(self.registry):
-            attempts, successes, latency = self._probe_instruments(spec.name)
-            if scheduler is not None:
-                started = clock.now()
-                scheduler.pace(spec.packet_cost, first_probe=index == 0)
-                self.stats.probes_sent += 1
-                grab = spec.probe(self.network, self.source, target)
-                latency.observe(clock.now() - started)
-            else:
-                # Embedded mode: the clock only moves between drains, so
-                # per-probe latency is 0 by construction — skip the reads.
-                self.stats.probes_sent += 1
-                grab = spec.probe(self.network, self.source, target)
-                latency.observe(0.0)
-            attempts.inc()
-            if grab.ok:
-                successes.inc()
-            if self.grab_hook is not None:
-                self.grab_hook(grab)
-            grabs.append(grab)
-        return grabs
-
-    def execute_into(self, target: int, results: ScanResults,
+    def execute_into(self, target: int, add: Callable[[Grab], None],
                      scheduler: Optional[ScanScheduler] = None) -> None:
-        """Like :meth:`execute`, appending straight into ``results``.
+        """Probe ``target`` with every registered module, in registry
+        order, handing each grab to ``add``.
 
-        Skips the per-grab isinstance dispatch of
-        :meth:`ScanResults.add` — the hot path of every campaign.
+        The target's host is looked up once.  A probe whose spec carries
+        its module's refused grab is answered with that grab, without
+        running the module, whenever the network settles the attempt as
+        refused (:meth:`~repro.net.simnet.Network.skip_refused`).
+        ``scheduler`` paces each probe (driving mode); without it the
+        clock stays put and every probe's latency is 0.
         """
         network, source = self.network, self.source
         clock = network.clock
         stats = self.stats
         grab_hook = self.grab_hook
+        host = network.host(target)
         for index, spec in enumerate(self.registry):
             attempts, successes, latency = self._probe_instruments(spec.name)
             if scheduler is not None:
                 started = clock.now()
                 scheduler.pace(spec.packet_cost, first_probe=index == 0)
-                stats.probes_sent += 1
-                grab = spec.probe(network, source, target)
-                latency.observe(clock.now() - started)
+            stats.probes_sent += 1
+            refused = spec.refused
+            if refused is not None and network.skip_refused(host, spec.port):
+                grab = refused(target, clock.now(), spec.port)
             else:
-                # Embedded mode: the clock only moves between drains, so
-                # per-probe latency is 0 by construction — skip the reads.
-                stats.probes_sent += 1
                 grab = spec.probe(network, source, target)
-                latency.observe(0.0)
+            latency.observe(0.0 if scheduler is None
+                            else clock.now() - started)
             attempts.inc()
             if grab.ok:
                 successes.inc()
             if grab_hook is not None:
                 grab_hook(grab)
-            results.bucket(grab.protocol).append(grab)
+            add(grab)
 
 
 class ScanEngine:
@@ -321,7 +299,9 @@ class ScanEngine:
     def scan_address(self, target: int) -> List[Grab]:
         """Run every registered probe against one address, in order."""
         pacer = self.scheduler if self.config.drive_clock else None
-        return self.executor.execute(target, pacer)
+        grabs: List[Grab] = []
+        self.executor.execute_into(target, grabs.append, pacer)
+        return grabs
 
     # -- campaign feeding ---------------------------------------------------
 
@@ -338,7 +318,7 @@ class ScanEngine:
             return False
         self.stats.targets_scanned += 1
         pacer = self.scheduler if self.config.drive_clock else None
-        self.executor.execute_into(target, results, pacer)
+        self.executor.execute_into(target, results.add, pacer)
         return True
 
     def run(self, targets: Iterable[int], label: str = "") -> ScanResults:

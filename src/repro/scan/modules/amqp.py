@@ -18,6 +18,18 @@ from repro.scan.result import BrokerGrab, TlsObservation
 from repro.tlslib.handshake import HandshakeStatus, perform_handshake
 
 
+def refused_amqp(address: int, time: float, port: int) -> BrokerGrab:
+    """The grab of an AMQP probe whose connection was refused."""
+    return BrokerGrab(address=address, time=time, port=port,
+                      protocol="amqp", ok=False)
+
+
+def refused_amqps(address: int, time: float, port: int) -> BrokerGrab:
+    """The grab of an AMQPS probe whose connection was refused."""
+    return BrokerGrab(address=address, time=time, port=port,
+                      protocol="amqps", ok=False)
+
+
 def _probe(stream: Stream, address: int, now: float, port: int,
            protocol: str, tls: Optional[TlsObservation]) -> BrokerGrab:
     raw = stream.write(PROTOCOL_HEADER)
@@ -63,8 +75,7 @@ def scan_amqp(network: Network, source: int, target: int,
     now = network.clock.now()
     stream = network.tcp_connect(source, target, port)
     if stream is None:
-        return BrokerGrab(address=target, time=now, port=port,
-                          protocol="amqp", ok=False)
+        return refused_amqp(target, now, port)
     return _probe(stream, target, now, port, "amqp", tls=None)
 
 
@@ -74,8 +85,7 @@ def scan_amqps(network: Network, source: int, target: int,
     now = network.clock.now()
     stream = network.tcp_connect(source, target, port)
     if stream is None:
-        return BrokerGrab(address=target, time=now, port=port,
-                          protocol="amqps", ok=False)
+        return refused_amqps(target, now, port)
     handshake = perform_handshake(stream, hostname=None)
     if handshake.status is not HandshakeStatus.OK:
         tls = TlsObservation(

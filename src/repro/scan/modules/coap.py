@@ -17,6 +17,12 @@ from repro.scan.result import CoapGrab
 _message_ids = itertools.count(0x1000)
 
 
+def refused_coap(address: int, time: float, port: int) -> CoapGrab:
+    """The grab of a CoAP probe nobody answered (the grab always carries
+    the default CoAP port)."""
+    return CoapGrab(address=address, time=time, ok=False)
+
+
 def scan_coap(network: Network, source: int, target: int,
               port: int = 5683) -> CoapGrab:
     """Send a confirmable GET for the resource directory."""
@@ -25,7 +31,7 @@ def scan_coap(network: Network, source: int, target: int,
     request = get_request("/.well-known/core", message_id=message_id)
     payload = network.udp_request(source, target, port, request.encode())
     if payload is None:
-        return CoapGrab(address=target, time=now, ok=False)
+        return refused_coap(target, now, port)
     try:
         response = CoapMessage.decode(payload)
     except CoapDecodeError:

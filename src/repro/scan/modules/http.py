@@ -19,6 +19,12 @@ from repro.tlslib.handshake import HandshakeStatus, perform_handshake
 USER_AGENT = "repro-scan/1.0 (+https://research.sim/scan-info)"
 
 
+def refused_http(address: int, time: float, port: int) -> HttpGrab:
+    """The grab of an HTTP(S) probe whose connection was refused (the
+    port's number tells HTTP from HTTPS)."""
+    return HttpGrab(address=address, time=time, port=port, ok=False)
+
+
 def _fetch(stream, now: float, address: int, port: int,
            tls: Optional[TlsObservation]) -> HttpGrab:
     request = HttpRequest(method="GET", path="/",
@@ -44,7 +50,7 @@ def scan_http(network: Network, source: int, target: int,
     now = network.clock.now()
     stream = network.tcp_connect(source, target, port)
     if stream is None:
-        return HttpGrab(address=target, time=now, port=port, ok=False)
+        return refused_http(target, now, port)
     return _fetch(stream, now, target, port, tls=None)
 
 
@@ -54,7 +60,7 @@ def scan_https(network: Network, source: int, target: int,
     now = network.clock.now()
     stream = network.tcp_connect(source, target, port)
     if stream is None:
-        return HttpGrab(address=target, time=now, port=port, ok=False)
+        return refused_http(target, now, port)
     handshake = perform_handshake(stream, hostname=None)
     if handshake.status is not HandshakeStatus.OK:
         tls = TlsObservation(

@@ -18,6 +18,18 @@ from repro.tlslib.handshake import HandshakeStatus, perform_handshake
 CLIENT_ID = "repro-scan"
 
 
+def refused_mqtt(address: int, time: float, port: int) -> BrokerGrab:
+    """The grab of an MQTT probe whose connection was refused."""
+    return BrokerGrab(address=address, time=time, port=port,
+                      protocol="mqtt", ok=False)
+
+
+def refused_mqtts(address: int, time: float, port: int) -> BrokerGrab:
+    """The grab of an MQTTS probe whose connection was refused."""
+    return BrokerGrab(address=address, time=time, port=port,
+                      protocol="mqtts", ok=False)
+
+
 def _probe(stream: Stream, address: int, now: float, port: int,
            protocol: str, tls: Optional[TlsObservation]) -> BrokerGrab:
     connect = ConnectPacket(client_id=CLIENT_ID)
@@ -44,8 +56,7 @@ def scan_mqtt(network: Network, source: int, target: int,
     now = network.clock.now()
     stream = network.tcp_connect(source, target, port)
     if stream is None:
-        return BrokerGrab(address=target, time=now, port=port,
-                          protocol="mqtt", ok=False)
+        return refused_mqtt(target, now, port)
     return _probe(stream, target, now, port, "mqtt", tls=None)
 
 
@@ -55,8 +66,7 @@ def scan_mqtts(network: Network, source: int, target: int,
     now = network.clock.now()
     stream = network.tcp_connect(source, target, port)
     if stream is None:
-        return BrokerGrab(address=target, time=now, port=port,
-                          protocol="mqtts", ok=False)
+        return refused_mqtts(target, now, port)
     handshake = perform_handshake(stream, hostname=None)
     if handshake.status is not HandshakeStatus.OK:
         tls = TlsObservation(

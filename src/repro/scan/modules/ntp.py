@@ -53,6 +53,11 @@ def _query_version(network: Network, source: int, target: int,
     return match.group(1) if match else ""
 
 
+def refused_ntp(address: int, time: float, port: int) -> NtpGrab:
+    """The grab of an NTP probe whose readvar query went unanswered."""
+    return NtpGrab(address=address, time=time, ok=False)
+
+
 def scan_ntp(network: Network, source: int, target: int,
              port: int = 123) -> NtpGrab:
     """Probe one address: readvar for the version, monlist for exposure."""
@@ -60,7 +65,7 @@ def scan_ntp(network: Network, source: int, target: int,
     sequence = next(_sequences)
     version = _query_version(network, source, target, port, sequence)
     if version is None:
-        return NtpGrab(address=target, time=now, ok=False)
+        return refused_ntp(target, now, port)
     request = monlist_request(sequence=sequence & 0x7F)
     wire = request.encode()
     payloads: List[bytes] = network.udp_request_multi(

@@ -16,13 +16,18 @@ SCANNER_ID = SshIdentification(protocol="2.0", software="ReproScan_1.0",
                                comment="research-scan")
 
 
+def refused_ssh(address: int, time: float, port: int) -> SshGrab:
+    """The grab of an SSH probe whose connection was refused."""
+    return SshGrab(address=address, time=time, ok=False)
+
+
 def scan_ssh(network: Network, source: int, target: int,
              port: int = 22) -> SshGrab:
     """Grab the server banner and host key."""
     now = network.clock.now()
     stream = network.tcp_connect(source, target, port)
     if stream is None:
-        return SshGrab(address=target, time=now, ok=False)
+        return refused_ssh(target, now, port)
     greeting = stream.read_greeting()
     try:
         identification = SshIdentification.decode(greeting)

@@ -4,8 +4,11 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ipv6 import parse
+from repro.net.simnet import Network
 from repro.ntp.pool import SCORE_THRESHOLD, NtpPool, weighted_request_rates
 from repro.ntp.server import NtpServer
 
@@ -137,3 +140,115 @@ class TestWeightedRates:
         demand = {"de": 60.0, "us": 30.0, "jp": 10.0}
         rates = weighted_request_rates(pool, demand)
         assert sum(rates.values()) == pytest.approx(sum(demand.values()))
+
+
+# -- rotation cache -----------------------------------------------------------
+
+def reference_resolve(pool, country, rng):
+    """The uncached resolution the rotation cache replaced: rebuild the
+    zone's (or the global) candidates and weights on every lookup."""
+    candidates = pool.zone_servers(country)
+    if not candidates:
+        candidates = [s for s in pool.servers if s.in_rotation]
+    if not candidates:
+        return None
+    weights = [server.netspeed for server in candidates]
+    return rng.choices(candidates, weights=weights, k=1)[0].address
+
+
+def reference_rates(pool, zone_demand):
+    """The closed-form rates as computed before they shared the cache."""
+    rates = {server.address: 0.0 for server in pool.servers}
+    all_rotation = [s for s in pool.servers if s.in_rotation]
+    global_weight = sum(s.netspeed for s in all_rotation)
+    for zone, demand in zone_demand.items():
+        members = pool.zone_servers(zone)
+        if members:
+            total = sum(s.netspeed for s in members)
+            for server in members:
+                rates[server.address] += demand * server.netspeed / total
+        elif global_weight:
+            for server in all_rotation:
+                rates[server.address] += demand * server.netspeed / global_weight
+    return rates
+
+
+ZONES = ("de", "us")
+COUNTRIES = ZONES + ("jp",)
+ADDRESSES = tuple(parse(f"2001:500::{index + 1:x}") for index in range(4))
+_INDEX = st.integers(0, len(ADDRESSES) - 1)
+
+_operations = st.one_of(
+    st.tuples(st.just("register"), _INDEX, st.sampled_from(ZONES),
+              st.integers(1, 5000)),
+    st.tuples(st.just("deregister"), _INDEX),
+    st.tuples(st.just("set_netspeed"), _INDEX, st.integers(1, 5000)),
+    st.tuples(st.just("live"), _INDEX),
+    st.tuples(st.just("dead"), _INDEX),
+    st.tuples(st.just("monitor"), st.integers(1, 4)),
+    st.tuples(st.just("resolve")),
+)
+
+
+class TestRotationCache:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_operations, min_size=20, max_size=80),
+           st.integers(0, 2 ** 32))
+    def test_cached_resolve_matches_reference(self, operations, seed):
+        """Random interleavings of every cache-clearing operation with
+        lookups: each lookup (several draws per country) returns what
+        the uncached reference returns from an identically seeded RNG,
+        and the closed-form rates agree at the end."""
+        network = Network()
+        pool = NtpPool(network, rng=random.Random(seed),
+                       monitor_address=MONITOR)
+        cached_rng, reference_rng = random.Random(seed), random.Random(seed)
+        for kind, *args in operations:
+            registered = {server.address for server in pool.servers}
+            if kind == "register":
+                index, zone, netspeed = args
+                if ADDRESSES[index] not in registered:
+                    pool.register(ADDRESSES[index], zone, netspeed=netspeed)
+            elif kind in ("deregister", "set_netspeed"):
+                if ADDRESSES[args[0]] in registered:
+                    getattr(pool, kind)(ADDRESSES[args[0]], *args[1:])
+            elif kind == "live":
+                if network.host(ADDRESSES[args[0]]) is None:
+                    NtpServer(network, ADDRESSES[args[0]])
+            elif kind == "dead":
+                network.remove_host(ADDRESSES[args[0]])
+            elif kind == "monitor":
+                for _ in range(args[0]):
+                    pool.run_monitor()
+            else:
+                for country in COUNTRIES * 8:
+                    assert (pool.resolve(country, cached_rng) ==
+                            reference_resolve(pool, country, reference_rng))
+                assert cached_rng.getstate() == reference_rng.getstate()
+        demand = {country: 10.0 + index
+                  for index, country in enumerate(COUNTRIES)}
+        assert weighted_request_rates(pool, demand) == \
+            reference_rates(pool, demand)
+
+    def test_set_netspeed_after_resolve_reweights(self, pool):
+        pool.register(S1, "de", netspeed=1000)
+        pool.register(S2, "de", netspeed=1000)
+        pool.resolve("de")
+        pool.set_netspeed(S2, 10 ** 9)
+        rng = random.Random(5)
+        assert {pool.resolve("de", rng) for _ in range(50)} == {S2}
+
+    def test_register_into_empty_zone_after_resolve(self, pool):
+        pool.register(S1, "de")
+        assert pool.resolve("jp") == S1  # global fallback, now cached
+        pool.register(S2, "jp")
+        assert {pool.resolve("jp") for _ in range(20)} == {S2}
+
+    def test_monitor_drop_after_resolve_leaves_rotation(self, network, pool):
+        pool.register(S1, "de")
+        NtpServer(network, S2)
+        pool.register(S2, "de")
+        pool.resolve("de")
+        for _ in range(3):
+            pool.run_monitor()  # S1 has no server: out of rotation
+        assert {pool.resolve("de") for _ in range(20)} == {S2}

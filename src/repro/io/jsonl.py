@@ -51,6 +51,12 @@ def _check_header(record: Dict, kind: str) -> str:
     return record.get("label", "")
 
 
+#: The one encoder behind :func:`to_canonical_json`, built once: a
+#: ``json.dumps`` call with these options builds a fresh encoder on
+#: every call and produces the same string.
+_CANONICAL = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
 def to_canonical_json(record: Dict) -> str:
     """One record in this module's canonical form (sorted keys, raw
     unicode, no trailing newline).
@@ -59,7 +65,7 @@ def to_canonical_json(record: Dict) -> str:
     whose per-record CRCs are computed over this exact string — goes
     through here, so a record has one byte representation everywhere.
     """
-    return json.dumps(record, ensure_ascii=False, sort_keys=True)
+    return _CANONICAL.encode(record)
 
 
 def _write_lines(path: PathLike, records: Iterable[Dict]) -> int:

@@ -5,14 +5,17 @@ Integers keep set/dict operations cheap at the scale of millions of
 addresses, which is what the collection pipeline has to handle.  This
 module provides the conversions and prefix arithmetic layered on top.
 
-The textual conversions are RFC 5952 compliant (they delegate to
-:mod:`ipaddress` for formatting) but the hot paths — prefix extraction,
-IID splitting, subnet keys — are raw integer arithmetic.
+The textual conversions go through the C library's ``inet_pton`` and
+``inet_ntop`` and agree with :mod:`ipaddress` on every input: where
+the two would differ, they hand the value to :mod:`ipaddress`.
+Formatting is RFC 5952 compressed form.  The hot paths — prefix
+extraction, IID splitting, subnet keys — are raw integer arithmetic.
 """
 
 from __future__ import annotations
 
 import ipaddress
+from socket import AF_INET6, inet_ntop, inet_pton
 from typing import Iterable, Iterator
 
 #: Number of bits in an IPv6 address.
@@ -31,18 +34,35 @@ PREFIX_MASK = IID_MASK << 64
 def parse(text: str) -> int:
     """Parse an IPv6 address string into its integer form.
 
+    Text ``inet_pton`` refuses (scope IDs such as ``fe80::1%eth0``,
+    bad text) and non-string arguments go to :mod:`ipaddress`, so they
+    behave exactly as an ``ipaddress.IPv6Address``: bad text raises
+    :class:`ipaddress.AddressValueError`, a :class:`ValueError`.
+
     >>> parse("2001:db8::1")
     42540766411282592856903984951653826561
     """
-    return int(ipaddress.IPv6Address(text))
+    try:
+        return int.from_bytes(inet_pton(AF_INET6, text), "big")
+    except (OSError, TypeError, ValueError):
+        return int(ipaddress.IPv6Address(text))
 
 
 def format_address(value: int) -> str:
     """Render an integer address in RFC 5952 compressed form.
 
+    ``inet_ntop`` prints parts of ``::/96`` and ``::ffff:0:0/96`` as
+    dotted IPv4, so those ranges, values outside the address space
+    (which raise :class:`ValueError`) and anything but a plain ``int``
+    go to :mod:`ipaddress`.
+
     >>> format_address(parse("2001:0db8::0001"))
     '2001:db8::1'
     """
+    if type(value) is int and 0 <= value < ADDRESS_SPACE:
+        high = value >> 32
+        if high != 0 and high != 0xFFFF:
+            return inet_ntop(AF_INET6, value.to_bytes(16, "big"))
     return str(ipaddress.IPv6Address(value))
 
 

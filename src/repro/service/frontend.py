@@ -218,6 +218,10 @@ class _Handler(socketserver.StreamRequestHandler):
             self.wfile.write(json.dumps(response).encode("utf-8") + b"\n")
             self.wfile.flush()
             if response.get("bye"):
+                # Tear down off-thread (shutdown() joins the serve loop)
+                # and only now that the reply is on the wire: ``repro
+                # serve`` exits once teardown ends, killing this thread.
+                threading.Thread(target=server.shutdown, daemon=True).start()
                 return
 
 
@@ -256,9 +260,7 @@ class ServiceServer:
         if command == "stats":
             return {"ok": True, **self.service.stats()}
         if command == "shutdown":
-            # Answer first, then tear down off-thread: shutdown() joins
-            # the serve loop and would deadlock called from a handler.
-            threading.Thread(target=self.shutdown, daemon=True).start()
+            # The handler starts the teardown once this reply is sent.
             return {"ok": True, "bye": True}
         return {"ok": False, "error": f"cmd={command!r}: unknown command "
                                       "(query, stats, shutdown)"}

@@ -255,8 +255,9 @@ class WindowedStudyReader(IncrementalStudyReader):
             replayed += 1
             kind = record.get("t")
             if kind == "grab":
-                grab = grab_from_json(record)
-                if t0 <= grab.time < t1:
+                # A grab's time is its record's: decode only in-window ones.
+                if t0 <= record["time"] < t1:
+                    grab = grab_from_json(record)
                     label = record["label"]
                     bucket = results.get(label)
                     if bucket is None:

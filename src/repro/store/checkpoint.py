@@ -77,11 +77,15 @@ def save_checkpoint(ckpt_dir: PathLike, checkpoint: Checkpoint) -> Path:
 
 
 def load_checkpoint(path: PathLike) -> Checkpoint:
-    """Read and CRC-validate one checkpoint file."""
+    """Read and CRC-validate one checkpoint file.
+
+    Every way the file's bytes can be wrong — invalid UTF-8, malformed
+    JSON, the wrong document, a CRC mismatch — raises :class:`WalError`.
+    """
     path = Path(path)
     try:
-        document = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        document = json.loads(path.read_bytes().decode("utf-8"))
+    except ValueError as exc:  # invalid UTF-8 or JSON
         raise WalError(f"{path.name}: malformed checkpoint") from exc
     if not isinstance(document, dict) or document.get("kind") != "checkpoint":
         raise WalError(f"{path.name}: not a checkpoint document")
@@ -113,6 +117,8 @@ def latest_checkpoint(ckpt_dir: PathLike) -> Optional[Checkpoint]:
     A crash can tear at most the in-flight checkpoint (the atomic
     rename makes that one invisible), but a corrupted newest file must
     not wedge recovery — fall back to the next-newest valid one.
+    :func:`load_checkpoint` reports every corruption as a
+    :class:`WalError`, so bit rot of any kind falls back too.
     """
     for path in reversed(list_checkpoints(ckpt_dir)):
         try:

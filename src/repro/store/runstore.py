@@ -70,6 +70,19 @@ class Recovery:
     truncated_lines: int = 0
 
 
+def _read_meta(path: Path) -> Dict:
+    """``meta.json`` as a dict; anything else raises :class:`WalError`."""
+    try:
+        meta = json.loads(path.read_bytes().decode("utf-8"))
+    except ValueError as exc:  # invalid UTF-8 or JSON
+        raise WalError(f"{path}: not a run store (malformed "
+                       "metadata)") from exc
+    if not isinstance(meta, dict):
+        raise WalError(f"{path}: not a run store (metadata is not a "
+                       "JSON object)")
+    return meta
+
+
 class RunStore:
     """A run directory's durable store (WAL + checkpoints + meta)."""
 
@@ -114,10 +127,7 @@ class RunStore:
         path = run_dir / META_NAME
         if not path.exists():
             raise WalError(f"{run_dir}: not a run store (no {META_NAME})")
-        try:
-            meta = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise WalError(f"{path}: malformed store metadata") from exc
+        meta = _read_meta(path)
         if meta.get("kind") != "run-store":
             raise WalError(f"{path}: not a run store metadata file")
         if meta.get("version") != META_VERSION:
@@ -129,11 +139,10 @@ class RunStore:
         """Re-read ``meta.json`` from disk (another process may have
         compacted).  A mid-replace read keeps the in-memory copy —
         ``_save_meta``'s atomic rename guarantees the *next* read sees a
-        complete document."""
-        path = self.run_dir / META_NAME
+        complete document, and so does any other unreadable one."""
         try:
-            self.meta = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+            self.meta = _read_meta(self.run_dir / META_NAME)
+        except (OSError, WalError):
             pass
         return self.meta
 

@@ -12,6 +12,16 @@ keys, raw unicode) with two extra fields per record:
 * ``crc`` — CRC-32 of the canonical record (without the ``crc`` field
   itself), so bit rot and torn writes are detected record-by-record.
 
+Each record is serialized once (:func:`encode_record`): the payload's
+keys that sort before ``crc`` and those after it (plus ``seq``) are
+encoded apart, their join is the CRC body, and the line is that join
+with the ``"crc": "<8 hex>", `` member inserted.  The reader checks
+each CRC on the raw line bytes (:func:`parse_line`): cutting that
+member out must leave exactly the body the writer hashed, so a line
+that is not in canonical form fails as corrupt and no record is ever
+re-serialized to be checked.  :func:`verify_record` is the same check
+on a parsed record.
+
 Records are grouped into segments (``wal-<firstseq>.jsonl``) of at most
 ``segment_max_records`` records; whole segments below a checkpoint can
 be deleted by compaction without rewriting anything.  Durability is
@@ -84,10 +94,87 @@ def fault_point(point: str, seq: int, acked: int) -> None:
 
 # -- record framing ----------------------------------------------------------
 
+#: How a line's own CRC member starts: ``"crc": "<8 hex>", `` follows
+#: the payload keys that sort before ``crc`` and precedes the rest.
+_CRC_KEY = '"crc": "'
+_CRC_MARK = _CRC_KEY.encode("ascii")
+#: Byte length of that member, ``"crc": "`` + 8 hex digits + ``", ``.
+_CRC_MEMBER = len(_CRC_KEY) + 8 + 3
+#: ``json.loads`` without its whitespace handling: a canonical line
+#: has none around the object.
+_DECODER = json.JSONDecoder()
+
+
 def record_crc(seq: int, payload: Dict) -> str:
     """CRC-32 (8 hex digits) of the canonical ``{seq, **payload}`` record."""
     canonical = to_canonical_json({"seq": seq, **payload})
     return f"{zlib.crc32(canonical.encode('utf-8')) & 0xFFFFFFFF:08x}"
+
+
+def encode_record(seq: int, payload: Dict) -> Tuple[str, str, int]:
+    """Record ``seq``'s CRC, its line (newline included) and the line's
+    size in bytes, from one canonical-JSON pass over ``payload``.
+
+    The CRC and line equal :func:`record_crc` and
+    ``to_canonical_json({"crc": crc, "seq": seq, **payload}) + "\\n"``.
+    Raises :class:`ValueError` for a payload the log could not read
+    back: one with a top-level ``seq`` or ``crc`` key, or one nesting a
+    string-valued ``crc`` key under a key that sorts before ``crc``
+    (the reader would cut that member instead of the record's own).
+    """
+    if "seq" in payload or "crc" in payload:
+        raise ValueError("WAL payload must not carry its own 'seq' or "
+                         f"'crc' key: {sorted(payload)}")
+    low = {}
+    high = {"seq": seq}
+    for key, value in payload.items():
+        if key < "crc":
+            low[key] = value
+        else:
+            high[key] = value
+    tail = to_canonical_json(high)[1:]
+    if low:
+        head = to_canonical_json(low)[:-1] + ", "
+        if _CRC_KEY in head:
+            raise ValueError("WAL payload nests a 'crc' member under a "
+                             "key that sorts before 'crc'")
+    else:
+        head = "{"
+    body = (head + tail).encode("utf-8")
+    crc = f"{zlib.crc32(body):08x}"
+    return crc, f'{head}"crc": "{crc}", {tail}\n', len(body) + _CRC_MEMBER + 1
+
+
+def parse_line(raw: bytes) -> Optional[Dict]:
+    """The record on one raw WAL line (no newline), or ``None`` unless
+    the line is exactly as :func:`encode_record` wrote it.
+
+    The CRC is checked on the raw bytes: the first ``"crc": "`` member
+    is cut out and the CRC-32 of what remains must equal the stored
+    value, which must also be the parsed record's ``crc``.  Only a line
+    in canonical form leaves the body the writer hashed, so whitespace
+    edits, reordered keys or a nested ``crc`` member that the cut lands
+    on fail like any other corruption, as do invalid UTF-8 and JSON.
+    On lines the writer wrote this accepts exactly what
+    :func:`verify_record` accepts after a parse.
+    """
+    at = raw.find(_CRC_MARK)
+    end = at + _CRC_MEMBER
+    if at < 1 or raw[end - 3:end] != b'", ':
+        return None
+    stored = raw[at + len(_CRC_MARK):end - 3]
+    if b"%08x" % zlib.crc32(raw[end:], zlib.crc32(raw[:at])) != stored:
+        return None
+    try:
+        text = raw.decode("utf-8")
+        record, stop = _DECODER.raw_decode(text)
+    except ValueError:  # invalid UTF-8 or JSON
+        return None
+    if (stop != len(text) or not isinstance(record, dict)
+            or not isinstance(record.get("seq"), int)
+            or record.get("crc") != stored.decode("ascii")):
+        return None
+    return record
 
 
 def chain_extend(chain: int, crc_hex: str) -> int:
@@ -96,7 +183,11 @@ def chain_extend(chain: int, crc_hex: str) -> int:
 
 
 def verify_record(record: Dict) -> bool:
-    """Whether ``record``'s stored CRC matches its contents."""
+    """Whether ``record``'s stored CRC matches its contents.
+
+    The dict-level form of the check :func:`parse_line` makes on raw
+    lines, by re-serializing the record; kept as its reference.
+    """
     stored = record.get("crc")
     seq = record.get("seq")
     if not isinstance(stored, str) or not isinstance(seq, int):
@@ -199,11 +290,11 @@ class WalWriter:
 
         The record is durable only once its fsync batch completes — use
         :attr:`acked_seq` (or call :meth:`sync`) for the durability
-        horizon.
+        horizon.  A payload :func:`encode_record` refuses raises
+        :class:`ValueError` before anything is written.
         """
         seq = self._next_seq
-        crc = record_crc(seq, payload)
-        line = to_canonical_json({"crc": crc, "seq": seq, **payload}) + "\n"
+        crc, line, size = encode_record(seq, payload)
         fault_point("pre-append", seq, self._acked_seq)
         if self._handle is None or self._segment_records >= self.segment_max_records:
             self._roll(seq)
@@ -218,7 +309,7 @@ class WalWriter:
             counter = self._registry.counter("store_records_total", kind=kind)
             self._m_records[kind] = counter
         counter.inc()
-        self._m_bytes.inc(len(line.encode("utf-8")))
+        self._m_bytes.inc(size)
         fault_point("post-append", seq, self._acked_seq)
         if self._pending >= self.fsync_every:
             self.sync()
@@ -259,12 +350,14 @@ class WalReader:
     """Reads records in sequence order, verifying CRCs and contiguity.
 
     After (or during) iteration, :attr:`last_seq`, :attr:`chain` and
-    :attr:`truncated_lines` describe what was read.  A torn tail — one
-    or more undecodable/mismatching lines at the *end of the last
-    segment*, the signature of a crash mid-write — is tolerated:
-    iteration stops at the last valid record (and the file is truncated
-    back to it when ``repair=True``).  Invalid data anywhere else is
-    structural corruption and raises :class:`WalError`.
+    :attr:`truncated_lines` describe what was read.  Segments are read
+    as bytes and every line goes through :func:`parse_line`.  A torn
+    tail — one or more lines at the *end of the last segment* that are
+    cut short, not valid UTF-8 (a crash inside a multi-byte character),
+    not JSON, or fail their CRC, the signature of a crash mid-write —
+    is tolerated: iteration stops at the last valid record (and the
+    file is truncated back to it when ``repair=True``).  Invalid data
+    anywhere else is structural corruption and raises :class:`WalError`.
     """
 
     def __init__(self, wal_dir: PathLike, *, start_seq: int = 1,
@@ -275,16 +368,6 @@ class WalReader:
         self.last_seq = start_seq - 1
         self.truncated_lines = 0
         self.segments_read = 0
-
-    @staticmethod
-    def _parse(line: str) -> Optional[Dict]:
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            return None
-        if not isinstance(record, dict) or not verify_record(record):
-            return None
-        return record
 
     def _segments(self) -> List[Path]:
         """Segments that can hold records >= ``start_seq``.
@@ -310,14 +393,14 @@ class WalReader:
         for index, path in enumerate(selected):
             self.segments_read += 1
             last_segment = index == len(selected) - 1
-            lines = path.read_text(encoding="utf-8").split("\n")
-            lines = [(number, line) for number, line in enumerate(lines, 1)
+            lines = [(number, line) for number, line
+                     in enumerate(path.read_bytes().split(b"\n"), 1)
                      if line.strip()]
             for position, (line_number, line) in enumerate(lines):
-                record = self._parse(line)
+                record = parse_line(line)
                 if record is None:
                     if last_segment and not any(
-                            self._parse(later) is not None
+                            parse_line(later) is not None
                             for _, later in lines[position + 1:]):
                         # Torn tail: a crash interrupted the final write.
                         self.truncated_lines = len(lines) - position
@@ -337,11 +420,10 @@ class WalReader:
                 expected += 1
                 yield record
 
-    def _truncate(self, path: Path, keep: List[Tuple[int, str]]) -> None:
+    def _truncate(self, path: Path, keep: List[Tuple[int, bytes]]) -> None:
         """Rewrite ``path`` with only its valid prefix (torn-tail repair)."""
-        text = "".join(line + "\n" for _, line in keep)
         tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_bytes(b"".join(line + b"\n" for _, line in keep))
         os.replace(tmp, path)
 
 

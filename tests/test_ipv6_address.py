@@ -1,5 +1,7 @@
 """Unit tests for integer-backed IPv6 address primitives."""
 
+import ipaddress
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +10,36 @@ from repro.ipv6 import address as addr
 
 ADDRESSES = st.integers(min_value=0, max_value=addr.ADDRESS_SPACE - 1)
 LENGTHS = st.integers(min_value=0, max_value=128)
+
+#: Addresses whose hextets are mostly zero: every zero-run shape the
+#: RFC 5952 ``::`` rule has to choose between.
+SPARSE_ADDRESSES = st.lists(
+    st.one_of(st.just(0), st.integers(min_value=1, max_value=0xFFFF)),
+    min_size=8, max_size=8,
+).map(lambda hextets: sum(h << (16 * i) for i, h in enumerate(hextets)))
+
+#: Address-like text: mostly the characters an address is made of.
+ADDRESS_TEXT = st.text(alphabet="0123456789abcdefABCDEF:.%", max_size=46)
+
+
+def reference_format(value):
+    """The codec's reference: the standard library's rendering."""
+    return str(ipaddress.IPv6Address(value))
+
+
+def reference_parse(text):
+    """``("ok", int)`` or ``("error", ValueError subclass)``."""
+    try:
+        return "ok", int(ipaddress.IPv6Address(text))
+    except ValueError as exc:
+        return "error", type(exc)
+
+
+def codec_parse(text):
+    try:
+        return "ok", addr.parse(text)
+    except ValueError as exc:
+        return "error", type(exc)
 
 
 class TestParseFormat:
@@ -33,6 +65,110 @@ class TestParseFormat:
     @given(ADDRESSES)
     def test_roundtrip(self, value):
         assert addr.parse(addr.format_address(value)) == value
+
+
+class TestCodecMatchesIpaddress:
+    """``parse``/``format_address`` run on ``inet_pton``/``inet_ntop``
+    and must agree with :mod:`ipaddress` everywhere."""
+
+    @given(ADDRESSES)
+    def test_format_full_range(self, value):
+        assert addr.format_address(value) == reference_format(value)
+
+    @given(SPARSE_ADDRESSES)
+    def test_format_sparse(self, value):
+        assert addr.format_address(value) == reference_format(value)
+
+    @given(st.one_of(ADDRESSES, SPARSE_ADDRESSES))
+    def test_parse_compressed_and_exploded(self, value):
+        for text in (reference_format(value),
+                     ipaddress.IPv6Address(value).exploded,
+                     reference_format(value).upper()):
+            assert addr.parse(text) == value
+
+    def test_every_zero_run_pattern(self):
+        """All 256 choices of which hextets are zero, with small, large
+        and leading-zero-prone non-zero hextets."""
+        for mask in range(256):
+            for fill in (1, 0xABCD, 0x0F00):
+                hextets = [fill if mask >> i & 1 else 0 for i in range(8)]
+                value = sum(h << (16 * (7 - i))
+                            for i, h in enumerate(hextets))
+                text = reference_format(value)
+                assert addr.format_address(value) == text, hex(value)
+                assert addr.parse(text) == value
+
+    @given(st.integers(min_value=0, max_value=(1 << 32) - 1))
+    def test_ipv4_compatible_and_mapped_ranges(self, low):
+        """``inet_ntop`` prints these two /96s as dotted IPv4."""
+        for high in (0, 0xFFFF, 1, 0xFFFE, 0x10000):
+            value = high << 32 | low
+            assert addr.format_address(value) == reference_format(value)
+
+    def test_ipv4_range_edges(self):
+        edges = [0, 1, 0xFFFF_FFFF, 1 << 32, (0xFFFF << 32) - 1,
+                 0xFFFF << 32, (0xFFFF << 32) | 0x01020304,
+                 (0x10000 << 32) - 1, 0x10000 << 32]
+        for value in edges:
+            assert addr.format_address(value) == reference_format(value)
+        for text in ("::ffff:1.2.3.4", "::1.2.3.4", "1::1.2.3.4",
+                     "::ffff:0:0", "::0.0.0.0"):
+            assert codec_parse(text) == reference_parse(text)
+
+    def test_scope_ids_parse_like_ipaddress(self):
+        for text in ("fe80::1%eth0", "fe80::1%1", "ff02::1%lo",
+                     "2001:db8::1%0"):
+            assert addr.parse(text) == int(ipaddress.IPv6Address(text))
+
+    def test_non_string_arguments_parse_like_ipaddress(self):
+        packed = bytes(range(16))
+        assert addr.parse(42) == 42
+        assert addr.parse(packed) == int(ipaddress.IPv6Address(packed))
+
+    def test_invalid_text_raises_value_error(self):
+        for text in ("", ":", ":::", "1:2:3:4:5:6:7:8:9", "12345::",
+                     "1::2::3", "g::", " ::1", "::1 ", "::1\x00",
+                     "\ud800", "::1.2.3.04", "::1.2.3", "1.2.3.4",
+                     "1.2.3.4::", "::1%", "1:2:3:4:5:6:7::8:9",
+                     "1::2:3:4:5:6:7:8", "::１"):
+            kind, error = codec_parse(text)
+            assert kind == "error", text
+            assert issubclass(error, ipaddress.AddressValueError), text
+            assert reference_parse(text) == (kind, error), text
+
+    @given(ADDRESS_TEXT)
+    def test_arbitrary_text_parses_like_ipaddress(self, text):
+        assert codec_parse(text) == reference_parse(text)
+
+    @given(ADDRESSES, st.data())
+    def test_edited_text_parses_like_ipaddress(self, value, data):
+        """Valid text with a character inserted, replaced or deleted:
+        the near misses most likely to split the two parsers."""
+        text = data.draw(st.sampled_from(
+            [reference_format(value),
+             ipaddress.IPv6Address(value).exploded]))
+        at = data.draw(st.integers(min_value=0, max_value=len(text)))
+        char = data.draw(st.sampled_from("0f:.%g "))
+        edit = data.draw(st.sampled_from(("insert", "replace", "delete")))
+        if edit == "insert":
+            text = text[:at] + char + text[at:]
+        elif edit == "replace":
+            text = text[:at] + char + text[at + 1:]
+        else:
+            text = text[:at] + text[at + 1:]
+        assert codec_parse(text) == reference_parse(text)
+
+    def test_out_of_range_values_raise_like_ipaddress(self):
+        for value in (-1, addr.ADDRESS_SPACE, addr.ADDRESS_SPACE + 5):
+            with pytest.raises(ValueError) as raised:
+                addr.format_address(value)
+            with pytest.raises(ValueError) as reference:
+                reference_format(value)
+            assert str(raised.value) == str(reference.value)
+
+    def test_int_subclasses_format_like_ipaddress(self):
+        for value in (True, False):
+            assert addr.format_address(value) == reference_format(value)
 
 
 class TestPrefix:

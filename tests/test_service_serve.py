@@ -8,6 +8,7 @@ count stays far below queries × log length.
 """
 
 import json
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -124,6 +125,31 @@ def test_bad_query_returns_error_not_disconnect(service_run):
             server.shutdown()
     assert not response["ok"]
     assert "window=-1" in response["error"]
+
+
+def test_shutdown_reply_is_sent_before_teardown(service_run):
+    """``repro serve`` exits as soon as teardown ends, killing handler
+    threads, so the ``shutdown`` reply must be on the wire first:
+    dispatching it leaves the server serving, and the handler starts
+    the teardown once its reply is flushed."""
+    _, run_dir = service_run
+    with use_registry():
+        server = api.serve(str(run_dir))
+        try:
+            assert server.dispatch({"cmd": "shutdown"}) == {"ok": True,
+                                                            "bye": True}
+            assert query_server(server.address, {"cmd": "stats"},
+                                timeout=10.0)["ok"]
+            bye = query_server(server.address, {"cmd": "shutdown"},
+                               timeout=10.0)
+            assert bye == {"ok": True, "bye": True}
+            # The CLI's foreground loop returns once the teardown ran.
+            loop = threading.Thread(target=server.serve_forever)
+            loop.start()
+            loop.join(timeout=10.0)
+            assert not loop.is_alive()
+        finally:
+            server.shutdown()
 
 
 def test_graceful_shutdown_flushes_live_daemon(tmp_path):

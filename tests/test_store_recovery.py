@@ -51,7 +51,8 @@ def clean_study(tmp_path_factory):
     study = api.study(small_config(run_dir))
     verify = RunStore.open(run_dir).verify()
     assert verify["ok"] and verify["cooldown_violations"] == 0
-    return {"study": study, "records": verify["records"]}
+    return {"study": study, "records": verify["records"],
+            "run_dir": run_dir}
 
 
 def crash_run(run_dir, hook):
@@ -138,27 +139,61 @@ def test_kill_at_checkpoint(tmp_path, clean_study):
     assert_recovered(run_dir, clean_study, state["acked"])
 
 
+def torn_next_record(clean_dir, seq, seed):
+    """The prefix of record ``seq + 1`` a crash mid-write leaves behind.
+
+    The uninterrupted run wrote the same record, so its line is taken
+    from there.  This world's text is ASCII, so the record is given a
+    non-ASCII server name (``Köln``) as a pool or HTTP server could
+    carry; odd seeds cut the line inside one of its multi-byte
+    characters, even seeds anywhere.
+    """
+    from repro.store.wal import WalReader, encode_record
+
+    record = next(record for record
+                  in WalReader(clean_dir / "wal").records()
+                  if record["seq"] == seq + 1)
+    payload = {key: value for key, value in record.items()
+               if key not in ("seq", "crc")}
+    payload["server"] = "Köln"
+    raw = encode_record(seq + 1, payload)[1].encode("utf-8")
+    rng = random.Random(seed)
+    if seed % 2:
+        # Cutting before a continuation byte splits a character.
+        cut = rng.choice([at for at in range(1, len(raw))
+                          if raw[at] & 0xC0 == 0x80])
+    else:
+        cut = rng.randrange(1, len(raw) - 1)
+    return raw[:cut]
+
+
 def test_torn_tail_after_crash_is_repaired(tmp_path, clean_study):
-    """A half-written final line (torn write) is truncated on resume."""
-    run_dir = tmp_path / "crashed"
-    state = {"count": 0, "acked": 0}
-
-    def hook(point, seq, acked):
-        state["acked"] = acked
-        if point == "post-append":
-            state["count"] += 1
-            if state["count"] >= 1000:
-                raise SimulatedCrash()
-
-    crash_run(run_dir, hook)
-    # Simulate the torn write the crash left behind.
-    store = RunStore.open(run_dir)
+    """A half-written final line (torn write) is truncated on resume;
+    each seed of the sweep tears the line at its own offset."""
     from repro.store import list_segments
 
-    with open(list_segments(store.wal_dir)[-1], "a",
-              encoding="utf-8") as handle:
-        handle.write('{"t": "grab", "addr": "2001:db8')
-    assert_recovered(run_dir, clean_study, state["acked"])
+    for seed in CRASH_SEEDS:
+        run_dir = tmp_path / f"crashed-{seed}"
+        state = {"count": 0, "acked": 0, "seq": 0}
+
+        def hook(point, seq, acked):
+            state["acked"] = acked
+            if point == "post-append":
+                state["count"] += 1
+                state["seq"] = seq
+                if state["count"] >= 1000:
+                    raise SimulatedCrash()
+
+        crash_run(run_dir, hook)
+        # Simulate the torn write the crash left behind.
+        store = RunStore.open(run_dir)
+        with open(list_segments(store.wal_dir)[-1], "ab") as handle:
+            handle.write(torn_next_record(clean_study["run_dir"],
+                                          state["seq"], seed))
+        recovery = store.recover(repair=False)
+        assert recovery.last_seq == state["seq"], seed
+        assert recovery.truncated_lines == 1, seed
+        assert_recovered(run_dir, clean_study, state["acked"])
 
 
 def test_resume_of_a_completed_run_is_idempotent(tmp_path, clean_study):

@@ -147,6 +147,34 @@ class TestWalReader:
         records, reader = read_all(tmp_path)
         assert len(records) == 5 and reader.truncated_lines == 0
 
+    def test_torn_tail_inside_a_multibyte_character(self, tmp_path):
+        """A crash mid-way through ``Köln`` leaves a partial UTF-8
+        character; recovery truncates it like any torn tail."""
+        store = make_store(tmp_path, segment_max_records=10)
+        writer = store.new_writer()
+        for i in range(3):
+            writer.append(sighting(i))
+        writer.close()
+        segment = list_segments(store.wal_dir)[-1]
+        with open(segment, "ab") as handle:
+            handle.write('{"addr": "2001:db8::3", "crc": "0badc0de", '
+                         '"seq": 4, "server": "K'.encode() + b"\xc3")
+        recovery = store.recover(repair=True)
+        assert [record["seq"] for record in recovery.records] == [1, 2, 3]
+        assert recovery.truncated_lines == 1
+        records, reader = read_all(store.wal_dir)
+        assert len(records) == 3 and reader.truncated_lines == 0
+        assert segment.read_bytes().endswith(b"}\n")
+
+    def test_invalid_utf8_in_the_middle_raises(self, tmp_path):
+        self._write(tmp_path, 4, segment_max_records=10)
+        segment = list_segments(tmp_path)[0]
+        lines = segment.read_bytes().split(b"\n")
+        lines[1] = lines[1].replace(b"sighting", b"sight\xffng")
+        segment.write_bytes(b"\n".join(lines))
+        with pytest.raises(WalError, match=":2: corrupt WAL record"):
+            list(WalReader(tmp_path).records())
+
     def test_corruption_in_the_middle_raises(self, tmp_path):
         self._write(tmp_path, 6, segment_max_records=10)
         segment = list_segments(tmp_path)[0]
@@ -185,6 +213,17 @@ class TestCheckpoints:
         # latest_checkpoint falls back to the next-newest valid file.
         assert latest_checkpoint(tmp_path).seq == 10
 
+    def test_bit_rotted_checkpoint_falls_back(self, tmp_path):
+        """Invalid UTF-8 is a typed corruption, never UnicodeDecodeError."""
+        save_checkpoint(tmp_path, Checkpoint(seq=10, chain=1, state={}))
+        newest = save_checkpoint(tmp_path, Checkpoint(
+            seq=20, chain=2, state={"note": "Köln"}))
+        newest.write_bytes(newest.read_bytes().replace("ö".encode(),
+                                                       b"\xff\xfe"))
+        with pytest.raises(WalError, match="malformed checkpoint"):
+            load_checkpoint(newest)
+        assert latest_checkpoint(tmp_path).seq == 10
+
     def test_tmp_files_are_invisible(self, tmp_path):
         save_checkpoint(tmp_path, Checkpoint(seq=10, chain=1, state={}))
         (tmp_path / "ckpt-000000000020.json.tmp").write_text("{}")
@@ -200,6 +239,23 @@ class TestRunStore:
     def test_open_requires_meta(self, tmp_path):
         with pytest.raises(WalError, match="not a run store"):
             RunStore.open(tmp_path)
+
+    @pytest.mark.parametrize("content", [b"[1, 2]", b'"run-store"',
+                                         b"\xff\xfe{}"])
+    def test_open_rejects_unreadable_meta(self, tmp_path, content):
+        store = make_store(tmp_path)
+        (store.run_dir / "meta.json").write_bytes(content)
+        with pytest.raises(WalError, match="not a run store"):
+            RunStore.open(store.run_dir)
+
+    @pytest.mark.parametrize("content", [b"[1, 2]", b"\xff\xfe{}",
+                                         b'{"kind": '])
+    def test_reload_meta_keeps_its_copy_of_unreadable_meta(self, tmp_path,
+                                                          content):
+        store = make_store(tmp_path)
+        before = dict(store.meta)
+        (store.run_dir / "meta.json").write_bytes(content)
+        assert store.reload_meta() == before
 
     def test_recover_then_append_continues_sequence(self, tmp_path):
         store = make_store(tmp_path)
@@ -390,6 +446,12 @@ class TestStoreCli:
 
     def test_open_error_exits_two(self, tmp_path, capsys):
         assert main(["store", "inspect", str(tmp_path)]) == 2
+        assert "not a run store" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b"[1, 2]", b"\xff\xfe{}"])
+    def test_unreadable_meta_exits_two(self, run_dir, capsys, content):
+        (RunStore.open(run_dir).run_dir / "meta.json").write_bytes(content)
+        assert main(["store", "inspect", run_dir]) == 2
         assert "not a run store" in capsys.readouterr().err
 
     def test_analyze_config_needs_a_source(self, capsys):

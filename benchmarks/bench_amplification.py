@@ -1,10 +1,10 @@
-"""The monlist amplification study: exposure shares and worker parity.
+"""The monlist amplification study: exposure shares.
 
 Benchmarks ``api.amplification`` (the mode-6/7 control-plane scan over
 the profiled pool) and commits its rendered exposure/distribution
 artefact.  Two unconditional gates ride along: the seeded exposure
-share must sit in the paper's plausible band, and a 2-worker run must
-reproduce the sequential table byte for byte.
+share must sit in the paper's plausible band, and the amplification
+factor must stay bounded by the recent-client table.
 """
 
 from benchmarks.conftest import write_report
@@ -14,21 +14,16 @@ from repro.report import fmt_int, fmt_pct, shape_check
 CONFIG = dict(servers=96, seed=20240720, max_entries=48)
 
 
-def _amplification_run(workers=0):
-    return api.amplification(api.AmplificationConfig(
-        workers=workers, **CONFIG))
+def _amplification_run():
+    return api.amplification(api.AmplificationConfig(**CONFIG))
 
 
 def test_amplification_study(benchmark):
-    """Full study at bench scale: 96 profiled servers, 4 shards."""
+    """Full study at bench scale: 96 profiled servers."""
     result = benchmark.pedantic(_amplification_run, rounds=3, iterations=1)
-    with api.ExecutionContext(workers=2) as ctx:
-        pooled = api.amplification(
-            api.AmplificationConfig(workers=2, **CONFIG), ctx=ctx)
 
     exposure = result.exposure
     distribution = result.distribution
-    parity_identical = pooled.table == result.table
     # Czyz et al. measured ~7% of v4 servers still open in 2014 after
     # the patch shipped; our seeded pool models the pre-cleanup era the
     # paper's Fig 2/3 describes — 12% v3 + 28% unpatched v4 gives an
@@ -45,9 +40,6 @@ def test_amplification_study(benchmark):
     text += "\n" + shape_check(
         "amplification bounded by the 48-entry table (max <= 60x)",
         distribution.maximum <= 60.0)
-    text += "\n" + shape_check(
-        "pooled scan (2 workers) reproduces the table byte for byte",
-        parity_identical)
     write_report("amplification", text)
 
     benchmark.extra_info.update({
@@ -58,9 +50,7 @@ def test_amplification_study(benchmark):
         "max_amplification": round(distribution.maximum, 2),
         "gate_armed": True,
         "gate_status": "armed-passed" if gate_passed else "armed-failed",
-        "parity_identical": parity_identical,
     })
     assert gate_passed, (
         f"exposure {exposure.exposed_share:.1%} / "
         f"max {distribution.maximum:.1f}x outside the seeded band")
-    assert parity_identical

@@ -1,8 +1,6 @@
 """End-to-end pipeline cost: one full (small) study per round."""
 
-import os
 import random
-import time
 
 from benchmarks.conftest import write_report
 from repro import api
@@ -12,28 +10,25 @@ from repro.ipv6 import parse
 from repro.net.simnet import Network
 from repro.obs import Histogram, use_registry
 from repro.report import fmt_int, fmt_pct, render_table, shape_check
-from repro.runtime.parallel import ParallelShardedScanEngine
-from repro.runtime.sharding import ShardedScanEngine
-from repro.scan.engine import EngineConfig
+from repro.scan.engine import EngineConfig, ScanEngine
 from repro.world import devices as dev
-from repro.world.population import WorldConfig, build_world
+from repro.world.population import WorldConfig
 
 
-def _small_study(shards=1):
+def _small_study():
     return run_experiment(ExperimentConfig(
         world=WorldConfig(scale=0.1),
         campaign=CampaignConfig(days=14, wire_fraction=0.02),
         rl_days=3, gap_days=3, lead_days=10, final_days=4,
-        scan_shards=shards,
     ))
 
 
 def _metrics_lines(registry, label):
-    """Drop counts and probe-latency quantiles for one shard config.
+    """Drop counts and probe-latency quantiles for one run.
 
     Quantiles come from the fixed-bucket ``probe_seconds`` histograms,
     so each is an upper bound (the bucket boundary the quantile falls
-    in), merged across every engine/shard/protocol series.
+    in), merged across every engine/protocol series.
     """
     dropped = sum(c.value for _, c in registry.find("stage_dropped_total"))
     cooled = sum(c.value
@@ -72,226 +67,7 @@ def test_pipeline_end_to_end(benchmark):
     assert len(result.ntp_dataset) > 0
 
 
-def test_pipeline_sharded_vs_single(benchmark):
-    """shards=4 must merge to identical results at no extra cost."""
-    single_times, sharded_times = [], []
-    results = {}
-
-    def _paired_round():
-        """One single + one sharded study, back to back.
-
-        Interleaving the two configurations inside each round cancels
-        machine-load drift, and alternating which goes first cancels
-        the position effect (the second study runs on a dirtier heap).
-        """
-        single_first = len(single_times) % 2 == 0
-        order = (1, 4) if single_first else (4, 1)
-        # CPU time, not wall clock: the comparison must not hinge on
-        # scheduler preemption by whatever else shares this machine.
-        start = time.process_time()
-        first = _small_study(shards=order[0])
-        mid = time.process_time()
-        second = _small_study(shards=order[1])
-        end = time.process_time()
-        if single_first:
-            results["single"], results["sharded"] = first, second
-            single_times.append(mid - start)
-            sharded_times.append(end - mid)
-        else:
-            results["sharded"], results["single"] = first, second
-            sharded_times.append(mid - start)
-            single_times.append(end - mid)
-
-    benchmark.pedantic(_paired_round, rounds=4, iterations=1,
-                       warmup_rounds=1)
-    # The warmup pair lands in the lists too; drop it — its first leg
-    # pays cold-start costs (imports, allocator growth) unfairly.
-    single_times, sharded_times = single_times[1:], sharded_times[1:]
-    rounds = len(single_times)
-    single, sharded = results["single"], results["sharded"]
-
-    def _median(times):
-        ordered = sorted(times)
-        return ordered[len(ordered) // 2]
-
-    single_median = _median(single_times)
-    sharded_median = _median(sharded_times)
-
-    identical = all(
-        single.hitlist_scan.responsive_addresses(protocol)
-        == sharded.hitlist_scan.responsive_addresses(protocol)
-        for protocol in single.hitlist_scan.protocols())
-    text = (
-        "Sharded scan engine vs single engine (scale 0.1 study)\n"
-        f"  single engine (median of {rounds}):  {single_median:8.3f} cpu-s\n"
-        f"  4 shards      (median of {rounds}):  {sharded_median:8.3f} cpu-s\n"
-        f"  ratio (sharded/single):      "
-        f"{sharded_median / single_median:8.3f}\n"
-        "\n"
-        "Runtime metrics per shard configuration (embedded mode: probes\n"
-        "run synchronously, so latency collapses to the first bucket)\n"
-    )
-    text += _metrics_lines(single.metrics, "single engine")
-    text += _metrics_lines(sharded.metrics, "4 shards")
-    text += "\n" + shape_check(
-        "sharded responsive sets identical to single engine", identical)
-    text += "\n" + shape_check(
-        "sharding adds no end-to-end slowdown (<=5% tolerance)",
-        sharded_median <= single_median * 1.05)
-    write_report("pipeline_sharded_vs_single", text)
-
-    single_latency = Histogram.merged(
-        [h for _, h in single.metrics.find("probe_seconds")])
-    benchmark.extra_info.update({
-        "single_median_cpu_s": round(single_median, 4),
-        "sharded_median_cpu_s": round(sharded_median, 4),
-        "single_drops": int(sum(
-            c.value for _, c in single.metrics.find("stage_dropped_total"))),
-        "sharded_drops": int(sum(
-            c.value for _, c in sharded.metrics.find("stage_dropped_total"))),
-        "single_probe_p99_s": single_latency.quantile(0.99),
-    })
-    assert identical
-    assert sharded.hitlist_scan.targets_seen == single.hitlist_scan.targets_seen
-
-
-def _sweep_scan(shards, workers, pool=None, world=None):
-    """One embedded-mode batch scan at a shard × worker configuration.
-
-    ``workers=0`` is the in-process sequential reference and always
-    builds a fresh world — sequential probes mutate live service state.
-    Parallel runs may share ``world``/``pool``: workers scan private
-    replicas, so the parent world stays untouched, and a persistent
-    :class:`WorkerPool` lets a *warm* run reuse both spawned processes
-    and the pickle-once world snapshot.  Wall clock, not cpu time —
-    the pool's entire value is elapsed time, and its spawn/snapshot
-    overhead must count against it.
-    """
-    if world is None or workers == 0:
-        world = build_world(WorldConfig(seed=20240720, scale=0.1))
-    source = parse("2001:db8:5c::1")
-    # Engine construction registers the scanner source as a host, so a
-    # shared world would otherwise grow a target between runs.
-    hosts = sorted(address for address in world.network._hosts
-                   if address != source)
-    targets = hosts + [address ^ 0xDEAD for address in hosts]
-    config = EngineConfig(drive_clock=False, seed=0x5EED)
-    with use_registry() as registry:
-        if workers == 0:
-            engine = ShardedScanEngine(world.network, source, config,
-                                       shards=shards, name="sweep")
-        else:
-            engine = ParallelShardedScanEngine(
-                world.network, source, config,
-                shards=shards, workers=workers, name="sweep", pool=pool)
-        start = time.perf_counter()
-        results = engine.run(targets, label="sweep")
-        elapsed = time.perf_counter() - start
-    return elapsed, results, registry
-
-
-def test_parallel_worker_sweep(benchmark):
-    """Sequential vs persistent-pool shard execution: speedup + reuse.
-
-    Sweeps workers × shard counts.  Each parallel configuration runs
-    twice on one persistent :class:`WorkerPool` — a *cold* run paying
-    worker spawn + world pickling, then a *warm* run on the spawned
-    workers and the cached snapshot (the ``ExecutionContext`` steady
-    state).  Every run must land on the sequential reference's
-    responsive sets, and every pool must ship the world snapshot
-    exactly once across its two runs (the pickle-once contract — this
-    assert is core-count-independent and always on).  The warm-speedup
-    gate arms on machines with >=4 cores; on fewer the report records
-    the skip and its reason instead of silently passing.
-    """
-    from repro.runtime.pool import WorkerPool
-
-    worker_counts = (1, 2, 4, 8)
-    shard_counts = (4, 8)
-    cores = os.cpu_count() or 1
-    gate_armed = cores >= 4
-    rows = []
-    sequential_elapsed = {}
-    ship_counts = {}
-    # One world serves every parallel configuration: the parent copy is
-    # never scanned (workers build replicas), so state cannot leak.
-    parallel_world = build_world(WorldConfig(seed=20240720, scale=0.1))
-
-    for shards in shard_counts:
-        seq_elapsed, seq_results, _ = _sweep_scan(shards, 0)
-        sequential_elapsed[shards] = seq_elapsed
-        rows.append((shards, 0, seq_elapsed, seq_elapsed, 1.0))
-        for workers in worker_counts:
-            with WorkerPool(workers) as pool:
-                cold, cold_results, _ = _sweep_scan(
-                    shards, workers, pool=pool, world=parallel_world)
-                warm, warm_results, _ = _sweep_scan(
-                    shards, workers, pool=pool, world=parallel_world)
-                ship_counts[(shards, workers)] = \
-                    pool.stats["snapshots_shipped"]
-                assert pool.stats["generations"] == 1, \
-                    f"shards={shards} workers={workers}: pool respawned"
-            for results in (cold_results, warm_results):
-                identical = all(
-                    results.responsive_addresses(protocol)
-                    == seq_results.responsive_addresses(protocol)
-                    for protocol in seq_results.protocols())
-                assert identical, f"shards={shards} workers={workers}"
-                assert results.targets_seen == seq_results.targets_seen
-            rows.append((shards, workers, cold, warm, seq_elapsed / warm))
-
-    benchmark.pedantic(_sweep_scan, args=(4, 2), rounds=3, iterations=1)
-
-    # The pickle-once contract, independent of core count: two runs on
-    # one (world, pool) pair spool exactly one snapshot file.
-    ship_once = all(count == 1 for count in ship_counts.values())
-    warm_speedup_at_4 = next(speedup
-                             for shards, workers, _, _, speedup in rows
-                             if shards == 4 and workers == 4)
-
-    text = (f"Sequential vs persistent-pool shard execution\n"
-            f"  cores detected: {cores}\n"
-            "  shards  workers  cold s   warm s   warm speedup\n")
-    for shards, workers, cold, warm, speedup in rows:
-        mode = "  seq" if workers == 0 else f"{workers:5d}"
-        text += (f"  {shards:6d}  {mode}  {cold:7.3f}  {warm:7.3f}"
-                 f"  {speedup:7.2f}x\n")
-    text += "\n" + shape_check(
-        "every cold and warm run reproduces the sequential responsive "
-        "sets", True)
-    text += "\n" + shape_check(
-        "snapshot shipped once per (world, pool): "
-        + ("OK" if ship_once else "VIOLATED"), ship_once)
-    if gate_armed:
-        gate_passed = warm_speedup_at_4 >= 1.0
-        gate_status = "armed-passed" if gate_passed else "armed-failed"
-        text += "\n" + shape_check(
-            f"gate ARMED ({cores} cores >= 4): warm 4-worker run at "
-            f"least matches sequential ({warm_speedup_at_4:.2f}x)",
-            gate_passed)
-    else:
-        gate_status = "skipped"
-        text += (f"\n[gate SKIPPED: {cores} core(s) < 4 — process "
-                 f"parallelism cannot win here; warm 4-worker speedup "
-                 f"observed {warm_speedup_at_4:.2f}x]\n")
-    write_report("pipeline_parallel_sweep", text)
-
-    benchmark.extra_info.update({
-        "cores": cores,
-        "gate_armed": gate_armed,
-        "gate_status": gate_status,
-        "warm_speedup_4shards_4workers": round(warm_speedup_at_4, 3),
-        "snapshots_shipped_max": max(ship_counts.values()),
-        "sequential_wall_s_4shards": round(sequential_elapsed[4], 4),
-    })
-    assert ship_once, f"pickle-once violated: {ship_counts}"
-    if gate_armed:
-        assert warm_speedup_at_4 >= 1.0, (
-            f"gate armed ({cores} cores) but the warm 4-worker run lost "
-            f"to sequential: {warm_speedup_at_4:.2f}x")
-
-
-def _driving_scan(shards):
+def _driving_scan():
     """One driving-mode scan campaign under a fresh metrics registry.
 
     Driving mode advances the virtual clock through token-bucket waits
@@ -309,47 +85,39 @@ def _driving_scan(shards):
     targets = [prefix | rng.getrandbits(64) for _ in range(300)]
     targets += rng.sample(targets, 60)          # duplicates hit cool-down
     with use_registry() as registry:
-        engine = ShardedScanEngine(
+        engine = ScanEngine(
             network, parse("2001:db8:5c::1"),
-            EngineConfig(packets_per_second=100.0),
-            shards=shards, name="bench")
-        results = engine.run(targets, label=f"driving/{shards}")
+            EngineConfig(packets_per_second=100.0), name="bench")
+        results = engine.run(targets, label="driving")
     return registry, results
 
 
 def test_probe_latency_driving_mode(benchmark):
-    """p50/p99 probe latency per shard configuration (driving mode)."""
-    registries = {shards: _driving_scan(shards)[0] for shards in (1, 4)}
-    benchmark.pedantic(_driving_scan, args=(4,), rounds=3, iterations=1)
+    """p50/p99 probe latency of the scan engine in driving mode."""
+    registry, _ = _driving_scan()
+    benchmark.pedantic(_driving_scan, rounds=3, iterations=1)
 
-    text = "Driving-mode probe latency by shard configuration\n"
-    latencies = {}
-    for shards, registry in sorted(registries.items()):
-        latencies[shards] = Histogram.merged(
-            [h for _, h in registry.find("probe_seconds")])
-        text += _metrics_lines(registry, f"{shards} shard(s)")
+    text = "Driving-mode probe latency\n"
+    latency = Histogram.merged(
+        [h for _, h in registry.find("probe_seconds")])
+    text += _metrics_lines(registry, "single engine")
     text += "\n" + shape_check(
-        "driving mode records nonzero probe latency",
-        all(latency.sum > 0 for latency in latencies.values()))
+        "driving mode records nonzero probe latency", latency.sum > 0)
     text += "\n" + shape_check(
         "cool-down rejections recorded for duplicate targets",
-        all(sum(c.value
-                for _, c in registry.find("scheduler_cooldown_hits_total")) > 0
-            for registry in registries.values()))
+        sum(c.value
+            for _, c in registry.find("scheduler_cooldown_hits_total")) > 0)
     write_report("pipeline_probe_latency", text)
 
-    benchmark.extra_info.update({
-        f"p99_s_{shards}shards": latencies[shards].quantile(0.99)
-        for shards in latencies
-    })
-    assert all(latency.count > 0 for latency in latencies.values())
+    benchmark.extra_info.update({"p99_s": latency.quantile(0.99)})
+    assert latency.count > 0
 
 
-def _ecosystem_run(workers=0):
+def _ecosystem_run():
     """One mixed-actor telescope campaign with strategy attribution."""
     return api.ecosystem(api.EcosystemConfig(
         world=WorldConfig(seed=20240720, scale=0.1),
-        sweep_days=4, settle_days=2, workers=workers))
+        sweep_days=4, settle_days=2))
 
 
 def test_ecosystem_attribution_population(benchmark):
@@ -359,12 +127,9 @@ def test_ecosystem_attribution_population(benchmark):
     five-strategy leak population) and renders the confusion matrix and
     per-strategy precision/recall the attribution layer produced.  The
     quality gate is unconditional — the diagonal must stay >= 0.9 at
-    this scale regardless of machine — and the sequential/pooled runs
-    must agree cluster for cluster (extraction parity, not just table
-    parity).
+    this scale regardless of machine.
     """
     result = benchmark.pedantic(_ecosystem_run, rounds=3, iterations=1)
-    pooled = _ecosystem_run(workers=2)
 
     attribution = result.attribution
     confusion = attribution.confusion()
@@ -382,8 +147,6 @@ def test_ecosystem_attribution_population(benchmark):
          fmt_int(int(scores["support"]))]
         for strategy, scores in metrics.items()]
 
-    pooled_identical = (pooled.attribution.tables()
-                        == attribution.tables())
     gate_passed = diagonal >= 0.9
     text = (
         "Mixed-actor population sweep (scale 0.1, 4 sweep days)\n"
@@ -401,9 +164,6 @@ def test_ecosystem_attribution_population(benchmark):
     text += "\n" + shape_check(
         "every labeled strategy attributed (confusion diagonal >= 90%)",
         gate_passed)
-    text += "\n" + shape_check(
-        "pooled extraction (2 workers) reproduces the inline tables",
-        pooled_identical)
     write_report("pipeline_ecosystem", text)
 
     benchmark.extra_info.update({
@@ -412,7 +172,5 @@ def test_ecosystem_attribution_population(benchmark):
         "diagonal": round(diagonal, 4),
         "gate_armed": True,
         "gate_status": "armed-passed" if gate_passed else "armed-failed",
-        "pooled_identical": pooled_identical,
     })
     assert gate_passed, f"confusion diagonal {diagonal:.2%} < 90%"
-    assert pooled_identical

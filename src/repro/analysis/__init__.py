@@ -3,19 +3,19 @@
 from repro.analysis import (
     aggregate,
     aliases,
+    bundle,
     devicetypes,
     fingerprint,
     keyreuse,
     levenshtein,
     lifetime,
     macs,
-    parallel,
     security,
     structure,
 )
+from repro.analysis.bundle import AnalysisBundle, run_analysis
 from repro.analysis.devicetypes import DeviceTypeTable, build_table3
 from repro.analysis.levenshtein import TitleClusterer, normalized_distance
-from repro.analysis.parallel import AnalysisBundle, run_analysis
 from repro.analysis.macs import MacReport, analyze_dataset
 from repro.analysis.security import (
     AccessControlReport,
@@ -42,6 +42,7 @@ __all__ = [
     "analyze",
     "analyze_dataset",
     "broker_access_control",
+    "bundle",
     "build_table3",
     "devicetypes",
     "fingerprint",
@@ -50,7 +51,6 @@ __all__ = [
     "lifetime",
     "macs",
     "normalized_distance",
-    "parallel",
     "run_analysis",
     "secure_share",
     "security",

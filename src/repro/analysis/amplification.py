@@ -15,8 +15,8 @@ monlist scan tells:
 
 Both reports are frozen dataclasses built by pure functions of the
 grab list, and :func:`amplification_table` renders them to the aligned
-text artefact the bench commits — byte-identical however many workers
-produced the grabs.
+text artefact the bench commits — byte-identical whatever order the
+grabs arrived in.
 """
 
 from __future__ import annotations
@@ -154,8 +154,8 @@ def amplification_table(exposure: MonlistExposureReport,
                         distribution: AmplificationReport) -> str:
     """Render both reports as one aligned text artefact.
 
-    A pure function of the two frozen reports — the parity tests pin
-    this string byte-identical across 0/2/4-worker runs.
+    A pure function of the two frozen reports; ``tests/
+    test_golden_bytes.py`` pins the default study's rendering.
     """
     exposure_rows = [
         [row.group, fmt_int(row.responsive), fmt_int(row.exposed),

@@ -38,9 +38,9 @@ DEFAULT_THRESHOLD = 0.25
 class ClusterStats:
     """Work counters of one clustering / distance workload.
 
-    Deterministic under a fixed input (no wall time lives here), so the
-    parallel analysis driver can merge worker copies additively and
-    land on the exact totals a sequential run records.
+    Deterministic under a fixed input (no wall time lives here), so
+    the published ``analysis_*`` counters are part of the golden metric
+    comparison.
     """
 
     #: Candidate pairs that reached the distance stage (cache or DP).
@@ -57,8 +57,8 @@ class ClusterStats:
     def publish(self, registry, **labels) -> None:
         """Record the tallies as ``analysis_*`` counters on ``registry``.
 
-        Every series is created even at zero so sequential and parallel
-        analysis runs expose an identical metric surface.
+        Every series is created even at zero, so every analysis run
+        exposes the same metric surface.
         """
         registry.counter("analysis_pairs_compared_total",
                          **labels).inc(self.pairs_compared)

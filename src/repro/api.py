@@ -18,32 +18,18 @@ Quickstart::
     print(study.report.tables["hit_rates"])    # headline numbers
     study.experiment.table1()                  # full result object
 
-Parallel execution is owned by :class:`ExecutionContext`: a context
-holds one persistent ``spawn`` worker pool plus its pickle-once
-snapshot cache, shared by every ``study``/``study_tables``/``analyze``
-/``resume`` call that passes ``ctx=``::
-
-    with api.ExecutionContext(workers=4) as ctx:
-        study = api.study(config, ctx=ctx)          # ships world once
-        tables = api.study_tables(study.experiment, ctx=ctx)
-        again = api.study(config, ctx=ctx)          # reuses the pool
-
-Entry points called with bare ``workers=`` (or a config whose
-``parallel_workers``/``workers`` field is positive) delegate to an
-implicit default context of that width, kept alive for the process and
-closed at interpreter exit — the backward-compatible face of the same
-machinery.
+Every entry point runs in the calling process, with one scan engine per
+scan path (DESIGN.md §8).
 """
 
 from __future__ import annotations
 
-import atexit
 from collections import Counter as TallyCounter
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.analysis import devicetypes
-from repro.analysis.parallel import run_analysis
+from repro.analysis.bundle import run_analysis
 from repro.core.actors import NtpSourcingActor, covert_profile, research_profile
 from repro.core.attribution import AttributionReport, attribute_events
 from repro.core.campaign import CampaignConfig, CampaignReport, CollectionCampaign
@@ -53,128 +39,9 @@ from repro.core.pipeline import ExperimentConfig, ExperimentResult, run_experime
 from repro.core.telescope import Telescope
 from repro.net.clock import DAY, HOUR, EventScheduler
 from repro.obs import MetricsRegistry, RunReport, use_registry
-from repro.runtime.pool import WorkerPool, resolve_workers
 from repro.scan.result import PROTOCOLS, ScanResults
 from repro.world.population import World, WorldConfig
 from repro.world.population import build_world as _build_world
-
-
-# -- execution contexts ------------------------------------------------------
-
-class ExecutionContext:
-    """Owner of one persistent worker pool and its snapshot cache.
-
-    ``workers=0`` is a valid, fully sequential context (its
-    :attr:`pool` is ``None``), so callers can thread one ``ctx``
-    through a pipeline unconditionally.  ``workers >= 1`` lazily spawns
-    a :class:`~repro.runtime.pool.WorkerPool` of that width (validated
-    and CPU-capped by the same :func:`~repro.runtime.pool.
-    resolve_workers` path every other worker knob uses) on first use
-    and keeps it — and its pickle-once world/results snapshot cache —
-    across every ``study``/``study_tables``/``analyze``/``resume``
-    call until :meth:`close`.
-
-    Use as a context manager::
-
-        with api.ExecutionContext(workers=4) as ctx:
-            first = api.study(config, ctx=ctx)
-            tables = api.study_tables(first.experiment, ctx=ctx)
-    """
-
-    def __init__(self, workers: int = 0, *,
-                 start_method: Optional[str] = None) -> None:
-        self.workers = resolve_workers(workers)
-        self.start_method = start_method
-        self._pool: Optional[WorkerPool] = None
-        self._closed = False
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def pool(self) -> Optional[WorkerPool]:
-        """The context's persistent pool (``None`` when sequential).
-
-        A pool whose workers died is replaced transparently — the
-        :class:`WorkerPool` itself respawns after a break, so the same
-        instance normally lives for the context's whole lifetime.
-        """
-        if self._closed:
-            raise RuntimeError(
-                "ExecutionContext is closed; create a new one to run "
-                "more work")
-        if self.workers < 1:
-            return None
-        if self._pool is None or self._pool.closed:
-            self._pool = WorkerPool(self.workers,
-                                    start_method=self.start_method)
-        return self._pool
-
-    def stats(self) -> dict:
-        """The pool's lifetime counters (spawn generations, batches,
-        snapshot ship/reuse tallies); empty before first pooled use."""
-        return dict(self._pool.stats) if self._pool is not None else {}
-
-    def close(self) -> None:
-        """Join the workers and drop the snapshot cache (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __enter__(self) -> "ExecutionContext":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-#: Implicit contexts backing bare ``workers=`` calls, one per distinct
-#: (width, start method).  Persistent on purpose — that is what makes
-#: repeated ``api.study(config)`` calls amortize worker spawn — and
-#: closed at interpreter exit (tests close them between cases via
-#: :func:`shutdown_default_contexts` in the conftest leak guard).
-_DEFAULT_CONTEXTS: Dict[tuple, ExecutionContext] = {}
-
-
-def _default_context(workers: int,
-                     start_method: Optional[str] = None) -> ExecutionContext:
-    key = (workers, start_method)
-    ctx = _DEFAULT_CONTEXTS.get(key)
-    if ctx is None or ctx.closed:
-        ctx = ExecutionContext(workers, start_method=start_method)
-        _DEFAULT_CONTEXTS[key] = ctx
-    return ctx
-
-
-def shutdown_default_contexts() -> None:
-    """Close every implicit default :class:`ExecutionContext`.
-
-    Registered ``atexit``; test harnesses with child-process leak
-    guards call it explicitly so sanctioned persistent workers are
-    joined before the guard counts leftovers.
-    """
-    while _DEFAULT_CONTEXTS:
-        _, ctx = _DEFAULT_CONTEXTS.popitem()
-        ctx.close()
-
-
-atexit.register(shutdown_default_contexts)
-
-
-def _context_pool(ctx: Optional[ExecutionContext],
-                  workers: int) -> Optional[WorkerPool]:
-    """The pool a call should run on: the explicit context's, or an
-    implicit default context's for bare ``workers=`` calls."""
-    if ctx is not None:
-        return ctx.pool
-    workers = resolve_workers(workers)
-    if workers < 1:
-        return None
-    return _default_context(workers).pool
 
 
 # -- configs ----------------------------------------------------------------
@@ -216,10 +83,9 @@ class EcosystemConfig:
 
     Builds on :class:`TelescopeConfig`'s wiring (the same two
     NTP-sourcing actors and daily sweeps) and adds the five-strategy
-    leak population plus the attribution layer.  ``workers`` pools the
-    feature extraction exactly like :class:`AnalyzeConfig.workers`;
-    ``window_days`` additionally emits rolling attribution windows
-    through the service reader.
+    leak population plus the attribution layer.  ``window_days``
+    additionally emits rolling attribution windows through the service
+    reader.
     """
 
     world: WorldConfig = field(default_factory=WorldConfig)
@@ -233,14 +99,11 @@ class EcosystemConfig:
     covert_zones: Tuple[str, ...] = ("us", "nl")
     #: The leak population's knobs (target counts, per-actor seeds).
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
-    #: Attribution extraction pool size (0 = inline, byte-identical).
-    workers: int = 0
     #: Rolling attribution windows (simulated days); None disables.
     window_days: Optional[float] = None
     step_days: Optional[float] = None
 
     def __post_init__(self) -> None:
-        self.workers = resolve_workers(self.workers)
         if self.sweep_days < 1:
             raise ValueError(
                 f"sweep_days={self.sweep_days}: must be >= 1")
@@ -269,9 +132,7 @@ class AmplificationConfig:
     members, each with the version/patch-level profile
     :func:`repro.world.ntpprofiles.profile_for` assigns and a
     pre-seeded recent-client table, scanned with the ``ntp`` probe
-    module (mode-6 readvar + mode-7 monlist).  ``workers`` selects the
-    parallel sharded engine; the amplification table is byte-identical
-    at any worker count.
+    module (mode-6 readvar + mode-7 monlist).
     """
 
     #: Pool servers deployed (and scanned).
@@ -279,20 +140,13 @@ class AmplificationConfig:
     seed: int = 20240720
     #: Largest pre-seeded recent-client table per server.
     max_entries: int = 48
-    #: Scan worker processes (0 = in-process sequential engine).
-    workers: int = 0
-    #: Shard count of the sharded scan engine.
-    shards: int = 4
 
     def __post_init__(self) -> None:
-        self.workers = resolve_workers(self.workers)
         if self.servers < 1:
             raise ValueError(f"servers={self.servers}: must be >= 1")
         if self.max_entries < 0:
             raise ValueError(
                 f"max_entries={self.max_entries}: must be >= 0")
-        if self.shards < 1:
-            raise ValueError(f"shards={self.shards}: must be >= 1")
 
 
 @dataclass
@@ -308,11 +162,6 @@ class AnalyzeConfig:
     ntp_path: Optional[str] = None
     hitlist_path: Optional[str] = None
     run_dir: Optional[str] = None
-    #: Analysis worker-pool size; 0 runs the jobs inline, ``N >= 1``
-    #: uses an N-process pool (CPU-capped).  Either way the report is
-    #: byte-identical modulo the ``parallel_analysis`` wall-clock
-    #: table, which only appears when the pool engages.
-    workers: int = 0
     #: Windowed mode (``analyze --since/--window/--step``): setting
     #: ``window`` switches the run-store path to rolling
     #: :mod:`repro.service.query` tables.  All three are simulated
@@ -322,9 +171,6 @@ class AnalyzeConfig:
     step: Optional[float] = None
 
     def __post_init__(self) -> None:
-        # Same validation/cap path as ExperimentConfig.parallel_workers
-        # and the CLI --workers flags.
-        self.workers = resolve_workers(self.workers)
         if self.run_dir is None and (self.ntp_path is None
                                      or self.hitlist_path is None):
             raise ValueError(
@@ -481,31 +327,21 @@ def collect(config: Optional[CollectConfig] = None) -> CollectResult:
     return CollectResult(campaign=campaign_report, report=report)
 
 
-def study(config: Optional[ExperimentConfig] = None, *,
-          ctx: Optional[ExecutionContext] = None) -> StudyResult:
+def study(config: Optional[ExperimentConfig] = None) -> StudyResult:
     """Run the full study pipeline (collection + both scan paths).
 
     Set ``config.store_dir`` to stream the run into a durable
     :mod:`repro.store` directory that :func:`resume` can continue.
-
-    With ``config.parallel_workers > 0`` the batch scans and the
-    analysis fan-out run on ``ctx``'s persistent pool (an implicit
-    process-wide default context when ``ctx`` is omitted): repeated
-    studies against one world reuse spawned workers and ship the
-    world snapshot once per (world, pool) pair.
     """
     config = config or ExperimentConfig()
-    pool = _context_pool(ctx, config.parallel_workers)
-    result = run_experiment(config, pool=pool)
+    result = run_experiment(config)
     with use_registry(result.metrics):
-        tables = study_tables(result, workers=config.parallel_workers,
-                              ctx=ctx)
+        tables = study_tables(result)
     report = RunReport.build("study", asdict(config), result.metrics, tables)
     return StudyResult(experiment=result, report=report)
 
 
-def resume(run_dir: str, *,
-           ctx: Optional[ExecutionContext] = None) -> StudyResult:
+def resume(run_dir: str) -> StudyResult:
     """Continue an interrupted store-backed study to completion.
 
     Reads the run directory's stored config, replays the surviving WAL
@@ -513,6 +349,10 @@ def resume(run_dir: str, *,
     log), then continues the study live from the exact record where the
     crash cut it off.  The returned report is identical to an
     uninterrupted run's, modulo the ``store_*`` recovery metrics.
+
+    A store written by a study that scanned with several engine shards
+    is refused with a ``ValueError`` before anything is replayed or
+    appended.
     """
     from repro.core.pipeline import experiment_config_from_document
     from repro.service.config import is_service_document
@@ -525,46 +365,23 @@ def resume(run_dir: str, *,
             "study; use api.resume_campaign() instead")
     config = experiment_config_from_document(store.meta["config"],
                                              store_dir=str(run_dir))
-    pool = _context_pool(ctx, config.parallel_workers)
-    result = run_experiment(config, resume=True, pool=pool)
+    result = run_experiment(config, resume=True)
     with use_registry(result.metrics):
-        tables = study_tables(result, workers=config.parallel_workers,
-                              ctx=ctx)
+        tables = study_tables(result)
     report = RunReport.build("study", asdict(config), result.metrics, tables)
     return StudyResult(experiment=result, report=report)
 
 
-def study_tables(result: ExperimentResult, *, workers: int = 0,
-                 ctx: Optional[ExecutionContext] = None) -> dict:
-    """The headline tables of one experiment, as JSON-shaped rows.
-
-    ``workers >= 1`` (or a parallel ``ctx``) fans the independent
-    analyses across a worker pool via
-    :func:`repro.analysis.parallel.run_analysis`; every table stays
-    byte-identical to the sequential path, and the pool's wall-clock
-    observability lands in a ``parallel_analysis`` table that
-    deterministic-parity checks strip.  Both campaign sides' results
-    ship to the pool once per (results, pool) pair, so re-tabulating
-    on a shared ``ctx`` skips the serialization pass.
-    """
+def study_tables(result: ExperimentResult) -> dict:
+    """The headline tables of one experiment, as JSON-shaped rows."""
     table1 = result.table1()
     protocols = result.config.protocols or PROTOCOLS
-    pool = _context_pool(ctx, workers)
     bundle = run_analysis(result.ntp_scan, result.hitlist_scan,
-                          asdb=result.world.asdb, pool=pool)
+                          asdb=result.world.asdb)
     ntp_gap, hitlist_gap = bundle.security_gap()
     table3 = bundle.table3
     findings = devicetypes.new_or_underrepresented(table3)
-    tables: dict = {}
-    if result.parallel is not None:
-        # Wall-clock observability of the worker pool.  Kept out of the
-        # metrics registry (which records simulated time only) and in
-        # its own table so deterministic-parity checks can strip it.
-        tables["parallel"] = result.parallel
-    if pool is not None:
-        # Same rule for the analysis pool's timings.
-        tables["parallel_analysis"] = bundle.timing
-    tables.update({
+    return {
         "table1": [
             {"label": s.label, "addresses": s.address_count,
              "net48s": s.net48_count, "ases": s.as_count,
@@ -599,8 +416,7 @@ def study_tables(result: ExperimentResult, *, workers: int = 0,
                    "reused_addresses": report.total_reused_addresses}
             for side, report in bundle.keyreuse.items()
         },
-    })
-    return tables
+    }
 
 
 def telescope(config: Optional[TelescopeConfig] = None) -> TelescopeResult:
@@ -661,8 +477,7 @@ def telescope(config: Optional[TelescopeConfig] = None) -> TelescopeResult:
     return TelescopeResult(telescope=scope, verdicts=verdicts, report=report)
 
 
-def ecosystem(config: Optional[EcosystemConfig] = None, *,
-              ctx: Optional[ExecutionContext] = None) -> EcosystemResult:
+def ecosystem(config: Optional[EcosystemConfig] = None) -> EcosystemResult:
     """Run the mixed scanner population and attribute every cluster.
 
     The telescope wiring of :func:`telescope` — two NTP-sourcing actors
@@ -732,16 +547,15 @@ def ecosystem(config: Optional[EcosystemConfig] = None, *,
             operator_of_server=lambda a: campaign.pool.server(a).operator)
         verdicts = detector.report()
 
-        pool = _context_pool(ctx, config.workers)
-        attribution, timing = attribute_events(
+        attribution = attribute_events(
             scope.events, truth=population.ground_truth(),
-            rdns=world.rdns, pool=pool)
+            rdns=world.rdns)
 
         windows = None
         if config.window_days is not None:
             reader = WindowedAttributionReader(
                 scope.events, truth=population.ground_truth(),
-                rdns=world.rdns, pool=pool)
+                rdns=world.rdns)
             windows = reader.series(
                 since=0.0, window=config.window_days * DAY,
                 step=(config.step_days or config.window_days) * DAY)
@@ -763,8 +577,6 @@ def ecosystem(config: Optional[EcosystemConfig] = None, *,
     })
     if windows is not None:
         tables["attribution_windows"] = windows
-    if timing is not None:
-        tables["parallel_attribution"] = timing
     report = RunReport.build("ecosystem", asdict(config), registry, tables)
     return EcosystemResult(telescope=scope, population=population,
                            attribution=attribution, verdicts=verdicts,
@@ -777,17 +589,15 @@ _AMPLIFICATION_PREFIX48 = 0x2001_0DB8_00AA << 80
 _AMPLIFICATION_SCANNER = _AMPLIFICATION_PREFIX48 + (0xFFFF << 64) + 0x5CA7
 
 
-def amplification(config: Optional[AmplificationConfig] = None, *,
-                  ctx: Optional[ExecutionContext] = None
+def amplification(config: Optional[AmplificationConfig] = None
                   ) -> AmplificationResult:
     """Run the monlist amplification study (the Fig 2/3-style tables).
 
-    Deploys ``config.servers`` profiled pool members as picklable
+    Deploys ``config.servers`` profiled pool members as
     :class:`~repro.ntp.service.NtpControlService` hosts on a lean
     loss-free network, scans them with the ``ntp`` probe module through
-    the sharded engine (parallel when ``config.workers >= 1``), and
-    folds the grabs into the monlist-exposure and amplification-factor
-    reports.  The rendered table is byte-identical at any worker count.
+    one :class:`~repro.scan.engine.ScanEngine`, and folds the grabs
+    into the monlist-exposure and amplification-factor reports.
     """
     from repro.analysis.amplification import (
         amplification_distribution,
@@ -796,10 +606,8 @@ def amplification(config: Optional[AmplificationConfig] = None, *,
     )
     from repro.net.simnet import Network
     from repro.ntp.service import control_service_for
-    from repro.runtime.parallel import ParallelShardedScanEngine
     from repro.runtime.registry import ProbeRegistry
-    from repro.runtime.sharding import ShardedScanEngine
-    from repro.scan.engine import EngineConfig
+    from repro.scan.engine import EngineConfig, ScanEngine
     from repro.scan.modules.ntp import refused_ntp, scan_ntp
 
     config = config or AmplificationConfig()
@@ -816,24 +624,15 @@ def amplification(config: Optional[AmplificationConfig] = None, *,
                 config.seed, address, max_entries=config.max_entries))
         probes = ProbeRegistry()
         probes.register("ntp", scan_ntp, 123, refused=refused_ntp)
-        engine_config = EngineConfig(drive_clock=False)
-        pool = _context_pool(ctx, config.workers)
-        if pool is not None:
-            engine = ParallelShardedScanEngine(
-                network, _AMPLIFICATION_SCANNER, engine_config,
-                registry=probes, shards=config.shards, pool=pool,
-                name="amplification")
-        else:
-            engine = ShardedScanEngine(
-                network, _AMPLIFICATION_SCANNER, engine_config,
-                registry=probes, shards=config.shards,
-                name="amplification")
+        engine = ScanEngine(network, _AMPLIFICATION_SCANNER,
+                            EngineConfig(drive_clock=False),
+                            registry=probes, name="amplification")
         results = engine.run(addresses, label="amplification")
         exposure = monlist_exposure("pool", results)
         distribution = amplification_distribution("pool", results)
         table = amplification_table(exposure, distribution)
 
-    tables: dict = {
+    tables = {
         "exposure": [
             {"group": row.group, "responsive": row.responsive,
              "exposed": row.exposed, "share": row.exposed_share}
@@ -855,8 +654,6 @@ def amplification(config: Optional[AmplificationConfig] = None, *,
         },
         "rendered": table,
     }
-    if pool is not None and getattr(engine, "last_run_timing", None):
-        tables["parallel"] = engine.last_run_timing
     report = RunReport.build("amplification", asdict(config), registry,
                              tables)
     return AmplificationResult(results=results, exposure=exposure,
@@ -864,17 +661,12 @@ def amplification(config: Optional[AmplificationConfig] = None, *,
                                report=report)
 
 
-def analyze(config: AnalyzeConfig, *,
-            ctx: Optional[ExecutionContext] = None) -> AnalyzeResult:
-    """Re-run the analyses over saved scan results or a run store.
-
-    ``config.workers`` (or a parallel ``ctx``) selects the worker pool
-    exactly like :func:`study_tables`.
-    """
+def analyze(config: AnalyzeConfig) -> AnalyzeResult:
+    """Re-run the analyses over saved scan results or a run store."""
     from repro.io import load_results
 
     if config.window is not None:
-        return _analyze_windowed(config, ctx=ctx)
+        return _analyze_windowed(config)
     with use_registry() as registry:
         if config.run_dir is not None:
             from repro.store import read_study
@@ -892,8 +684,7 @@ def analyze(config: AnalyzeConfig, *,
         # Inside the registry scope so the analysis_* series land in
         # this run's snapshot.  No AS database offline, so the key-reuse
         # sweep is skipped (the bundle's keyreuse dict stays empty).
-        pool = _context_pool(ctx, config.workers)
-        bundle = run_analysis(ntp_scan, hitlist_scan, pool=pool)
+        bundle = run_analysis(ntp_scan, hitlist_scan)
 
     table3 = bundle.table3
     ntp_gap, hitlist_gap = bundle.security_gap()
@@ -911,15 +702,12 @@ def analyze(config: AnalyzeConfig, *,
                         "total": hitlist_gap.total},
         },
     }
-    if pool is not None:
-        tables["parallel_analysis"] = bundle.timing
     report = RunReport.build("analyze", asdict(config), registry, tables)
     return AnalyzeResult(ntp_scan=ntp_scan, hitlist_scan=hitlist_scan,
                          report=report)
 
 
-def _analyze_windowed(config: AnalyzeConfig, *,
-                      ctx: Optional[ExecutionContext]) -> AnalyzeResult:
+def _analyze_windowed(config: AnalyzeConfig) -> AnalyzeResult:
     """``analyze --window``: rolling service tables over a run store.
 
     The scan fields of the result are empty placeholders — a windowed
@@ -930,7 +718,7 @@ def _analyze_windowed(config: AnalyzeConfig, *,
     with use_registry() as registry:
         service = QueryService(config.run_dir,
                                window_days=config.window,
-                               step_days=config.step, ctx=ctx)
+                               step_days=config.step)
         document = service.query(since=config.since)
     tables = {
         "window_query": {
@@ -989,8 +777,7 @@ def resume_campaign(run_dir: str) -> CampaignResult:
 def query_window(run_dir: str, *, since: float = 0.0,
                  window: Optional[float] = None,
                  step: Optional[float] = None,
-                 cache_frames: Optional[int] = None,
-                 ctx: Optional[ExecutionContext] = None) -> QueryResult:
+                 cache_frames: Optional[int] = None) -> QueryResult:
     """One rolling windowed query against a run store (spans in days).
 
     ``window``/``step`` default to the store's recorded service
@@ -1001,8 +788,7 @@ def query_window(run_dir: str, *, since: float = 0.0,
 
     with use_registry() as registry:
         service = QueryService(run_dir, window_days=window,
-                               step_days=step, cache_frames=cache_frames,
-                               ctx=ctx)
+                               step_days=step, cache_frames=cache_frames)
         document = service.query(since=since)
     inputs = {"run_dir": str(run_dir), "since": since,
               "window": service.window_days, "step": service.step_days}
@@ -1014,8 +800,7 @@ def query_window(run_dir: str, *, since: float = 0.0,
 
 def serve(run_dir: str, *, host: str = "127.0.0.1", port: int = 0,
           window: Optional[float] = None, step: Optional[float] = None,
-          cache_frames: Optional[int] = None,
-          ctx: Optional[ExecutionContext] = None, daemon=None):
+          cache_frames: Optional[int] = None, daemon=None):
     """Start a :class:`~repro.service.frontend.ServiceServer`.
 
     Returns the started server (bind address in ``server.address``);
@@ -1028,7 +813,7 @@ def serve(run_dir: str, *, host: str = "127.0.0.1", port: int = 0,
     from repro.service.frontend import QueryService, ServiceServer
 
     service = QueryService(run_dir, window_days=window, step_days=step,
-                           cache_frames=cache_frames, ctx=ctx)
+                           cache_frames=cache_frames)
     return ServiceServer(service, host=host, port=port,
                          daemon=daemon).start()
 
@@ -1043,7 +828,6 @@ __all__ = [
     "CollectResult",
     "EcosystemConfig",
     "EcosystemResult",
-    "ExecutionContext",
     "ExperimentConfig",
     "MetricsRegistry",
     "QueryResult",
@@ -1062,7 +846,6 @@ __all__ = [
     "resume_campaign",
     "run_campaign",
     "serve",
-    "shutdown_default_contexts",
     "study",
     "study_tables",
     "telescope",

@@ -63,17 +63,6 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
                              "RunReport JSON document (default table)")
 
 
-def _add_workers(parser: argparse.ArgumentParser) -> None:
-    # One flag, one meaning, every subcommand: the value feeds the same
-    # resolve_workers() validation/cap path as the config fields.
-    parser.add_argument("--workers", type=int, default=0,
-                        help="persistent worker-pool size shared by scan "
-                             "execution and analysis fan-out (default 0 = "
-                             "sequential; N >= 1 uses N processes, capped "
-                             "at CPU cores; results are byte-identical "
-                             "either way)")
-
-
 def _emit_json(report) -> int:
     print(document_to_json(report.as_document()))
     return 0
@@ -137,8 +126,6 @@ def cmd_study(args: argparse.Namespace) -> int:
                 world=_world_config(args),
                 campaign=CampaignConfig(wire_fraction=args.wire),
                 include_rl=not args.no_rl,
-                scan_shards=args.shards,
-                parallel_workers=args.workers,
                 protocols=protocols,
                 store_dir=args.store,
                 checkpoint_days=args.checkpoint_days,
@@ -215,7 +202,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         config = api.AnalyzeConfig(ntp_path=args.ntp,
                                    hitlist_path=args.hitlist,
                                    run_dir=args.run_dir,
-                                   workers=args.workers,
                                    since=args.since,
                                    window=args.window,
                                    step=args.step)
@@ -398,8 +384,7 @@ def cmd_ecosystem(args: argparse.Namespace) -> int:
     try:
         result = api.ecosystem(api.EcosystemConfig(
             world=_world_config(args), sweep_days=args.days,
-            workers=args.workers, window_days=args.window_days,
-            step_days=args.step_days))
+            window_days=args.window_days, step_days=args.step_days))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -459,7 +444,7 @@ def cmd_amplification(args: argparse.Namespace) -> int:
     try:
         result = api.amplification(api.AmplificationConfig(
             servers=args.servers, seed=args.seed,
-            max_entries=args.max_entries, workers=args.workers))
+            max_entries=args.max_entries))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -496,9 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--wire", type=float, default=0.02)
     study.add_argument("--no-rl", action="store_true",
                        help="skip the R&L-style pre-campaign")
-    study.add_argument("--shards", type=int, default=1,
-                       help="fan scan engines out over N shards (default 1)")
-    _add_workers(study)
     study.add_argument("--protocols",
                        help="comma-separated probe profile, e.g. ssh,coap "
                             "(default: all eight paper protocols)")
@@ -530,7 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--run-dir", dest="run_dir",
                          help="analyze a run-store directory (from "
                               "`study --store`) instead of saved files")
-    _add_workers(analyze)
     analyze.add_argument("--since", type=float, default=None,
                          help="windowed mode: first window start, in "
                               "simulated days (default 0)")
@@ -608,7 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the mixed scanner population and attribute strategies")
     _add_common(ecosystem)
     _add_format(ecosystem)
-    _add_workers(ecosystem)
     ecosystem.add_argument("--days", type=int, default=4,
                            help="telescope sweep days (default 4)")
     ecosystem.add_argument("--window-days", type=float, default=None,
@@ -626,7 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="probe pool control planes and print the monlist "
              "exposure / amplification tables")
     _add_format(amplification)
-    _add_workers(amplification)
     amplification.add_argument("--servers", type=int, default=96,
                                help="pool servers to probe (default 96)")
     amplification.add_argument("--seed", type=int, default=20240720,

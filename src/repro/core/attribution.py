@@ -21,18 +21,16 @@ InboundEvent` stream:
 
 Feature state lives in :class:`FeatureAccumulator`, whose ``merge`` is
 associative *and* commutative (counters plus a time multiset), so
-extraction shards over the persistent worker pool with fixed chunk
-boundaries and folds back byte-identically at any worker count — the
-same contract the scan engines honour.  :func:`attribute_events` is the
-entry point: events in, :class:`AttributionReport` out, with per-
-strategy precision/recall and a confusion matrix against the
-simulation's ground-truth labels.
+extraction folds the stream in fixed-size chunks and merges the partial
+results into exactly the state one whole-stream fold produces.
+:func:`attribute_events` is the entry point: events in,
+:class:`AttributionReport` out, with per-strategy precision/recall and
+a confusion matrix against the simulation's ground-truth labels.
 """
 
 from __future__ import annotations
 
 import statistics
-import time as _time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -41,7 +39,6 @@ from repro.core.detection import SENSITIVE_PORTS
 from repro.core.telescope import InboundEvent
 from repro.net.rdns import ReverseDns
 from repro.obs.metrics import current_registry
-from repro.runtime.pool import WorkerPool
 
 #: Clusters are source /48s — one scanner deployment's address block.
 CLUSTER_PREFIX_BITS = 48
@@ -78,8 +75,8 @@ AMPLIFICATION_NTP_SHARE = 0.9
 #: The NTP port, the amplification fingerprint's anchor.
 NTP_PORT = 123
 
-#: Fixed extraction chunk size — independent of worker count, so chunk
-#: boundaries (and therefore the merge tree's leaves) never vary.
+#: Fixed extraction chunk size, so chunk boundaries (and therefore the
+#: merge tree's leaves) never vary.
 ATTRIBUTION_CHUNK = 512
 
 _IID_MASK = (1 << 64) - 1
@@ -99,7 +96,7 @@ class FeatureAccumulator:
 
     Every field is a sum or a multiset, so ``merge`` is associative and
     commutative and equality is order-insensitive — the properties the
-    Hypothesis suite pins and the parallel extraction path relies on.
+    Hypothesis suite pins and chunked extraction relies on.
     """
 
     events: int = 0
@@ -162,8 +159,8 @@ def derive_features(accumulator: FeatureAccumulator, *,
                     rdns: Optional[ReverseDns] = None) -> ClusterFeatures:
     """Collapse an accumulator into the classifier's feature vector.
 
-    ``rdns`` is consulted here (main process, post-merge), keeping the
-    accumulator itself picklable and registry-free for pool shipping.
+    ``rdns`` is consulted here, after the merge, so the accumulator
+    itself stays a plain mergeable value.
     """
     distinct_dsts = len(accumulator.dsts)
     distinct_dst64s = len(accumulator.dst64s)
@@ -263,7 +260,7 @@ def classify_features(features: ClusterFeatures
     return "unknown", ("no strategy signature matched",)
 
 
-# -- extraction (sequential and pooled) --------------------------------------
+# -- extraction ---------------------------------------------------------------
 
 
 def _accumulate_chunk(events: Sequence[InboundEvent]
@@ -280,40 +277,25 @@ def _accumulate_chunk(events: Sequence[InboundEvent]
 
 
 def cluster_accumulators(events: Sequence[InboundEvent], *,
-                         pool: Optional[WorkerPool] = None,
                          chunk_size: int = ATTRIBUTION_CHUNK
-                         ) -> Tuple[Dict[str, FeatureAccumulator],
-                                    Optional[dict]]:
-    """Per-cluster accumulators, optionally extracted on a worker pool.
+                         ) -> Dict[str, FeatureAccumulator]:
+    """Per-cluster accumulators, folded chunk by chunk.
 
-    Chunk boundaries depend only on ``chunk_size`` (never on worker
-    count) and partial results merge in chunk order, so the pooled path
-    is byte-identical to the sequential fold.  Returns ``(clusters,
-    timing)``; ``timing`` is wall-clock provenance and is only non-None
-    when the pool actually engaged.
+    Chunk boundaries depend only on ``chunk_size`` and partial results
+    merge in chunk order, so any chunk size yields the state of one
+    whole-stream fold.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size={chunk_size}: must be >= 1")
     events = list(events)
-    chunks = [events[start:start + chunk_size]
-              for start in range(0, len(events), chunk_size)]
-    timing: Optional[dict] = None
-    if pool is None or len(chunks) <= 1:
-        parts = [_accumulate_chunk(chunk) for chunk in chunks]
-    else:
-        started = _time.perf_counter()
-        parts = [outcome for _, outcome
-                 in pool.map_in_order(_accumulate_chunk, chunks)]
-        timing = {"workers": pool.workers, "chunks": len(chunks),
-                  "events": len(events),
-                  "elapsed_s": _time.perf_counter() - started}
     merged: Dict[str, FeatureAccumulator] = {}
-    for part in parts:
+    for start in range(0, len(events), chunk_size):
+        part = _accumulate_chunk(events[start:start + chunk_size])
         for key, accumulator in part.items():
             existing = merged.get(key)
             merged[key] = (accumulator if existing is None
                            else existing.merge(accumulator))
-    return merged, timing
+    return merged
 
 
 # -- the report ---------------------------------------------------------------
@@ -418,17 +400,10 @@ def _cluster_truth(accumulator: FeatureAccumulator,
 def attribute_events(events: Sequence[InboundEvent], *,
                      truth: Optional[Mapping[int, str]] = None,
                      rdns: Optional[ReverseDns] = None,
-                     pool: Optional[WorkerPool] = None,
                      chunk_size: int = ATTRIBUTION_CHUNK
-                     ) -> Tuple[AttributionReport, Optional[dict]]:
-    """Attribute every source cluster of an event stream.
-
-    Returns ``(report, timing)``; ``timing`` is the pooled extraction's
-    wall-clock provenance (None when extraction ran inline) and is the
-    only permitted difference between worker counts.
-    """
-    clusters, timing = cluster_accumulators(events, pool=pool,
-                                            chunk_size=chunk_size)
+                     ) -> AttributionReport:
+    """Attribute every source cluster of an event stream."""
+    clusters = cluster_accumulators(events, chunk_size=chunk_size)
     registry = current_registry()
     attributions = []
     for key in sorted(clusters):
@@ -441,4 +416,4 @@ def attribute_events(events: Sequence[InboundEvent], *,
             cluster=key, strategy=strategy,
             truth=_cluster_truth(accumulator, truth or {}),
             features=features, reasons=reasons))
-    return AttributionReport(attributions=attributions), timing
+    return AttributionReport(attributions=attributions)

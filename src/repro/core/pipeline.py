@@ -16,10 +16,9 @@ timeline on one simulated world:
 
 Both scan paths run on the staged runtime (`repro.runtime`): the
 campaign's dataset publishes ``AddressSighted`` events, the real-time
-queue consumes them as a bounded stage, and the engines draw their
-probe set from a pluggable registry.  ``scan_shards > 1`` fans both
-engines out across hash-partitioned shards with deterministic merged
-results.
+queue consumes them as a bounded stage, and each path's one
+:class:`~repro.scan.engine.ScanEngine` draws its probe set from a
+pluggable registry.
 """
 
 from __future__ import annotations
@@ -32,9 +31,7 @@ from repro.core.collector import CollectedDataset
 from repro.core.comparison import ComparisonTable, DatasetComparison
 from repro.core.realtime import RealTimeScanQueue
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.runtime.pool import WorkerPool, resolve_workers
-from repro.runtime.registry import ProbeRegistry, default_registry
-from repro.runtime.sharding import ShardedScanEngine
+from repro.runtime.registry import default_registry
 from repro.scan.engine import EngineConfig, ScanEngine
 from repro.scan.result import PROTOCOLS, ScanResults
 from repro.world.hitlist import Hitlist, HitlistConfig, build_hitlist
@@ -57,13 +54,6 @@ class ExperimentConfig:
     lead_days: int = 21
     final_days: int = 7
     scan_seed: int = 0x51AB
-    #: Fan each scan engine out over N hash-partitioned shards (1 = the
-    #: single-engine path).  Embedded-mode results are shard-invariant.
-    scan_shards: int = 1
-    #: Execute batch scans (the hitlist campaign) in N worker processes
-    #: (0 = sequential, the default).  Results are byte-identical to a
-    #: sequential run; silently capped at the machine's CPU count.
-    parallel_workers: int = 0
     #: Restrict the campaign's probe profile to these protocols (None =
     #: the paper's full eight-protocol registry).
     protocols: Optional[Tuple[str, ...]] = None
@@ -79,13 +69,6 @@ class ExperimentConfig:
         # api facade and direct library construction share it.  Error
         # messages lead with ``field=value`` so CLI exit-2 output names
         # the offending value, not just the field.
-        if self.scan_shards < 1:
-            raise ValueError(
-                f"scan_shards={self.scan_shards}: must be >= 1")
-        # One validation/cap path for every worker knob (the analyze
-        # config and the CLI flags go through the same function).
-        self.parallel_workers = resolve_workers(
-            self.parallel_workers, field="parallel_workers")
         if self.checkpoint_days < 1:
             raise ValueError(
                 f"checkpoint_days={self.checkpoint_days}: must be >= 1")
@@ -117,9 +100,6 @@ class ExperimentResult:
     config: ExperimentConfig
     #: The run's metrics registry (every stage/scheduler/probe series).
     metrics: Optional[MetricsRegistry] = None
-    #: Wall-clock timing of the parallel batch scan (None when the run
-    #: was sequential): worker count plus per-shard wall/cpu seconds.
-    parallel: Optional[dict] = None
 
     def comparison(self) -> DatasetComparison:
         """The Table 1 comparator over every dataset in this run."""
@@ -163,35 +143,9 @@ def _scanner_source(world: World) -> int:
     return int("20010db8000000000000000000000010", 16)
 
 
-def _build_engine(world: World, source: int, config: EngineConfig,
-                  registry: ProbeRegistry, shards: int, name: str,
-                  workers: int = 0, pool: Optional[WorkerPool] = None):
-    """One scan engine — sharded and/or multiprocess when asked for.
-
-    ``workers > 0`` wraps the sharded engine in the multiprocess batch
-    backend: per-target feeds (the real-time path) stay in-process,
-    while ``run`` — the hitlist campaign — fans shards out to a worker
-    pool with byte-identical merged results.  ``pool`` hands both
-    engines one shared persistent :class:`WorkerPool`, so the world
-    snapshot ships once per pool, not once per engine run.
-    """
-    if workers > 0:
-        from repro.runtime.parallel import ParallelShardedScanEngine
-
-        return ParallelShardedScanEngine(
-            world.network, source, config, registry=registry,
-            shards=shards, workers=workers, name=name, pool=pool)
-    if shards > 1:
-        return ShardedScanEngine(world.network, source, config,
-                                 registry=registry, shards=shards, name=name)
-    return ScanEngine(world.network, source, config, registry=registry,
-                      name=name)
-
-
 def run_experiment(config: Optional[ExperimentConfig] = None,
                    metrics: Optional[MetricsRegistry] = None,
-                   *, resume: bool = False,
-                   pool: Optional[WorkerPool] = None) -> ExperimentResult:
+                   *, resume: bool = False) -> ExperimentResult:
     """Run the complete study; deterministic in ``config``.
 
     Every run records into its own :class:`MetricsRegistry` (or the one
@@ -203,25 +157,12 @@ def run_experiment(config: Optional[ExperimentConfig] = None,
     interrupted run from that directory and continues it (deterministic
     replay: the simulation re-runs from genesis, verified record-by-
     record against the surviving log, then keeps going live).
-
-    ``pool`` is a caller-owned persistent :class:`WorkerPool` (usually
-    :class:`repro.api.ExecutionContext`'s): with
-    ``config.parallel_workers > 0`` the batch scans run on it and its
-    pickle-once snapshot cache survives this call.  Without one, a
-    parallel run uses a private pool closed before returning.
     """
     config = config or ExperimentConfig()
     registry = metrics if metrics is not None else MetricsRegistry()
-    ephemeral = pool is None and config.parallel_workers > 0
-    if ephemeral:
-        pool = WorkerPool(config.parallel_workers)
-    try:
-        with use_registry(registry):
-            writer = _open_store_writer(config, resume=resume)
-            result = _run_experiment(config, writer, pool)
-    finally:
-        if ephemeral:
-            pool.close()
+    with use_registry(registry):
+        writer = _open_store_writer(config, resume=resume)
+        result = _run_experiment(config, writer)
     result.metrics = registry
     return result
 
@@ -260,8 +201,11 @@ def experiment_config_from_document(document: dict, *,
 
     Inverse of the ``asdict`` + JSON round-trip persisted in a run
     store's ``meta.json``; ``store_dir`` overrides the recorded path so
-    a moved run directory resumes in place.
+    a moved run directory resumes in place.  Keys of settings that no
+    longer exist are ignored, except a stored engine-shard count above
+    one (see :func:`refuse_sharded_store`).
     """
+    refuse_sharded_store(document)
     campaign_doc = dict(document["campaign"])
     campaign_doc["deployment"] = tuple(campaign_doc["deployment"])
     protocols = document.get("protocols")
@@ -275,13 +219,28 @@ def experiment_config_from_document(document: dict, *,
         lead_days=document["lead_days"],
         final_days=document["final_days"],
         scan_seed=document["scan_seed"],
-        scan_shards=document["scan_shards"],
-        parallel_workers=document.get("parallel_workers", 0),
         protocols=tuple(protocols) if protocols is not None else None,
         store_dir=store_dir if store_dir is not None
         else document.get("store_dir"),
         checkpoint_days=document.get("checkpoint_days", 7),
     )
+
+
+def refuse_sharded_store(document: dict) -> None:
+    """Reject a stored config whose engines were split into shards.
+
+    Stores written before the single-engine pipeline may record
+    ``scan_shards``.  At 1 it changes nothing.  Above 1 the WAL names
+    its engines ``<name>/shardN``, which one engine's verify-replay
+    cannot reproduce, so the store is refused before anything is
+    replayed or appended.
+    """
+    shards = document.get("scan_shards", 1)
+    if shards != 1:
+        raise ValueError(
+            f"scan_shards={shards}: the store was written by sharded "
+            "scan engines, and one engine per scan path cannot replay "
+            "its WAL")
 
 
 def _campaign_targets(queue: RealTimeScanQueue,
@@ -326,8 +285,7 @@ def _checkpoint_state(config: ExperimentConfig, world,
     }
 
 
-def _run_experiment(config: ExperimentConfig, writer=None,
-                    pool: Optional[WorkerPool] = None) -> ExperimentResult:
+def _run_experiment(config: ExperimentConfig, writer=None) -> ExperimentResult:
     world = build_world(config.world)
 
     rl_dataset: Optional[CollectedDataset] = None
@@ -350,12 +308,10 @@ def _run_experiment(config: ExperimentConfig, writer=None,
     scanner_source = _scanner_source(world)
     publish_scanner_identity(world.network, scanner_source, world.rdns,
                              ptr_name=SCANNER_PTR_NAME)
-    engine = _build_engine(
-        world, scanner_source,
+    engine = ScanEngine(
+        world.network, scanner_source,
         EngineConfig(drive_clock=False, seed=config.scan_seed),
-        registry, config.scan_shards, name="ntp",
-        workers=config.parallel_workers, pool=pool,
-    )
+        registry=registry, name="ntp")
     queue = RealTimeScanQueue(engine)
     campaign = CollectionCampaign(world, config.campaign, scan_queue=queue)
     if writer is not None:
@@ -382,22 +338,14 @@ def _run_experiment(config: ExperimentConfig, writer=None,
                     writer.checkpoint(lambda: _checkpoint_state(
                         config, world, campaign, queue, engines, phase, day))
 
-    hitlist_engine = _build_engine(
-        world, scanner_source,
+    hitlist_engine = ScanEngine(
+        world.network, scanner_source,
         EngineConfig(drive_clock=False, seed=config.scan_seed ^ 0xFF),
-        registry, config.scan_shards, name="hitlist",
-        workers=config.parallel_workers, pool=pool,
-    )
+        registry=registry, name="hitlist")
     if writer is not None:
         hitlist_engine.attach_store(writer, label="hitlist")
         engines.append(hitlist_engine)
     hitlist_scan = hitlist_engine.run(sorted(hitlist.full), label="hitlist")
-    parallel_timing = None
-    if config.parallel_workers > 0:
-        parallel_timing = {
-            "workers": config.parallel_workers,
-            "hitlist": hitlist_engine.last_run_timing,
-        }
 
     if writer is not None:
         writer.mark("done", 0, world.clock.now(),
@@ -415,5 +363,4 @@ def _run_experiment(config: ExperimentConfig, writer=None,
         rl_dataset=rl_dataset,
         campaign=campaign,
         config=config,
-        parallel=parallel_timing,
     )

@@ -168,13 +168,6 @@ class Network:
         self._wildcards: Dict[int, Host] = {}
         self._taps: List[Tap] = []
         self._ephemeral = 49152
-        #: Topology mutation counter.  Snapshot caches (the persistent
-        #: worker pool's pickle-once layer) key on ``(network, version,
-        #: clock)`` to decide whether a shipped world view is still
-        #: valid, so every host add/remove/move bumps it.  Re-binding a
-        #: service on an *existing* host does not — world builders bind
-        #: at materialize time, right after ``add_host``.
-        self.version = 0
 
     # -- topology -----------------------------------------------------
 
@@ -184,13 +177,11 @@ class Network:
         if host is None:
             host = Host(address=address, reachable=reachable)
             self._hosts[address] = host
-            self.version += 1
         return host
 
     def remove_host(self, address: int) -> None:
         """Drop a host (e.g. its dynamic prefix rotated away)."""
-        if self._hosts.pop(address, None) is not None:
-            self.version += 1
+        self._hosts.pop(address, None)
 
     def host(self, address: int) -> Optional[Host]:
         host = self._hosts.get(address)
@@ -211,7 +202,6 @@ class Network:
         if host is None:
             host = Host(address=prefix64, reachable=reachable)
             self._wildcards[key] = host
-            self.version += 1
         return host
 
     def is_wildcard(self, address: int) -> bool:
@@ -231,18 +221,11 @@ class Network:
             raise KeyError(f"no host at {old_address:#x}")
         host.address = new_address
         self._hosts[new_address] = host
-        self.version += 1
         return host
 
     @property
     def host_count(self) -> int:
         return len(self._hosts)
-
-    @property
-    def tap_count(self) -> int:
-        """Attached passive observers (the parallel scan backend refuses
-        to run when taps would miss the workers' traffic)."""
-        return len(self._taps)
 
     def add_tap(self, tap: Tap) -> None:
         """Attach a passive observer to every delivery attempt."""

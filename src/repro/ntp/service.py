@@ -1,20 +1,17 @@
-"""Picklable NTP control-plane responder for scan-facing worlds.
+"""NTP control-plane responder for scan-facing worlds.
 
-The amplification study scans a dedicated lean world with the sharded
-engines, and the parallel backend ships that world to workers by
-pickling it once (:mod:`repro.runtime.parallel`).  The full
-:class:`~repro.ntp.server.NtpServer` is a live object wired to clocks
-and capture hooks; this module provides the scan-facing alternative — a
-frozen, picklable handler object whose responses are a pure function of
-its constructor state, so a probe answered in a worker process is
-byte-identical to one answered in-process.
+The amplification study scans a dedicated lean world of NTP servers.
+The full :class:`~repro.ntp.server.NtpServer` is a live object wired to
+clocks and capture hooks; this module provides the scan-facing
+alternative — a frozen handler object whose responses are a pure
+function of its constructor state.
 
 Monitor tables are *pre-seeded* rather than accumulated: a server's
 recent-client table is derived deterministically from ``(seed,
 address)`` on the same private RNG stream discipline
 :func:`repro.world.ntpprofiles.profile_for` uses, which keeps the
 monlist response train — and therefore the amplification-factor
-distribution — independent of scan order and worker count.
+distribution — independent of scan order.
 """
 
 from __future__ import annotations
@@ -59,8 +56,7 @@ def seeded_entries(seed: int, address: int, *,
 
     A pure function of ``(seed, address)``: entry count, client
     addresses, ports and ages all come from a private per-address RNG
-    stream, so two runs (or two worker processes) always serve the
-    same monlist train.
+    stream, so two runs always serve the same monlist train.
     """
     if max_entries < 0:
         raise ValueError(f"max_entries={max_entries}: must be >= 0")

@@ -207,32 +207,6 @@ class MetricsRegistry:
         """A :class:`Span` feeding the named latency histogram."""
         return Span(clock, self.histogram(name, **labels))
 
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's series into this one, additively.
-
-        Counters and gauges add; histograms sum bucket counts, sums and
-        observation counts (boundaries must match).  Series missing here
-        are created.  This is how the parallel backend folds worker
-        registries back into the run registry: a worker records into a
-        fresh registry, and merging in deterministic shard order
-        reproduces the exact values a sequential run would have
-        recorded (addition is the only operation either path uses).
-        """
-        for name, labels, instrument in other.series():
-            if isinstance(instrument, Counter):
-                self.counter(name, **labels).inc(instrument.value)
-            elif isinstance(instrument, Gauge):
-                self.gauge(name, **labels).inc(instrument.value)
-            else:
-                mine = self.histogram(name, buckets=instrument.bounds,
-                                      **labels)
-                for index, bucket_count in enumerate(instrument.counts):
-                    mine.counts[index] += bucket_count
-                mine.sum += instrument.sum
-                mine.count += instrument.count
-                if instrument._max > mine._max:
-                    mine._max = instrument._max
-
     # -- introspection ----------------------------------------------------
 
     def series(self) -> Iterator[Tuple[str, Dict[str, str], object]]:

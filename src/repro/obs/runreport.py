@@ -99,8 +99,8 @@ class RunReport:
         """Per-series value deltas (self − other); zero deltas omitted.
 
         The reason reports are versioned and deterministic: comparing
-        two campaigns (or a sharded vs single-engine run) is a dict of
-        numbers, not a scroll through two logs.
+        two campaigns (or two probe profiles) is a dict of numbers, not
+        a scroll through two logs.
         """
         ours, theirs = self.counter_values(), other.counter_values()
         deltas: Dict[str, float] = {}

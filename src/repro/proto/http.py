@@ -166,12 +166,11 @@ class HttpServerSession:
 
 @dataclass(frozen=True)
 class HttpSessionFactory:
-    """Picklable factory producing :class:`HttpServerSession` instances.
+    """Factory producing :class:`HttpServerSession` instances.
 
-    Device models and the parallel scan backend bind TCP services as
-    *factory objects* rather than closures: a factory captures only the
-    session's configuration, so a host's service surface survives a
-    pickle round trip into a worker process.
+    Device models bind TCP services as *factory objects* rather than
+    closures: a factory captures only the session's configuration, so
+    equal configurations compare equal.
     """
 
     title: Optional[str]

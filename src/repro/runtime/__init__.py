@@ -1,11 +1,10 @@
-"""The staged runtime: event bus, stages, probe registry, sharding.
+"""The staged runtime: event bus, stages and the probe registry.
 
 ``repro.runtime`` is the layer the sourcing→scan data path runs on:
 :mod:`~repro.runtime.bus` carries typed events between pipeline stages,
 :mod:`~repro.runtime.stage` gives stages bounded queues with drop
-accounting, :mod:`~repro.runtime.registry` makes the probe set a
-campaign parameter, and :mod:`~repro.runtime.sharding` fans scan state
-out across independent engines.  See DESIGN.md §3 for the module map.
+accounting, and :mod:`~repro.runtime.registry` makes the probe set a
+campaign parameter.  See DESIGN.md §3 for the module map.
 """
 
 from repro.runtime.bus import (
@@ -23,30 +22,6 @@ from repro.runtime.registry import (
 )
 from repro.runtime.stage import BoundedQueue, Stage, StageStats
 
-#: Lazy (PEP 562) exports: sharding builds on repro.scan.engine, which
-#: itself imports repro.runtime.registry — importing it eagerly here
-#: would close an import cycle through this package's __init__.
-_LAZY = {"ShardedScanEngine": "repro.runtime.sharding",
-         "shard_of": "repro.runtime.sharding",
-         "ParallelShardedScanEngine": "repro.runtime.parallel",
-         "ParallelExecutionError": "repro.runtime.parallel",
-         "WorkerCrashed": "repro.runtime.parallel",
-         "NetworkView": "repro.runtime.snapshot",
-         "SnapshotError": "repro.runtime.snapshot",
-         "WorkerPool": "repro.runtime.pool",
-         "PoolBrokenError": "repro.runtime.pool",
-         "SnapshotRef": "repro.runtime.pool",
-         "resolve_workers": "repro.runtime.pool"}
-
-
-def __getattr__(name):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
 __all__ = [
     "AddressSighted",
     "BoundedQueue",
@@ -54,21 +29,10 @@ __all__ = [
     "DEFAULT_PACKET_COST",
     "Event",
     "EventBus",
-    "NetworkView",
-    "ParallelExecutionError",
-    "ParallelShardedScanEngine",
-    "PoolBrokenError",
     "ProbeRegistry",
     "ProbeSpec",
-    "ShardedScanEngine",
-    "SnapshotError",
-    "SnapshotRef",
     "Stage",
     "StageStats",
     "TargetScanned",
-    "WorkerCrashed",
-    "WorkerPool",
     "default_registry",
-    "resolve_workers",
-    "shard_of",
 ]

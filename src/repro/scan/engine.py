@@ -140,20 +140,6 @@ class ScanScheduler:
         self._m_pruned.inc(len(expired))
         return len(expired)
 
-    def cooldown_state(self) -> Dict[int, float]:
-        """A copy of the live cool-down map (integer-address keys).
-
-        The parallel backend ships this to worker processes so a
-        shard's rebuilt scheduler starts from exactly the state the
-        in-process scheduler had, and installs the worker's final map
-        back via :meth:`load_cooldown`.
-        """
-        return dict(self._last_scanned)
-
-    def load_cooldown(self, state: Dict[int, float]) -> None:
-        """Replace the cool-down map with ``state`` (see above)."""
-        self._last_scanned = dict(state)
-
     def cooldown_snapshot(self) -> Dict[str, float]:
         """The live cool-down map, JSON-shaped for checkpoints.
 
@@ -263,8 +249,8 @@ class ScanEngine:
         self.registry = registry if registry is not None else default_registry()
         self.rng = random.Random(self.config.seed)
         self.stats = EngineStats()
-        #: Label stamped onto this engine's metric series (shards get
-        #: ``<name>/shardN``, so per-shard load balance is visible).
+        #: Label stamped onto this engine's metric series and store
+        #: records (``"ntp"``, ``"hitlist"``, ...).
         self.name = name
         self.scheduler = ScanScheduler(network, self.config, self.stats,
                                        self.rng, name=name)
@@ -290,8 +276,8 @@ class ScanEngine:
         self.executor.grab_hook = writer.grab_sink(label)
 
     def cooldown_snapshots(self) -> Dict[str, Dict[str, float]]:
-        """Per-engine cool-down maps for checkpoints (one entry here;
-        sharded engines return one per shard)."""
+        """This engine's cool-down map for checkpoints, keyed by its
+        name so several engines' maps merge into one dict."""
         return {self.name: self.scheduler.cooldown_snapshot()}
 
     # -- single target ----------------------------------------------------

@@ -9,7 +9,7 @@ unique certificate/key fingerprints).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: Protocol labels in Table 2 / Table 5 column order.
 PROTOCOLS = ("http", "https", "ssh", "mqtt", "mqtts", "amqp", "amqps", "coap")
@@ -189,33 +189,16 @@ class ScanResults:
         self.bucket(protocol).append(grab)
 
     def absorb(self, part: "ScanResults") -> None:
-        """Fold one shard's results into this accumulator, in place.
+        """Fold another result set into this accumulator, in place.
 
-        The streaming half of :meth:`merged`: buckets extend in call
-        order, counters sum — so absorbing parts one at a time in shard
-        order is byte-identical to a single :meth:`merged` call over
-        the same sequence (the parallel backend folds each worker's
-        chunk the moment its shard's turn comes).
+        Buckets extend in call order and counters sum (the campaign
+        daemon folds each hitlist sweep into its running results).
         """
         for protocol in part.protocols():
             grabs = part.grabs(protocol)
             if grabs:
                 self.bucket(protocol).extend(grabs)
         self.targets_seen += part.targets_seen
-
-    @classmethod
-    def merged(cls, parts: Iterable["ScanResults"],
-               label: str = "") -> "ScanResults":
-        """Deterministically merge per-shard results into one object.
-
-        Buckets extend in ``parts`` order (shard order), preserving each
-        shard's scan order; counters sum.  Totals therefore equal a
-        single-engine run over the union of the shards' targets.
-        """
-        merged = cls(label=label)
-        for part in parts:
-            merged.absorb(part)
-        return merged
 
     # -- aggregates (Table 2 columns) -----------------------------------
 

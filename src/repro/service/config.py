@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.core.campaign import CampaignConfig
+from repro.core.pipeline import refuse_sharded_store
 from repro.scan.result import PROTOCOLS
 from repro.world.hitlist import HitlistConfig
 from repro.world.population import WorldConfig
@@ -42,8 +43,6 @@ class ServiceConfig:
     #: day, so their grabs land inside that day's window.
     hitlist_days: int = 7
     scan_seed: int = 0x51AB
-    #: Fan each scan engine out over N hash-partitioned shards.
-    scan_shards: int = 1
     #: Restrict the probe profile (None = the paper's full registry).
     protocols: Optional[Tuple[str, ...]] = None
     #: Seed of the dedicated world-evolution RNG stream (device drift +
@@ -86,9 +85,6 @@ class ServiceConfig:
             raise ValueError(
                 f"hitlist_days={self.hitlist_days}: must be >= 0 "
                 "(0 disables hitlist sweeps)")
-        if self.scan_shards < 1:
-            raise ValueError(
-                f"scan_shards={self.scan_shards}: must be >= 1")
         for name in ("drift_spawn_rate", "drift_retire_rate",
                      "pool_join_rate", "pool_leave_rate"):
             rate = getattr(self, name)
@@ -131,8 +127,12 @@ def service_config_from_document(document: dict, *,
 
     Inverse of the ``asdict`` + JSON round-trip persisted in the run
     store's ``meta.json``; ``store_dir`` overrides the recorded path so
-    a moved run directory resumes in place.
+    a moved run directory resumes in place.  Like
+    :func:`~repro.core.pipeline.experiment_config_from_document`, it
+    ignores keys of settings that no longer exist and refuses a store
+    written by sharded scan engines.
     """
+    refuse_sharded_store(document)
     campaign_doc = dict(document["campaign"])
     campaign_doc["deployment"] = tuple(campaign_doc["deployment"])
     protocols = document.get("protocols")
@@ -146,7 +146,6 @@ def service_config_from_document(document: dict, *,
         checkpoint_days=document["checkpoint_days"],
         hitlist_days=document["hitlist_days"],
         scan_seed=document["scan_seed"],
-        scan_shards=document["scan_shards"],
         protocols=tuple(protocols) if protocols is not None else None,
         drift_seed=document["drift_seed"],
         drift_spawn_rate=document["drift_spawn_rate"],

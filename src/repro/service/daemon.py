@@ -40,7 +40,7 @@ from repro.core.campaign import CollectionCampaign
 from repro.core.realtime import RealTimeScanQueue
 from repro.obs.metrics import current_registry
 from repro.runtime.registry import default_registry
-from repro.scan.engine import EngineConfig
+from repro.scan.engine import EngineConfig, ScanEngine
 from repro.scan.ethics import publish_scanner_identity
 from repro.scan.result import ScanResults
 from repro.service.config import (
@@ -89,11 +89,7 @@ class CampaignDaemon:
 
     def __init__(self, config: ServiceConfig, *,
                  writer: StoreWriter) -> None:
-        from repro.core.pipeline import (
-            SCANNER_PTR_NAME,
-            _build_engine,
-            _scanner_source,
-        )
+        from repro.core.pipeline import SCANNER_PTR_NAME, _scanner_source
 
         self.config = config
         self.writer = writer
@@ -115,10 +111,10 @@ class CampaignDaemon:
                                  self.world.rdns,
                                  ptr_name=SCANNER_PTR_NAME)
         label = config.campaign.label
-        self.engine = _build_engine(
-            self.world, scanner_source,
+        self.engine = ScanEngine(
+            self.world.network, scanner_source,
             EngineConfig(drive_clock=False, seed=config.scan_seed),
-            registry, config.scan_shards, name=label)
+            registry=registry, name=label)
         self.queue = RealTimeScanQueue(
             self.engine, results=ScanResults(label=label))
         self.campaign = CollectionCampaign(self.world, config.campaign,
@@ -136,10 +132,10 @@ class CampaignDaemon:
         # map carries across sweeps, so the store-verify invariant (no
         # re-probe inside the TTL) holds by construction as long as
         # hitlist_days exceeds the cool-down (the defaults: 7 > 3).
-        self.hitlist_engine = _build_engine(
-            self.world, scanner_source,
+        self.hitlist_engine = ScanEngine(
+            self.world.network, scanner_source,
             EngineConfig(drive_clock=False, seed=config.scan_seed ^ 0xFF),
-            registry, config.scan_shards, name="hitlist")
+            registry=registry, name="hitlist")
         self.hitlist_engine.attach_store(writer, label="hitlist")
         self.hitlist_scan = ScanResults(label="hitlist")
         self.engines = [self.engine, self.hitlist_engine]

@@ -11,11 +11,12 @@ frames keyed by ``(anchor checkpoint, t0, t1)`` — the key a frame is
 anchor appears, and anchors are immutable once cut.
 
 :class:`ServiceServer` wraps the service in a line-oriented JSON TCP
-server (one request object per line, one response per line) with a
-graceful-shutdown path: a ``shutdown`` command answers, stops
-accepting, and — when a live :class:`~repro.service.daemon.
-CampaignDaemon` is attached — flushes a final checkpoint before the
-process lets go of the store.
+server (one request object per line, one response per line; a line
+longer than :data:`MAX_REQUEST_BYTES` gets an error reply and closes
+the connection) with a graceful-shutdown path: a ``shutdown`` command
+answers, stops accepting, and — when a live :class:`~repro.service.
+daemon.CampaignDaemon` is attached — flushes a final checkpoint before
+the process lets go of the store.
 
 House metric rule: registry counters hold only deterministic counts
 (queries, frames built, cache hits); wall-clock latency lives in
@@ -38,6 +39,16 @@ from repro.service.query import WindowedStudyReader
 from repro.store.runstore import RunStore
 
 _EPS = 1e-9
+
+#: Longest request line the server reads, newline included.  Real
+#: queries are under 200 bytes; the cap keeps a client that never
+#: sends a newline from growing the server's buffer without bound.
+MAX_REQUEST_BYTES = 64 * 1024
+
+
+class RequestError(ValueError):
+    """A request line the server cannot take: too long, or not a JSON
+    object."""
 
 
 def _percentile(samples: List[float], fraction: float) -> float:
@@ -94,8 +105,7 @@ class QueryService:
 
     def __init__(self, run_dir, *, window_days: Optional[float] = None,
                  step_days: Optional[float] = None,
-                 cache_frames: Optional[int] = None,
-                 ctx=None) -> None:
+                 cache_frames: Optional[int] = None) -> None:
         self.store = RunStore.open(run_dir)
         document = self.store.meta.get("config", {})
         service_doc = document if is_service_document(document) else {}
@@ -119,9 +129,6 @@ class QueryService:
         #: same WAL span N times.
         self._builds: Dict[Tuple[str, float, float], threading.Lock] = {}
         self._builds_lock = threading.Lock()
-        #: Shared execution context — one pool (or one sequential
-        #: context) across every concurrent query; surfaced in stats().
-        self.ctx = ctx
         self._latencies: List[float] = []
         self._lock = threading.Lock()
         metrics = current_registry()
@@ -196,16 +203,31 @@ class QueryService:
             "latency_p50_ms": _percentile(latencies, 0.50) * 1e3,
             "latency_p99_ms": _percentile(latencies, 0.99) * 1e3,
             "cache": self.cache.stats(),
-            "context": self.ctx.stats() if self.ctx is not None else {},
         }
+
+
+def _error_reply(error: Exception) -> Dict:
+    return {"ok": False, "error": f"{type(error).__name__}: {error}"}
 
 
 class _Handler(socketserver.StreamRequestHandler):
     """One JSON object per line in, one per line out."""
 
+    def _reply(self, response: Dict) -> None:
+        self.wfile.write(json.dumps(response).encode("utf-8") + b"\n")
+        self.wfile.flush()
+
     def handle(self) -> None:
         server: "ServiceServer" = self.server.owner  # type: ignore[attr-defined]
-        for raw in self.rfile:
+        while True:
+            raw = self.rfile.readline(MAX_REQUEST_BYTES + 1)
+            if not raw:
+                return
+            if len(raw) > MAX_REQUEST_BYTES:
+                self._reply(_error_reply(RequestError(
+                    f"request line exceeds {MAX_REQUEST_BYTES} bytes; "
+                    "closing the connection")))
+                return
             line = raw.strip()
             if not line:
                 continue
@@ -213,10 +235,8 @@ class _Handler(socketserver.StreamRequestHandler):
                 request = json.loads(line.decode("utf-8"))
                 response = server.dispatch(request)
             except Exception as error:  # noqa: BLE001 — wire boundary
-                response = {"ok": False, "error": f"{type(error).__name__}: "
-                                                 f"{error}"}
-            self.wfile.write(json.dumps(response).encode("utf-8") + b"\n")
-            self.wfile.flush()
+                response = _error_reply(error)
+            self._reply(response)
             if response.get("bye"):
                 # Tear down off-thread (shutdown() joins the serve loop)
                 # and only now that the reply is on the wire: ``repro
@@ -250,6 +270,10 @@ class ServiceServer:
         return self._tcp.server_address[:2]
 
     def dispatch(self, request: Dict) -> Dict:
+        if not isinstance(request, dict):
+            raise RequestError(
+                f"request={json.dumps(request)[:80]}: must be a JSON "
+                "object")
         command = request.get("cmd", "query")
         if command == "query":
             document = self.service.query(

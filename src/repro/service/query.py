@@ -314,18 +314,15 @@ class WindowedAttributionReader:
     same span semantics (``[t0, t1)`` windows, complete-windows-only
     series against a data horizon) applied to an in-memory
     :class:`~repro.core.telescope.InboundEvent` stream instead of a WAL
-    replay.  Events are held in a canonical sort so every query — and
-    every worker count, when a pool is threaded through — produces
+    replay.  Events are held in a canonical sort so every query produces
     byte-identical window documents.
     """
 
-    def __init__(self, events, *, truth=None, rdns=None,
-                 pool=None) -> None:
+    def __init__(self, events, *, truth=None, rdns=None) -> None:
         self._events = sorted(
             events, key=lambda e: (e.time, e.src, e.dst, e.dst_port))
         self._truth = dict(truth) if truth else {}
         self._rdns = rdns
-        self._pool = pool
         self._m_windows = current_registry().counter(
             "service_attribution_windows_total")
 
@@ -341,8 +338,8 @@ class WindowedAttributionReader:
             raise ValueError(f"window=[{t0}, {t1}): end must exceed start")
         subset = [event for event in self._events
                   if t0 <= event.time < t1]
-        report, _ = attribute_events(subset, truth=self._truth,
-                                     rdns=self._rdns, pool=self._pool)
+        report = attribute_events(subset, truth=self._truth,
+                                  rdns=self._rdns)
         strategies: Dict[str, int] = {}
         for attribution in report.attributions:
             strategies[attribution.strategy] = (

@@ -166,9 +166,8 @@ class Device:
         """Bind this device's service surface onto an arbitrary host
         (also used to put a CDN personality onto aliased /64s).
 
-        Services are bound as *picklable factory objects* (not
-        closures), so the parallel scan backend can ship a host's
-        service surface to worker processes by value.
+        Services are bound as *factory objects* (not closures) that
+        capture only their configuration.
         """
         if self.web is not None:
             web = self.web

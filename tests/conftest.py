@@ -27,43 +27,27 @@ sys.dont_write_bytecode = True
 TEST_SCALE = 0.16
 
 
-@pytest.fixture(autouse=True)
-def _no_multiprocessing_leaks():
-    """Fail any test that leaks live worker processes.
-
-    The parallel scan backend owns real OS processes; a test that exits
-    with children still alive (an unclosed pool, an un-joined worker)
-    leaks resources into every later test and hides shutdown bugs.  The
-    pool's context manager joins its workers, so a short grace period
-    only needs to absorb process-exit latency, not real work.
-
-    The implicit default :class:`api.ExecutionContext` pools are
-    *sanctioned* persistence (bare ``workers=`` calls keep their
-    workers alive for the process on purpose), so they are shut down
-    here before counting: a test using them stays green, while a test
-    leaking its own explicit context or pool still fails.
-    """
-    yield
-    import multiprocessing
-    import time
-
-    from repro import api
-
-    api.shutdown_default_contexts()
-    children = multiprocessing.active_children()
-    if children:
-        deadline = time.monotonic() + 2.0
-        while children and time.monotonic() < deadline:
-            time.sleep(0.05)
-            children = multiprocessing.active_children()
-    assert not children, (
-        f"test leaked live multiprocessing children: {children}")
-
-
 def small_world_config(**overrides) -> WorldConfig:
     defaults = dict(seed=20240720, scale=TEST_SCALE)
     defaults.update(overrides)
     return WorldConfig(**defaults)
+
+
+def patch_stored_config(run_dir, **stored) -> None:
+    """Overwrite keys of a run store's recorded config in ``meta.json``
+    (how tests stand in for stores written by other versions)."""
+    import json
+
+    meta_path = run_dir / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["config"].update(stored)
+    meta_path.write_text(json.dumps(meta))
+
+
+def store_bytes(run_dir) -> dict:
+    """Every file of a run directory, by relative path."""
+    return {path.relative_to(run_dir).as_posix(): path.read_bytes()
+            for path in sorted(run_dir.rglob("*")) if path.is_file()}
 
 
 @pytest.fixture(scope="session")

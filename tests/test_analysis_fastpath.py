@@ -1,14 +1,15 @@
-"""The analysis fast path: banded distance, pruning, parallel driver.
+"""The analysis fast path: banded distance, pruning, the analysis bundle.
 
-Three equivalence claims hold this PR together, and each gets a
+Two equivalence claims hold the fast path together, and each gets a
 property here:
 
 * the banded DP returns the exact distance whenever the true distance
   fits the bound, and *some* value above the bound otherwise;
 * the pruned+banded clusterer emits byte-identical groups to the
-  unoptimized reference scan on arbitrary corpora;
-* the parallel analysis driver's bundle and metrics are byte-identical
-  to the sequential path's.
+  unoptimized reference scan on arbitrary corpora.
+
+On top, the bundle :func:`run_analysis` assembles must agree with the
+security module's own headline computation.
 """
 
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from repro.analysis.levenshtein import (
     normalized_distance,
     within,
 )
-from repro.analysis.parallel import analysis_tasks, run_analysis
+from repro.analysis.bundle import run_analysis
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.scan.result import (
     BrokerGrab,
@@ -222,55 +223,8 @@ def _synthetic_results(label, http=12, salt=0):
 
 
 class TestParallelAnalysisDriver:
-    def _run(self, workers):
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            bundle = run_analysis(_synthetic_results("ntp"),
-                                  _synthetic_results("hitlist", salt=3),
-                                  workers=workers)
-        return bundle, registry
-
-    def test_pool_output_byte_identical_to_sequential(self):
-        sequential, seq_registry = self._run(0)
-        pooled, pool_registry = self._run(2)
-        assert pooled.table3 == sequential.table3
-        assert pooled.ssh == sequential.ssh
-        assert pooled.brokers == sequential.brokers
-        assert pooled.secure == sequential.secure
-        assert pooled.keyreuse == sequential.keyreuse
-        assert pool_registry.snapshot() == seq_registry.snapshot()
-
-    def test_timing_stays_out_of_the_registry(self):
-        bundle, registry = self._run(2)
-        assert bundle.timing["workers"] == 2
-        assert {job["job"] for job in bundle.timing["jobs"]} == \
-            {task.job for task in analysis_tasks(
-                _synthetic_results("ntp"),
-                _synthetic_results("hitlist", salt=3))}
-        names = {entry["name"] for kind in registry.snapshot().values()
-                 for entry in kind}
-        assert not any("seconds" in name or "wall" in name
-                       for name in names), names
-
-    def test_task_list_order_is_fixed(self):
-        ntp = _synthetic_results("ntp")
-        hitlist = _synthetic_results("hitlist", salt=3)
-        jobs = [task.job for task in analysis_tasks(ntp, hitlist)]
-        assert jobs == [
-            "table3_http:ntp", "table3_ssh:ntp", "table3_coap:ntp",
-            "fig2_ssh:ntp", "fig3_mqtt:ntp", "fig3_amqp:ntp",
-            "table3_http:hitlist", "table3_ssh:hitlist",
-            "table3_coap:hitlist", "fig2_ssh:hitlist",
-            "fig3_mqtt:hitlist", "fig3_amqp:hitlist",
-        ]
-
-    def test_negative_workers_rejected(self):
-        try:
-            run_analysis(ScanResults(), ScanResults(), workers=-1)
-        except ValueError:
-            pass
-        else:
-            raise AssertionError("workers=-1 accepted")
+    """:func:`run_analysis`, the analysis entry point behind
+    ``api.study_tables`` and ``api.analyze``."""
 
     def test_secure_share_matches_security_module(self):
         from repro.analysis import security
@@ -278,6 +232,6 @@ class TestParallelAnalysisDriver:
         ntp = _synthetic_results("ntp")
         hitlist = _synthetic_results("hitlist", salt=3)
         with use_registry():
-            bundle = run_analysis(ntp, hitlist, workers=0)
+            bundle = run_analysis(ntp, hitlist)
         expected = security.security_gap(ntp, hitlist)
         assert bundle.security_gap() == expected

@@ -28,10 +28,6 @@ def _study_config(**overrides) -> ExperimentConfig:
 class TestConfigValidation:
     """The bugfix: validation lives on the config, not the CLI handler."""
 
-    def test_rejects_zero_shards(self):
-        with pytest.raises(ValueError, match="scan_shards"):
-            ExperimentConfig(scan_shards=0)
-
     def test_rejects_unknown_protocols(self):
         with pytest.raises(ValueError, match="unknown protocol"):
             ExperimentConfig(protocols=("ssh", "gopher"))
@@ -41,12 +37,10 @@ class TestConfigValidation:
             ExperimentConfig(protocols=())
 
     def test_accepts_valid_values(self):
-        config = ExperimentConfig(scan_shards=4, protocols=("ssh", "coap"))
-        assert config.scan_shards == 4
+        config = ExperimentConfig(protocols=("ssh", "coap"))
+        assert config.protocols == ("ssh", "coap")
 
     def test_cli_surfaces_config_errors(self, capsys):
-        assert main(["study", "--scale", "0.05", "--shards", "0"]) == 2
-        assert "scan_shards" in capsys.readouterr().err
         assert main(["study", "--scale", "0.05",
                      "--protocols", "ssh,nosuch"]) == 2
         assert "unknown protocol" in capsys.readouterr().err
@@ -109,11 +103,11 @@ class TestMetricsDeterminism:
 
     def test_diff_metrics_flags_moved_series(self):
         base = api.study(_study_config()).report
-        sharded = api.study(_study_config(scan_shards=2)).report
+        subset = api.study(_study_config(protocols=("ssh", "coap"))).report
         assert base.diff_metrics(base) == {}
-        deltas = sharded.diff_metrics(base)
-        # Sharding relabels engine series, so per-shard counters appear.
-        assert any("shard" in series for series in deltas)
+        deltas = subset.diff_metrics(base)
+        # A narrower probe profile drops the other protocols' series.
+        assert any("protocol=http" in series for series in deltas)
 
 
 class TestRunReportPersistence:

@@ -129,7 +129,7 @@ class TestTelescopeEdgeCases:
         telescope = captured(
             lambda network, _: wander(network, count=12))
         assert telescope.matched_events() == []
-        report, _ = attribute_events(telescope.events)
+        report = attribute_events(telescope.events)
         (attribution,) = report.attributions
         assert attribution.strategy != "ntp"
         assert attribution.features.bait_hits == 0
@@ -137,7 +137,7 @@ class TestTelescopeEdgeCases:
     def test_single_probe_cluster_reports_insufficient(self):
         telescope = captured(
             lambda network, _: wander(network, count=1))
-        report, _ = attribute_events(telescope.events)
+        report = attribute_events(telescope.events)
         (attribution,) = report.attributions
         assert attribution.strategy == INSUFFICIENT
         assert any("evidence floor" in reason
@@ -152,7 +152,7 @@ class TestTelescopeEdgeCases:
 
         telescope = captured(drive)
         assert len(telescope.matched_events()) == 1
-        report, _ = attribute_events(telescope.events)
+        report = attribute_events(telescope.events)
         (attribution,) = report.attributions
         assert attribution.features.bait_hits == 1
         assert attribution.features.bait_hit_ratio \
@@ -167,7 +167,7 @@ class TestTelescopeEdgeCases:
                 network.tcp_connect(SCANNER, record.address, 443)
 
         telescope = captured(drive)
-        report, _ = attribute_events(telescope.events)
+        report = attribute_events(telescope.events)
         (attribution,) = report.attributions
         assert attribution.strategy == "ntp"
         assert attribution.features.bait_hit_ratio == 1.0

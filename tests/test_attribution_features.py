@@ -1,13 +1,10 @@
-"""Feature-extraction algebra: the properties parallel extraction needs.
+"""Feature-extraction algebra: the properties chunked extraction needs.
 
-Mirrors the ``ScanResults.merged`` property suite: the per-cluster
-:class:`FeatureAccumulator` must fold **order-insensitively** (any
-permutation of the event stream produces equal state) and merge
-**associatively and commutatively** (any shard tree produces equal
-state), because the pooled extraction path chunks the stream at fixed
-boundaries and folds partial results back in chunk order.  On top of
-the algebra, the suite pins byte-parity of the full attribution table
-across worker counts on one synthetic stream.
+The per-cluster :class:`FeatureAccumulator` must fold
+**order-insensitively** (any permutation of the event stream produces
+equal state) and merge **associatively and commutatively** (any merge
+tree produces equal state), because extraction chunks the stream at
+fixed boundaries and folds partial results back in chunk order.
 """
 
 from __future__ import annotations
@@ -17,17 +14,14 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import api
 from repro.core.attribution import (
     ATTRIBUTION_CHUNK,
     FeatureAccumulator,
-    attribute_events,
     cluster_accumulators,
     cluster_key,
     derive_features,
 )
 from repro.core.telescope import BaitRecord, InboundEvent
-from tests.parity import WORKER_COUNTS
 
 
 def make_event(time, src, dst, port, *, bait=False):
@@ -106,50 +100,9 @@ class TestAccumulatorAlgebra:
     @given(events=events_strategy, chunk=st.integers(1, 16))
     @settings(max_examples=30, deadline=None)
     def test_chunked_extraction_equals_single_fold(self, events, chunk):
-        chunked, timing = cluster_accumulators(events, chunk_size=chunk)
-        whole, _ = cluster_accumulators(events,
-                                        chunk_size=ATTRIBUTION_CHUNK)
-        assert timing is None
+        chunked = cluster_accumulators(events, chunk_size=chunk)
+        whole = cluster_accumulators(events, chunk_size=ATTRIBUTION_CHUNK)
         assert chunked == whole
         for key, accumulator in whole.items():
             assert accumulator == fold(
                 [e for e in events if cluster_key(e.src) == key])
-
-
-def synthetic_stream():
-    """A deterministic multi-cluster stream big enough to chunk."""
-    rng = random.Random(20240720)
-    events = []
-    for cluster in range(5):
-        src_base = (0x2001_0db8_0000 + cluster) << 80
-        for index in range(60):
-            events.append(make_event(
-                time=rng.uniform(0, 5000.0),
-                src=src_base + rng.randrange(1, 50),
-                dst=(0x2001_06d0_babe << 80) + (index << 64) + cluster,
-                port=rng.choice((22, 80, 443, 8443)),
-                bait=cluster == 0))
-    return events
-
-
-class TestWorkerParity:
-    def test_attribution_table_parity_0_2_4_workers(self):
-        events = synthetic_stream()
-        truth = {event.src: "hitlist" for event in events}
-        reference, timing = attribute_events(events, truth=truth,
-                                             chunk_size=32)
-        assert timing is None
-        for workers in WORKER_COUNTS:
-            with api.ExecutionContext(workers=workers) as ctx:
-                candidate, timing = attribute_events(
-                    events, truth=truth, pool=ctx.pool, chunk_size=32)
-            assert timing is not None and timing["workers"] >= 1
-            assert candidate.tables() == reference.tables(), \
-                f"workers={workers}"
-
-    def test_single_chunk_skips_the_pool(self):
-        events = synthetic_stream()[:10]
-        with api.ExecutionContext(workers=2) as ctx:
-            _, timing = attribute_events(events, pool=ctx.pool,
-                                         chunk_size=ATTRIBUTION_CHUNK)
-        assert timing is None  # one chunk: inline, no pool round-trip

@@ -115,16 +115,6 @@ class TestJsonFormat:
         assert {"http", "https", "ssh", "coap"} <= protocols
         assert doc["tables"]["table2"]
 
-    def test_study_json_sharded_labels(self, capsys):
-        doc = self._run_json(capsys, ["study", "--scale", "0.05",
-                                      "--no-rl", "--wire", "0",
-                                      "--shards", "2", "--format", "json"])
-        engines = {c["labels"]["engine"]
-                   for c in doc["metrics"]["counters"]
-                   if c["name"] == "scheduler_admitted_total"}
-        assert {"ntp/shard0", "ntp/shard1",
-                "hitlist/shard0", "hitlist/shard1"} <= engines
-
     def test_telescope_json(self, capsys):
         doc = self._run_json(capsys, ["telescope", "--scale", "0.05",
                                       "--days", "2", "--format", "json"])

@@ -10,8 +10,7 @@ Three tiers:
   hitlist entries, TGAs stay inside seed /64s, walkers probe only
   dictionary-named PTR addresses, sweeps only low-IID subnet slots);
 * **labeled scenarios** — a mixed population aimed at a telescope /48
-  must come back with a clean confusion-matrix diagonal, and the
-  attribution table must be byte-identical at every worker count.
+  must come back with a clean confusion-matrix diagonal.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from repro.net.packet import PacketRecord
 from repro.net.rdns import ReverseDns
 from repro.net.simnet import Network
 from tests.conftest import small_world_config
-from tests.parity import WORKER_COUNTS, strip_parallel
 
 PREFIX48 = addrmod.parse("2001:6d0:babe::")
 
@@ -285,7 +283,7 @@ class TestStrategyProperties:
             <= set(actor.sources)
 
 
-def run_leak_scenario(worker_pool=None):
+def run_leak_scenario():
     """One labeled mixed-population run; returns (population, report)."""
     network, scheduler = fresh_sim()
     rdns = ReverseDns()
@@ -296,21 +294,21 @@ def run_leak_scenario(worker_pool=None):
                  for strategy in SOURCE_BASES},
         config=ScenarioConfig(seed=7))
     scheduler.run_all()
-    report, timing = attribute_events(
+    report = attribute_events(
         scope.events, truth=population.ground_truth(), rdns=rdns,
-        pool=worker_pool, chunk_size=16)
-    return population, report, timing
+        chunk_size=16)
+    return population, report
 
 
 class TestLabeledScenario:
     def test_every_strategy_detected_on_its_own_cluster(self):
-        population, report, _ = run_leak_scenario()
+        population, report = run_leak_scenario()
         assert len(report.attributions) == 5
         assert {a.strategy for a in report.attributions} \
             == set(ALL_STRATEGIES)
 
     def test_confusion_diagonal_meets_floor(self):
-        _, report, _ = run_leak_scenario()
+        _, report = run_leak_scenario()
         assert report.diagonal_accuracy() >= 0.9
         metrics = report.strategy_metrics()
         for strategy in ALL_STRATEGIES:
@@ -319,13 +317,13 @@ class TestLabeledScenario:
             assert metrics[strategy]["support"] == 1
 
     def test_confusion_matrix_shape(self):
-        _, report, _ = run_leak_scenario()
+        _, report = run_leak_scenario()
         confusion = report.confusion()
         for truth, row in confusion.items():
             assert row == {truth: 1}
 
     def test_ground_truth_covers_every_source(self):
-        population, report, _ = run_leak_scenario()
+        population, report = run_leak_scenario()
         truth = population.ground_truth()
         for actor in population.actors:
             for source in actor.sources:
@@ -333,19 +331,9 @@ class TestLabeledScenario:
                 assert population.actor_of(source) == actor.name
 
     def test_population_rows_report_probe_counts(self):
-        population, _, _ = run_leak_scenario()
+        population, _ = run_leak_scenario()
         for row in population.rows():
             assert row["probes_sent"] == row["planned"] > 0
-
-    def test_attribution_parity_across_worker_counts(self):
-        """Byte-identical attribution tables at 0/2/4 workers."""
-        _, reference, timing = run_leak_scenario()
-        assert timing is None  # sequential extraction carries no timing
-        for workers in WORKER_COUNTS:
-            with api.ExecutionContext(workers=workers) as ctx:
-                _, candidate, _ = run_leak_scenario(ctx.pool)
-            assert candidate.tables() == reference.tables(), \
-                f"workers={workers}"
 
     def test_external_truth_registration(self):
         network, scheduler = fresh_sim()
@@ -389,17 +377,6 @@ class TestEcosystemApi:
         assert windows
         for document in windows:
             assert document["window"]["days"] == 2.0
-
-    def test_api_parity_workers_0_vs_2(self):
-        """Full-report byte parity of ecosystem runs across workers."""
-        def run(workers):
-            return api.ecosystem(api.EcosystemConfig(
-                world=small_world_config(scale=0.05), sweep_days=2,
-                settle_days=1, workers=workers))
-
-        reference = strip_parallel(run(0).report.as_document())
-        candidate = strip_parallel(run(2).report.as_document())
-        assert candidate == reference
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="sweep_days"):

@@ -1,9 +1,7 @@
-"""Failure-injection tests: packet loss, dead services, mid-scan churn,
-and worker processes dying mid-batch."""
+"""Failure-injection tests: packet loss, dead services and mid-scan
+churn."""
 
 import random
-
-import pytest
 
 from repro.core.campaign import CampaignConfig, CollectionCampaign
 from repro.ipv6 import parse
@@ -117,51 +115,3 @@ class TestBrokenServices:
         engine.feed(target, results)
         for protocol in ("http", "https", "ssh", "mqtt", "amqp"):
             assert results.responsive_addresses(protocol) == set(), protocol
-
-
-class TestWorkerDeath:
-    """A scan worker dying mid-batch is a *typed* failure, not a hang,
-    a partial merge, or a bare ``BrokenProcessPool``."""
-
-    @staticmethod
-    def _engine_and_targets():
-        from repro.runtime.parallel import ParallelShardedScanEngine
-
-        network = Network()
-        rng = random.Random(11)
-        targets = []
-        for index in range(40):
-            device = dev.make_fritzbox(rng, index, 0x3C3786400000 + index)
-            device.assign_address(PREFIX + (index << 64), rng)
-            device.materialize(network)
-            targets.append(device.address)
-        engine = ParallelShardedScanEngine(
-            network, SRC, EngineConfig(drive_clock=False),
-            shards=4, workers=2, name="death")
-        return engine, targets
-
-    def test_mid_batch_death_surfaces_typed_error(self, monkeypatch):
-        from repro.runtime.parallel import CRASH_ENV, WorkerCrashed
-
-        engine, targets = self._engine_and_targets()
-        monkeypatch.setenv(CRASH_ENV, "1:3")
-        with pytest.raises(WorkerCrashed) as excinfo:
-            engine.run(targets, label="doomed")
-        assert 1 in excinfo.value.shards
-        # Nothing from the surviving shards leaked into a partial merge.
-        assert engine.stats.targets_offered == 0
-        assert engine.tracked_targets == 0
-
-    def test_engine_survives_a_crashed_run(self, monkeypatch):
-        """After the doomed run fails, the same engine completes the
-        batch once the fault is gone — full hits, nothing wedged."""
-        from repro.runtime.parallel import CRASH_ENV, WorkerCrashed
-
-        engine, targets = self._engine_and_targets()
-        monkeypatch.setenv(CRASH_ENV, "1:3")
-        with pytest.raises(WorkerCrashed):
-            engine.run(targets, label="doomed")
-        monkeypatch.delenv(CRASH_ENV)
-        results = engine.run(targets, label="retry")
-        assert len(results.responsive_addresses("http")) == len(targets)
-        assert engine.stats.targets_offered == len(targets)

@@ -11,11 +11,17 @@ small study's complete outputs instead:
   ``grab_to_json`` leaves out, such as a CoAP grab's port);
 * the canonical result tables and the deterministic metrics snapshot;
 * for a store-backed run, the raw bytes of every WAL segment and
-  checkpoint file.
+  checkpoint file;
+* the tables of ``api.amplification``, the tables and metrics of a
+  small ``api.ecosystem`` run, and the tables and metrics of
+  ``api.analyze`` over the store-backed study's run directory.
 
-The digests were captured before the study hot path started caching
-pool rotations and answering refused probes without dispatch; any
-change to what a study computes shows up here.
+The study digests were captured before the study hot path started
+caching pool rotations and answering refused probes without dispatch;
+the amplification, ecosystem and analyze digests before those entry
+points lost their process-pool and sharded code paths.  Any change to
+what these entry points compute shows up here.  The amplification
+metrics are left out: their ``engine`` label names the scan engine.
 """
 
 import hashlib
@@ -40,6 +46,16 @@ GOLDEN_STORE_METRICS = (
     "342975f0154ad13b20ac10f389d742b464c7d82392bf556667ec1636baa9faf2")
 GOLDEN_STORE_FILES = (
     "f5acf71942be2828e8e70088015af52b2eade1d99847c3f40b9a09b151905555")
+GOLDEN_AMPLIFICATION_TABLES = (
+    "01cc2e2f429ca298c0a9957b66d6dd368108a82260658c48626d53f27a921354")
+GOLDEN_ECOSYSTEM_TABLES = (
+    "f63a615736687854220f0cd8bd6f27265bc0728f7159e9392f7cf233b541a432")
+GOLDEN_ECOSYSTEM_METRICS = (
+    "9bbb5ffdd17f8bda247cc922fb34cdd11a4f7aeff9104e3a2db7bf61e52e1995")
+GOLDEN_ANALYZE_TABLES = (
+    "01f543d425271dc8ff8b398b2732a8352882203a1de4f4bcca329bced534838f")
+GOLDEN_ANALYZE_METRICS = (
+    "64ac1d97230340264165c7494cd6ee70578a4849448822a2c1b831269cf1fdad")
 
 
 def _config(**overrides) -> ExperimentConfig:
@@ -82,6 +98,11 @@ def _digests(study) -> dict:
     }
 
 
+def _report_digests(report) -> dict:
+    return {"tables": _sha256([_canonical(report.tables)]),
+            "metrics": _sha256([_canonical(report.metrics)])}
+
+
 def _store_files(run_dir: Path) -> str:
     """Names and bytes of every WAL segment and checkpoint (meta.json
     holds the run directory's path, so it is left out)."""
@@ -112,3 +133,27 @@ class TestGoldenBytes:
         }
         assert _store_files(run_dir) == GOLDEN_STORE_FILES
 
+    def test_amplification_tables_match_golden(self):
+        report = api.amplification().report
+        assert _report_digests(report)["tables"] == \
+            GOLDEN_AMPLIFICATION_TABLES
+
+    def test_ecosystem_outputs_match_golden(self):
+        # The shape of ``repro ecosystem --scale 0.08 --days 3
+        # --window-days 2``: rolling windows plus a multi-chunk fold.
+        report = api.ecosystem(api.EcosystemConfig(
+            world=WorldConfig(seed=20240720, scale=0.08), sweep_days=3,
+            window_days=2.0)).report
+        assert _report_digests(report) == {
+            "tables": GOLDEN_ECOSYSTEM_TABLES,
+            "metrics": GOLDEN_ECOSYSTEM_METRICS,
+        }
+
+    def test_analyze_over_golden_store_matches_golden(self, tmp_path):
+        run_dir = tmp_path / "run"
+        api.study(_config(store_dir=str(run_dir), checkpoint_days=2))
+        report = api.analyze(api.AnalyzeConfig(run_dir=str(run_dir))).report
+        assert _report_digests(report) == {
+            "tables": GOLDEN_ANALYZE_TABLES,
+            "metrics": GOLDEN_ANALYZE_METRICS,
+        }

@@ -1,15 +1,12 @@
 """Golden-value determinism for the sourcing→scan data path.
 
 The staged-runtime refactor (event bus, scheduler/executor split,
-probe registry, sharding) must be behaviour-preserving: under fixed
-seeds, ``run_experiment`` produces *exactly* the responsive-address and
+probe registry) must be behaviour-preserving: under fixed seeds,
+``run_experiment`` produces *exactly* the responsive-address and
 per-protocol grab counts of the seed implementation.  The numbers below
 were captured from the seed commit (5f12bc1) at this configuration and
-verified identical against the refactored path — both single-engine
-and ``scan_shards=4``.
+verified identical against the refactored path.
 """
-
-import pytest
 
 from repro.core.campaign import CampaignConfig
 from repro.core.pipeline import ExperimentConfig, run_experiment
@@ -60,33 +57,3 @@ def _check_counts(result):
 class TestGoldenDeterminism:
     def test_single_engine_matches_seed_commit(self):
         _check_counts(run_experiment(_golden_config()))
-
-    def test_sharded_engines_match_single_engine(self):
-        """shards=4 merges to the same totals as the one-engine run."""
-        _check_counts(run_experiment(_golden_config(scan_shards=4)))
-
-    def test_sharded_responsive_sets_identical(self):
-        """Beyond counts: the same addresses respond, per protocol."""
-        single = run_experiment(_golden_config())
-        sharded = run_experiment(_golden_config(scan_shards=4))
-        for protocol in PROTOCOLS:
-            assert (single.hitlist_scan.responsive_addresses(protocol)
-                    == sharded.hitlist_scan.responsive_addresses(protocol))
-            assert (single.ntp_scan.responsive_addresses(protocol)
-                    == sharded.ntp_scan.responsive_addresses(protocol))
-        assert single.hitlist_scan.hit_rate() == \
-            pytest.approx(sharded.hitlist_scan.hit_rate())
-
-    def test_parallel_workers_match_seed_commit(self):
-        """The multiprocess backend lands on the seed's golden counts —
-        and its full report is byte-identical to the sequential sharded
-        run's (tests.parity defines and strips the permitted
-        differences)."""
-        from tests import parity
-
-        def config(workers):
-            return _golden_config(scan_shards=4, parallel_workers=workers)
-
-        runs = parity.assert_study_parity(config, worker_counts=(2,))
-        for study in runs.values():
-            _check_counts(study.experiment)

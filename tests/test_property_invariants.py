@@ -111,109 +111,6 @@ class TestTgaProperties:
             assert 0.0 <= model.entropy <= 4.0 + 1e-9
 
 
-class TestShardingProperties:
-    """The partition/merge contract the parallel backend stands on."""
-
-    @given(ADDRESSES, st.integers(min_value=1, max_value=64))
-    def test_shard_of_stable_and_in_range(self, address, shards):
-        from repro.runtime.sharding import shard_of
-
-        index = shard_of(address, shards)
-        assert 0 <= index < shards
-        assert index == shard_of(address, shards)
-
-    @given(st.integers(min_value=0, max_value=2**64 - 1),
-           st.one_of(st.sampled_from([1, 2, 4, 0x10, 0x100, 0x10000,
-                                      1 << 20, 1 << 32, 1 << 48]),
-                     st.integers(min_value=1, max_value=2**16)),
-           st.integers(min_value=0, max_value=2**32))
-    @settings(max_examples=80)
-    def test_no_empty_shard_for_structured_addresses(self, prefix, stride,
-                                                     start):
-        """64 same-/64 addresses with strided IIDs hit every one of 4
-        shards.  This pins the full SplitMix64 finalizer: the weaker
-        single-multiply hash parked all 2^32-strided addresses on one
-        shard."""
-        from repro.runtime.sharding import shard_of
-
-        base = prefix << 64
-        mask = (1 << 64) - 1
-        occupied = {shard_of(base | ((start + index * stride) & mask), 4)
-                    for index in range(64)}
-        assert occupied == {0, 1, 2, 3}
-
-    @given(st.lists(ADDRESSES, max_size=200),
-           st.integers(min_value=1, max_value=8))
-    def test_partition_preserves_multiset_and_routing(self, targets, shards):
-        from repro.runtime.sharding import shard_of
-        from repro.runtime.snapshot import targets_by_shard
-
-        partition = targets_by_shard(targets, shards)
-        assert len(partition) == shards
-        rejoined = [target for batch in partition for target in batch]
-        assert sorted(rejoined) == sorted(targets)
-        for index, batch in enumerate(partition):
-            assert all(shard_of(target, shards) == index
-                       for target in batch)
-            # Arrival order is preserved within each shard.
-            expected = [t for t in targets if shard_of(t, shards) == index]
-            assert batch == expected
-
-
-class TestMergedResultsProperties:
-    """ScanResults.merged over disjoint shards: associative, and
-    aggregate-insensitive to merge order."""
-
-    @staticmethod
-    def _sharded_results(entries, shards):
-        from repro.runtime.sharding import shard_of
-        from repro.scan.result import CoapGrab, ScanResults
-
-        parts = [ScanResults(label=f"shard{i}") for i in range(shards)]
-        for address, ok in entries:
-            part = parts[shard_of(address, shards)]
-            part.coap.append(CoapGrab(address=address, time=0.0, ok=ok))
-            part.targets_seen += 1
-        return parts
-
-    ENTRIES = st.lists(st.tuples(ADDRESSES, st.booleans()), max_size=60)
-
-    @given(ENTRIES, st.integers(min_value=2, max_value=6))
-    @settings(max_examples=60)
-    def test_merged_is_associative(self, entries, shards):
-        from repro.scan.result import ScanResults
-
-        parts = self._sharded_results(entries, shards)
-        flat = ScanResults.merged(parts, label="m")
-        nested = ScanResults.merged(
-            [ScanResults.merged(parts[:2]), *parts[2:]], label="m")
-        assert nested.coap == flat.coap
-        assert nested.targets_seen == flat.targets_seen
-        assert nested.label == flat.label
-
-    @given(ENTRIES, st.integers(min_value=2, max_value=6),
-           st.randoms(use_true_random=False))
-    @settings(max_examples=60)
-    def test_merge_order_cannot_change_aggregates(self, entries, shards,
-                                                  rng):
-        """Disjoint shards: any merge order yields the same responsive
-        sets, counts and hit rate (bucket order may differ)."""
-        from repro.scan.result import ScanResults
-
-        parts = self._sharded_results(entries, shards)
-        shuffled = list(parts)
-        rng.shuffle(shuffled)
-        ordered = ScanResults.merged(parts, label="m")
-        permuted = ScanResults.merged(shuffled, label="m")
-        assert permuted.targets_seen == ordered.targets_seen
-        assert (permuted.responsive_addresses("coap")
-                == ordered.responsive_addresses("coap"))
-        assert len(permuted.coap) == len(ordered.coap)
-        assert sorted(g.address for g in permuted.coap) == \
-            sorted(g.address for g in ordered.coap)
-        assert permuted.hit_rate() == ordered.hit_rate()
-
-
 class TestDeterminismProperties:
     @given(st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=10, deadline=None)

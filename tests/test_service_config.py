@@ -37,7 +37,6 @@ def test_store_dir_is_required():
     ("campaign_days", 0),
     ("checkpoint_days", 0),
     ("hitlist_days", -1),
-    ("scan_shards", 0),
     ("drift_spawn_rate", 1.5),
     ("drift_retire_rate", -0.1),
     ("pool_join_rate", 2.0),

@@ -19,7 +19,7 @@ from repro.net.clock import DAY
 from repro.service import CampaignDaemon, WindowedStudyReader
 from repro.store import RunStore, fault_injection
 
-from tests.conftest import service_config
+from tests.conftest import patch_stored_config, service_config, store_bytes
 
 
 class SimulatedCrash(BaseException):
@@ -114,3 +114,49 @@ def test_resume_guards_point_at_the_right_entry(tmp_path, service_run):
     store.new_writer().close()
     with pytest.raises(ValueError, match="api.resume"):
         CampaignDaemon.resume(str(batch_dir))
+
+
+def test_older_store_configs_resume_or_are_refused(tmp_path):
+    """Keys of removed settings are ignored: a campaign store recording
+    worker processes and one engine shard resumes to the uninterrupted
+    campaign, while one recording four shards is refused before
+    anything is replayed or appended."""
+    import shutil
+
+    def config(name):
+        return service_config(tmp_path / name, campaign_days=3,
+                              hitlist_days=0, checkpoint_days=1)
+
+    golden = api.run_campaign(config("golden"))
+    state = {"count": 0}
+
+    def hook(point, seq, acked):
+        if point == "post-append":
+            state["count"] += 1
+            if state["count"] >= 4000:  # day 2, past the first checkpoint
+                raise SimulatedCrash()
+
+    with fault_injection(hook):
+        with pytest.raises(SimulatedCrash):
+            api.run_campaign(config("crashed"))
+    run_dir = tmp_path / "crashed"
+    sharded_dir = tmp_path / "sharded"
+    shutil.copytree(run_dir, sharded_dir)
+
+    patch_stored_config(sharded_dir, scan_shards=4)
+    before = store_bytes(sharded_dir)
+    with pytest.raises(ValueError, match="scan_shards=4"):
+        api.resume_campaign(str(sharded_dir))
+    assert store_bytes(sharded_dir) == before
+
+    patch_stored_config(run_dir, parallel_workers=2, scan_shards=1)
+    resumed = api.resume_campaign(str(run_dir))
+    golden_tables = json.loads(json.dumps(golden.report.tables))
+    resumed_tables = json.loads(json.dumps(resumed.report.tables))
+    golden_tables["store"].pop("run_dir")
+    resumed_tables["store"].pop("run_dir")
+    assert resumed_tables == golden_tables
+    verify = RunStore.open(run_dir).verify()
+    assert verify["ok"], verify["problems"]
+    assert verify["last_seq"] == RunStore.open(
+        tmp_path / "golden").verify()["last_seq"]

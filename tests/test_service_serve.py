@@ -8,6 +8,7 @@ count stays far below queries × log length.
 """
 
 import json
+import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -125,6 +126,46 @@ def test_bad_query_returns_error_not_disconnect(service_run):
             server.shutdown()
     assert not response["ok"]
     assert "window=-1" in response["error"]
+
+
+def test_over_long_request_line_is_refused(service_run):
+    """A client that sends no newline cannot grow the server's buffer:
+    past the line cap it gets one typed error reply and a closed
+    connection, and the server keeps answering other clients."""
+    from repro.service.frontend import MAX_REQUEST_BYTES
+
+    _, run_dir = service_run
+    with use_registry():
+        server = api.serve(str(run_dir))
+        try:
+            with socket.create_connection(server.address,
+                                          timeout=10.0) as conn:
+                conn.sendall(b"x" * (MAX_REQUEST_BYTES + 1))
+                reader = conn.makefile("rb")
+                reply = json.loads(reader.readline())
+                try:
+                    rest = reader.read()
+                except ConnectionResetError:
+                    rest = b""
+            assert query_server(server.address, {"cmd": "stats"},
+                                timeout=10.0)["ok"]
+        finally:
+            server.shutdown()
+    assert not reply["ok"]
+    assert reply["error"].startswith("RequestError: ")
+    assert rest == b""
+
+
+def test_non_object_request_gets_typed_error(service_run):
+    _, run_dir = service_run
+    with use_registry():
+        server = api.serve(str(run_dir))
+        try:
+            response = query_server(server.address, [1], timeout=10.0)
+        finally:
+            server.shutdown()
+    assert response == {"ok": False, "error": "RequestError: request=[1]: "
+                                              "must be a JSON object"}
 
 
 def test_shutdown_reply_is_sent_before_teardown(service_run):

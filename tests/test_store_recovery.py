@@ -24,6 +24,7 @@ from repro.core.campaign import CampaignConfig
 from repro.core.pipeline import ExperimentConfig
 from repro.store import RunStore, fault_injection
 from repro.world.population import WorldConfig
+from tests.conftest import patch_stored_config, store_bytes
 
 CRASH_SEEDS = [int(seed) for seed in
                os.environ.get("REPRO_CRASH_SEEDS", "1").split(",")]
@@ -231,44 +232,47 @@ def test_resume_after_compaction_verifies_the_chain(tmp_path, clean_study):
     assert RunStore.open(run_dir).verify()["ok"]
 
 
-def test_worker_crash_then_resume_reaches_golden(tmp_path, clean_study,
-                                                 monkeypatch):
-    """A multiprocess run killed by a dying worker resumes to the clean
-    study's tables.  The parallel backend merges (and therefore writes
-    WAL records for) a batch only after *every* shard returns, so a
-    worker crash leaves no partial batch behind — the store recovers
-    exactly as it would from a sequential crash."""
-    from repro.runtime.parallel import CRASH_ENV, WorkerCrashed
+def crash_with_stored_config(run_dir, **stored):
+    """Crash a study 500 appends in, then patch its stored config the
+    way an older version of the program wrote it."""
+    state = {"count": 0, "acked": 0}
 
-    from dataclasses import replace
+    def hook(point, seq, acked):
+        state["acked"] = acked
+        if point == "post-append":
+            state["count"] += 1
+            if state["count"] >= 500:
+                raise SimulatedCrash()
+
+    crash_run(run_dir, hook)
+    patch_stored_config(run_dir, **stored)
+    return state["acked"]
+
+
+def test_older_single_engine_store_resumes(tmp_path, clean_study):
+    """Keys of removed settings are ignored: a store recording worker
+    processes and one engine shard resumes to the clean study."""
+    run_dir = tmp_path / "crashed"
+    acked = crash_with_stored_config(run_dir, parallel_workers=2,
+                                     scan_shards=1)
+    assert_recovered(run_dir, clean_study, acked)
+
+
+def test_sharded_store_is_refused_before_replay(tmp_path, clean_study,
+                                                capsys):
+    """A store written by sharded engines names them ``ntp/shardN`` in
+    its WAL, which one engine cannot replay: resuming fails up front
+    and leaves the store untouched."""
+    from repro.cli import main
 
     run_dir = tmp_path / "crashed"
-    # Same shard count as the clean reference: the SSH key-reuse dedup
-    # makes the security table sensitive to *shard count* (merge order
-    # picks the key's representative grab), so golden-tables claims only
-    # hold between runs at equal shard layout.  Execution mode (workers)
-    # is what this test varies — and must not matter.
-    config = replace(small_config(run_dir), parallel_workers=2)
-    # 0:100 targets the hitlist batch: the per-sighting ntp feed path
-    # stays in-process, so only the pooled hitlist scan can die here.
-    monkeypatch.setenv(CRASH_ENV, "0:100")
-    with pytest.raises(WorkerCrashed):
-        api.study(config)
-
-    monkeypatch.delenv(CRASH_ENV)
-    store = RunStore.open(run_dir)
-    store.recover(repair=True)
-    resumed = api.resume(str(run_dir))
-    # Minus the wall-clock-only "parallel"/"parallel_analysis" tables,
-    # the resumed parallel study lands on the clean sequential study's
-    # tables exactly.
-    resumed_tables = dict(resumed.report.tables)
-    resumed_tables.pop("parallel", None)
-    resumed_tables.pop("parallel_analysis", None)
-    assert resumed_tables == clean_study["study"].report.tables
-    verify = RunStore.open(run_dir).verify()
-    assert verify["ok"], verify["problems"]
-    assert verify["cooldown_violations"] == 0
+    crash_with_stored_config(run_dir, scan_shards=4)
+    before = store_bytes(run_dir)
+    with pytest.raises(ValueError, match="scan_shards=4"):
+        api.resume(str(run_dir))
+    assert main(["study", "--resume", str(run_dir)]) == 2
+    assert "scan_shards=4" in capsys.readouterr().err
+    assert store_bytes(run_dir) == before
 
 
 def test_divergent_config_is_rejected(tmp_path, clean_study):

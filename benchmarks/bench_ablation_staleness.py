@@ -21,7 +21,8 @@ def _run(delay_days: int):
                         EngineConfig(drive_clock=False))
     queue = RealTimeScanQueue(engine)
     campaign = CollectionCampaign(
-        world, CampaignConfig(days=10, wire_fraction=0.0), scan_queue=queue)
+        world, CampaignConfig(days=10, wire_fraction=0.0))
+    campaign.dataset.add_new_address_hook(queue.on_sighting)
     campaign.run()
     realtime_hits = {
         protocol: len(queue.results.responsive_addresses(protocol))

@@ -39,8 +39,8 @@ def main() -> None:
     campaign = CollectionCampaign(
         world,
         CampaignConfig(days=7, wire_fraction=0.05),
-        scan_queue=queue,
     )
+    campaign.dataset.add_new_address_hook(queue.on_sighting)
     print(f"  pool now has {len(campaign.pool.servers)} members "
           f"({len(campaign.capture_servers)} are ours)")
 

@@ -354,7 +354,7 @@ def resume(run_dir: str) -> StudyResult:
     is refused with a ``ValueError`` before anything is replayed or
     appended.
     """
-    from repro.core.pipeline import experiment_config_from_document
+    from repro.core.pipeline import config_from_document
     from repro.service.config import is_service_document
     from repro.store import RunStore
 
@@ -363,8 +363,8 @@ def resume(run_dir: str) -> StudyResult:
         raise ValueError(
             f"run_dir={run_dir}: holds a service campaign, not a batch "
             "study; use api.resume_campaign() instead")
-    config = experiment_config_from_document(store.meta["config"],
-                                             store_dir=str(run_dir))
+    config = config_from_document(ExperimentConfig, store.meta["config"],
+                                  store_dir=str(run_dir))
     result = run_experiment(config, resume=True)
     with use_registry(result.metrics):
         tables = study_tables(result)

@@ -21,8 +21,8 @@ InboundEvent` stream:
 
 Feature state lives in :class:`FeatureAccumulator`, whose ``merge`` is
 associative *and* commutative (counters plus a time multiset), so
-extraction folds the stream in fixed-size chunks and merges the partial
-results into exactly the state one whole-stream fold produces.
+partial folds of any split of the stream merge into exactly the state
+one whole-stream fold produces.
 :func:`attribute_events` is the entry point: events in,
 :class:`AttributionReport` out, with per-strategy precision/recall and
 a confusion matrix against the simulation's ground-truth labels.
@@ -75,10 +75,6 @@ AMPLIFICATION_NTP_SHARE = 0.9
 #: The NTP port, the amplification fingerprint's anchor.
 NTP_PORT = 123
 
-#: Fixed extraction chunk size, so chunk boundaries (and therefore the
-#: merge tree's leaves) never vary.
-ATTRIBUTION_CHUNK = 512
-
 _IID_MASK = (1 << 64) - 1
 
 
@@ -96,7 +92,7 @@ class FeatureAccumulator:
 
     Every field is a sum or a multiset, so ``merge`` is associative and
     commutative and equality is order-insensitive — the properties the
-    Hypothesis suite pins and chunked extraction relies on.
+    Hypothesis suite pins.
     """
 
     events: int = 0
@@ -263,9 +259,10 @@ def classify_features(features: ClusterFeatures
 # -- extraction ---------------------------------------------------------------
 
 
-def _accumulate_chunk(events: Sequence[InboundEvent]
-                      ) -> Dict[str, FeatureAccumulator]:
-    """Fold one event chunk into per-cluster accumulators (pure)."""
+def cluster_accumulators(events: Sequence[InboundEvent]
+                         ) -> Dict[str, FeatureAccumulator]:
+    """Per-cluster accumulators, each event folded once into its
+    cluster's, clusters in order of first appearance."""
     accumulators: Dict[str, FeatureAccumulator] = {}
     for event in events:
         key = cluster_key(event.src)
@@ -274,28 +271,6 @@ def _accumulate_chunk(events: Sequence[InboundEvent]
             accumulator = accumulators[key] = FeatureAccumulator()
         accumulator.add(event)
     return accumulators
-
-
-def cluster_accumulators(events: Sequence[InboundEvent], *,
-                         chunk_size: int = ATTRIBUTION_CHUNK
-                         ) -> Dict[str, FeatureAccumulator]:
-    """Per-cluster accumulators, folded chunk by chunk.
-
-    Chunk boundaries depend only on ``chunk_size`` and partial results
-    merge in chunk order, so any chunk size yields the state of one
-    whole-stream fold.
-    """
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size={chunk_size}: must be >= 1")
-    events = list(events)
-    merged: Dict[str, FeatureAccumulator] = {}
-    for start in range(0, len(events), chunk_size):
-        part = _accumulate_chunk(events[start:start + chunk_size])
-        for key, accumulator in part.items():
-            existing = merged.get(key)
-            merged[key] = (accumulator if existing is None
-                           else existing.merge(accumulator))
-    return merged
 
 
 # -- the report ---------------------------------------------------------------
@@ -399,11 +374,10 @@ def _cluster_truth(accumulator: FeatureAccumulator,
 
 def attribute_events(events: Sequence[InboundEvent], *,
                      truth: Optional[Mapping[int, str]] = None,
-                     rdns: Optional[ReverseDns] = None,
-                     chunk_size: int = ATTRIBUTION_CHUNK
+                     rdns: Optional[ReverseDns] = None
                      ) -> AttributionReport:
     """Attribute every source cluster of an event stream."""
-    clusters = cluster_accumulators(events, chunk_size=chunk_size)
+    clusters = cluster_accumulators(events)
     registry = current_registry()
     attributions = []
     for key in sorted(clusters):

@@ -7,8 +7,8 @@ This reproduces Section 3's methodology end to end:
    placement criterion);
 2. let the world's NTP clients synchronize for the collection window,
    capturing every client address that reaches one of our servers;
-3. optionally feed each first-sighted address into the real-time scan
-   queue.
+3. hand each first-sighted address to the dataset's new-address hooks
+   (the real-time scan queue, see :mod:`repro.core.pipeline`).
 
 Client traffic runs day-by-day: churn advances first, then every NTP
 client re-resolves the pool a few times (as real ntpd does when its
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.collector import CaptureServer, CollectedDataset
-from repro.core.realtime import RealTimeScanQueue
 from repro.obs.metrics import COUNT_BUCKETS, current_registry
 from repro.ipv6 import address as addrmod
 from repro.net.clock import DAY
@@ -80,15 +79,12 @@ class CampaignReport:
 class CollectionCampaign:
     """Owns the pool deployment and drives the collection window."""
 
-    def __init__(self, world: World, config: Optional[CampaignConfig] = None,
-                 scan_queue: Optional[RealTimeScanQueue] = None) -> None:
+    def __init__(self, world: World,
+                 config: Optional[CampaignConfig] = None) -> None:
         self.world = world
         self.config = config or CampaignConfig()
         self.rng = random.Random(self.config.seed)
         self.dataset = CollectedDataset(label=self.config.label)
-        if scan_queue is not None:
-            scan_queue.attach(self.dataset)
-        self.scan_queue = scan_queue
         self.pool = NtpPool(
             world.network, rng=random.Random(self.config.seed ^ 1),
             monitor_address=self._infrastructure_prefix(0xFFFF),

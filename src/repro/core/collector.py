@@ -6,12 +6,8 @@ addresses with observation metadata.  The dataset is the object every
 downstream analysis consumes: Table 1's counts, Figure 1's structure
 profile, Appendix B's MAC analysis, and the real-time scan queue.
 
-First sightings are published as typed
-:class:`~repro.runtime.bus.AddressSighted` events on the dataset's
-:class:`~repro.runtime.bus.EventBus` — the trigger of the paper's
-real-time scans.  The seed-era callback API
-(:meth:`CollectedDataset.add_new_address_hook`) remains as a thin
-adapter over the bus.
+Each first sighting calls the dataset's new-address hooks, in the
+order they were added — the trigger of the paper's real-time scans.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Set
 from repro.net.simnet import Network
 from repro.ntp.packet import NtpPacket
 from repro.ntp.server import NtpServer
-from repro.runtime.bus import AddressSighted, EventBus
+from repro.obs.metrics import MetricsRegistry, current_registry
 
 #: Observer invoked when an address is seen for the very first time:
 #: (address, first_seen_time, server_location).
@@ -46,19 +42,18 @@ class CollectedDataset:
     observations: Dict[int, AddressObservation] = field(default_factory=dict)
     per_server: Dict[str, Set[int]] = field(default_factory=dict)
     total_requests: int = 0
-    #: First-sightings publish :class:`AddressSighted` events here.
-    bus: EventBus = field(default_factory=EventBus)
+    _hooks: List[NewAddressHook] = field(
+        default_factory=list, init=False, repr=False, compare=False)
+    #: The registry of the run that built the dataset; its sightings
+    #: series appears at the first sighting.
+    _metrics: MetricsRegistry = field(
+        default_factory=current_registry, init=False, repr=False,
+        compare=False)
 
     def add_new_address_hook(self, hook: NewAddressHook) -> None:
-        """Subscribe to first-sightings (the real-time scan trigger).
-
-        Seed-era adapter: wraps ``hook`` as an :class:`AddressSighted`
-        subscriber on :attr:`bus`.
-        """
-        self.bus.subscribe(
-            AddressSighted,
-            lambda event: hook(event.address, event.time,
-                               event.server_location))
+        """Call ``hook`` at every first sighting (the real-time scan
+        trigger), after the hooks added before it."""
+        self._hooks.append(hook)
 
     def record(self, address: int, time: float, server_location: str,
                requests: int = 1) -> bool:
@@ -76,8 +71,10 @@ class CollectedDataset:
         self.observations[address] = AddressObservation(
             first_seen=time, last_seen=time, requests=requests,
         )
-        self.bus.publish(AddressSighted(
-            address=address, time=time, server_location=server_location))
+        self._metrics.counter("bus_events_total",
+                              event="AddressSighted").inc()
+        for hook in self._hooks:
+            hook(address, time, server_location)
         return True
 
     # -- views ------------------------------------------------------------

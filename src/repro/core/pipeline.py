@@ -14,28 +14,48 @@ timeline on one simulated world:
 4. the assembled :class:`ExperimentResult`, the single object every
    table/figure bench consumes.
 
-Both scan paths run on the staged runtime (`repro.runtime`): the
-campaign's dataset publishes ``AddressSighted`` events, the real-time
-queue consumes them as a bounded stage, and each path's one
-:class:`~repro.scan.engine.ScanEngine` draws its probe set from a
-pluggable registry.
+Both scan paths are built by one :class:`ScanRig`, which the campaign
+daemon (:mod:`repro.service.daemon`) builds too: the campaign's dataset
+hands each first sighting to the real-time queue, a bounded stage, and
+each path's one :class:`~repro.scan.engine.ScanEngine` draws its probe
+set from a pluggable registry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+import json
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.campaign import CampaignConfig, CollectionCampaign, rl_2022_config
 from repro.core.collector import CollectedDataset
 from repro.core.comparison import ComparisonTable, DatasetComparison
 from repro.core.realtime import RealTimeScanQueue
-from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.metrics import MetricsRegistry, current_registry, use_registry
 from repro.runtime.registry import default_registry
 from repro.scan.engine import EngineConfig, ScanEngine
+from repro.scan.ethics import publish_scanner_identity
 from repro.scan.result import PROTOCOLS, ScanResults
 from repro.world.hitlist import Hitlist, HitlistConfig, build_hitlist
 from repro.world.population import World, WorldConfig, build_world
+
+
+def check_protocols(protocols: Optional[Tuple[str, ...]]) -> None:
+    """Reject a probe-profile subset that is empty or names an unknown
+    protocol (None is the full registry); the message leads with
+    ``protocols=…`` so CLI exit-2 output names the offending value."""
+    if protocols is None:
+        return
+    if not protocols:
+        raise ValueError(
+            f"protocols={protocols!r}: must name at least one "
+            "protocol (or be None for the full registry)")
+    unknown = [name for name in protocols if name not in PROTOCOLS]
+    if unknown:
+        raise ValueError(
+            f"protocols={','.join(protocols)}: unknown "
+            f"protocol(s) {', '.join(sorted(unknown))}; "
+            f"choose from {', '.join(PROTOCOLS)}")
 
 
 @dataclass
@@ -72,18 +92,7 @@ class ExperimentConfig:
         if self.checkpoint_days < 1:
             raise ValueError(
                 f"checkpoint_days={self.checkpoint_days}: must be >= 1")
-        if self.protocols is not None:
-            if not self.protocols:
-                raise ValueError(
-                    f"protocols={self.protocols!r}: must name at least one "
-                    "protocol (or be None for the full registry)")
-            unknown = [name for name in self.protocols
-                       if name not in PROTOCOLS]
-            if unknown:
-                raise ValueError(
-                    f"protocols={','.join(self.protocols)}: unknown "
-                    f"protocol(s) {', '.join(sorted(unknown))}; "
-                    f"choose from {', '.join(PROTOCOLS)}")
+        check_protocols(self.protocols)
 
 
 @dataclass
@@ -143,6 +152,128 @@ def _scanner_source(world: World) -> int:
     return int("20010db8000000000000000000000010", 16)
 
 
+class ScanRig:
+    """One runner's sourcing→scan path over a built world.
+
+    The batch study (:func:`run_experiment`) and the campaign daemon
+    (:class:`~repro.service.daemon.CampaignDaemon`) both build their
+    scan path here: the scanner identity, the configured protocol
+    subset, the NTP-fed engine and its real-time queue, the collection
+    campaign, the hitlist engine (:meth:`add_hitlist_engine`) and, with
+    a ``writer``, the store taps, progress marks and checkpoints.
+    Without a writer, marks and checkpoints do nothing.
+
+    ``config`` is an :class:`ExperimentConfig` or a
+    :class:`~repro.service.config.ServiceConfig`; ``label`` names the
+    NTP-fed scan in engine series, store records and target counts.
+    """
+
+    def __init__(self, world: World, config, *, label: str = "ntp",
+                 writer=None) -> None:
+        self.world = world
+        self.label = label
+        self.writer = writer
+        self.scan_seed = config.scan_seed
+        self.registry = default_registry()
+        if config.protocols is not None:
+            self.registry = self.registry.subset(*config.protocols)
+        # One scanner identity serves both scan paths (the paper scans
+        # the NTP feed and the hitlist from the same research vantage
+        # point).
+        self.source = _scanner_source(world)
+        publish_scanner_identity(world.network, self.source, world.rdns,
+                                 ptr_name=SCANNER_PTR_NAME)
+        #: Every engine built so far; checkpoints hold their cool-downs.
+        self.engines: List[ScanEngine] = []
+        self.hitlist_engine: Optional[ScanEngine] = None
+        self.engine = self._engine(label, config.scan_seed)
+        self.queue = RealTimeScanQueue(self.engine,
+                                       results=ScanResults(label=label))
+        self.campaign = CollectionCampaign(world, config.campaign)
+        dataset = self.campaign.dataset
+        dataset.add_new_address_hook(self.queue.on_sighting)
+        if writer is not None:
+            # After the queue's hook, so each sighting's admit and grab
+            # records precede its sighting record: verify-replay
+            # regenerates the log in exactly this order.
+            dataset.add_new_address_hook(writer.sighting)
+            writer.mark("setup", 0, world.clock.now(), {})
+
+    def _engine(self, name: str, seed: int) -> ScanEngine:
+        engine = ScanEngine(self.world.network, self.source,
+                            EngineConfig(drive_clock=False, seed=seed),
+                            registry=self.registry, name=name)
+        if self.writer is not None:
+            engine.attach_store(self.writer, label=name)
+        self.engines.append(engine)
+        return engine
+
+    def add_hitlist_engine(self) -> None:
+        """Build the hitlist scan path's engine.
+
+        The daemon builds it with the rig and sweeps with it all
+        campaign long, so its cool-down map carries across sweeps.  The
+        batch study builds it after its final week, so the engine's
+        series and cool-downs first appear in the ``done`` checkpoint.
+        """
+        self.hitlist_engine = self._engine("hitlist", self.scan_seed ^ 0xFF)
+
+    def scan_hitlist(self, hitlist: Hitlist) -> ScanResults:
+        """One sweep of the hitlist's full address set."""
+        return self.hitlist_engine.run(sorted(hitlist.full), label="hitlist")
+
+    def targets(self, hitlist_scan: Optional[ScanResults] = None
+                ) -> Dict[str, int]:
+        """Cumulative targets-seen denominators, keyed by scan label."""
+        targets = {self.label: self.queue.results.targets_seen}
+        if hitlist_scan is not None:
+            targets["hitlist"] = hitlist_scan.targets_seen
+        return targets
+
+    def mark(self, phase: str, day: int, targets: Dict[str, int]) -> None:
+        """Log a progress mark at the current clock."""
+        if self.writer is not None:
+            self.writer.mark(phase, day, self.world.clock.now(), targets)
+
+    def checkpoint(self, phase: str, day: int, targets: Dict[str, int],
+                   **sections) -> None:
+        """Cut a store checkpoint; ``sections`` add runner-specific
+        state, such as the daemon's drift counters."""
+        if self.writer is not None:
+            self.writer.checkpoint(
+                lambda: self._state(phase, day, targets, sections))
+
+    def _state(self, phase: str, day: int, targets: Dict[str, int],
+               sections: Dict) -> Dict:
+        """The JSON state snapshot stored in a checkpoint.
+
+        Recovery does not *load* this state (deterministic replay
+        rebuilds it); it exists for offline inspection, as the windowed
+        queries' replay anchor and as the compaction anchor.
+        """
+        report = self.campaign.report()
+        cooldowns: Dict = {}
+        for engine in self.engines:
+            cooldowns.update(engine.cooldown_snapshots())
+        return {
+            "phase": phase,
+            "day": day,
+            "clock": self.world.clock.now(),
+            "campaign": {
+                "days_run": report.days_run,
+                "addresses": len(self.campaign.dataset),
+                "requests": self.campaign.dataset.total_requests,
+                "wire_queries": report.wire_queries,
+                "fast_queries": report.fast_queries,
+                "per_server_requests": report.per_server_requests,
+            },
+            "targets": targets,
+            **sections,
+            "cooldowns": cooldowns,
+            "metrics": current_registry().snapshot(),
+        }
+
+
 def run_experiment(config: Optional[ExperimentConfig] = None,
                    metrics: Optional[MetricsRegistry] = None,
                    *, resume: bool = False) -> ExperimentResult:
@@ -161,23 +292,26 @@ def run_experiment(config: Optional[ExperimentConfig] = None,
     config = config or ExperimentConfig()
     registry = metrics if metrics is not None else MetricsRegistry()
     with use_registry(registry):
-        writer = _open_store_writer(config, resume=resume)
+        writer = None
+        if config.store_dir is not None:
+            writer = open_store_writer(config, resume=resume)
+        elif resume:
+            raise ValueError(
+                "store_dir=None: resuming requires the run directory of "
+                "an interrupted store-backed study")
         result = _run_experiment(config, writer)
     result.metrics = registry
     return result
 
 
-def _open_store_writer(config: ExperimentConfig, *, resume: bool):
-    """The run's StoreWriter (None when no store is configured)."""
-    if config.store_dir is None:
-        if resume:
-            raise ValueError(
-                "store_dir=None: resuming requires the run directory of "
-                "an interrupted store-backed study")
-        return None
-    import json
-    from dataclasses import asdict
+def open_store_writer(config, *, resume: bool, **wal):
+    """A runner's :class:`~repro.store.writer.StoreWriter`.
 
+    Creates a store at ``config.store_dir`` that records ``config``
+    (``wal`` passes WAL tuning to :meth:`RunStore.create`), or with
+    ``resume`` recovers the store there and starts the writer in verify
+    mode.
+    """
     from repro.store.runstore import RunStore
     from repro.store.writer import StoreWriter
 
@@ -187,53 +321,30 @@ def _open_store_writer(config: ExperimentConfig, *, resume: bool):
     store = RunStore.create(
         config.store_dir,
         # JSON round-trip normalizes tuples to lists, so the stored
-        # config is exactly what experiment_config_from_document reads.
+        # config is exactly what config_from_document reads.
         config=json.loads(json.dumps(asdict(config))),
         cooldown_ttl=EngineConfig().cooldown,
+        **wal,
     )
     return StoreWriter(store)
 
 
-def experiment_config_from_document(document: dict, *,
-                                    store_dir: Optional[str] = None
-                                    ) -> ExperimentConfig:
-    """Rebuild an :class:`ExperimentConfig` from its stored JSON form.
+def config_from_document(cls, document: dict, *,
+                         store_dir: Optional[str] = None):
+    """Rebuild a stored config dataclass (``cls``) from its JSON form.
 
     Inverse of the ``asdict`` + JSON round-trip persisted in a run
-    store's ``meta.json``; ``store_dir`` overrides the recorded path so
-    a moved run directory resumes in place.  Keys of settings that no
-    longer exist are ignored, except a stored engine-shard count above
-    one (see :func:`refuse_sharded_store`).
-    """
-    refuse_sharded_store(document)
-    campaign_doc = dict(document["campaign"])
-    campaign_doc["deployment"] = tuple(campaign_doc["deployment"])
-    protocols = document.get("protocols")
-    return ExperimentConfig(
-        world=WorldConfig(**document["world"]),
-        campaign=CampaignConfig(**campaign_doc),
-        hitlist=HitlistConfig(**document["hitlist"]),
-        include_rl=document["include_rl"],
-        rl_days=document["rl_days"],
-        gap_days=document["gap_days"],
-        lead_days=document["lead_days"],
-        final_days=document["final_days"],
-        scan_seed=document["scan_seed"],
-        protocols=tuple(protocols) if protocols is not None else None,
-        store_dir=store_dir if store_dir is not None
-        else document.get("store_dir"),
-        checkpoint_days=document.get("checkpoint_days", 7),
-    )
+    store's ``meta.json``: nested config documents become their
+    dataclasses, lists become tuples, and keys the document lacks take
+    their defaults.  ``store_dir`` overrides the recorded path so a
+    moved run directory resumes in place.
 
-
-def refuse_sharded_store(document: dict) -> None:
-    """Reject a stored config whose engines were split into shards.
-
-    Stores written before the single-engine pipeline may record
-    ``scan_shards``.  At 1 it changes nothing.  Above 1 the WAL names
-    its engines ``<name>/shardN``, which one engine's verify-replay
-    cannot reproduce, so the store is refused before anything is
-    replayed or appended.
+    Keys of settings that no longer exist are ignored, except an engine
+    shard count.  Stores written before the single-engine pipeline may
+    record ``scan_shards``.  At 1 it changes nothing.  Above 1 the WAL
+    names its engines ``<name>/shardN``, which one engine's
+    verify-replay cannot reproduce, so the store is refused before
+    anything is replayed or appended.
     """
     shards = document.get("scan_shards", 1)
     if shards != 1:
@@ -241,48 +352,19 @@ def refuse_sharded_store(document: dict) -> None:
             f"scan_shards={shards}: the store was written by sharded "
             "scan engines, and one engine per scan path cannot replay "
             "its WAL")
-
-
-def _campaign_targets(queue: RealTimeScanQueue,
-                      hitlist_scan: Optional[ScanResults] = None) -> dict:
-    """Cumulative targets-seen denominators for mark records."""
-    targets = {"ntp": queue.results.targets_seen}
-    if hitlist_scan is not None:
-        targets["hitlist"] = hitlist_scan.targets_seen
-    return targets
-
-
-def _checkpoint_state(config: ExperimentConfig, world,
-                      campaign: CollectionCampaign,
-                      queue: RealTimeScanQueue, engines: list,
-                      phase: str, day: int) -> dict:
-    """The JSON state snapshot stored in a checkpoint.
-
-    Recovery does not *load* this state (deterministic replay rebuilds
-    it); it exists for offline inspection and as the compaction anchor.
-    """
-    from repro.obs.metrics import current_registry
-
-    report = campaign.report()
-    cooldowns: dict = {}
-    for engine in engines:
-        cooldowns.update(engine.cooldown_snapshots())
-    return {
-        "phase": phase,
-        "day": day,
-        "clock": world.clock.now(),
-        "campaign": {
-            "days_run": report.days_run,
-            "addresses": len(campaign.dataset),
-            "requests": campaign.dataset.total_requests,
-            "wire_queries": report.wire_queries,
-            "fast_queries": report.fast_queries,
-            "per_server_requests": report.per_server_requests,
-        },
-        "targets": _campaign_targets(queue),
-        "cooldowns": cooldowns,
-        "metrics": current_registry().snapshot(),
-    }
+    values = {}
+    for spec in fields(cls):
+        if spec.name not in document:
+            continue
+        value = document[spec.name]
+        if is_dataclass(spec.default_factory):
+            value = config_from_document(spec.default_factory, value)
+        elif isinstance(value, list):
+            value = tuple(value)
+        values[spec.name] = value
+    if store_dir is not None:
+        values["store_dir"] = store_dir
+    return cls(**values)
 
 
 def _run_experiment(config: ExperimentConfig, writer=None) -> ExperimentResult:
@@ -297,70 +379,34 @@ def _run_experiment(config: ExperimentConfig, writer=None) -> ExperimentResult:
     for _ in range(config.gap_days):
         world.churn.step_day()
 
-    from repro.scan.ethics import publish_scanner_identity
-
-    registry = default_registry()
-    if config.protocols is not None:
-        registry = registry.subset(*config.protocols)
-
-    # One scanner identity serves both scan paths (the paper scans the
-    # NTP feed and the hitlist from the same research vantage point).
-    scanner_source = _scanner_source(world)
-    publish_scanner_identity(world.network, scanner_source, world.rdns,
-                             ptr_name=SCANNER_PTR_NAME)
-    engine = ScanEngine(
-        world.network, scanner_source,
-        EngineConfig(drive_clock=False, seed=config.scan_seed),
-        registry=registry, name="ntp")
-    queue = RealTimeScanQueue(engine)
-    campaign = CollectionCampaign(world, config.campaign, scan_queue=queue)
-    if writer is not None:
-        # The queue subscribed first (campaign construction), so each
-        # sighting's admit/grab records land before its sighting record
-        # — in both original and replayed runs, since it is the same
-        # code path both times.
-        engine.attach_store(writer, label="ntp")
-        writer.attach(campaign.dataset.bus)
-        writer.mark("setup", 0, world.clock.now(), {})
-
-    engines = [engine]
+    rig = ScanRig(world, config, writer=writer)
     for phase, days in (("lead", config.lead_days),
                         ("final", config.final_days)):
         if phase == "final":
             # Hitlist snapshot between the lead and final weeks.
             hitlist = build_hitlist(world, config.hitlist)
         for day in range(1, days + 1):
-            campaign.advance_days(1)
-            if writer is not None:
-                writer.mark(phase, day, world.clock.now(),
-                            _campaign_targets(queue))
-                if day % config.checkpoint_days == 0:
-                    writer.checkpoint(lambda: _checkpoint_state(
-                        config, world, campaign, queue, engines, phase, day))
+            rig.campaign.advance_days(1)
+            rig.mark(phase, day, rig.targets())
+            if day % config.checkpoint_days == 0:
+                rig.checkpoint(phase, day, rig.targets())
 
-    hitlist_engine = ScanEngine(
-        world.network, scanner_source,
-        EngineConfig(drive_clock=False, seed=config.scan_seed ^ 0xFF),
-        registry=registry, name="hitlist")
+    rig.add_hitlist_engine()
+    hitlist_scan = rig.scan_hitlist(hitlist)
+    # The done mark counts both scans; every batch checkpoint, this
+    # last one included, counts the NTP-fed scan only.
+    rig.mark("done", 0, rig.targets(hitlist_scan))
+    rig.checkpoint("done", 0, rig.targets())
     if writer is not None:
-        hitlist_engine.attach_store(writer, label="hitlist")
-        engines.append(hitlist_engine)
-    hitlist_scan = hitlist_engine.run(sorted(hitlist.full), label="hitlist")
-
-    if writer is not None:
-        writer.mark("done", 0, world.clock.now(),
-                    _campaign_targets(queue, hitlist_scan))
-        writer.checkpoint(lambda: _checkpoint_state(
-            config, world, campaign, queue, engines, "done", 0))
         writer.close()
 
     return ExperimentResult(
         world=world,
-        ntp_dataset=campaign.dataset,
-        ntp_scan=queue.results,
+        ntp_dataset=rig.campaign.dataset,
+        ntp_scan=rig.queue.results,
         hitlist=hitlist,
         hitlist_scan=hitlist_scan,
         rl_dataset=rl_dataset,
-        campaign=campaign,
+        campaign=rig.campaign,
         config=config,
     )

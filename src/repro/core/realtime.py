@@ -5,25 +5,22 @@ a necessity, not an optimization: end-user addresses churn so fast that
 a batch scan hours later would mostly probe dead addresses (Section 6,
 "aggregating NTP-sourced addresses into a list is not useful").
 
-:class:`RealTimeScanQueue` is a :class:`~repro.runtime.stage.Stage` on
-the sourcing→scan event bus: it subscribes to
-:class:`~repro.runtime.bus.AddressSighted`, buffers sightings in a
+:class:`RealTimeScanQueue` is a :class:`~repro.runtime.stage.Stage`
+whose :meth:`~RealTimeScanQueue.on_sighting` is a dataset's
+new-address hook: it buffers sightings in a
 :class:`~repro.runtime.stage.BoundedQueue` (real scanner intakes are
 finite — when sourcing outruns the scanner, targets are *dropped and
 accounted*, not silently queued forever), and drives a
-:class:`~repro.scan.engine.ScanEngine` in embedded mode.  Sampled-out
-and dropped targets still count toward ``results.targets_seen`` so hit
-rates keep the right denominator.
+:class:`~repro.scan.engine.ScanEngine` in embedded mode.  Dropped
+targets still count toward ``results.targets_seen`` so hit rates keep
+the right denominator.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Mapping, Optional, Type, Union
+from typing import Optional
 
-from repro.core.collector import CollectedDataset
-from repro.runtime.bus import AddressSighted, Event, EventBus, Handler
 from repro.runtime.stage import BoundedQueue, Stage, StageStats
 from repro.scan.result import ScanResults
 
@@ -43,7 +40,6 @@ class RealTimeStats(StageStats):
 
     triggered: int = 0
     scanned: int = 0
-    suppressed: int = 0
 
 
 class RealTimeScanQueue(Stage):
@@ -52,47 +48,28 @@ class RealTimeScanQueue(Stage):
     name = "realtime-scan"
 
     def __init__(self, engine, results: Optional[ScanResults] = None,
-                 *, sample_rate: float = 1.0, seed: int = 0x5EED,
-                 capacity: int = DEFAULT_CAPACITY,
+                 *, capacity: int = DEFAULT_CAPACITY,
                  auto_drain: bool = True) -> None:
-        if not 0.0 < sample_rate <= 1.0:
-            raise ValueError(f"sample_rate must be in (0, 1], got {sample_rate}")
         super().__init__()
         self.engine = engine
         self.results = results if results is not None else ScanResults(label="ntp")
-        self.sample_rate = sample_rate
         self.stats = RealTimeStats()
         self.queue: BoundedQueue = BoundedQueue(capacity)
         #: Drain after every intake (the paper's real-time behaviour).
-        #: Disable to batch intakes and drain explicitly — the staleness
-        #: ablation and the backpressure tests do.
+        #: Disable to batch intakes and drain explicitly, as the
+        #: backpressure tests do.
         self.auto_drain = auto_drain
-        self._rng = random.Random(seed)
-
-    # -- stage wiring -----------------------------------------------------
-
-    def subscriptions(self) -> Mapping[Type[Event], Handler]:
-        return {AddressSighted: self._on_sighting}
-
-    def attach(self, source: Union[CollectedDataset, EventBus]) -> "RealTimeScanQueue":
-        """Subscribe to a dataset's (or bus's) first-sighting events."""
-        bus = source.bus if isinstance(source, CollectedDataset) else source
-        super().attach(bus)
-        return self
 
     # -- intake -----------------------------------------------------------
 
-    def _on_sighting(self, event: AddressSighted) -> None:
+    def on_sighting(self, address: int, time: float,
+                    server_location: str) -> None:
+        """Take one first sighting (a dataset's new-address hook)."""
         self.mark_received()
         self.stats.triggered += 1
-        if self.sample_rate < 1.0 and self._rng.random() > self.sample_rate:
-            self.stats.suppressed += 1
-            # Still count the target so hit rates use the right denominator.
-            self.results.targets_seen += 1
-            return
-        if not self.queue.push(event):
+        if not self.queue.push(address):
             # Intake full: the scanner cannot keep up.  Account the drop
-            # and keep the denominator consistent with the other paths.
+            # and keep the denominator consistent with the scanned path.
             self.mark_dropped()
             self.results.targets_seen += 1
             return
@@ -103,10 +80,10 @@ class RealTimeScanQueue(Stage):
     def drain(self, limit: int = -1) -> int:
         """Scan up to ``limit`` queued targets (all when negative)."""
         drained = 0
-        for event in self.queue.drain(limit):
+        for address in self.queue.drain(limit):
             drained += 1
             self.mark_processed()
-            if self.engine.feed(event.address, self.results):
+            if self.engine.feed(address, self.results):
                 self.stats.scanned += 1
         return drained
 

@@ -1,22 +1,21 @@
-"""Stages: bus subscribers with bounded queues and drop accounting.
+"""Stages: named processing steps with bounded queues and drop accounting.
 
 A :class:`Stage` is one processing step of the sourcing→scan path.  It
-subscribes to the event types it consumes, buffers work in a
-:class:`BoundedQueue` (real scanners have finite intake — zgrab2 reads
-from a pipe that can fill), and accounts explicitly for every event it
-had to drop.  Backpressure in this synchronous simulation is therefore
-*visible* instead of silently absorbed: a stage that cannot keep up
-reports ``stats.dropped`` rather than growing without bound.
+buffers work in a :class:`BoundedQueue` (real scanners have finite
+intake — zgrab2 reads from a pipe that can fill) and accounts
+explicitly for every item it had to drop.  Backpressure in this
+synchronous simulation is therefore *visible* instead of silently
+absorbed: a stage that cannot keep up reports ``stats.dropped`` rather
+than growing without bound.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Generic, Iterator, Mapping, Type, TypeVar
+from typing import Deque, Generic, Iterator, TypeVar
 
 from repro.obs.metrics import current_registry
-from repro.runtime.bus import Event, EventBus, Handler
 
 T = TypeVar("T")
 
@@ -68,18 +67,13 @@ class BoundedQueue(Generic[T]):
 
 
 class Stage:
-    """Base class for pipeline stages living on an :class:`EventBus`.
-
-    Subclasses declare the event types they consume via
-    :meth:`subscriptions`; :meth:`attach` wires them to a bus and
-    returns self so construction chains.
-    """
+    """Base class for pipeline stages: one named step's counters, kept
+    in :attr:`stats` and the metrics registry together."""
 
     name: str = "stage"
 
     def __init__(self) -> None:
         self.stats = StageStats()
-        self._unsubscribers = []
         metrics = current_registry()
         self._m_received = metrics.counter("stage_received_total",
                                            stage=self.name)
@@ -107,18 +101,3 @@ class Stage:
     def note_queue_depth(self, depth: int) -> None:
         """Record the stage's intake depth (keeps the high-water mark)."""
         self._m_depth.set_max(depth)
-
-    def subscriptions(self) -> Mapping[Type[Event], Handler]:
-        """Event type → handler map; override in subclasses."""
-        return {}
-
-    def attach(self, bus: EventBus) -> "Stage":
-        """Subscribe this stage's handlers to ``bus``."""
-        for event_type, handler in self.subscriptions().items():
-            self._unsubscribers.append(bus.subscribe(event_type, handler))
-        return self
-
-    def detach(self) -> None:
-        """Remove this stage from every bus it was attached to."""
-        while self._unsubscribers:
-            self._unsubscribers.pop()()

@@ -48,7 +48,7 @@ class EngineConfig:
     protocol_delay_max: float = 600.0
     #: Driving mode: the engine advances the virtual clock for rate
     #: limiting and politeness delays.  Embedded mode leaves the clock
-    #: alone and only jitters recorded timestamps.
+    #: alone, so every grab carries the clock at its target's admission.
     drive_clock: bool = True
     #: Admissions between cool-down map sweeps (see ScanScheduler).
     prune_every: int = 4096

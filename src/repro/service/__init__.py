@@ -13,11 +13,7 @@ Three pieces on top of the batch pipeline and the run store:
   windowed queries behind an LRU frame cache and a JSONL TCP front.
 """
 
-from repro.service.config import (
-    ServiceConfig,
-    is_service_document,
-    service_config_from_document,
-)
+from repro.service.config import ServiceConfig, is_service_document
 from repro.service.daemon import CampaignDaemon
 from repro.service.frontend import (
     QueryService,
@@ -37,7 +33,6 @@ from repro.service.query import (
 __all__ = [
     "ServiceConfig",
     "is_service_document",
-    "service_config_from_document",
     "CampaignDaemon",
     "QueryService",
     "ServiceServer",

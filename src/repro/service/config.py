@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.core.campaign import CampaignConfig
-from repro.core.pipeline import refuse_sharded_store
-from repro.scan.result import PROTOCOLS
+from repro.core.pipeline import check_protocols
 from repro.world.hitlist import HitlistConfig
 from repro.world.population import WorldConfig
 
@@ -106,58 +105,7 @@ class ServiceConfig:
         if self.fsync_every < 1:
             raise ValueError(
                 f"fsync_every={self.fsync_every}: must be >= 1")
-        if self.protocols is not None:
-            if not self.protocols:
-                raise ValueError(
-                    f"protocols={self.protocols!r}: must name at least "
-                    "one protocol (or be None for the full registry)")
-            unknown = [name for name in self.protocols
-                       if name not in PROTOCOLS]
-            if unknown:
-                raise ValueError(
-                    f"protocols={','.join(self.protocols)}: unknown "
-                    f"protocol(s) {', '.join(sorted(unknown))}; "
-                    f"choose from {', '.join(PROTOCOLS)}")
-
-
-def service_config_from_document(document: dict, *,
-                                 store_dir: Optional[str] = None
-                                 ) -> ServiceConfig:
-    """Rebuild a :class:`ServiceConfig` from its stored JSON form.
-
-    Inverse of the ``asdict`` + JSON round-trip persisted in the run
-    store's ``meta.json``; ``store_dir`` overrides the recorded path so
-    a moved run directory resumes in place.  Like
-    :func:`~repro.core.pipeline.experiment_config_from_document`, it
-    ignores keys of settings that no longer exist and refuses a store
-    written by sharded scan engines.
-    """
-    refuse_sharded_store(document)
-    campaign_doc = dict(document["campaign"])
-    campaign_doc["deployment"] = tuple(campaign_doc["deployment"])
-    protocols = document.get("protocols")
-    return ServiceConfig(
-        world=WorldConfig(**document["world"]),
-        campaign=CampaignConfig(**campaign_doc),
-        hitlist=HitlistConfig(**document["hitlist"]),
-        store_dir=store_dir if store_dir is not None
-        else document.get("store_dir"),
-        campaign_days=document["campaign_days"],
-        checkpoint_days=document["checkpoint_days"],
-        hitlist_days=document["hitlist_days"],
-        scan_seed=document["scan_seed"],
-        protocols=tuple(protocols) if protocols is not None else None,
-        drift_seed=document["drift_seed"],
-        drift_spawn_rate=document["drift_spawn_rate"],
-        drift_retire_rate=document["drift_retire_rate"],
-        pool_join_rate=document["pool_join_rate"],
-        pool_leave_rate=document["pool_leave_rate"],
-        window=document["window"],
-        step=document["step"],
-        serve_cache_frames=document["serve_cache_frames"],
-        segment_max_records=document.get("segment_max_records", 4096),
-        fsync_every=document.get("fsync_every", 256),
-    )
+        check_protocols(self.protocols)
 
 
 def is_service_document(document: dict) -> bool:

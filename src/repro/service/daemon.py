@@ -23,31 +23,26 @@ re-runs the daemon from genesis with the writer in verify mode, checks
 every regenerated record against the surviving log, and switches live
 at the exact record where the crash cut it off.
 
+The scan path itself — scanner identity, engines, real-time queue,
+campaign, store taps, marks and checkpoints — is the batch study's
+:class:`~repro.core.pipeline.ScanRig`.
+
 Tick order matters for window semantics: the hitlist sweep (when due)
-runs at the *start* of its day, so sweep grabs — stamped with up to
-``protocol_delay_max`` seconds of jitter — land inside that day's
-window and are covered by the same day-end mark that carries their
-cumulative target count.
+runs at the *start* of its day, so sweep grabs — stamped with the
+clock at their admission, since the engines never move the clock —
+land inside that day's window and are covered by the same day-end mark
+that carries their cumulative target count.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import asdict
 from typing import Dict
 
-from repro.core.campaign import CollectionCampaign
-from repro.core.realtime import RealTimeScanQueue
+from repro.core.pipeline import ScanRig, config_from_document, open_store_writer
 from repro.obs.metrics import current_registry
-from repro.runtime.registry import default_registry
-from repro.scan.engine import EngineConfig, ScanEngine
-from repro.scan.ethics import publish_scanner_identity
 from repro.scan.result import ScanResults
-from repro.service.config import (
-    ServiceConfig,
-    is_service_document,
-    service_config_from_document,
-)
+from repro.service.config import ServiceConfig, is_service_document
 from repro.store.runstore import RunStore
 from repro.store.writer import StoreWriter
 from repro.world.hitlist import build_hitlist
@@ -56,26 +51,6 @@ from repro.world.population import (
     retire_client_device,
     spawn_client_device,
 )
-
-
-def _open_service_writer(config: ServiceConfig, *,
-                         resume: bool) -> StoreWriter:
-    """The daemon's StoreWriter: fresh store, or verify-mode recovery."""
-    import json
-
-    if resume:
-        store = RunStore.open(config.store_dir)
-        return StoreWriter(store, recovery=store.recover(repair=True))
-    store = RunStore.create(
-        config.store_dir,
-        # JSON round-trip normalizes tuples to lists, so the stored
-        # config is exactly what service_config_from_document reads.
-        config=json.loads(json.dumps(asdict(config))),
-        cooldown_ttl=EngineConfig().cooldown,
-        segment_max_records=config.segment_max_records,
-        fsync_every=config.fsync_every,
-    )
-    return StoreWriter(store)
 
 
 class CampaignDaemon:
@@ -89,8 +64,6 @@ class CampaignDaemon:
 
     def __init__(self, config: ServiceConfig, *,
                  writer: StoreWriter) -> None:
-        from repro.core.pipeline import SCANNER_PTR_NAME, _scanner_source
-
         self.config = config
         self.writer = writer
         self.world = build_world(config.world)
@@ -103,42 +76,15 @@ class CampaignDaemon:
         self._closed = False
         self._final_seq = 0
 
-        registry = default_registry()
-        if config.protocols is not None:
-            registry = registry.subset(*config.protocols)
-        scanner_source = _scanner_source(self.world)
-        publish_scanner_identity(self.world.network, scanner_source,
-                                 self.world.rdns,
-                                 ptr_name=SCANNER_PTR_NAME)
-        label = config.campaign.label
-        self.engine = ScanEngine(
-            self.world.network, scanner_source,
-            EngineConfig(drive_clock=False, seed=config.scan_seed),
-            registry=registry, name=label)
-        self.queue = RealTimeScanQueue(
-            self.engine, results=ScanResults(label=label))
-        self.campaign = CollectionCampaign(self.world, config.campaign,
-                                           scan_queue=self.queue)
-        # Subscription order matches the batch pipeline: the queue
-        # subscribed first (campaign construction), so each sighting's
-        # admit/grab records land before its sighting record — in both
-        # original and replayed runs.
-        self.engine.attach_store(writer, label=label)
-        writer.attach(self.campaign.dataset.bus)
-        writer.mark("setup", 0, self.world.clock.now(), {})
-        self.campaign.start()
-
+        self.rig = ScanRig(self.world, config, label=config.campaign.label,
+                           writer=writer)
+        self.rig.campaign.start()
         # One persistent hitlist engine for every sweep: its cool-down
         # map carries across sweeps, so the store-verify invariant (no
         # re-probe inside the TTL) holds by construction as long as
         # hitlist_days exceeds the cool-down (the defaults: 7 > 3).
-        self.hitlist_engine = ScanEngine(
-            self.world.network, scanner_source,
-            EngineConfig(drive_clock=False, seed=config.scan_seed ^ 0xFF),
-            registry=registry, name="hitlist")
-        self.hitlist_engine.attach_store(writer, label="hitlist")
+        self.rig.add_hitlist_engine()
         self.hitlist_scan = ScanResults(label="hitlist")
-        self.engines = [self.engine, self.hitlist_engine]
         self._zone_codes = [country.code
                             for country in self.world.geo.countries
                             if country.competing_servers > 0]
@@ -156,7 +102,10 @@ class CampaignDaemon:
     @classmethod
     def create(cls, config: ServiceConfig) -> "CampaignDaemon":
         """A fresh daemon over a newly created run store."""
-        return cls(config, writer=_open_service_writer(config, resume=False))
+        return cls(config, writer=open_store_writer(
+            config, resume=False,
+            segment_max_records=config.segment_max_records,
+            fsync_every=config.fsync_every))
 
     @classmethod
     def resume(cls, run_dir: str) -> "CampaignDaemon":
@@ -172,9 +121,9 @@ class CampaignDaemon:
             raise ValueError(
                 f"run_dir={run_dir}: holds a batch study, not a service "
                 "campaign; use api.resume() instead")
-        config = service_config_from_document(document,
-                                              store_dir=str(run_dir))
-        return cls(config, writer=_open_service_writer(config, resume=True))
+        config = config_from_document(ServiceConfig, document,
+                                      store_dir=str(run_dir))
+        return cls(config, writer=open_store_writer(config, resume=True))
 
     # -- the tick loop -----------------------------------------------------
 
@@ -196,11 +145,10 @@ class CampaignDaemon:
         if (self.config.hitlist_days
                 and self.day % self.config.hitlist_days == 0):
             self._hitlist_sweep()
-        self.campaign.advance_days(1)
-        self.writer.mark("service", self.day, self.world.clock.now(),
-                         self._targets())
+        self.rig.campaign.advance_days(1)
+        self.rig.mark("service", self.day, self._targets())
         if self.day % self.config.checkpoint_days == 0:
-            self.writer.checkpoint(self._checkpoint_state)
+            self._checkpoint()
         self._m_ticks.inc()
         return self.day
 
@@ -220,9 +168,8 @@ class CampaignDaemon:
         if self._closed:
             return
         self._closed = True
-        self.writer.mark("done", self.day, self.world.clock.now(),
-                         self._targets())
-        self.writer.checkpoint(self._checkpoint_state)
+        self.rig.mark("done", self.day, self._targets())
+        self._checkpoint()
         self._final_seq = self.writer.last_seq
         self.writer.close()
 
@@ -232,12 +179,13 @@ class CampaignDaemon:
         """One day of longitudinal world evolution (drift RNG only)."""
         config = self.config
         rng = self.drift_rng
+        campaign = self.rig.campaign
         for site in self.world.premises:
             if (config.drift_spawn_rate > 0
                     and rng.random() < config.drift_spawn_rate):
                 device = spawn_client_device(self.world, site, rng)
                 if device is not None:
-                    self.campaign.adopt_client(device)
+                    campaign.adopt_client(device)
                     self.drift["devices_spawned"] += 1
                     self._m_spawned.inc()
             if (config.drift_retire_rate > 0
@@ -247,7 +195,7 @@ class CampaignDaemon:
                               and device.is_ntp_client]
                 if candidates:
                     device = rng.choice(candidates)
-                    self.campaign.retire_client(device)
+                    campaign.retire_client(device)
                     retire_client_device(self.world, site, device)
                     self.drift["devices_retired"] += 1
                     self._m_retired.inc()
@@ -255,12 +203,12 @@ class CampaignDaemon:
                 and rng.random() < config.pool_join_rate):
             country = rng.choice(self._zone_codes)
             dead = rng.random() < config.campaign.background_dead_rate
-            self.campaign.add_background_server(country, dead=dead)
+            campaign.add_background_server(country, dead=dead)
             self.drift["pool_joined"] += 1
             self._m_joined.inc()
         if (config.pool_leave_rate > 0
                 and rng.random() < config.pool_leave_rate):
-            if self.campaign.remove_random_background(rng) is not None:
+            if campaign.remove_random_background(rng) is not None:
                 self.drift["pool_left"] += 1
                 self._m_left.inc()
 
@@ -272,60 +220,37 @@ class CampaignDaemon:
         longitudinal analogue of the paper's one-shot final-week scan.
         """
         hitlist = build_hitlist(self.world, self.config.hitlist)
-        sweep = self.hitlist_engine.run(sorted(hitlist.full),
-                                        label="hitlist")
-        self.hitlist_scan.absorb(sweep)
+        self.hitlist_scan.absorb(self.rig.scan_hitlist(hitlist))
         self.drift["hitlist_sweeps"] += 1
         self._m_sweeps.inc()
 
     # -- durable state -----------------------------------------------------
 
     def _targets(self) -> Dict[str, int]:
-        """Cumulative targets-seen denominators for mark records."""
-        return {
-            self.config.campaign.label: self.queue.results.targets_seen,
-            "hitlist": self.hitlist_scan.targets_seen,
-        }
+        """Cumulative targets-seen denominators for marks and checkpoints."""
+        return self.rig.targets(self.hitlist_scan)
 
-    def _checkpoint_state(self) -> Dict:
-        report = self.campaign.report()
-        cooldowns: Dict = {}
-        for engine in self.engines:
-            cooldowns.update(engine.cooldown_snapshots())
-        return {
-            "phase": "service",
-            "day": self.day,
-            "clock": self.world.clock.now(),
-            "campaign": {
-                "days_run": report.days_run,
-                "addresses": len(self.campaign.dataset),
-                "requests": self.campaign.dataset.total_requests,
-                "wire_queries": report.wire_queries,
-                "fast_queries": report.fast_queries,
-                "per_server_requests": report.per_server_requests,
-            },
-            "targets": self._targets(),
-            "drift": dict(self.drift),
-            "cooldowns": cooldowns,
-            "metrics": current_registry().snapshot(),
-        }
+    def _checkpoint(self) -> None:
+        self.rig.checkpoint("service", self.day, self._targets(),
+                            drift=dict(self.drift))
 
     # -- reporting ---------------------------------------------------------
 
     def tables(self) -> Dict:
         """Headline tables of the campaign so far (RunReport shape)."""
-        report = self.campaign.report()
+        campaign = self.rig.campaign
+        report = campaign.report()
         return {
             "campaign": {
                 "days_run": report.days_run,
-                "addresses": len(self.campaign.dataset),
-                "requests": self.campaign.dataset.total_requests,
+                "addresses": len(campaign.dataset),
+                "requests": campaign.dataset.total_requests,
                 "targets": self._targets(),
             },
             "drift": dict(self.drift),
             "pool": {
-                "background_members": self.campaign.background_pool_size(),
-                "capture_servers": len(self.campaign.capture_servers),
+                "background_members": campaign.background_pool_size(),
+                "capture_servers": len(campaign.capture_servers),
             },
             "store": {
                 "run_dir": str(self.writer.store.run_dir),

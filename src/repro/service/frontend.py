@@ -35,10 +35,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.net.clock import DAY
 from repro.obs.metrics import current_registry
 from repro.service.config import is_service_document
-from repro.service.query import WindowedStudyReader
+from repro.service.query import WindowedStudyReader, complete_windows
 from repro.store.runstore import RunStore
-
-_EPS = 1e-9
 
 #: Longest request line the server reads, newline included.  Real
 #: queries are under 200 bytes; the cap keeps a client that never
@@ -171,18 +169,10 @@ class QueryService:
         window_days = float(window if window is not None
                             else self.window_days)
         step_days = float(step if step is not None else self.step_days)
-        if since_days < 0:
-            raise ValueError(f"since={since_days}: must be >= 0 days")
-        if window_days <= 0:
-            raise ValueError(f"window={window_days}: must be positive days")
-        if step_days <= 0:
-            raise ValueError(f"step={step_days}: must be positive days")
-        horizon = self.reader.horizon()
-        windows = []
-        t0 = since_days * DAY
-        while t0 + window_days * DAY <= horizon + _EPS:
-            windows.append(self.frame_document(t0, t0 + window_days * DAY))
-            t0 += step_days * DAY
+        horizon, spans = complete_windows(
+            since=since_days * DAY, window=window_days * DAY,
+            step=step_days * DAY, horizon=self.reader.horizon)
+        windows = [self.frame_document(t0, t1) for t0, t1 in spans]
         self._m_queries.inc()
         with self._lock:
             self._latencies.append(time.perf_counter() - began)

@@ -12,9 +12,11 @@ The cost contract is the whole point: a window query replays the WAL
 from the **nearest usable checkpoint** to the **first mark at or past
 the window's end** — never the full log.  Two rules make that sound:
 
-* **anchor slack** — embedded-mode grab timestamps carry up to
-  ``protocol_delay_max`` seconds of jitter past their admit time, so a
-  grab belonging to window ``[t0, …)`` can sit *before* a checkpoint
+* **anchor slack** — the engines never move the clock, so every grab
+  carries its admit record's time; but records stamped with a
+  checkpoint's own clock can still be logged *before* that checkpoint
+  (the batch study's hitlist grabs precede its ``done`` checkpoint), so
+  a grab belonging to window ``[t0, …)`` can sit before a checkpoint
   whose clock is ``t0``.  The anchor is therefore the newest
   checkpoint with ``clock + WINDOW_ANCHOR_SLACK <= t0``.
 * **mark-bounded stop** — records are appended in admit order and
@@ -28,7 +30,7 @@ fold), so one reader instance serves many concurrent queries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.devicetypes import build_table3
 from repro.analysis.security import broker_access_control, ssh_outdatedness
@@ -42,13 +44,20 @@ from repro.store.reader import CompactedBehindReader, IncrementalStudyReader
 from repro.store.runstore import RunStore
 from repro.store.wal import WalError, WalReader
 
-#: Grab timestamps trail their admit time by at most this much
-#: (embedded-mode jitter), so a window anchor must sit at least this
-#: far before the window start to guarantee no grab is missed.
+#: How far a window anchor must sit before the window start.  Records
+#: stamped with a checkpoint's own clock can be logged before it, so a
+#: checkpoint cut at the window start could miss grabs of the window.
+#: The margin, one maximal inter-protocol delay, is wider than that
+#: needs.
 WINDOW_ANCHOR_SLACK = EngineConfig().protocol_delay_max
 
 #: Float-comparison slack for day-aligned window arithmetic.
 _EPS = 1e-9
+
+#: Most windows one rolling series may build.  Each window is a WAL
+#: replay, so a client-chosen step far below the window span must not
+#: buy hours of replay; a year of daily windows stays under the cap.
+MAX_WINDOWS = 1_000
 
 #: The synthetic anchor name of a from-genesis replay.
 GENESIS = "genesis"
@@ -80,6 +89,38 @@ class WindowFrame:
     document: Dict
     anchor: WindowAnchor
     replayed: int
+
+
+def complete_windows(*, since: float, window: float, step: float,
+                     horizon: Callable[[], float]
+                     ) -> Tuple[float, List[Tuple[float, float]]]:
+    """The data horizon and every complete ``[t0, t0 + window)`` span
+    from ``since`` on, ``step`` apart (simulated seconds).
+
+    Spans ending past the horizon are left out: a partial window would
+    silently undercount, and the next refresh would produce a different
+    "same" window.  The spans are checked before ``horizon`` is read,
+    and a series of more than :data:`MAX_WINDOWS` spans is refused
+    before any window is built.
+    """
+    if since < 0:
+        raise ValueError(f"since={since / DAY}: must be >= 0 days")
+    if window <= 0:
+        raise ValueError(f"window={window / DAY}: must be positive days")
+    if step <= 0:
+        raise ValueError(f"step={step / DAY}: must be positive days")
+    end = horizon()
+    spans = []
+    t0 = since
+    while t0 + window <= end + _EPS:
+        if len(spans) == MAX_WINDOWS:
+            raise ValueError(
+                f"step={step / DAY}: more than {MAX_WINDOWS} windows "
+                f"of {window / DAY} days fit between day {since / DAY} "
+                f"and the horizon at day {end / DAY}")
+        spans.append((t0, t0 + window))
+        t0 += step
+    return end, spans
 
 
 def window_document(results: Dict[str, ScanResults], *,
@@ -285,26 +326,13 @@ class WindowedStudyReader(IncrementalStudyReader):
         return WindowFrame(start=t0, end=t1, document=document,
                            anchor=anchor, replayed=replayed)
 
-    def series(self, *, since: float, window: float, step: float,
-               horizon: Optional[float] = None) -> List[WindowFrame]:
-        """Every complete window of a rolling span (seconds, simulated).
-
-        Windows whose end lies past the data horizon are *not*
-        materialized — a partial window would silently undercount, and
-        the next refresh would produce a different "same" window.
-        """
-        if window <= 0:
-            raise ValueError(f"window={window}: must be positive")
-        if step <= 0:
-            raise ValueError(f"step={step}: must be positive")
-        if horizon is None:
-            horizon = self.horizon()
-        frames = []
-        t0 = since
-        while t0 + window <= horizon + _EPS:
-            frames.append(self.window(t0, t0 + window))
-            t0 += step
-        return frames
+    def series(self, *, since: float, window: float,
+               step: float) -> List[WindowFrame]:
+        """Every complete window of a rolling span (seconds, simulated;
+        see :func:`complete_windows`)."""
+        _, spans = complete_windows(since=since, window=window, step=step,
+                                    horizon=self.horizon)
+        return [self.window(t0, t1) for t0, t1 in spans]
 
 
 class WindowedAttributionReader:
@@ -353,23 +381,11 @@ class WindowedAttributionReader:
             "accuracy": report.tables()["accuracy"],
         }
 
-    def series(self, *, since: float, window: float, step: float,
-               horizon: Optional[float] = None) -> List[Dict]:
-        """Every complete attribution window of a rolling span.
-
-        Same rule as :meth:`WindowedStudyReader.series`: windows whose
-        end lies past the horizon are not materialized — a partial
-        window would shift cluster verdicts as late probes arrive.
-        """
-        if window <= 0:
-            raise ValueError(f"window={window}: must be positive")
-        if step <= 0:
-            raise ValueError(f"step={step}: must be positive")
-        if horizon is None:
-            horizon = self.horizon()
-        documents = []
-        t0 = since
-        while t0 + window <= horizon + _EPS:
-            documents.append(self.window(t0, t0 + window))
-            t0 += step
-        return documents
+    def series(self, *, since: float, window: float,
+               step: float) -> List[Dict]:
+        """Every complete attribution window of a rolling span (see
+        :func:`complete_windows`; a partial window would shift cluster
+        verdicts as late probes arrive)."""
+        _, spans = complete_windows(since=since, window=window, step=step,
+                                    horizon=self.horizon)
+        return [self.window(t0, t1) for t0, t1 in spans]

@@ -1,8 +1,8 @@
-"""StoreWriter: the bus stage that streams a run into the store.
+"""StoreWriter: the stage that streams a run into the store.
 
 In a **fresh** run the writer appends every event straight to the WAL:
-sightings (from the event bus), scheduler admissions and probe grabs
-(via hooks the engines call), and per-day progress marks.
+sightings (a dataset new-address hook), scheduler admissions and probe
+grabs (hooks the engines call), and per-day progress marks.
 
 In a **resumed** run the writer starts in *verify* mode.  Recovery here
 is deterministic replay: the whole simulation re-runs from genesis
@@ -20,11 +20,10 @@ rather than as silently forked history.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional, Type
+from typing import Callable, Dict, Optional
 
 from repro.ipv6 import address as addrmod
 from repro.obs.metrics import current_registry
-from repro.runtime.bus import AddressSighted, Event, Handler
 from repro.runtime.stage import Stage
 from repro.store.checkpoint import Checkpoint
 from repro.store.runstore import Recovery, RunStore
@@ -123,14 +122,13 @@ class StoreWriter(Stage):
 
     # -- event sources -----------------------------------------------------
 
-    def subscriptions(self) -> Mapping[Type[Event], Handler]:
-        return {AddressSighted: self._on_sighting}
-
-    def _on_sighting(self, event: AddressSighted) -> None:
+    def sighting(self, address: int, time: float,
+                 server_location: str) -> None:
+        """Record one first sighting (a dataset's new-address hook)."""
         self.emit({"t": "sighting",
-                   "addr": addrmod.format_address(event.address),
-                   "time": event.time,
-                   "server": event.server_location})
+                   "addr": addrmod.format_address(address),
+                   "time": time,
+                   "server": server_location})
 
     def admit_sink(self, engine_name: str) -> Callable[[int, float], None]:
         """A scheduler admit-hook recording admissions for ``engine_name``."""

@@ -1,10 +1,10 @@
-"""Feature-extraction algebra: the properties chunked extraction needs.
+"""Feature-extraction algebra: fold and merge properties.
 
 The per-cluster :class:`FeatureAccumulator` must fold
 **order-insensitively** (any permutation of the event stream produces
 equal state) and merge **associatively and commutatively** (any merge
-tree produces equal state), because extraction chunks the stream at
-fixed boundaries and folds partial results back in chunk order.
+tree produces equal state), so partial extractions of any chunking of
+the stream merge into exactly the whole-stream extraction.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.attribution import (
-    ATTRIBUTION_CHUNK,
     FeatureAccumulator,
     cluster_accumulators,
     cluster_key,
@@ -100,8 +99,14 @@ class TestAccumulatorAlgebra:
     @given(events=events_strategy, chunk=st.integers(1, 16))
     @settings(max_examples=30, deadline=None)
     def test_chunked_extraction_equals_single_fold(self, events, chunk):
-        chunked = cluster_accumulators(events, chunk_size=chunk)
-        whole = cluster_accumulators(events, chunk_size=ATTRIBUTION_CHUNK)
+        chunked = {}
+        for start in range(0, len(events), chunk):
+            part = cluster_accumulators(events[start:start + chunk])
+            for key, accumulator in part.items():
+                earlier = chunked.get(key)
+                chunked[key] = (accumulator if earlier is None
+                                else earlier.merge(accumulator))
+        whole = cluster_accumulators(events)
         assert chunked == whole
         for key, accumulator in whole.items():
             assert accumulator == fold(

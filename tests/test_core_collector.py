@@ -4,6 +4,7 @@
 from repro.core.collector import CaptureServer, CollectedDataset
 from repro.ipv6 import parse
 from repro.ntp.client import NtpClient
+from repro.obs.metrics import use_registry
 
 SERVER = parse("2001:500::1")
 CLIENT_A = parse("2001:db8::a")
@@ -35,13 +36,26 @@ class TestDataset:
         assert dataset.per_server_counts() == {"Germany": 2, "India": 1}
 
     def test_new_address_hook_fires_once(self):
-        dataset = CollectedDataset()
+        with use_registry() as registry:
+            dataset = CollectedDataset()
         seen = []
-        dataset.add_new_address_hook(
-            lambda address, time, location: seen.append((address, location)))
+
+        def hook(name):
+            return lambda address, time, location: seen.append(
+                (name, address, location))
+
+        dataset.add_new_address_hook(hook("first"))
+        dataset.add_new_address_hook(hook("second"))
+        assert not registry.find("bus_events_total")
         dataset.record(CLIENT_A, 1.0, "Germany")
         dataset.record(CLIENT_A, 2.0, "India")
-        assert seen == [(CLIENT_A, "Germany")]
+        # Hooks run in the order they were added: the store's sighting
+        # record must follow the scan queue's admit and grab records.
+        assert seen == [("first", CLIENT_A, "Germany"),
+                        ("second", CLIENT_A, "Germany")]
+        (_, sightings), = registry.find("bus_events_total",
+                                        event="AddressSighted")
+        assert sightings.value == 1
 
     def test_membership_and_views(self):
         dataset = CollectedDataset()

@@ -295,8 +295,7 @@ def run_leak_scenario():
         config=ScenarioConfig(seed=7))
     scheduler.run_all()
     report = attribute_events(
-        scope.events, truth=population.ground_truth(), rdns=rdns,
-        chunk_size=16)
+        scope.events, truth=population.ground_truth(), rdns=rdns)
     return population, report
 
 

@@ -19,7 +19,7 @@ class TestCoupling:
     def test_new_address_triggers_scan(self, network, engine):
         dataset = CollectedDataset()
         queue = RealTimeScanQueue(engine)
-        queue.attach(dataset)
+        dataset.add_new_address_hook(queue.on_sighting)
         dataset.record(parse("2001:db8::1"), 0.0, "Germany")
         assert queue.stats.triggered == 1
         assert queue.stats.scanned == 1
@@ -28,32 +28,9 @@ class TestCoupling:
     def test_repeat_sighting_not_rescanned(self, network, engine):
         dataset = CollectedDataset()
         queue = RealTimeScanQueue(engine)
-        queue.attach(dataset)
+        dataset.add_new_address_hook(queue.on_sighting)
         dataset.record(parse("2001:db8::1"), 0.0, "Germany")
         dataset.record(parse("2001:db8::1"), 1.0, "India")
-        assert queue.stats.triggered == 1
-
-    def test_sampling_suppresses_but_counts(self, network, engine):
-        dataset = CollectedDataset()
-        queue = RealTimeScanQueue(engine, sample_rate=0.01, seed=3)
-        queue.attach(dataset)
-        for index in range(100):
-            dataset.record(parse("2001:db8::") + index, 0.0, "Germany")
-        assert queue.stats.suppressed > 50
-        assert queue.results.targets_seen == 100
-        assert queue.stats.scanned == 100 - queue.stats.suppressed
-
-    def test_invalid_sample_rate(self, engine):
-        with pytest.raises(ValueError):
-            RealTimeScanQueue(engine, sample_rate=0.0)
-
-    def test_attach_accepts_bus_directly(self, network, engine):
-        from repro.runtime.bus import AddressSighted, EventBus
-
-        bus = EventBus()
-        queue = RealTimeScanQueue(engine).attach(bus)
-        bus.publish(AddressSighted(address=parse("2001:db8::1"), time=0.0,
-                                   server_location="Germany"))
         assert queue.stats.triggered == 1
 
     def test_scan_results_accumulate(self, network, engine):
@@ -68,7 +45,7 @@ class TestCoupling:
 
         dataset = CollectedDataset()
         queue = RealTimeScanQueue(engine)
-        queue.attach(dataset)
+        dataset.add_new_address_hook(queue.on_sighting)
         dataset.record(device.address, 0.0, "Germany")
         assert queue.results.responsive_addresses("http") == {device.address}
 
@@ -78,7 +55,7 @@ class TestBackpressure:
         """When sourcing outruns the scanner, drops are explicit."""
         dataset = CollectedDataset()
         queue = RealTimeScanQueue(engine, capacity=5, auto_drain=False)
-        queue.attach(dataset)
+        dataset.add_new_address_hook(queue.on_sighting)
         for index in range(8):
             dataset.record(parse("2001:db8::") + index, 0.0, "Germany")
         assert queue.pending == 5
@@ -95,7 +72,7 @@ class TestBackpressure:
     def test_drain_limit_batches(self, network, engine):
         dataset = CollectedDataset()
         queue = RealTimeScanQueue(engine, capacity=10, auto_drain=False)
-        queue.attach(dataset)
+        dataset.add_new_address_hook(queue.on_sighting)
         for index in range(6):
             dataset.record(parse("2001:db8::") + index, 0.0, "Germany")
         assert queue.drain(limit=4) == 4
@@ -104,7 +81,7 @@ class TestBackpressure:
     def test_auto_drain_keeps_queue_empty(self, network, engine):
         dataset = CollectedDataset()
         queue = RealTimeScanQueue(engine, capacity=2)
-        queue.attach(dataset)
+        dataset.add_new_address_hook(queue.on_sighting)
         for index in range(10):
             dataset.record(parse("2001:db8::") + index, 0.0, "Germany")
         assert queue.pending == 0
@@ -114,18 +91,19 @@ class TestBackpressure:
 
 class TestSamplingDenominators:
     def test_targets_seen_consistent_across_paths(self, network, engine):
-        """suppressed + dropped + fed all land in targets_seen once."""
+        """dropped + fed both land in targets_seen once."""
         dataset = CollectedDataset()
-        queue = RealTimeScanQueue(engine, sample_rate=0.5, seed=7,
-                                  capacity=1_000)
-        queue.attach(dataset)
+        queue = RealTimeScanQueue(engine, capacity=150, auto_drain=False)
+        dataset.add_new_address_hook(queue.on_sighting)
         total = 200
         for index in range(total):
             dataset.record(parse("2001:db8::") + index, 0.0, "Germany")
+        queue.drain()
         stats = queue.stats
         assert stats.triggered == total
         assert queue.results.targets_seen == total
-        assert stats.suppressed + stats.processed + stats.dropped == total
-        # Every non-suppressed target reached the engine exactly once.
+        assert stats.dropped == 50
+        assert stats.processed + stats.dropped == total
+        # Every queued target reached the engine exactly once.
         assert engine.stats.targets_offered == stats.processed
         assert stats.scanned == engine.stats.targets_scanned

@@ -140,7 +140,7 @@ class TestGoldenBytes:
 
     def test_ecosystem_outputs_match_golden(self):
         # The shape of ``repro ecosystem --scale 0.08 --days 3
-        # --window-days 2``: rolling windows plus a multi-chunk fold.
+        # --window-days 2``: rolling windows plus a whole-run fold.
         report = api.ecosystem(api.EcosystemConfig(
             world=WorldConfig(seed=20240720, scale=0.08), sweep_days=3,
             window_days=2.0)).report

@@ -1,65 +1,8 @@
-"""Unit tests for the runtime event bus, stages, and bounded queues."""
+"""Unit tests for the runtime's bounded stage queues."""
 
 import pytest
 
-from repro.runtime.bus import AddressSighted, EventBus, TargetScanned
-from repro.runtime.stage import BoundedQueue, Stage
-
-
-class TestEventBus:
-    def test_publish_delivers_by_type(self):
-        bus = EventBus()
-        sightings, scans = [], []
-        bus.subscribe(AddressSighted, sightings.append)
-        bus.subscribe(TargetScanned, scans.append)
-        event = AddressSighted(address=1, time=0.0, server_location="DE")
-        assert bus.publish(event) == 1
-        assert sightings == [event]
-        assert scans == []
-
-    def test_delivery_in_subscription_order(self):
-        bus = EventBus()
-        order = []
-        bus.subscribe(AddressSighted, lambda e: order.append("first"))
-        bus.subscribe(AddressSighted, lambda e: order.append("second"))
-        bus.publish(AddressSighted(address=1, time=0.0, server_location="x"))
-        assert order == ["first", "second"]
-
-    def test_unsubscribe(self):
-        bus = EventBus()
-        seen = []
-        unsubscribe = bus.subscribe(AddressSighted, seen.append)
-        unsubscribe()
-        assert bus.publish(
-            AddressSighted(address=1, time=0.0, server_location="x")) == 0
-        assert seen == []
-        unsubscribe()  # idempotent
-
-    def test_unheard_events_counted(self):
-        bus = EventBus()
-        bus.publish(AddressSighted(address=1, time=0.0, server_location="x"))
-        assert bus.stats.published == 1
-        assert bus.stats.unheard == 1
-        assert bus.stats.delivered == 0
-
-    def test_non_event_type_rejected(self):
-        with pytest.raises(TypeError):
-            EventBus().subscribe(int, lambda e: None)
-
-    def test_handler_may_unsubscribe_during_delivery(self):
-        bus = EventBus()
-        seen = []
-        unsubscribe = None
-
-        def once(event):
-            seen.append(event)
-            unsubscribe()
-
-        unsubscribe = bus.subscribe(AddressSighted, once)
-        for _ in range(2):
-            bus.publish(AddressSighted(address=1, time=0.0,
-                                       server_location="x"))
-        assert len(seen) == 1
+from repro.runtime.stage import BoundedQueue
 
 
 class TestBoundedQueue:
@@ -86,25 +29,3 @@ class TestBoundedQueue:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             BoundedQueue(0)
-
-
-class TestStage:
-    def test_attach_and_detach(self):
-        class Recorder(Stage):
-            name = "recorder"
-
-            def __init__(self):
-                super().__init__()
-                self.seen = []
-
-            def subscriptions(self):
-                return {AddressSighted: self.seen.append}
-
-        bus = EventBus()
-        stage = Recorder()
-        stage.attach(bus)
-        bus.publish(AddressSighted(address=7, time=1.0, server_location="y"))
-        assert len(stage.seen) == 1
-        stage.detach()
-        bus.publish(AddressSighted(address=8, time=2.0, server_location="y"))
-        assert len(stage.seen) == 1

@@ -1,8 +1,8 @@
 """ServiceConfig / AnalyzeConfig validation and round-trip contracts.
 
 The service config persists in ``meta.json`` exactly like the batch
-``ExperimentConfig``, so the asdict → JSON → ``service_config_from_
-document`` loop must be the identity — a resumed daemon rebuilds its
+``ExperimentConfig``, so the asdict → JSON → ``config_from_document``
+loop must be the identity — a resumed daemon rebuilds its
 configuration from nothing but the run directory.
 """
 
@@ -13,11 +13,8 @@ import pytest
 
 from repro import api
 from repro.core.campaign import CampaignConfig
-from repro.service import (
-    ServiceConfig,
-    is_service_document,
-    service_config_from_document,
-)
+from repro.core.pipeline import config_from_document
+from repro.service import ServiceConfig, is_service_document
 
 
 def make_config(**overrides):
@@ -75,10 +72,11 @@ def test_round_trips_through_json_document():
         protocols=("ssh", "http"), drift_spawn_rate=0.05,
         window=3, step=1, serve_cache_frames=8)
     document = json.loads(json.dumps(asdict(config)))
-    rebuilt = service_config_from_document(document)
+    rebuilt = config_from_document(ServiceConfig, document)
     assert rebuilt == config
     # Moved run directories resume in place via the override.
-    moved = service_config_from_document(document, store_dir="/elsewhere")
+    moved = config_from_document(ServiceConfig, document,
+                                 store_dir="/elsewhere")
     assert moved.store_dir == "/elsewhere"
 
 

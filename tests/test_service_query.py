@@ -114,8 +114,8 @@ def test_late_windows_replay_bounded(service_store, reader):
 
 def test_anchor_respects_grab_jitter_slack(reader):
     """A checkpoint cut at the window's exact start cannot anchor it:
-    grabs stamped up to protocol_delay_max past the cut may precede it
-    in the log."""
+    records stamped with the checkpoint's own clock may precede it in
+    the log."""
     anchor = reader.anchor_for(3 * DAY)
     assert anchor.clock + 600.0 <= 3 * DAY
     # The day-3 checkpoint itself (clock == 3 days) is usable only one

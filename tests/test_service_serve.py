@@ -128,6 +128,36 @@ def test_bad_query_returns_error_not_disconnect(service_run):
     assert "window=-1" in response["error"]
 
 
+def test_series_over_the_window_cap_is_refused(service_run, capsys):
+    """A client line cannot ask for unbounded replay work: a step that
+    would need more than MAX_WINDOWS windows is refused before any
+    window is built, the server answers the next query, and
+    ``repro analyze`` exits 2."""
+    from repro.cli import main
+    from repro.service.query import MAX_WINDOWS
+
+    _, run_dir = service_run
+    with use_registry() as registry:
+        server = api.serve(str(run_dir))
+        try:
+            refused = query_server(server.address,
+                                   {"cmd": "query", "window": 1,
+                                    "step": 1e-6}, timeout=10.0)
+            built = counter_value(registry, "service_frames_built_total")
+            answered = query_server(server.address, {"cmd": "query"},
+                                    timeout=120.0)
+        finally:
+            server.shutdown()
+    assert not refused["ok"]
+    assert f"more than {MAX_WINDOWS} windows" in refused["error"]
+    assert built == 0
+    assert answered["ok"] and answered["windows"]
+
+    assert main(["analyze", "--run-dir", str(run_dir), "--window", "1",
+                 "--step", "0.0001"]) == 2
+    assert f"more than {MAX_WINDOWS} windows" in capsys.readouterr().err
+
+
 def test_over_long_request_line_is_refused(service_run):
     """A client that sends no newline cannot grow the server's buffer:
     past the line cap it gets one typed error reply and a closed

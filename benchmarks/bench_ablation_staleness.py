@@ -11,14 +11,13 @@ from benchmarks.conftest import write_report
 from repro.core.campaign import CampaignConfig, CollectionCampaign
 from repro.core.realtime import RealTimeScanQueue
 from repro.report import fmt_int, fmt_pct, render_table, shape_check
-from repro.scan.engine import EngineConfig, ScanEngine
+from repro.scan.engine import ScanEngine
 from repro.world.population import WorldConfig, build_world
 
 
 def _run(delay_days: int):
     world = build_world(WorldConfig(scale=0.15))
-    engine = ScanEngine(world.network, int("20010db800aa0000", 16) << 64,
-                        EngineConfig(drive_clock=False))
+    engine = ScanEngine(world.network, int("20010db800aa0000", 16) << 64)
     queue = RealTimeScanQueue(engine)
     campaign = CollectionCampaign(
         world, CampaignConfig(days=10, wire_fraction=0.0))
@@ -31,8 +30,7 @@ def _run(delay_days: int):
     for _ in range(delay_days):
         world.churn.step_day()
     batch_engine = ScanEngine(world.network,
-                              int("20010db800ab0000", 16) << 64,
-                              EngineConfig(drive_clock=False, seed=7))
+                              int("20010db800ab0000", 16) << 64)
     batch = batch_engine.run(sorted(campaign.dataset.addresses),
                              label="stale")
     batch_hits = {protocol: len(batch.responsive_addresses(protocol))

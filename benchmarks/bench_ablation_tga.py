@@ -11,10 +11,13 @@ its input's bias (cf. Williams & Pearce, "Seeds of Scanning").
 from benchmarks.conftest import write_report
 from repro.ipv6 import parse
 from repro.report import fmt_float, fmt_int, fmt_pct, render_table, shape_check
-from repro.scan.engine import EngineConfig, ScanEngine
+from repro.scan.engine import ScanEngine
 from repro.world.tga import evaluate, train
 
 CANDIDATES = 4000
+
+#: Each evaluation scans from its own address under 2001:db8:77aa::/64.
+SCANNER_OFFSETS = {"hitlist-seeded": 1, "ntp-seeded": 2}
 
 
 def _run(experiment):
@@ -27,8 +30,8 @@ def _run(experiment):
     for label, tga in (("hitlist-seeded", hitlist_tga),
                        ("ntp-seeded", ntp_tga)):
         engine = ScanEngine(
-            world.network, parse("2001:db8:77aa::1") + hash(label) % 256,
-            EngineConfig(drive_clock=False, seed=hash(label) & 0xFFFF))
+            world.network,
+            parse("2001:db8:77aa::1") + SCANNER_OFFSETS[label])
         evaluation, _ = evaluate(tga, engine, CANDIDATES, label=label)
         outcomes[label] = (tga, evaluation)
     return outcomes

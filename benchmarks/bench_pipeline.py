@@ -1,17 +1,10 @@
 """End-to-end pipeline cost: one full (small) study per round."""
 
-import random
-
 from benchmarks.conftest import write_report
 from repro import api
 from repro.core.campaign import CampaignConfig
 from repro.core.pipeline import ExperimentConfig, run_experiment
-from repro.ipv6 import parse
-from repro.net.simnet import Network
-from repro.obs import Histogram, use_registry
 from repro.report import fmt_int, fmt_pct, render_table, shape_check
-from repro.scan.engine import EngineConfig, ScanEngine
-from repro.world import devices as dev
 from repro.world.population import WorldConfig
 
 
@@ -21,28 +14,6 @@ def _small_study():
         campaign=CampaignConfig(days=14, wire_fraction=0.02),
         rl_days=3, gap_days=3, lead_days=10, final_days=4,
     ))
-
-
-def _metrics_lines(registry, label):
-    """Drop counts and probe-latency quantiles for one run.
-
-    Quantiles come from the fixed-bucket ``probe_seconds`` histograms,
-    so each is an upper bound (the bucket boundary the quantile falls
-    in), merged across every engine/protocol series.
-    """
-    dropped = sum(c.value for _, c in registry.find("stage_dropped_total"))
-    cooled = sum(c.value
-                 for _, c in registry.find("scheduler_cooldown_hits_total"))
-    latency = Histogram.merged(
-        [h for _, h in registry.find("probe_seconds")])
-    return (
-        f"  {label}\n"
-        f"    queue drops:          {fmt_int(int(dropped))}\n"
-        f"    cool-down rejections: {fmt_int(int(cooled))}\n"
-        f"    probes observed:      {fmt_int(int(latency.count))}\n"
-        f"    probe latency:        p50 <= {latency.quantile(0.5):g} s, "
-        f"p99 <= {latency.quantile(0.99):g} s\n"
-    )
 
 
 def test_pipeline_end_to_end(benchmark):
@@ -65,52 +36,6 @@ def test_pipeline_end_to_end(benchmark):
         "collected": len(result.ntp_dataset),
     })
     assert len(result.ntp_dataset) > 0
-
-
-def _driving_scan():
-    """One driving-mode scan campaign under a fresh metrics registry.
-
-    Driving mode advances the virtual clock through token-bucket waits
-    and politeness delays, so ``probe_seconds`` records real (simulated)
-    per-probe latency instead of the zeros of embedded mode.  Targets
-    repeat, so the cool-down path is exercised too.
-    """
-    rng = random.Random(1905)
-    network = Network()
-    prefix = parse("2001:db8:600::")
-    for index in range(40):
-        device = dev.make_fritzbox(rng, index, 0x3C3786000000 + index)
-        device.assign_address(prefix, rng)
-        device.materialize(network)
-    targets = [prefix | rng.getrandbits(64) for _ in range(300)]
-    targets += rng.sample(targets, 60)          # duplicates hit cool-down
-    with use_registry() as registry:
-        engine = ScanEngine(
-            network, parse("2001:db8:5c::1"),
-            EngineConfig(packets_per_second=100.0), name="bench")
-        results = engine.run(targets, label="driving")
-    return registry, results
-
-
-def test_probe_latency_driving_mode(benchmark):
-    """p50/p99 probe latency of the scan engine in driving mode."""
-    registry, _ = _driving_scan()
-    benchmark.pedantic(_driving_scan, rounds=3, iterations=1)
-
-    text = "Driving-mode probe latency\n"
-    latency = Histogram.merged(
-        [h for _, h in registry.find("probe_seconds")])
-    text += _metrics_lines(registry, "single engine")
-    text += "\n" + shape_check(
-        "driving mode records nonzero probe latency", latency.sum > 0)
-    text += "\n" + shape_check(
-        "cool-down rejections recorded for duplicate targets",
-        sum(c.value
-            for _, c in registry.find("scheduler_cooldown_hits_total")) > 0)
-    write_report("pipeline_probe_latency", text)
-
-    benchmark.extra_info.update({"p99_s": latency.quantile(0.99)})
-    assert latency.count > 0
 
 
 def _ecosystem_run():

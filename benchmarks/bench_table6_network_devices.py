@@ -23,10 +23,13 @@ def _grouped(experiment):
 
 
 def _rows(ntp_groups, hitlist_groups, top=10):
+    def total(name):
+        return (ntp_groups.get(name, {}).get("IPs", 0)
+                + hitlist_groups.get(name, {}).get("IPs", 0))
+
+    # Name breaks ties, so the order does not follow string-set order.
     names = sorted(set(ntp_groups) | set(hitlist_groups),
-                   key=lambda name: -(ntp_groups.get(name, {}).get("IPs", 0)
-                                      + hitlist_groups.get(name, {})
-                                      .get("IPs", 0)))[:top]
+                   key=lambda name: (-total(name), name))[:top]
     rows = []
     for name in names:
         ntp = ntp_groups.get(name, {})

@@ -12,7 +12,7 @@ from repro.core.campaign import CampaignConfig, CollectionCampaign
 from repro.core.realtime import RealTimeScanQueue
 from repro.ipv6 import format_address
 from repro.report import fmt_int, fmt_permille, render_table
-from repro.scan.engine import EngineConfig, ScanEngine
+from repro.scan.engine import ScanEngine
 from repro.scan.result import PROTOCOLS
 from repro.world import WorldConfig, build_world
 
@@ -25,13 +25,12 @@ def main() -> None:
           f"{len(world.asdb.systems)} ASes")
 
     # A scanner in research address space, fed in real time by the
-    # collection campaign (embedded mode: the campaign owns the clock).
+    # collection campaign (the campaign owns the clock).
     research_as = next(s for s in world.asdb.systems
                        if s.category == "Educational/Research")
     scanner = ScanEngine(
         world.network,
         world.allocate_prefix64(research_as.number) | 0x10,
-        EngineConfig(drive_clock=False),
     )
     queue = RealTimeScanQueue(scanner)
 

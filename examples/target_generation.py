@@ -15,7 +15,7 @@ from repro.core.campaign import CampaignConfig
 from repro.core.pipeline import ExperimentConfig, run_experiment
 from repro.ipv6 import parse
 from repro.report import fmt_int, fmt_pct, render_table
-from repro.scan.engine import EngineConfig, ScanEngine
+from repro.scan.engine import ScanEngine
 from repro.world import WorldConfig
 from repro.world.tga import evaluate, train
 
@@ -34,9 +34,7 @@ def main() -> None:
             ("hitlist-seeded", sorted(result.hitlist.public)),
             ("ntp-seeded", sorted(result.ntp_dataset.addresses))):
         tga = train(seeds, seed=23)
-        engine = ScanEngine(
-            world.network, parse("2001:db8:77bb::1"),
-            EngineConfig(drive_clock=False, seed=len(label)))
+        engine = ScanEngine(world.network, parse("2001:db8:77bb::1"))
         evaluation, _ = evaluate(tga, engine, 5000, label=label)
         segments = tga.segments
         rows.append([

@@ -607,7 +607,7 @@ def amplification(config: Optional[AmplificationConfig] = None
     from repro.net.simnet import Network
     from repro.ntp.service import control_service_for
     from repro.runtime.registry import ProbeRegistry
-    from repro.scan.engine import EngineConfig, ScanEngine
+    from repro.scan.engine import ScanEngine
     from repro.scan.modules.ntp import refused_ntp, scan_ntp
 
     config = config or AmplificationConfig()
@@ -625,7 +625,6 @@ def amplification(config: Optional[AmplificationConfig] = None
         probes = ProbeRegistry()
         probes.register("ntp", scan_ntp, 123, refused=refused_ntp)
         engine = ScanEngine(network, _AMPLIFICATION_SCANNER,
-                            EngineConfig(drive_clock=False),
                             registry=probes, name="amplification")
         results = engine.run(addresses, label="amplification")
         exposure = monlist_exposure("pool", results)

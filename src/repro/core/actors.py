@@ -130,7 +130,7 @@ class NtpSourcingActor:
         self.pool = pool
         self.scheduler = scheduler
         self.profile = profile
-        self.rng = random.Random(seed or (hash(profile.name) & 0xFFFF))
+        self.rng = random.Random(seed)
         self.servers: List[NtpServer] = []
         self.scanner_addresses: List[int] = []
         self.scans_launched = 0

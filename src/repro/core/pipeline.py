@@ -73,6 +73,8 @@ class ExperimentConfig:
     #: Collection days before the hitlist snapshot + final week.
     lead_days: int = 21
     final_days: int = 7
+    #: Changes nothing: the scan engine draws no random numbers.  Kept
+    #: so stored configs and callers that set it still load.
     scan_seed: int = 0x51AB
     #: Restrict the campaign's probe profile to these protocols (None =
     #: the paper's full eight-protocol registry).
@@ -173,7 +175,6 @@ class ScanRig:
         self.world = world
         self.label = label
         self.writer = writer
-        self.scan_seed = config.scan_seed
         self.registry = default_registry()
         if config.protocols is not None:
             self.registry = self.registry.subset(*config.protocols)
@@ -186,7 +187,7 @@ class ScanRig:
         #: Every engine built so far; checkpoints hold their cool-downs.
         self.engines: List[ScanEngine] = []
         self.hitlist_engine: Optional[ScanEngine] = None
-        self.engine = self._engine(label, config.scan_seed)
+        self.engine = self._engine(label)
         self.queue = RealTimeScanQueue(self.engine,
                                        results=ScanResults(label=label))
         self.campaign = CollectionCampaign(world, config.campaign)
@@ -199,9 +200,8 @@ class ScanRig:
             dataset.add_new_address_hook(writer.sighting)
             writer.mark("setup", 0, world.clock.now(), {})
 
-    def _engine(self, name: str, seed: int) -> ScanEngine:
+    def _engine(self, name: str) -> ScanEngine:
         engine = ScanEngine(self.world.network, self.source,
-                            EngineConfig(drive_clock=False, seed=seed),
                             registry=self.registry, name=name)
         if self.writer is not None:
             engine.attach_store(self.writer, label=name)
@@ -216,7 +216,7 @@ class ScanRig:
         batch study builds it after its final week, so the engine's
         series and cool-downs first appear in the ``done`` checkpoint.
         """
-        self.hitlist_engine = self._engine("hitlist", self.scan_seed ^ 0xFF)
+        self.hitlist_engine = self._engine("hitlist")
 
     def scan_hitlist(self, hitlist: Hitlist) -> ScanResults:
         """One sweep of the hitlist's full address set."""

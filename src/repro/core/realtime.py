@@ -11,7 +11,8 @@ new-address hook: it buffers sightings in a
 :class:`~repro.runtime.stage.BoundedQueue` (real scanner intakes are
 finite — when sourcing outruns the scanner, targets are *dropped and
 accounted*, not silently queued forever), and drives a
-:class:`~repro.scan.engine.ScanEngine` in embedded mode.  Dropped
+:class:`~repro.scan.engine.ScanEngine`, which leaves the collection
+campaign's clock where it is.  Dropped
 targets still count toward ``results.targets_seen`` so hit rates keep
 the right denominator.
 """

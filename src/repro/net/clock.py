@@ -54,9 +54,9 @@ class EventScheduler:
 
     Components schedule callbacks at absolute or relative simulated
     times; :meth:`run_until` executes them in order while advancing the
-    clock.  This is what lets the NTP pool emit client request streams,
-    the scanner honour its inter-protocol delays, and third-party actors
-    scan "days" after sourcing an address — all inside one process.
+    clock.  This is what lets the NTP pool emit client request streams
+    and third-party actors scan "days" after sourcing an address — all
+    inside one process.
     """
 
     def __init__(self, clock: VirtualClock) -> None:

@@ -1,10 +1,10 @@
-"""Observability: deterministic metrics, spans, and run reports.
+"""Observability: deterministic metrics and run reports.
 
 ``repro.obs`` is the layer that makes the staged runtime *visible*:
 counters, gauges and fixed-bucket histograms in a process-scoped
-:class:`MetricsRegistry`, a :class:`Span` timer driven by the simulated
-clock (never wall time), and the versioned :class:`RunReport` snapshot
-every run ends with.  See DESIGN.md §6 for what is instrumented where.
+:class:`MetricsRegistry`, fed from the simulated clock (never wall
+time), and the versioned :class:`RunReport` snapshot every run ends
+with.  See DESIGN.md §6 for what is instrumented where.
 """
 
 from repro.obs.metrics import (
@@ -14,7 +14,6 @@ from repro.obs.metrics import (
     Histogram,
     LATENCY_BUCKETS,
     MetricsRegistry,
-    Span,
     current_registry,
     use_registry,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "MetricsRegistry",
     "RUN_REPORT_VERSION",
     "RunReport",
-    "Span",
     "current_registry",
     "jsonify",
     "use_registry",

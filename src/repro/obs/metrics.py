@@ -5,11 +5,11 @@ live or die on being able to see what it is doing while it runs — queue
 depths, drop rates, per-protocol scan latencies.  This module provides
 the three classic instrument kinds (:class:`Counter`, :class:`Gauge`,
 :class:`Histogram` with *fixed* bucket boundaries) behind a
-:class:`MetricsRegistry` of labeled series, plus a :class:`Span` timer.
+:class:`MetricsRegistry` of labeled series.
 
 Two properties distinguish this from a wall-clock metrics stack:
 
-* **Simulated time only.**  Spans and latency histograms are fed from
+* **Simulated time only.**  Latency histograms are fed from
   :mod:`repro.net.clock` — never ``time.time()`` — so every recorded
   timing is a property of the experiment, not of the host machine, and
   two runs with the same seed produce byte-identical snapshots.
@@ -25,8 +25,9 @@ import bisect
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-#: Default latency boundaries (simulated seconds): spans the engine's
-#: politeness delays (10 s – 10 min) down to sub-millisecond queue hops.
+#: Default latency boundaries (simulated seconds), from sub-millisecond
+#: hops up to 10 min.  Every snapshot lists them, so the golden metric
+#: snapshots pin them.
 LATENCY_BUCKETS: Tuple[float, ...] = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0,
     60.0, 120.0, 300.0, 600.0,
@@ -131,24 +132,6 @@ class Histogram:
                 return self._max
         return self._max
 
-    @classmethod
-    def merged(cls, histograms: Sequence["Histogram"]) -> "Histogram":
-        """Sum several same-boundary histograms into one (for benches)."""
-        if not histograms:
-            raise ValueError("nothing to merge")
-        first = histograms[0]
-        merged = cls(first.bounds)
-        for histogram in histograms:
-            if histogram.bounds != first.bounds:
-                raise ValueError("cannot merge histograms with different "
-                                 f"bounds: {histogram.bounds} vs {first.bounds}")
-            for index, bucket_count in enumerate(histogram.counts):
-                merged.counts[index] += bucket_count
-            merged.sum += histogram.sum
-            merged.count += histogram.count
-            merged._max = max(merged._max, histogram._max)
-        return merged
-
 
 #: A series key: metric name plus its sorted label items.
 _SeriesKey = Tuple[str, Tuple[Tuple[str, str], ...]]
@@ -202,10 +185,6 @@ class MetricsRegistry:
                 f"metric {name!r} already registered with boundaries "
                 f"{histogram.bounds}, not {bounds}")
         return histogram
-
-    def span(self, name: str, clock, **labels) -> "Span":
-        """A :class:`Span` feeding the named latency histogram."""
-        return Span(clock, self.histogram(name, **labels))
 
     # -- introspection ----------------------------------------------------
 
@@ -273,29 +252,3 @@ def use_registry(registry: Optional[MetricsRegistry] = None):
         yield registry
     finally:
         _REGISTRY_STACK.pop()
-
-
-class Span:
-    """Times a ``with`` block on a virtual clock, feeding a histogram.
-
-    The clock is any object with a ``now()`` method — in this codebase
-    always :class:`repro.net.clock.VirtualClock`, never wall time, so
-    span durations are deterministic simulated seconds.
-    """
-
-    __slots__ = ("clock", "histogram", "elapsed", "_start")
-
-    def __init__(self, clock, histogram: Optional[Histogram] = None) -> None:
-        self.clock = clock
-        self.histogram = histogram
-        self.elapsed: Optional[float] = None
-        self._start: float = 0.0
-
-    def __enter__(self) -> "Span":
-        self._start = self.clock.now()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.elapsed = self.clock.now() - self._start
-        if self.histogram is not None:
-            self.histogram.observe(self.elapsed)

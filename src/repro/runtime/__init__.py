@@ -7,7 +7,6 @@ campaign parameter.  See DESIGN.md §3 for the module map.
 """
 
 from repro.runtime.registry import (
-    DEFAULT_PACKET_COST,
     ProbeRegistry,
     ProbeSpec,
     default_registry,
@@ -16,7 +15,6 @@ from repro.runtime.stage import BoundedQueue, Stage, StageStats
 
 __all__ = [
     "BoundedQueue",
-    "DEFAULT_PACKET_COST",
     "ProbeRegistry",
     "ProbeSpec",
     "Stage",

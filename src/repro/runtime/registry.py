@@ -55,10 +55,6 @@ Probe = Callable[[Network, int, int], Grab]
 #: returns when the connection is refused or the request unanswered.
 Refusal = Callable[[int, float, int], Grab]
 
-#: Approximate packet cost charged per protocol probe (the seed's
-#: engine-wide constant, now a per-probe property).
-DEFAULT_PACKET_COST = 4.0
-
 
 @dataclass(frozen=True)
 class ProbeSpec:
@@ -67,8 +63,6 @@ class ProbeSpec:
     name: str
     probe: Probe
     port: int
-    #: Packets charged against the engine's pps budget per probe.
-    packet_cost: float = DEFAULT_PACKET_COST
     #: The probe's own refused grab.  Only for a probe that, when
     #: refused, makes exactly one connection attempt or request, to
     #: ``port``, and returns ``refused(target, now, port)``.
@@ -77,9 +71,6 @@ class ProbeSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("probe name must be non-empty")
-        if self.packet_cost <= 0:
-            raise ValueError(
-                f"packet_cost must be positive, got {self.packet_cost}")
 
 
 class ProbeRegistry:
@@ -100,11 +91,10 @@ class ProbeRegistry:
         return spec
 
     def register(self, name: str, probe: Probe, port: int,
-                 packet_cost: float = DEFAULT_PACKET_COST,
                  refused: Optional[Refusal] = None) -> ProbeSpec:
         """Register a new protocol module by parts."""
         return self.add(ProbeSpec(name=name, probe=probe, port=port,
-                                  packet_cost=packet_cost, refused=refused))
+                                  refused=refused))
 
     def unregister(self, name: str) -> ProbeSpec:
         """Remove a probe (e.g. a campaign dropping a protocol)."""

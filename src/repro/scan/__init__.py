@@ -1,4 +1,4 @@
-"""Scanning substrate: engine, rate limiting, protocol grab modules."""
+"""Scanning substrate: engine, ethics, protocol grab modules."""
 
 from repro.scan.engine import (
     EngineConfig,
@@ -8,7 +8,6 @@ from repro.scan.engine import (
     ScanScheduler,
 )
 from repro.scan.ethics import EthicsPolicy, OptOutList, publish_scanner_identity
-from repro.scan.ratelimit import TokenBucket
 from repro.scan.result import (
     PROTOCOL_PORTS,
     PROTOCOLS,
@@ -38,6 +37,5 @@ __all__ = [
     "SshGrab",
     "TLS_PROTOCOLS",
     "TlsObservation",
-    "TokenBucket",
     "publish_scanner_identity",
 ]

@@ -2,30 +2,26 @@
 
 The engine is two collaborating parts behind one facade:
 
-* a :class:`ScanScheduler` doing admission control — the global
-  packets-per-second budget (Appendix A.2.1: 100 kpps), the per-address
-  cool-down (the same IP is not re-scanned for three days), and the
-  10 s – 10 min inter-protocol politeness delays.  Cool-down state is
-  TTL-pruned so week-long campaigns do not accumulate an unbounded
-  last-scanned map;
+* a :class:`ScanScheduler` doing admission control: the per-address
+  cool-down (Appendix A.2.1: the same IP is not re-scanned for three
+  days).  Cool-down state is TTL-pruned so week-long campaigns do not
+  accumulate an unbounded last-scanned map;
 * a :class:`ProbeExecutor` running the probe modules of a pluggable
   :class:`~repro.runtime.registry.ProbeRegistry` against each admitted
   target.  Campaigns pick their protocol profile by handing the engine
   a different registry; the default reproduces the paper's eight probes
   (HTTP, HTTPS, SSH, MQTT, MQTTS, AMQP, AMQPS, CoAP).
 
-The engine has two temporal modes.  In **driving** mode (hitlist
-campaigns) it owns the virtual clock: the rate limiter and politeness
-delays advance simulated time.  In **embedded** mode (the real-time
-NTP-fed scans) the collection campaign owns the clock; the engine
-probes without advancing shared time, so scanning a burst of sourced
-addresses does not distort the collection timeline it is embedded in
-(grabs are stamped with the collection-time clock).
+The engine never moves the clock.  Whoever drives the campaign (the
+NTP collection days, the daemon's ticks, a hitlist sweep) owns
+simulated time, and every grab carries the clock at its target's
+admission, so scanning a burst of sourced addresses does not distort
+the collection timeline it is embedded in.  The paper's 100 kpps
+budget and inter-protocol pauses are not modelled.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional
 
@@ -34,7 +30,6 @@ from repro.net.simnet import Network
 from repro.obs.metrics import current_registry
 from repro.runtime.registry import ProbeRegistry, default_registry
 from repro.scan.ethics import EthicsPolicy
-from repro.scan.ratelimit import TokenBucket
 from repro.scan.result import Grab, ScanResults
 
 
@@ -42,17 +37,9 @@ from repro.scan.result import Grab, ScanResults
 class EngineConfig:
     """Operational parameters of a scan campaign."""
 
-    packets_per_second: float = 100_000.0
     cooldown: float = 3 * DAY
-    protocol_delay_min: float = 10.0
-    protocol_delay_max: float = 600.0
-    #: Driving mode: the engine advances the virtual clock for rate
-    #: limiting and politeness delays.  Embedded mode leaves the clock
-    #: alone, so every grab carries the clock at its target's admission.
-    drive_clock: bool = True
     #: Admissions between cool-down map sweeps (see ScanScheduler).
     prune_every: int = 4096
-    seed: int = 0x5CA7
 
 
 @dataclass
@@ -63,32 +50,23 @@ class EngineStats:
     targets_scanned: int = 0
     targets_cooled_down: int = 0
     probes_sent: int = 0
-    seconds_waited: float = 0.0
     #: Expired cool-down entries evicted by the scheduler's sweeps.
     cooldown_pruned: int = 0
 
 
 class ScanScheduler:
-    """Admission control: rate budget, TTL'd cool-down, politeness.
+    """Admission control: the TTL'd per-address cool-down.
 
-    Owns every piece of pacing state the seed engine kept inline, plus
-    the fix for its unbounded memory: the last-scanned map is swept
-    every ``config.prune_every`` admissions, evicting entries whose
-    cool-down has already expired (they would admit anyway, so dropping
-    them is behaviour-neutral).
+    The last-scanned map is swept every ``config.prune_every``
+    admissions, evicting entries whose cool-down has already expired
+    (they would admit anyway, so dropping them is behaviour-neutral).
     """
 
     def __init__(self, network: Network, config: EngineConfig,
-                 stats: EngineStats, rng: random.Random,
-                 *, name: str = "engine") -> None:
+                 stats: EngineStats, *, name: str = "engine") -> None:
         self.network = network
         self.config = config
         self.stats = stats
-        self.rng = rng
-        self.bucket = TokenBucket(
-            network.clock, rate=config.packets_per_second,
-            burst=config.packets_per_second,
-        )
         self._last_scanned: Dict[int, float] = {}
         self._admissions = 0
         #: Called with ``(target, now)`` on every successful admission —
@@ -102,8 +80,9 @@ class ScanScheduler:
                                            engine=name)
         self._m_pruned = metrics.counter("scheduler_pruned_total",
                                          engine=name)
-        self._m_wait = metrics.histogram("scheduler_wait_seconds",
-                                         engine=name)
+        # Never observed (no admission waits); created so every metrics
+        # snapshot keeps the series the golden snapshots pin.
+        metrics.histogram("scheduler_wait_seconds", engine=name)
 
     @property
     def tracked_targets(self) -> int:
@@ -151,18 +130,6 @@ class ScanScheduler:
         return {addrmod.format_address(target): last
                 for target, last in sorted(self._last_scanned.items())}
 
-    def pace(self, packet_cost: float, first_probe: bool) -> None:
-        """Charge one probe against the budget (driving mode only)."""
-        waited = self.bucket.acquire(packet_cost)
-        self.stats.seconds_waited += waited
-        self._m_wait.observe(waited)
-        if not first_probe:
-            self.network.clock.advance(self._protocol_delay())
-
-    def _protocol_delay(self) -> float:
-        return self.rng.uniform(self.config.protocol_delay_min,
-                                self.config.protocol_delay_max)
-
 
 class ProbeExecutor:
     """Runs a registry's probe modules against admitted targets."""
@@ -196,36 +163,32 @@ class ProbeExecutor:
             self._instruments[protocol] = instruments
         return instruments
 
-    def execute_into(self, target: int, add: Callable[[Grab], None],
-                     scheduler: Optional[ScanScheduler] = None) -> None:
+    def execute_into(self, target: int,
+                     add: Callable[[Grab], None]) -> None:
         """Probe ``target`` with every registered module, in registry
         order, handing each grab to ``add``.
 
         The target's host is looked up once.  A probe whose spec carries
         its module's refused grab is answered with that grab, without
         running the module, whenever the network settles the attempt as
-        refused (:meth:`~repro.net.simnet.Network.skip_refused`).
-        ``scheduler`` paces each probe (driving mode); without it the
-        clock stays put and every probe's latency is 0.
+        refused (:meth:`~repro.net.simnet.Network.skip_refused`).  The
+        clock stays put, so every probe's latency is 0.
         """
         network, source = self.network, self.source
         clock = network.clock
         stats = self.stats
         grab_hook = self.grab_hook
         host = network.host(target)
-        for index, spec in enumerate(self.registry):
+        for spec in self.registry:
             attempts, successes, latency = self._probe_instruments(spec.name)
-            if scheduler is not None:
-                started = clock.now()
-                scheduler.pace(spec.packet_cost, first_probe=index == 0)
             stats.probes_sent += 1
             refused = spec.refused
             if refused is not None and network.skip_refused(host, spec.port):
                 grab = refused(target, clock.now(), spec.port)
             else:
                 grab = spec.probe(network, source, target)
-            latency.observe(0.0 if scheduler is None
-                            else clock.now() - started)
+            # One 0.0 per probe: the golden snapshots pin the series.
+            latency.observe(0.0)
             attempts.inc()
             if grab.ok:
                 successes.inc()
@@ -247,21 +210,15 @@ class ScanEngine:
         self.config = config or EngineConfig()
         self.ethics = ethics
         self.registry = registry if registry is not None else default_registry()
-        self.rng = random.Random(self.config.seed)
         self.stats = EngineStats()
         #: Label stamped onto this engine's metric series and store
         #: records (``"ntp"``, ``"hitlist"``, ...).
         self.name = name
         self.scheduler = ScanScheduler(network, self.config, self.stats,
-                                       self.rng, name=name)
+                                       name=name)
         self.executor = ProbeExecutor(network, source, self.registry,
                                       self.stats, name=name)
         network.add_host(source, reachable=True)
-
-    @property
-    def bucket(self) -> TokenBucket:
-        """The scheduler's rate limiter (seed-era accessor)."""
-        return self.scheduler.bucket
 
     # -- durability taps ---------------------------------------------------
 
@@ -284,9 +241,8 @@ class ScanEngine:
 
     def scan_address(self, target: int) -> List[Grab]:
         """Run every registered probe against one address, in order."""
-        pacer = self.scheduler if self.config.drive_clock else None
         grabs: List[Grab] = []
-        self.executor.execute_into(target, grabs.append, pacer)
+        self.executor.execute_into(target, grabs.append)
         return grabs
 
     # -- campaign feeding ---------------------------------------------------
@@ -303,8 +259,7 @@ class ScanEngine:
         if not self.scheduler.admit(target):
             return False
         self.stats.targets_scanned += 1
-        pacer = self.scheduler if self.config.drive_clock else None
-        self.executor.execute_into(target, results.add, pacer)
+        self.executor.execute_into(target, results.add)
         return True
 
     def run(self, targets: Iterable[int], label: str = "") -> ScanResults:

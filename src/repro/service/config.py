@@ -41,6 +41,8 @@ class ServiceConfig:
     #: hitlist side entirely).  Sweeps run at the *start* of the due
     #: day, so their grabs land inside that day's window.
     hitlist_days: int = 7
+    #: Changes nothing: the scan engine draws no random numbers.  Kept
+    #: so stored configs and callers that set it still load.
     scan_seed: int = 0x51AB
     #: Restrict the probe profile (None = the paper's full registry).
     protocols: Optional[Tuple[str, ...]] = None

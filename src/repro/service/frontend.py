@@ -13,14 +13,16 @@ anchor appears, and anchors are immutable once cut.
 :class:`ServiceServer` wraps the service in a line-oriented JSON TCP
 server (one request object per line, one response per line; a line
 longer than :data:`MAX_REQUEST_BYTES` gets an error reply and closes
-the connection) with a graceful-shutdown path: a ``shutdown`` command
-answers, stops accepting, and — when a live :class:`~repro.service.
-daemon.CampaignDaemon` is attached — flushes a final checkpoint before
-the process lets go of the store.
+the connection; a client silent for :data:`READ_TIMEOUT` seconds, or
+one that resets the connection, is dropped quietly and counted) with a
+graceful-shutdown path: a ``shutdown`` command answers, stops
+accepting, and — when a live :class:`~repro.service.daemon.
+CampaignDaemon` is attached — flushes a final checkpoint before the
+process lets go of the store.
 
 House metric rule: registry counters hold only deterministic counts
-(queries, frames built, cache hits); wall-clock latency lives in
-:meth:`QueryService.stats` alone.
+(queries, frames built, cache hits); wall-clock latency and the
+dropped-connection counts live in the ``stats`` reply alone.
 """
 
 from __future__ import annotations
@@ -42,6 +44,11 @@ from repro.store.runstore import RunStore
 #: queries are under 200 bytes; the cap keeps a client that never
 #: sends a newline from growing the server's buffer without bound.
 MAX_REQUEST_BYTES = 64 * 1024
+
+#: Seconds a connection may sit on one read or one reply write before
+#: the server drops it, so a client that never sends a newline (or
+#: never reads its reply) cannot hold a server thread for good.
+READ_TIMEOUT = 60.0
 
 
 class RequestError(ValueError):
@@ -196,6 +203,12 @@ class QueryService:
         }
 
 
+#: Why the server ended a connection early: no complete read or write
+#: within :data:`READ_TIMEOUT`, a reset from the client, or a write
+#: after the client went away.
+DROP_REASONS = ("timeout", "reset", "broken_pipe")
+
+
 def _error_reply(error: Exception) -> Dict:
     return {"ok": False, "error": f"{type(error).__name__}: {error}"}
 
@@ -203,12 +216,28 @@ def _error_reply(error: Exception) -> Dict:
 class _Handler(socketserver.StreamRequestHandler):
     """One JSON object per line in, one per line out."""
 
+    def setup(self) -> None:
+        self.timeout = READ_TIMEOUT  # the socket timeout setup() applies
+        super().setup()
+
     def _reply(self, response: Dict) -> None:
         self.wfile.write(json.dumps(response).encode("utf-8") + b"\n")
         self.wfile.flush()
 
     def handle(self) -> None:
         server: "ServiceServer" = self.server.owner  # type: ignore[attr-defined]
+        # A silent, vanished or resetting client ends its connection
+        # here, counted, instead of in a socketserver traceback.
+        try:
+            self._serve(server)
+        except socket.timeout:
+            server.count_drop("timeout")
+        except BrokenPipeError:
+            server.count_drop("broken_pipe")
+        except (ConnectionResetError, ConnectionAbortedError):
+            server.count_drop("reset")
+
+    def _serve(self, server: "ServiceServer") -> None:
         while True:
             raw = self.rfile.readline(MAX_REQUEST_BYTES + 1)
             if not raw:
@@ -254,10 +283,17 @@ class ServiceServer:
         self._thread: Optional[threading.Thread] = None
         self._shutdown = threading.Event()
         self._teardown = threading.Lock()
+        #: Connections dropped by reason (see :class:`_Handler`).
+        self._dropped = dict.fromkeys(DROP_REASONS, 0)
+        self._dropped_lock = threading.Lock()
 
     @property
     def address(self) -> Tuple[str, int]:
         return self._tcp.server_address[:2]
+
+    def count_drop(self, reason: str) -> None:
+        with self._dropped_lock:
+            self._dropped[reason] += 1
 
     def dispatch(self, request: Dict) -> Dict:
         if not isinstance(request, dict):
@@ -272,7 +308,9 @@ class ServiceServer:
                 step=request.get("step"))
             return {"ok": True, **document}
         if command == "stats":
-            return {"ok": True, **self.service.stats()}
+            with self._dropped_lock:
+                dropped = dict(self._dropped)
+            return {"ok": True, **self.service.stats(), "dropped": dropped}
         if command == "shutdown":
             # The handler starts the teardown once this reply is sent.
             return {"ok": True, "bye": True}

@@ -36,7 +36,6 @@ from repro.analysis.devicetypes import build_table3
 from repro.analysis.security import broker_access_control, ssh_outdatedness
 from repro.net.clock import DAY
 from repro.obs.metrics import current_registry
-from repro.scan.engine import EngineConfig
 from repro.scan.result import PROTOCOLS, ScanResults
 from repro.service.config import is_service_document
 from repro.store.checkpoint import list_checkpoints, load_checkpoint
@@ -47,9 +46,9 @@ from repro.store.wal import WalError, WalReader
 #: How far a window anchor must sit before the window start.  Records
 #: stamped with a checkpoint's own clock can be logged before it, so a
 #: checkpoint cut at the window start could miss grabs of the window.
-#: The margin, one maximal inter-protocol delay, is wider than that
-#: needs.
-WINDOW_ANCHOR_SLACK = EngineConfig().protocol_delay_max
+#: Any positive margin covers that; 600 s is wider than it needs to be
+#: and is kept so anchors, and with them every replay count, stay put.
+WINDOW_ANCHOR_SLACK = 600.0
 
 #: Float-comparison slack for day-aligned window arithmetic.
 _EPS = 1e-9

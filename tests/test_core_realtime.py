@@ -5,14 +5,14 @@ import pytest
 from repro.core.collector import CollectedDataset
 from repro.core.realtime import RealTimeScanQueue
 from repro.ipv6 import parse
-from repro.scan.engine import EngineConfig, ScanEngine
+from repro.scan.engine import ScanEngine
 
 SRC = parse("2001:db8:5c::1")
 
 
 @pytest.fixture()
 def engine(network):
-    return ScanEngine(network, SRC, EngineConfig(drive_clock=False))
+    return ScanEngine(network, SRC)
 
 
 class TestCoupling:

@@ -8,7 +8,7 @@ from repro.ipv6 import parse
 from repro.net.simnet import Network
 from repro.ntp.client import NtpClient
 from repro.ntp.server import NtpServer
-from repro.scan.engine import EngineConfig, ScanEngine
+from repro.scan.engine import ScanEngine
 from repro.scan.result import ScanResults
 from repro.world import devices as dev
 
@@ -30,7 +30,7 @@ class TestLossyScans:
             device.assign_address(PREFIX + (index << 64), rng)
             device.materialize(network)
             devices.append(device)
-        engine = ScanEngine(network, SRC, EngineConfig(drive_clock=False))
+        engine = ScanEngine(network, SRC)
         results = engine.run([d.address for d in devices])
         hits = len(results.responsive_addresses("http"))
         assert 0 < hits < 30  # some succeed, some are lost
@@ -44,7 +44,7 @@ class TestLossyScans:
             device.assign_address(PREFIX + (index << 64), rng)
             device.materialize(network)
             addresses.append(device.address)
-        engine = ScanEngine(network, SRC, EngineConfig(drive_clock=False))
+        engine = ScanEngine(network, SRC)
         results = engine.run(addresses)
         assert len(results.responsive_addresses("http")) == 10
 
@@ -64,7 +64,7 @@ class TestMidScanChurn:
         device = dev.make_fritzbox(rng, 0, 0x3C3786300001)
         device.assign_address(PREFIX, rng)
         device.materialize(network)
-        engine = ScanEngine(network, SRC, EngineConfig(drive_clock=False))
+        engine = ScanEngine(network, SRC)
         results = ScanResults()
         old = device.address
         assert engine.feed(old, results)
@@ -110,7 +110,7 @@ class TestBrokenServices:
         host = network.add_host(target)
         for port in (22, 80, 443, 1883, 5672):
             host.bind_tcp(port, GarbageService())
-        engine = ScanEngine(network, SRC, EngineConfig(drive_clock=False))
+        engine = ScanEngine(network, SRC)
         results = ScanResults()
         engine.feed(target, results)
         for protocol in ("http", "https", "ssh", "mqtt", "amqp"):

@@ -2,13 +2,11 @@
 
 import pytest
 
-from repro.net.clock import VirtualClock
 from repro.obs import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    Span,
     current_registry,
     use_registry,
 )
@@ -96,21 +94,6 @@ class TestHistogramBuckets:
         with pytest.raises(ValueError):
             Histogram(bounds=(1.0,)).quantile(1.5)
 
-    def test_merged(self):
-        a, b = Histogram(bounds=(1.0, 2.0)), Histogram(bounds=(1.0, 2.0))
-        a.observe(0.5)
-        b.observe(1.5)
-        b.observe(9.0)
-        merged = Histogram.merged([a, b])
-        assert merged.counts == [1, 1, 1]
-        assert merged.count == 3
-        assert merged.quantile(1.0) == 9.0
-
-    def test_merged_requires_same_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram.merged([Histogram(bounds=(1.0,)),
-                              Histogram(bounds=(2.0,))])
-
 
 class TestRegistry:
     def test_get_or_create_same_series(self):
@@ -181,28 +164,3 @@ class TestRegistryScoping:
             with use_registry() as b:
                 assert current_registry() is b
             assert current_registry() is a
-
-
-class TestSpan:
-    def test_measures_virtual_time(self):
-        clock = VirtualClock()
-        histogram = Histogram(bounds=(5.0, 50.0))
-        with Span(clock, histogram) as span:
-            clock.advance(30.0)
-        assert span.elapsed == 30.0
-        assert histogram.counts == [0, 1, 0]
-
-    def test_registry_span_helper(self):
-        clock = VirtualClock()
-        registry = MetricsRegistry()
-        with registry.span("stage_seconds", clock, stage="s"):
-            clock.advance(2.0)
-        histogram = registry.histogram("stage_seconds", stage="s")
-        assert histogram.count == 1
-        assert histogram.sum == pytest.approx(2.0)
-
-    def test_zero_elapsed_without_clock_movement(self):
-        clock = VirtualClock()
-        with Span(clock) as span:
-            pass
-        assert span.elapsed == 0.0

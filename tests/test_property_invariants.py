@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from repro.ipv6 import address as addrmod
 from repro.ipv6.aggregation import PrefixAggregator
-from repro.net.clock import VirtualClock
 from repro.scan.ethics import OptOutList
-from repro.scan.ratelimit import TokenBucket
 from repro.world.tga import train
 
 ADDRESSES = st.integers(min_value=0, max_value=2**128 - 1)
@@ -60,29 +58,6 @@ class TestAggregatorProperties:
         median = aggregator.median_density(48)
         counts = aggregator.network_counts(48).values()
         assert min(counts) <= median <= max(counts)
-
-
-class TestTokenBucketProperties:
-    @given(st.lists(st.floats(min_value=0.1, max_value=5.0),
-                    min_size=1, max_size=30))
-    @settings(max_examples=50)
-    def test_throughput_never_exceeds_rate_plus_burst(self, amounts):
-        """Total tokens granted <= burst + rate * elapsed."""
-        clock = VirtualClock()
-        rate, burst = 7.0, 10.0
-        bucket = TokenBucket(clock, rate=rate, burst=burst)
-        granted = 0.0
-        for amount in amounts:
-            bucket.acquire(amount)
-            granted += amount
-        assert granted <= burst + rate * clock.now() + 1e-6
-
-    @given(st.floats(min_value=0.1, max_value=10.0))
-    def test_try_acquire_never_goes_negative(self, amount):
-        bucket = TokenBucket(VirtualClock(), rate=1.0, burst=5.0)
-        while bucket.try_acquire(amount):
-            pass
-        assert bucket.available >= 0.0
 
 
 class TestTgaProperties:

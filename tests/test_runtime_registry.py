@@ -12,7 +12,7 @@ import pytest
 from repro.ipv6 import parse
 from repro.net.simnet import SimpleSession
 from repro.runtime.registry import ProbeRegistry, ProbeSpec, default_registry
-from repro.scan.engine import EngineConfig, ScanEngine
+from repro.scan.engine import ScanEngine
 from repro.scan.result import PROTOCOLS
 from repro.world import devices as dev
 
@@ -56,9 +56,6 @@ class TestRegistry:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             ProbeSpec(name="", probe=lambda n, s, t: None, port=1)
-        with pytest.raises(ValueError):
-            ProbeSpec(name="x", probe=lambda n, s, t: None, port=1,
-                      packet_cost=0)
 
 
 @dataclass(frozen=True)
@@ -107,9 +104,8 @@ class TestCustomProbe:
         })())
 
         registry = default_registry()
-        registry.register("telnet", scan_telnet, 23, packet_cost=2.0)
-        engine = ScanEngine(network, SRC, EngineConfig(drive_clock=False),
-                            registry=registry)
+        registry.register("telnet", scan_telnet, 23)
+        engine = ScanEngine(network, SRC, registry=registry)
         results = engine.run([fritz.address, telnet_host])
 
         assert results.responsive_addresses("telnet") == {telnet_host}
@@ -135,7 +131,7 @@ class TestCustomProbe:
         coap_device.assign_address(PREFIX + (1 << 64), rng)
         coap_device.materialize(network)
 
-        engine = ScanEngine(network, SRC, EngineConfig(drive_clock=False),
+        engine = ScanEngine(network, SRC,
                             registry=default_registry().subset("ssh", "coap"))
         results = engine.run([ssh_host.address, coap_device.address],
                              label="ssh+coap")

@@ -1,4 +1,5 @@
-"""Tests for the scan engine: protocol coverage, cool-down, pacing."""
+"""Tests for the scan engine: protocol coverage, cool-down, and a clock
+the engine never moves."""
 
 import random
 
@@ -29,29 +30,21 @@ def fritz(network, rng):
 
 class TestScanAddress:
     def test_all_protocols_probed(self, network, fritz):
-        engine = ScanEngine(network, SRC, EngineConfig(drive_clock=False))
+        engine = ScanEngine(network, SRC)
         grabs = engine.scan_address(fritz.address)
         assert len(grabs) == len(PROTOCOLS)
         assert {grab.protocol for grab in grabs} == set(PROTOCOLS)
 
     def test_fritz_answers_web_only(self, network, fritz):
-        engine = ScanEngine(network, SRC, EngineConfig(drive_clock=False))
+        engine = ScanEngine(network, SRC)
         outcomes = {grab.protocol: grab.ok
                     for grab in engine.scan_address(fritz.address)}
         assert outcomes["http"] and outcomes["https"]
         assert not outcomes["ssh"]
         assert not outcomes["coap"]
 
-    def test_driving_mode_advances_clock(self, network, fritz):
-        engine = ScanEngine(network, SRC, EngineConfig(
-            drive_clock=True, protocol_delay_min=10, protocol_delay_max=10))
-        start = network.clock.now()
-        engine.scan_address(fritz.address)
-        # 7 inter-protocol delays of 10s each.
-        assert network.clock.now() - start == pytest.approx(70.0)
-
     def test_embedded_mode_freezes_clock(self, network, fritz):
-        engine = ScanEngine(network, SRC, EngineConfig(drive_clock=False))
+        engine = ScanEngine(network, SRC)
         start = network.clock.now()
         engine.scan_address(fritz.address)
         assert network.clock.now() == start
@@ -59,7 +52,7 @@ class TestScanAddress:
 
 class TestCooldown:
     def test_cooldown_suppresses_rescan(self, network, fritz):
-        engine = ScanEngine(network, SRC, EngineConfig(drive_clock=False))
+        engine = ScanEngine(network, SRC)
         results = ScanResults()
         assert engine.feed(fritz.address, results) is True
         assert engine.feed(fritz.address, results) is False
@@ -67,14 +60,14 @@ class TestCooldown:
         assert len(results.http) == 1
 
     def test_cooldown_expires(self, network, fritz):
-        engine = ScanEngine(network, SRC, EngineConfig(drive_clock=False))
+        engine = ScanEngine(network, SRC)
         results = ScanResults()
         engine.feed(fritz.address, results)
         network.clock.advance(3 * DAY + 1)
         assert engine.feed(fritz.address, results) is True
 
     def test_distinct_addresses_not_cooled(self, network, rng):
-        engine = ScanEngine(network, SRC, EngineConfig(drive_clock=False))
+        engine = ScanEngine(network, SRC)
         results = ScanResults()
         for index in range(3):
             device = dev.make_fritzbox(rng, index, 0x3C3786000100 + index)
@@ -87,7 +80,7 @@ class TestCooldown:
 class TestCooldownPruning:
     def test_expired_entries_evicted(self, network, rng):
         """The last-scanned map stays bounded over a long campaign."""
-        config = EngineConfig(drive_clock=False, prune_every=10)
+        config = EngineConfig(prune_every=10)
         engine = ScanEngine(network, SRC, config)
         results = ScanResults()
         prefix = parse("2001:db8:610::")
@@ -104,7 +97,7 @@ class TestCooldownPruning:
 
     def test_pruning_never_weakens_cooldown(self, network, fritz):
         """An address inside its cool-down window survives sweeps."""
-        config = EngineConfig(drive_clock=False, prune_every=5)
+        config = EngineConfig(prune_every=5)
         engine = ScanEngine(network, SRC, config)
         results = ScanResults()
         engine.feed(fritz.address, results)
@@ -115,7 +108,7 @@ class TestCooldownPruning:
         assert engine.stats.targets_cooled_down == 1
 
     def test_manual_prune_reports_evictions(self, network, fritz):
-        engine = ScanEngine(network, SRC, EngineConfig(drive_clock=False))
+        engine = ScanEngine(network, SRC)
         engine.feed(fritz.address, ScanResults())
         assert engine.scheduler.prune() == 0
         network.clock.advance(engine.config.cooldown + 1)
@@ -124,28 +117,26 @@ class TestCooldownPruning:
 
 
 class TestRun:
+    """A default-built engine scans a whole list without moving the
+    clock: windows, anchors and WAL verify-replay rely on every grab
+    carrying its admission time."""
+
     def test_run_over_target_list(self, network, fritz):
-        engine = ScanEngine(network, SRC, EngineConfig(
-            drive_clock=True, protocol_delay_min=0, protocol_delay_max=0))
+        engine = ScanEngine(network, SRC)
+        start = network.clock.now()
         dead = parse("2001:db8:601::1")
         results = engine.run([fritz.address, dead], label="hitlist")
+        assert network.clock.now() == start
         assert results.label == "hitlist"
         assert results.targets_seen == 2
         assert results.responsive_addresses("http") == {fritz.address}
+        assert {grab.time for protocol in results.protocols()
+                for grab in results.grabs(protocol)} == {start}
 
     def test_hit_rate(self, network, fritz):
-        engine = ScanEngine(network, SRC, EngineConfig(
-            drive_clock=True, protocol_delay_min=0, protocol_delay_max=0))
+        engine = ScanEngine(network, SRC)
+        start = network.clock.now()
         dead = [parse("2001:db8:602::1") + i for i in range(9)]
         results = engine.run([fritz.address] + dead)
+        assert network.clock.now() == start
         assert results.hit_rate() == pytest.approx(0.1)
-
-    def test_rate_limit_costs_time(self, network, fritz):
-        config = EngineConfig(drive_clock=True, packets_per_second=8.0,
-                              protocol_delay_min=0, protocol_delay_max=0)
-        engine = ScanEngine(network, SRC, config)
-        engine.run([fritz.address] * 1 + [parse("2001:db8:603::1")])
-        # 2 targets x 8 probes x 4 packets = 64 packets at 8 pps, minus
-        # the initial burst of 8 -> at least ~7 simulated seconds.
-        assert network.clock.now() >= 6.0
-        assert engine.stats.seconds_waited > 0

@@ -6,7 +6,7 @@ import pytest
 
 from repro.ipv6 import parse
 from repro.net.rdns import ReverseDns
-from repro.scan.engine import EngineConfig, ScanEngine
+from repro.scan.engine import ScanEngine
 from repro.scan.ethics import (
     INFO_TITLE,
     EthicsPolicy,
@@ -59,8 +59,7 @@ class TestPolicyInEngine:
         packets = []
         network.add_tap(lambda record: packets.append(record)
                         if record.dst == device.address else None)
-        engine = ScanEngine(network, SRC, EngineConfig(drive_clock=False),
-                            ethics=policy)
+        engine = ScanEngine(network, SRC, ethics=policy)
         results = ScanResults()
         assert engine.feed(device.address, results) is False
         assert policy.suppressed == 1
@@ -73,8 +72,7 @@ class TestPolicyInEngine:
         device.assign_address(PREFIX, rng)
         device.materialize(network)
         policy = EthicsPolicy()
-        engine = ScanEngine(network, SRC, EngineConfig(drive_clock=False),
-                            ethics=policy)
+        engine = ScanEngine(network, SRC, ethics=policy)
         results = ScanResults()
         assert engine.feed(device.address, results) is True
         policy.opt_out.add_network("2001:db8:900::/48")
@@ -82,7 +80,7 @@ class TestPolicyInEngine:
         assert engine.feed(device.address, results) is False
 
     def test_engine_without_policy_unchanged(self, network):
-        engine = ScanEngine(network, SRC, EngineConfig(drive_clock=False))
+        engine = ScanEngine(network, SRC)
         results = ScanResults()
         engine.feed(parse("2001:db8:901::1"), results)
         assert engine.stats.targets_scanned == 1

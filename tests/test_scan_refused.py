@@ -21,7 +21,7 @@ from repro.net.clock import VirtualClock
 from repro.net.simnet import Network, SimpleSession
 from repro.obs.metrics import use_registry
 from repro.runtime.registry import ProbeRegistry, ProbeSpec, default_registry
-from repro.scan.engine import EngineConfig, ScanEngine
+from repro.scan.engine import ScanEngine
 from repro.scan.modules.ntp import refused_ntp, scan_ntp
 
 SRC = parse("2001:db8:5c::1")
@@ -81,8 +81,7 @@ def _scan(network, spec, target, *, shortcut):
     registry = ProbeRegistry([dataclasses.replace(spec, probe=probe,
                                                   refused=refused)])
     with use_registry() as metrics:
-        engine = ScanEngine(network, SRC, EngineConfig(drive_clock=False),
-                            registry=registry)
+        engine = ScanEngine(network, SRC, registry=registry)
         (grab,) = engine.scan_address(target)
     return grab, len(calls), metrics.snapshot()
 
@@ -150,8 +149,7 @@ def test_spec_without_refused_grab_always_runs():
 
     registry = ProbeRegistry()
     registry.register("telnet", scan_telnet, 23)
-    engine = ScanEngine(_network(), SRC, EngineConfig(drive_clock=False),
-                        registry=registry)
+    engine = ScanEngine(_network(), SRC, registry=registry)
     targets = [TARGETS[name] for name in sorted(TARGETS)]
     results = engine.run(targets)
     assert calls == targets

@@ -17,7 +17,11 @@ import pytest
 from repro.io.jsonl import grab_from_json, to_canonical_json
 from repro.net.clock import DAY
 from repro.scan.result import ScanResults
-from repro.service import WindowedStudyReader, window_document
+from repro.service import (
+    WINDOW_ANCHOR_SLACK,
+    WindowedStudyReader,
+    window_document,
+)
 from repro.store import CompactedBehindReader, RunStore, read_study
 from repro.store.wal import WalReader
 
@@ -116,6 +120,8 @@ def test_anchor_respects_grab_jitter_slack(reader):
     """A checkpoint cut at the window's exact start cannot anchor it:
     records stamped with the checkpoint's own clock may precede it in
     the log."""
+    # Stores already written resolve their anchors against this value.
+    assert WINDOW_ANCHOR_SLACK == 600.0
     anchor = reader.anchor_for(3 * DAY)
     assert anchor.clock + 600.0 <= 3 * DAY
     # The day-3 checkpoint itself (clock == 3 days) is usable only one

@@ -9,7 +9,9 @@ count stays far below queries × log length.
 
 import json
 import socket
+import struct
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -254,3 +256,101 @@ def test_graceful_shutdown_flushes_live_daemon(tmp_path):
     assert verify["ok"], verify["problems"]
     # The flushed checkpoint anchors the whole log: day 4 closed out.
     assert verify["last_seq"] == store.inspect()["latest_checkpoint_seq"]
+
+
+def _wait_for_drops(server, total, timeout=10.0):
+    """Poll ``stats`` until ``total`` connections were dropped."""
+    deadline = time.monotonic() + timeout
+    while True:
+        dropped = query_server(server.address, {"cmd": "stats"},
+                               timeout=10.0)["dropped"]
+        if sum(dropped.values()) >= total or time.monotonic() > deadline:
+            return dropped
+        time.sleep(0.05)
+
+
+def _reset_mid_reply(address):
+    """Send a query, then reset the connection before reading a byte."""
+    conn = socket.create_connection(address, timeout=10.0)
+    reader = conn.makefile("rb")
+    # One round trip first, so the server's handler surely owns the
+    # connection before the reset arrives.
+    conn.sendall(b'{"cmd": "stats"}\n')
+    assert json.loads(reader.readline())["ok"]
+    conn.sendall(b'{"cmd": "query"}\n')
+    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                    struct.pack("ii", 1, 0))
+    reader.close()
+    conn.close()
+
+
+def test_idle_client_is_dropped(service_run, monkeypatch):
+    """A client that connects and never sends a newline loses its
+    connection after the read timeout, and the server keeps answering."""
+    from repro.service import frontend
+
+    monkeypatch.setattr(frontend, "READ_TIMEOUT", 0.5)
+    _, run_dir = service_run
+    with use_registry():
+        server = api.serve(str(run_dir))
+        try:
+            with socket.create_connection(server.address,
+                                          timeout=10.0) as idle:
+                idle.sendall(b'{"cmd": "st')
+                assert idle.recv(1) == b""  # the server closed it
+            dropped = _wait_for_drops(server, 1)
+            answered = query_server(server.address, {"cmd": "query"},
+                                    timeout=120.0)
+        finally:
+            server.shutdown()
+    assert dropped == {"timeout": 1, "reset": 0, "broken_pipe": 0}
+    assert answered["ok"] and answered["windows"]
+
+
+def test_client_gone_mid_reply_is_quiet(service_run, capsys):
+    """A client that resets before reading its reply ends the
+    connection without a traceback on stderr, and is counted."""
+    _, run_dir = service_run
+    with use_registry():
+        server = api.serve(str(run_dir))
+        try:
+            _reset_mid_reply(server.address)
+            dropped = _wait_for_drops(server, 1)
+            answered = query_server(server.address, {"cmd": "query"},
+                                    timeout=120.0)
+        finally:
+            server.shutdown()
+    assert capsys.readouterr().err == ""
+    assert dropped["timeout"] == 0
+    assert dropped["reset"] + dropped["broken_pipe"] == 1
+    assert answered["ok"] and answered["windows"]
+
+
+def test_stats_counts_dropped_connections_by_reason(service_run,
+                                                    monkeypatch):
+    """``stats`` keeps its keys and adds the drops by reason; a client
+    that connects and closes without a request (a readiness probe)
+    counts as nothing."""
+    from repro.service import frontend
+
+    monkeypatch.setattr(frontend, "READ_TIMEOUT", 0.5)
+    _, run_dir = service_run
+    with use_registry():
+        server = api.serve(str(run_dir))
+        try:
+            socket.create_connection(server.address, timeout=10.0).close()
+            with socket.create_connection(server.address,
+                                          timeout=10.0) as idle:
+                assert idle.recv(1) == b""
+            _reset_mid_reply(server.address)
+            _wait_for_drops(server, 2)
+            stats = query_server(server.address, {"cmd": "stats"},
+                                 timeout=10.0)
+        finally:
+            server.shutdown()
+    assert {"queries", "latency_p50_ms", "latency_p99_ms",
+            "cache"} <= set(stats)
+    dropped = stats["dropped"]
+    assert set(dropped) == {"timeout", "reset", "broken_pipe"}
+    assert dropped["timeout"] == 1
+    assert dropped["reset"] + dropped["broken_pipe"] == 1

@@ -1,5 +1,7 @@
 """Tests for the geo registry and actor mechanics not covered elsewhere."""
 
+import random
+
 import pytest
 
 from repro.core.actors import NtpSourcingActor, research_profile
@@ -60,6 +62,21 @@ class TestActorMechanics:
             scanner_base=world.allocate_prefix64(clouds[1].number),
             zones=["us"], seed=7)
         return world, pool, scheduler, actor
+
+    def test_default_seed_is_process_independent(self, fresh_world):
+        """A default-seed actor draws from ``random.Random(0)``, not from
+        a seed derived from ``hash(profile.name)``, which changes with
+        ``PYTHONHASHSEED`` from one process to the next."""
+        world = fresh_world
+        clouds = [s for s in world.asdb.systems
+                  if s.name.startswith("HyperCloud")]
+        actor = NtpSourcingActor(
+            world, NtpPool(world.network), EventScheduler(world.clock),
+            research_profile("GT"),
+            server_base=world.allocate_prefix64(clouds[0].number),
+            scanner_base=world.allocate_prefix64(clouds[1].number),
+            zones=["us"])
+        assert actor.rng.random() == random.Random(0).random()
 
     def test_servers_registered_in_pool(self, setup):
         world, pool, scheduler, actor = setup

@@ -114,13 +114,12 @@ class TestGeneration:
 class TestEvaluation:
     def test_evaluate_on_world(self, world):
         from repro.ipv6 import parse as _parse
-        from repro.scan.engine import EngineConfig, ScanEngine
+        from repro.scan.engine import ScanEngine
         from repro.world.tga import evaluate
 
         seeds = [device.address for device in world.dns_named()]
         tga = train(seeds)
-        engine = ScanEngine(world.network, _parse("2001:db8:aaaa::1"),
-                            EngineConfig(drive_clock=False))
+        engine = ScanEngine(world.network, _parse("2001:db8:aaaa::1"))
         evaluation, results = evaluate(tga, engine, 200)
         assert evaluation.candidates <= 200
         assert 0.0 <= evaluation.hit_rate <= 1.0

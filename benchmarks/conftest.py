@@ -12,12 +12,12 @@ import os
 
 import pytest
 
-from repro.core.actors import NtpSourcingActor, covert_profile, research_profile
+from repro.core.actors import deploy_section5_actors
 from repro.core.campaign import CampaignConfig, CollectionCampaign
 from repro.core.detection import ActorDetector
 from repro.core.pipeline import ExperimentConfig, run_experiment
 from repro.core.telescope import Telescope
-from repro.net.clock import DAY, EventScheduler
+from repro.net.clock import EventScheduler
 from repro.world.population import WorldConfig, build_world
 
 #: Scale of the benchmark world (the default paper-shaped world).
@@ -57,25 +57,11 @@ def telescope_run():
     campaign = CollectionCampaign(world, CampaignConfig(days=1,
                                                         wire_fraction=0.0))
     scheduler = EventScheduler(world.clock)
-    research_as = next(s for s in world.asdb.systems
-                       if s.category == "Educational/Research")
-    clouds = [s for s in world.asdb.systems
-              if s.name.startswith("HyperCloud")]
-    NtpSourcingActor(
-        world, campaign.pool, scheduler, research_profile("GT"),
-        server_base=world.allocate_prefix64(clouds[0].number),
-        scanner_base=world.allocate_prefix64(research_as.number),
-        zones=["us", "de", "jp", "gb", "fr"], seed=1)
-    NtpSourcingActor(
-        world, campaign.pool, scheduler, covert_profile("covert"),
-        server_base=world.allocate_prefix64(clouds[1].number),
-        scanner_base=world.allocate_prefix64(clouds[2].number),
-        zones=["us", "nl"], seed=2)
+    deploy_section5_actors(world, campaign.pool, scheduler,
+                           research_zones=["us", "de", "jp", "gb", "fr"],
+                           covert_zones=["us", "nl"])
     telescope = Telescope(world.network)
-    for _ in range(7):
-        telescope.sweep(campaign.pool)
-        scheduler.run_until(world.clock.now() + DAY)
-    scheduler.run_until(world.clock.now() + 4 * DAY)
+    telescope.watch(campaign.pool, scheduler, sweep_days=7, settle_days=4)
     detector = ActorDetector(
         telescope, world.asdb,
         operator_of_server=lambda a: campaign.pool.server(a).operator)

@@ -11,11 +11,11 @@ whoever comes knocking.
 Run:  python examples/covert_scanner_detection.py
 """
 
-from repro.core.actors import NtpSourcingActor, covert_profile, research_profile
+from repro.core.actors import deploy_section5_actors
 from repro.core.campaign import CampaignConfig, CollectionCampaign
 from repro.core.detection import ActorDetector
 from repro.core.telescope import Telescope
-from repro.net.clock import DAY, HOUR, EventScheduler
+from repro.net.clock import HOUR, EventScheduler
 from repro.report import fmt_pct
 from repro.world import WorldConfig, build_world
 
@@ -27,30 +27,16 @@ def main() -> None:
                                                         wire_fraction=0.0))
     scheduler = EventScheduler(world.clock)
 
-    research_as = next(s for s in world.asdb.systems
-                       if s.category == "Educational/Research")
-    clouds = [s for s in world.asdb.systems
-              if s.name.startswith("HyperCloud")]
-
     print("Deploying third-party NTP-sourcing actors into the pool ...")
-    NtpSourcingActor(
-        world, campaign.pool, scheduler, research_profile("GT"),
-        server_base=world.allocate_prefix64(clouds[0].number),
-        scanner_base=world.allocate_prefix64(research_as.number),
-        zones=["us", "de", "jp", "gb", "fr"], seed=1)
-    NtpSourcingActor(
-        world, campaign.pool, scheduler, covert_profile("covert"),
-        server_base=world.allocate_prefix64(clouds[1].number),
-        scanner_base=world.allocate_prefix64(clouds[2].number),
-        zones=["us", "nl"], seed=2)
+    deploy_section5_actors(world, campaign.pool, scheduler,
+                           research_zones=["us", "de", "jp", "gb", "fr"],
+                           covert_zones=["us", "nl"])
 
     print("Running the telescope: one fresh bait address per pool "
           "server, daily, for a week ...")
     telescope = Telescope(world.network)
-    for _ in range(7):
-        telescope.sweep(campaign.pool)
-        scheduler.run_until(world.clock.now() + DAY)
-    scheduler.run_until(world.clock.now() + 4 * DAY)  # covert tail
+    # Four settle days after the last sweep catch the covert tail.
+    telescope.watch(campaign.pool, scheduler, sweep_days=7, settle_days=4)
 
     print(f"\n  {len(telescope.baits)} baits sent, "
           f"{fmt_pct(telescope.response_rate())} of queries answered "

@@ -30,7 +30,7 @@ from typing import List, Optional, Tuple
 
 from repro.analysis import devicetypes
 from repro.analysis.bundle import run_analysis
-from repro.core.actors import NtpSourcingActor, covert_profile, research_profile
+from repro.core.actors import deploy_section5_actors
 from repro.core.attribution import AttributionReport, attribute_events
 from repro.core.campaign import CampaignConfig, CampaignReport, CollectionCampaign
 from repro.core.detection import ActorDetector, ActorVerdict
@@ -433,25 +433,14 @@ def telescope(config: Optional[TelescopeConfig] = None) -> TelescopeResult:
         campaign = CollectionCampaign(
             world, CampaignConfig(days=1, wire_fraction=0.0))
         scheduler = EventScheduler(world.clock)
-        research_as = next(s for s in world.asdb.systems
-                           if s.category == "Educational/Research")
-        clouds = [s for s in world.asdb.systems
-                  if s.name.startswith("HyperCloud")]
-        NtpSourcingActor(
-            world, campaign.pool, scheduler, research_profile("GT"),
-            server_base=world.allocate_prefix64(clouds[0].number),
-            scanner_base=world.allocate_prefix64(research_as.number),
-            zones=list(config.research_zones), seed=1)
-        NtpSourcingActor(
-            world, campaign.pool, scheduler, covert_profile("covert"),
-            server_base=world.allocate_prefix64(clouds[1].number),
-            scanner_base=world.allocate_prefix64(clouds[2].number),
-            zones=list(config.covert_zones), seed=2)
+        deploy_section5_actors(
+            world, campaign.pool, scheduler,
+            research_zones=config.research_zones,
+            covert_zones=config.covert_zones)
         scope = Telescope(world.network)
-        for _ in range(config.sweep_days):
-            scope.sweep(campaign.pool)
-            scheduler.run_until(world.clock.now() + DAY)
-        scheduler.run_until(world.clock.now() + config.settle_days * DAY)
+        scope.watch(campaign.pool, scheduler,
+                    sweep_days=config.sweep_days,
+                    settle_days=config.settle_days)
 
         detector = ActorDetector(
             scope, world.asdb,
@@ -497,20 +486,10 @@ def ecosystem(config: Optional[EcosystemConfig] = None) -> EcosystemResult:
         campaign = CollectionCampaign(
             world, CampaignConfig(days=1, wire_fraction=0.0))
         scheduler = EventScheduler(world.clock)
-        research_as = next(s for s in world.asdb.systems
-                           if s.category == "Educational/Research")
-        clouds = [s for s in world.asdb.systems
-                  if s.name.startswith("HyperCloud")]
-        overt = NtpSourcingActor(
-            world, campaign.pool, scheduler, research_profile("GT"),
-            server_base=world.allocate_prefix64(clouds[0].number),
-            scanner_base=world.allocate_prefix64(research_as.number),
-            zones=list(config.research_zones), seed=1)
-        covert = NtpSourcingActor(
-            world, campaign.pool, scheduler, covert_profile("covert"),
-            server_base=world.allocate_prefix64(clouds[1].number),
-            scanner_base=world.allocate_prefix64(clouds[2].number),
-            zones=list(config.covert_zones), seed=2)
+        overt, covert = deploy_section5_actors(
+            world, campaign.pool, scheduler,
+            research_zones=config.research_zones,
+            covert_zones=config.covert_zones)
         scope = Telescope(world.network)
 
         population = ScannerPopulation(world.network, scheduler)
@@ -537,10 +516,9 @@ def ecosystem(config: Optional[EcosystemConfig] = None) -> EcosystemResult:
                       config=config.scenario, start=10 * MINUTE,
                       population=population)
 
-        for _ in range(config.sweep_days):
-            scope.sweep(campaign.pool)
-            scheduler.run_until(world.clock.now() + DAY)
-        scheduler.run_until(world.clock.now() + config.settle_days * DAY)
+        scope.watch(campaign.pool, scheduler,
+                    sweep_days=config.sweep_days,
+                    settle_days=config.settle_days)
 
         detector = ActorDetector(
             scope, world.asdb, rdns=world.rdns,

@@ -189,3 +189,32 @@ class NtpSourcingActor:
         stream = self.world.network.tcp_connect(source, target, port)
         if stream is not None:
             stream.close()
+
+
+def deploy_section5_actors(world: World, pool: NtpPool,
+                           scheduler: EventScheduler, *,
+                           research_zones: Sequence[str],
+                           covert_zones: Sequence[str],
+                           ) -> Tuple[NtpSourcingActor, NtpSourcingActor]:
+    """Deploy the paper's two Section-5 actors into ``pool``.
+
+    The research actor "GT" (seed 1) runs its servers in the first
+    HyperCloud AS and scans from the research AS; the covert actor
+    (seed 2) runs its servers in the second HyperCloud AS and scans
+    from the third.  Returns ``(research, covert)``.
+    """
+    research_as = next(s for s in world.asdb.systems
+                       if s.category == "Educational/Research")
+    clouds = [s for s in world.asdb.systems
+              if s.name.startswith("HyperCloud")]
+    research = NtpSourcingActor(
+        world, pool, scheduler, research_profile("GT"),
+        server_base=world.allocate_prefix64(clouds[0].number),
+        scanner_base=world.allocate_prefix64(research_as.number),
+        zones=list(research_zones), seed=1)
+    covert = NtpSourcingActor(
+        world, pool, scheduler, covert_profile("covert"),
+        server_base=world.allocate_prefix64(clouds[1].number),
+        scanner_base=world.allocate_prefix64(clouds[2].number),
+        zones=list(covert_zones), seed=2)
+    return research, covert

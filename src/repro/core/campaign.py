@@ -33,7 +33,6 @@ from repro.ntp.client import NtpClient
 from repro.ntp.pool import NtpPool
 from repro.ntp.server import NtpServer
 from repro.world.geo import DEPLOYMENT_COUNTRIES
-from repro.world.ntpprofiles import profile_for
 from repro.world.population import World
 
 
@@ -159,20 +158,8 @@ class CollectionCampaign:
 
     def _background_server(self, address: int, *,
                            location: str) -> NtpServer:
-        """A background pool member with its seeded software profile.
-
-        Profiles come from :func:`repro.world.ntpprofiles.profile_for`
-        — a pure function of ``(campaign seed, address)`` on a private
-        RNG stream, so version/monlist assignment never shifts the
-        campaign's own draws (the dead-rate coin flips above) and stays
-        stable across resume/replay.  Capture servers are *not*
-        profiled: the study's own deployment always runs patched.
-        """
-        profile = profile_for(self.config.seed, address)
-        return NtpServer(self.world.network, address,
-                         location=location,
-                         software_version=profile.software_version,
-                         monlist_enabled=profile.monlist_enabled)
+        """A background pool member: a plain time server, no capture."""
+        return NtpServer(self.world.network, address, location=location)
 
     # -- mid-campaign pool churn (the service daemon's lever) ----------------
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.ipv6 import address as addrmod
+from repro.net.clock import DAY, EventScheduler
 from repro.net.packet import PacketRecord, Transport
 from repro.net.simnet import Network
 from repro.ntp.client import NtpClient
@@ -86,6 +87,16 @@ class Telescope:
     def sweep(self, pool: NtpPool) -> List[BaitRecord]:
         """Query every registered pool server once (one bait each)."""
         return [self.query(server.address) for server in pool.servers]
+
+    def watch(self, pool: NtpPool, scheduler: EventScheduler, *,
+              sweep_days: int, settle_days: int) -> None:
+        """Sweep ``pool`` daily for ``sweep_days``, running whatever the
+        scheduler holds in between, then ``settle_days`` more so slow
+        scanners reach their baits."""
+        for _ in range(sweep_days):
+            self.sweep(pool)
+            scheduler.run_until(scheduler.clock.now() + DAY)
+        scheduler.run_until(scheduler.clock.now() + settle_days * DAY)
 
     @property
     def baits(self) -> Tuple[BaitRecord, ...]:

@@ -6,76 +6,27 @@ mode-4 responder whose every valid request is also reported to an
 observer callback carrying the client's source address and the request
 timestamp.  The :mod:`repro.core.collector` subscribes to that hook.
 
-Beyond clean RFC 5905, the server speaks the operational side
-protocols real pool members expose (see :mod:`repro.ntp.control`):
-
-* **mode 6** readvar/readstat control queries are answered with the
-  daemon's system-variable string, windowed into offset/count
-  fragments — the surface ``ntpq`` reconnaissance reads version and
-  patch level from;
-* **mode 7** monlist is answered *only* when ``monlist_enabled`` (the
-  pre-4.2.7p26 behaviour a server's
-  :class:`~repro.world.ntpprofiles.NtpServerProfile` decides) — from
-  the server's bounded recent-client monitor table, up to 6 entries a
-  packet, the classic amplification train.  Patched servers drop
-  mode 7 silently, exactly like ``restrict noquery``.
-
-Per-client state is bounded: the rate limiter's last-request map and
-the monitor table are TTL-pruned on a fixed request cadence (the same
-behaviour-neutral sweep :class:`repro.scan.engine.ScanScheduler` uses
-for its cool-down map), and the monitor table additionally evicts its
-least-recently-seen record at capacity.
+The server speaks only the time exchange.  A mode-6/7 control-plane
+datagram fails the mode-3 decode and goes unanswered, counted as
+malformed or wrong-mode; the one control-plane responder is
+:class:`repro.ntp.service.NtpControlService`, which the amplification
+study scans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List
 
-from repro.net.clock import VirtualClock
 from repro.net.packet import Datagram
 from repro.net.simnet import Network
-from repro.ntp.control import (
-    MAX_CONTROL_DATA,
-    MODE_CONTROL,
-    MODE_PRIVATE,
-    OP_READSTAT,
-    OP_READVAR,
-    ControlPacket,
-    MonlistEntry,
-    PrivatePacket,
-    fragment_response,
-    is_monlist_request,
-    monlist_deny,
-    monlist_response,
-    peek_mode,
-)
-from repro.ntp.packet import (
-    KISS_RATE,
-    Mode,
-    NtpDecodeError,
-    NtpPacket,
-    kiss_of_death,
-    server_response,
-)
+from repro.ntp.packet import Mode, NtpDecodeError, NtpPacket, server_response
 
 #: UDP port NTP listens on.
 NTP_PORT = 123
 
 #: Observer signature: (client_address, client_port, request, sim_time).
 CaptureHook = Callable[[int, int, NtpPacket, float], None]
-
-#: Requests between TTL sweeps of the per-client maps.
-PRUNE_EVERY = 1024
-
-#: Monitor-table capacity (ntpd's MRU list is likewise bounded).
-MONLIST_CAPACITY = 48
-
-#: Monitor records idle longer than this age out at sweeps (seconds).
-MONITOR_TTL = 86_400.0
-
-#: Version string patched (monlist-refusing) servers advertise.
-DEFAULT_SOFTWARE = "ntpd 4.2.8p17"
 
 
 @dataclass
@@ -86,95 +37,24 @@ class ServerStats:
     responses: int = 0
     malformed: int = 0
     wrong_mode: int = 0
-    rate_limited: int = 0
-    #: Mode-6 control queries answered.
-    control_queries: int = 0
-    #: Mode-7 monlist queries received (answered or dropped).
-    monlist_queries: int = 0
-    #: Monlist queries dropped because the server is patched.
-    monlist_denied: int = 0
-    #: Expired per-client entries evicted by TTL sweeps.
-    clients_pruned: int = 0
-
-
-@dataclass
-class MonitorRecord:
-    """One client's row in the server's recent-client (MRU) table."""
-
-    port: int
-    count: int
-    first_seen: float
-    last_seen: float
-    version: int
-    mode: int
 
 
 class NtpServer:
-    """A pool-member SNTP server bound to one simulated address.
+    """A stratum-2 pool-member SNTP server bound to one simulated address.
 
-    Parameters
-    ----------
-    network, clock:
-        The simulated fabric and its clock.
-    address:
-        The server's IPv6 address (registered as a host if needed).
-    stratum:
-        Advertised stratum (pool servers are typically 2).
-    min_interval:
-        ``> 0`` enables per-client rate limiting: a client querying
-        faster receives a RATE kiss-o'-death instead of time (RFC 5905
-        §7.4) — real pool members defend themselves this way against
-        abusive clients.  The limiter only refreshes a client's
-        timestamp on *served* requests, so a too-fast client recovers
-        after one compliant interval instead of being locked out
-        forever.
-    software_version, monlist_enabled:
-        The control-plane exposure profile: the version string mode-6
-        readvar advertises, and whether mode-7 monlist is answered
-        (pre-4.2.7p26 / v3 behaviour) or silently dropped (patched).
-    monlist_capacity, monitor_ttl, prune_every:
-        Bounds on the per-client maps (see module docstring).
-    control_mtu:
-        Data window per mode-6 response fragment; lower values force
-        multi-packet readvar responses.
+    The server answers on ``network.clock``; ``location`` names it and
+    seeds its reference ID.
     """
 
     def __init__(self, network: Network, address: int, *,
-                 stratum: int = 2,
-                 clock: Optional[VirtualClock] = None,
-                 location: str = "",
-                 min_interval: float = 0.0,
-                 software_version: str = DEFAULT_SOFTWARE,
-                 monlist_enabled: bool = False,
-                 monlist_capacity: int = MONLIST_CAPACITY,
-                 monitor_ttl: float = MONITOR_TTL,
-                 prune_every: int = PRUNE_EVERY,
-                 control_mtu: int = MAX_CONTROL_DATA) -> None:
-        if monlist_capacity < 1:
-            raise ValueError(
-                f"monlist_capacity={monlist_capacity}: must be >= 1")
-        if prune_every < 1:
-            raise ValueError(f"prune_every={prune_every}: must be >= 1")
+                 location: str = "") -> None:
         self.network = network
         self.address = address
-        self.stratum = stratum
-        self.clock = clock or network.clock
+        self.stratum = 2
+        self.clock = network.clock
         self.location = location
-        self.min_interval = min_interval
-        self.software_version = software_version
-        self.monlist_enabled = monlist_enabled
-        self.monlist_capacity = monlist_capacity
-        self.monitor_ttl = monitor_ttl
-        self.prune_every = prune_every
-        self.control_mtu = control_mtu
         self.stats = ServerStats()
         self._capture_hooks: List[CaptureHook] = []
-        self._last_request: Dict[int, float] = {}
-        #: Recent clients in least-recently-seen-first insertion order
-        #: (records are re-inserted on every served request, so the
-        #: front of the dict is always the eviction candidate).
-        self._monitor: Dict[int, MonitorRecord] = {}
-        self._serving = True
         host = network.add_host(address)
         host.bind_udp(NTP_PORT, self._handle)
 
@@ -182,97 +62,8 @@ class NtpServer:
         """Register an address-capture observer."""
         self._capture_hooks.append(hook)
 
-    @property
-    def serving(self) -> bool:
-        """Whether the server answers requests (pool de-registration
-        leaves the server up but eventually idle)."""
-        return self._serving
-
-    @property
-    def tracked_clients(self) -> int:
-        """Size of the rate limiter's last-request map
-        (bounded-memory regression hook)."""
-        return len(self._last_request)
-
-    @property
-    def monitored_clients(self) -> int:
-        """Size of the recent-client monitor table."""
-        return len(self._monitor)
-
-    def stop(self) -> None:
-        """Stop answering (models shutdown after the de-advertising grace)."""
-        self._serving = False
-
-    # -- per-client state bounds ------------------------------------------
-
-    def prune(self, now: Optional[float] = None) -> int:
-        """Evict expired per-client entries; returns the count.
-
-        Rate-limiter entries older than ``min_interval`` would admit
-        anyway, so dropping them is behaviour-neutral (the same
-        argument :meth:`repro.scan.engine.ScanScheduler.prune` makes
-        for its cool-down map); monitor records idle past the TTL age
-        out of monlist responses like ntpd's MRU list recycles slots.
-        """
-        if now is None:
-            now = self.clock.now()
-        expired = [src for src, last in self._last_request.items()
-                   if now - last >= self.min_interval]
-        for src in expired:
-            del self._last_request[src]
-        stale = [src for src, record in self._monitor.items()
-                 if now - record.last_seen >= self.monitor_ttl]
-        for src in stale:
-            del self._monitor[src]
-        evicted = len(expired) + len(stale)
-        self.stats.clients_pruned += evicted
-        return evicted
-
-    def _observe_client(self, datagram: Datagram, request: NtpPacket,
-                        now: float) -> None:
-        """Fold one served request into the monitor (MRU) table."""
-        record = self._monitor.pop(datagram.src, None)
-        if record is None:
-            if len(self._monitor) >= self.monlist_capacity:
-                del self._monitor[next(iter(self._monitor))]
-            record = MonitorRecord(
-                port=datagram.src_port, count=0, first_seen=now,
-                last_seen=now, version=request.version,
-                mode=int(request.mode))
-        record.port = datagram.src_port
-        record.count += 1
-        record.last_seen = now
-        record.version = request.version
-        record.mode = int(request.mode)
-        self._monitor[datagram.src] = record
-
-    def monlist_entries(self, now: Optional[float] = None
-                        ) -> List[MonlistEntry]:
-        """The monitor table as monlist wire entries, most recent first."""
-        if now is None:
-            now = self.clock.now()
-        return [
-            MonlistEntry(
-                address=src, port=record.port, count=record.count,
-                mode=record.mode, version=record.version,
-                last_seen=max(0, int(now - record.last_seen)),
-                first_seen=max(0, int(now - record.first_seen)))
-            for src, record in reversed(list(self._monitor.items()))
-        ]
-
-    # -- request handling --------------------------------------------------
-
     def _handle(self, datagram: Datagram):
-        if not self._serving:
-            return None
         self.stats.requests += 1
-        if self.stats.requests % self.prune_every == 0:
-            self.prune()
-        mode = peek_mode(datagram.payload)
-        if mode == MODE_CONTROL:
-            return self._handle_control(datagram)
-        if mode == MODE_PRIVATE:
-            return self._handle_private(datagram)
         try:
             request = NtpPacket.decode(datagram.payload)
         except NtpDecodeError:
@@ -282,17 +73,6 @@ class NtpServer:
             self.stats.wrong_mode += 1
             return None
         now = self.clock.now()
-        if self.min_interval > 0:
-            last = self._last_request.get(datagram.src)
-            if last is not None and now - last < self.min_interval:
-                # Rejected requests must NOT refresh the timestamp: the
-                # seed server did, so a client polling steadily below
-                # min_interval was kissed forever and could never
-                # recover by backing off.
-                self.stats.rate_limited += 1
-                return kiss_of_death(request, KISS_RATE).encode()
-            self._last_request[datagram.src] = now
-        self._observe_client(datagram, request, now)
         for hook in self._capture_hooks:
             hook(datagram.src, datagram.src_port, request, now)
         response = server_response(
@@ -304,53 +84,6 @@ class NtpServer:
         )
         self.stats.responses += 1
         return response.encode()
-
-    def system_variables(self) -> str:
-        """The readvar payload: the daemon's advertised variables."""
-        return (f'version="{self.software_version}", processor="simnet", '
-                f'system="repro/6", stratum={self.stratum}, '
-                f'refid={(self.location or "SIM").upper()}, leap=00')
-
-    def _handle_control(self, datagram: Datagram) -> Optional[List[bytes]]:
-        try:
-            request = ControlPacket.decode(datagram.payload)
-        except NtpDecodeError:
-            self.stats.malformed += 1
-            return None
-        if request.response:
-            return None
-        self.stats.control_queries += 1
-        if request.opcode == OP_READVAR:
-            data = self.system_variables().encode("ascii")
-            fragments = fragment_response(request, data,
-                                          mtu=self.control_mtu)
-        elif request.opcode == OP_READSTAT:
-            fragments = fragment_response(request, b"")
-        else:
-            fragments = [ControlPacket(
-                opcode=request.opcode, sequence=request.sequence,
-                response=True, error=True, version=request.version)]
-        return [fragment.encode() for fragment in fragments]
-
-    def _handle_private(self, datagram: Datagram) -> Optional[List[bytes]]:
-        try:
-            request = PrivatePacket.decode(datagram.payload)
-        except NtpDecodeError:
-            self.stats.malformed += 1
-            return None
-        if request.response:
-            return None
-        if not is_monlist_request(request):
-            return [monlist_deny(request.sequence).encode()]
-        self.stats.monlist_queries += 1
-        if not self.monlist_enabled:
-            # Patched daemons (and `restrict noquery`) drop mode 7
-            # silently — the scan reads the silence as "not exposed".
-            self.stats.monlist_denied += 1
-            return None
-        packets = monlist_response(self.monlist_entries(),
-                                   sequence=request.sequence)
-        return [packet.encode() for packet in packets]
 
 
 def _reference_id(location: str) -> int:

@@ -1,10 +1,10 @@
 """NTP control-plane responder for scan-facing worlds.
 
 The amplification study scans a dedicated lean world of NTP servers.
-The full :class:`~repro.ntp.server.NtpServer` is a live object wired to
-clocks and capture hooks; this module provides the scan-facing
-alternative — a frozen handler object whose responses are a pure
-function of its constructor state.
+The live :class:`~repro.ntp.server.NtpServer` answers only the mode-3
+time exchange; this module holds the one mode-6/7 responder — a frozen
+handler object whose responses are a pure function of its constructor
+state.
 
 Monitor tables are *pre-seeded* rather than accumulated: a server's
 recent-client table is derived deterministically from ``(seed,
@@ -97,7 +97,7 @@ class NtpControlService:
         self.control_mtu = control_mtu
 
     def system_variables(self) -> str:
-        """The readvar payload (same shape :class:`NtpServer` serves)."""
+        """The readvar payload: the daemon's advertised variables."""
         return (f'version="{self.profile.software_version}", '
                 f'processor="simnet", system="repro/6", '
                 f'stratum={self.stratum}, refid=POOL, leap=00')

@@ -68,12 +68,17 @@ def _utf8_field(text: str) -> bytes:
 
 
 def _read_utf8(data: bytes, offset: int) -> tuple[str, int]:
-    (length,) = struct.unpack_from("!H", data, offset)
     start = offset + 2
+    if start > len(data):
+        raise MqttDecodeError("truncated UTF-8 field length")
+    (length,) = struct.unpack_from("!H", data, offset)
     raw = data[start:start + length]
     if len(raw) != length:
         raise MqttDecodeError("truncated UTF-8 field")
-    return raw.decode("utf-8"), start + length
+    try:
+        return raw.decode("utf-8"), start + length
+    except UnicodeDecodeError as exc:
+        raise MqttDecodeError("UTF-8 field is not valid UTF-8") from exc
 
 
 @dataclass(frozen=True)
@@ -115,6 +120,8 @@ class ConnectPacket:
             raise MqttDecodeError("truncated CONNECT body")
         if body[:6] != _PROTOCOL_NAME:
             raise MqttDecodeError("unexpected protocol name")
+        if len(body) < 10:
+            raise MqttDecodeError("truncated CONNECT variable header")
         level = body[6]
         if level != _PROTOCOL_LEVEL:
             raise MqttDecodeError(f"unsupported protocol level {level}")

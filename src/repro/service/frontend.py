@@ -31,8 +31,8 @@ import json
 import socket
 import socketserver
 import threading
-from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from collections import OrderedDict, deque
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.net.clock import DAY
 from repro.obs.metrics import current_registry
@@ -49,6 +49,10 @@ MAX_REQUEST_BYTES = 64 * 1024
 #: the server drops it, so a client that never sends a newline (or
 #: never reads its reply) cannot hold a server thread for good.
 READ_TIMEOUT = 60.0
+
+#: Most recent query latencies kept for the ``stats`` percentiles; older
+#: samples fall off, so a long-lived server's memory stays flat.
+LATENCY_SAMPLES = 1024
 
 
 class RequestError(ValueError):
@@ -134,7 +138,8 @@ class QueryService:
         #: same WAL span N times.
         self._builds: Dict[Tuple[str, float, float], threading.Lock] = {}
         self._builds_lock = threading.Lock()
-        self._latencies: List[float] = []
+        self._latencies: Deque[float] = deque(maxlen=LATENCY_SAMPLES)
+        self._answered = 0
         self._lock = threading.Lock()
         metrics = current_registry()
         self._m_queries = metrics.counter("service_queries_total")
@@ -153,16 +158,21 @@ class QueryService:
             return cached
         with self._builds_lock:
             build = self._builds.setdefault(key, threading.Lock())
-        with build:
-            cached = self.cache.get(key)
-            if cached is not None:  # someone built it while we waited
-                self._m_hits.inc()
-                return cached
-            frame = self.reader.window(t0, t1, anchor=anchor)
-            self._m_built.inc()
-            self.cache.put(key, frame.document)
-        with self._builds_lock:
-            self._builds.pop(key, None)
+        try:
+            with build:
+                cached = self.cache.get(key)
+                if cached is not None:  # someone built it while we waited
+                    self._m_hits.inc()
+                    return cached
+                frame = self.reader.window(t0, t1, anchor=anchor)
+                self._m_built.inc()
+                self.cache.put(key, frame.document)
+        finally:
+            # Also on a failed build (an anchor compacted away, say):
+            # otherwise each distinct failing window leaves a lock.
+            with self._builds_lock:
+                if self._builds.get(key) is build:
+                    del self._builds[key]
         return frame.document
 
     def query(self, *, since: Optional[float] = None,
@@ -183,6 +193,7 @@ class QueryService:
         self._m_queries.inc()
         with self._lock:
             self._latencies.append(time.perf_counter() - began)
+            self._answered += 1
         return {
             "horizon": horizon / DAY,
             "since": since_days,
@@ -195,8 +206,9 @@ class QueryService:
         """Service-side query statistics (wall-clock lives only here)."""
         with self._lock:
             latencies = list(self._latencies)
+            answered = self._answered
         return {
-            "queries": len(latencies),
+            "queries": answered,
             "latency_p50_ms": _percentile(latencies, 0.50) * 1e3,
             "latency_p99_ms": _percentile(latencies, 0.99) * 1e3,
             "cache": self.cache.stats(),

@@ -115,7 +115,7 @@ class Certificate:
             fingerprint = data[offset:offset + key_length]
             if len(fingerprint) != key_length:
                 raise CertificateDecodeError("truncated key fingerprint")
-        except struct.error as exc:
+        except (struct.error, UnicodeDecodeError) as exc:
             raise CertificateDecodeError(str(exc)) from exc
         return cls(
             subject=subject,

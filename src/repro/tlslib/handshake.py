@@ -91,7 +91,10 @@ def parse_client_hello(data: bytes) -> Optional[str]:
     sni = body[34:34 + sni_length]
     if len(sni) != sni_length:
         raise TlsDecodeError("truncated SNI")
-    return sni.decode("ascii") if sni else None
+    try:
+        return sni.decode("ascii") if sni else None
+    except UnicodeDecodeError as exc:
+        raise TlsDecodeError("SNI is not an ASCII hostname") from exc
 
 
 def server_hello(certificate: Certificate,

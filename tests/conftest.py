@@ -10,6 +10,7 @@ from __future__ import annotations
 import sys
 
 import pytest
+from hypothesis import strategies as st
 
 from repro.core.campaign import CampaignConfig
 from repro.core.pipeline import ExperimentConfig, run_experiment
@@ -31,6 +32,24 @@ def small_world_config(**overrides) -> WorldConfig:
     defaults = dict(seed=20240720, scale=TEST_SCALE)
     defaults.update(overrides)
     return WorldConfig(**defaults)
+
+
+@st.composite
+def mutations_of(draw, valid: bytes) -> bytes:
+    """``valid`` after one to four truncations, byte flips or insertions
+    (the decode-fuzz input for a codec's total-decoder property)."""
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(1, 4))):
+        edit = draw(st.sampled_from(("truncate", "flip", "insert")))
+        if edit == "truncate":
+            del data[draw(st.integers(0, len(data))):]
+        elif edit == "flip" and data:
+            index = draw(st.integers(0, len(data) - 1))
+            data[index] ^= draw(st.integers(1, 255))
+        else:
+            index = draw(st.integers(0, len(data)))
+            data[index:index] = draw(st.binary(min_size=1, max_size=4))
+    return bytes(data)
 
 
 def patch_stored_config(run_dir, **stored) -> None:

@@ -73,7 +73,7 @@ class TestMonitoringDuringCampaign:
             for server in campaign.capture_servers.values()
             if server.location == "India")
         for server in india_bg:
-            server.stop()
+            fresh_world.network.remove_host(server.address)
         campaign.advance_days(4)
         # All India-zone background members are now out of rotation.
         for server in india_bg:

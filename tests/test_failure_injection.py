@@ -92,8 +92,8 @@ class TestBrokenServices:
         from repro.core.collector import CaptureServer, CollectedDataset
 
         dataset = CollectedDataset()
-        capture = CaptureServer(network, parse("2001:500::9"), "X", dataset)
-        capture.server.stop()
+        CaptureServer(network, parse("2001:500::9"), "X", dataset)
+        network.remove_host(parse("2001:500::9"))
         client = NtpClient(network, parse("2001:db8::d"))
         assert client.query(parse("2001:500::9")) is None
         assert len(dataset) == 0

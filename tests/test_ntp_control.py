@@ -9,9 +9,10 @@ Three tiers:
 * **framing** — fragmentation/reassembly windows tile the payload with
   the RFC 1305 more-bit contract, monlist trains pack 6×72-byte
   entries into 440-byte packets;
-* **server dispatch** — a live :class:`NtpServer` answers readvar with
-  its version string, serves monlist from its bounded monitor table
-  when unpatched, and drops mode 7 silently when patched.
+* **responder dispatch** — :class:`NtpControlService`, the one
+  control-plane responder, answers readvar with its version string,
+  serves its monlist table when unpatched and drops mode 7 silently
+  when patched; a live :class:`NtpServer` answers neither.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ipv6 import parse
-from repro.net.simnet import Network
-from repro.ntp.client import NtpClient
 from repro.ntp.control import (
     CONTROL_HEADER_SIZE,
     ERR_NONE,
@@ -53,6 +52,8 @@ from repro.ntp.control import (
 )
 from repro.ntp.packet import NtpDecodeError
 from repro.ntp.server import NtpServer
+from repro.ntp.service import NtpControlService
+from repro.world.ntpprofiles import NtpServerProfile
 
 SERVER = parse("2001:500::1")
 CLIENT = parse("2001:db8::c1")
@@ -306,91 +307,79 @@ class TestMonlistTrain:
         assert amplification_factor(0, 440) == 0.0
 
 
+def deploy_service(network, *, version="ntpd 4.2.6p5", monlist=True,
+                   entries=(), control_mtu=MAX_CONTROL_DATA):
+    profile = NtpServerProfile(software_version=version, ntp_version=4,
+                               monlist_enabled=monlist)
+    service = NtpControlService(profile, list(entries),
+                                control_mtu=control_mtu)
+    network.add_host(SERVER).bind_udp(123, service)
+    return service
+
+
 class TestServerControlDispatch:
     def test_readvar_reports_version(self, network):
-        NtpServer(network, SERVER, location="X",
-                  software_version="ntpd 4.2.6p5")
+        deploy_service(network, version="ntpd 4.2.6p5")
         payloads = control_query(network, readvar_request().encode())
         data = reassemble([ControlPacket.decode(p) for p in payloads])
         assert b'version="ntpd 4.2.6p5"' in data
 
     def test_small_mtu_forces_fragment_train(self, network):
-        server = NtpServer(network, SERVER, location="X", control_mtu=16)
+        service = deploy_service(network, control_mtu=16)
         payloads = control_query(network, readvar_request().encode())
         assert len(payloads) > 1
         data = reassemble([ControlPacket.decode(p) for p in payloads])
-        assert data.decode("ascii") == server.system_variables()
+        assert data.decode("ascii") == service.system_variables()
 
     def test_readstat_answers_empty(self, network):
-        NtpServer(network, SERVER, location="X")
+        deploy_service(network)
         payloads = control_query(network, readstat_request().encode())
         assert len(payloads) == 1
         assert ControlPacket.decode(payloads[0]).data == b""
 
     def test_unknown_opcode_answers_error(self, network):
-        NtpServer(network, SERVER, location="X")
+        deploy_service(network)
         payloads = control_query(
             network, ControlPacket(opcode=31).encode())
         assert ControlPacket.decode(payloads[0]).error
 
     def test_response_packets_ignored(self, network):
-        server = NtpServer(network, SERVER, location="X")
+        deploy_service(network)
         request = ControlPacket(opcode=OP_READVAR, response=True)
         assert control_query(network, request.encode()) == []
-        assert server.stats.control_queries == 0
 
 
 class TestServerMonlist:
-    def serve_clients(self, network, server, count):
-        for index in range(count):
-            client = NtpClient(network, CLIENT + index)
-            assert client.query(SERVER) is not None
-            network.clock.advance(1.0)
-        return server
+    ENTRIES = [MonlistEntry(address=CLIENT + index, port=40000 + index,
+                            count=index + 1) for index in range(13)]
 
     def test_unpatched_serves_recent_clients(self, network):
-        server = NtpServer(network, SERVER, location="X",
-                           monlist_enabled=True)
-        self.serve_clients(network, server, 13)
+        deploy_service(network, monlist=True, entries=self.ENTRIES)
         payloads = control_query(network, monlist_request(7).encode())
         entries, err = decode_monlist(payloads)
         assert err == ERR_NONE
-        assert len(entries) == 13
+        assert entries == self.ENTRIES
         assert len(payloads) == 3  # 6+6+1 entry train
-        # Most recent client first.
-        assert entries[0].address == CLIENT + 12
-        assert server.stats.monlist_queries == 1
-        assert server.stats.monlist_denied == 0
 
     def test_patched_drops_mode7_silently(self, network):
-        server = NtpServer(network, SERVER, location="X",
-                           monlist_enabled=False)
-        self.serve_clients(network, server, 3)
+        deploy_service(network, version="ntpd 4.2.8p17", monlist=False,
+                       entries=self.ENTRIES)
         assert control_query(network, monlist_request().encode()) == []
-        assert server.stats.monlist_queries == 1
-        assert server.stats.monlist_denied == 1
 
     def test_non_monlist_request_denied_explicitly(self, network):
-        NtpServer(network, SERVER, location="X", monlist_enabled=True)
+        deploy_service(network, monlist=True)
         payloads = control_query(
             network, PrivatePacket(request_code=1).encode())
         assert decode_monlist(payloads) == ([], ERR_REQ_DENIED)
 
-    def test_monitor_table_capacity_evicts_lru(self, network):
-        server = NtpServer(network, SERVER, location="X",
-                           monlist_enabled=True, monlist_capacity=8)
-        self.serve_clients(network, server, 20)
-        assert server.monitored_clients == 8
-        entries = server.monlist_entries()
-        # The 8 most recent clients survive, oldest evicted.
-        assert {e.address for e in entries} \
-            == {CLIENT + index for index in range(12, 20)}
 
-    def test_monitor_ttl_prunes_idle_records(self, network):
-        server = NtpServer(network, SERVER, location="X",
-                           monlist_enabled=True, monitor_ttl=10.0)
-        self.serve_clients(network, server, 4)
-        network.clock.advance(100.0)
-        assert server.prune() == 4
-        assert server.monitored_clients == 0
-        assert server.stats.clients_pruned == 4
+class TestLiveServerIsTimeOnly:
+    def test_control_plane_unanswered(self, network):
+        server = NtpServer(network, SERVER, location="X")
+        assert control_query(network, readvar_request().encode()) == []
+        assert control_query(network, monlist_request().encode()) == []
+        # The 12-byte readvar is too short for a mode-3 decode; the
+        # 72-byte monlist request decodes, as mode 7.
+        assert server.stats.malformed == 1
+        assert server.stats.wrong_mode == 1
+        assert server.stats.responses == 0

@@ -38,11 +38,6 @@ class TestExchange:
     def test_query_dead_server(self, network, client):
         assert client.query(parse("2001:db8::dead")) is None
 
-    def test_stopped_server_silent(self, network, server, client):
-        server.stop()
-        assert client.query(SERVER) is None
-        assert not server.serving
-
 
 class TestCapture:
     def test_capture_hook_sees_client(self, network, server, client):

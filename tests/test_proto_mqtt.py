@@ -1,7 +1,7 @@
 """Unit tests for the MQTT 3.1.1 codec and broker session."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.proto.mqtt import (
@@ -15,6 +15,12 @@ from repro.proto.mqtt import (
     decode_varint,
     encode_varint,
 )
+
+from tests.conftest import mutations_of
+
+#: A valid CONNECT carrying every optional field.
+CONNECT = ConnectPacket(client_id="scan", username="u",
+                        password="p").encode()
 
 
 class TestVarint:
@@ -82,6 +88,27 @@ class TestConnectCodec:
         decoded = ConnectPacket.decode(packet.encode())
         assert decoded.client_id == client_id
         assert decoded.username == username
+
+    @pytest.mark.parametrize("data", [
+        b"\x10\x06\x00\x04MQTT",  # no level, flags or keepalive
+        b"\x10\x0c\x00\x04MQTT\x04\x82\x00\x3c\x00\x00",  # no username
+        b"\x10\x0d\x00\x04MQTT\x04\x02\x00\x3c\x00\x01\xff",  # not UTF-8
+    ], ids=["short-body", "missing-field", "bad-utf8"])
+    def test_malformed_connect_closes_broker(self, data):
+        with pytest.raises(MqttDecodeError):
+            ConnectPacket.decode(data)
+        session = MqttBrokerSession(require_auth=False)
+        assert session.on_data(data) is None
+        assert session.closed
+
+    @given(data=mutations_of(CONNECT))
+    @settings(max_examples=300, deadline=None)
+    def test_decode_mutation_fuzz_raises_only_decode_error(self, data):
+        try:
+            packet = ConnectPacket.decode(data)
+        except MqttDecodeError:
+            return
+        assert isinstance(packet, ConnectPacket)
 
 
 class TestConnackCodec:

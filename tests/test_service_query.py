@@ -16,9 +16,11 @@ import pytest
 
 from repro.io.jsonl import grab_from_json, to_canonical_json
 from repro.net.clock import DAY
+from repro.obs import use_registry
 from repro.scan.result import ScanResults
 from repro.service import (
     WINDOW_ANCHOR_SLACK,
+    QueryService,
     WindowedStudyReader,
     window_document,
 )
@@ -197,6 +199,18 @@ def test_windowed_query_detects_compacted_anchor(compactable_store):
     RunStore.open(compactable_store).compact()
     with pytest.raises(CompactedBehindReader, match="that history is gone"):
         reader.window(0.0, 4 * DAY)
+
+
+def test_failed_frame_builds_leave_no_build_lock(compactable_store):
+    RunStore.open(compactable_store).compact()
+    with use_registry():
+        service = QueryService(str(compactable_store))
+        for index in range(20):
+            # Each distinct since starts a window anchored at genesis,
+            # which compaction removed.
+            with pytest.raises(CompactedBehindReader):
+                service.query(since=index * 0.05, window=1, step=1)
+    assert service._builds == {}
 
 
 def test_read_study_survives_compaction(compactable_store):

@@ -91,6 +91,20 @@ def test_warm_cache_skips_store_entirely(service_run):
     assert stats["cache"]["frames"] == len(service.cache)
 
 
+def test_latency_window_is_bounded(service_run, monkeypatch):
+    from repro.service import frontend
+
+    monkeypatch.setattr(frontend, "LATENCY_SAMPLES", 8)
+    _, run_dir = service_run
+    with use_registry():
+        service = QueryService(str(run_dir), window_days=4, step_days=2)
+        for _ in range(20):
+            service.query()
+        stats = service.stats()
+    assert len(service._latencies) == 8
+    assert stats["queries"] == 20
+
+
 def test_frame_cache_evicts_least_recent(service_run):
     _, run_dir = service_run
     with use_registry():

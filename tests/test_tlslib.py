@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ipv6 import parse
@@ -17,14 +17,24 @@ from repro.tlslib.certificate import (
     issue_self_signed,
 )
 from repro.tlslib.handshake import (
+    ALERT_HANDSHAKE_FAILURE,
     ALERT_UNRECOGNIZED_NAME,
     HandshakeStatus,
+    TlsDecodeError,
     TlsTerminator,
+    alert,
     client_hello,
     parse_client_hello,
     perform_handshake,
+    server_hello,
 )
 from repro.tlslib.keys import KeyPool, derive_key, unique_fingerprints
+
+from tests.conftest import mutations_of
+
+#: A valid certificate blob with a SAN list (every field kind present).
+CERT = issue_public("example.sim", issued_at=123.0)
+CERT_BLOB = CERT.encode()
 
 
 class TestKeys:
@@ -115,6 +125,29 @@ class TestCertificates:
         cert = issue_self_signed(subject, lifetime=lifetime)
         assert Certificate.decode(cert.encode()) == cert
 
+    def test_non_utf8_field_fails_handshake_as_not_tls(self):
+        blob = bytearray(CERT_BLOB)
+        blob[2] = 0xFF  # first byte of the subject
+        with pytest.raises(CertificateDecodeError):
+            Certificate.decode(bytes(blob))
+
+        class Replay:
+            def write(self, data):
+                flight = server_hello(CERT)
+                start = flight.index(CERT_BLOB)
+                return flight[:start] + bytes(blob) + flight[start + len(blob):]
+
+        assert perform_handshake(Replay()).status is HandshakeStatus.NOT_TLS
+
+    @given(data=mutations_of(CERT_BLOB))
+    @settings(max_examples=300, deadline=None)
+    def test_decode_mutation_fuzz_raises_only_decode_error(self, data):
+        try:
+            cert = Certificate.decode(data)
+        except CertificateDecodeError:
+            return
+        assert isinstance(cert, Certificate)
+
 
 class TestClientHello:
     def test_sni_roundtrip(self):
@@ -124,9 +157,26 @@ class TestClientHello:
         assert parse_client_hello(client_hello(None)) is None
 
     def test_rejects_http(self):
-        from repro.tlslib.handshake import TlsDecodeError
         with pytest.raises(TlsDecodeError):
             parse_client_hello(b"GET / HTTP/1.1\r\n\r\n")
+
+    def test_non_ascii_sni_gets_handshake_failure(self):
+        hello = bytearray(client_hello("example.sim"))
+        hello[-1] = 0xFF  # last byte of the SNI
+        with pytest.raises(TlsDecodeError):
+            parse_client_hello(bytes(hello))
+        terminator = TlsTerminator(issue_public("example.sim"))
+        assert terminator.respond(bytes(hello)) \
+            == alert(ALERT_HANDSHAKE_FAILURE)
+
+    @given(data=mutations_of(client_hello("example.sim")))
+    @settings(max_examples=300, deadline=None)
+    def test_decode_mutation_fuzz_raises_only_decode_error(self, data):
+        try:
+            hostname = parse_client_hello(data)
+        except TlsDecodeError:
+            return
+        assert hostname is None or isinstance(hostname, str)
 
 
 class TestTerminator:

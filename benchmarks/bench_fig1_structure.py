@@ -2,8 +2,8 @@
 
 Also hosts the columnar scaling sweep: classification throughput of the
 scalar loop vs the packed AddressColumn at 10^4..10^6 addresses, with a
-hard gate requiring the *pure-python* columnar path to beat the scalar
-path by >= 3x at the largest size.
+hard gate requiring the column to beat the scalar path by >= 3x at the
+largest size.
 """
 
 import os
@@ -14,7 +14,7 @@ from benchmarks.conftest import write_report
 from repro.analysis import structure
 from repro.ipv6 import address as addr
 from repro.ipv6 import eui64, iid
-from repro.ipv6.columnar import AddressColumn, available_backends
+from repro.ipv6.columnar import AddressColumn
 from repro.ipv6.iid import CLASSES
 from repro.report import fmt_pct, render_table, shape_check
 
@@ -73,8 +73,8 @@ def test_fig1_structure(experiment, benchmark):
 #: (e.g. REPRO_BENCH_COLUMNAR_MAX=100000).
 MAX_SWEEP = int(os.environ.get("REPRO_BENCH_COLUMNAR_MAX", str(10**6)))
 
-#: The pure-python column must beat the scalar loop by this factor at
-#: the largest sweep size (conversion from ints included).
+#: The column must beat the scalar loop by this factor at the largest
+#: sweep size (conversion from ints included).
 GATE_SPEEDUP = 3.0
 
 
@@ -114,51 +114,31 @@ def _time(fn):
 
 
 def test_fig1_columnar_scaling_gate():
-    """Scaling sweep 10^4 -> 10^6 + the >=3x pure-python speedup gate."""
+    """Scaling sweep 10^4 -> 10^6 + the >=3x columnar speedup gate."""
     sizes = [size for size in (10**4, 10**5, 10**6) if size <= MAX_SWEEP]
-    backends = available_backends()
     rows = []
-    final_speedups = {}
     for size in sizes:
         values = _synthetic_corpus(size)
         scalar_profile, scalar_s = _time(lambda: iid.profile_scalar(values))
-        row = [f"{size:,}", f"{scalar_s:.3f}s"]
-        for backend in ("python", "numpy"):
-            if backend not in backends:
-                row += ["n/a", "n/a"]
-                continue
-            # Conversion is charged to the columnar path: the gate
-            # covers "ints in hand -> profile out", not just the kernel.
-            def columnar():
-                column = AddressColumn.from_ints(values, backend=backend)
-                return iid.profile(column)
-            col_profile, col_s = _time(columnar)
-            assert col_profile.as_dict() == scalar_profile.as_dict(), \
-                f"columnar/{backend} diverged from scalar at n={size}"
-            speedup = scalar_s / col_s if col_s else float("inf")
-            row += [f"{col_s:.3f}s", f"{speedup:.1f}x"]
-            if size == sizes[-1]:
-                final_speedups[backend] = speedup
-        rows.append(row)
+        # Conversion is charged to the columnar path: the gate covers
+        # "ints in hand -> profile out", not just the kernel.
+        col_profile, col_s = _time(
+            lambda: iid.profile(AddressColumn.from_ints(values)))
+        assert col_profile.as_dict() == scalar_profile.as_dict(), \
+            f"columnar diverged from scalar at n={size}"
+        speedup = scalar_s / col_s if col_s else float("inf")
+        rows.append([f"{size:,}", f"{scalar_s:.3f}s", f"{col_s:.3f}s",
+                     f"{speedup:.1f}x"])
 
     text = render_table(
-        ["addresses", "scalar", "python col", "speedup",
-         "numpy col", "speedup"],
+        ["addresses", "scalar", "column", "speedup"],
         rows, title="Columnar IID classification scaling "
                     "(conversion included)")
-    checks = [
-        shape_check(
-            f"pure-python columnar >= {GATE_SPEEDUP}x scalar at "
-            f"{sizes[-1]:,} addresses",
-            final_speedups["python"] >= GATE_SPEEDUP),
-    ]
-    if "numpy" in final_speedups:
-        checks.append(shape_check(
-            "numpy columnar at least as fast as pure-python",
-            final_speedups["numpy"] >= final_speedups["python"]))
-    text += "\n\n" + "\n".join(checks)
+    text += "\n\n" + shape_check(
+        f"columnar >= {GATE_SPEEDUP}x scalar at {sizes[-1]:,} addresses",
+        speedup >= GATE_SPEEDUP)
     write_report("fig1_structure_scaling", text)
 
-    assert final_speedups["python"] >= GATE_SPEEDUP, (
-        f"pure-python columnar speedup {final_speedups['python']:.2f}x "
-        f"below the {GATE_SPEEDUP}x gate at n={sizes[-1]:,}")
+    assert speedup >= GATE_SPEEDUP, (
+        f"columnar speedup {speedup:.2f}x below the {GATE_SPEEDUP}x gate "
+        f"at n={sizes[-1]:,}")

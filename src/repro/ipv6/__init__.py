@@ -1,4 +1,4 @@
-"""IPv6 address substrate: parsing, IID structure, EUI-64, aggregation."""
+"""IPv6 address substrate: parsing, IID structure, EUI-64, packed columns."""
 
 from repro.ipv6.address import (
     ADDRESS_BITS,
@@ -10,11 +10,10 @@ from repro.ipv6.address import (
     parse_network,
     prefix,
 )
-from repro.ipv6.columnar import AddressColumn, available_backends, resolve_backend
+from repro.ipv6.columnar import AddressColumn
 from repro.ipv6.eui64 import extract_mac, format_mac, mac_to_iid, parse_mac
 from repro.ipv6.iid import CLASSES, classify_iid, profile
 from repro.ipv6.oui import OuiRegistry, default_registry
-from repro.ipv6.aggregation import PrefixAggregator, overlap
 
 __all__ = [
     "ADDRESS_BITS",
@@ -22,9 +21,6 @@ __all__ = [
     "AddressColumn",
     "CLASSES",
     "OuiRegistry",
-    "PrefixAggregator",
-    "available_backends",
-    "resolve_backend",
     "classify_iid",
     "default_registry",
     "extract_mac",
@@ -33,7 +29,6 @@ __all__ = [
     "format_network",
     "mac_to_iid",
     "network_key",
-    "overlap",
     "parse",
     "parse_mac",
     "parse_network",

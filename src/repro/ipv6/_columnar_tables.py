@@ -1,15 +1,15 @@
-"""Shared lookup tables for the columnar IID-classification kernels.
+"""Partition table behind the columnar IID-classification kernel.
 
-Both columnar backends (:mod:`repro.ipv6._columnar_python` and
-:mod:`repro.ipv6._columnar_numpy`) classify interface identifiers by the
-Shannon byte-entropy of their 8 IID bytes.  Computing the entropy per
-address would be slow (and float-summation order would vary with the
-byte order of each address), so the kernels reduce every IID to a
-*partition signature* — the multiset of its byte counts — and look the
-answer up here.
+:meth:`repro.ipv6.columnar.AddressColumn.class_counts` classifies
+interface identifiers by the Shannon byte-entropy of their 8 IID bytes.
+Computing the entropy per address would be slow (and float-summation
+order would vary with the byte order of each address), so the kernel
+reduces every IID to its number of distinct bytes, a collapse of the
+*partition signature* — the multiset of its byte counts — tabulated
+here.
 
-Why a lookup is exact
----------------------
+Why the table is exact
+----------------------
 
 An 8-byte identifier has only 22 possible byte-count partitions of 8,
 and its entropy is a pure function of the partition.  The scalar path
@@ -22,15 +22,12 @@ threshold is composed exclusively of dyadic probabilities (1/8, 1/4,
 and every other partition sits far (>= 0.05 bits) from both thresholds.
 The guard at the bottom of this module enforces that margin at import
 time, and ``tests/test_ipv6_columnar.py`` re-proves the table against
-the scalar formula for every partition.
+the scalar formula for every partition, and the kernel's
+distinct-byte-count rule against the table.
 
-The tables are keyed two ways:
-
-* ``MASK_*`` — by the 7-bit *boundary mask* of the row-sorted IID bytes
-  (bit ``i`` set iff ``sorted[i] != sorted[i+1]``), which the numpy
-  backend computes with ``np.packbits``;
-* ``PARTITION_ENTROPY`` — by the descending byte-count tuple, which the
-  pure-python backend derives from ``bytes.count``.
+The partitions are enumerated through the 7-bit *boundary mask* of a
+row-sorted IID (bit ``i`` set iff ``sorted[i] != sorted[i+1]``): the
+128 masks reach every partition of 8.
 """
 
 from __future__ import annotations
@@ -93,22 +90,12 @@ MASK_RUNS: Tuple[Tuple[int, ...], ...] = tuple(
     runs_of_mask(mask) for mask in range(1 << (IID_BYTES - 1))
 )
 
-#: Boundary mask -> canonical byte entropy.
-MASK_ENTROPY: Tuple[float, ...] = tuple(
-    entropy_of_counts(runs) for runs in MASK_RUNS
-)
-
-#: Boundary mask -> entropy class code (CODE_LOW/MEDIUM/HIGH_ENTROPY).
-MASK_CODE: Tuple[int, ...] = tuple(
-    entropy_code(entropy) for entropy in MASK_ENTROPY
-)
-
 #: Every byte-count partition of 8, with its canonical entropy.
 PARTITION_ENTROPY: Dict[Tuple[int, ...], float] = {
-    runs: entropy for runs, entropy in zip(MASK_RUNS, MASK_ENTROPY)
+    runs: entropy_of_counts(runs) for runs in MASK_RUNS
 }
 
-#: Partition -> entropy class code (pure-python histogram path).
+#: Partition -> entropy class code.
 PARTITION_CODE: Dict[Tuple[int, ...], int] = {
     runs: entropy_code(entropy) for runs, entropy in PARTITION_ENTROPY.items()
 }

@@ -148,14 +148,6 @@ def iter_subnets(base: int, length: int, sub_length: int) -> Iterator[int]:
 
 
 def distinct_networks(addresses: Iterable[int], length: int) -> set[int]:
-    """Return the set of ``/length`` network keys covering ``addresses``.
-
-    A packed :class:`~repro.ipv6.columnar.AddressColumn` is bucketed by
-    its columnar kernel (duck-typed to keep this base module free of
-    columnar imports); plain iterables take the scalar path.
-    """
-    bucketer = getattr(addresses, "distinct_network_keys", None)
-    if bucketer is not None:
-        return bucketer(length)
+    """Return the set of ``/length`` network keys covering ``addresses``."""
     shift = ADDRESS_BITS - length
     return {value >> shift for value in addresses}

@@ -1,96 +1,44 @@
-"""Columnar address engine: packed address sets with vectorised kernels.
+"""Columnar address engine: packed address sets with whole-column kernels.
 
 The paper's corpus is 3.04 B NTP-observed addresses; walking Python
 integers one ``classify_iid`` call at a time does not survive that
 scale.  An :class:`AddressColumn` stores an address *sequence* as one
-contiguous buffer of 16 big-endian bytes per address and runs every
-structure analysis the repo needs — IID-class counts (Figure 1),
-byte-entropy and per-nybble histograms, EUI-64 extraction, prefix
-bucketing at arbitrary levels (Table 1/5), sorted-merge dedup and set
-intersection (hitlist overlap) — as whole-column kernels.
+contiguous buffer of 16 big-endian bytes per address and runs the
+address-set analyses the repo needs — IID-class counts (Figure 1),
+prefix bucketing at arbitrary levels (Table 1, dealiasing), sorted
+dedup and set intersection (Table 1 overlaps) — as whole-column
+kernels.  The kernels lean on C-level ``bytes`` operations — slicing,
+``set``, ``bytes.count``, ``struct.unpack`` — so the column beats the
+per-address scalar path several times over (gated in
+``benchmarks/bench_fig1_structure.py``).
 
-Each kernel is implemented twice behind one interface:
-
-* ``numpy`` (:mod:`repro.ipv6._columnar_numpy`) — vectorised, selected
-  automatically when numpy is importable;
-* ``python`` (:mod:`repro.ipv6._columnar_python`) — ``bytes``/``struct``
-  based fallback with identical results, still several times faster
-  than the scalar path (gated in ``benchmarks/bench_fig1_structure.py``).
-
-Backend choice is per-column: the ``backend=`` argument wins, then the
-``REPRO_COLUMNAR_BACKEND`` environment variable (``python``, ``numpy``
-or ``auto``), then auto-detection.  The scalar functions in
-:mod:`repro.ipv6.iid`, :mod:`~repro.ipv6.eui64` and
+The scalar functions in :mod:`repro.ipv6.iid` and
 :mod:`~repro.ipv6.address` remain the semantic reference; the
-equivalence contract (identical counts, histograms, overlaps under both
-backends and the scalar path) is property-tested in
-``tests/test_ipv6_columnar.py`` and re-run without numpy by the
-``columnar-parity`` CI job.  See DESIGN.md §10.
+equivalence contract (identical counts, buckets and overlaps) is
+property-tested in ``tests/test_ipv6_columnar.py``.  See DESIGN.md §10.
 """
 
 from __future__ import annotations
 
-import ipaddress
-import math
-import os
+import struct
 from collections import Counter
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Set, Tuple, Union
 
 from repro.ipv6 import iid as iidmod
+from repro.ipv6._columnar_tables import (
+    CODE_EUI64,
+    CODE_HIGH_ENTROPY,
+    CODE_LOW_BYTE,
+    CODE_LOW_ENTROPY,
+    CODE_LOW_TWO_BYTES,
+    CODE_MEDIUM_ENTROPY,
+    CODE_ZERO,
+)
 
 #: Bytes per packed address.
 ITEM_BYTES = 16
 
-#: Environment variable forcing a backend (``python``/``numpy``/``auto``).
-BACKEND_ENV = "REPRO_COLUMNAR_BACKEND"
-
-#: Recognised backend names.
-BACKEND_NAMES = ("python", "numpy")
-
-
-class BackendUnavailable(RuntimeError):
-    """A requested columnar backend cannot be imported."""
-
-
-def _load_backend(name: str):
-    if name == "python":
-        from repro.ipv6 import _columnar_python
-        return _columnar_python
-    if name == "numpy":
-        try:
-            from repro.ipv6 import _columnar_numpy
-        except ImportError as error:
-            raise BackendUnavailable(
-                "columnar backend 'numpy' requested but numpy is not "
-                "importable; install numpy or set "
-                f"{BACKEND_ENV}=python") from error
-        return _columnar_numpy
-    raise ValueError(
-        f"unknown columnar backend {name!r}; expected one of "
-        f"{BACKEND_NAMES + ('auto',)}")
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Backend names importable in this interpreter."""
-    names: List[str] = ["python"]
-    try:
-        _load_backend("numpy")
-    except BackendUnavailable:
-        pass
-    else:
-        names.append("numpy")
-    return tuple(names)
-
-
-def resolve_backend(name: Optional[str] = None):
-    """Resolve a backend module from an explicit name or the environment."""
-    requested = name or os.environ.get(BACKEND_ENV) or "auto"
-    if requested == "auto":
-        try:
-            return _load_backend("numpy")
-        except BackendUnavailable:
-            return _load_backend("python")
-    return _load_backend(requested)
+_ZERO6 = b"\x00" * 6
 
 
 def _pack(value: int) -> bytes:
@@ -107,197 +55,97 @@ class AddressColumn:
     The column preserves input order and duplicates (it is a sequence,
     not a set) so that analyses which weight by occurrence — Figure 1
     shares, density denominators — match the scalar path exactly.
-    Set-like views (:meth:`dedup`, :meth:`intersect`, :meth:`union`)
-    return new sorted-unique columns.
+    Set-like views (:meth:`dedup`, :meth:`intersect`) return new
+    sorted-unique columns.
     """
 
-    __slots__ = ("_data", "_backend", "_sorted_unique")
+    __slots__ = ("_data", "_sorted_unique")
 
-    def __init__(self, data: bytes = b"", *, backend: Optional[str] = None,
+    def __init__(self, data: bytes = b"", *,
                  _sorted_unique: bool = False) -> None:
         if len(data) % ITEM_BYTES:
             raise ValueError(
                 f"packed column length {len(data)} is not a multiple "
                 f"of {ITEM_BYTES}")
         self._data = bytes(data)
-        self._backend = resolve_backend(backend)
         self._sorted_unique = _sorted_unique
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_ints(cls, values: Iterable[int], *,
-                  backend: Optional[str] = None) -> "AddressColumn":
+    def from_ints(cls, values: Iterable[int]) -> "AddressColumn":
         """Build from an iterable of integer addresses (streaming)."""
         buffer = bytearray()
         for value in values:
             buffer += _pack(value)
-        return cls(bytes(buffer), backend=backend)
+        return cls(bytes(buffer))
 
     @classmethod
-    def from_strings(cls, texts: Iterable[str], *,
-                     backend: Optional[str] = None) -> "AddressColumn":
-        """Build from an iterable of textual IPv6 addresses (streaming)."""
-        buffer = bytearray()
-        for text in texts:
-            buffer += ipaddress.IPv6Address(text).packed
-        return cls(bytes(buffer), backend=backend)
-
-    @classmethod
-    def from_packed(cls, data: bytes, *,
-                    backend: Optional[str] = None) -> "AddressColumn":
-        """Wrap an existing packed buffer (no copy beyond ``bytes()``)."""
-        return cls(data, backend=backend)
-
-    @classmethod
-    def from_records(cls, records: Iterable[Mapping], *,
-                     field: str = "addr",
-                     backend: Optional[str] = None) -> "AddressColumn":
-        """Build from a store/WAL record stream without materializing a
-        list per address.
-
-        ``records`` is any iterable of mappings (e.g. WAL ``sighting``
-        payloads); entries lacking ``field`` are skipped, values may be
-        integers or RFC 5952 strings.
-        """
-        buffer = bytearray()
-        for record in records:
-            value = record.get(field)
-            if value is None:
-                continue
-            if isinstance(value, str):
-                buffer += ipaddress.IPv6Address(value).packed
-            else:
-                buffer += _pack(value)
-        return cls(bytes(buffer), backend=backend)
-
-    @classmethod
-    def coerce(cls, addresses: Union["AddressColumn", Iterable[int]], *,
-               backend: Optional[str] = None) -> "AddressColumn":
+    def coerce(cls, addresses: Union["AddressColumn", Iterable[int]]
+               ) -> "AddressColumn":
         """Return ``addresses`` itself if already a column, else pack it."""
         if isinstance(addresses, AddressColumn):
             return addresses
-        return cls.from_ints(addresses, backend=backend)
+        return cls.from_ints(addresses)
 
     # -- sequence protocol -------------------------------------------------
 
     def __len__(self) -> int:
         return len(self._data) // ITEM_BYTES
 
-    def __bool__(self) -> bool:
-        return bool(self._data)
-
-    def __getitem__(self, index: int) -> int:
-        count = len(self)
-        if index < 0:
-            index += count
-        if not 0 <= index < count:
-            raise IndexError(index)
-        offset = index * ITEM_BYTES
-        return int.from_bytes(self._data[offset:offset + ITEM_BYTES], "big")
-
     def __iter__(self) -> Iterator[int]:
         data = self._data
         for offset in range(0, len(data), ITEM_BYTES):
             yield int.from_bytes(data[offset:offset + ITEM_BYTES], "big")
 
-    def values(self) -> Iterator[int]:
-        """Iterate the addresses as integers (alias of ``iter``)."""
-        return iter(self)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, AddressColumn):
-            return self._data == other._data
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._data)
-
     def __repr__(self) -> str:
-        return (f"AddressColumn(n={len(self)}, "
-                f"backend={self._backend.NAME!r})")
+        return f"AddressColumn(n={len(self)})"
 
-    # -- representation ----------------------------------------------------
-
-    @property
-    def backend_name(self) -> str:
-        """Which kernel implementation this column dispatches to."""
-        return self._backend.NAME
-
-    @property
-    def is_sorted_unique(self) -> bool:
-        return self._sorted_unique
-
-    def tobytes(self) -> bytes:
-        """The packed big-endian buffer (16 bytes per address)."""
-        return self._data
-
-    def with_backend(self, backend: Optional[str]) -> "AddressColumn":
-        """The same column dispatching to a different backend."""
-        column = AddressColumn(self._data, backend=backend,
-                               _sorted_unique=self._sorted_unique)
-        return column
-
-    def contains(self, value: int) -> bool:
-        """Exact membership test (binary search when sorted-unique)."""
-        packed = _pack(value)
+    def _rows(self) -> List[bytes]:
         data = self._data
-        if self._sorted_unique:
-            lo, hi = 0, len(self)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                row = data[mid * ITEM_BYTES:(mid + 1) * ITEM_BYTES]
-                if row < packed:
-                    lo = mid + 1
-                elif row > packed:
-                    hi = mid
-                else:
-                    return True
-            return False
-        index = data.find(packed)
-        while index != -1 and index % ITEM_BYTES:
-            index = data.find(packed, index + 1)
-        return index != -1
-
-    __contains__ = contains
+        return [data[offset:offset + ITEM_BYTES]
+                for offset in range(0, len(data), ITEM_BYTES)]
 
     # -- structure kernels -------------------------------------------------
 
     def class_counts(self) -> Dict[str, int]:
-        """Addresses per IID class, keyed in ``iid.CLASSES`` order."""
-        counts = self._backend.class_counts(self._data, len(self))
+        """Addresses per IID class, keyed in ``iid.CLASSES`` order.
+
+        The entropy classes are decided by the *distinct-byte-count
+        rule*, a collapse of the partition table in
+        ``_columnar_tables``: with ``d`` distinct bytes among 8, every
+        partition with ``d <= 2`` has entropy <= 1.0 (low), every ``d``
+        in {3, 4} lands in (1.0, 2.0] (medium), ``d >= 6`` always
+        exceeds 2.0 (high), and ``d == 5`` is medium exactly for the
+        [4,1,1,1,1] partition (entropy 2.0).  The rule is proven against
+        the table in ``tests/test_ipv6_columnar.py``.
+        """
+        counts = [0] * 7
+        data = self._data
+        for offset in range(8, len(data), ITEM_BYTES):
+            identifier = data[offset:offset + 8]
+            if identifier[:6] == _ZERO6:
+                if identifier[6]:
+                    counts[CODE_LOW_TWO_BYTES] += 1
+                elif identifier[7]:
+                    counts[CODE_LOW_BYTE] += 1
+                else:
+                    counts[CODE_ZERO] += 1
+            elif identifier[3] == 0xFF and identifier[4] == 0xFE:
+                counts[CODE_EUI64] += 1
+            else:
+                distinct = set(identifier)
+                spread = len(distinct)
+                if spread > 5:
+                    counts[CODE_HIGH_ENTROPY] += 1
+                elif spread < 3:
+                    counts[CODE_LOW_ENTROPY] += 1
+                elif spread == 5 and \
+                        max(map(identifier.count, distinct)) != 4:
+                    counts[CODE_HIGH_ENTROPY] += 1
+                else:
+                    counts[CODE_MEDIUM_ENTROPY] += 1
         return dict(zip(iidmod.CLASSES, counts))
-
-    def iid_entropy_histogram(self) -> Dict[float, int]:
-        """Histogram of IID byte-entropy values (canonical floats)."""
-        return self._backend.iid_entropy_histogram(self._data, len(self))
-
-    def nybble_value_counts(self) -> List[List[int]]:
-        """Value histogram per nybble position: 32 rows of 16 counts."""
-        return self._backend.nybble_value_counts(self._data, len(self))
-
-    def nybble_entropy(self) -> List[float]:
-        """Shannon entropy (bits) of the value distribution at each of
-        the 32 nybble positions — the hitlist-style structure profile."""
-        total = len(self)
-        entropies: List[float] = []
-        for counts in self.nybble_value_counts():
-            entropy = 0.0
-            for count in counts:
-                if count:
-                    probability = count / total
-                    entropy -= probability * math.log2(probability)
-            entropies.append(entropy + 0.0)
-        return entropies
-
-    def eui64(self) -> "AddressColumn":
-        """The sub-column of addresses with EUI-64-formed IIDs."""
-        return AddressColumn(
-            self._backend.eui64_select(self._data, len(self)),
-            backend=self._backend.NAME)
-
-    def eui64_count(self) -> int:
-        return len(self.eui64())
 
     # -- prefix bucketing --------------------------------------------------
 
@@ -305,77 +153,53 @@ class AddressColumn:
         """Distinct ``/level`` network key -> number of rows in it.
 
         Keys are shifted down (``value >> (128 - level)``), matching
-        :func:`repro.ipv6.address.network_key`.  Iteration order is
-        backend-dependent; use :meth:`network_key_counts_ordered` when
-        first-occurrence order matters.
+        :func:`repro.ipv6.address.network_key`, and come in
+        first-occurrence order.
         """
-        self._check_level(level)
-        return self._backend.network_key_counts(self._data, len(self), level)
+        if not 0 <= level <= 128:
+            raise ValueError(
+                f"prefix length must be in [0, 128], got {level}")
+        count = len(self)
+        if count == 0:
+            return {}
+        if level == 0:
+            return {0: count}
+        # The column as alternating (high, low) 64-bit big-endian words.
+        words = struct.unpack(f">{2 * count}Q", self._data)
+        high = words[0::2]
+        if level <= 64:
+            shift = 64 - level
+            return dict(Counter(value >> shift for value in high))
+        low = words[1::2]
+        up, down = level - 64, 128 - level
+        return dict(Counter(
+            (h << up) | (l >> down) for h, l in zip(high, low)))
 
     def network_key_counts_ordered(self, level: int) -> List[Tuple[int, int]]:
         """``(key, count)`` pairs in first-occurrence order."""
-        self._check_level(level)
-        return self._backend.network_key_counts_ordered(
-            self._data, len(self), level)
-
-    def network_counts(self, level: int) -> Counter:
-        """:meth:`network_key_counts` as a :class:`Counter`."""
-        return Counter(self.network_key_counts(level))
+        return list(self.network_key_counts(level).items())
 
     def distinct_network_keys(self, level: int) -> Set[int]:
         """The set of ``/level`` keys covering the column."""
         return set(self.network_key_counts(level))
 
-    def distinct_network_count(self, level: int) -> int:
-        """Number of distinct ``/level`` networks covered."""
-        return len(self.network_key_counts(level))
-
-    def truncate(self, level: int) -> "AddressColumn":
-        """Every address truncated to its ``/level`` prefix (in place
-        value-wise, order and duplicates preserved)."""
-        self._check_level(level)
-        return AddressColumn(
-            self._backend.truncate(self._data, len(self), level),
-            backend=self._backend.NAME)
-
     # -- set algebra -------------------------------------------------------
-
-    def sort(self) -> "AddressColumn":
-        """Ascending copy (duplicates preserved)."""
-        return AddressColumn(self._backend.sort(self._data, len(self)),
-                             backend=self._backend.NAME)
+    #
+    # Byte order on 16-byte big-endian rows equals numeric order, so
+    # sorting the packed rows sorts the addresses.
 
     def dedup(self) -> "AddressColumn":
-        """Sorted copy with duplicates collapsed (sorted-merge dedup)."""
+        """Sorted copy with duplicates collapsed."""
         if self._sorted_unique:
             return self
-        return AddressColumn(self._backend.sort_dedup(self._data, len(self)),
-                             backend=self._backend.NAME, _sorted_unique=True)
+        return AddressColumn(b"".join(sorted(set(self._rows()))),
+                             _sorted_unique=True)
 
     def intersect(self, other: "AddressColumn") -> "AddressColumn":
         """Sorted-unique column of addresses present in both columns."""
-        left, right = self.dedup(), other.dedup()
-        return AddressColumn(
-            self._backend.intersect_sorted(left._data, len(left),
-                                           right._data, len(right)),
-            backend=self._backend.NAME, _sorted_unique=True)
+        common = set(self._rows()) & set(other._rows())
+        return AddressColumn(b"".join(sorted(common)), _sorted_unique=True)
 
     def intersection_count(self, other: "AddressColumn") -> int:
         """Number of exact addresses shared with ``other``."""
         return len(self.intersect(other))
-
-    def union(self, other: "AddressColumn") -> "AddressColumn":
-        """Sorted-unique column of addresses present in either column."""
-        left, right = self.dedup(), other.dedup()
-        return AddressColumn(
-            self._backend.union_sorted(left._data, len(left),
-                                       right._data, len(right)),
-            backend=self._backend.NAME, _sorted_unique=True)
-
-    # -- helpers -----------------------------------------------------------
-
-    @staticmethod
-    def _check_level(level: int) -> None:
-        if not 0 <= level <= 128:
-            raise ValueError(
-                f"prefix length must be in [0, 128], got {level}")

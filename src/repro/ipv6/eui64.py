@@ -14,8 +14,6 @@ OUI (top 24 bits of the MAC) to the device vendor via the IEEE registry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.ipv6 import address as addr
 
 #: The two marker bytes inserted into the middle of an EUI-64 IID.
@@ -101,44 +99,3 @@ def parse_mac(text: str) -> int:
     if len(cleaned) != 6:
         raise ValueError(f"malformed MAC address: {text!r}")
     return int.from_bytes(bytes(int(part, 16) for part in cleaned), "big")
-
-
-@dataclass(frozen=True)
-class EmbeddedMac:
-    """A MAC recovered from an address, with its classification bits."""
-
-    address: int
-    mac: int
-
-    @property
-    def oui(self) -> int:
-        return oui_of(self.mac)
-
-    @property
-    def universal(self) -> bool:
-        return is_universal(self.mac)
-
-    @property
-    def multicast(self) -> bool:
-        return is_multicast(self.mac)
-
-
-def scan_addresses(addresses) -> list[EmbeddedMac]:
-    """Extract every embedded MAC from an iterable of addresses.
-
-    An :class:`~repro.ipv6.columnar.AddressColumn` input is filtered by
-    the columnar EUI-64 kernel first, so only marker-carrying addresses
-    are materialized as Python objects; any other iterable takes the
-    scalar path.  Output order follows input order in both cases.
-    """
-    from repro.ipv6.columnar import AddressColumn
-
-    if isinstance(addresses, AddressColumn):
-        return [EmbeddedMac(address=value, mac=iid_to_mac(value & addr.IID_MASK))
-                for value in addresses.eui64()]
-    found = []
-    for value in addresses:
-        mac = extract_mac(value)
-        if mac is not None:
-            found.append(EmbeddedMac(address=value, mac=mac))
-    return found

@@ -56,7 +56,10 @@ def _read_short_str(data: bytes, offset: int) -> Tuple[str, int]:
     raw = data[start:start + length]
     if len(raw) != length:
         raise AmqpDecodeError("truncated short string body")
-    return raw.decode("utf-8"), start + length
+    try:
+        return raw.decode("utf-8"), start + length
+    except UnicodeDecodeError as exc:
+        raise AmqpDecodeError("short string is not valid UTF-8") from exc
 
 
 def encode_frame(channel: int, payload: bytes, frame_type: int = FRAME_METHOD) -> bytes:
@@ -188,7 +191,10 @@ def parse_method(data: bytes):
     decoder = decoders.get((class_id, method_id))
     if decoder is None:
         raise AmqpDecodeError(f"unknown method {class_id}.{method_id}")
-    return decoder(payload)
+    try:
+        return decoder(payload)
+    except struct.error as exc:
+        raise AmqpDecodeError("truncated method arguments") from exc
 
 
 class AmqpBrokerSession:

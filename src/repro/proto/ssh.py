@@ -100,7 +100,7 @@ def decode_keyreply(data: bytes) -> KeyIdentity:
         fingerprint = data[offset:offset + fp_length]
         if len(fingerprint) != fp_length:
             raise SshDecodeError("truncated fingerprint")
-    except struct.error as exc:
+    except (struct.error, UnicodeDecodeError) as exc:
         raise SshDecodeError(str(exc)) from exc
     return KeyIdentity(fingerprint=fingerprint, algorithm=algorithm)
 

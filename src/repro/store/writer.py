@@ -156,15 +156,14 @@ class StoreWriter(Stage):
 
     # -- durability points -------------------------------------------------
 
-    def checkpoint(self, state_fn: Callable[[], Dict],
-                   *, compact: bool = False) -> Optional[Checkpoint]:
-        """Sync the WAL, snapshot state, optionally compact old segments.
+    def checkpoint(self, state_fn: Callable[[], Dict]) -> Optional[Checkpoint]:
+        """Sync the WAL and snapshot state.
 
         ``state_fn`` is a thunk so resumed runs skip the snapshot cost:
         in verify mode the checkpoints already exist for this prefix and
-        the call is a no-op.  Compaction is opt-in (``repro store
-        compact`` or ``compact=True``): it trades replayable/analyzable
-        history for disk, so the pipeline never triggers it implicitly.
+        the call is a no-op.  A checkpoint never compacts: compaction
+        trades replayable/analyzable history for disk, so it is only
+        ever the explicit ``repro store compact``.
         """
         if self._mode != "live":
             return None
@@ -175,8 +174,6 @@ class StoreWriter(Stage):
                                 state=state_fn())
         fault_point("checkpoint", checkpoint.seq, self._wal.acked_seq)
         self.store.write_checkpoint(checkpoint)
-        if compact:
-            self.store.compact()
         return checkpoint
 
     def close(self) -> None:

@@ -121,47 +121,23 @@ class AsDatabase:
     # -- aggregate views --------------------------------------------------
     #
     # Allocations are /32-granular, so every per-address AS property is
-    # constant within a /32.  The columnar paths below bucket a packed
-    # AddressColumn by /32 first and resolve one lookup per *distinct*
-    # network instead of one per address — exactly equal counts, since
-    # the scalar loops only ever consult ``value >> 96``.
+    # constant within a /32.  These views bucket a packed AddressColumn
+    # by /32 first and resolve one lookup per *distinct* network instead
+    # of one per address — exactly equal counts, since a per-address
+    # lookup only ever consults ``value >> 96``.
 
-    def distinct_as_count(self, addresses: Iterable[int]) -> int:
-        """Number of distinct origin ASes among routed addresses."""
-        if isinstance(addresses, AddressColumn):
-            owners = self._prefix_owner
-            return len({owners[key]
-                        for key in addresses.distinct_network_keys(32)
-                        if key in owners})
-        seen = set()
-        for value in addresses:
-            asn = self.lookup_asn(value)
-            if asn is not None:
-                seen.add(asn)
-        return len(seen)
-
-    def category_share(self, addresses: Iterable[int], category: str) -> float:
+    def category_share(self, addresses: AddressColumn, category: str) -> float:
         """Share of addresses whose origin AS has ``category``.
 
         Unrouted addresses count toward the denominator, mirroring how
         the paper normalizes by all collected addresses.
         """
-        if isinstance(addresses, AddressColumn):
-            total = len(addresses)
-            matching = 0
-            for key, count in addresses.network_key_counts(32).items():
-                asn = self._prefix_owner.get(key)
-                if asn is not None and \
-                        self._systems[asn].category == category:
-                    matching += count
-            return matching / total if total else 0.0
-        total = 0
+        total = len(addresses)
         matching = 0
-        for value in addresses:
-            total += 1
-            system = self.lookup(value)
-            if system is not None and system.category == category:
-                matching += 1
+        for key, count in addresses.network_key_counts(32).items():
+            asn = self._prefix_owner.get(key)
+            if asn is not None and self._systems[asn].category == category:
+                matching += count
         return matching / total if total else 0.0
 
     def as_counts(self, addresses: "AddressColumn") -> Dict[int, int]:

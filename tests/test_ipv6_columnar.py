@@ -3,35 +3,20 @@
 The contract under test (DESIGN §10): every kernel of
 :class:`repro.ipv6.columnar.AddressColumn` produces results identical
 to the scalar reference functions (`iid.classify_iid`/`profile_scalar`,
-`eui64.looks_like_eui64`, `address.prefix`/`network_key`, Python set
-algebra) under **both** backends.  The ``columnar-parity`` CI job runs
-this file twice — once with numpy installed, once in a venv without it
-(where the numpy-parametrized cases skip and ``auto`` resolves to
-``python``).
+`address.network_key`, Python set algebra).  The kernels are pure
+Python and need nothing beyond the standard library.
 """
 
-import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.ipv6 import address as addr
 from repro.ipv6 import eui64, iid
 from repro.ipv6 import _columnar_tables as tables
-from repro.ipv6.columnar import (
-    BACKEND_ENV,
-    AddressColumn,
-    BackendUnavailable,
-    available_backends,
-    resolve_backend,
-)
-
-BACKENDS = available_backends()
-HAS_NUMPY = "numpy" in BACKENDS
-
-backend_param = pytest.mark.parametrize("backend", BACKENDS)
+from repro.ipv6.columnar import AddressColumn
 
 addresses_st = st.lists(
     st.integers(min_value=0, max_value=2**128 - 1), max_size=60)
@@ -56,33 +41,11 @@ levels_st = st.sampled_from((0, 1, 13, 32, 48, 56, 63, 64, 65, 96, 127, 128))
 
 
 class TestConstruction:
-    @backend_param
-    def test_from_ints_round_trip(self, backend):
+    def test_from_ints_round_trip(self):
         values = [0, 1, 2**128 - 1, addr.parse("2001:db8::1")]
-        column = AddressColumn.from_ints(values, backend=backend)
+        column = AddressColumn.from_ints(values)
         assert list(column) == values
         assert len(column) == 4
-        assert column[0] == 0 and column[-1] == values[-1]
-
-    @backend_param
-    def test_from_strings(self, backend):
-        texts = ["2001:db8::1", "::", "fe80::1"]
-        column = AddressColumn.from_strings(texts, backend=backend)
-        assert list(column) == [addr.parse(text) for text in texts]
-
-    def test_from_packed_round_trip(self):
-        original = AddressColumn.from_ints([7, 9])
-        again = AddressColumn.from_packed(original.tobytes())
-        assert again == original
-
-    def test_from_records_skips_and_parses(self):
-        records = [
-            {"t": "sighting", "addr": "2001:db8::1"},
-            {"t": "admit"},
-            {"addr": 42},
-        ]
-        column = AddressColumn.from_records(records)
-        assert list(column) == [addr.parse("2001:db8::1"), 42]
 
     def test_coerce_passthrough(self):
         column = AddressColumn.from_ints([1])
@@ -104,41 +67,6 @@ class TestConstruction:
         column = AddressColumn.from_ints([1])
         assert column
         assert "n=1" in repr(column)
-
-
-class TestBackendSelection:
-    def test_available_includes_python(self):
-        assert "python" in BACKENDS
-
-    def test_env_forces_python(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "python")
-        assert AddressColumn().backend_name == "python"
-
-    def test_env_numpy(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        if HAS_NUMPY:
-            assert AddressColumn().backend_name == "numpy"
-        else:
-            with pytest.raises(BackendUnavailable):
-                AddressColumn()
-
-    def test_auto_prefers_numpy_when_present(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        expected = "numpy" if HAS_NUMPY else "python"
-        assert resolve_backend().NAME == expected
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend("fortran")
-
-    def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "python")
-        if HAS_NUMPY:
-            assert AddressColumn(backend="numpy").backend_name == "numpy"
-
-    def test_with_backend(self):
-        column = AddressColumn.from_ints([5], backend="python")
-        assert column.with_backend("python").tobytes() == column.tobytes()
 
 
 class TestEntropyTables:
@@ -179,155 +107,46 @@ class TestEntropyTables:
 class TestScalarEquivalence:
     """Columnar kernels == scalar loops, property by property."""
 
-    @backend_param
     @given(values=structured_addresses_st)
-    def test_class_counts(self, backend, values):
-        column = AddressColumn.from_ints(values, backend=backend)
+    def test_class_counts(self, values):
+        column = AddressColumn.from_ints(values)
         expected = Counter(iid.classify_iid(value) for value in values)
         got = {label: count
                for label, count in column.class_counts().items() if count}
         assert got == dict(expected)
 
-    @backend_param
     @given(values=structured_addresses_st)
-    def test_profile_matches_scalar(self, backend, values):
-        column = AddressColumn.from_ints(values, backend=backend)
+    def test_profile_matches_scalar(self, values):
+        column = AddressColumn.from_ints(values)
         assert iid.profile(column).as_dict() == \
             iid.profile_scalar(values).as_dict()
 
-    @backend_param
     @given(values=addresses_st, level=levels_st)
-    def test_network_key_counts(self, backend, values, level):
-        column = AddressColumn.from_ints(values, backend=backend)
+    def test_network_key_counts(self, values, level):
+        column = AddressColumn.from_ints(values)
         expected = Counter(addr.network_key(value, level) for value in values)
         assert column.network_key_counts(level) == dict(expected)
-        assert column.distinct_network_count(level) == len(expected)
         assert column.distinct_network_keys(level) == set(expected)
 
-    @backend_param
     @given(values=addresses_st, level=levels_st)
-    def test_network_key_counts_ordered(self, backend, values, level):
-        column = AddressColumn.from_ints(values, backend=backend)
+    def test_network_key_counts_ordered(self, values, level):
+        column = AddressColumn.from_ints(values)
         ordered = column.network_key_counts_ordered(level)
         assert dict(ordered) == column.network_key_counts(level)
         first_seen = list(dict.fromkeys(
             addr.network_key(value, level) for value in values))
         assert [key for key, _ in ordered] == first_seen
 
-    @backend_param
-    @given(values=addresses_st, level=levels_st)
-    def test_truncate(self, backend, values, level):
-        column = AddressColumn.from_ints(values, backend=backend)
-        assert list(column.truncate(level)) == \
-            [addr.prefix(value, level) for value in values]
-
-    @backend_param
     @given(values=addresses_st)
-    def test_sort_dedup(self, backend, values):
-        column = AddressColumn.from_ints(values, backend=backend)
-        assert list(column.sort()) == sorted(values)
+    def test_sort_dedup(self, values):
+        column = AddressColumn.from_ints(values)
         deduped = column.dedup()
         assert list(deduped) == sorted(set(values))
-        assert deduped.is_sorted_unique
         assert deduped.dedup() is deduped
 
-    @backend_param
     @given(left=addresses_st, right=addresses_st)
-    def test_set_algebra(self, backend, left, right):
-        lcol = AddressColumn.from_ints(left, backend=backend)
-        rcol = AddressColumn.from_ints(right, backend=backend)
+    def test_set_algebra(self, left, right):
+        lcol = AddressColumn.from_ints(left)
+        rcol = AddressColumn.from_ints(right)
         assert list(lcol.intersect(rcol)) == sorted(set(left) & set(right))
-        assert list(lcol.union(rcol)) == sorted(set(left) | set(right))
         assert lcol.intersection_count(rcol) == len(set(left) & set(right))
-
-    @backend_param
-    @given(values=structured_addresses_st)
-    def test_eui64_selection(self, backend, values):
-        column = AddressColumn.from_ints(values, backend=backend)
-        expected = [value for value in values
-                    if eui64.looks_like_eui64(value & addr.IID_MASK)]
-        assert list(column.eui64()) == expected
-        assert column.eui64_count() == len(expected)
-        found = eui64.scan_addresses(column)
-        assert [(f.address, f.mac) for f in found] == \
-            [(f.address, f.mac) for f in eui64.scan_addresses(values)]
-
-    @backend_param
-    @given(values=structured_addresses_st)
-    def test_entropy_histogram(self, backend, values):
-        column = AddressColumn.from_ints(values, backend=backend)
-        histogram = column.iid_entropy_histogram()
-        assert sum(histogram.values()) == len(values)
-        expected = Counter(iid.byte_entropy(iid.iid_bytes(value))
-                           for value in values)
-        # Keys may differ from the scalar floats by summation order
-        # only; match within 1e-9 and require identical counts.
-        assert len(histogram) == len(expected)
-        for key, count in expected.items():
-            matches = [k for k in histogram if math.isclose(
-                k, key, rel_tol=0.0, abs_tol=1e-9)]
-            assert len(matches) == 1
-            assert histogram[matches[0]] == count
-
-    @backend_param
-    @given(values=addresses_st)
-    def test_nybble_counts_and_entropy(self, backend, values):
-        column = AddressColumn.from_ints(values, backend=backend)
-        counts = column.nybble_value_counts()
-        manual = [[0] * 16 for _ in range(32)]
-        for value in values:
-            for position in range(32):
-                nybble = (value >> (4 * (31 - position))) & 0xF
-                manual[position][nybble] += 1
-        assert counts == manual
-        entropies = column.nybble_entropy()
-        assert len(entropies) == 32
-        if values:
-            assert all(0.0 <= entropy <= 4.0 for entropy in entropies)
-
-    @backend_param
-    @given(values=addresses_st, probe=st.integers(min_value=0,
-                                                  max_value=2**128 - 1))
-    def test_contains(self, backend, values, probe):
-        column = AddressColumn.from_ints(values, backend=backend)
-        assert column.contains(probe) == (probe in set(values))
-        assert column.dedup().contains(probe) == (probe in set(values))
-
-    @backend_param
-    @given(values=addresses_st)
-    def test_distinct_networks_duck_typing(self, backend, values):
-        column = AddressColumn.from_ints(values, backend=backend)
-        for level in (32, 48, 64, 128):
-            assert addr.distinct_networks(column, level) == \
-                addr.distinct_networks(values, level)
-
-
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy backend unavailable")
-class TestBackendParity:
-    """python and numpy backends agree byte-for-byte."""
-
-    @given(values=structured_addresses_st, level=levels_st)
-    @settings(max_examples=50)
-    def test_all_kernels_agree(self, values, level):
-        py = AddressColumn.from_ints(values, backend="python")
-        np_ = AddressColumn.from_ints(values, backend="numpy")
-        assert py.class_counts() == np_.class_counts()
-        assert py.iid_entropy_histogram() == np_.iid_entropy_histogram()
-        assert py.nybble_value_counts() == np_.nybble_value_counts()
-        assert py.network_key_counts(level) == np_.network_key_counts(level)
-        assert py.network_key_counts_ordered(level) == \
-            np_.network_key_counts_ordered(level)
-        assert py.truncate(level).tobytes() == np_.truncate(level).tobytes()
-        assert py.sort().tobytes() == np_.sort().tobytes()
-        assert py.dedup().tobytes() == np_.dedup().tobytes()
-        assert py.eui64().tobytes() == np_.eui64().tobytes()
-
-    @given(left=addresses_st, right=addresses_st)
-    @settings(max_examples=50)
-    def test_set_algebra_agrees(self, left, right):
-        lpy = AddressColumn.from_ints(left, backend="python")
-        rpy = AddressColumn.from_ints(right, backend="python")
-        lnp = AddressColumn.from_ints(left, backend="numpy")
-        rnp = AddressColumn.from_ints(right, backend="numpy")
-        assert lpy.intersect(rpy).tobytes() == lnp.intersect(rnp).tobytes()
-        assert lpy.union(rpy).tobytes() == lnp.union(rnp).tobytes()

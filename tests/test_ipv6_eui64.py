@@ -53,17 +53,6 @@ class TestExtraction:
         with pytest.raises(ValueError):
             eui64.iid_to_mac(0x123456789)
 
-    def test_scan_addresses(self):
-        mac = 0x0024FE111111
-        values = [
-            addr.with_iid(addr.parse("2001:db8::"), eui64.mac_to_iid(mac)),
-            addr.parse("2001:db8::1"),
-        ]
-        found = eui64.scan_addresses(values)
-        assert len(found) == 1
-        assert found[0].mac == mac
-        assert found[0].oui == 0x0024FE
-
 
 class TestBits:
     def test_universal_detection(self):

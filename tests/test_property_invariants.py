@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ipv6 import address as addrmod
-from repro.ipv6.aggregation import PrefixAggregator
 from repro.scan.ethics import OptOutList
 from repro.world.tga import train
 
@@ -38,26 +37,6 @@ class TestOptOutProperties:
             opt_out.add(base)
         for base in bases:
             assert opt_out.blocked(base)
-
-
-class TestAggregatorProperties:
-    @given(st.lists(ADDRESSES, max_size=60),
-           st.sampled_from([32, 48, 56, 64]))
-    def test_network_counts_match_bruteforce(self, values, level):
-        aggregator = PrefixAggregator()
-        aggregator.update(values)
-        brute = {addrmod.prefix(value, level) for value in set(values)}
-        assert aggregator.network_count(level) == len(brute)
-        counts = aggregator.network_counts(level)
-        assert sum(counts.values()) == len(set(values))
-
-    @given(st.lists(ADDRESSES, min_size=1, max_size=60))
-    def test_median_density_bounds(self, values):
-        aggregator = PrefixAggregator()
-        aggregator.update(values)
-        median = aggregator.median_density(48)
-        counts = aggregator.network_counts(48).values()
-        assert min(counts) <= median <= max(counts)
 
 
 class TestTgaProperties:

@@ -1,6 +1,10 @@
 """Unit tests for the AMQP 0-9-1 surface."""
 
+import struct
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.proto.amqp import (
     ACCESS_REFUSED,
@@ -15,6 +19,13 @@ from repro.proto.amqp import (
     encode_frame,
     parse_method,
 )
+
+from tests.conftest import mutations_of
+
+#: Valid encodings of the two methods a broker and a scanner decode
+#: from the other side.
+START = ConnectionStart("RabbitMQ", ("PLAIN",)).encode()
+START_OK = ConnectionStartOk("PLAIN", "guest").encode()
 
 
 class TestFraming:
@@ -55,10 +66,36 @@ class TestMethods:
         assert parse_method(close.encode()) == close
 
     def test_unknown_method_rejected(self):
-        import struct
         payload = struct.pack("!HH", 99, 99)
         with pytest.raises(AmqpDecodeError):
             parse_method(encode_frame(0, payload))
+
+
+class TestTotalDecoder:
+    def test_non_utf8_product_is_a_decode_error(self):
+        data = START.replace(b"RabbitMQ", b"Rabbit\xffQ")
+        with pytest.raises(AmqpDecodeError):
+            parse_method(data)
+
+    def test_non_utf8_start_ok_closes_broker(self):
+        data = START_OK.replace(b"PLAIN", b"PL\xffIN")
+        session = AmqpBrokerSession(require_auth=True)
+        session.on_data(PROTOCOL_HEADER)
+        assert session.on_data(data) is None
+        assert session.closed
+
+    def test_short_tune_is_a_decode_error(self):
+        payload = struct.pack("!HH", 10, 30)  # no channel_max/frame_max
+        with pytest.raises(AmqpDecodeError):
+            parse_method(encode_frame(0, payload))
+
+    @given(data=st.one_of(mutations_of(START), mutations_of(START_OK)))
+    @settings(max_examples=300, deadline=None)
+    def test_mutation_fuzz_raises_only_decode_error(self, data):
+        try:
+            parse_method(data)
+        except AmqpDecodeError:
+            pass
 
 
 class TestBrokerSession:

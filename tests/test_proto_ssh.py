@@ -1,6 +1,7 @@
 """Unit tests for the SSH surface: ID strings, key replies, OS extraction."""
 
 import pytest
+from hypothesis import given, settings
 
 from repro.proto.ssh import (
     SshDecodeError,
@@ -12,7 +13,13 @@ from repro.proto.ssh import (
     encode_keyreply,
     extract_os,
 )
-from repro.tlslib.keys import derive_key
+from repro.tlslib.keys import KeyIdentity, derive_key
+
+from tests.conftest import mutations_of
+
+#: A valid key reply.
+KEYREPLY = encode_keyreply(KeyIdentity(fingerprint=b"\x01" * 16,
+                                       algorithm="ssh-ed25519"))
 
 
 class TestIdentification:
@@ -56,6 +63,20 @@ class TestKeyReply:
         raw = encode_keyreply(key)
         with pytest.raises(SshDecodeError):
             decode_keyreply(raw[:-5])
+
+    def test_rejects_non_ascii_algorithm(self):
+        data = KEYREPLY.replace(b"ssh-ed25519", b"ssh-ed\xff5519")
+        with pytest.raises(SshDecodeError):
+            decode_keyreply(data)
+
+    @given(data=mutations_of(KEYREPLY))
+    @settings(max_examples=300, deadline=None)
+    def test_mutation_fuzz_raises_only_decode_error(self, data):
+        try:
+            key = decode_keyreply(data)
+        except SshDecodeError:
+            return
+        assert isinstance(key, KeyIdentity)
 
 
 class TestServerSession:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.ipv6.columnar import AddressColumn
 from repro.world.asdb import (
     EYEBALL,
     AsDatabase,
@@ -77,21 +78,15 @@ class TestPrefixFor:
 
 
 class TestAggregates:
-    def test_distinct_as_count(self, db):
-        addresses = [db.blocks_of(64500)[0] + 1,
-                     db.blocks_of(64500)[1] + 1,
-                     db.blocks_of(64501)[0] + 1,
-                     0]  # unrouted
-        assert db.distinct_as_count(addresses) == 2
-
     def test_category_share(self, db):
-        addresses = [db.blocks_of(64500)[0] + 1,  # eyeball
-                     db.blocks_of(64501)[0] + 1,  # content
-                     0]                            # unrouted
+        addresses = AddressColumn.from_ints([
+            db.blocks_of(64500)[0] + 1,  # eyeball
+            db.blocks_of(64501)[0] + 1,  # content
+            0])                           # unrouted
         assert db.category_share(addresses, EYEBALL) == pytest.approx(1 / 3)
 
     def test_category_share_empty(self, db):
-        assert db.category_share([], EYEBALL) == 0.0
+        assert db.category_share(AddressColumn(), EYEBALL) == 0.0
 
 
 class TestBuildAsdb:

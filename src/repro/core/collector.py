@@ -18,7 +18,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Set
 from repro.net.simnet import Network
 from repro.ntp.packet import NtpPacket
 from repro.ntp.server import NtpServer
-from repro.obs.metrics import MetricsRegistry, current_registry
+from repro.obs.metrics import Counter, MetricsRegistry, current_registry
 
 #: Observer invoked when an address is seen for the very first time:
 #: (address, first_seen_time, server_location).
@@ -49,6 +49,9 @@ class CollectedDataset:
     _metrics: MetricsRegistry = field(
         default_factory=current_registry, init=False, repr=False,
         compare=False)
+    #: That series, fetched at the first sighting.
+    _sightings: Optional[Counter] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def add_new_address_hook(self, hook: NewAddressHook) -> None:
         """Call ``hook`` at every first sighting (the real-time scan
@@ -71,8 +74,11 @@ class CollectedDataset:
         self.observations[address] = AddressObservation(
             first_seen=time, last_seen=time, requests=requests,
         )
-        self._metrics.counter("bus_events_total",
-                              event="AddressSighted").inc()
+        sightings = self._sightings
+        if sightings is None:
+            sightings = self._sightings = self._metrics.counter(
+                "bus_events_total", event="AddressSighted")
+        sightings.inc()
         for hook in self._hooks:
             hook(address, time, server_location)
         return True

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol
+from typing import AbstractSet, Callable, Dict, List, Optional, Protocol
 
 from repro.net.clock import VirtualClock
 from repro.net.packet import Datagram, PacketRecord, Transport
@@ -242,27 +242,28 @@ class Network:
             self._ephemeral = 49152
         return port
 
-    def skip_refused(self, host: Optional[Host], port: int) -> bool:
-        """Settle a refused probe without delivering it, where nothing
-        could tell the difference; True when settled.
+    def ports_to_deliver(self, host: Optional[Host]
+                         ) -> Optional[AbstractSet[int]]:
+        """The ports whose attempts on ``host`` must really be delivered;
+        None when every attempt must be.
 
-        ``host`` is :meth:`host` of the target.  The probe is refused
-        when the host is missing or unreachable, or has nothing bound on
-        ``port`` (on either transport, so a port bound on the other one
-        takes the full path).  Skipping delivery is only unobservable
-        with no tap attached (no record to offer) and ``loss_rate == 0``
-        (no loss draw to consume).  A settled attempt still takes the
-        ephemeral port :meth:`tcp_connect` or :meth:`udp_request` would
-        have, because servers record client ports (the NTP monitor
-        table), so later ports do not shift.
+        ``host`` is :meth:`host` of the target.  An attempt on any other
+        port is refused, and may be settled without delivering it,
+        because nothing could tell the difference.  That holds only
+        with no tap attached (no record to offer) and ``loss_rate ==
+        0`` (no loss draw to consume); otherwise the answer is None.  A
+        missing or unreachable host refuses every port (an empty set);
+        a reachable one accepts the ports bound on either transport, so
+        a port bound on the other one takes the full path.  A settled
+        attempt must still take the ephemeral port :meth:`tcp_connect`
+        or :meth:`udp_request` would have (:meth:`ephemeral_port`),
+        because servers see client ports, so later ports do not shift.
         """
         if self._taps or self.loss_rate > 0:
-            return False
-        if host is not None and host.reachable and (
-                port in host.tcp_services or port in host.udp_handlers):
-            return False
-        self.ephemeral_port()
-        return True
+            return None
+        if host is None or not host.reachable:
+            return frozenset()
+        return host.tcp_services.keys() | host.udp_handlers.keys()
 
     # -- delivery -----------------------------------------------------
 

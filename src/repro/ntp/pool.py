@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -159,13 +160,16 @@ class NtpPool:
         every in-rotation server (advertised, with a monitor score of at
         least :data:`SCORE_THRESHOLD`).  A lookup that finds a server
         draws exactly one ``random()`` from ``rng`` (default: the
-        pool's own).
+        pool's own) and bisects the cumulative weights with it, exactly
+        as ``Random.choices`` does with ``cum_weights``, so the same
+        draw picks the same server.
         """
         candidates, cum_weights = self._rotation(country)
         if not candidates:
             return None
-        chooser = rng or self._rng
-        return chooser.choices(candidates, cum_weights=cum_weights)[0].address
+        draw = (rng or self._rng).random() * cum_weights[-1]
+        return candidates[bisect_right(cum_weights, draw, 0,
+                                       len(candidates) - 1)].address
 
     # -- monitoring -----------------------------------------------------
 

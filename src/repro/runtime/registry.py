@@ -18,8 +18,8 @@ A spec may also carry its module's *refused* grab builder: the grab the
 probe returns when its connection is refused or its request goes
 unanswered.  With it, the executor answers a probe the network would
 refuse without running the module (see
-:meth:`repro.net.simnet.Network.skip_refused`); without it, the probe
-always runs.
+:meth:`repro.net.simnet.Network.ports_to_deliver`); without it, the
+probe always runs.
 
 Probe order is insertion order and therefore deterministic, which the
 golden-value pipeline tests rely on.

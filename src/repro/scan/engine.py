@@ -23,7 +23,7 @@ budget and inter-protocol pauses are not modelled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.net.clock import DAY
 from repro.net.simnet import Network
@@ -145,48 +145,57 @@ class ProbeExecutor:
         #: Called with every completed grab — the store's durability tap.
         self.grab_hook: Optional[Callable[[Grab], None]] = None
         self._metrics = current_registry()
-        #: protocol → (attempts, successes, latency histogram), cached
-        #: per spec so the per-probe hot path is one dict lookup.
-        self._instruments: Dict[str, tuple] = {}
+        #: One ``(probe, refused, port, attempts, successes, latency)``
+        #: per spec, in registry order (see :meth:`_build_plan`).
+        self._plan: Optional[Tuple[tuple, ...]] = None
 
-    def _probe_instruments(self, protocol: str) -> tuple:
-        instruments = self._instruments.get(protocol)
-        if instruments is None:
-            instruments = (
-                self._metrics.counter("probe_attempts_total",
-                                      engine=self._name, protocol=protocol),
-                self._metrics.counter("probe_success_total",
-                                      engine=self._name, protocol=protocol),
-                self._metrics.histogram("probe_seconds",
-                                        engine=self._name, protocol=protocol),
-            )
-            self._instruments[protocol] = instruments
-        return instruments
+    def _build_plan(self) -> Tuple[tuple, ...]:
+        """The probe plan: each spec's probe, refused grab builder and
+        port with its ``probe_*`` instruments, looked up once.
+
+        Built at the first probe, so the series appear when they are
+        first used, and fixed from then on: the probe set is the
+        registry's at that moment.
+        """
+        metrics, name = self._metrics, self._name
+        return tuple(
+            (spec.probe, spec.refused, spec.port,
+             metrics.counter("probe_attempts_total",
+                             engine=name, protocol=spec.name),
+             metrics.counter("probe_success_total",
+                             engine=name, protocol=spec.name),
+             metrics.histogram("probe_seconds",
+                               engine=name, protocol=spec.name))
+            for spec in self.registry)
 
     def execute_into(self, target: int,
                      add: Callable[[Grab], None]) -> None:
         """Probe ``target`` with every registered module, in registry
         order, handing each grab to ``add``.
 
-        The target's host is looked up once.  A probe whose spec carries
-        its module's refused grab is answered with that grab, without
-        running the module, whenever the network settles the attempt as
-        refused (:meth:`~repro.net.simnet.Network.skip_refused`).  The
-        clock stays put, so every probe's latency is 0.
+        Per target, the host is looked up once and the network says
+        once which ports must really be delivered
+        (:meth:`~repro.net.simnet.Network.ports_to_deliver`).  A probe
+        whose spec carries its module's refused grab, on any other
+        port, is settled as refused without running the module: it
+        takes its ephemeral port, in probe order, and gets the refused
+        grab.  The clock stays put, so every probe's latency is 0.
         """
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = self._build_plan()
         network, source = self.network, self.source
         clock = network.clock
         stats = self.stats
         grab_hook = self.grab_hook
-        host = network.host(target)
-        for spec in self.registry:
-            attempts, successes, latency = self._probe_instruments(spec.name)
+        deliver = network.ports_to_deliver(network.host(target))
+        for probe, refused, port, attempts, successes, latency in plan:
             stats.probes_sent += 1
-            refused = spec.refused
-            if refused is not None and network.skip_refused(host, spec.port):
-                grab = refused(target, clock.now(), spec.port)
+            if refused is None or deliver is None or port in deliver:
+                grab = probe(network, source, target)
             else:
-                grab = spec.probe(network, source, target)
+                network.ephemeral_port()
+                grab = refused(target, clock.now(), port)
             # One 0.0 per probe: the golden snapshots pin the series.
             latency.observe(0.0)
             attempts.inc()

@@ -14,20 +14,15 @@ from repro.proto.amqp import (
     ConnectionTune,
     parse_method,
 )
-from repro.scan.result import BrokerGrab, TlsObservation
+from repro.scan.result import BrokerGrab, TlsObservation, refused_builder
 from repro.tlslib.handshake import HandshakeStatus, perform_handshake
 
 
-def refused_amqp(address: int, time: float, port: int) -> BrokerGrab:
-    """The grab of an AMQP probe whose connection was refused."""
-    return BrokerGrab(address=address, time=time, port=port,
-                      protocol="amqp", ok=False)
+#: The grab of an AMQP probe whose connection was refused.
+refused_amqp = refused_builder(BrokerGrab, protocol="amqp")
 
-
-def refused_amqps(address: int, time: float, port: int) -> BrokerGrab:
-    """The grab of an AMQPS probe whose connection was refused."""
-    return BrokerGrab(address=address, time=time, port=port,
-                      protocol="amqps", ok=False)
+#: The grab of an AMQPS probe whose connection was refused.
+refused_amqps = refused_builder(BrokerGrab, protocol="amqps")
 
 
 def _probe(stream: Stream, address: int, now: float, port: int,

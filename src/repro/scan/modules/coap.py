@@ -12,15 +12,14 @@ from repro.proto.coap import (
     get_request,
     parse_link_format,
 )
-from repro.scan.result import CoapGrab
+from repro.scan.result import CoapGrab, refused_builder
 
 _message_ids = itertools.count(0x1000)
 
 
-def refused_coap(address: int, time: float, port: int) -> CoapGrab:
-    """The grab of a CoAP probe nobody answered (the grab always carries
-    the default CoAP port)."""
-    return CoapGrab(address=address, time=time, ok=False)
+#: The grab of a CoAP probe nobody answered (the grab always carries
+#: the default CoAP port).
+refused_coap = refused_builder(CoapGrab)
 
 
 def scan_coap(network: Network, source: int, target: int,

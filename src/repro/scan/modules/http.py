@@ -12,17 +12,16 @@ from typing import Optional
 
 from repro.net.simnet import Network
 from repro.proto.http import HttpDecodeError, HttpRequest, HttpResponse
-from repro.scan.result import HttpGrab, TlsObservation
+from repro.scan.result import HttpGrab, TlsObservation, refused_builder
 from repro.tlslib.handshake import HandshakeStatus, perform_handshake
 
 #: User-Agent identifying the research scan (Appendix A.2.2).
 USER_AGENT = "repro-scan/1.0 (+https://research.sim/scan-info)"
 
 
-def refused_http(address: int, time: float, port: int) -> HttpGrab:
-    """The grab of an HTTP(S) probe whose connection was refused (the
-    port's number tells HTTP from HTTPS)."""
-    return HttpGrab(address=address, time=time, port=port, ok=False)
+#: The grab of an HTTP(S) probe whose connection was refused (the
+#: port's number tells HTTP from HTTPS).
+refused_http = refused_builder(HttpGrab)
 
 
 def _fetch(stream, now: float, address: int, port: int,

@@ -11,23 +11,18 @@ from repro.proto.mqtt import (
     ConnectPacket,
     MqttDecodeError,
 )
-from repro.scan.result import BrokerGrab, TlsObservation
+from repro.scan.result import BrokerGrab, TlsObservation, refused_builder
 from repro.tlslib.handshake import HandshakeStatus, perform_handshake
 
 #: Client ID identifying the research scan.
 CLIENT_ID = "repro-scan"
 
 
-def refused_mqtt(address: int, time: float, port: int) -> BrokerGrab:
-    """The grab of an MQTT probe whose connection was refused."""
-    return BrokerGrab(address=address, time=time, port=port,
-                      protocol="mqtt", ok=False)
+#: The grab of an MQTT probe whose connection was refused.
+refused_mqtt = refused_builder(BrokerGrab, protocol="mqtt")
 
-
-def refused_mqtts(address: int, time: float, port: int) -> BrokerGrab:
-    """The grab of an MQTTS probe whose connection was refused."""
-    return BrokerGrab(address=address, time=time, port=port,
-                      protocol="mqtts", ok=False)
+#: The grab of an MQTTS probe whose connection was refused.
+refused_mqtts = refused_builder(BrokerGrab, protocol="mqtts")
 
 
 def _probe(stream: Stream, address: int, now: float, port: int,

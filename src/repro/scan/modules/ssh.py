@@ -8,7 +8,7 @@ from repro.proto.ssh import (
     SshIdentification,
     decode_keyreply,
 )
-from repro.scan.result import SshGrab
+from repro.scan.result import SshGrab, refused_builder
 
 #: The identification string our scanner presents (identifies us as a
 #: research scan, per the paper's ethics appendix).
@@ -16,9 +16,8 @@ SCANNER_ID = SshIdentification(protocol="2.0", software="ReproScan_1.0",
                                comment="research-scan")
 
 
-def refused_ssh(address: int, time: float, port: int) -> SshGrab:
-    """The grab of an SSH probe whose connection was refused."""
-    return SshGrab(address=address, time=time, ok=False)
+#: The grab of an SSH probe whose connection was refused.
+refused_ssh = refused_builder(SshGrab)
 
 
 def scan_ssh(network: Network, source: int, target: int,

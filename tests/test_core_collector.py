@@ -57,6 +57,18 @@ class TestDataset:
                                         event="AddressSighted")
         assert sightings.value == 1
 
+    def test_sightings_counted_in_the_building_run(self):
+        """Every first sighting counts, in the registry the dataset was
+        built under, even when it is recorded outside that scope."""
+        with use_registry() as registry:
+            dataset = CollectedDataset()
+        with use_registry() as other:
+            for time, client in enumerate((CLIENT_A, CLIENT_B, CLIENT_A)):
+                dataset.record(client, float(time), "Germany")
+        assert registry.value("bus_events_total",
+                              event="AddressSighted") == 2
+        assert not other.find("bus_events_total")
+
     def test_membership_and_views(self):
         dataset = CollectedDataset()
         dataset.record(CLIENT_A, 1.0, "Germany")

@@ -176,3 +176,30 @@ class TestEphemeralPorts:
         network._ephemeral = 65535
         assert network.ephemeral_port() == 65535
         assert network.ephemeral_port() == 49152
+
+
+class TestPortsToDeliver:
+    """Which attempts on a host must really be delivered (the rest may
+    be settled as refused)."""
+
+    def test_missing_or_unreachable_host_refuses_every_port(self, network):
+        network.add_host(DST, reachable=False).bind_tcp(80, _EchoService())
+        assert not network.ports_to_deliver(network.host(SRC))
+        assert not network.ports_to_deliver(network.host(DST))
+
+    def test_bound_ports_on_either_transport(self, network):
+        host = network.add_host(DST)
+        assert not network.ports_to_deliver(host)
+        host.bind_tcp(80, _EchoService())
+        host.bind_udp(5683, lambda d: None)
+        assert network.ports_to_deliver(host) == {80, 5683}
+        wildcard = network.add_wildcard_host(parse("2001:db8:1::"))
+        wildcard.bind_tcp(443, _EchoService())
+        assert network.ports_to_deliver(
+            network.host(parse("2001:db8:1::99"))) == {443}
+
+    def test_observed_network_delivers_everything(self, network):
+        network.add_tap(lambda record: None)
+        assert network.ports_to_deliver(None) is None
+        lossy = Network(loss_rate=0.1)
+        assert lossy.ports_to_deliver(lossy.add_host(DST)) is None

@@ -1,12 +1,17 @@
-"""Tests for the scan engine: protocol coverage, cool-down, and a clock
-the engine never moves."""
+"""Tests for the scan engine: protocol coverage, cool-down, a clock the
+engine never moves, refused probes settled in probe order, and probe
+series that appear at the first probe."""
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.ipv6 import parse
-from repro.net.clock import DAY
+from repro.net.clock import DAY, VirtualClock
+from repro.net.simnet import Network, SimpleSession
+from repro.obs.metrics import use_registry
+from repro.runtime.registry import ProbeRegistry, default_registry
 from repro.scan.engine import EngineConfig, ScanEngine
 from repro.scan.result import PROTOCOLS, ScanResults
 from repro.world import devices as dev
@@ -140,3 +145,68 @@ class TestRun:
         results = engine.run([fritz.address] + dead)
         assert network.clock.now() == start
         assert results.hit_rate() == pytest.approx(0.1)
+
+
+class _PortRecorder:
+    """Accepts every connection on a silent session; records the
+    client port of each."""
+
+    def __init__(self):
+        self.ports = []
+
+    def accept(self, peer, peer_port):
+        self.ports.append(peer_port)
+        return SimpleSession(respond=lambda data: None)
+
+
+class TestRefusedSettling:
+    def _scan(self, *, settle):
+        """Scan a host with only HTTPS (TCP) and CoAP (UDP) open; the
+        grabs, the client ports its services saw and the next port."""
+        network = Network(VirtualClock(start=50.0))
+        target = parse("2001:db8:604::1")
+        host = network.add_host(target)
+        service, udp_ports = _PortRecorder(), []
+        host.bind_tcp(443, service)
+        host.bind_udp(5683, lambda datagram: udp_ports.append(
+            datagram.src_port))
+        registry = default_registry()
+        if not settle:
+            registry = ProbeRegistry(dataclasses.replace(spec, refused=None)
+                                     for spec in registry)
+        grabs = ScanEngine(network, SRC, registry=registry).scan_address(
+            target)
+        return grabs, service.ports + udp_ports, network.ephemeral_port()
+
+    def test_settled_probes_take_ports_in_probe_order(self):
+        """Closed ports are settled between the open ones, and each
+        probe keeps the client port of its place in probe order."""
+        settled = self._scan(settle=True)
+        assert settled == self._scan(settle=False)
+        # HTTPS is the 2nd of the 8 probes and CoAP the 8th.
+        assert settled[1:] == ([49153, 49159], 49160)
+
+
+class TestProbeSeries:
+    SERIES = ("probe_attempts_total", "probe_success_total", "probe_seconds")
+
+    @pytest.mark.parametrize("entry", ["feed", "scan_address"])
+    def test_series_appear_at_first_probe(self, network, entry):
+        dead = parse("2001:db8:605::1")
+        with use_registry() as metrics:
+            engine = ScanEngine(network, SRC)
+            for name in self.SERIES:
+                assert not metrics.find(name)
+            if entry == "feed":
+                engine.feed(dead, ScanResults())
+            else:
+                engine.scan_address(dead)
+        for name in self.SERIES:
+            assert len(metrics.find(name)) == len(PROTOCOLS)
+        for protocol in PROTOCOLS:
+            labels = {"engine": "engine", "protocol": protocol}
+            assert metrics.value("probe_attempts_total", **labels) == 1
+            assert metrics.value("probe_success_total", **labels) == 0
+            (_, latency), = metrics.find("probe_seconds", **labels)
+            assert (latency.count, latency.sum, latency.counts[0]) == \
+                (1, 0.0, 1)

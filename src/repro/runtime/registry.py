@@ -65,7 +65,11 @@ class ProbeSpec:
     port: int
     #: The probe's own refused grab.  Only for a probe that, when
     #: refused, makes exactly one connection attempt or request, to
-    #: ``port``, and returns ``refused(target, now, port)``.
+    #: ``port``, and returns ``refused(target, now, port)``.  Its grabs
+    #: may differ only in address and time: a store renders them from
+    #: one sample, and raises ``ValueError`` at the first probe if a
+    #: second one differs elsewhere (see
+    #: :meth:`repro.store.writer.StoreWriter.refused_sink`).
     refused: Optional[Refusal] = None
 
     def __post_init__(self) -> None:

@@ -142,24 +142,41 @@ class ProbeExecutor:
         self.registry = registry
         self.stats = stats
         self._name = name
-        #: Called with every completed grab — the store's durability tap.
+        #: Called with every grab that no refused-record writer takes:
+        #: the store's durability tap for delivered grabs, and for
+        #: every grab when no store is attached.
         self.grab_hook: Optional[Callable[[Grab], None]] = None
+        #: ``(writer, label)`` of the attached store (see :meth:`attach_store`).
+        self._store: Optional[tuple] = None
         self._metrics = current_registry()
-        #: One ``(probe, refused, port, attempts, successes, latency)``
-        #: per spec, in registry order (see :meth:`_build_plan`).
+        #: One ``(probe, refused, port, write_refused, attempts,
+        #: successes, latency)`` per spec, in registry order (see
+        #: :meth:`_build_plan`).
         self._plan: Optional[Tuple[tuple, ...]] = None
 
+    def attach_store(self, writer, label: str) -> None:
+        """Record this executor's grabs in ``writer`` under scan
+        ``label``: delivered grabs through :attr:`grab_hook`, settled
+        ones through the writer's refused-record function for their
+        spec, which the plan (rebuilt at the next probe) carries."""
+        self.grab_hook = writer.grab_sink(label)
+        self._store = (writer, label)
+        self._plan = None
+
     def _build_plan(self) -> Tuple[tuple, ...]:
-        """The probe plan: each spec's probe, refused grab builder and
-        port with its ``probe_*`` instruments, looked up once.
+        """The probe plan: each spec's probe, refused grab builder, port
+        and, with a store attached, the writer's refused-record function,
+        with its ``probe_*`` instruments, looked up once.
 
         Built at the first probe, so the series appear when they are
-        first used, and fixed from then on: the probe set is the
-        registry's at that moment.
+        first used, and fixed from then on (until a store is attached):
+        the probe set is the registry's at that moment.
         """
-        metrics, name = self._metrics, self._name
+        metrics, name, store = self._metrics, self._name, self._store
         return tuple(
             (spec.probe, spec.refused, spec.port,
+             None if spec.refused is None or store is None
+             else store[0].refused_sink(store[1], spec),
              metrics.counter("probe_attempts_total",
                              engine=name, protocol=spec.name),
              metrics.counter("probe_success_total",
@@ -179,7 +196,8 @@ class ProbeExecutor:
         whose spec carries its module's refused grab, on any other
         port, is settled as refused without running the module: it
         takes its ephemeral port, in probe order, and gets the refused
-        grab.  The clock stays put, so every probe's latency is 0.
+        grab, which a store records from ``(target, now)`` alone.  The
+        clock stays put, so every probe's latency is 0.
         """
         plan = self._plan
         if plan is None:
@@ -189,19 +207,24 @@ class ProbeExecutor:
         stats = self.stats
         grab_hook = self.grab_hook
         deliver = network.ports_to_deliver(network.host(target))
-        for probe, refused, port, attempts, successes, latency in plan:
+        for (probe, refused, port, write_refused, attempts, successes,
+             latency) in plan:
             stats.probes_sent += 1
             if refused is None or deliver is None or port in deliver:
                 grab = probe(network, source, target)
+                write_refused = None
             else:
                 network.ephemeral_port()
-                grab = refused(target, clock.now(), port)
+                now = clock.now()
+                grab = refused(target, now, port)
             # One 0.0 per probe: the golden snapshots pin the series.
             latency.observe(0.0)
             attempts.inc()
             if grab.ok:
                 successes.inc()
-            if grab_hook is not None:
+            if write_refused is not None:
+                write_refused(target, now)
+            elif grab_hook is not None:
                 grab_hook(grab)
             add(grab)
 
@@ -239,7 +262,7 @@ class ScanEngine:
         logged grab records.
         """
         self.scheduler.admit_hook = writer.admit_sink(self.name)
-        self.executor.grab_hook = writer.grab_sink(label)
+        self.executor.attach_store(writer, label)
 
     def cooldown_snapshots(self) -> Dict[str, Dict[str, float]]:
         """This engine's cool-down map for checkpoints, keyed by its

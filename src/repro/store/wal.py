@@ -15,12 +15,15 @@ keys, raw unicode) with two extra fields per record:
 Each record is serialized once (:func:`encode_record`): the payload's
 keys that sort before ``crc`` and those after it (plus ``seq``) are
 encoded apart, their join is the CRC body, and the line is that join
-with the ``"crc": "<8 hex>", `` member inserted.  The reader checks
-each CRC on the raw line bytes (:func:`parse_line`): cutting that
-member out must leave exactly the body the writer hashed, so a line
-that is not in canonical form fails as corrupt and no record is ever
-re-serialized to be checked.  :func:`verify_record` is the same check
-on a parsed record.
+with the ``"crc": "<8 hex>", `` member inserted.  A record shape
+written over and over (a refused grab, an admission, a sighting) is
+compiled once into a :class:`RecordTemplate`, which renders the same
+line from its varying members alone.  The reader checks each CRC on
+the raw line bytes (:func:`parse_line`): cutting that member out must
+leave exactly the body the writer hashed, so a line that is not in
+canonical form fails as corrupt and no record is ever re-serialized
+to be checked.  :func:`verify_record` is the same check on a parsed
+record.
 
 Records are grouped into segments (``wal-<firstseq>.jsonl``) of at most
 ``segment_max_records`` records; whole segments below a checkpoint can
@@ -42,8 +45,19 @@ import json
 import os
 import zlib
 from contextlib import contextmanager
+from json.encoder import encode_basestring as _encode_str
+from math import isfinite
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.io.jsonl import to_canonical_json
 from repro.obs.metrics import current_registry
@@ -103,6 +117,7 @@ _CRC_MEMBER = len(_CRC_KEY) + 8 + 3
 #: ``json.loads`` without its whitespace handling: a canonical line
 #: has none around the object.
 _DECODER = json.JSONDecoder()
+_NESTED_CRC = "WAL payload nests a 'crc' member under a key that sorts before 'crc'"
 
 
 def record_crc(seq: int, payload: Dict) -> str:
@@ -136,13 +151,83 @@ def encode_record(seq: int, payload: Dict) -> Tuple[str, str, int]:
     if low:
         head = to_canonical_json(low)[:-1] + ", "
         if _CRC_KEY in head:
-            raise ValueError("WAL payload nests a 'crc' member under a "
-                             "key that sorts before 'crc'")
+            raise ValueError(_NESTED_CRC)
     else:
         head = "{"
+    return _frame(head, tail)
+
+
+def _frame(head: str, tail: str) -> Tuple[str, str, int]:
+    """CRC, line and line size of the record whose canonical body is
+    ``head + tail``, split where its ``crc`` member goes."""
     body = (head + tail).encode("utf-8")
     crc = f"{zlib.crc32(body):08x}"
     return crc, f'{head}"crc": "{crc}", {tail}\n', len(body) + _CRC_MEMBER + 1
+
+
+def json_text(value) -> str:
+    """``to_canonical_json(value)``, with fast paths for the exact
+    types a record's varying members hold."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is float:
+        if isfinite(value):
+            return float.__repr__(value)
+    elif kind is int:
+        return int.__repr__(value)
+    elif value is None:
+        return "null"
+    elif kind is bool:
+        return "true" if value else "false"
+    return to_canonical_json(value)
+
+
+class RecordTemplate:
+    """One record shape, compiled once: :meth:`encode` returns what
+    :func:`encode_record` returns for the payload with its varying
+    members ("holes") set, from two ``%`` formats.
+
+    ``sample`` is one payload of the shape and ``holes`` names its
+    varying top-level members, in key order; :meth:`encode` takes their
+    values in that order.  The constant members are rendered by
+    :func:`~repro.io.jsonl.to_canonical_json` here and each hole value
+    by :func:`json_text` per record, so the bytes are the canonical
+    ones for any hole values.  A sample :func:`encode_record` refuses
+    raises its :class:`ValueError` here, and so does a hole value that
+    nests a ``crc`` member under a key sorting before ``crc``.
+    """
+
+    def __init__(self, sample: Dict, holes: Sequence[str]) -> None:
+        encode_record(0, sample)  # refuses what the log cannot read back
+        holes = tuple(holes)
+        if list(holes) != sorted(set(holes)) or not set(holes) <= set(sample):
+            raise ValueError(f"holes {holes}: must be distinct keys of the "
+                             "sample, in key order")
+        #: ``store_records_total`` label of the records.
+        self.kind = sample.get("t", "unknown")
+        members = {key: to_canonical_json({key: value})[1:-1]
+                   .replace("%", "%%")
+                   for key, value in sample.items() if key not in holes}
+        for key in holes + ("seq",):
+            members[key] = to_canonical_json(key).replace("%", "%%") + ": %s"
+        keys = sorted(members)
+        self._head = "{" + "".join(members[key] + ", "
+                                   for key in keys if key < "crc")
+        self._tail = ", ".join(members[key] for key in keys if key > "crc") + "}"
+        #: Hole values before ``crc`` (in the head), and before ``seq``.
+        self._low = sum(key < "crc" for key in holes)
+        self._seq_at = sum(key < "seq" for key in holes)
+
+    def encode(self, seq: int, *holes) -> Tuple[str, str, int]:
+        """Record ``seq``'s CRC, line and size, as :func:`encode_record`."""
+        texts = tuple(map(json_text, holes))
+        low, at = self._low, self._seq_at
+        head = self._head % texts[:low]
+        if low and _CRC_KEY in head:
+            raise ValueError(_NESTED_CRC)
+        return _frame(head, self._tail % (
+            texts[low:at] + (int.__repr__(seq),) + texts[at:]))
 
 
 def parse_line(raw: bytes) -> Optional[Dict]:
@@ -285,16 +370,22 @@ class WalWriter:
 
     # -- appending ---------------------------------------------------------
 
-    def append(self, payload: Dict) -> int:
+    def append(self, payload: Union[Dict, RecordTemplate], *holes) -> int:
         """Append one record; returns its sequence number.
 
-        The record is durable only once its fsync batch completes — use
-        :attr:`acked_seq` (or call :meth:`sync`) for the durability
-        horizon.  A payload :func:`encode_record` refuses raises
-        :class:`ValueError` before anything is written.
+        The record is a payload dict, or a :class:`RecordTemplate`
+        followed by its hole values.  It is durable only once its fsync
+        batch completes — use :attr:`acked_seq` (or call :meth:`sync`)
+        for the durability horizon.  A payload :func:`encode_record`
+        refuses raises :class:`ValueError` before anything is written.
         """
         seq = self._next_seq
-        crc, line, size = encode_record(seq, payload)
+        if isinstance(payload, RecordTemplate):
+            crc, line, size = payload.encode(seq, *holes)
+            kind = payload.kind
+        else:
+            crc, line, size = encode_record(seq, payload)
+            kind = payload.get("t", "unknown")
         fault_point("pre-append", seq, self._acked_seq)
         if self._handle is None or self._segment_records >= self.segment_max_records:
             self._roll(seq)
@@ -303,7 +394,6 @@ class WalWriter:
         self._next_seq = seq + 1
         self._chain = chain_extend(self._chain, crc)
         self._pending += 1
-        kind = payload.get("t", "unknown")
         counter = self._m_records.get(kind)
         if counter is None:
             counter = self._registry.counter("store_records_total", kind=kind)

@@ -20,14 +20,22 @@ rather than as silently forked history.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Union
 
 from repro.ipv6 import address as addrmod
 from repro.obs.metrics import current_registry
 from repro.runtime.stage import Stage
 from repro.store.checkpoint import Checkpoint
 from repro.store.runstore import Recovery, RunStore
-from repro.store.wal import RecoveryError, chain_extend, record_crc
+from repro.store.wal import (
+    RecordTemplate,
+    RecoveryError,
+    chain_extend,
+    record_crc,
+)
+
+if TYPE_CHECKING:
+    from repro.runtime.registry import ProbeSpec
 
 
 class StoreWriter(Stage):
@@ -44,6 +52,14 @@ class StoreWriter(Stage):
         self._seq = 0      # last regenerated/appended seq (verify mode)
         self._chain = 0
         self._cursor = 0   # next recovery record to verify against
+        # Every sink's records name their address; a target's admission,
+        # grabs and sighting arrive together, so one entry saves most
+        # of the formatting.
+        self._last_address: Optional[int] = None
+        self._last_text = ""
+        self._sighting = RecordTemplate(
+            {"t": "sighting", "addr": "::", "time": 0.0, "server": ""},
+            ("addr", "server", "time"))
         metrics = current_registry()
         self._m_replayed = metrics.counter("store_recovery_replayed_total")
         self._m_chain_checks = metrics.counter("store_chain_checks_total")
@@ -72,8 +88,10 @@ class StoreWriter(Stage):
 
     # -- the one funnel ----------------------------------------------------
 
-    def emit(self, payload: Dict) -> int:
-        """Record one event; returns its sequence number.
+    def emit(self, payload: Union[Dict, RecordTemplate], *holes) -> int:
+        """Record one event, a payload dict or a template followed by its
+        hole values (see :meth:`WalWriter.append`); returns its sequence
+        number.
 
         Live mode appends to the WAL.  Verify mode checks the
         regenerated record against logged history and switches to live
@@ -81,12 +99,15 @@ class StoreWriter(Stage):
         """
         self.mark_received()
         if self._mode == "live":
-            seq = self._wal.append(payload)
+            seq = self._wal.append(payload, *holes)
             self.mark_processed()
             return seq
         recovery = self._recovery
         seq = self._seq + 1
-        crc = record_crc(seq, payload)
+        if isinstance(payload, RecordTemplate):
+            crc = payload.encode(seq, *holes)[0]
+        else:
+            crc = record_crc(seq, payload)
         self._chain = chain_extend(self._chain, crc)
         if seq <= recovery.compacted_through:
             # Compacted prefix: the records are gone; the chain CRC at
@@ -122,22 +143,35 @@ class StoreWriter(Stage):
 
     # -- event sources -----------------------------------------------------
 
+    def _address_text(self, address: int) -> str:
+        """``address`` in RFC 5952 text, through the sinks' shared
+        one-entry memo."""
+        if address != self._last_address:
+            self._last_text = addrmod.format_address(address)
+            self._last_address = address
+        return self._last_text
+
     def sighting(self, address: int, time: float,
                  server_location: str) -> None:
         """Record one first sighting (a dataset's new-address hook)."""
-        self.emit({"t": "sighting",
-                   "addr": addrmod.format_address(address),
-                   "time": time,
-                   "server": server_location})
+        self.emit(self._sighting, self._address_text(address),
+                  server_location, time)
+
+    def _address_sink(self, template: RecordTemplate
+                      ) -> Callable[[int, float], None]:
+        """Records ``template`` with ``(target, now)`` as its
+        ``addr`` and ``time`` holes."""
+
+        def sink(target: int, now: float) -> None:
+            self.emit(template, self._address_text(target), now)
+
+        return sink
 
     def admit_sink(self, engine_name: str) -> Callable[[int, float], None]:
         """A scheduler admit-hook recording admissions for ``engine_name``."""
-
-        def sink(target: int, now: float) -> None:
-            self.emit({"t": "admit", "engine": engine_name,
-                       "addr": addrmod.format_address(target), "time": now})
-
-        return sink
+        return self._address_sink(RecordTemplate(
+            {"t": "admit", "engine": engine_name, "addr": "::", "time": 0.0},
+            ("addr", "time")))
 
     def grab_sink(self, label: str) -> Callable[[object], None]:
         """A probe grab-hook recording results under scan ``label``."""
@@ -147,6 +181,27 @@ class StoreWriter(Stage):
             self.emit({"t": "grab", "label": label, **grab_to_json(grab)})
 
         return sink
+
+    def refused_sink(self, label: str,
+                     spec: ProbeSpec) -> Callable[[int, float], None]:
+        """Records ``spec``'s refused grab of ``(target, now)`` under scan
+        ``label``, as :meth:`grab_sink` records the built grab.
+
+        Every record is rendered from one sample grab, so a refused
+        builder whose grab differs in more than its address and time
+        between two samples raises :class:`ValueError`.
+        """
+        from repro.io.jsonl import grab_to_json, to_canonical_json
+
+        sample = grab_to_json(spec.refused(0, 0.0, spec.port))
+        other = grab_to_json(spec.refused(2 ** 128 - 1, 1.5, spec.port))
+        if (to_canonical_json(dict(other, addr=None, time=None))
+                != to_canonical_json(dict(sample, addr=None, time=None))):
+            raise ValueError(f"refused grabs of probe {spec.name!r} differ "
+                             f"in more than address and time: {sample} "
+                             f"vs {other}")
+        return self._address_sink(RecordTemplate(
+            {"t": "grab", "label": label, **sample}, ("addr", "time")))
 
     def mark(self, phase: str, day: int, clock: float,
              targets: Dict[str, int]) -> int:

@@ -1,4 +1,4 @@
-"""Byte-level goldens for one small study.
+"""Byte-level goldens for small studies and a small campaign.
 
 ``test_golden_determinism`` pins grab *counts*, so it cannot see a
 refused grab with the wrong ``port`` or ``protocol``, a shifted
@@ -14,25 +14,36 @@ small study's complete outputs instead:
   checkpoint file;
 * the tables of ``api.amplification``, the tables and metrics of a
   small ``api.ecosystem`` run, and the tables and metrics of
-  ``api.analyze`` over the store-backed study's run directory.
+  ``api.analyze`` over the store-backed study's run directory;
+* the raw WAL and checkpoint bytes of a short ``api.run_campaign``
+  (three days with a hitlist sweep on day 2), once uninterrupted and
+  once crashed mid-sweep and finished by ``api.resume_campaign``.
 
 The study digests were captured before the study hot path started
 caching pool rotations and answering refused probes without dispatch;
 the amplification, ecosystem and analyze digests before those entry
-points lost their process-pool and sharded code paths.  Any change to
-what these entry points compute shows up here.  The amplification
-metrics are left out: their ``engine`` label names the scan engine.
+points lost their process-pool and sharded code paths; the campaign
+digests before the store rendered refused grabs, admissions and
+sightings from per-sink record templates.  Any change to what these
+entry points compute shows up here.  The amplification metrics are
+left out: their ``engine`` label names the scan engine.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from repro import api
 from repro.core.campaign import CampaignConfig
 from repro.core.pipeline import ExperimentConfig
 from repro.io.jsonl import grab_to_json
+from repro.store import fault_injection
+from repro.store.wal import WalReader
 from repro.world.population import WorldConfig
+
+from tests.conftest import service_config
 
 GOLDEN_GRABS = (
     "d666280ab15e95452e9b09cc909cd75cc1a9fb7ff36923b17e3ed31d7a2c41a7")
@@ -56,6 +67,14 @@ GOLDEN_ANALYZE_TABLES = (
     "01f543d425271dc8ff8b398b2732a8352882203a1de4f4bcca329bced534838f")
 GOLDEN_ANALYZE_METRICS = (
     "64ac1d97230340264165c7494cd6ee70578a4849448822a2c1b831269cf1fdad")
+GOLDEN_CAMPAIGN_STORE_FILES = (
+    "45191138e0b01caa1a10f77df4172e5c93dde4d724c6afaa7ccb10f028ce2c93")
+GOLDEN_RESUMED_CAMPAIGN_STORE_FILES = (
+    "a3569f113819846fccf63d659d75ceeb43f677c7086ed3c62ac71dee897ae102")
+
+#: The record the crashed campaign dies after: a refused grab of the
+#: day-2 hitlist sweep.
+CAMPAIGN_CRASH_SEQ = 20_004
 
 
 def _config(**overrides) -> ExperimentConfig:
@@ -101,6 +120,15 @@ def _digests(study) -> dict:
 def _report_digests(report) -> dict:
     return {"tables": _sha256([_canonical(report.tables)]),
             "metrics": _sha256([_canonical(report.metrics)])}
+
+
+def _campaign_config(run_dir: Path):
+    return service_config(run_dir, campaign_days=3, hitlist_days=2,
+                          checkpoint_days=1)
+
+
+class SimulatedCrash(BaseException):
+    pass
 
 
 def _store_files(run_dir: Path) -> str:
@@ -157,3 +185,24 @@ class TestGoldenBytes:
             "tables": GOLDEN_ANALYZE_TABLES,
             "metrics": GOLDEN_ANALYZE_METRICS,
         }
+
+    def test_campaign_store_matches_golden(self, tmp_path):
+        run_dir = tmp_path / "campaign"
+        api.run_campaign(_campaign_config(run_dir))
+        assert _store_files(run_dir) == GOLDEN_CAMPAIGN_STORE_FILES
+
+    def test_resumed_campaign_store_matches_golden(self, tmp_path):
+        run_dir = tmp_path / "campaign"
+
+        def hook(point, seq, acked):
+            if point == "post-append" and seq == CAMPAIGN_CRASH_SEQ:
+                raise SimulatedCrash()
+
+        with fault_injection(hook):
+            with pytest.raises(SimulatedCrash):
+                api.run_campaign(_campaign_config(run_dir))
+        *_, last = WalReader(run_dir / "wal").records()
+        assert (last["seq"], last["t"], last["label"]) == (
+            CAMPAIGN_CRASH_SEQ, "grab", "hitlist")
+        api.resume_campaign(str(run_dir))
+        assert _store_files(run_dir) == GOLDEN_RESUMED_CAMPAIGN_STORE_FILES

@@ -74,10 +74,16 @@ class MonlistExposureReport:
         return self.exposed / self.responsive if self.responsive else 0.0
 
 
+def _ntp_grabs(results: ScanResults) -> List[NtpGrab]:
+    """The ``ntp`` bucket (a result set has none until its first
+    answered NTP grab)."""
+    return results.extra.get("ntp", [])
+
+
 def monlist_exposure(label: str,
                      results: ScanResults) -> MonlistExposureReport:
     """Assess which responsive servers still answer mode-7 monlist."""
-    responsive = [grab for grab in results.grabs("ntp") if grab.ok]
+    responsive = [grab for grab in _ntp_grabs(results) if grab.ok]
     counts = {group: [0, 0] for group in VERSION_GROUPS}
     for grab in responsive:
         bucket = counts[version_group(grab.version or "")]
@@ -124,7 +130,7 @@ def amplification_distribution(
     if list(edges) != sorted(edges) or len(set(edges)) != len(edges):
         raise ValueError(f"bucket edges must strictly increase: {edges!r}")
     factors = sorted(
-        grab.amplification for grab in results.grabs("ntp")
+        grab.amplification for grab in _ntp_grabs(results)
         if grab.ok and grab.monlist and grab.request_bytes > 0
     )
     bounds = [0.0] + list(edges) + [float("inf")]

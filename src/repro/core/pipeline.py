@@ -222,12 +222,13 @@ class ScanRig:
         """One sweep of the hitlist's full address set."""
         return self.hitlist_engine.run(sorted(hitlist.full), label="hitlist")
 
-    def targets(self, hitlist_scan: Optional[ScanResults] = None
+    def targets(self, hitlist_seen: Optional[int] = None
                 ) -> Dict[str, int]:
-        """Cumulative targets-seen denominators, keyed by scan label."""
+        """Cumulative targets-seen denominators, keyed by scan label;
+        ``hitlist_seen`` is the hitlist scans' count, if any ran."""
         targets = {self.label: self.queue.results.targets_seen}
-        if hitlist_scan is not None:
-            targets["hitlist"] = hitlist_scan.targets_seen
+        if hitlist_seen is not None:
+            targets["hitlist"] = hitlist_seen
         return targets
 
     def mark(self, phase: str, day: int, targets: Dict[str, int]) -> None:
@@ -395,7 +396,7 @@ def _run_experiment(config: ExperimentConfig, writer=None) -> ExperimentResult:
     hitlist_scan = rig.scan_hitlist(hitlist)
     # The done mark counts both scans; every batch checkpoint, this
     # last one included, counts the NTP-fed scan only.
-    rig.mark("done", 0, rig.targets(hitlist_scan))
+    rig.mark("done", 0, rig.targets(hitlist_scan.targets_seen))
     rig.checkpoint("done", 0, rig.targets())
     if writer is not None:
         writer.close()

@@ -87,10 +87,14 @@ def _read_lines(path: PathLike) -> Iterator[Dict]:
             if not line:
                 continue
             try:
-                yield json.loads(line)
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(
                     f"{path}:{line_number}: malformed JSON") from exc
+            if type(record) is not dict:
+                raise FormatError(
+                    f"{path}:{line_number}: not a JSON object")
+            yield record
 
 
 # -- collected datasets ----------------------------------------------------
@@ -162,18 +166,55 @@ def _tls_to_json(tls: Optional[TlsObservation]) -> Optional[Dict]:
     }
 
 
-def _tls_from_json(record: Optional[Dict]) -> Optional[TlsObservation]:
-    if record is None:
+#: Marks a member without a default: its absence is a FormatError.
+_REQUIRED = object()
+_NONE = type(None)
+_TEXT = (str, _NONE)
+_FLAG = (bool, _NONE)
+
+
+def _member(record: Dict, name: str, kinds: tuple,
+            default: object = None, prefix: str = ""):
+    """``record[name]`` if its type is one of ``kinds`` exactly (so a
+    ``bool`` is not a number), ``default`` if absent; else
+    :class:`FormatError` naming the member (``prefix`` + ``name``)."""
+    value = record.get(name, _REQUIRED)
+    if type(value) in kinds:
+        return value
+    if value is _REQUIRED:
+        if default is not _REQUIRED:
+            return default
+        raise FormatError(f"grab record has no {prefix + name!r} member")
+    expected = " or ".join("null" if kind is _NONE else kind.__name__
+                           for kind in kinds)
+    raise FormatError(f"grab member {prefix + name!r} is "
+                      f"{type(value).__name__}, not {expected}")
+
+
+def _hex_member(record: Dict, name: str, prefix: str = "") -> Optional[bytes]:
+    """A hex-encoded fingerprint member (absent, null or empty: None)."""
+    text = _member(record, name, _TEXT, prefix=prefix)
+    if not text:
         return None
-    fingerprint = record.get("fingerprint")
+    try:
+        return bytes.fromhex(text)
+    except ValueError:
+        raise FormatError(f"grab member {prefix + name!r} is not hex: "
+                          f"{text!r}") from None
+
+
+def _tls_from_json(record: Dict) -> Optional[TlsObservation]:
+    tls = _member(record, "tls", (dict, _NONE))
+    if tls is None:
+        return None
     return TlsObservation(
-        ok=record["ok"],
-        alert=record.get("alert"),
-        fingerprint=bytes.fromhex(fingerprint) if fingerprint else None,
-        subject=record.get("subject"),
-        issuer=record.get("issuer"),
-        self_signed=record.get("self_signed"),
-        expired=record.get("expired"),
+        ok=_member(tls, "ok", (bool,), _REQUIRED, "tls."),
+        alert=_member(tls, "alert", (int, _NONE), prefix="tls."),
+        fingerprint=_hex_member(tls, "fingerprint", "tls."),
+        subject=_member(tls, "subject", _TEXT, prefix="tls."),
+        issuer=_member(tls, "issuer", _TEXT, prefix="tls."),
+        self_signed=_member(tls, "self_signed", _FLAG, prefix="tls."),
+        expired=_member(tls, "expired", _FLAG, prefix="tls."),
     )
 
 
@@ -202,34 +243,55 @@ def grab_to_json(grab) -> Dict:
 
 
 def grab_from_json(record: Dict):
-    address = addrmod.parse(record["addr"])
+    """The grab a :func:`grab_to_json` record describes.
+
+    Total: a record that is not an object, lacks a required member or
+    holds a member of the wrong type raises :class:`FormatError` naming
+    the member.  Optional members may be absent.
+    """
+    if type(record) is not dict:
+        raise FormatError(f"grab record is {type(record).__name__}, "
+                          "not an object")
     kind = record.get("type")
+    text = _member(record, "addr", (str,), _REQUIRED)
+    try:
+        address = addrmod.parse(text)
+    except ValueError:
+        raise FormatError(f"grab member 'addr' is not an IPv6 address: "
+                          f"{text!r}") from None
+    time = _member(record, "time", (int, float), _REQUIRED)
+    ok = _member(record, "ok", (bool,), _REQUIRED)
     if kind == "http":
         return HttpGrab(
-            address=address, time=record["time"], port=record["port"],
-            ok=record["ok"], status=record.get("status"),
-            title=record.get("title"), server=record.get("server"),
-            tls=_tls_from_json(record.get("tls")))
+            address=address, time=time,
+            port=_member(record, "port", (int,), _REQUIRED), ok=ok,
+            status=_member(record, "status", (int, _NONE)),
+            title=_member(record, "title", _TEXT),
+            server=_member(record, "server", _TEXT),
+            tls=_tls_from_json(record))
     if kind == "ssh":
-        fingerprint = record.get("key_fingerprint")
         return SshGrab(
-            address=address, time=record["time"], ok=record["ok"],
-            banner=record.get("banner"), software=record.get("software"),
-            comment=record.get("comment"),
-            key_algorithm=record.get("key_algorithm"),
-            key_fingerprint=bytes.fromhex(fingerprint)
-            if fingerprint else None)
+            address=address, time=time, ok=ok,
+            banner=_member(record, "banner", _TEXT),
+            software=_member(record, "software", _TEXT),
+            comment=_member(record, "comment", _TEXT),
+            key_algorithm=_member(record, "key_algorithm", _TEXT),
+            key_fingerprint=_hex_member(record, "key_fingerprint"))
     if kind == "broker":
         return BrokerGrab(
-            address=address, time=record["time"], port=record["port"],
-            protocol=record["protocol"], ok=record["ok"],
-            open_access=record.get("open_access"),
-            detail=record.get("detail"),
-            tls=_tls_from_json(record.get("tls")))
+            address=address, time=time,
+            port=_member(record, "port", (int,), _REQUIRED),
+            protocol=_member(record, "protocol", (str,), _REQUIRED), ok=ok,
+            open_access=_member(record, "open_access", _FLAG),
+            detail=_member(record, "detail", _TEXT),
+            tls=_tls_from_json(record))
     if kind == "coap":
-        return CoapGrab(address=address, time=record["time"],
-                        ok=record["ok"],
-                        resources=tuple(record.get("resources", ())))
+        resources = _member(record, "resources", (list,), [])
+        if any(type(resource) is not str for resource in resources):
+            raise FormatError(f"grab member 'resources' holds a non-string: "
+                              f"{resources!r}")
+        return CoapGrab(address=address, time=time, ok=ok,
+                        resources=tuple(resources))
     raise FormatError(f"unknown grab type {kind!r}")
 
 
@@ -319,7 +381,11 @@ def load_run_report(path: PathLike) -> RunReport:
 
 
 def load_results(path: PathLike) -> ScanResults:
-    """Read results written by :func:`save_results`."""
+    """Read results written by :func:`save_results`.
+
+    Like every result set, the loaded one holds answered grabs only: a
+    refused grab record (``"ok": false``) is skipped undecoded.
+    """
     records = _read_lines(path)
     try:
         label = _check_header(next(records), "scan-results")
@@ -330,5 +396,11 @@ def load_results(path: PathLike) -> ScanResults:
         if record.get("type") == "meta":
             results.targets_seen = record.get("targets_seen", 0)
             continue
-        results.add(grab_from_json(record))
+        if record.get("ok") is False:
+            continue
+        try:
+            grab = grab_from_json(record)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+        results.add(grab)
     return results

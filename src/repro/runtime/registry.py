@@ -16,10 +16,11 @@ registry makes the probe set a *campaign parameter*:
 
 A spec may also carry its module's *refused* grab builder: the grab the
 probe returns when its connection is refused or its request goes
-unanswered.  With it, the executor answers a probe the network would
+unanswered.  With it, the executor settles a probe the network would
 refuse without running the module (see
 :meth:`repro.net.simnet.Network.ports_to_deliver`); without it, the
-probe always runs.
+probe always runs.  Either way a refused probe adds no grab to a
+result set.
 
 Probe order is insertion order and therefore deterministic, which the
 golden-value pipeline tests rely on.
@@ -65,10 +66,11 @@ class ProbeSpec:
     port: int
     #: The probe's own refused grab.  Only for a probe that, when
     #: refused, makes exactly one connection attempt or request, to
-    #: ``port``, and returns ``refused(target, now, port)``.  Its grabs
-    #: may differ only in address and time: a store renders them from
-    #: one sample, and raises ``ValueError`` at the first probe if a
-    #: second one differs elsewhere (see
+    #: ``port``, and returns ``refused(target, now, port)``.  A settled
+    #: probe builds no grab; with a store attached, its WAL record is
+    #: rendered from one sample of this grab.  Its grabs may therefore
+    #: differ only in address and time: the store raises ``ValueError``
+    #: at the first probe if a second sample differs elsewhere (see
     #: :meth:`repro.store.writer.StoreWriter.refused_sink`).
     refused: Optional[Refusal] = None
 

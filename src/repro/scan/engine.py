@@ -142,30 +142,31 @@ class ProbeExecutor:
         self.registry = registry
         self.stats = stats
         self._name = name
-        #: Called with every grab that no refused-record writer takes:
-        #: the store's durability tap for delivered grabs, and for
-        #: every grab when no store is attached.
+        #: Called with the grab of every dispatched probe, answered or
+        #: not: the store's durability tap (a settled probe's record
+        #: goes through the plan's refused-record writer instead).
         self.grab_hook: Optional[Callable[[Grab], None]] = None
         #: ``(writer, label)`` of the attached store (see :meth:`attach_store`).
         self._store: Optional[tuple] = None
         self._metrics = current_registry()
-        #: One ``(probe, refused, port, write_refused, attempts,
+        #: One ``(probe, settles, port, write_refused, attempts,
         #: successes, latency)`` per spec, in registry order (see
         #: :meth:`_build_plan`).
         self._plan: Optional[Tuple[tuple, ...]] = None
 
     def attach_store(self, writer, label: str) -> None:
-        """Record this executor's grabs in ``writer`` under scan
-        ``label``: delivered grabs through :attr:`grab_hook`, settled
-        ones through the writer's refused-record function for their
-        spec, which the plan (rebuilt at the next probe) carries."""
+        """Record this executor's probes in ``writer`` under scan
+        ``label``: dispatched probes' grabs through :attr:`grab_hook`,
+        settled probes through the writer's refused-record function for
+        their spec, which the plan (rebuilt at the next probe) carries."""
         self.grab_hook = writer.grab_sink(label)
         self._store = (writer, label)
         self._plan = None
 
     def _build_plan(self) -> Tuple[tuple, ...]:
-        """The probe plan: each spec's probe, refused grab builder, port
-        and, with a store attached, the writer's refused-record function,
+        """The probe plan: each spec's probe, whether it settles refused
+        probes (its spec carries a refused grab builder), its port and,
+        with a store attached, the writer's refused-record function,
         with its ``probe_*`` instruments, looked up once.
 
         Built at the first probe, so the series appear when they are
@@ -174,7 +175,7 @@ class ProbeExecutor:
         """
         metrics, name, store = self._metrics, self._name, self._store
         return tuple(
-            (spec.probe, spec.refused, spec.port,
+            (spec.probe, spec.refused is not None, spec.port,
              None if spec.refused is None or store is None
              else store[0].refused_sink(store[1], spec),
              metrics.counter("probe_attempts_total",
@@ -188,16 +189,18 @@ class ProbeExecutor:
     def execute_into(self, target: int,
                      add: Callable[[Grab], None]) -> None:
         """Probe ``target`` with every registered module, in registry
-        order, handing each grab to ``add``.
+        order, handing each answered (``ok``) grab to ``add``.
 
         Per target, the host is looked up once and the network says
         once which ports must really be delivered
         (:meth:`~repro.net.simnet.Network.ports_to_deliver`).  A probe
         whose spec carries its module's refused grab, on any other
-        port, is settled as refused without running the module: it
-        takes its ephemeral port, in probe order, and gets the refused
-        grab, which a store records from ``(target, now)`` alone.  The
-        clock stays put, so every probe's latency is 0.
+        port, is settled as refused without running the module and
+        builds no grab: it takes its ephemeral port, in probe order,
+        and its counters, and a store records its refused grab from
+        ``(target, now)`` alone.  A dispatched probe's grab goes to the
+        store whatever its outcome.  The clock stays put, so every
+        probe's latency is 0.
         """
         plan = self._plan
         if plan is None:
@@ -207,26 +210,23 @@ class ProbeExecutor:
         stats = self.stats
         grab_hook = self.grab_hook
         deliver = network.ports_to_deliver(network.host(target))
-        for (probe, refused, port, write_refused, attempts, successes,
+        for (probe, settles, port, write_refused, attempts, successes,
              latency) in plan:
             stats.probes_sent += 1
-            if refused is None or deliver is None or port in deliver:
-                grab = probe(network, source, target)
-                write_refused = None
-            else:
-                network.ephemeral_port()
-                now = clock.now()
-                grab = refused(target, now, port)
             # One 0.0 per probe: the golden snapshots pin the series.
             latency.observe(0.0)
             attempts.inc()
-            if grab.ok:
-                successes.inc()
-            if write_refused is not None:
-                write_refused(target, now)
-            elif grab_hook is not None:
-                grab_hook(grab)
-            add(grab)
+            if not settles or deliver is None or port in deliver:
+                grab = probe(network, source, target)
+                if grab_hook is not None:
+                    grab_hook(grab)
+                if grab.ok:
+                    successes.inc()
+                    add(grab)
+            else:
+                network.ephemeral_port()
+                if write_refused is not None:
+                    write_refused(target, clock.now())
 
 
 class ScanEngine:
@@ -272,7 +272,8 @@ class ScanEngine:
     # -- single target ----------------------------------------------------
 
     def scan_address(self, target: int) -> List[Grab]:
-        """Run every registered probe against one address, in order."""
+        """Run every registered probe against one address, in order;
+        returns the answered grabs, as :meth:`feed` would add them."""
         grabs: List[Grab] = []
         self.executor.execute_into(target, grabs.append)
         return grabs

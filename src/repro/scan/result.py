@@ -1,10 +1,13 @@
 """Scan result records — the zgrab2-style "grab" objects.
 
 Each protocol module returns a typed grab; :class:`ScanResults`
-accumulates them per protocol and offers the aggregate accessors the
-analyses and tables consume (responsive addresses, TLS success shares,
-unique certificate/key fingerprints).  :func:`refused_builder` makes
-each module's refused grab, the grab of nearly every probe.
+accumulates the answered (``ok``) ones per protocol and offers the
+aggregate accessors the analyses and tables consume (responsive
+addresses, TLS success shares, unique certificate/key fingerprints).
+:func:`refused_builder` makes each module's refused grab, the outcome
+of nearly every probe: the module returns it when its probe is
+refused, and a store renders every refused probe's log record from
+one sample of it.
 """
 
 from __future__ import annotations
@@ -153,9 +156,9 @@ def refused_builder(cls: type, **constants: object
     every field: the builder makes the grab with ``object.__new__`` and
     sets only the fields without a default, in field order, so the
     others read their defaults from the class and the instance keeps
-    the class's shared attribute layout.  That halves the cost of the
-    grab of nearly every probe of a study.  For grab dataclasses
-    without ``__post_init__``.
+    the class's shared attribute layout, at half the cost of the
+    generated ``__init__``.  For grab dataclasses without
+    ``__post_init__``.
     """
     given = ("address", "time", "port", "ok") + tuple(constants)
     required = [spec.name for spec in fields(cls) if spec.default is MISSING]
@@ -182,11 +185,19 @@ def refused_builder(cls: type, **constants: object
 class ScanResults:
     """Accumulated grabs of one scan campaign.
 
+    A result set holds answered (``ok``) grabs only, whether the scan
+    engine filled it (a refused probe leaves its counters and its store
+    record, not a grab) or a reader rebuilt it from a run store or a
+    results file (refused grab records are skipped), so live, replayed
+    and reloaded result sets agree grab for grab.  ``targets_seen``
+    still counts every fed target.
+
     The eight paper protocols are first-class fields; grabs from
     additionally registered probe modules (see
     :class:`repro.runtime.registry.ProbeRegistry`) accumulate in
-    ``extra`` under their ``protocol`` label and flow through every
-    aggregate exactly like the built-in ones.
+    ``extra`` under their ``protocol`` label, from their first answered
+    grab on, and flow through every aggregate exactly like the
+    built-in ones.
     """
 
     label: str = ""
@@ -226,18 +237,6 @@ class ScanResults:
         if not isinstance(protocol, str):
             raise TypeError(f"not a grab: {grab!r}")
         self.bucket(protocol).append(grab)
-
-    def absorb(self, part: "ScanResults") -> None:
-        """Fold another result set into this accumulator, in place.
-
-        Buckets extend in call order and counters sum (the campaign
-        daemon folds each hitlist sweep into its running results).
-        """
-        for protocol in part.protocols():
-            grabs = part.grabs(protocol)
-            if grabs:
-                self.bucket(protocol).extend(grabs)
-        self.targets_seen += part.targets_seen
 
     # -- aggregates (Table 2 columns) -----------------------------------
 

@@ -41,7 +41,6 @@ from typing import Dict
 
 from repro.core.pipeline import ScanRig, config_from_document, open_store_writer
 from repro.obs.metrics import current_registry
-from repro.scan.result import ScanResults
 from repro.service.config import ServiceConfig, is_service_document
 from repro.store.runstore import RunStore
 from repro.store.writer import StoreWriter
@@ -84,7 +83,9 @@ class CampaignDaemon:
         # re-probe inside the TTL) holds by construction as long as
         # hitlist_days exceeds the cool-down (the defaults: 7 > 3).
         self.rig.add_hitlist_engine()
-        self.hitlist_scan = ScanResults(label="hitlist")
+        #: Targets fed to every hitlist sweep so far, the denominator
+        #: marks and checkpoints carry; the sweeps' grabs are in the WAL.
+        self.hitlist_seen = 0
         self._zone_codes = [country.code
                             for country in self.world.geo.countries
                             if country.competing_servers > 0]
@@ -220,7 +221,7 @@ class CampaignDaemon:
         longitudinal analogue of the paper's one-shot final-week scan.
         """
         hitlist = build_hitlist(self.world, self.config.hitlist)
-        self.hitlist_scan.absorb(self.rig.scan_hitlist(hitlist))
+        self.hitlist_seen += self.rig.scan_hitlist(hitlist).targets_seen
         self.drift["hitlist_sweeps"] += 1
         self._m_sweeps.inc()
 
@@ -228,7 +229,7 @@ class CampaignDaemon:
 
     def _targets(self) -> Dict[str, int]:
         """Cumulative targets-seen denominators for marks and checkpoints."""
-        return self.rig.targets(self.hitlist_scan)
+        return self.rig.targets(self.hitlist_seen)
 
     def _checkpoint(self) -> None:
         self.rig.checkpoint("service", self.day, self._targets(),

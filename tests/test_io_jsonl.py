@@ -1,11 +1,25 @@
-"""Roundtrip tests for the JSONL persistence formats."""
+"""Roundtrip tests for the JSONL persistence formats, and the grab
+codec's totality: a record with a missing or mistyped member decodes to
+a grab or raises :class:`FormatError` naming the member, nothing else."""
 
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.core.collector import CollectedDataset
-from repro.io import FormatError, load_dataset, load_results, save_dataset, save_results
+from repro.io import (
+    FormatError,
+    grab_from_json,
+    grab_to_json,
+    load_dataset,
+    load_results,
+    save_dataset,
+    save_results,
+    to_canonical_json,
+)
 from repro.ipv6 import parse
 from repro.scan.result import (
     BrokerGrab,
@@ -99,7 +113,10 @@ class TestResultsRoundtrip:
         assert loaded.label == "test-scan"
         assert loaded.targets_seen == 42
         assert len(loaded.https) == 1
-        assert len(loaded.http) == 1
+        # The refused HTTP grab is written, but a loaded result set,
+        # like every result set, holds the answered grabs only.
+        assert '"ok": false' in path.read_text(encoding="utf-8")
+        assert loaded.http == []
         assert len(loaded.ssh) == 1
         assert len(loaded.mqtt) == 1
         assert len(loaded.coap) == 1
@@ -185,3 +202,163 @@ class TestCanonicalForm:
         line = to_canonical_json({"seq": big})
         assert json.loads(line)["seq"] == big
         assert str(big) in line
+
+
+# -- the grab codec is total --------------------------------------------------
+
+_ADDRESSES = st.integers(0, 2**128 - 1)
+_TIMES = st.one_of(st.integers(0, 10**9),
+                   st.floats(0, 1e9, allow_nan=False))
+_TEXT = st.one_of(st.none(), st.text(max_size=8))
+_FINGERPRINTS = st.one_of(st.none(), st.binary(min_size=1, max_size=8))
+_FLAGS = st.one_of(st.none(), st.booleans())
+_TLS = st.one_of(st.none(), st.builds(
+    TlsObservation, ok=st.booleans(),
+    alert=st.one_of(st.none(), st.integers(0, 255)),
+    fingerprint=_FINGERPRINTS, subject=_TEXT, issuer=_TEXT,
+    self_signed=_FLAGS, expired=_FLAGS))
+_GRABS = st.one_of(
+    st.builds(HttpGrab, address=_ADDRESSES, time=_TIMES,
+              port=st.sampled_from([80, 443]), ok=st.booleans(),
+              status=st.one_of(st.none(), st.integers(100, 599)),
+              title=_TEXT, server=_TEXT, tls=_TLS),
+    st.builds(SshGrab, address=_ADDRESSES, time=_TIMES, ok=st.booleans(),
+              banner=_TEXT, software=_TEXT, comment=_TEXT,
+              key_algorithm=_TEXT, key_fingerprint=_FINGERPRINTS),
+    st.builds(BrokerGrab, address=_ADDRESSES, time=_TIMES,
+              port=st.sampled_from([1883, 8883, 5672, 5671]),
+              protocol=st.sampled_from(["mqtt", "mqtts", "amqp", "amqps"]),
+              ok=st.booleans(), open_access=_FLAGS, detail=_TEXT, tls=_TLS),
+    st.builds(CoapGrab, address=_ADDRESSES, time=_TIMES, ok=st.booleans(),
+              resources=st.lists(st.text(max_size=8), max_size=3)
+              .map(tuple)),
+)
+#: Any JSON value, for the type mutations.
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.floats(allow_nan=False), st.text(max_size=8)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=4), inner,
+                                            max_size=3)),
+    max_leaves=6)
+
+
+def _record(grab) -> dict:
+    """``grab``'s record as a results file or the WAL holds it."""
+    return json.loads(to_canonical_json(grab_to_json(grab)))
+
+
+def _valid(**members) -> dict:
+    record = {"type": "ssh", "addr": "2001:db8::1", "time": 1.0, "ok": True,
+              "key_fingerprint": "aa"}
+    record.update(members)
+    return record
+
+
+@given(_GRABS)
+def test_grab_records_round_trip(grab):
+    assert grab_from_json(_record(grab)) == grab
+
+
+@given(_GRABS, st.data())
+def test_mutated_grab_record_decodes_or_raises_format_error(grab, data):
+    """Drop one member of a valid record, or give it a value of another
+    JSON type, at the top level or inside ``tls``: the decoder returns
+    a grab or raises FormatError, never anything else."""
+    record = _record(grab)
+    members = [(record, key) for key in record]
+    if isinstance(record.get("tls"), dict):
+        members += [(record["tls"], key) for key in record["tls"]]
+    owner, key = data.draw(st.sampled_from(members))
+    if data.draw(st.booleans()):
+        del owner[key]
+    else:
+        kind = type(owner[key])
+        owner[key] = data.draw(_JSON.filter(lambda value: type(value)
+                                            is not kind))
+    try:
+        decoded = grab_from_json(record)
+    except FormatError:
+        return
+    assert type(decoded) in (HttpGrab, SshGrab, BrokerGrab, CoapGrab)
+
+
+@pytest.mark.parametrize("record,member", [
+    ({"type": "http", "time": 1.0, "ok": True, "port": 80}, "addr"),
+    ({"type": "http", "addr": "2001:db8::1", "time": 1.0, "ok": True},
+     "port"),
+    ({"type": "broker", "addr": "2001:db8::1", "time": 1.0, "ok": True,
+      "port": 1883}, "protocol"),
+    (_valid(time=None), "time"),
+    (_valid(time=True), "time"),
+    (_valid(addr="not-an-address"), "addr"),
+    (_valid(addr=5), "addr"),
+    (_valid(ok="yes"), "ok"),
+    (_valid(ok=1), "ok"),
+    (_valid(key_fingerprint="zz"), "key_fingerprint"),
+    (_valid(key_fingerprint=7), "key_fingerprint"),
+    ({"type": "coap", "addr": "2001:db8::1", "time": 1.0, "ok": True,
+      "resources": 5}, "resources"),
+    ({"type": "coap", "addr": "2001:db8::1", "time": 1.0, "ok": True,
+      "resources": ["/a", 5]}, "resources"),
+    ({"type": "http", "addr": "2001:db8::1", "time": 1.0, "ok": True,
+      "port": 443, "tls": {"ok": True, "fingerprint": "xyz"}},
+     "tls.fingerprint"),
+    ({"type": "http", "addr": "2001:db8::1", "time": 1.0, "ok": True,
+      "port": 443, "tls": {"alert": 40}}, "tls.ok"),
+    ({"type": "http", "addr": "2001:db8::1", "time": 1.0, "ok": True,
+      "port": 443, "tls": []}, "tls"),
+])
+def test_bad_member_raises_format_error_naming_it(record, member):
+    with pytest.raises(FormatError, match=f"'{member}'"):
+        grab_from_json(record)
+
+
+@pytest.mark.parametrize("record", [
+    [], "grab", None, {"addr": "2001:db8::1", "time": 1.0, "ok": True},
+])
+def test_not_a_grab_record_raises_format_error(record):
+    with pytest.raises(FormatError):
+        grab_from_json(record)
+
+
+def _results_file(path, *lines):
+    path.write_text("".join(json.dumps(line) + "\n" for line in (
+        {"type": "header", "kind": "scan-results", "label": "x",
+         "version": 1},
+        {"type": "meta", "targets_seen": 3}) + lines), encoding="utf-8")
+    return path
+
+
+class TestLoadResults:
+    def test_refused_records_are_skipped_undecoded(self, tmp_path):
+        path = _results_file(
+            tmp_path / "scan.jsonl", _valid(),
+            # Refused: skipped before decoding, so its bad member is moot.
+            _valid(ok=False, key_fingerprint="zz"))
+        loaded = load_results(path)
+        assert loaded.targets_seen == 3
+        assert [grab.address for grab in loaded.ssh] == \
+            [parse("2001:db8::1")]
+
+    def test_bad_record_names_file_and_member(self, tmp_path):
+        path = _results_file(tmp_path / "scan.jsonl", _valid(ok="yes"))
+        with pytest.raises(FormatError, match=r"scan\.jsonl: .*'ok'"):
+            load_results(path)
+
+    def test_line_that_is_not_an_object_is_a_format_error(self, tmp_path):
+        path = _results_file(tmp_path / "scan.jsonl", [1, 2])
+        with pytest.raises(FormatError, match="not a JSON object"):
+            load_results(path)
+
+    def test_analyze_on_a_bad_file_exits_2_naming_the_member(
+            self, results, tmp_path, capsys):
+        good = tmp_path / "good.jsonl"
+        save_results(results, good)
+        record = _valid()
+        del record["addr"]
+        bad = _results_file(tmp_path / "bad.jsonl", record)
+        assert main(["analyze", "--ntp", str(bad),
+                     "--hitlist", str(good)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'addr'" in err

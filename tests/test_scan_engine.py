@@ -35,18 +35,21 @@ def fritz(network, rng):
 
 class TestScanAddress:
     def test_all_protocols_probed(self, network, fritz):
-        engine = ScanEngine(network, SRC)
-        grabs = engine.scan_address(fritz.address)
-        assert len(grabs) == len(PROTOCOLS)
-        assert {grab.protocol for grab in grabs} == set(PROTOCOLS)
+        with use_registry() as metrics:
+            engine = ScanEngine(network, SRC)
+            engine.scan_address(fritz.address)
+        assert engine.stats.probes_sent == len(PROTOCOLS)
+        assert {protocol: metrics.value("probe_attempts_total",
+                                        engine="engine", protocol=protocol)
+                for protocol in PROTOCOLS} == dict.fromkeys(PROTOCOLS, 1)
 
     def test_fritz_answers_web_only(self, network, fritz):
+        # Only answered grabs come back: a refused probe leaves its
+        # counters, not a grab.
         engine = ScanEngine(network, SRC)
-        outcomes = {grab.protocol: grab.ok
-                    for grab in engine.scan_address(fritz.address)}
-        assert outcomes["http"] and outcomes["https"]
-        assert not outcomes["ssh"]
-        assert not outcomes["coap"]
+        grabs = engine.scan_address(fritz.address)
+        assert [(grab.protocol, grab.ok) for grab in grabs] == \
+            [("http", True), ("https", True)]
 
     def test_embedded_mode_freezes_clock(self, network, fritz):
         engine = ScanEngine(network, SRC)

@@ -32,7 +32,9 @@ from repro.ntp.service import (
     control_service_for,
     seeded_entries,
 )
-from repro.scan.modules.ntp import scan_ntp
+from repro.runtime.registry import ProbeRegistry
+from repro.scan.engine import ScanEngine
+from repro.scan.modules.ntp import refused_ntp, scan_ntp
 from repro.scan.result import NtpGrab, ScanResults
 from repro.world.ntpprofiles import profile_for
 
@@ -168,6 +170,20 @@ class TestAnalyses:
     def test_rejects_unsorted_edges(self):
         with pytest.raises(ValueError):
             amplification_distribution("t", self.grabs(), edges=(5.0, 1.0))
+
+    def test_scan_no_server_answered_reports_none(self):
+        """A refused probe leaves no grab, so a scan that no server
+        answered has no ``ntp`` bucket, and both analyses count zero."""
+        network = Network()
+        network.add_host(SCANNER)
+        network.add_host(PREFIX48 + 99)  # host up, port 123 unbound
+        registry = ProbeRegistry()
+        registry.register("ntp", scan_ntp, 123, refused=refused_ntp)
+        results = ScanEngine(network, SCANNER, registry=registry).run(
+            [PREFIX48 + 99, PREFIX48 + 100])
+        assert "ntp" not in results.protocols()
+        assert monlist_exposure("t", results).responsive == 0
+        assert amplification_distribution("t", results).samples == 0
 
     def test_table_renders_both_reports(self):
         table = amplification_table(

@@ -1,14 +1,23 @@
 """The executor's refused-probe shortcut against the full probe path.
 
-A probe whose spec carries its module's refused grab is answered
-without running the module when the network settles the attempt as
-refused.  For every default probe and the ``ntp`` probe, against a
-target with no host, an unreachable host, a reachable host with the
-port closed and an address inside an aliased /64, the shortcut must be
-indistinguishable from running the module: the same grab field for
-field, the same metrics and the same next ephemeral port.  With a tap
-attached or a lossy network the shortcut must stay off, so tap records
-and loss draws match too.
+A probe whose spec carries its module's refused grab is settled without
+running the module when the network settles the attempt as refused.  A
+refused probe leaves no grab in a result set, whichever path it takes,
+so the two paths are compared on what does remain.  For every default
+probe and the ``ntp`` probe, against a target with no host, an
+unreachable host, a reachable host with the port closed and an address
+inside an aliased /64:
+
+* neither path hands ``add`` anything;
+* the module's own refused grab, captured from the dispatched path's
+  probe, equals ``spec.refused(target, now, port)``: the sample a
+  store renders a settled probe's record from;
+* the metrics and the next ephemeral port are equal, and with a store
+  attached (for the probes the WAL has a grab codec for) the WAL bytes
+  are too.
+
+With a tap attached or a lossy network the shortcut must stay off, so
+tap records and loss draws match as well.
 """
 
 import dataclasses
@@ -23,6 +32,8 @@ from repro.obs.metrics import use_registry
 from repro.runtime.registry import ProbeRegistry, ProbeSpec, default_registry
 from repro.scan.engine import ScanEngine
 from repro.scan.modules.ntp import refused_ntp, scan_ntp
+from repro.store.runstore import RunStore
+from repro.store.writer import StoreWriter
 
 SRC = parse("2001:db8:5c::1")
 NO_HOST = parse("2001:db8:700::1")
@@ -30,6 +41,8 @@ UNREACHABLE = parse("2001:db8:700::2")
 CLOSED = parse("2001:db8:700::3")
 OPEN = parse("2001:db8:700::4")
 WILDCARD_PREFIX = parse("2001:db8:701::")
+#: The clock every probe here runs at.
+NOW = 1234.5
 
 TARGETS = {
     "no-host": NO_HOST,
@@ -53,7 +66,7 @@ class _SilentService:
 
 
 def _network(*, loss_rate=0.0, seed=9):
-    network = Network(VirtualClock(start=1234.5), loss_rate=loss_rate,
+    network = Network(VirtualClock(start=NOW), loss_rate=loss_rate,
                       rng=random.Random(seed))
     network.add_host(SRC)
     # Every probe's port is open, each on its probe's transport only.
@@ -69,21 +82,37 @@ def _network(*, loss_rate=0.0, seed=9):
     return network
 
 
-def _scan(network, spec, target, *, shortcut):
-    """One probe through the executor; (grab, module calls, metrics)."""
-    calls = []
+def _scan(network, spec, target, *, shortcut, run_dir=None):
+    """One probe through the executor: (what it handed ``add``, the
+    grabs the module returned, the metrics snapshot).  With ``run_dir``
+    the engine logs into a fresh store there."""
+    returned = []
 
     def probe(*args):
-        calls.append(args)
-        return spec.probe(*args)
+        grab = spec.probe(*args)
+        returned.append(grab)
+        return grab
 
     refused = spec.refused if shortcut else None
     registry = ProbeRegistry([dataclasses.replace(spec, probe=probe,
                                                   refused=refused)])
     with use_registry() as metrics:
         engine = ScanEngine(network, SRC, registry=registry)
-        (grab,) = engine.scan_address(target)
-    return grab, len(calls), metrics.snapshot()
+        writer = None
+        if run_dir is not None:
+            writer = StoreWriter(RunStore.create(run_dir, config={},
+                                                 cooldown_ttl=0.0))
+            engine.attach_store(writer, label="ntp")
+        added = []
+        engine.executor.execute_into(target, added.append)
+        if writer is not None:
+            writer.close()
+    return added, returned, metrics.snapshot()
+
+
+def _wal_bytes(run_dir):
+    return {path.name: path.read_bytes()
+            for path in sorted((run_dir / "wal").iterdir())}
 
 
 @pytest.mark.parametrize("target", sorted(TARGETS))
@@ -91,15 +120,19 @@ def _scan(network, spec, target, *, shortcut):
 class TestRefusedShortcut:
     def test_matches_module_grab_without_dispatch(self, spec, target):
         full_net, fast_net = _network(), _network()
-        full, full_calls, full_metrics = _scan(
+        full_added, full_grabs, full_metrics = _scan(
             full_net, spec, TARGETS[target], shortcut=False)
-        fast, fast_calls, fast_metrics = _scan(
+        fast_added, fast_grabs, fast_metrics = _scan(
             fast_net, spec, TARGETS[target], shortcut=True)
-        assert (full_calls, fast_calls) == (1, 0)
-        assert type(fast) is type(full)
-        assert dataclasses.astuple(fast) == dataclasses.astuple(full)
-        assert (fast.protocol, fast.ok, fast.time) == \
-            (full.protocol, False, 1234.5)
+        assert (full_added, fast_added) == ([], [])
+        assert (len(full_grabs), fast_grabs) == (1, [])
+        (module_grab,) = full_grabs
+        sample = spec.refused(TARGETS[target], NOW, spec.port)
+        assert type(module_grab) is type(sample)
+        assert dataclasses.astuple(module_grab) == \
+            dataclasses.astuple(sample)
+        assert (module_grab.protocol, module_grab.ok) == \
+            (spec.name, False)
         assert fast_metrics == full_metrics
         assert fast_net.ephemeral_port() == full_net.ephemeral_port()
 
@@ -112,21 +145,43 @@ class TestRefusedShortcut:
         if mode == "tap":
             full_net.add_tap(full_records.append)
             fast_net.add_tap(fast_records.append)
-        full, _, _ = _scan(full_net, spec, TARGETS[target], shortcut=False)
-        fast, fast_calls, _ = _scan(fast_net, spec, TARGETS[target],
-                                    shortcut=True)
-        assert fast_calls == 1
-        assert fast == full
+        full_added, full_grabs, full_metrics = _scan(
+            full_net, spec, TARGETS[target], shortcut=False)
+        fast_added, fast_grabs, fast_metrics = _scan(
+            fast_net, spec, TARGETS[target], shortcut=True)
+        assert len(fast_grabs) == 1
+        assert fast_grabs == full_grabs
+        assert (fast_added, full_added) == ([], [])
+        assert fast_metrics == full_metrics
         assert fast_records == full_records
         assert fast_net._rng.getstate() == full_net._rng.getstate()
         assert fast_net.ephemeral_port() == full_net.ephemeral_port()
 
 
+#: The WAL has a grab codec for the paper's probes, not for ``ntp``.
+@pytest.mark.parametrize("target", sorted(TARGETS))
+@pytest.mark.parametrize("spec", default_registry(),
+                         ids=lambda spec: spec.name)
+def test_settled_probe_logs_the_module_grab(spec, target, tmp_path):
+    full_added, _, full_metrics = _scan(
+        _network(), spec, TARGETS[target], shortcut=False,
+        run_dir=tmp_path / "full")
+    fast_added, fast_grabs, fast_metrics = _scan(
+        _network(), spec, TARGETS[target], shortcut=True,
+        run_dir=tmp_path / "fast")
+    assert (full_added, fast_added, fast_grabs) == ([], [], [])
+    assert _wal_bytes(tmp_path / "fast") == _wal_bytes(tmp_path / "full")
+    assert fast_metrics == full_metrics
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)
 def test_open_port_runs_the_module(spec):
     network = _network()
-    _, calls, _ = _scan(network, spec, OPEN, shortcut=True)
-    assert calls == 1
+    added, grabs, _ = _scan(network, spec, OPEN, shortcut=True)
+    assert len(grabs) == 1
+    # The silent services never answer: the dispatched grab is refused,
+    # and add gets exactly the answered grabs.
+    assert added == [grab for grab in grabs if grab.ok] == []
 
 
 @dataclasses.dataclass(frozen=True)
@@ -139,7 +194,8 @@ class _TelnetGrab:
 
 def test_spec_without_refused_grab_always_runs():
     """A spec registered without a refused grab (the README's telnet
-    recipe) keeps the full probe path, refused or not."""
+    recipe) keeps the full probe path, refused or not, and its bucket
+    appears with its first answered grab."""
     calls = []
 
     def scan_telnet(network, source, target):
@@ -149,9 +205,13 @@ def test_spec_without_refused_grab_always_runs():
 
     registry = ProbeRegistry()
     registry.register("telnet", scan_telnet, 23)
-    engine = ScanEngine(_network(), SRC, registry=registry)
+    network = _network()
+    engine = ScanEngine(network, SRC, registry=registry)
     targets = [TARGETS[name] for name in sorted(TARGETS)]
     results = engine.run(targets)
     assert calls == targets
-    assert results.grabs("telnet") == [
-        _TelnetGrab(target, 1234.5, False) for target in targets]
+    assert "telnet" not in results.protocols()
+    assert results.targets_seen == len(targets)
+    network.add_host(OPEN + 1).bind_tcp(23, _SilentService())
+    engine.feed(OPEN + 1, results)
+    assert results.grabs("telnet") == [_TelnetGrab(OPEN + 1, NOW, True)]

@@ -18,6 +18,7 @@ from repro.io.jsonl import to_canonical_json
 from repro.net.clock import DAY
 from repro.service import CampaignDaemon, WindowedStudyReader
 from repro.store import RunStore, fault_injection
+from repro.store.wal import WalReader
 
 from tests.conftest import patch_stored_config, service_config, store_bytes
 
@@ -55,6 +56,19 @@ def test_world_evolves_under_the_campaign(service_run):
         result.daemon.config.campaign_days // 4)
     targets = result.report.tables["campaign"]["targets"]
     assert targets["hitlist"] > 0 and targets["ntp"] > 0
+
+
+def test_hitlist_denominator_counts_every_sweep(service_run):
+    """The daemon keeps the sweeps' cumulative targets as a count: its
+    tables and final mark carry every target the hitlist engine was
+    fed, across all sweeps."""
+    result, run_dir = service_run
+    assert result.report.tables["drift"]["hitlist_sweeps"] >= 2
+    fed = result.daemon.rig.hitlist_engine.stats.targets_offered
+    assert result.report.tables["campaign"]["targets"]["hitlist"] == fed
+    marks = [record for record in WalReader(run_dir / "wal").records()
+             if record["t"] == "mark"]
+    assert marks[-1]["targets"]["hitlist"] == fed
 
 
 def test_tick_past_horizon_raises(service_run):

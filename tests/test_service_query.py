@@ -88,24 +88,27 @@ def test_window_equals_full_replay_bytes(service_store, reader,
 @pytest.mark.parametrize("start_day,end_day", [(0, 4), (2, 6), (3, 5)])
 def test_window_decodes_only_in_window_grabs(service_store, monkeypatch,
                                              start_day, end_day):
-    """Out-of-window grab records are skipped undecoded, yet the window
-    still equals the full-replay fold."""
+    """Out-of-window and refused grab records are skipped undecoded: the
+    decoded records are exactly the in-window answered grab records, yet
+    the window still equals the full-replay fold."""
     import repro.io.jsonl
 
     t0, t1 = start_day * DAY, end_day * DAY
     decoded = []
 
     def counting(record):
-        decoded.append(record["time"])
+        decoded.append(record)
         return grab_from_json(record)
 
     monkeypatch.setattr(repro.io.jsonl, "grab_from_json", counting)
     frame = WindowedStudyReader(service_store).window(t0, t1)
     monkeypatch.undo()
-    in_window = sum(1 for record in WalReader(service_store.wal_dir).records()
-                    if record.get("t") == "grab" and t0 <= record["time"] < t1)
-    assert decoded and all(t0 <= time < t1 for time in decoded)
-    assert len(decoded) == in_window
+    in_window = [record
+                 for record in WalReader(service_store.wal_dir).records()
+                 if record.get("t") == "grab" and t0 <= record["time"] < t1]
+    assert any(not record["ok"] for record in in_window)
+    assert decoded
+    assert decoded == [record for record in in_window if record["ok"]]
     assert (to_canonical_json(frame.document)
             == to_canonical_json(full_replay_document(service_store, t0, t1)))
 

@@ -2,13 +2,14 @@
 
 A store-backed study pays the WAL on every event: one canonical-JSON
 encode + CRC + line write per record, an fsync per ack batch, and a
-full sequential verify on recovery.  These benches pin the three costs
-that decide whether ``--store`` is affordable at paper scale: append
-throughput, checkpoint latency, and recovery-scan speed as a function
-of log length.
+full sequential verify on recovery.  These benches pin the costs that
+decide whether ``--store`` is affordable at paper scale: append
+throughput, checkpoint latency, and recovery-scan speed and memory as a
+function of log length.
 """
 
 import time
+import tracemalloc
 
 from benchmarks.conftest import write_report
 from repro.obs.metrics import MetricsRegistry, use_registry
@@ -86,31 +87,63 @@ def test_recovery_scan(benchmark, tmp_path):
     assert count == RECORDS and last_seq == RECORDS
 
 
+def _fill_store(run_dir, count):
+    """A run store holding ``count`` records, at its default WAL tuning
+    (4,096-record segments, as ``repro study --store`` writes)."""
+    with use_registry(MetricsRegistry()):
+        store = RunStore.create(run_dir, config={"bench": True},
+                                cooldown_ttl=0.0)
+        writer = store.new_writer()
+        for i in range(count):
+            writer.append(_payload(i))
+        writer.close()
+    return store
+
+
+def _recover_peak(store):
+    """Traced peak (bytes above start) of one ``RunStore.recover()``."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with use_registry(MetricsRegistry()):
+            store.recover()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
 def test_store_scaling_report(tmp_path):
-    """Recovery time grows linearly with log length — table artefact."""
+    """Recovery time grows linearly with log length, and its memory
+    does not grow with it — table artefact."""
     rows = []
+    peaks = []
     for count in (5_000, 20_000, 80_000):
-        wal_dir = tmp_path / f"wal-{count}"
         start = time.perf_counter()
-        _fill(wal_dir, count)
+        store = _fill_store(tmp_path / f"run-{count}", count)
         append_s = time.perf_counter() - start
 
         start = time.perf_counter()
         with use_registry(MetricsRegistry()):
-            seen = sum(1 for _ in WalReader(wal_dir).records())
+            recovery = store.recover()
         scan_s = time.perf_counter() - start
-        assert seen == count
+        assert recovery.last_seq == count
 
+        peaks.append(_recover_peak(store))
         rows.append([fmt_int(count),
                      fmt_int(int(count / append_s)),
-                     fmt_int(int(count / scan_s))])
+                     fmt_int(int(count / scan_s)),
+                     fmt_int(peaks[-1] // 1024)])
 
     text = render_table(
-        ["records", "append rec/s", "recover rec/s"], rows,
-        title="Run-store WAL scaling (append + recovery scan)")
+        ["records", "append rec/s", "recover rec/s", "recover peak KiB"],
+        rows, title="Run-store WAL scaling (append + recovery scan)")
     write_report("store", text)
 
     # Throughput must not collapse with log length (linear scans only).
     first = int(rows[0][2].replace(" ", ""))
     last = int(rows[-1][2].replace(" ", ""))
     assert last > first / 4
+    # Recovery keeps 4 bytes per record, not the records: 16x the log
+    # stays within 1.5x the memory.
+    assert peaks[-1] <= 1.5 * peaks[0]

@@ -23,6 +23,7 @@ from repro.scan.result import (
     BrokerGrab,
     CoapGrab,
     HttpGrab,
+    NtpGrab,
     ScanResults,
     SshGrab,
     TlsObservation,
@@ -237,6 +238,12 @@ def grab_to_json(grab) -> Dict:
                     tls=_tls_to_json(grab.tls))
     elif isinstance(grab, CoapGrab):
         base.update(type="coap", resources=list(grab.resources))
+    elif isinstance(grab, NtpGrab):
+        base.update(type="ntp", version=grab.version, monlist=grab.monlist,
+                    entries=grab.entries,
+                    response_packets=grab.response_packets,
+                    request_bytes=grab.request_bytes,
+                    response_bytes=grab.response_bytes, port=grab.port)
     else:
         raise TypeError(f"not a grab: {grab!r}")
     return base
@@ -247,7 +254,8 @@ def grab_from_json(record: Dict):
 
     Total: a record that is not an object, lacks a required member or
     holds a member of the wrong type raises :class:`FormatError` naming
-    the member.  Optional members may be absent.
+    the member.  Optional members may be absent; an ``ntp`` record has
+    none.
     """
     if type(record) is not dict:
         raise FormatError(f"grab record is {type(record).__name__}, "
@@ -292,17 +300,31 @@ def grab_from_json(record: Dict):
                               f"{resources!r}")
         return CoapGrab(address=address, time=time, ok=ok,
                         resources=tuple(resources))
+    if kind == "ntp":
+        return NtpGrab(
+            address=address, time=time, ok=ok,
+            version=_member(record, "version", _TEXT, _REQUIRED),
+            monlist=_member(record, "monlist", (bool,), _REQUIRED),
+            entries=_member(record, "entries", (int,), _REQUIRED),
+            response_packets=_member(record, "response_packets", (int,),
+                                     _REQUIRED),
+            request_bytes=_member(record, "request_bytes", (int,),
+                                  _REQUIRED),
+            response_bytes=_member(record, "response_bytes", (int,),
+                                   _REQUIRED),
+            port=_member(record, "port", (int,), _REQUIRED))
     raise FormatError(f"unknown grab type {kind!r}")
 
 
 def save_results(results: ScanResults, path: PathLike) -> int:
-    """Write scan results (zgrab2-style JSONL); returns record count."""
+    """Write scan results (zgrab2-style JSONL), every bucket in
+    :meth:`~repro.scan.result.ScanResults.protocols` order; returns the
+    record count."""
 
     def records() -> Iterator[Dict]:
         yield _header("scan-results", results.label)
         yield {"type": "meta", "targets_seen": results.targets_seen}
-        for protocol in ("http", "https", "ssh", "mqtt", "mqtts",
-                         "amqp", "amqps", "coap"):
+        for protocol in results.protocols():
             for grab in results.grabs(protocol):
                 yield grab_to_json(grab)
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -40,7 +41,6 @@ from repro.store.wal import (
     WalError,
     WalReader,
     WalWriter,
-    chain_extend,
     list_segments,
     segment_first_seq,
 )
@@ -53,10 +53,17 @@ META_VERSION = 1
 
 @dataclass
 class Recovery:
-    """What survived a crash: the replayable tail plus its provenance."""
+    """What survived a crash: the replayable tail plus its provenance.
 
-    #: Records after the compaction horizon, in sequence order.
-    records: List[Dict] = field(default_factory=list)
+    The tail is held as its records' CRCs alone, 4 bytes each, which is
+    all a verify-mode :class:`~repro.store.writer.StoreWriter` compares
+    regenerated records against: the record at seq
+    ``compacted_through + 1 + i`` has CRC ``crcs[i]``.
+    """
+
+    #: CRC-32 of each record after the compaction horizon, in sequence
+    #: order, as unsigned ints (``f"{crc:08x}"`` is the logged text).
+    crcs: array = field(default_factory=lambda: array("I"))
     #: Highest surviving sequence number (0 for an empty store).
     last_seq: int = 0
     #: Chain CRC folded through ``last_seq``.
@@ -195,38 +202,41 @@ class RunStore:
     def recover(self, *, repair: bool = True) -> Recovery:
         """Read everything that survived, verifying CRCs and the chain.
 
-        With ``repair=True`` (the default for resuming) a torn tail is
-        truncated in place so the next writer appends to a clean
-        segment; ``repair=False`` leaves the files untouched (used by
-        the read-only CLI paths).
+        One streaming pass over the surviving log keeps each record's
+        CRC (4 bytes, not the record) and notes the chain at the newest
+        valid checkpoint's seq, which must equal the checkpoint's own
+        chain (a :class:`WalError` otherwise).  With ``repair=True``
+        (the default for resuming) a torn tail is truncated in place so
+        the next writer appends to a clean segment; ``repair=False``
+        leaves the files untouched (used by the read-only CLI paths).
         """
         compacted_through = self.meta.get("compacted_through", 0)
         chain_at_compaction = self.meta.get("chain_at_compaction", 0)
+        checkpoint = latest_checkpoint(self.ckpt_dir)
+        check_seq = checkpoint.seq if checkpoint is not None else None
+        # A checkpoint at the horizon is checked against the chain the
+        # compaction recorded; one inside the log, as the pass meets it.
+        check = chain_at_compaction if check_seq == compacted_through else None
         reader = WalReader(self.wal_dir, start_seq=compacted_through + 1,
                            chain=chain_at_compaction)
-        records = list(reader.records(repair=repair))
-        checkpoint = latest_checkpoint(self.ckpt_dir)
+        crcs = array("I")
+        append = crcs.append
+        for record in reader.records(repair=repair):
+            append(int(record["crc"], 16))
+            if record["seq"] == check_seq:
+                check = reader.chain
         if (checkpoint is not None
-                and compacted_through <= checkpoint.seq <= reader.last_seq):
-            # Cross-check the replayed chain against the checkpoint's.
-            check = chain_at_compaction
-            seq = compacted_through
-            if checkpoint.seq > compacted_through:
-                for record in records:
-                    check = chain_extend(check, record["crc"])
-                    seq = record["seq"]
-                    if seq == checkpoint.seq:
-                        break
-            if seq != checkpoint.seq or check != checkpoint.chain:
-                raise WalError(
-                    f"checkpoint {checkpoint.name} chain mismatch: "
-                    f"log disagrees with snapshot at seq {checkpoint.seq}")
+                and compacted_through <= checkpoint.seq <= reader.last_seq
+                and check != checkpoint.chain):
+            raise WalError(
+                f"checkpoint {checkpoint.name} chain mismatch: "
+                f"log disagrees with snapshot at seq {checkpoint.seq}")
         metrics = current_registry()
-        metrics.counter("store_recovery_records_total").inc(len(records))
+        metrics.counter("store_recovery_records_total").inc(len(crcs))
         metrics.counter("store_recovery_truncated_lines_total").inc(
             reader.truncated_lines)
         return Recovery(
-            records=records,
+            crcs=crcs,
             last_seq=max(reader.last_seq, compacted_through),
             chain=reader.chain,
             compacted_through=compacted_through,
@@ -300,9 +310,22 @@ class RunStore:
         reader), chain agreement with every checkpoint inside the
         surviving log, and the cooldown invariant — no address admitted
         twice by one engine within ``cooldown_ttl`` simulated seconds.
+        The checkpoints are loaded before the pass, which keeps the
+        chain only at their seqs; their problems are still reported
+        after the log's, in checkpoint order.
         """
         problems: List[str] = []
         compacted_through = self.meta.get("compacted_through", 0)
+        checkpoints = []
+        for path in list_checkpoints(self.ckpt_dir):
+            try:
+                checkpoints.append((path, load_checkpoint(path)))
+            except WalError as exc:
+                checkpoints.append((path, exc))
+        chains_at: Dict[int, Optional[int]] = {
+            checkpoint.seq: None for _, checkpoint in checkpoints
+            if isinstance(checkpoint, Checkpoint)
+            and checkpoint.seq > compacted_through}
         reader = WalReader(self.wal_dir, start_seq=compacted_through + 1,
                            chain=self.meta.get("chain_at_compaction", 0))
         ttl = self.meta.get("cooldown_ttl", 0.0)
@@ -310,13 +333,13 @@ class RunStore:
         cooldown_violations = 0
         counts: Dict[str, int] = {}
         records = 0
-        chains_at: Dict[int, int] = {}
         try:
             for record in reader.records():
                 records += 1
                 kind = record.get("t", "unknown")
                 counts[kind] = counts.get(kind, 0) + 1
-                chains_at[record["seq"]] = reader.chain
+                if record["seq"] in chains_at:
+                    chains_at[record["seq"]] = reader.chain
                 if kind == "admit":
                     key = (record["engine"], record["addr"])
                     previous = last_admit.get(key)
@@ -329,15 +352,13 @@ class RunStore:
                     last_admit[key] = record["time"]
         except WalError as exc:
             problems.append(str(exc))
-        for path in list_checkpoints(self.ckpt_dir):
-            try:
-                checkpoint = load_checkpoint(path)
-            except WalError as exc:
-                problems.append(str(exc))
+        for path, checkpoint in checkpoints:
+            if not isinstance(checkpoint, Checkpoint):
+                problems.append(str(checkpoint))
                 continue
             if checkpoint.seq <= compacted_through:
                 continue  # its records are gone; nothing to compare
-            expected = chains_at.get(checkpoint.seq)
+            expected = chains_at[checkpoint.seq]
             if expected is None:
                 problems.append(
                     f"{path.name}: no log record at seq {checkpoint.seq}")
@@ -351,7 +372,7 @@ class RunStore:
             "last_seq": reader.last_seq,
             "torn_tail_lines": reader.truncated_lines,
             "compacted_through": compacted_through,
-            "checkpoints": len(list_checkpoints(self.ckpt_dir)),
+            "checkpoints": len(checkpoints),
             "cooldown_violations": cooldown_violations,
             "problems": problems,
         }

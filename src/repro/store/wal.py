@@ -509,6 +509,7 @@ class WalReader:
                 self.last_seq = expected
                 expected += 1
                 yield record
+            del lines  # one segment's lines in memory, not two
 
     def _truncate(self, path: Path, keep: List[Tuple[int, bytes]]) -> None:
         """Rewrite ``path`` with only its valid prefix (torn-tail repair)."""

@@ -10,6 +10,8 @@ under the original seed, and every record it regenerates is checked
 against the surviving log — sequence numbers and CRCs must match
 record-for-record (the compacted prefix is checked via the chain CRC at
 the compaction horizon instead, since its records no longer exist).
+The log is held as :attr:`Recovery.crcs`, 4 bytes per surviving
+record, and released when the writer goes live.
 The instant replay reaches the end of the log, the writer switches to
 *live* mode at record granularity and the very same run continues,
 appending new records as if the crash never happened.  Any divergence —
@@ -51,7 +53,7 @@ class StoreWriter(Stage):
         self._wal = None
         self._seq = 0      # last regenerated/appended seq (verify mode)
         self._chain = 0
-        self._cursor = 0   # next recovery record to verify against
+        self._cursor = 0   # index of the next logged CRC to verify against
         # Every sink's records name their address; a target's admission,
         # grabs and sighting arrive together, so one entry saves most
         # of the formatting.
@@ -121,15 +123,17 @@ class StoreWriter(Stage):
             if seq == recovery.compacted_through:
                 self._m_chain_checks.inc()
         else:
-            expected = recovery.records[self._cursor]
-            if expected["seq"] != seq or expected["crc"] != crc:
+            cursor = self._cursor
+            logged_seq = recovery.compacted_through + 1 + cursor
+            logged = f"{recovery.crcs[cursor]:08x}"
+            if logged_seq != seq or logged != crc:
                 raise RecoveryError(
                     f"replay diverged at seq {seq}: regenerated record "
                     f"(crc {crc}) does not match logged record "
-                    f"(seq {expected['seq']}, crc {expected['crc']}) — "
+                    f"(seq {logged_seq}, crc {logged}) — "
                     "the store was written by a different config, seed, "
                     "or code version")
-            self._cursor += 1
+            self._cursor = cursor + 1
         self._seq = seq
         self._m_replayed.inc()
         self.mark_processed()
@@ -140,6 +144,7 @@ class StoreWriter(Stage):
     def _switch_live(self) -> None:
         self._wal = self.store.writer_for_append(self._recovery)
         self._mode = "live"
+        self._recovery = None  # its CRCs are all checked
 
     # -- event sources -----------------------------------------------------
 

@@ -25,6 +25,7 @@ from repro.scan.result import (
     BrokerGrab,
     CoapGrab,
     HttpGrab,
+    NtpGrab,
     ScanResults,
     SshGrab,
     TlsObservation,
@@ -145,6 +146,24 @@ class TestResultsRoundtrip:
         assert groups[0].representative == "FRITZ!Box"
         assert loaded.unique_fingerprints("ssh") == {b"\xaa"}
 
+    def test_extra_buckets_round_trip(self, tmp_path):
+        """A non-paper bucket (here ``ntp``) is saved after the paper
+        protocols and reloads into ``extra``."""
+        data = ScanResults(label="extra-scan")
+        ntp = NtpGrab(address=parse("2001:db8::7"), time=7.0, ok=True,
+                      version="ntpd 4.2.6p5", monlist=True, entries=6,
+                      response_packets=1, request_bytes=72,
+                      response_bytes=440)
+        ssh = SshGrab(address=parse("2001:db8::3"), time=3.0, ok=True)
+        data.add(ntp)
+        data.add(ssh)
+        path = tmp_path / "results.jsonl"
+        assert save_results(data, path) == 4  # header, meta, two grabs
+        loaded = load_results(path)
+        assert loaded.ssh == [ssh]
+        assert loaded.extra == {"ntp": [ntp]}
+        assert loaded.protocols() == data.protocols()
+
     def test_roundtrip_experiment_scan(self, experiment, tmp_path):
         """The real pipeline's output survives a save/load cycle."""
         path = tmp_path / "ntp_scan.jsonl"
@@ -232,6 +251,13 @@ _GRABS = st.one_of(
     st.builds(CoapGrab, address=_ADDRESSES, time=_TIMES, ok=st.booleans(),
               resources=st.lists(st.text(max_size=8), max_size=3)
               .map(tuple)),
+    st.builds(NtpGrab, address=_ADDRESSES, time=_TIMES, ok=st.booleans(),
+              version=_TEXT, monlist=st.booleans(),
+              entries=st.integers(0, 600),
+              response_packets=st.integers(0, 100),
+              request_bytes=st.integers(0, 72),
+              response_bytes=st.integers(0, 50_000),
+              port=st.sampled_from([123, 10123])),
 )
 #: Any JSON value, for the type mutations.
 _JSON = st.recursive(
@@ -252,6 +278,21 @@ def _valid(**members) -> dict:
     record = {"type": "ssh", "addr": "2001:db8::1", "time": 1.0, "ok": True,
               "key_fingerprint": "aa"}
     record.update(members)
+    return record
+
+
+#: The members of an ``ntp`` record, every one required.
+_NTP_MEMBERS = ("version", "monlist", "entries", "response_packets",
+                "request_bytes", "response_bytes", "port")
+
+
+def _ntp(*, drop=None, **members) -> dict:
+    record = {"type": "ntp", "addr": "2001:db8::1", "time": 1.0, "ok": True,
+              "version": "ntpd 4.2.8p15", "monlist": False, "entries": 0,
+              "response_packets": 0, "request_bytes": 0,
+              "response_bytes": 0, "port": 123}
+    record.update(members)
+    record.pop(drop, None)
     return record
 
 
@@ -280,7 +321,8 @@ def test_mutated_grab_record_decodes_or_raises_format_error(grab, data):
         decoded = grab_from_json(record)
     except FormatError:
         return
-    assert type(decoded) in (HttpGrab, SshGrab, BrokerGrab, CoapGrab)
+    assert type(decoded) in (HttpGrab, SshGrab, BrokerGrab, CoapGrab,
+                             NtpGrab)
 
 
 @pytest.mark.parametrize("record,member", [
@@ -308,6 +350,16 @@ def test_mutated_grab_record_decodes_or_raises_format_error(grab, data):
       "port": 443, "tls": {"alert": 40}}, "tls.ok"),
     ({"type": "http", "addr": "2001:db8::1", "time": 1.0, "ok": True,
       "port": 443, "tls": []}, "tls"),
+    *((_ntp(drop=member), member) for member in _NTP_MEMBERS),
+    (_ntp(version=4), "version"),
+    (_ntp(monlist=1), "monlist"),
+    (_ntp(monlist=None), "monlist"),
+    (_ntp(entries=True), "entries"),
+    (_ntp(entries=6.0), "entries"),
+    (_ntp(response_packets="1"), "response_packets"),
+    (_ntp(request_bytes=None), "request_bytes"),
+    (_ntp(response_bytes=[440]), "response_bytes"),
+    (_ntp(port="123"), "port"),
 ])
 def test_bad_member_raises_format_error_naming_it(record, member):
     with pytest.raises(FormatError, match=f"'{member}'"):

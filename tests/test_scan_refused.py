@@ -13,8 +13,7 @@ inside an aliased /64:
   probe, equals ``spec.refused(target, now, port)``: the sample a
   store renders a settled probe's record from;
 * the metrics and the next ephemeral port are equal, and with a store
-  attached (for the probes the WAL has a grab codec for) the WAL bytes
-  are too.
+  attached the WAL bytes are too.
 
 With a tap attached or a lossy network the shortcut must stay off, so
 tap records and loss draws match as well.
@@ -158,10 +157,8 @@ class TestRefusedShortcut:
         assert fast_net.ephemeral_port() == full_net.ephemeral_port()
 
 
-#: The WAL has a grab codec for the paper's probes, not for ``ntp``.
 @pytest.mark.parametrize("target", sorted(TARGETS))
-@pytest.mark.parametrize("spec", default_registry(),
-                         ids=lambda spec: spec.name)
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)
 def test_settled_probe_logs_the_module_grab(spec, target, tmp_path):
     full_added, _, full_metrics = _scan(
         _network(), spec, TARGETS[target], shortcut=False,

@@ -14,6 +14,7 @@ import pytest
 from repro.cli import main
 from repro.store import (
     Checkpoint,
+    RecoveryError,
     RunStore,
     StoreWriter,
     WalError,
@@ -160,10 +161,13 @@ class TestWalReader:
             handle.write('{"addr": "2001:db8::3", "crc": "0badc0de", '
                          '"seq": 4, "server": "K'.encode() + b"\xc3")
         recovery = store.recover(repair=True)
-        assert [record["seq"] for record in recovery.records] == [1, 2, 3]
+        assert recovery.last_seq == 3
         assert recovery.truncated_lines == 1
         records, reader = read_all(store.wal_dir)
-        assert len(records) == 3 and reader.truncated_lines == 0
+        assert [record["seq"] for record in records] == [1, 2, 3]
+        assert reader.truncated_lines == 0
+        assert list(recovery.crcs) == [int(record["crc"], 16)
+                                       for record in records]
         assert segment.read_bytes().endswith(b"}\n")
 
     def test_invalid_utf8_in_the_middle_raises(self, tmp_path):
@@ -285,7 +289,10 @@ class TestRunStore:
         assert report["compacted_through"] == 8
         recovery = store.recover()
         assert recovery.compacted_through == 8
-        assert [r["seq"] for r in recovery.records] == [9, 10]
+        assert recovery.last_seq == 10
+        records, _ = read_all(store.wal_dir, start_seq=9)
+        assert [r["seq"] for r in records] == [9, 10]
+        assert list(recovery.crcs) == [int(r["crc"], 16) for r in records]
         assert store.verify()["ok"]
 
     def test_compact_without_checkpoint_is_a_noop(self, tmp_path):
@@ -320,6 +327,162 @@ class TestRunStore:
         assert store.verify()["ok"]
 
 
+def _fill(store, count, payload=sighting):
+    """Append ``count`` records; returns the chain CRC at each seq."""
+    writer = store.new_writer()
+    chains = {}
+    for i in range(count):
+        writer.append(payload(i))
+        chains[writer.last_seq] = writer.chain
+    writer.close()
+    return chains
+
+
+def _report(**members):
+    """``verify``'s report on ten intact sightings, ``members`` changed."""
+    report = {"ok": True, "records": 10, "records_by_kind": {"sighting": 10},
+              "last_seq": 10, "torn_tail_lines": 0, "compacted_through": 0,
+              "checkpoints": 0, "cooldown_violations": 0, "problems": []}
+    report.update(members)
+    return report
+
+
+def _assert_report(store, expected):
+    # json.dumps keeps insertion order: the keys' order is pinned too.
+    assert json.dumps(store.verify()) == json.dumps(expected)
+
+
+class TestCheckpointCrossChecks:
+    """What ``recover`` and ``verify`` make of each checkpoint: the
+    newest valid one must agree with the log for a resume, and
+    ``verify`` reports every checkpoint's problems after the log's, in
+    checkpoint order."""
+
+    def test_recover_rejects_a_newest_checkpoint_off_the_chain(
+            self, tmp_path):
+        store = make_store(tmp_path)
+        chains = _fill(store, 10)
+        store.write_checkpoint(Checkpoint(seq=6, chain=chains[6] ^ 1,
+                                          state={}))
+        for repair in (True, False):
+            with pytest.raises(WalError, match=(
+                    r"^checkpoint ckpt-000000000006\.json chain mismatch: "
+                    r"log disagrees with snapshot at seq 6$")):
+                store.recover(repair=repair)
+        _assert_report(store, _report(
+            ok=False, checkpoints=1,
+            problems=["ckpt-000000000006.json: chain mismatch at seq 6"]))
+
+    def test_checkpoint_at_the_compaction_horizon(self, tmp_path):
+        store = make_store(tmp_path)  # 4 records per segment
+        chains = _fill(store, 10)
+        store.write_checkpoint(Checkpoint(seq=8, chain=chains[8], state={}))
+        assert store.compact()["compacted_through"] == 8
+        recovery = store.recover()
+        assert (recovery.checkpoint.seq, recovery.last_seq,
+                recovery.chain) == (8, 10, chains[10])
+        compacted = _report(records=2, records_by_kind={"sighting": 2},
+                            compacted_through=8, checkpoints=1)
+        _assert_report(store, compacted)
+        # Off the chain the compaction recorded: a resume refuses it,
+        # while verify skips a checkpoint whose records are gone.
+        store.write_checkpoint(Checkpoint(seq=8, chain=chains[8] ^ 1,
+                                          state={}))
+        with pytest.raises(WalError, match=(
+                r"^checkpoint ckpt-000000000008\.json chain mismatch: "
+                r"log disagrees with snapshot at seq 8$")):
+            store.recover()
+        _assert_report(store, compacted)
+
+    def test_corrupt_newest_checkpoint(self, tmp_path):
+        store = make_store(tmp_path)
+        chains = _fill(store, 10)
+        store.write_checkpoint(Checkpoint(seq=4, chain=chains[4], state={}))
+        path = store.write_checkpoint(Checkpoint(seq=8, chain=chains[8],
+                                                 state={}))
+        path.write_text(path.read_text().replace(
+            f'"chain": {chains[8]}', f'"chain": {chains[8] ^ 1}'))
+        recovery = store.recover()
+        assert (recovery.checkpoint.seq, recovery.last_seq,
+                recovery.chain) == (4, 10, chains[10])
+        _assert_report(store, _report(
+            ok=False, checkpoints=2,
+            problems=["ckpt-000000000008.json: checkpoint CRC mismatch"]))
+
+    def test_older_checkpoint_off_the_chain(self, tmp_path):
+        store = make_store(tmp_path)
+        chains = _fill(store, 10)
+        store.write_checkpoint(Checkpoint(seq=4, chain=chains[4] ^ 1,
+                                          state={}))
+        store.write_checkpoint(Checkpoint(seq=8, chain=chains[8], state={}))
+        assert store.recover().checkpoint.seq == 8
+        _assert_report(store, _report(
+            ok=False, checkpoints=2,
+            problems=["ckpt-000000000004.json: chain mismatch at seq 4"]))
+
+    def test_checkpoint_past_the_log_end(self, tmp_path):
+        store = make_store(tmp_path)
+        chains = _fill(store, 10)
+        store.write_checkpoint(Checkpoint(seq=8, chain=chains[8], state={}))
+        store.write_checkpoint(Checkpoint(seq=12, chain=chains[10],
+                                          state={}))
+        recovery = store.recover()  # nothing in the log to check it by
+        assert (recovery.checkpoint.seq, recovery.last_seq) == (12, 10)
+        _assert_report(store, _report(
+            ok=False, checkpoints=2,
+            problems=["ckpt-000000000012.json: no log record at seq 12"]))
+
+    def test_compacted_store(self, tmp_path):
+        store = make_store(tmp_path)
+        chains = _fill(store, 10)
+        store.write_checkpoint(Checkpoint(seq=4, chain=chains[4], state={}))
+        store.write_checkpoint(Checkpoint(seq=8, chain=chains[8], state={}))
+        assert store.compact() == {"segments_deleted": 2,
+                                   "records_dropped": 8,
+                                   "compacted_through": 8}
+        recovery = store.recover()
+        assert (recovery.checkpoint.seq, recovery.last_seq,
+                recovery.chain) == (8, 10, chains[10])
+        _assert_report(store, _report(
+            records=2, records_by_kind={"sighting": 2}, compacted_through=8,
+            checkpoints=2))
+
+    def test_problems_keep_their_order(self, tmp_path):
+        """Cooldown violations, then the log's corruption, then each
+        checkpoint's problem in checkpoint order."""
+        store = make_store(tmp_path)
+
+        def admit(i):
+            return {"t": "admit", "engine": "ntp",
+                    "addr": f"2001:db8::{i % 2:x}", "time": 100.0 * i}
+
+        chains = _fill(store, 10, admit)
+        store.write_checkpoint(Checkpoint(seq=2, chain=chains[2] ^ 1,
+                                          state={}))
+        store.write_checkpoint(Checkpoint(seq=3, chain=chains[3], state={}))
+        store.write_checkpoint(Checkpoint(seq=5, chain=chains[5],
+                                          state={})).write_text("{")
+        store.write_checkpoint(Checkpoint(seq=9, chain=chains[9], state={}))
+        segment = list_segments(store.wal_dir)[1]
+        lines = segment.read_text().splitlines()
+        lines[2] = lines[2].replace("admit", "admjt")
+        segment.write_text("\n".join(lines) + "\n")
+        with pytest.raises(WalError,
+                           match=r"^wal-000000000005\.jsonl:3: corrupt"):
+            store.recover()
+        violation = ("seq {}: 2001:db8::{} admitted by ntp 200s after "
+                     "previous admit (TTL 259200s)")
+        _assert_report(store, _report(
+            ok=False, records=6, records_by_kind={"admit": 6}, last_seq=6,
+            checkpoints=4, cooldown_violations=4,
+            problems=[violation.format(3, 0), violation.format(4, 1),
+                      violation.format(5, 0), violation.format(6, 1),
+                      "wal-000000000005.jsonl:3: corrupt WAL record",
+                      "ckpt-000000000002.json: chain mismatch at seq 2",
+                      "ckpt-000000000005.json: malformed checkpoint",
+                      "ckpt-000000000009.json: no log record at seq 9"]))
+
+
 class TestStoreWriterUnit:
     def test_fresh_writer_is_live(self, tmp_path):
         store = make_store(tmp_path)
@@ -352,6 +515,27 @@ class TestStoreWriterUnit:
         replay = StoreWriter(store, recovery=store.recover())
         with pytest.raises(WalError, match="diverged"):
             replay.emit(sighting(99))
+
+    @pytest.mark.parametrize("compacted", [False, True])
+    def test_divergence_names_the_logged_record(self, tmp_path, compacted):
+        store = make_store(tmp_path)  # 4 records per segment
+        writer = StoreWriter(store)
+        for i in range(10):
+            writer.emit(sighting(i))
+        writer.checkpoint(dict)
+        writer.close()
+        if compacted:
+            assert store.compact()["compacted_through"] == 8
+        replay = StoreWriter(store, recovery=store.recover())
+        for i in range(9):
+            replay.emit(sighting(i))
+        with pytest.raises(RecoveryError) as caught:
+            replay.emit(sighting(99))
+        assert str(caught.value) == (
+            f"replay diverged at seq 10: regenerated record (crc "
+            f"{record_crc(10, sighting(99))}) does not match logged record "
+            f"(seq 10, crc {record_crc(10, sighting(9))}) — the store was "
+            "written by a different config, seed, or code version")
 
     def test_short_replay_fails_loudly_on_close(self, tmp_path):
         store = make_store(tmp_path)

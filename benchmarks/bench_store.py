@@ -4,8 +4,9 @@ A store-backed study pays the WAL on every event: one canonical-JSON
 encode + CRC + line write per record, an fsync per ack batch, and a
 full sequential verify on recovery.  These benches pin the costs that
 decide whether ``--store`` is affordable at paper scale: append
-throughput, checkpoint latency, and recovery-scan speed and memory as a
-function of log length.
+throughput (of generic records, and of the refused grabs that make up
+most of a campaign's log), checkpoint latency, and recovery-scan speed
+and memory as a function of log length.
 """
 
 import time
@@ -14,7 +15,8 @@ import tracemalloc
 from benchmarks.conftest import write_report
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.report import fmt_int, render_table
-from repro.store import Checkpoint, RunStore, WalReader, WalWriter
+from repro.runtime.registry import default_registry
+from repro.store import Checkpoint, RunStore, StoreWriter, WalReader, WalWriter
 
 RECORDS = 20_000
 
@@ -100,6 +102,25 @@ def _fill_store(run_dir, count):
     return store
 
 
+def _refused_targets_s(run_dir, count):
+    """Seconds to write ``count`` records as the default registry's
+    refused grabs, eight per target, through a store writer's refused
+    writer (at the store's default WAL tuning)."""
+    specs = list(default_registry())
+    members = list(range(len(specs)))
+    with use_registry(MetricsRegistry()):
+        store = RunStore.create(run_dir, config={"bench": True},
+                                cooldown_ttl=0.0)
+        writer = StoreWriter(store)
+        write = writer.refused_sink("bench", specs)
+        start = time.perf_counter()
+        for target in range(count // len(specs)):
+            write((0x20010DB8 << 96) + target * 7919, float(target),
+                  members)
+        writer.close()
+        return time.perf_counter() - start
+
+
 def _recover_peak(store):
     """Traced peak (bytes above start) of one ``RunStore.recover()``."""
     tracemalloc.start()
@@ -129,20 +150,24 @@ def test_store_scaling_report(tmp_path):
         scan_s = time.perf_counter() - start
         assert recovery.last_seq == count
 
+        refused_s = _refused_targets_s(tmp_path / f"refused-{count}", count)
+
         peaks.append(_recover_peak(store))
         rows.append([fmt_int(count),
                      fmt_int(int(count / append_s)),
+                     fmt_int(int(count / refused_s)),
                      fmt_int(int(count / scan_s)),
                      fmt_int(peaks[-1] // 1024)])
 
     text = render_table(
-        ["records", "append rec/s", "recover rec/s", "recover peak KiB"],
+        ["records", "append rec/s", "refused rec/s", "recover rec/s",
+         "recover peak KiB"],
         rows, title="Run-store WAL scaling (append + recovery scan)")
     write_report("store", text)
 
     # Throughput must not collapse with log length (linear scans only).
-    first = int(rows[0][2].replace(" ", ""))
-    last = int(rows[-1][2].replace(" ", ""))
+    first = int(rows[0][3].replace(" ", ""))
+    last = int(rows[-1][3].replace(" ", ""))
     assert last > first / 4
     # Recovery keeps 4 bytes per record, not the records: 16x the log
     # stays within 1.5x the memory.

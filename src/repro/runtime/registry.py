@@ -68,9 +68,11 @@ class ProbeSpec:
     #: refused, makes exactly one connection attempt or request, to
     #: ``port``, and returns ``refused(target, now, port)``.  A settled
     #: probe builds no grab; with a store attached, its WAL record is
-    #: rendered from one sample of this grab.  Its grabs may therefore
-    #: differ only in address and time: the store raises ``ValueError``
-    #: at the first probe if a second sample differs elsewhere (see
+    #: rendered from one sample of this grab, in one group with the
+    #: records of the settled probes next to it.  Its grabs may
+    #: therefore differ only in address and time: the store raises
+    #: ``ValueError`` at the first probe if a second sample differs
+    #: elsewhere (see
     #: :meth:`repro.store.writer.StoreWriter.refused_sink`).
     refused: Optional[Refusal] = None
 

@@ -23,7 +23,7 @@ budget and inter-protocol pauses are not modelled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.net.clock import DAY
 from repro.net.simnet import Network
@@ -132,7 +132,15 @@ class ScanScheduler:
 
 
 class ProbeExecutor:
-    """Runs a registry's probe modules against admitted targets."""
+    """Runs a registry's probe modules against admitted targets.
+
+    A probe whose spec carries its module's refused grab, on a port the
+    network would refuse, is settled without running the module (see
+    :meth:`execute_into`).  With a store attached, the settled probes of
+    a target reach it as runs of consecutive probes, each run in one
+    call of the plan's refused-record writer
+    (:meth:`repro.store.writer.StoreWriter.refused_sink`).
+    """
 
     def __init__(self, network: Network, source: int,
                  registry: ProbeRegistry, stats: EngineStats,
@@ -143,41 +151,47 @@ class ProbeExecutor:
         self.stats = stats
         self._name = name
         #: Called with the grab of every dispatched probe, answered or
-        #: not: the store's durability tap (a settled probe's record
-        #: goes through the plan's refused-record writer instead).
+        #: not: the store's durability tap (settled probes go to the
+        #: plan's refused-record writer instead).
         self.grab_hook: Optional[Callable[[Grab], None]] = None
         #: ``(writer, label)`` of the attached store (see :meth:`attach_store`).
         self._store: Optional[tuple] = None
         self._metrics = current_registry()
-        #: One ``(probe, settles, port, write_refused, attempts,
-        #: successes, latency)`` per spec, in registry order (see
+        #: The probe plan and its refused-record writer (see
         #: :meth:`_build_plan`).
-        self._plan: Optional[Tuple[tuple, ...]] = None
+        self._plan: Optional[tuple] = None
 
     def attach_store(self, writer, label: str) -> None:
         """Record this executor's probes in ``writer`` under scan
         ``label``: dispatched probes' grabs through :attr:`grab_hook`,
-        settled probes through the writer's refused-record function for
-        their spec, which the plan (rebuilt at the next probe) carries."""
+        settled probes through the writer's refused-record writer for
+        the plan (rebuilt at the next probe)."""
         self.grab_hook = writer.grab_sink(label)
         self._store = (writer, label)
         self._plan = None
 
-    def _build_plan(self) -> Tuple[tuple, ...]:
-        """The probe plan: each spec's probe, whether it settles refused
-        probes (its spec carries a refused grab builder), its port and,
-        with a store attached, the writer's refused-record function,
-        with its ``probe_*`` instruments, looked up once.
+    def _build_plan(self) -> tuple:
+        """The probe plan and its refused-record writer.
+
+        The plan holds one ``(probe, member, port, attempts, successes,
+        latency)`` per spec, in registry order: the spec's probe, its
+        member index (its position among the specs that carry a refused
+        grab builder, or None for a spec without one, whose probe is
+        never settled), its port and its ``probe_*`` instruments,
+        looked up once.  With a store attached, the writer is the
+        store's refused-record writer over those specs, which takes
+        member indices; otherwise it is None.
 
         Built at the first probe, so the series appear when they are
         first used, and fixed from then on (until a store is attached):
         the probe set is the registry's at that moment.
         """
         metrics, name, store = self._metrics, self._name, self._store
-        return tuple(
-            (spec.probe, spec.refused is not None, spec.port,
-             None if spec.refused is None or store is None
-             else store[0].refused_sink(store[1], spec),
+        settling = [spec for spec in self.registry
+                    if spec.refused is not None]
+        members = {spec.name: member for member, spec in enumerate(settling)}
+        plan = tuple(
+            (spec.probe, members.get(spec.name), spec.port,
              metrics.counter("probe_attempts_total",
                              engine=name, protocol=spec.name),
              metrics.counter("probe_success_total",
@@ -185,6 +199,9 @@ class ProbeExecutor:
              metrics.histogram("probe_seconds",
                                engine=name, protocol=spec.name))
             for spec in self.registry)
+        write_refused = (None if store is None
+                         else store[0].refused_sink(store[1], settling))
+        return plan, write_refused
 
     def execute_into(self, target: int,
                      add: Callable[[Grab], None]) -> None:
@@ -197,26 +214,32 @@ class ProbeExecutor:
         whose spec carries its module's refused grab, on any other
         port, is settled as refused without running the module and
         builds no grab: it takes its ephemeral port, in probe order,
-        and its counters, and a store records its refused grab from
-        ``(target, now)`` alone.  A dispatched probe's grab goes to the
-        store whatever its outcome.  The clock stays put, so every
-        probe's latency is 0.
+        and its counters.  With a store attached, the member indices of
+        consecutive settled probes are collected and handed, with
+        ``(target, now)``, to the plan's refused-record writer before
+        the next dispatched probe and once at the end, so an
+        all-refused target makes one call.  A dispatched probe's grab
+        goes to the store whatever its outcome.  The clock stays put,
+        so every probe's latency is 0.
         """
-        plan = self._plan
-        if plan is None:
-            plan = self._plan = self._build_plan()
+        if self._plan is None:
+            self._plan = self._build_plan()
+        plan, write_refused = self._plan
         network, source = self.network, self.source
         clock = network.clock
         stats = self.stats
         grab_hook = self.grab_hook
         deliver = network.ports_to_deliver(network.host(target))
-        for (probe, settles, port, write_refused, attempts, successes,
-             latency) in plan:
+        settled = []
+        for probe, member, port, attempts, successes, latency in plan:
             stats.probes_sent += 1
             # One 0.0 per probe: the golden snapshots pin the series.
             latency.observe(0.0)
             attempts.inc()
-            if not settles or deliver is None or port in deliver:
+            if member is None or deliver is None or port in deliver:
+                if settled:
+                    write_refused(target, clock.now(), settled)
+                    settled = []
                 grab = probe(network, source, target)
                 if grab_hook is not None:
                     grab_hook(grab)
@@ -226,7 +249,9 @@ class ProbeExecutor:
             else:
                 network.ephemeral_port()
                 if write_refused is not None:
-                    write_refused(target, clock.now())
+                    settled.append(member)
+        if settled:
+            write_refused(target, clock.now(), settled)
 
 
 class ScanEngine:

@@ -49,6 +49,9 @@ PathLike = Union[str, Path]
 
 META_NAME = "meta.json"
 META_VERSION = 1
+#: Admissions between sweeps of :meth:`RunStore.verify`'s cooldown map
+#: (the scan scheduler's default ``prune_every``).
+VERIFY_PRUNE_EVERY = 4096
 
 
 @dataclass
@@ -312,24 +315,32 @@ class RunStore:
         twice by one engine within ``cooldown_ttl`` simulated seconds.
         The checkpoints are loaded before the pass, which keeps the
         chain only at their seqs; their problems are still reported
-        after the log's, in checkpoint order.
+        after the log's, in checkpoint order.  Only each checkpoint's
+        seq and chain are kept, not its state: a long campaign's
+        states together outweigh everything else the check holds.
         """
         problems: List[str] = []
         compacted_through = self.meta.get("compacted_through", 0)
-        checkpoints = []
+        #: ``(path, (seq, chain))``, or ``(path, error)`` for a
+        #: checkpoint that does not load.
+        checkpoints: List[tuple] = []
         for path in list_checkpoints(self.ckpt_dir):
             try:
-                checkpoints.append((path, load_checkpoint(path)))
+                checkpoint = load_checkpoint(path)
             except WalError as exc:
                 checkpoints.append((path, exc))
+            else:
+                checkpoints.append((path, (checkpoint.seq,
+                                           checkpoint.chain)))
         chains_at: Dict[int, Optional[int]] = {
-            checkpoint.seq: None for _, checkpoint in checkpoints
-            if isinstance(checkpoint, Checkpoint)
-            and checkpoint.seq > compacted_through}
+            found[0]: None for _, found in checkpoints
+            if isinstance(found, tuple) and found[0] > compacted_through}
         reader = WalReader(self.wal_dir, start_seq=compacted_through + 1,
                            chain=self.meta.get("chain_at_compaction", 0))
         ttl = self.meta.get("cooldown_ttl", 0.0)
         last_admit: Dict[tuple, float] = {}
+        newest: Optional[float] = None
+        admissions = 0
         cooldown_violations = 0
         counts: Dict[str, int] = {}
         records = 0
@@ -342,29 +353,46 @@ class RunStore:
                     chains_at[record["seq"]] = reader.chain
                 if kind == "admit":
                     key = (record["engine"], record["addr"])
+                    time = record["time"]
                     previous = last_admit.get(key)
-                    if previous is not None and record["time"] - previous < ttl:
+                    if previous is not None and time - previous < ttl:
                         cooldown_violations += 1
                         problems.append(
                             f"seq {record['seq']}: {record['addr']} admitted "
-                            f"by {record['engine']} {record['time'] - previous:.0f}s "
+                            f"by {record['engine']} {time - previous:.0f}s "
                             f"after previous admit (TTL {ttl:.0f}s)")
-                    last_admit[key] = record["time"]
+                    last_admit[key] = time
+                    if newest is not None and time < newest:
+                        problems.append(
+                            f"seq {record['seq']}: {record['addr']} admitted "
+                            f"by {record['engine']} {newest - time:.0f}s "
+                            "before the newest admission (the cooldown "
+                            "check assumes admission time never goes back)")
+                    else:
+                        newest = time
+                    admissions += 1
+                    if admissions % VERIFY_PRUNE_EVERY == 0:
+                        # No later admission can come within the TTL of
+                        # an entry this far behind the newest one (the
+                        # same subtraction as the check, so rounding
+                        # cannot drop an entry the check would flag).
+                        last_admit = {key: last for key, last
+                                      in last_admit.items()
+                                      if newest - last < ttl}
         except WalError as exc:
             problems.append(str(exc))
-        for path, checkpoint in checkpoints:
-            if not isinstance(checkpoint, Checkpoint):
-                problems.append(str(checkpoint))
+        for path, found in checkpoints:
+            if not isinstance(found, tuple):
+                problems.append(str(found))
                 continue
-            if checkpoint.seq <= compacted_through:
+            seq, chain = found
+            if seq <= compacted_through:
                 continue  # its records are gone; nothing to compare
-            expected = chains_at[checkpoint.seq]
+            expected = chains_at[seq]
             if expected is None:
-                problems.append(
-                    f"{path.name}: no log record at seq {checkpoint.seq}")
-            elif expected != checkpoint.chain:
-                problems.append(
-                    f"{path.name}: chain mismatch at seq {checkpoint.seq}")
+                problems.append(f"{path.name}: no log record at seq {seq}")
+            elif expected != chain:
+                problems.append(f"{path.name}: chain mismatch at seq {seq}")
         return {
             "ok": not problems,
             "records": records,

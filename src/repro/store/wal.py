@@ -18,7 +18,10 @@ encoded apart, their join is the CRC body, and the line is that join
 with the ``"crc": "<8 hex>", `` member inserted.  A record shape
 written over and over (a refused grab, an admission, a sighting) is
 compiled once into a :class:`RecordTemplate`, which renders the same
-line from its varying members alone.  The reader checks each CRC on
+line from its varying members alone; a group of templates sharing those
+members (a target's refused grabs) is rendered from one rendering of
+them (:func:`encode_group`) and appended in one call, still one line,
+one write and one seq per record.  The reader checks each CRC on
 the raw line bytes (:func:`parse_line`): cutting that member out must
 leave exactly the body the writer hashed, so a line that is not in
 canonical form fails as corrupt and no record is ever re-serialized
@@ -221,13 +224,26 @@ class RecordTemplate:
 
     def encode(self, seq: int, *holes) -> Tuple[str, str, int]:
         """Record ``seq``'s CRC, line and size, as :func:`encode_record`."""
-        texts = tuple(map(json_text, holes))
-        low, at = self._low, self._seq_at
-        head = self._head % texts[:low]
+        return encode_group(seq, (self,), holes)[0]
+
+
+def encode_group(seq: int, templates: Sequence[RecordTemplate],
+                 holes: Sequence) -> List[Tuple[str, str, int]]:
+    """Each of ``templates``' record, with the same hole values, at
+    ``seq``, ``seq + 1``, ...: CRC, line and size, as
+    :func:`encode_record` returns them for its payload.  The hole
+    values' texts are rendered once for the group."""
+    texts = tuple(map(json_text, holes))
+    records = []
+    for template in templates:
+        low, at = template._low, template._seq_at
+        head = template._head % texts[:low]
         if low and _CRC_KEY in head:
             raise ValueError(_NESTED_CRC)
-        return _frame(head, self._tail % (
-            texts[low:at] + (int.__repr__(seq),) + texts[at:]))
+        records.append(_frame(head, template._tail % (
+            texts[low:at] + (int.__repr__(seq),) + texts[at:])))
+        seq += 1
+    return records
 
 
 def parse_line(raw: bytes) -> Optional[Dict]:
@@ -370,40 +386,70 @@ class WalWriter:
 
     # -- appending ---------------------------------------------------------
 
-    def append(self, payload: Union[Dict, RecordTemplate], *holes) -> int:
-        """Append one record; returns its sequence number.
+    def append(self, payload: Union[Dict, RecordTemplate,
+                                    Sequence[RecordTemplate]],
+               *holes) -> int:
+        """Append one record, or a group of them; returns the sequence
+        number of the last.
 
         The record is a payload dict, or a :class:`RecordTemplate`
-        followed by its hole values.  It is durable only once its fsync
-        batch completes — use :attr:`acked_seq` (or call :meth:`sync`)
-        for the durability horizon.  A payload :func:`encode_record`
-        refuses raises :class:`ValueError` before anything is written.
+        followed by its hole values.  A group is a non-empty sequence of
+        templates of one kind followed by the hole values they share
+        (:func:`encode_group`); a single template is a group of one.
+        Every record of a group gets its own seq and line, its own
+        ``pre-append`` and ``post-append`` fault points, segment roll
+        check, line-buffered write and chain CRC, and its own place in
+        the fsync batch, exactly as if it were appended alone; the
+        ``store_records_total`` and ``store_bytes_total`` counters are
+        added once per group, for the records written even when a fault
+        hook raises mid-group.
+
+        A record is durable only once its fsync batch completes — use
+        :attr:`acked_seq` (or call :meth:`sync`) for the durability
+        horizon.  A payload :func:`encode_record` refuses, or hole
+        values a template refuses, raise :class:`ValueError` before
+        anything is written.
         """
         seq = self._next_seq
-        if isinstance(payload, RecordTemplate):
-            crc, line, size = payload.encode(seq, *holes)
-            kind = payload.kind
-        else:
-            crc, line, size = encode_record(seq, payload)
+        if isinstance(payload, dict):
+            records = (encode_record(seq, payload),)
             kind = payload.get("t", "unknown")
-        fault_point("pre-append", seq, self._acked_seq)
-        if self._handle is None or self._segment_records >= self.segment_max_records:
-            self._roll(seq)
-        self._handle.write(line)
-        self._segment_records += 1
-        self._next_seq = seq + 1
-        self._chain = chain_extend(self._chain, crc)
-        self._pending += 1
-        counter = self._m_records.get(kind)
-        if counter is None:
-            counter = self._registry.counter("store_records_total", kind=kind)
-            self._m_records[kind] = counter
-        counter.inc()
-        self._m_bytes.inc(size)
-        fault_point("post-append", seq, self._acked_seq)
-        if self._pending >= self.fsync_every:
-            self.sync()
-        return seq
+        else:
+            group = ((payload,) if isinstance(payload, RecordTemplate)
+                     else payload)
+            records = encode_group(seq, group, holes)
+            kind = group[0].kind
+        hook = _fault_hook
+        written = nbytes = 0
+        try:
+            for crc, line, size in records:
+                if hook is not None:
+                    hook("pre-append", seq, self._acked_seq)
+                if (self._handle is None
+                        or self._segment_records >= self.segment_max_records):
+                    self._roll(seq)
+                self._handle.write(line)
+                self._segment_records += 1
+                self._next_seq = seq + 1
+                self._chain = chain_extend(self._chain, crc)
+                self._pending += 1
+                written += 1
+                nbytes += size
+                if hook is not None:
+                    hook("post-append", seq, self._acked_seq)
+                if self._pending >= self.fsync_every:
+                    self.sync()
+                seq += 1
+        finally:
+            if written:
+                counter = self._m_records.get(kind)
+                if counter is None:
+                    counter = self._registry.counter("store_records_total",
+                                                     kind=kind)
+                    self._m_records[kind] = counter
+                counter.inc(written)
+                self._m_bytes.inc(nbytes)
+        return self._next_seq - 1
 
     def _roll(self, first_seq: int) -> None:
         """Close the active segment (synced) and start a new one."""

@@ -22,7 +22,7 @@ rather than as silently forked history.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Union
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Union
 
 from repro.ipv6 import address as addrmod
 from repro.obs.metrics import current_registry
@@ -33,6 +33,7 @@ from repro.store.wal import (
     RecordTemplate,
     RecoveryError,
     chain_extend,
+    encode_group,
     record_crc,
 )
 
@@ -90,37 +91,73 @@ class StoreWriter(Stage):
 
     # -- the one funnel ----------------------------------------------------
 
-    def emit(self, payload: Union[Dict, RecordTemplate], *holes) -> int:
+    def emit(self, payload: Union[Dict, RecordTemplate,
+                                  Sequence[RecordTemplate]], *holes) -> int:
         """Record one event, a payload dict or a template followed by its
-        hole values (see :meth:`WalWriter.append`); returns its sequence
+        hole values, or a group of templates sharing them (see
+        :meth:`WalWriter.append`); returns the last record's sequence
         number.
 
-        Live mode appends to the WAL.  Verify mode checks the
-        regenerated record against logged history and switches to live
-        mode when the log runs out.
+        Live mode appends to the WAL.  Verify mode checks each
+        regenerated record, in order, against logged history and
+        switches to live mode at the record where the log ends,
+        appending the rest of a group live.  The stage counts a group's
+        records as received once, and as processed once they are
+        appended or checked, even when a fault hook raises mid-group.
         """
-        self.mark_received()
+        if isinstance(payload, (dict, RecordTemplate)):
+            self.mark_received()
+        else:
+            self.mark_received(len(payload))
         if self._mode == "live":
-            seq = self._wal.append(payload, *holes)
-            self.mark_processed()
-            return seq
+            return self._append(payload, holes)
         recovery = self._recovery
         seq = self._seq + 1
-        if isinstance(payload, RecordTemplate):
-            crc = payload.encode(seq, *holes)[0]
+        if isinstance(payload, dict):
+            crcs = (record_crc(seq, payload),)
         else:
-            crc = record_crc(seq, payload)
-        self._chain = chain_extend(self._chain, crc)
+            crcs = [crc for crc, _, _ in encode_group(
+                seq, (payload,) if isinstance(payload, RecordTemplate)
+                else payload, holes)]
+        checked = 0
+        try:
+            for crc in crcs:
+                self._check(seq, crc, recovery)
+                checked += 1
+                if seq == recovery.last_seq:
+                    self._switch_live()
+                    break
+                seq += 1
+        finally:
+            self._m_replayed.inc(checked)
+            self.mark_processed(checked)
+        if checked < len(crcs):
+            return self._append(payload[checked:], holes)
+        return self._seq
+
+    def _append(self, payload, holes: tuple) -> int:
+        """Live mode's half of :meth:`emit`."""
+        wal = self._wal
+        before = wal.last_seq
+        try:
+            return wal.append(payload, *holes)
+        finally:
+            self.mark_processed(wal.last_seq - before)
+
+    def _check(self, seq: int, crc: str, recovery: Recovery) -> None:
+        """Verify mode: the regenerated record ``seq`` with CRC ``crc``
+        against logged history."""
         if seq <= recovery.compacted_through:
             # Compacted prefix: the records are gone; the chain CRC at
             # the horizon is the only (and sufficient) witness.
-            if (seq == recovery.compacted_through
-                    and self._chain != recovery.chain_at_compaction):
-                raise RecoveryError(
-                    f"replay diverged inside the compacted prefix: chain "
-                    f"mismatch at seq {seq} — the store was written by a "
-                    "different config, seed, or code version")
+            self._chain = chain_extend(self._chain, crc)
             if seq == recovery.compacted_through:
+                if self._chain != recovery.chain_at_compaction:
+                    raise RecoveryError(
+                        f"replay diverged inside the compacted prefix: "
+                        f"chain mismatch at seq {seq} — the store was "
+                        "written by a different config, seed, or code "
+                        "version")
                 self._m_chain_checks.inc()
         else:
             cursor = self._cursor
@@ -135,11 +172,6 @@ class StoreWriter(Stage):
                     "or code version")
             self._cursor = cursor + 1
         self._seq = seq
-        self._m_replayed.inc()
-        self.mark_processed()
-        if seq == recovery.last_seq:
-            self._switch_live()
-        return seq
 
     def _switch_live(self) -> None:
         self._wal = self.store.writer_for_append(self._recovery)
@@ -162,21 +194,16 @@ class StoreWriter(Stage):
         self.emit(self._sighting, self._address_text(address),
                   server_location, time)
 
-    def _address_sink(self, template: RecordTemplate
-                      ) -> Callable[[int, float], None]:
-        """Records ``template`` with ``(target, now)`` as its
-        ``addr`` and ``time`` holes."""
+    def admit_sink(self, engine_name: str) -> Callable[[int, float], None]:
+        """A scheduler admit-hook recording admissions for ``engine_name``."""
+        template = RecordTemplate(
+            {"t": "admit", "engine": engine_name, "addr": "::", "time": 0.0},
+            ("addr", "time"))
 
         def sink(target: int, now: float) -> None:
             self.emit(template, self._address_text(target), now)
 
         return sink
-
-    def admit_sink(self, engine_name: str) -> Callable[[int, float], None]:
-        """A scheduler admit-hook recording admissions for ``engine_name``."""
-        return self._address_sink(RecordTemplate(
-            {"t": "admit", "engine": engine_name, "addr": "::", "time": 0.0},
-            ("addr", "time")))
 
     def grab_sink(self, label: str) -> Callable[[object], None]:
         """A probe grab-hook recording results under scan ``label``."""
@@ -187,26 +214,42 @@ class StoreWriter(Stage):
 
         return sink
 
-    def refused_sink(self, label: str,
-                     spec: ProbeSpec) -> Callable[[int, float], None]:
-        """Records ``spec``'s refused grab of ``(target, now)`` under scan
-        ``label``, as :meth:`grab_sink` records the built grab.
+    def refused_sink(self, label: str, specs: Sequence[ProbeSpec]
+                     ) -> Callable[[int, float, Sequence[int]], None]:
+        """The refused-record writer of one probe plan: called with
+        ``(target, now, members)``, it records the refused grab of
+        ``specs[member]`` for each of ``members`` (indices into
+        ``specs``, in probe order) under scan ``label``, as
+        :meth:`grab_sink` records each built grab, in one :meth:`emit`
+        of the group.
 
-        Every record is rendered from one sample grab, so a refused
-        builder whose grab differs in more than its address and time
-        between two samples raises :class:`ValueError`.
+        Compiled once per plan: each spec's records are rendered from
+        one sample grab, so a refused builder whose grab differs in
+        more than its address and time between two samples raises
+        :class:`ValueError` here.  Per call, the address is formatted
+        once, through the sinks' shared memo, and the group renders the
+        address and time texts once.
         """
         from repro.io.jsonl import grab_to_json, to_canonical_json
 
-        sample = grab_to_json(spec.refused(0, 0.0, spec.port))
-        other = grab_to_json(spec.refused(2 ** 128 - 1, 1.5, spec.port))
-        if (to_canonical_json(dict(other, addr=None, time=None))
-                != to_canonical_json(dict(sample, addr=None, time=None))):
-            raise ValueError(f"refused grabs of probe {spec.name!r} differ "
-                             f"in more than address and time: {sample} "
-                             f"vs {other}")
-        return self._address_sink(RecordTemplate(
-            {"t": "grab", "label": label, **sample}, ("addr", "time")))
+        templates = []
+        for spec in specs:
+            sample = grab_to_json(spec.refused(0, 0.0, spec.port))
+            other = grab_to_json(spec.refused(2 ** 128 - 1, 1.5, spec.port))
+            if (to_canonical_json(dict(other, addr=None, time=None))
+                    != to_canonical_json(dict(sample, addr=None,
+                                              time=None))):
+                raise ValueError(f"refused grabs of probe {spec.name!r} "
+                                 "differ in more than address and time: "
+                                 f"{sample} vs {other}")
+            templates.append(RecordTemplate(
+                {"t": "grab", "label": label, **sample}, ("addr", "time")))
+
+        def write(target: int, now: float, members: Sequence[int]) -> None:
+            self.emit([templates[member] for member in members],
+                      self._address_text(target), now)
+
+        return write
 
     def mark(self, phase: str, day: int, clock: float,
              targets: Dict[str, int]) -> int:

@@ -22,7 +22,12 @@ import pytest
 from repro import api
 from repro.core.campaign import CampaignConfig
 from repro.core.pipeline import ExperimentConfig
-from repro.store import RunStore, fault_injection
+from repro.ipv6 import parse
+from repro.net.clock import VirtualClock
+from repro.net.simnet import Network, SimpleSession
+from repro.scan.engine import ScanEngine
+from repro.scan.result import ScanResults
+from repro.store import RunStore, StoreWriter, WalReader, fault_injection
 from repro.world.population import WorldConfig
 from tests.conftest import patch_stored_config, store_bytes
 
@@ -295,3 +300,89 @@ def test_divergent_config_is_rejected(tmp_path, clean_study):
     meta_path.write_text(json.dumps(meta))
     with pytest.raises(ValueError, match="diverged"):
         api.resume(str(run_dir))
+
+
+#: The mid-group crash scan: six targets, the third with HTTP open (its
+#: seven other probes settle after it), the rest with no host (all
+#: eight probes settle, one group of eight refused records each).
+GROUP_SRC = parse("2001:db8:5c::1")
+GROUP_TARGETS = tuple(parse(f"2001:db8:700::{i + 1:x}") for i in range(6))
+GROUP_OPEN = GROUP_TARGETS[2]
+
+
+class _SilentService:
+    def accept(self, peer, peer_port):
+        return SimpleSession(respond=lambda data: None)
+
+
+def scan_groups(run_dir, hook=lambda point, seq, acked: None):
+    """Scan :data:`GROUP_TARGETS` into the store at ``run_dir``, which
+    is created (5-record segments, an fsync every 3 records, so groups
+    straddle both) or, if it exists, recovered and resumed; returns the
+    recovery (None for a fresh store)."""
+    network = Network(VirtualClock(start=1234.5))
+    network.add_host(GROUP_OPEN).bind_tcp(80, _SilentService())
+    engine = ScanEngine(network, GROUP_SRC, name="ntp")
+    if (run_dir / "meta.json").exists():
+        store = RunStore.open(run_dir)
+        recovery = store.recover()
+    else:
+        store = RunStore.create(run_dir, config={}, cooldown_ttl=0.0,
+                                segment_max_records=5, fsync_every=3)
+        recovery = None
+    writer = StoreWriter(store, recovery=recovery)
+    engine.attach_store(writer, label="ntp")
+    try:
+        with fault_injection(hook):
+            results = ScanResults()
+            for target in GROUP_TARGETS:
+                engine.feed(target, results)
+    finally:
+        writer.close()
+    return recovery
+
+
+@pytest.fixture(scope="module")
+def clean_groups(tmp_path_factory):
+    run_dir = tmp_path_factory.mktemp("groups") / "clean"
+    scan_groups(run_dir)
+    return run_dir
+
+
+@pytest.mark.parametrize("seed", CRASH_SEEDS)
+@pytest.mark.parametrize("point", ["pre-append", "post-append"])
+def test_crash_inside_a_refused_group_resumes_mid_group(
+        tmp_path, clean_groups, seed, point):
+    """Crash at each record of one all-refused target's group of eight
+    (the target picked by the seed); the log ends at the crash, the
+    resume goes live at exactly the next record, and the finished log
+    is the uninterrupted one, byte for byte."""
+    # Not the last target: the resume must have a record left to append.
+    target = random.Random(seed).choice(
+        [i for i, address in enumerate(GROUP_TARGETS[:-1])
+         if address != GROUP_OPEN])
+    addr = f"2001:db8:700::{target + 1:x}"
+    records = list(WalReader(clean_groups / "wal").records())
+    admit = next(record["seq"] for record in records
+                 if record["t"] == "admit" and record["addr"] == addr)
+    group = records[admit:admit + 8]
+    assert [(record["t"], record["addr"]) for record in group] == \
+        [("grab", addr)] * 8
+    for member in range(8):
+        crash_at = admit + 1 + member
+        run_dir = tmp_path / f"{point}-{member}"
+
+        def crash(at, seq, acked):
+            if at == point and seq == crash_at:
+                raise SimulatedCrash()
+
+        with pytest.raises(SimulatedCrash):
+            scan_groups(run_dir, crash)
+        survived = crash_at - (point == "pre-append")
+        live = []
+        recovery = scan_groups(run_dir, lambda at, seq, acked:
+                               live.append(seq) if at == "pre-append"
+                               else None)
+        assert recovery.last_seq == survived, member
+        assert live[0] == survived + 1, member
+        assert store_bytes(run_dir) == store_bytes(clean_groups), member

@@ -9,17 +9,23 @@ number, and must travel the same funnel:
 
 * the templates equal :func:`encode_record` for any payload and hole
   values, and refuse the same payloads with the same error;
-* every default probe's refused-grab record, under both scan labels,
-  and every admission and sighting record equal their generic
-  encoding, across the whole address space (including the two ranges
-  ``format_address`` hands to :mod:`ipaddress`), for ``float`` and
-  ``int`` times and sequence numbers up to 2^40;
+* a group of refused grabs, any non-empty subset of the default
+  probes in probe order under either scan label, encodes record by
+  record as their generic encodings, and a group of one as the
+  template's own encoding; every admission and sighting record equals
+  its generic encoding; both across the whole address space
+  (including the two ranges ``format_address`` hands to
+  :mod:`ipaddress`), for ``float`` and ``int`` times and sequence
+  numbers up to 2^40;
 * a refused builder whose grab varies in more than address and time
   cannot be templated;
 * a store attached after the executor's first probe writes what one
   attached before it writes, without encoding any settled grab;
 * the ``pre-append``/``post-append`` fault points and the store
-  counters see each templated record once;
+  counters see each templated record once, whether its target's
+  probes were all settled, some dispatched or all dispatched, and the
+  counters and stage marks match the WAL after a fault hook raises at
+  any point inside a group;
 * a resume whose refused builder changed fails at that probe's first
   record.
 """
@@ -40,7 +46,12 @@ from repro.scan.engine import ScanEngine
 from repro.scan.modules.mqtt import refused_mqtt
 from repro.scan.result import ScanResults
 from repro.store import RecoveryError, RunStore, StoreWriter, fault_injection
-from repro.store.wal import RecordTemplate, encode_record, read_all
+from repro.store.wal import (
+    RecordTemplate,
+    encode_group,
+    encode_record,
+    read_all,
+)
 
 from tests.test_store_codec import PAYLOADS, SEQS, VALUES
 
@@ -54,6 +65,11 @@ WAL_SEQS = st.integers(min_value=1, max_value=2**40)
 SERVERS = st.one_of(st.text(max_size=12),
                     st.sampled_from(["Köln", "São Paulo", "東京", 'a"b\\']))
 LABELS = ("ntp", "hitlist")
+SPECS = tuple(default_registry())
+#: A non-empty subset of the default probes, as member indices in
+#: probe order.
+MEMBERS = st.sets(st.integers(min_value=0, max_value=len(SPECS) - 1),
+                  min_size=1).map(sorted)
 
 SRC = parse("2001:db8:5c::1")
 #: Targets without a host (every probe settles as refused) around one
@@ -122,17 +138,22 @@ class TestRecordTemplate:
 
 
 class _Encoder(StoreWriter):
-    """A writer whose funnel keeps each record's encoding at ``seq``
-    instead of appending it."""
+    """A writer whose funnel keeps its records' encodings, from
+    ``seq`` on, instead of appending them."""
 
     seq = 1
     encoded = None
+    #: The templates of the last group.
+    group = None
 
     def emit(self, payload, *holes):
-        self.encoded = (payload.encode(self.seq, *holes)
-                        if isinstance(payload, RecordTemplate)
-                        else encode_record(self.seq, payload))
-        return self.seq
+        if isinstance(payload, dict):
+            self.encoded = [encode_record(self.seq, payload)]
+        else:
+            self.group = ((payload,) if isinstance(payload, RecordTemplate)
+                          else tuple(payload))
+            self.encoded = encode_group(self.seq, self.group, holes)
+        return self.seq + len(self.encoded) - 1
 
 
 @pytest.fixture(scope="module")
@@ -143,23 +164,29 @@ def encoder(tmp_path_factory):
     with use_registry():
         writer = _Encoder(RunStore.create(run_dir, config={},
                                           cooldown_ttl=0.0))
-    refused = {(label, spec.name): (spec, writer.refused_sink(label, spec))
-               for label in LABELS for spec in default_registry()}
+    refused = {label: writer.refused_sink(label, SPECS) for label in LABELS}
     admits = {label: writer.admit_sink(label) for label in LABELS}
     yield writer, refused, admits
     writer.close()
 
 
-@given(ADDRESSES, TIMES, WAL_SEQS)
+@given(ADDRESSES, TIMES, WAL_SEQS, st.sampled_from(LABELS), MEMBERS)
 def test_refused_grab_records_equal_encode_record(encoder, address, time,
-                                                  seq):
+                                                  seq, label, members):
     writer, refused, _ = encoder
     writer.seq = seq
-    for (label, _), (spec, sink) in refused.items():
-        sink(address, time)
-        grab = spec.refused(address, time, spec.port)
-        assert writer.encoded == encode_record(
-            seq, {"t": "grab", "label": label, **grab_to_json(grab)})
+    refused[label](address, time, members)
+    assert writer.encoded == [
+        encode_record(seq + offset, {
+            "t": "grab", "label": label,
+            **grab_to_json(SPECS[member].refused(address, time,
+                                                 SPECS[member].port))})
+        for offset, member in enumerate(members)]
+    # A group of one is the template's own encoding.
+    template = writer.group[0]
+    refused[label](address, time, members[:1])
+    assert writer.encoded == [template.encode(seq, format_address(address),
+                                              time)]
 
 
 @given(ADDRESSES, TIMES, WAL_SEQS, SERVERS)
@@ -170,13 +197,13 @@ def test_admission_and_sighting_records_equal_encode_record(
     addr = format_address(address)
     for engine, sink in admits.items():
         sink(address, time)
-        assert writer.encoded == encode_record(
+        assert writer.encoded == [encode_record(
             seq, {"t": "admit", "engine": engine, "addr": addr,
-                  "time": time})
+                  "time": time})]
     writer.sighting(address, time, server)
-    assert writer.encoded == encode_record(
+    assert writer.encoded == [encode_record(
         seq, {"t": "sighting", "addr": addr, "time": time,
-              "server": server})
+              "server": server})]
 
 
 @pytest.mark.parametrize("refused", [
@@ -191,7 +218,7 @@ def test_refused_builder_varying_beyond_address_and_time_is_refused(
                      refused=refused)
     writer = _writer(tmp_path / "run")
     with pytest.raises(ValueError, match="more than address and time"):
-        writer.refused_sink("ntp", spec)
+        writer.refused_sink("ntp", [spec])
     writer.close()
 
 
@@ -285,6 +312,88 @@ def test_fault_points_and_counters_see_each_templated_record_once(
                                    kind=kind).value == count
         assert metrics.counter("store_bytes_total").value == sum(
             len(data) for data in _wal_bytes(tmp_path / "run").values())
+
+
+#: An address with every default probe's port bound: no probe settles.
+FULL = parse("2001:db8:700::5")
+#: An all-refused target, a partly open one (HTTP dispatched, seven
+#: probes settled after it), an open one and another all-refused one.
+MIXED = (TARGETS[0], OPEN, FULL, TARGETS[3])
+#: Seq of the last target's admission; its eight refused records follow.
+LAST_ADMIT = 28
+
+
+class _Crash(BaseException):
+    """Raised from a fault hook, as a crash would stop the writer."""
+
+
+def _mixed_scan(writer, hook=lambda point, seq, acked: None):
+    """Scan :data:`MIXED` into ``writer`` under ``hook``."""
+    engine = _engine()
+    host = engine.network.add_host(FULL)
+    for spec in SPECS:
+        if spec.name == "coap":
+            host.bind_udp(spec.port, lambda datagram: None)
+        else:
+            host.bind_tcp(spec.port, _SilentService())
+    engine.attach_store(writer, label="ntp")
+    with fault_injection(hook):
+        for target in MIXED:
+            engine.feed(target, ScanResults())
+
+
+def _assert_counters_match_the_wal(metrics, run_dir):
+    """Every store counter and the writer's processed mark equal what
+    the WAL on disk holds; returns its records."""
+    records, _ = read_all(run_dir / "wal")
+    for kind, count in Counter(record["t"] for record in records).items():
+        assert metrics.counter("store_records_total",
+                               kind=kind).value == count
+    assert metrics.counter("store_bytes_total").value == sum(
+        len(data) for data in _wal_bytes(run_dir).values())
+    assert metrics.counter("stage_processed_total",
+                           stage="store-writer").value == len(records)
+    return records
+
+
+def test_groups_keep_fault_points_and_counters_per_record(tmp_path):
+    points = []
+    with use_registry() as metrics:
+        writer = _writer(tmp_path / "run")
+        _mixed_scan(writer, lambda point, seq, acked:
+                    points.append((point, seq)))
+        writer.close()
+        records = _assert_counters_match_the_wal(metrics, tmp_path / "run")
+        assert metrics.counter("stage_received_total",
+                               stage="store-writer").value == len(records)
+    assert Counter(record["t"] for record in records) == {"admit": 4,
+                                                           "grab": 32}
+    appends = [(point, seq) for point, seq in points
+               if point.endswith("-append")]
+    assert appends == [(point, seq) for seq in range(1, len(records) + 1)
+                       for point in ("pre-append", "post-append")]
+
+
+@pytest.mark.parametrize("point", ["pre-append", "post-append"])
+@pytest.mark.parametrize("member", range(8))
+def test_counters_match_the_wal_after_a_hook_raises_mid_group(
+        tmp_path, point, member):
+    crash_at = LAST_ADMIT + 1 + member
+
+    def hook(at, seq, acked):
+        if at == point and seq == crash_at:
+            raise _Crash()
+
+    with use_registry() as metrics:
+        writer = _writer(tmp_path / "run")
+        with pytest.raises(_Crash):
+            _mixed_scan(writer, hook)
+        records = _assert_counters_match_the_wal(metrics, tmp_path / "run")
+        assert records[-1]["seq"] == crash_at - (point == "pre-append")
+        # The whole group was handed to the writer.
+        assert metrics.counter("stage_received_total",
+                               stage="store-writer").value == LAST_ADMIT + 8
+        writer.close()
 
 
 def test_resume_with_a_changed_refused_builder_fails_at_its_record(

@@ -326,6 +326,40 @@ class TestRunStore:
         writer.close()
         assert store.verify()["ok"]
 
+    def test_verify_sweeps_keep_every_violation(self, tmp_path,
+                                                monkeypatch):
+        """Sweeping the cooldown map after every second admission drops
+        only entries no later admission can violate."""
+        import repro.store.runstore
+
+        monkeypatch.setattr(repro.store.runstore, "VERIFY_PRUNE_EVERY", 2)
+        store = make_store(tmp_path)
+        writer = store.new_writer()
+        step = COOLDOWN / 4
+        for i, host in enumerate([1, 2, 3, 4, 1, 5, 6, 2, 7, 6]):
+            writer.append({"t": "admit", "engine": "ntp",
+                           "addr": f"2001:db8::{host}", "time": i * step})
+        writer.close()
+        report = store.verify()
+        assert report["cooldown_violations"] == 1
+        assert report["problems"] == [
+            "seq 10: 2001:db8::6 admitted by ntp 194400s after previous "
+            "admit (TTL 259200s)"]
+
+    def test_verify_reports_admission_time_going_back(self, tmp_path):
+        store = make_store(tmp_path)
+        writer = store.new_writer()
+        for seq, time in enumerate([100.0, 500.0, 400.0, 600.0], 1):
+            writer.append({"t": "admit", "engine": "ntp",
+                           "addr": f"2001:db8::{seq}", "time": time})
+        writer.close()
+        report = store.verify()
+        assert (report["ok"], report["cooldown_violations"]) == (False, 0)
+        assert report["problems"] == [
+            "seq 3: 2001:db8::3 admitted by ntp 100s before the newest "
+            "admission (the cooldown check assumes admission time never "
+            "goes back)"]
+
 
 def _fill(store, count, payload=sighting):
     """Append ``count`` records; returns the chain CRC at each seq."""

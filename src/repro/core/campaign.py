@@ -22,6 +22,7 @@ worlds tractable.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -340,35 +341,72 @@ class CollectionCampaign:
         self.advance_days(self.config.days)
         return self.report()
 
+    def _zone_table(self, country: str) -> tuple:
+        """The day table of ``country``'s clients: what one poll's pool
+        draw reaches.
+
+        Built from the pool's rotation for the country's zone
+        (:meth:`NtpPool.rotation`): ``(cum_weights, total, last,
+        captures)``, the rotation's cumulative netspeeds, their total,
+        the last rotation position, and for each position the
+        :class:`CaptureServer` at that address or None.  The table is
+        ``()`` when nothing is in rotation.
+        """
+        servers, cum_weights = self.pool.rotation(country.lower())
+        if not servers:
+            return ()
+        captures = [self.capture_servers.get(server.address)
+                    for server in servers]
+        return cum_weights, cum_weights[-1], len(servers) - 1, captures
+
     def _run_day(self, day_start: float, clients, wire_devices) -> None:
-        events = [(self.rng.random() * DAY, device) for device in clients]
+        """One collection day: each client wakes at a random time of
+        day, resolves the pool ``min(resolutions_per_day, polls)``
+        times and spreads its day's polls over what it got; the polls
+        that reach a capture server are recorded there.
+
+        A pool draw bisects the cumulative weights of the client's day
+        table (:meth:`_zone_table`) with one ``self.rng.random()``,
+        exactly as :meth:`NtpPool.resolve` does, so it picks the server
+        ``resolve`` would and leaves the RNG in the same state: a draw
+        that reaches no capture server records nothing, and an empty
+        rotation draws nothing.  A country's table is built at its
+        first client and kept for this call only, because the pool
+        changes (``register``, ``deregister``, ``set_netspeed``,
+        ``run_monitor``) only between days.
+        """
+        random_ = self.rng.random
+        events = [(random_() * DAY, device) for device in clients]
         events.sort(key=lambda event: event[0])
         resolutions = self.config.resolutions_per_day
+        clock = self.world.clock
+        tables: Dict[str, tuple] = {}
         for offset, device in events:
-            self.world.clock.advance_to(max(day_start + offset,
-                                            self.world.clock.now()))
+            clock.advance_to(max(day_start + offset, clock.now()))
             polls = max(1, round(DAY / device.ntp_interval))
             share = max(1, polls // resolutions)
+            table = tables.get(device.country)
+            if table is None:
+                table = tables[device.country] = self._zone_table(
+                    device.country)
+            if not table:
+                continue  # nothing in rotation: no lookup draws
+            cum_weights, total, last, captures = table
             for _ in range(min(resolutions, polls)):
-                server_address = self.pool.resolve(device.country.lower(),
-                                                   self.rng)
-                if server_address is None:
-                    continue
-                capture = self.capture_servers.get(server_address)
+                capture = captures[bisect_right(cum_weights,
+                                                random_() * total, 0, last)]
                 if capture is None:
                     continue  # a background server absorbed these polls
                 if id(device) in wire_devices:
                     client = NtpClient(self.world.network, device.address)
-                    result = client.query(server_address)
+                    result = client.query(capture.address)
                     self.wire_queries += 1
                     if result is not None and share > 1:
-                        capture.record_direct(device.address,
-                                              self.world.clock.now(),
+                        capture.record_direct(device.address, clock.now(),
                                               requests=share - 1)
                         self.fast_queries += share - 1
                 else:
-                    capture.record_direct(device.address,
-                                          self.world.clock.now(),
+                    capture.record_direct(device.address, clock.now(),
                                           requests=share)
                     self.fast_queries += share
 

@@ -12,11 +12,13 @@ real SNTP queries and are only eligible for DNS rotation while their
 score is above the acceptance threshold, matching how real pool members
 gain/lose traffic.
 
-Resolution is the collection campaign's hot path (one GeoDNS lookup per
-client poll), so the pool caches each zone's *rotation* — its
-in-rotation servers, or the global fallback, with their cumulative
-netspeed weights — and clears the cache whenever registration, weights
-or monitor scores change.
+The pool caches each zone's *rotation* — its in-rotation servers, or
+the global fallback, with their cumulative netspeed weights — and
+clears the cache whenever registration, weights or monitor scores
+change.  :meth:`NtpPool.resolve` is the one-lookup API; the collection
+campaign, whose hot path is one lookup per client poll, draws from the
+same rotations (:meth:`NtpPool.rotation`) in per-zone tables built once
+per collection day.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ class NtpPool:
         self._rng = rng or random.Random(0x9001)
         self._servers: Dict[int, PoolServer] = {}
         self._zones: Dict[str, List[PoolServer]] = {}
-        #: zone → (candidates, cumulative netspeeds); see :meth:`_rotation`.
+        #: zone → (candidates, cumulative netspeeds); see :meth:`rotation`.
         self._rotations: Dict[str, Tuple[List[PoolServer], List[int]]] = {}
         self._monitor_client: Optional[NtpClient] = None
         if monitor_address is not None:
@@ -133,14 +135,17 @@ class NtpPool:
 
     # -- resolution -----------------------------------------------------
 
-    def _rotation(self, zone: str) -> Tuple[List[PoolServer], List[int]]:
+    def rotation(self, zone: str) -> Tuple[List[PoolServer], List[int]]:
         """The servers a client in ``zone`` is handed, with weights.
 
         The zone's in-rotation servers, or — when it has none — every
         in-rotation server of the pool (the global fallback), in
         registration order, paired with their cumulative netspeeds.
         Both lists are empty when nothing is in rotation.  Cached per
-        zone; callers must not mutate the lists.
+        zone until the next ``register``, ``deregister``,
+        ``set_netspeed`` or ``run_monitor``; callers must not mutate
+        the lists, and a caller that keeps them across one of those
+        calls keeps a stale rotation.
         """
         rotation = self._rotations.get(zone)
         if rotation is None:
@@ -160,11 +165,13 @@ class NtpPool:
         every in-rotation server (advertised, with a monitor score of at
         least :data:`SCORE_THRESHOLD`).  A lookup that finds a server
         draws exactly one ``random()`` from ``rng`` (default: the
-        pool's own) and bisects the cumulative weights with it, exactly
-        as ``Random.choices`` does with ``cum_weights``, so the same
-        draw picks the same server.
+        pool's own) and bisects the cumulative weights of
+        :meth:`rotation` with it, exactly as ``Random.choices`` does
+        with ``cum_weights``, so the same draw picks the same server; a
+        lookup that finds none draws nothing.  The collection campaign's
+        day tables draw the same way, and are tested against this.
         """
-        candidates, cum_weights = self._rotation(country)
+        candidates, cum_weights = self.rotation(country)
         if not candidates:
             return None
         draw = (rng or self._rng).random() * cum_weights[-1]
@@ -196,13 +203,13 @@ def weighted_request_rates(pool: NtpPool, zone_demand: Dict[str, float]) -> Dict
 
     A closed-form companion to the event-driven simulation: each zone's
     demand is split by netspeed across the same rotation
-    :meth:`NtpPool.resolve` samples from (the zone's own servers, or the
-    global fallback for empty zones).  Used by tests to cross-check the
-    emergent collection volumes.
+    :meth:`NtpPool.resolve` samples from (:meth:`NtpPool.rotation`: the
+    zone's own servers, or the global fallback for empty zones).  Used
+    by tests to cross-check the emergent collection volumes.
     """
     rates: Dict[int, float] = {server.address: 0.0 for server in pool.servers}
     for zone, demand in zone_demand.items():
-        members, cum_weights = pool._rotation(zone)
+        members, cum_weights = pool.rotation(zone)
         if not members:
             continue
         total = cum_weights[-1]

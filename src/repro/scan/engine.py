@@ -80,9 +80,6 @@ class ScanScheduler:
                                            engine=name)
         self._m_pruned = metrics.counter("scheduler_pruned_total",
                                          engine=name)
-        # Never observed (no admission waits); created so every metrics
-        # snapshot keeps the series the golden snapshots pin.
-        metrics.histogram("scheduler_wait_seconds", engine=name)
 
     @property
     def tracked_targets(self) -> int:
@@ -173,14 +170,14 @@ class ProbeExecutor:
     def _build_plan(self) -> tuple:
         """The probe plan and its refused-record writer.
 
-        The plan holds one ``(probe, member, port, attempts, successes,
-        latency)`` per spec, in registry order: the spec's probe, its
-        member index (its position among the specs that carry a refused
-        grab builder, or None for a spec without one, whose probe is
-        never settled), its port and its ``probe_*`` instruments,
-        looked up once.  With a store attached, the writer is the
-        store's refused-record writer over those specs, which takes
-        member indices; otherwise it is None.
+        The plan holds one ``(probe, member, port, attempts, successes)``
+        per spec, in registry order: the spec's probe, its member index
+        (its position among the specs that carry a refused grab
+        builder, or None for a spec without one, whose probe is never
+        settled), its port and its ``probe_attempts_total`` and
+        ``probe_success_total`` counters, looked up once.  With a store
+        attached, the writer is the store's refused-record writer over
+        those specs, which takes member indices; otherwise it is None.
 
         Built at the first probe, so the series appear when they are
         first used, and fixed from then on (until a store is attached):
@@ -195,9 +192,7 @@ class ProbeExecutor:
              metrics.counter("probe_attempts_total",
                              engine=name, protocol=spec.name),
              metrics.counter("probe_success_total",
-                             engine=name, protocol=spec.name),
-             metrics.histogram("probe_seconds",
-                               engine=name, protocol=spec.name))
+                             engine=name, protocol=spec.name))
             for spec in self.registry)
         write_refused = (None if store is None
                          else store[0].refused_sink(store[1], settling))
@@ -214,27 +209,23 @@ class ProbeExecutor:
         whose spec carries its module's refused grab, on any other
         port, is settled as refused without running the module and
         builds no grab: it takes its ephemeral port, in probe order,
-        and its counters.  With a store attached, the member indices of
-        consecutive settled probes are collected and handed, with
-        ``(target, now)``, to the plan's refused-record writer before
-        the next dispatched probe and once at the end, so an
+        and its attempt count.  With a store attached, the member
+        indices of consecutive settled probes are collected and handed,
+        with ``(target, now)``, to the plan's refused-record writer
+        before the next dispatched probe and once at the end, so an
         all-refused target makes one call.  A dispatched probe's grab
-        goes to the store whatever its outcome.  The clock stays put,
-        so every probe's latency is 0.
+        goes to the store whatever its outcome.  The clock stays put.
         """
         if self._plan is None:
             self._plan = self._build_plan()
         plan, write_refused = self._plan
         network, source = self.network, self.source
         clock = network.clock
-        stats = self.stats
         grab_hook = self.grab_hook
+        self.stats.probes_sent += len(plan)
         deliver = network.ports_to_deliver(network.host(target))
         settled = []
-        for probe, member, port, attempts, successes, latency in plan:
-            stats.probes_sent += 1
-            # One 0.0 per probe: the golden snapshots pin the series.
-            latency.observe(0.0)
+        for probe, member, port, attempts, successes in plan:
             attempts.inc()
             if member is None or deliver is None or port in deliver:
                 if settled:

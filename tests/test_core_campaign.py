@@ -1,9 +1,21 @@
 """Tests for the collection campaign (pool deployment + client traffic)."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.campaign import CampaignConfig, CollectionCampaign, rl_2022_config
+from repro.core.pipeline import build_world
 from repro.net.clock import DAY
+from repro.net.simnet import Network
+from repro.ntp.pool import NtpPool
+
+from tests.conftest import small_world_config
+from tests.test_ntp_pool import (
+    ADDRESSES, COUNTRIES, MONITOR, ZONES, _operations, apply_operation)
 
 
 @pytest.fixture()
@@ -119,3 +131,100 @@ class TestRlProfile:
                                     CampaignConfig(days=1, seed=3))
         report = second.run()
         assert len(report.dataset) > 0
+
+
+# -- collection-day tables ------------------------------------------------------
+
+class _Capture:
+    """A capture server that logs each fast-path capture, in order."""
+
+    def __init__(self, address, log):
+        self.address = address
+        self._log = log
+
+    def record_direct(self, client, time, requests=1):
+        self._log.append((self.address, client, time, requests))
+
+
+def reference_day(pool, captures, rng, day_start, clients, resolutions):
+    """The captures of one collection day whose every poll resolves the
+    pool (``captures.get(pool.resolve(zone, rng))``): the per-poll loop
+    the day tables replaced, without the wire path."""
+    log = []
+    events = [(rng.random() * DAY, device) for device in clients]
+    events.sort(key=lambda event: event[0])
+    now = day_start
+    for offset, device in events:
+        now = max(day_start + offset, now)
+        polls = max(1, round(DAY / device.ntp_interval))
+        share = max(1, polls // resolutions)
+        for _ in range(min(resolutions, polls)):
+            capture = captures.get(pool.resolve(device.country.lower(), rng))
+            if capture is not None:
+                log.append((capture.address, device.address, now, share))
+    return log
+
+
+@pytest.fixture(scope="module")
+def day_campaign():
+    """A campaign whose pool, capture servers and RNG a test replaces."""
+    return CollectionCampaign(build_world(small_world_config()),
+                              CampaignConfig(days=1, seed=1))
+
+
+@st.composite
+def _registrations(draw):
+    """Registrations of distinct addresses in a random order, so that
+    most pool states hold a rotation of more than one server."""
+    order = draw(st.permutations(range(len(ADDRESSES))))
+    return [("register", index, draw(st.sampled_from(ZONES)),
+             draw(st.integers(1, 5000)))
+            for index in order[:draw(st.integers(1, len(ADDRESSES)))]]
+
+
+class TestDayTables:
+    @settings(max_examples=60, deadline=None)
+    @given(_registrations(), st.lists(_operations, max_size=40),
+           st.sets(st.integers(0, len(ADDRESSES) - 1)),
+           st.lists(st.tuples(st.sampled_from(COUNTRIES + ("in",)),
+                              st.sampled_from((64.0, 1024.0, 30_000.0,
+                                               2 * DAY))),
+                    min_size=1, max_size=12),
+           st.integers(0, 2 ** 32))
+    def test_day_draws_match_resolve(self, day_campaign, registrations,
+                                     operations, captured, devices, seed):
+        """Random pool states (registrations in zones, netspeeds, dead
+        servers and monitor rounds, empty zones on the global rotation,
+        nothing in rotation) and capture subsets; a day runs at each
+        ``resolve``.  Each day logs the captures, in order, that one
+        ``resolve`` per poll from an identically seeded RNG finds, and
+        leaves the RNG in the same state.  Every draw is one
+        ``random()``, so together these pin every poll's pick, the
+        polls that reach no capture server (or no server) included."""
+        network = Network()
+        pool = NtpPool(network, rng=random.Random(seed),
+                       monitor_address=MONITOR)
+        log = []
+        captures = {ADDRESSES[index]: _Capture(ADDRESSES[index], log)
+                    for index in captured}
+        clients = [SimpleNamespace(address=index, country=country.upper(),
+                                   ntp_interval=interval)
+                   for index, (country, interval) in enumerate(devices)]
+        day_campaign.pool = pool
+        day_campaign.capture_servers = captures
+        day_campaign.rng = random.Random(seed)
+        reference_rng = random.Random(seed)
+        clock = day_campaign.world.clock
+        resolutions = day_campaign.config.resolutions_per_day
+        for kind, *args in registrations + operations + [("resolve",)]:
+            if kind != "resolve":
+                apply_operation(pool, network, kind, *args)
+                continue
+            day_start = clock.now()
+            expected = reference_day(pool, captures, reference_rng,
+                                     day_start, clients, resolutions)
+            log.clear()
+            day_campaign._run_day(day_start, clients, set())
+            assert log == expected
+            assert day_campaign.rng.getstate() == reference_rng.getstate()
+            clock.advance_to(day_start + DAY)

@@ -190,6 +190,27 @@ _operations = st.one_of(
 )
 
 
+def apply_operation(pool, network, kind, *args) -> None:
+    """Apply one of :data:`_operations` other than ``resolve`` to
+    ``pool`` and the ``network`` its servers live on."""
+    registered = {server.address for server in pool.servers}
+    if kind == "register":
+        index, zone, netspeed = args
+        if ADDRESSES[index] not in registered:
+            pool.register(ADDRESSES[index], zone, netspeed=netspeed)
+    elif kind in ("deregister", "set_netspeed"):
+        if ADDRESSES[args[0]] in registered:
+            getattr(pool, kind)(ADDRESSES[args[0]], *args[1:])
+    elif kind == "live":
+        if network.host(ADDRESSES[args[0]]) is None:
+            NtpServer(network, ADDRESSES[args[0]])
+    elif kind == "dead":
+        network.remove_host(ADDRESSES[args[0]])
+    else:
+        for _ in range(args[0]):
+            pool.run_monitor()
+
+
 class TestRotationCache:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_operations, min_size=20, max_size=80),
@@ -204,22 +225,8 @@ class TestRotationCache:
                        monitor_address=MONITOR)
         cached_rng, reference_rng = random.Random(seed), random.Random(seed)
         for kind, *args in operations:
-            registered = {server.address for server in pool.servers}
-            if kind == "register":
-                index, zone, netspeed = args
-                if ADDRESSES[index] not in registered:
-                    pool.register(ADDRESSES[index], zone, netspeed=netspeed)
-            elif kind in ("deregister", "set_netspeed"):
-                if ADDRESSES[args[0]] in registered:
-                    getattr(pool, kind)(ADDRESSES[args[0]], *args[1:])
-            elif kind == "live":
-                if network.host(ADDRESSES[args[0]]) is None:
-                    NtpServer(network, ADDRESSES[args[0]])
-            elif kind == "dead":
-                network.remove_host(ADDRESSES[args[0]])
-            elif kind == "monitor":
-                for _ in range(args[0]):
-                    pool.run_monitor()
+            if kind != "resolve":
+                apply_operation(pool, network, kind, *args)
             else:
                 for country in COUNTRIES * 8:
                     assert (pool.resolve(country, cached_rng) ==

@@ -43,7 +43,7 @@ from repro.core.ecosystem import (
     leak_scenario,
 )
 from repro.core.pipeline import ExperimentConfig, ExperimentResult, run_experiment
-from repro.core.realtime import RealTimeScanQueue, RealTimeStats
+from repro.core.realtime import RealTimeScanQueue
 from repro.core.telescope import BaitRecord, InboundEvent, Telescope
 
 __all__ = [
@@ -74,7 +74,6 @@ __all__ = [
     "OverlapSummary",
     "RdnsWalkActor",
     "RealTimeScanQueue",
-    "RealTimeStats",
     "ResidentialSweepActor",
     "ScannerActor",
     "ScannerPopulation",

@@ -347,17 +347,18 @@ class CollectionCampaign:
 
         Built from the pool's rotation for the country's zone
         (:meth:`NtpPool.rotation`): ``(cum_weights, total, last,
-        captures)``, the rotation's cumulative netspeeds, their total,
-        the last rotation position, and for each position the
+        captures)``, the rotation's cumulative netspeeds, their total
+        and last position, and for each position the
         :class:`CaptureServer` at that address or None.  The table is
         ``()`` when nothing is in rotation.
         """
-        servers, cum_weights = self.pool.rotation(country.lower())
+        servers, cum_weights, total, last = self.pool.rotation(
+            country.lower())
         if not servers:
             return ()
         captures = [self.capture_servers.get(server.address)
                     for server in servers]
-        return cum_weights, cum_weights[-1], len(servers) - 1, captures
+        return cum_weights, total, last, captures
 
     def _run_day(self, day_start: float, clients, wire_devices) -> None:
         """One collection day: each client wakes at a random time of

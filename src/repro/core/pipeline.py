@@ -16,9 +16,9 @@ timeline on one simulated world:
 
 Both scan paths are built by one :class:`ScanRig`, which the campaign
 daemon (:mod:`repro.service.daemon`) builds too: the campaign's dataset
-hands each first sighting to the real-time queue, a bounded stage, and
-each path's one :class:`~repro.scan.engine.ScanEngine` draws its probe
-set from a pluggable registry.
+hands each first sighting to the real-time queue, which scans it in
+place, and each path's one :class:`~repro.scan.engine.ScanEngine`
+draws its probe set from a pluggable registry.
 """
 
 from __future__ import annotations

@@ -5,90 +5,52 @@ a necessity, not an optimization: end-user addresses churn so fast that
 a batch scan hours later would mostly probe dead addresses (Section 6,
 "aggregating NTP-sourced addresses into a list is not useful").
 
-:class:`RealTimeScanQueue` is a :class:`~repro.runtime.stage.Stage`
-whose :meth:`~RealTimeScanQueue.on_sighting` is a dataset's
-new-address hook: it buffers sightings in a
-:class:`~repro.runtime.stage.BoundedQueue` (real scanner intakes are
-finite — when sourcing outruns the scanner, targets are *dropped and
-accounted*, not silently queued forever), and drives a
+:meth:`RealTimeScanQueue.on_sighting` is a dataset's new-address hook:
+it hands each first sighting, in place, to a
 :class:`~repro.scan.engine.ScanEngine`, which leaves the collection
-campaign's clock where it is.  Dropped
-targets still count toward ``results.targets_seen`` so hit rates keep
-the right denominator.
+campaign's clock where it is.  A probe never sights an address, so no
+target waits behind another and none is dropped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from repro.runtime.stage import BoundedQueue, Stage, StageStats
+from repro.obs.metrics import current_registry
 from repro.scan.result import ScanResults
 
-#: Default intake capacity: generous enough that the paper-shaped
-#: campaigns never drop, small enough that runaway sourcing surfaces
-#: as accounted drops instead of unbounded memory.
-DEFAULT_CAPACITY = 65_536
 
+class RealTimeScanQueue:
+    """Scans every newly collected address as it arrives.
 
-@dataclass
-class RealTimeStats(StageStats):
-    """Counters for the coupling layer.
-
-    Extends the uniform stage counters (``received``, ``processed``,
-    ``dropped``) with the seed-era names the benches report.
+    Counts each sighting in ``stage_received_total`` and
+    ``stage_processed_total`` under ``stage="realtime-scan"``; the
+    engine's own series say whether it was admitted or cooled down.
     """
 
-    triggered: int = 0
-    scanned: int = 0
-
-
-class RealTimeScanQueue(Stage):
-    """Scans every newly collected address as it arrives."""
-
-    name = "realtime-scan"
-
-    def __init__(self, engine, results: Optional[ScanResults] = None,
-                 *, capacity: int = DEFAULT_CAPACITY,
-                 auto_drain: bool = True) -> None:
-        super().__init__()
+    def __init__(self, engine, results: Optional[ScanResults] = None) -> None:
         self.engine = engine
         self.results = results if results is not None else ScanResults(label="ntp")
-        self.stats = RealTimeStats()
-        self.queue: BoundedQueue = BoundedQueue(capacity)
-        #: Drain after every intake (the paper's real-time behaviour).
-        #: Disable to batch intakes and drain explicitly, as the
-        #: backpressure tests do.
-        self.auto_drain = auto_drain
-
-    # -- intake -----------------------------------------------------------
+        metrics = current_registry()
+        self._m_received = metrics.counter("stage_received_total",
+                                           stage="realtime-scan")
+        self._m_processed = metrics.counter("stage_processed_total",
+                                            stage="realtime-scan")
+        self._m_dropped = metrics.counter("stage_dropped_total",
+                                          stage="realtime-scan")
 
     def on_sighting(self, address: int, time: float,
                     server_location: str) -> None:
-        """Take one first sighting (a dataset's new-address hook)."""
-        self.mark_received()
-        self.stats.triggered += 1
-        if not self.queue.push(address):
-            # Intake full: the scanner cannot keep up.  Account the drop
-            # and keep the denominator consistent with the scanned path.
-            self.mark_dropped()
-            self.results.targets_seen += 1
-            return
-        self.note_queue_depth(len(self.queue))
-        if self.auto_drain:
-            self.drain()
+        """Scan one first sighting (a dataset's new-address hook)."""
+        self._m_received.inc()
+        self._m_processed.inc()
+        self.engine.feed(address, self.results)
 
-    def drain(self, limit: int = -1) -> int:
-        """Scan up to ``limit`` queued targets (all when negative)."""
-        drained = 0
-        for address in self.queue.drain(limit):
-            drained += 1
-            self.mark_processed()
-            if self.engine.feed(address, self.results):
-                self.stats.scanned += 1
-        return drained
+    def mark_dropped(self, count: int = 1) -> None:
+        """Count ``count`` sightings that were not scanned.
 
-    @property
-    def pending(self) -> int:
-        """Targets waiting in the intake queue."""
-        return len(self.queue)
+        Nothing in the program calls it, since every sighting is
+        scanned in place.  perfbench's tracer counts its calls as
+        ``core.realtime_dropped``, so it stays until that metric goes.
+        """
+        self._m_dropped.inc(count)

@@ -65,6 +65,11 @@ class PoolServer:
         return self.advertised and self.score >= SCORE_THRESHOLD
 
 
+#: A zone's rotation: ``(servers, cum_weights, total, last)``, see
+#: :meth:`NtpPool.rotation`.
+Rotation = Tuple[List[PoolServer], List[int], int, int]
+
+
 class NtpPool:
     """Zone registry + GeoDNS-style resolution + monitoring."""
 
@@ -74,8 +79,8 @@ class NtpPool:
         self._rng = rng or random.Random(0x9001)
         self._servers: Dict[int, PoolServer] = {}
         self._zones: Dict[str, List[PoolServer]] = {}
-        #: zone → (candidates, cumulative netspeeds); see :meth:`rotation`.
-        self._rotations: Dict[str, Tuple[List[PoolServer], List[int]]] = {}
+        #: zone → its rotation; see :meth:`rotation`.
+        self._rotations: Dict[str, Rotation] = {}
         self._monitor_client: Optional[NtpClient] = None
         if monitor_address is not None:
             self._monitor_client = NtpClient(network, monitor_address)
@@ -135,25 +140,31 @@ class NtpPool:
 
     # -- resolution -----------------------------------------------------
 
-    def rotation(self, zone: str) -> Tuple[List[PoolServer], List[int]]:
+    def rotation(self, zone: str) -> Rotation:
         """The servers a client in ``zone`` is handed, with weights.
 
-        The zone's in-rotation servers, or — when it has none — every
-        in-rotation server of the pool (the global fallback), in
-        registration order, paired with their cumulative netspeeds.
-        Both lists are empty when nothing is in rotation.  Cached per
-        zone until the next ``register``, ``deregister``,
-        ``set_netspeed`` or ``run_monitor``; callers must not mutate
-        the lists, and a caller that keeps them across one of those
-        calls keeps a stale rotation.
+        ``(servers, cum_weights, total, last)``: the zone's in-rotation
+        servers, or — when it has none — every in-rotation server of the
+        pool (the global fallback), in registration order; their
+        cumulative netspeeds; the netspeed total; and the last server's
+        index, the ``hi`` bound of a weighted draw's bisect.  An empty
+        rotation (nothing in rotation) has no servers, no weights, a
+        total of 0 and ``last`` -1.  Cached per zone until the next
+        ``register``, ``deregister``, ``set_netspeed`` or
+        ``run_monitor``; callers must not mutate the lists, and a caller
+        that keeps them across one of those calls keeps a stale
+        rotation.
         """
         rotation = self._rotations.get(zone)
         if rotation is None:
-            candidates = self.zone_servers(zone) or [
+            servers = self.zone_servers(zone) or [
                 server for server in self._servers.values()
                 if server.in_rotation]
-            rotation = (candidates, list(itertools.accumulate(
-                server.netspeed for server in candidates)))
+            cum_weights = list(itertools.accumulate(
+                server.netspeed for server in servers))
+            rotation = (servers, cum_weights,
+                        cum_weights[-1] if cum_weights else 0,
+                        len(servers) - 1)
             self._rotations[zone] = rotation
         return rotation
 
@@ -171,12 +182,11 @@ class NtpPool:
         lookup that finds none draws nothing.  The collection campaign's
         day tables draw the same way, and are tested against this.
         """
-        candidates, cum_weights = self.rotation(country)
-        if not candidates:
+        servers, cum_weights, total, last = self.rotation(country)
+        if not servers:
             return None
-        draw = (rng or self._rng).random() * cum_weights[-1]
-        return candidates[bisect_right(cum_weights, draw, 0,
-                                       len(candidates) - 1)].address
+        draw = (rng or self._rng).random() * total
+        return servers[bisect_right(cum_weights, draw, 0, last)].address
 
     # -- monitoring -----------------------------------------------------
 
@@ -209,10 +219,7 @@ def weighted_request_rates(pool: NtpPool, zone_demand: Dict[str, float]) -> Dict
     """
     rates: Dict[int, float] = {server.address: 0.0 for server in pool.servers}
     for zone, demand in zone_demand.items():
-        members, cum_weights = pool.rotation(zone)
-        if not members:
-            continue
-        total = cum_weights[-1]
+        members, _, total, _ = pool.rotation(zone)
         for server in members:
             rates[server.address] += demand * server.netspeed / total
     return rates

@@ -1,8 +1,9 @@
 """Observability: deterministic metrics and run reports.
 
-``repro.obs`` is the layer that makes the staged runtime *visible*:
-counters, gauges and fixed-bucket histograms in a process-scoped
-:class:`MetricsRegistry`, fed from the simulated clock (never wall
+``repro.obs`` is the layer that makes a run *visible*: counters and
+fixed-bucket, count-valued histograms in a process-scoped
+:class:`MetricsRegistry`, the one counter store of the
+sourcing→scan→store path, fed from the simulated run (never wall
 time), and the versioned :class:`RunReport` snapshot every run ends
 with.  See DESIGN.md §6 for what is instrumented where.
 """
@@ -10,9 +11,7 @@ with.  See DESIGN.md §6 for what is instrumented where.
 from repro.obs.metrics import (
     COUNT_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
-    LATENCY_BUCKETS,
     MetricsRegistry,
     current_registry,
     use_registry,
@@ -22,9 +21,7 @@ from repro.obs.runreport import RUN_REPORT_VERSION, RunReport, jsonify
 __all__ = [
     "COUNT_BUCKETS",
     "Counter",
-    "Gauge",
     "Histogram",
-    "LATENCY_BUCKETS",
     "MetricsRegistry",
     "RUN_REPORT_VERSION",
     "RunReport",

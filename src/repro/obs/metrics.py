@@ -1,18 +1,19 @@
-"""Deterministic metrics primitives for the staged runtime.
+"""Deterministic metrics primitives for the sourcing→scan→store path.
 
 The pipeline is a long-running measurement system; longitudinal studies
-live or die on being able to see what it is doing while it runs — queue
-depths, drop rates, per-protocol scan latencies.  This module provides
-the three classic instrument kinds (:class:`Counter`, :class:`Gauge`,
+live or die on being able to see what it is doing while it runs —
+probe outcomes, admissions, store appends, addresses collected per
+day.  This module provides two instrument kinds (:class:`Counter` and
 :class:`Histogram` with *fixed* bucket boundaries) behind a
-:class:`MetricsRegistry` of labeled series.
+:class:`MetricsRegistry` of labeled series, the one counter store of
+that path.
 
 Two properties distinguish this from a wall-clock metrics stack:
 
-* **Simulated time only.**  Latency histograms are fed from
-  :mod:`repro.net.clock` — never ``time.time()`` — so every recorded
-  timing is a property of the experiment, not of the host machine, and
-  two runs with the same seed produce byte-identical snapshots.
+* **Simulated time only.**  Nothing here reads ``time.time()``: every
+  recorded value is a property of the experiment, not of the host
+  machine, and two runs with the same seed produce byte-identical
+  snapshots.
 * **Registry scoping.**  A process-wide default registry serves ad-hoc
   use, while :func:`use_registry` pushes a fresh registry for the
   duration of one run, which is how ``run_experiment`` isolates the
@@ -25,16 +26,8 @@ import bisect
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-#: Default latency boundaries (simulated seconds), from sub-millisecond
-#: hops up to 10 min.  Every snapshot lists them, so the golden metric
-#: snapshots pin them.
-LATENCY_BUCKETS: Tuple[float, ...] = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0,
-    60.0, 120.0, 300.0, 600.0,
-)
-
-#: Default boundaries for count-valued observations (e.g. addresses
-#: collected per server per simulated day).
+#: Boundaries for count-valued observations (e.g. addresses collected
+#: per server per simulated day).
 COUNT_BUCKETS: Tuple[float, ...] = (
     0, 1, 5, 10, 50, 100, 500, 1_000, 5_000, 10_000, 50_000, 100_000,
 )
@@ -54,29 +47,6 @@ class Counter:
         self.value += amount
 
 
-class Gauge:
-    """A value that can move both ways (queue depth, high-water marks)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value: float = 0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, amount: float = 1) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        self.value -= amount
-
-    def set_max(self, value: float) -> None:
-        """Raise the gauge to ``value`` if it is a new high-water mark."""
-        if value > self.value:
-            self.value = value
-
-
 class Histogram:
     """A fixed-boundary histogram with ``le`` (≤ boundary) semantics.
 
@@ -85,9 +55,9 @@ class Histogram:
     so ``len(counts) == len(bounds) + 1`` and no observation is lost.
     """
 
-    __slots__ = ("bounds", "counts", "sum", "count", "_max")
+    __slots__ = ("bounds", "counts", "sum", "count")
 
-    def __init__(self, bounds: Sequence[float] = LATENCY_BUCKETS) -> None:
+    def __init__(self, bounds: Sequence[float]) -> None:
         bounds = tuple(float(bound) for bound in bounds)
         if not bounds:
             raise ValueError("histogram needs at least one boundary")
@@ -97,40 +67,11 @@ class Histogram:
         self.counts: List[int] = [0] * (len(bounds) + 1)
         self.sum: float = 0.0
         self.count: int = 0
-        self._max: float = 0.0
 
     def observe(self, value: float) -> None:
         self.counts[bisect.bisect_left(self.bounds, value)] += 1
         self.sum += value
         self.count += 1
-        if value > self._max:
-            self._max = value
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Upper bucket boundary at quantile ``q`` (0 for an empty series).
-
-        Bucketed quantiles are estimates: the answer is the boundary of
-        the bucket containing the q-th observation (the observed maximum
-        for the overflow bucket), which is exact enough for the p50/p99
-        reporting the benches do.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        target = max(1, int(q * self.count + 0.5))
-        cumulative = 0
-        for index, bucket_count in enumerate(self.counts):
-            cumulative += bucket_count
-            if cumulative >= target:
-                if index < len(self.bounds):
-                    return self.bounds[index]
-                return self._max
-        return self._max
 
 
 #: A series key: metric name plus its sorted label items.
@@ -171,13 +112,9 @@ class MetricsRegistry:
     def counter(self, name: str, **labels) -> Counter:
         return self._get_or_create(Counter, name, labels, Counter)
 
-    def gauge(self, name: str, **labels) -> Gauge:
-        return self._get_or_create(Gauge, name, labels, Gauge)
-
-    def histogram(self, name: str,
-                  buckets: Optional[Sequence[float]] = None,
+    def histogram(self, name: str, buckets: Sequence[float],
                   **labels) -> Histogram:
-        bounds = tuple(float(b) for b in buckets) if buckets else LATENCY_BUCKETS
+        bounds = tuple(float(b) for b in buckets)
         histogram = self._get_or_create(Histogram, name, labels,
                                         lambda: Histogram(bounds))
         if histogram.bounds != bounds:
@@ -202,21 +139,22 @@ class MetricsRegistry:
                 and wanted <= set(series_labels.items())]
 
     def value(self, name: str, **labels) -> Optional[float]:
-        """Counter/gauge value of one exact series (None when absent)."""
+        """Counter value of one exact series (None when absent)."""
         instrument = self._series.get(self._key(name, labels))
         return getattr(instrument, "value", None)
 
     def snapshot(self) -> Dict[str, list]:
-        """A JSON-ready, deterministically ordered dump of every series."""
-        counters, gauges, histograms = [], [], []
+        """A JSON-ready, deterministically ordered dump of every series.
+
+        ``gauges`` stays as an empty section, so run reports and
+        checkpoints keep their document shape.
+        """
+        counters, histograms = [], []
         for name, labels, instrument in self.series():
             entry = {"name": name, "labels": labels}
             if isinstance(instrument, Counter):
                 entry["value"] = instrument.value
                 counters.append(entry)
-            elif isinstance(instrument, Gauge):
-                entry["value"] = instrument.value
-                gauges.append(entry)
             else:
                 entry.update(
                     bounds=list(instrument.bounds),
@@ -225,7 +163,7 @@ class MetricsRegistry:
                     count=instrument.count,
                 )
                 histograms.append(entry)
-        return {"counters": counters, "gauges": gauges,
+        return {"counters": counters, "gauges": [],
                 "histograms": histograms}
 
 

@@ -2,7 +2,6 @@
 
 from repro.scan.engine import (
     EngineConfig,
-    EngineStats,
     ProbeExecutor,
     ScanEngine,
     ScanScheduler,
@@ -24,7 +23,6 @@ __all__ = [
     "BrokerGrab",
     "CoapGrab",
     "EngineConfig",
-    "EngineStats",
     "EthicsPolicy",
     "OptOutList",
     "HttpGrab",

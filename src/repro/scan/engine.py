@@ -42,18 +42,6 @@ class EngineConfig:
     prune_every: int = 4096
 
 
-@dataclass
-class EngineStats:
-    """Counters for reporting and tests."""
-
-    targets_offered: int = 0
-    targets_scanned: int = 0
-    targets_cooled_down: int = 0
-    probes_sent: int = 0
-    #: Expired cool-down entries evicted by the scheduler's sweeps.
-    cooldown_pruned: int = 0
-
-
 class ScanScheduler:
     """Admission control: the TTL'd per-address cool-down.
 
@@ -63,10 +51,9 @@ class ScanScheduler:
     """
 
     def __init__(self, network: Network, config: EngineConfig,
-                 stats: EngineStats, *, name: str = "engine") -> None:
+                 *, name: str = "engine") -> None:
         self.network = network
         self.config = config
-        self.stats = stats
         self._last_scanned: Dict[int, float] = {}
         self._admissions = 0
         #: Called with ``(target, now)`` on every successful admission —
@@ -91,7 +78,6 @@ class ScanScheduler:
         now = self.network.clock.now()
         last = self._last_scanned.get(target)
         if last is not None and now - last < self.config.cooldown:
-            self.stats.targets_cooled_down += 1
             self._m_cooldown.inc()
             return False
         self._last_scanned[target] = now
@@ -112,7 +98,6 @@ class ScanScheduler:
                    if last <= horizon]
         for address in expired:
             del self._last_scanned[address]
-        self.stats.cooldown_pruned += len(expired)
         self._m_pruned.inc(len(expired))
         return len(expired)
 
@@ -140,12 +125,10 @@ class ProbeExecutor:
     """
 
     def __init__(self, network: Network, source: int,
-                 registry: ProbeRegistry, stats: EngineStats,
-                 *, name: str = "engine") -> None:
+                 registry: ProbeRegistry, *, name: str = "engine") -> None:
         self.network = network
         self.source = source
         self.registry = registry
-        self.stats = stats
         self._name = name
         #: Called with the grab of every dispatched probe, answered or
         #: not: the store's durability tap (settled probes go to the
@@ -222,7 +205,6 @@ class ProbeExecutor:
         network, source = self.network, self.source
         clock = network.clock
         grab_hook = self.grab_hook
-        self.stats.probes_sent += len(plan)
         deliver = network.ports_to_deliver(network.host(target))
         settled = []
         for probe, member, port, attempts, successes in plan:
@@ -258,14 +240,12 @@ class ScanEngine:
         self.config = config or EngineConfig()
         self.ethics = ethics
         self.registry = registry if registry is not None else default_registry()
-        self.stats = EngineStats()
         #: Label stamped onto this engine's metric series and store
         #: records (``"ntp"``, ``"hitlist"``, ...).
         self.name = name
-        self.scheduler = ScanScheduler(network, self.config, self.stats,
-                                       name=name)
+        self.scheduler = ScanScheduler(network, self.config, name=name)
         self.executor = ProbeExecutor(network, source, self.registry,
-                                      self.stats, name=name)
+                                      name=name)
         network.add_host(source, reachable=True)
 
     # -- durability taps ---------------------------------------------------
@@ -301,13 +281,11 @@ class ScanEngine:
 
         Returns True when the address was actually scanned.
         """
-        self.stats.targets_offered += 1
         results.targets_seen += 1
         if self.ethics is not None and not self.ethics.permits(target):
             return False
         if not self.scheduler.admit(target):
             return False
-        self.stats.targets_scanned += 1
         self.executor.execute_into(target, results.add)
         return True
 

@@ -28,7 +28,7 @@ from repro.ntp.control import (
     readvar_request,
     reassemble,
 )
-from repro.scan.result import NtpGrab, refused_builder
+from repro.scan.result import NtpGrab
 
 _sequences = itertools.count(0x10)
 
@@ -53,8 +53,9 @@ def _query_version(network: Network, source: int, target: int,
     return match.group(1) if match else ""
 
 
-#: The grab of an NTP probe whose readvar query went unanswered.
-refused_ntp = refused_builder(NtpGrab)
+def refused_ntp(address: int, time: float, port: int) -> NtpGrab:
+    """The grab of an NTP probe whose readvar query went unanswered."""
+    return NtpGrab(address=address, time=time, ok=False)
 
 
 def scan_ntp(network: Network, source: int, target: int,

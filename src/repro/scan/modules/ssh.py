@@ -8,7 +8,7 @@ from repro.proto.ssh import (
     SshIdentification,
     decode_keyreply,
 )
-from repro.scan.result import SshGrab, refused_builder
+from repro.scan.result import SshGrab
 
 #: The identification string our scanner presents (identifies us as a
 #: research scan, per the paper's ethics appendix).
@@ -16,8 +16,9 @@ SCANNER_ID = SshIdentification(protocol="2.0", software="ReproScan_1.0",
                                comment="research-scan")
 
 
-#: The grab of an SSH probe whose connection was refused.
-refused_ssh = refused_builder(SshGrab)
+def refused_ssh(address: int, time: float, port: int) -> SshGrab:
+    """The grab of an SSH probe whose connection was refused."""
+    return SshGrab(address=address, time=time, ok=False)
 
 
 def scan_ssh(network: Network, source: int, target: int,

@@ -4,16 +4,12 @@ Each protocol module returns a typed grab; :class:`ScanResults`
 accumulates the answered (``ok``) ones per protocol and offers the
 aggregate accessors the analyses and tables consume (responsive
 addresses, TLS success shares, unique certificate/key fingerprints).
-:func:`refused_builder` makes each module's refused grab, the outcome
-of nearly every probe: the module returns it when its probe is
-refused, and a store renders every refused probe's log record from
-one sample of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 #: Protocol labels in Table 2 / Table 5 column order.
 PROTOCOLS = ("http", "https", "ssh", "mqtt", "mqtts", "amqp", "amqps", "coap")
@@ -141,44 +137,6 @@ class NtpGrab:
 
 
 Grab = object  # any of the grab dataclasses above
-
-
-def refused_builder(cls: type, **constants: object
-                    ) -> Callable[[int, float, int], Grab]:
-    """The builder ``(address, time, port) → grab`` of a refused ``cls``.
-
-    Its grab equals ``cls(address=address, time=time, ok=False, ...)``
-    with ``port=port`` where ``cls`` has a ``port`` field without a
-    default, ``constants`` (such as ``protocol``) for any other field
-    without one, and every other field at its default: the same
-    ``==``, ``hash``, ``repr``, ``astuple`` and pickle round trip, and
-    just as frozen.  It skips the generated ``__init__``, which sets
-    every field: the builder makes the grab with ``object.__new__`` and
-    sets only the fields without a default, in field order, so the
-    others read their defaults from the class and the instance keeps
-    the class's shared attribute layout, at half the cost of the
-    generated ``__init__``.  For grab dataclasses without
-    ``__post_init__``.
-    """
-    given = ("address", "time", "port", "ok") + tuple(constants)
-    required = [spec.name for spec in fields(cls) if spec.default is MISSING]
-    unset = [name for name in required if name not in given]
-    unknown = [name for name in constants if name not in required]
-    if unset or unknown:
-        raise TypeError(f"{cls.__name__}: no value for {unset}, "
-                        f"no field without a default for {unknown}")
-    plan = tuple((name, given.index(name)) for name in required)
-    rest = (False,) + tuple(constants.values())
-    new, set_field = object.__new__, object.__setattr__
-
-    def build(address: int, time: float, port: int) -> Grab:
-        grab = new(cls)
-        values = (address, time, port) + rest
-        for name, index in plan:
-            set_field(grab, name, values[index])
-        return grab
-
-    return build
 
 
 @dataclass

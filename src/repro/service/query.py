@@ -1,8 +1,7 @@
 """Windowed incremental queries: rolling tables without full replay.
 
-:class:`WindowedStudyReader` grows the store's
-:class:`~repro.store.reader.IncrementalStudyReader` into a query
-engine over *simulated-time spans*: ``window(t0, t1)`` materializes
+:class:`WindowedStudyReader` is a query engine over a run store's
+WAL in *simulated-time spans*: ``window(t0, t1)`` materializes
 the paper's Table 2/3 and Figure 2/3 for exactly the grabs whose
 timestamps fall in ``[t0, t1)``, with targets-seen denominators taken
 as the difference of the cumulative counters carried by the daily
@@ -39,7 +38,7 @@ from repro.obs.metrics import current_registry
 from repro.scan.result import PROTOCOLS, ScanResults
 from repro.service.config import is_service_document
 from repro.store.checkpoint import list_checkpoints, load_checkpoint
-from repro.store.reader import CompactedBehindReader, IncrementalStudyReader
+from repro.store.reader import CompactedBehindReader
 from repro.store.runstore import RunStore
 from repro.store.wal import WalError, WalReader
 
@@ -191,11 +190,11 @@ def window_document(results: Dict[str, ScanResults], *,
     }
 
 
-class WindowedStudyReader(IncrementalStudyReader):
+class WindowedStudyReader:
     """Rolling-window queries over a (possibly live) run store."""
 
     def __init__(self, store: RunStore) -> None:
-        super().__init__(store)
+        self.store = store
         self._anchors: Dict[str, WindowAnchor] = {}
         document = store.meta.get("config", {})
         #: The realtime scan label (service stores record it; batch

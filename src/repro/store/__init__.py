@@ -9,7 +9,7 @@ inside their cool-down.  This package provides that durability layer:
 * :mod:`repro.store.checkpoint` — atomic periodic state snapshots;
 * :mod:`repro.store.runstore` — the run directory (recovery, compaction,
   offline verify/inspect);
-* :mod:`repro.store.writer` — the bus stage streaming a run into the
+* :mod:`repro.store.writer` — the writer streaming a run into the
   store, with deterministic-replay recovery;
 * :mod:`repro.store.reader` — incremental analysis over stored segments.
 """

@@ -51,8 +51,6 @@ class IncrementalStudyReader:
     def __init__(self, store: RunStore) -> None:
         self.store = store
         self.results: Dict[str, ScanResults] = {}
-        self.sightings = 0
-        self.marks = 0
         self.last_seq = store.meta.get("compacted_through", 0)
         self._chain = store.meta.get("chain_at_compaction", 0)
         metrics = current_registry()
@@ -96,13 +94,10 @@ class IncrementalStudyReader:
                     self._bucket(record["label"]).bucket(
                         grab.protocol).append(grab)
             elif kind == "mark":
-                self.marks += 1
                 for label, seen in record.get("targets", {}).items():
                     # Marks carry *cumulative* denominators; the latest
                     # mark wins, so replays of the same store converge.
                     self._bucket(label).targets_seen = seen
-            elif kind == "sighting":
-                self.sightings += 1
         self.last_seq = max(reader.last_seq, self.last_seq)
         self._chain = reader.chain
         self._m_read.inc(folded)

@@ -1,4 +1,4 @@
-"""StoreWriter: the stage that streams a run into the store.
+"""StoreWriter: streams a run into the store.
 
 In a **fresh** run the writer appends every event straight to the WAL:
 sightings (a dataset new-address hook), scheduler admissions and probe
@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Union
 
 from repro.ipv6 import address as addrmod
 from repro.obs.metrics import current_registry
-from repro.runtime.stage import Stage
 from repro.store.checkpoint import Checkpoint
 from repro.store.runstore import Recovery, RunStore
 from repro.store.wal import (
@@ -41,14 +40,11 @@ if TYPE_CHECKING:
     from repro.runtime.registry import ProbeSpec
 
 
-class StoreWriter(Stage):
+class StoreWriter:
     """Streams pipeline events into a :class:`RunStore`'s WAL."""
-
-    name = "store-writer"
 
     def __init__(self, store: RunStore,
                  recovery: Optional[Recovery] = None) -> None:
-        super().__init__()
         self.store = store
         self._recovery = recovery
         self._wal = None
@@ -101,16 +97,10 @@ class StoreWriter(Stage):
         Live mode appends to the WAL.  Verify mode checks each
         regenerated record, in order, against logged history and
         switches to live mode at the record where the log ends,
-        appending the rest of a group live.  The stage counts a group's
-        records as received once, and as processed once they are
-        appended or checked, even when a fault hook raises mid-group.
+        appending the rest of a group live.
         """
-        if isinstance(payload, (dict, RecordTemplate)):
-            self.mark_received()
-        else:
-            self.mark_received(len(payload))
         if self._mode == "live":
-            return self._append(payload, holes)
+            return self._wal.append(payload, *holes)
         recovery = self._recovery
         seq = self._seq + 1
         if isinstance(payload, dict):
@@ -130,19 +120,9 @@ class StoreWriter(Stage):
                 seq += 1
         finally:
             self._m_replayed.inc(checked)
-            self.mark_processed(checked)
         if checked < len(crcs):
-            return self._append(payload[checked:], holes)
+            return self._wal.append(payload[checked:], *holes)
         return self._seq
-
-    def _append(self, payload, holes: tuple) -> int:
-        """Live mode's half of :meth:`emit`."""
-        wal = self._wal
-        before = wal.last_seq
-        try:
-            return wal.append(payload, *holes)
-        finally:
-            self.mark_processed(wal.last_seq - before)
 
     def _check(self, seq: int, crc: str, recovery: Recovery) -> None:
         """Verify mode: the regenerated record ``seq`` with CRC ``crc``

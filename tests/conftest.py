@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.core.campaign import CampaignConfig
 from repro.core.pipeline import ExperimentConfig, run_experiment
 from repro.net.simnet import Network
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.world.population import World, WorldConfig, build_world
 
 # Keep test runs from littering src/ and tests/ with __pycache__
@@ -85,6 +86,14 @@ def fresh_world() -> World:
 def network() -> Network:
     """An empty network with a fresh virtual clock."""
     return Network()
+
+
+@pytest.fixture()
+def metrics() -> MetricsRegistry:
+    """A fresh metrics registry for the test: engines and queues the
+    test builds record their series there."""
+    with use_registry() as registry:
+        yield registry
 
 
 @pytest.fixture(scope="session")

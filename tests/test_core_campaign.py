@@ -15,7 +15,8 @@ from repro.ntp.pool import NtpPool
 
 from tests.conftest import small_world_config
 from tests.test_ntp_pool import (
-    ADDRESSES, COUNTRIES, MONITOR, ZONES, _operations, apply_operation)
+    ADDRESSES, COUNTRIES, MONITOR, _operations, _registrations,
+    apply_operation)
 
 
 @pytest.fixture()
@@ -170,16 +171,6 @@ def day_campaign():
     """A campaign whose pool, capture servers and RNG a test replaces."""
     return CollectionCampaign(build_world(small_world_config()),
                               CampaignConfig(days=1, seed=1))
-
-
-@st.composite
-def _registrations(draw):
-    """Registrations of distinct addresses in a random order, so that
-    most pool states hold a rotation of more than one server."""
-    order = draw(st.permutations(range(len(ADDRESSES))))
-    return [("register", index, draw(st.sampled_from(ZONES)),
-             draw(st.integers(1, 5000)))
-            for index in order[:draw(st.integers(1, len(ADDRESSES)))]]
 
 
 class TestDayTables:

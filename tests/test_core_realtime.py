@@ -11,27 +11,31 @@ SRC = parse("2001:db8:5c::1")
 
 
 @pytest.fixture()
-def engine(network):
+def engine(network, metrics):
     return ScanEngine(network, SRC)
 
 
+def _stage(metrics, kind):
+    return metrics.value(f"stage_{kind}_total", stage="realtime-scan")
+
+
 class TestCoupling:
-    def test_new_address_triggers_scan(self, network, engine):
+    def test_new_address_triggers_scan(self, network, engine, metrics):
         dataset = CollectedDataset()
         queue = RealTimeScanQueue(engine)
         dataset.add_new_address_hook(queue.on_sighting)
         dataset.record(parse("2001:db8::1"), 0.0, "Germany")
-        assert queue.stats.triggered == 1
-        assert queue.stats.scanned == 1
+        assert _stage(metrics, "received") == 1
+        assert metrics.value("scheduler_admitted_total", engine="engine") == 1
         assert queue.results.targets_seen == 1
 
-    def test_repeat_sighting_not_rescanned(self, network, engine):
+    def test_repeat_sighting_not_rescanned(self, network, engine, metrics):
         dataset = CollectedDataset()
         queue = RealTimeScanQueue(engine)
         dataset.add_new_address_hook(queue.on_sighting)
         dataset.record(parse("2001:db8::1"), 0.0, "Germany")
         dataset.record(parse("2001:db8::1"), 1.0, "India")
-        assert queue.stats.triggered == 1
+        assert _stage(metrics, "received") == 1
 
     def test_scan_results_accumulate(self, network, engine):
         import random
@@ -51,59 +55,42 @@ class TestCoupling:
 
 
 class TestBackpressure:
-    def test_bounded_intake_drops_and_accounts(self, network, engine):
-        """When sourcing outruns the scanner, drops are explicit."""
+    def test_auto_drain_keeps_queue_empty(self, network, engine, metrics):
+        """Sourcing never outruns the scanner: each sighting is scanned
+        before the hook returns, so none waits and none drops."""
         dataset = CollectedDataset()
-        queue = RealTimeScanQueue(engine, capacity=5, auto_drain=False)
+        queue = RealTimeScanQueue(engine)
+        scanned = []
         dataset.add_new_address_hook(queue.on_sighting)
-        for index in range(8):
-            dataset.record(parse("2001:db8::") + index, 0.0, "Germany")
-        assert queue.pending == 5
-        assert queue.stats.dropped == 3
-        assert queue.stats.received == 8
-        # Dropped targets still count toward the hit-rate denominator.
-        assert queue.results.targets_seen == 3
-        drained = queue.drain()
-        assert drained == 5
-        assert queue.stats.processed == 5
-        assert queue.results.targets_seen == 8
-        assert queue.pending == 0
-
-    def test_drain_limit_batches(self, network, engine):
-        dataset = CollectedDataset()
-        queue = RealTimeScanQueue(engine, capacity=10, auto_drain=False)
-        dataset.add_new_address_hook(queue.on_sighting)
-        for index in range(6):
-            dataset.record(parse("2001:db8::") + index, 0.0, "Germany")
-        assert queue.drain(limit=4) == 4
-        assert queue.pending == 2
-
-    def test_auto_drain_keeps_queue_empty(self, network, engine):
-        dataset = CollectedDataset()
-        queue = RealTimeScanQueue(engine, capacity=2)
-        dataset.add_new_address_hook(queue.on_sighting)
+        dataset.add_new_address_hook(
+            lambda address, time, server: scanned.append(
+                metrics.value("scheduler_admitted_total", engine="engine")))
         for index in range(10):
             dataset.record(parse("2001:db8::") + index, 0.0, "Germany")
-        assert queue.pending == 0
-        assert queue.stats.dropped == 0
-        assert queue.stats.scanned == 10
+        assert scanned == list(range(1, 11))
+        assert _stage(metrics, "dropped") == 0
 
 
 class TestSamplingDenominators:
-    def test_targets_seen_consistent_across_paths(self, network, engine):
-        """dropped + fed both land in targets_seen once."""
+    def test_targets_seen_consistent_across_paths(self, network, engine,
+                                                  metrics):
+        """Admitted and cooled-down sightings both land in targets_seen
+        once."""
         dataset = CollectedDataset()
-        queue = RealTimeScanQueue(engine, capacity=150, auto_drain=False)
+        queue = RealTimeScanQueue(engine)
         dataset.add_new_address_hook(queue.on_sighting)
         total = 200
         for index in range(total):
             dataset.record(parse("2001:db8::") + index, 0.0, "Germany")
-        queue.drain()
-        stats = queue.stats
-        assert stats.triggered == total
-        assert queue.results.targets_seen == total
-        assert stats.dropped == 50
-        assert stats.processed + stats.dropped == total
-        # Every queued target reached the engine exactly once.
-        assert engine.stats.targets_offered == stats.processed
-        assert stats.scanned == engine.stats.targets_scanned
+        # A sighting of an address still in its cool-down (another
+        # campaign's dataset, say) reaches the engine but is not scanned.
+        for index in range(50):
+            queue.on_sighting(parse("2001:db8::") + index, 1.0, "India")
+        assert queue.results.targets_seen == total + 50
+        assert _stage(metrics, "received") == total + 50
+        assert _stage(metrics, "processed") == total + 50
+        assert _stage(metrics, "dropped") == 0
+        assert metrics.value("scheduler_admitted_total",
+                             engine="engine") == total
+        assert metrics.value("scheduler_cooldown_hits_total",
+                             engine="engine") == 50

@@ -34,9 +34,15 @@ re-captured when the scan engine stopped creating the all-zero
 snapshot then equalled the previous code's with those two series
 removed, every WAL segment stayed byte-identical, and each checkpoint
 differed only by those series in its embedded metrics and by its
-``crc``.  Any change to what these entry points compute shows up
-here.  The amplification metrics are left out: their ``engine`` label
-names the scan engine.
+``crc``.  Those five digests were re-captured once more, by the same
+procedure, when the staged runtime's intake queue and the store
+writer's stage counters went: the study snapshot lost the real-time
+stage's queue-depth gauge, and the store-backed snapshot and every
+checkpoint lost that gauge, the store writer's and the three
+``stage_*_total{stage="store-writer"}`` counters, while every WAL
+segment stayed byte-identical.  Any change to what these entry points
+compute shows up here.  The amplification metrics are left out: their
+``engine`` label names the scan engine.
 """
 
 import hashlib
@@ -62,11 +68,11 @@ GOLDEN_GRAB_FIELDS = (
 GOLDEN_TABLES = (
     "99fcf40541efdd983fd635c38bb0a371a37b67fd44ad5a3824e8c3b3e9a2b865")
 GOLDEN_METRICS = (
-    "457b06b2d3f89eb5836958c1b32b28f1dd7fb56a640a2ac45a42b3aa9cc0ed94")
+    "b209703b2516f2f172305574704545abbfd0f10f6d79a3f6731eccd54bdbb543")
 GOLDEN_STORE_METRICS = (
-    "bf169c4dc4d4f2dffb1e750e6d45e3c0c38b8081ecaca966e744e79293f9550d")
+    "ac91b9442edfabeef23dca220143a48818214add9d9e68fae277c68bd0d098e6")
 GOLDEN_STORE_FILES = (
-    "5f7d0f8d0a33ae98f2346713c319fc7a1903e5e3b61636b8415393e4384d9b15")
+    "39e633881da50ad3bed0b7b3519eba5a96b7b24233f1d0c3cf71348d6339ecfa")
 GOLDEN_AMPLIFICATION_TABLES = (
     "01cc2e2f429ca298c0a9957b66d6dd368108a82260658c48626d53f27a921354")
 GOLDEN_ECOSYSTEM_TABLES = (
@@ -78,9 +84,9 @@ GOLDEN_ANALYZE_TABLES = (
 GOLDEN_ANALYZE_METRICS = (
     "64ac1d97230340264165c7494cd6ee70578a4849448822a2c1b831269cf1fdad")
 GOLDEN_CAMPAIGN_STORE_FILES = (
-    "1cca4d33c3145148ffe41ff4643def95923aea5022a59a7548af0bbf7b1f2178")
+    "e77c3cd9a6cb7b693a34a9fafd31c4fd64bb6e33127d5cd285f56c1df40321a4")
 GOLDEN_RESUMED_CAMPAIGN_STORE_FILES = (
-    "f9bf518ceb0376a7c82b90c5a32fb3e1df2e312c7b830dc0ce60d43aad969bfe")
+    "25b216357dfbc9216f12dc34f7b94c019791e4d4467e88bfad0b8337634e1e4e")
 
 #: The record the crashed campaign dies after: a refused grab of the
 #: day-2 hitlist sweep.

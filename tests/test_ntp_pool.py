@@ -190,6 +190,21 @@ _operations = st.one_of(
 )
 
 
+@st.composite
+def _registrations(draw, live=False):
+    """Registrations of distinct addresses in a random order, so that
+    most pool states hold a rotation of more than one server; with
+    ``live``, each registered server then also runs, so monitor rounds
+    keep it in rotation."""
+    order = draw(st.permutations(range(len(ADDRESSES))))
+    registrations = [("register", index, draw(st.sampled_from(ZONES)),
+                      draw(st.integers(1, 5000)))
+                     for index in order[:draw(st.integers(1, len(ADDRESSES)))]]
+    if live:
+        registrations += [("live", index) for _, index, *_ in registrations]
+    return registrations
+
+
 def apply_operation(pool, network, kind, *args) -> None:
     """Apply one of :data:`_operations` other than ``resolve`` to
     ``pool`` and the ``network`` its servers live on."""
@@ -213,18 +228,21 @@ def apply_operation(pool, network, kind, *args) -> None:
 
 class TestRotationCache:
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(_operations, min_size=20, max_size=80),
+    @given(_registrations(live=True),
+           st.lists(_operations, min_size=20, max_size=80),
            st.integers(0, 2 ** 32))
-    def test_cached_resolve_matches_reference(self, operations, seed):
+    def test_cached_resolve_matches_reference(self, registrations,
+                                              operations, seed):
         """Random interleavings of every cache-clearing operation with
-        lookups: each lookup (several draws per country) returns what
-        the uncached reference returns from an identically seeded RNG,
-        and the closed-form rates agree at the end."""
+        lookups, from a pool of live servers in the queried zones: each
+        lookup (several draws per country) returns what the uncached
+        reference returns from an identically seeded RNG, and the
+        closed-form rates agree at the end."""
         network = Network()
         pool = NtpPool(network, rng=random.Random(seed),
                        monitor_address=MONITOR)
         cached_rng, reference_rng = random.Random(seed), random.Random(seed)
-        for kind, *args in operations:
+        for kind, *args in registrations + operations:
             if kind != "resolve":
                 apply_operation(pool, network, kind, *args)
             else:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.obs import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     current_registry,
@@ -22,21 +21,6 @@ class TestCounter:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             Counter().inc(-1)
-
-
-class TestGauge:
-    def test_moves_both_ways(self):
-        gauge = Gauge()
-        gauge.set(5)
-        gauge.dec(2)
-        gauge.inc()
-        assert gauge.value == 4
-
-    def test_set_max_keeps_high_water(self):
-        gauge = Gauge()
-        gauge.set_max(10)
-        gauge.set_max(3)
-        assert gauge.value == 10
 
 
 class TestHistogramBuckets:
@@ -57,8 +41,6 @@ class TestHistogramBuckets:
         histogram = Histogram(bounds=(1.0, 2.0))
         histogram.observe(99.0)
         assert histogram.counts == [0, 0, 1]
-        # The overflow bucket reports the observed max as its quantile.
-        assert histogram.quantile(1.0) == 99.0
 
     def test_counts_has_one_more_slot_than_bounds(self):
         histogram = Histogram(bounds=(1.0, 2.0, 3.0))
@@ -76,23 +58,6 @@ class TestHistogramBuckets:
             histogram.observe(value)
         assert histogram.count == 3
         assert histogram.sum == pytest.approx(6.0)
-        assert histogram.mean == pytest.approx(2.0)
-
-    def test_empty_quantile_is_zero(self):
-        assert Histogram(bounds=(1.0,)).quantile(0.5) == 0.0
-
-    def test_quantile_walks_buckets(self):
-        histogram = Histogram(bounds=(1.0, 2.0, 4.0))
-        for _ in range(90):
-            histogram.observe(0.5)   # bucket le=1.0
-        for _ in range(10):
-            histogram.observe(3.0)   # bucket le=4.0
-        assert histogram.quantile(0.5) == 1.0
-        assert histogram.quantile(0.99) == 4.0
-
-    def test_quantile_range_checked(self):
-        with pytest.raises(ValueError):
-            Histogram(bounds=(1.0,)).quantile(1.5)
 
 
 class TestRegistry:
@@ -112,7 +77,7 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("x")
         with pytest.raises(TypeError):
-            registry.gauge("x")
+            registry.histogram("x", buckets=(1.0,))
 
     def test_histogram_bounds_conflict_rejected(self):
         registry = MetricsRegistry()
@@ -141,12 +106,12 @@ class TestRegistry:
             registry.counter("zeta").inc()
             registry.counter("alpha", b="2").inc(2)
             registry.counter("alpha", b="1").inc(1)
-            registry.gauge("depth").set(4)
             registry.histogram("lat", buckets=(1.0,)).observe(0.5)
             return registry.snapshot()
 
         first, second = build(), build()
         assert first == second
+        assert first["gauges"] == []
         names = [entry["name"] for entry in first["counters"]]
         assert names == sorted(names)
 

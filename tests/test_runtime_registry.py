@@ -116,7 +116,7 @@ class TestCustomProbe:
         assert "telnet" in results.protocols()
         assert results.hit_rate() == pytest.approx(1.0)
 
-    def test_ssh_coap_only_campaign(self, network, rng):
+    def test_ssh_coap_only_campaign(self, network, rng, metrics):
         """Narrowed campaign via the registry — no engine internals."""
         from repro.tlslib.keys import derive_key
 
@@ -136,7 +136,9 @@ class TestCustomProbe:
         results = engine.run([ssh_host.address, coap_device.address],
                              label="ssh+coap")
 
-        assert engine.stats.probes_sent == 4  # 2 targets x 2 protocols
+        # 2 targets x 2 protocols
+        assert sum(probes.value for _, probes in
+                   metrics.find("probe_attempts_total")) == 4
         assert results.responsive_addresses("ssh") == {ssh_host.address}
         assert results.responsive_addresses("coap") == {coap_device.address}
         assert results.http == [] and results.mqtt == []

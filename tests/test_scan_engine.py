@@ -38,7 +38,6 @@ class TestScanAddress:
         with use_registry() as metrics:
             engine = ScanEngine(network, SRC)
             engine.scan_address(fritz.address)
-        assert engine.stats.probes_sent == len(PROTOCOLS)
         assert {protocol: metrics.value("probe_attempts_total",
                                         engine="engine", protocol=protocol)
                 for protocol in PROTOCOLS} == dict.fromkeys(PROTOCOLS, 1)
@@ -59,12 +58,13 @@ class TestScanAddress:
 
 
 class TestCooldown:
-    def test_cooldown_suppresses_rescan(self, network, fritz):
+    def test_cooldown_suppresses_rescan(self, network, fritz, metrics):
         engine = ScanEngine(network, SRC)
         results = ScanResults()
         assert engine.feed(fritz.address, results) is True
         assert engine.feed(fritz.address, results) is False
-        assert engine.stats.targets_cooled_down == 1
+        assert metrics.value("scheduler_cooldown_hits_total",
+                             engine="engine") == 1
         assert len(results.http) == 1
 
     def test_cooldown_expires(self, network, fritz):
@@ -74,7 +74,7 @@ class TestCooldown:
         network.clock.advance(3 * DAY + 1)
         assert engine.feed(fritz.address, results) is True
 
-    def test_distinct_addresses_not_cooled(self, network, rng):
+    def test_distinct_addresses_not_cooled(self, network, rng, metrics):
         engine = ScanEngine(network, SRC)
         results = ScanResults()
         for index in range(3):
@@ -82,11 +82,12 @@ class TestCooldown:
             device.assign_address(PREFIX + (index << 64), rng)
             device.materialize(network)
             assert engine.feed(device.address, results) is True
-        assert engine.stats.targets_scanned == 3
+        assert metrics.value("scheduler_admitted_total",
+                             engine="engine") == 3
 
 
 class TestCooldownPruning:
-    def test_expired_entries_evicted(self, network, rng):
+    def test_expired_entries_evicted(self, network, rng, metrics):
         """The last-scanned map stays bounded over a long campaign."""
         config = EngineConfig(prune_every=10)
         engine = ScanEngine(network, SRC, config)
@@ -100,10 +101,12 @@ class TestCooldownPruning:
             network.clock.advance(engine.config.cooldown + 1)
         # Without pruning the map would hold all 80 entries.
         assert engine.scheduler.tracked_targets <= 20
-        assert engine.stats.cooldown_pruned >= 60
-        assert engine.stats.targets_scanned == 80
+        assert metrics.value("scheduler_pruned_total",
+                             engine="engine") >= 60
+        assert metrics.value("scheduler_admitted_total",
+                             engine="engine") == 80
 
-    def test_pruning_never_weakens_cooldown(self, network, fritz):
+    def test_pruning_never_weakens_cooldown(self, network, fritz, metrics):
         """An address inside its cool-down window survives sweeps."""
         config = EngineConfig(prune_every=5)
         engine = ScanEngine(network, SRC, config)
@@ -113,7 +116,8 @@ class TestCooldownPruning:
         for index in range(25):
             engine.feed(parse("2001:db8:611::") + index, results)
         assert engine.feed(fritz.address, results) is False
-        assert engine.stats.targets_cooled_down == 1
+        assert metrics.value("scheduler_cooldown_hits_total",
+                             engine="engine") == 1
 
     def test_manual_prune_reports_evictions(self, network, fritz):
         engine = ScanEngine(network, SRC)

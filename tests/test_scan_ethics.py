@@ -79,11 +79,11 @@ class TestPolicyInEngine:
         network.clock.advance(4 * 86_400)
         assert engine.feed(device.address, results) is False
 
-    def test_engine_without_policy_unchanged(self, network):
+    def test_engine_without_policy_unchanged(self, network, metrics):
         engine = ScanEngine(network, SRC)
         results = ScanResults()
         engine.feed(parse("2001:db8:901::1"), results)
-        assert engine.stats.targets_scanned == 1
+        assert metrics.value("scheduler_admitted_total", engine="engine") == 1
 
 
 class TestScannerIdentity:

@@ -1,5 +1,5 @@
-"""Unit tests for scan result accumulation and aggregates, and for the
-refused-grab builders."""
+"""Unit tests for scan result accumulation and aggregates, and for each
+probe module's refused grab."""
 
 import dataclasses
 import pickle
@@ -17,7 +17,6 @@ from repro.scan.result import (
     ScanResults,
     SshGrab,
     TlsObservation,
-    refused_builder,
 )
 
 
@@ -135,9 +134,9 @@ CONSTRUCTED = {
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)
 class TestRefusedBuilders:
-    """Each module's refused builder skips the dataclass ``__init__``;
-    its grab must still be the constructor's, in every way a consumer
-    can look at one."""
+    """Each spec's refused grab (``ProbeSpec.refused``) is the grab the
+    keyword constructor makes for its protocol, port and ``ok=False``,
+    in every way a consumer can look at one."""
 
     def _pair(self, spec):
         args = (parse("2001:db8:700::9"), 1234.5, spec.port)
@@ -164,10 +163,3 @@ class TestRefusedBuilders:
         for field in dataclasses.fields(built):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(built, field.name, getattr(built, field.name))
-
-
-def test_builder_needs_each_field_without_default():
-    with pytest.raises(TypeError, match="protocol"):
-        refused_builder(BrokerGrab)
-    with pytest.raises(TypeError, match="banner"):
-        refused_builder(SshGrab, banner="x")

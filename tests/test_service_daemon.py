@@ -64,7 +64,9 @@ def test_hitlist_denominator_counts_every_sweep(service_run):
     fed, across all sweeps."""
     result, run_dir = service_run
     assert result.report.tables["drift"]["hitlist_sweeps"] >= 2
-    fed = result.daemon.rig.hitlist_engine.stats.targets_offered
+    counters = result.report.counter_values()
+    fed = (counters["scheduler_admitted_total{engine=hitlist}"]
+           + counters["scheduler_cooldown_hits_total{engine=hitlist}"])
     assert result.report.tables["campaign"]["targets"]["hitlist"] == fed
     marks = [record for record in WalReader(run_dir / "wal").records()
              if record["t"] == "mark"]

@@ -10,8 +10,8 @@ AND every metric series, not just headline tables):
   reconstructs the run, not an approximation of it.
 
 The comparisons strip only what the store itself necessarily adds: its
-own ``store_*`` metric series, the store-writer stage counters, and the
-``store_dir`` config field.  Everything else must match exactly.
+own ``store_*`` metric series and the ``store_dir`` config field.
+Everything else must match exactly.
 """
 
 import copy
@@ -42,20 +42,13 @@ def golden_config(store_dir=None, **overrides):
     return ExperimentConfig(**base)
 
 
-def strip_store(report, *, stage_series=True):
+def strip_store(report):
     """A report document minus the series/fields only a store run has."""
     document = copy.deepcopy(report.as_document())
     document["config"].pop("store_dir", None)
-
-    def keep(entry):
-        if entry["name"].startswith("store_"):
-            return False
-        if stage_series and entry["labels"].get("stage") == "store-writer":
-            return False
-        return True
-
     for kind, entries in document["metrics"].items():
-        document["metrics"][kind] = [e for e in entries if keep(e)]
+        document["metrics"][kind] = [e for e in entries
+                                     if not e["name"].startswith("store_")]
     return document
 
 

@@ -109,7 +109,8 @@ def _synthetic_titles(count, seed=20240720):
 
 
 def test_table3_clustering_fastpath(benchmark):
-    """Banded+pruned clustering vs the unoptimized reference scan.
+    """Banded+pruned clustering vs the unoptimized reference scan
+    (the oracle in ``tests/levenshtein_oracle.py``).
 
     Self-contained (no shared experiment fixture) so CI can run it
     standalone.  Gates: byte-identical groups, never more pairs than
@@ -119,14 +120,14 @@ def test_table3_clustering_fastpath(benchmark):
     import time
 
     from repro.analysis.levenshtein import ClusterStats, cluster_counts
+    from tests.levenshtein_oracle import reference_cluster_counts
 
     count = int(os.environ.get("REPRO_BENCH_TITLES", "1500"))
     corpus = _synthetic_titles(count)
 
     plain_stats = ClusterStats()
     plain_start = time.perf_counter()
-    plain_groups = cluster_counts(corpus, banded=False, prune=False,
-                                  stats=plain_stats)
+    plain_groups = reference_cluster_counts(corpus, stats=plain_stats)
     plain_seconds = time.perf_counter() - plain_start
 
     fast_stats = ClusterStats()

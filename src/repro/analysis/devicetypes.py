@@ -84,9 +84,9 @@ def http_title_groups(results: ScanResults,
                       dataset: str = "") -> List[TitleGroup]:
     """Table 3 (HTTP): title groups weighted by unique certificates.
 
-    Clustering work (pairs compared, DP cells, band early-exits, cache
-    hits) is published as ``analysis_*`` counters on the current
-    metrics registry, labeled with ``dataset`` when given.
+    Clustering work (pairs compared, DP cells, band early-exits,
+    pruned candidates) is published as ``analysis_*`` counters on the
+    current metrics registry, labeled with ``dataset`` when given.
     """
     counts = Counter(http_titles_by_certificate(results).values())
     stats = ClusterStats()

@@ -15,14 +15,15 @@ Performance model (DESIGN.md §9):
   ``> upper_bound`` otherwise — which is all a threshold test needs.
 * :class:`TitleClusterer` prunes candidate groups before any DP runs:
   representatives are bucketed by length (only length bands that can
-  possibly satisfy the threshold are scanned) and optionally rejected
-  by a character-multiset lower bound.  Pruning never changes which
-  group wins: the first *feasible* match is the first match, because a
-  pruned candidate can never satisfy :func:`within`.
-* Every pair comparison goes through a symmetric per-clusterer
-  :class:`DistanceCache`, and all work is tallied into a
-  :class:`ClusterStats` that can be published as ``analysis_*``
-  metrics through :mod:`repro.obs`.
+  possibly satisfy the threshold are scanned) and rejected by a
+  character-multiset lower bound.  Pruning never changes which group
+  wins: the first *feasible* match is the first match, because a
+  pruned candidate can never satisfy :func:`within`.  The unoptimized
+  scan (every group in order, the full DP table) is kept only under
+  ``tests/``, as the oracle the equivalence properties and the Table-3
+  bench compare the clusterer against.
+* All work is tallied into a :class:`ClusterStats` that can be
+  published as ``analysis_*`` metrics through :mod:`repro.obs`.
 """
 
 from __future__ import annotations
@@ -43,14 +44,12 @@ class ClusterStats:
     comparison.
     """
 
-    #: Candidate pairs that reached the distance stage (cache or DP).
+    #: Candidate pairs that reached the distance DP.
     pairs_compared: int = 0
     #: DP cells actually filled in (the O(n·m) budget being saved).
     dp_cells: int = 0
     #: Banded runs abandoned because a whole row exceeded the bound.
     band_exits: int = 0
-    #: Pairs answered from the symmetric distance cache.
-    cache_hits: int = 0
     #: Candidate groups skipped before any DP (length band / multiset).
     candidates_pruned: int = 0
 
@@ -66,42 +65,13 @@ class ClusterStats:
                          **labels).inc(self.dp_cells)
         registry.counter("analysis_band_exits_total",
                          **labels).inc(self.band_exits)
-        registry.counter("analysis_cache_hits_total",
-                         **labels).inc(self.cache_hits)
         registry.counter("analysis_candidates_pruned_total",
                          **labels).inc(self.candidates_pruned)
 
 
-class DistanceCache:
-    """Symmetric (unordered-pair) cache of :func:`distance` results.
-
-    A cached value is only reusable when it was computed under the same
-    upper bound — and in a fixed-threshold clustering the bound is a
-    pure function of the pair, so keying by the pair alone is sound.
-    """
-
-    __slots__ = ("_pairs",)
-
-    def __init__(self) -> None:
-        self._pairs: Dict[Tuple[str, str], int] = {}
-
-    @staticmethod
-    def _key(left: str, right: str) -> Tuple[str, str]:
-        return (left, right) if left <= right else (right, left)
-
-    def lookup(self, left: str, right: str) -> Optional[int]:
-        return self._pairs.get(self._key(left, right))
-
-    def store(self, left: str, right: str, value: int) -> None:
-        self._pairs[self._key(left, right)] = value
-
-    def __len__(self) -> int:
-        return len(self._pairs)
-
-
 def _plain_distance(left: str, right: str,
                     stats: Optional[ClusterStats]) -> int:
-    """The full O(n·m) DP table (reference path)."""
+    """The full O(n·m) DP table (the exact distance)."""
     if len(left) < len(right):
         left, right = right, left
     if stats is not None:
@@ -201,10 +171,10 @@ def distance_bound(threshold: float, longest: int) -> int:
 
     This is the banded DP's ``upper_bound`` for a pair whose longer
     string has ``longest`` characters: ``d <= bound`` is *exactly*
-    equivalent to ``d / longest <= threshold`` under the same float
-    division :func:`within` has always used, so the banded and plain
-    verdicts can never disagree (the adjustment loops absorb any float
-    rounding in ``threshold * longest``).
+    equivalent to ``d / longest <= threshold`` under the float division
+    of :func:`normalized_distance`, so the banded verdict and the
+    normalized-distance test can never disagree (the adjustment loops
+    absorb any float rounding in ``threshold * longest``).
     """
     bound = min(int(threshold * longest), longest)
     while bound + 1 <= longest and (bound + 1) / longest <= threshold:
@@ -216,14 +186,12 @@ def distance_bound(threshold: float, longest: int) -> int:
 
 def within(left: str, right: str,
            threshold: float = DEFAULT_THRESHOLD, *,
-           banded: bool = True,
            stats: Optional[ClusterStats] = None) -> bool:
     """Whether two strings belong to the same group.
 
     Uses the length-difference lower bound to skip the DP for clearly
-    different strings, then (by default) the banded DP bounded at the
-    threshold — set ``banded=False`` for the reference full-table path,
-    which always returns the identical verdict.
+    different strings, then the banded DP bounded at the threshold,
+    whose verdict is always the full table's.
     """
     longest = max(len(left), len(right))
     if longest == 0:
@@ -231,8 +199,6 @@ def within(left: str, right: str,
     bound = distance_bound(threshold, longest)
     if abs(len(left) - len(right)) > bound:
         return False
-    if not banded:
-        return normalized_distance(left, right) <= threshold
     if stats is not None:
         stats.pairs_compared += 1
     return distance(left, right, upper_bound=bound, stats=stats) <= bound
@@ -285,22 +251,18 @@ class TitleClusterer:
     frequency order, most common) title — matching how the paper labels
     groups by their dominant title.
 
-    The default configuration (``banded=True, prune=True``) produces
-    byte-identical groups to the unoptimized reference scan
-    (``banded=False, prune=False``): pruning only ever removes
-    candidates that :func:`within` would reject anyway, and the banded
-    distance returns the same verdict as the full table, so the first
-    surviving match is the same group either way.
+    The groups are byte-identical to the unoptimized reference scan's
+    (every group in order, the full DP table): pruning only ever
+    removes candidates that :func:`within` would reject anyway, and the
+    banded distance returns the same verdict as the full table, so the
+    first surviving match is the same group either way.
     """
 
     def __init__(self, threshold: float = DEFAULT_THRESHOLD, *,
-                 banded: bool = True, prune: bool = True,
                  stats: Optional[ClusterStats] = None) -> None:
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
         self.threshold = threshold
-        self.banded = banded
-        self.prune = prune
         self.stats = stats if stats is not None else ClusterStats()
         self.groups: List[TitleGroup] = []
         #: exact-title fast path: title -> group
@@ -309,39 +271,8 @@ class TitleClusterer:
         self._by_length: Dict[int, List[int]] = {}
         #: group index -> representative character multiset.
         self._signatures: List[Dict[str, int]] = []
-        self._cache = DistanceCache()
 
     # -- matching ----------------------------------------------------------
-
-    def _pair_matches(self, title: str, index: int,
-                      title_sig: Optional[Dict[str, int]]) -> bool:
-        """The threshold test for one (title, group) candidate pair."""
-        representative = self.groups[index].representative
-        longest = max(len(title), len(representative))
-        if longest == 0:
-            return True
-        bound = distance_bound(self.threshold, longest)
-        if abs(len(title) - len(representative)) > bound:
-            # Unreachable on the pruned path (the length bands already
-            # excluded it); kept for the unpruned scan.
-            return False
-        if title_sig is not None:
-            if _multiset_lower_bound(title_sig,
-                                     self._signatures[index]) > bound:
-                self.stats.candidates_pruned += 1
-                return False
-        self.stats.pairs_compared += 1
-        cached = self._cache.lookup(title, representative)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            return cached <= bound
-        if self.banded:
-            result = distance(title, representative, upper_bound=bound,
-                              stats=self.stats)
-        else:
-            result = distance(title, representative, stats=self.stats)
-        self._cache.store(title, representative, result)
-        return result <= bound
 
     def _candidate_indices(self, title: str) -> List[int]:
         """Group indices whose representative length can possibly match,
@@ -362,15 +293,27 @@ class TitleClusterer:
         return merged
 
     def _match(self, title: str) -> Optional[TitleGroup]:
-        if self.prune:
-            candidates = self._candidate_indices(title)
-            self.stats.candidates_pruned += len(self.groups) - len(candidates)
-            title_sig = _multiset_signature(title)
-        else:
-            candidates = range(len(self.groups))
-            title_sig = None
+        """The first group, in insertion order, within the threshold.
+
+        Candidates outside the length bands are pruned before the loop,
+        and a candidate whose multiset bound already exceeds the
+        distance bound is pruned inside it; the rest run the banded DP.
+        """
+        stats = self.stats
+        candidates = self._candidate_indices(title)
+        stats.candidates_pruned += len(self.groups) - len(candidates)
+        title_sig = _multiset_signature(title)
         for index in candidates:
-            if self._pair_matches(title, index, title_sig):
+            representative = self.groups[index].representative
+            bound = distance_bound(self.threshold,
+                                   max(len(title), len(representative)))
+            if _multiset_lower_bound(title_sig,
+                                     self._signatures[index]) > bound:
+                stats.candidates_pruned += 1
+                continue
+            stats.pairs_compared += 1
+            if distance(title, representative, upper_bound=bound,
+                        stats=stats) <= bound:
                 return self.groups[index]
         return None
 
@@ -391,10 +334,6 @@ class TitleClusterer:
         group.add(title, count)
         return group
 
-    def add_all(self, titles: Iterable[str]) -> None:
-        for title in titles:
-            self.add(title)
-
     def top(self, n: int = 10) -> List[TitleGroup]:
         """Largest groups first."""
         return sorted(self.groups, key=lambda group: -group.count)[:n]
@@ -406,11 +345,9 @@ class TitleClusterer:
 
 def cluster_counts(titles: Iterable[Tuple[str, int]],
                    threshold: float = DEFAULT_THRESHOLD, *,
-                   banded: bool = True, prune: bool = True,
                    stats: Optional[ClusterStats] = None) -> List[TitleGroup]:
     """Cluster pre-counted titles, feeding most frequent first."""
-    clusterer = TitleClusterer(threshold, banded=banded, prune=prune,
-                               stats=stats)
+    clusterer = TitleClusterer(threshold, stats=stats)
     for title, count in sorted(titles, key=lambda item: -item[1]):
         clusterer.add(title, count)
     return sorted(clusterer.groups, key=lambda group: -group.count)

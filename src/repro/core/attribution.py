@@ -19,10 +19,9 @@ InboundEvent` stream:
   walker probes only named hosts);
 * **timing dispersion** and **port-set shape** — reported as evidence.
 
-Feature state lives in :class:`FeatureAccumulator`, whose ``merge`` is
-associative *and* commutative (counters plus a time multiset), so
-partial folds of any split of the stream merge into exactly the state
-one whole-stream fold produces.
+Feature state lives in :class:`FeatureAccumulator`, whose fields are
+counters plus a time multiset, so folding the events of a cluster in
+any order produces equal state.
 :func:`attribute_events` is the entry point: events in,
 :class:`AttributionReport` out, with per-strategy precision/recall and
 a confusion matrix against the simulation's ground-truth labels.
@@ -83,16 +82,15 @@ def cluster_key(src: int) -> str:
     return f"src {src >> (128 - CLUSTER_PREFIX_BITS):#x}/48"
 
 
-# -- mergeable feature state --------------------------------------------------
+# -- per-cluster feature state -------------------------------------------------
 
 
 @dataclass
 class FeatureAccumulator:
-    """Canonical mergeable per-cluster state.
+    """Canonical per-cluster state.
 
-    Every field is a sum or a multiset, so ``merge`` is associative and
-    commutative and equality is order-insensitive — the properties the
-    Hypothesis suite pins.
+    Every field is a sum or a multiset, so the fold and its equality
+    are order-insensitive — the property the Hypothesis suite pins.
     """
 
     events: int = 0
@@ -114,19 +112,6 @@ class FeatureAccumulator:
         self.pairs[(event.dst, event.dst_port)] += 1
         self.ports[event.dst_port] += 1
         self.times[event.time] += 1
-
-    def merge(self, other: "FeatureAccumulator") -> "FeatureAccumulator":
-        """A new accumulator combining both (pure; operands untouched)."""
-        return FeatureAccumulator(
-            events=self.events + other.events,
-            bait_hits=self.bait_hits + other.bait_hits,
-            sources=self.sources + other.sources,
-            dsts=self.dsts + other.dsts,
-            dst64s=self.dst64s + other.dst64s,
-            pairs=self.pairs + other.pairs,
-            ports=self.ports + other.ports,
-            times=self.times + other.times,
-        )
 
 
 @dataclass(frozen=True)
@@ -155,8 +140,8 @@ def derive_features(accumulator: FeatureAccumulator, *,
                     rdns: Optional[ReverseDns] = None) -> ClusterFeatures:
     """Collapse an accumulator into the classifier's feature vector.
 
-    ``rdns`` is consulted here, after the merge, so the accumulator
-    itself stays a plain mergeable value.
+    ``rdns`` is consulted here, after the fold, so the accumulator
+    itself stays a plain value.
     """
     distinct_dsts = len(accumulator.dsts)
     distinct_dst64s = len(accumulator.dst64s)

@@ -33,7 +33,7 @@ from repro.core.comparison import ComparisonTable, DatasetComparison
 from repro.core.realtime import RealTimeScanQueue
 from repro.obs.metrics import MetricsRegistry, current_registry, use_registry
 from repro.runtime.registry import default_registry
-from repro.scan.engine import EngineConfig, ScanEngine
+from repro.scan.engine import COOLDOWN, ScanEngine
 from repro.scan.ethics import publish_scanner_identity
 from repro.scan.result import PROTOCOLS, ScanResults
 from repro.world.hitlist import Hitlist, HitlistConfig, build_hitlist
@@ -324,7 +324,7 @@ def open_store_writer(config, *, resume: bool, **wal):
         # JSON round-trip normalizes tuples to lists, so the stored
         # config is exactly what config_from_document reads.
         config=json.loads(json.dumps(asdict(config))),
-        cooldown_ttl=EngineConfig().cooldown,
+        cooldown_ttl=COOLDOWN,
         **wal,
     )
     return StoreWriter(store)

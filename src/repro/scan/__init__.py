@@ -1,11 +1,6 @@
 """Scanning substrate: engine, ethics, protocol grab modules."""
 
-from repro.scan.engine import (
-    EngineConfig,
-    ProbeExecutor,
-    ScanEngine,
-    ScanScheduler,
-)
+from repro.scan.engine import ScanEngine, ScanScheduler
 from repro.scan.ethics import EthicsPolicy, OptOutList, publish_scanner_identity
 from repro.scan.result import (
     PROTOCOL_PORTS,
@@ -22,13 +17,11 @@ from repro.scan.result import (
 __all__ = [
     "BrokerGrab",
     "CoapGrab",
-    "EngineConfig",
     "EthicsPolicy",
     "OptOutList",
     "HttpGrab",
     "PROTOCOLS",
     "PROTOCOL_PORTS",
-    "ProbeExecutor",
     "ScanEngine",
     "ScanScheduler",
     "ScanResults",

@@ -1,16 +1,16 @@
 """The scan engine: zgrab2-with-a-scheduler for the simulated network.
 
-The engine is two collaborating parts behind one facade:
-
-* a :class:`ScanScheduler` doing admission control: the per-address
-  cool-down (Appendix A.2.1: the same IP is not re-scanned for three
-  days).  Cool-down state is TTL-pruned so week-long campaigns do not
-  accumulate an unbounded last-scanned map;
-* a :class:`ProbeExecutor` running the probe modules of a pluggable
-  :class:`~repro.runtime.registry.ProbeRegistry` against each admitted
-  target.  Campaigns pick their protocol profile by handing the engine
-  a different registry; the default reproduces the paper's eight probes
-  (HTTP, HTTPS, SSH, MQTT, MQTTS, AMQP, AMQPS, CoAP).
+A :class:`ScanEngine` offers each target to its :class:`ScanScheduler`,
+which does admission control: the per-address cool-down of
+:data:`COOLDOWN` (Appendix A.2.1: the same IP is not re-scanned for
+three days), TTL-pruned every :data:`PRUNE_EVERY` admissions so
+week-long campaigns do not accumulate an unbounded last-scanned map.
+An admitted target goes through the engine's one probe loop
+(:meth:`ScanEngine.execute_into`), which runs the probe modules of a
+pluggable :class:`~repro.runtime.registry.ProbeRegistry`.  Campaigns
+pick their protocol profile by handing the engine a different
+registry; the default reproduces the paper's eight probes (HTTP,
+HTTPS, SSH, MQTT, MQTTS, AMQP, AMQPS, CoAP).
 
 The engine never moves the clock.  Whoever drives the campaign (the
 NTP collection days, the daemon's ticks, a hitlist sweep) owns
@@ -22,8 +22,7 @@ budget and inter-protocol pauses are not modelled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, Optional
 
 from repro.net.clock import DAY
 from repro.net.simnet import Network
@@ -32,28 +31,24 @@ from repro.runtime.registry import ProbeRegistry, default_registry
 from repro.scan.ethics import EthicsPolicy
 from repro.scan.result import Grab, ScanResults
 
+#: How long an admitted address stays in cool-down (Appendix A.2.1);
+#: also the run store's ``cooldown_ttl``.
+COOLDOWN = 3 * DAY
 
-@dataclass
-class EngineConfig:
-    """Operational parameters of a scan campaign."""
-
-    cooldown: float = 3 * DAY
-    #: Admissions between cool-down map sweeps (see ScanScheduler).
-    prune_every: int = 4096
+#: Admissions between cool-down map sweeps (see ScanScheduler).
+PRUNE_EVERY = 4096
 
 
 class ScanScheduler:
     """Admission control: the TTL'd per-address cool-down.
 
-    The last-scanned map is swept every ``config.prune_every``
+    The last-scanned map is swept every :data:`PRUNE_EVERY`
     admissions, evicting entries whose cool-down has already expired
     (they would admit anyway, so dropping them is behaviour-neutral).
     """
 
-    def __init__(self, network: Network, config: EngineConfig,
-                 *, name: str = "engine") -> None:
+    def __init__(self, network: Network, *, name: str = "engine") -> None:
         self.network = network
-        self.config = config
         self._last_scanned: Dict[int, float] = {}
         self._admissions = 0
         #: Called with ``(target, now)`` on every successful admission —
@@ -77,7 +72,7 @@ class ScanScheduler:
         """Whether ``target`` may be scanned now; records the scan time."""
         now = self.network.clock.now()
         last = self._last_scanned.get(target)
-        if last is not None and now - last < self.config.cooldown:
+        if last is not None and now - last < COOLDOWN:
             self._m_cooldown.inc()
             return False
         self._last_scanned[target] = now
@@ -85,7 +80,7 @@ class ScanScheduler:
             self.admit_hook(target, now)
         self._m_admitted.inc()
         self._admissions += 1
-        if self._admissions % self.config.prune_every == 0:
+        if self._admissions % PRUNE_EVERY == 0:
             self.prune(now)
         return True
 
@@ -93,7 +88,7 @@ class ScanScheduler:
         """Evict cool-down entries that already expired; returns count."""
         if now is None:
             now = self.network.clock.now()
-        horizon = now - self.config.cooldown
+        horizon = now - COOLDOWN
         expired = [address for address, last in self._last_scanned.items()
                    if last <= horizon]
         for address in expired:
@@ -113,8 +108,8 @@ class ScanScheduler:
                 for target, last in sorted(self._last_scanned.items())}
 
 
-class ProbeExecutor:
-    """Runs a registry's probe modules against admitted targets.
+class ScanEngine:
+    """Scans targets with the registered probes, under the cool-down.
 
     A probe whose spec carries its module's refused grab, on a port the
     network would refuse, is settled without running the module (see
@@ -124,12 +119,18 @@ class ProbeExecutor:
     (:meth:`repro.store.writer.StoreWriter.refused_sink`).
     """
 
-    def __init__(self, network: Network, source: int,
-                 registry: ProbeRegistry, *, name: str = "engine") -> None:
+    def __init__(self, network: Network, source: int, *,
+                 ethics: Optional[EthicsPolicy] = None,
+                 registry: Optional[ProbeRegistry] = None,
+                 name: str = "engine") -> None:
         self.network = network
         self.source = source
-        self.registry = registry
-        self._name = name
+        self.ethics = ethics
+        self.registry = registry if registry is not None else default_registry()
+        #: Label stamped onto this engine's metric series and store
+        #: records (``"ntp"``, ``"hitlist"``, ...).
+        self.name = name
+        self.scheduler = ScanScheduler(network, name=name)
         #: Called with the grab of every dispatched probe, answered or
         #: not: the store's durability tap (settled probes go to the
         #: plan's refused-record writer instead).
@@ -140,15 +141,31 @@ class ProbeExecutor:
         #: The probe plan and its refused-record writer (see
         #: :meth:`_build_plan`).
         self._plan: Optional[tuple] = None
+        network.add_host(source, reachable=True)
 
-    def attach_store(self, writer, label: str) -> None:
-        """Record this executor's probes in ``writer`` under scan
-        ``label``: dispatched probes' grabs through :attr:`grab_hook`,
-        settled probes through the writer's refused-record writer for
-        the plan (rebuilt at the next probe)."""
+    # -- durability taps ---------------------------------------------------
+
+    def attach_store(self, writer, *, label: str) -> None:
+        """Stream this engine's admissions and probes into a store.
+
+        ``writer`` is a :class:`repro.store.writer.StoreWriter`;
+        ``label`` names the scan (e.g. ``"ntp"``/``"hitlist"``) in the
+        logged grab records.  Admissions go through the scheduler's
+        ``admit_hook``, dispatched probes' grabs through
+        :attr:`grab_hook`, and settled probes through the writer's
+        refused-record writer for the plan (rebuilt at the next probe).
+        """
+        self.scheduler.admit_hook = writer.admit_sink(self.name)
         self.grab_hook = writer.grab_sink(label)
         self._store = (writer, label)
         self._plan = None
+
+    def cooldown_snapshots(self) -> Dict[str, Dict[str, float]]:
+        """This engine's cool-down map for checkpoints, keyed by its
+        name so several engines' maps merge into one dict."""
+        return {self.name: self.scheduler.cooldown_snapshot()}
+
+    # -- the probe loop -----------------------------------------------------
 
     def _build_plan(self) -> tuple:
         """The probe plan and its refused-record writer.
@@ -166,7 +183,7 @@ class ProbeExecutor:
         first used, and fixed from then on (until a store is attached):
         the probe set is the registry's at that moment.
         """
-        metrics, name, store = self._metrics, self._name, self._store
+        metrics, name, store = self._metrics, self.name, self._store
         settling = [spec for spec in self.registry
                     if spec.refused is not None]
         members = {spec.name: member for member, spec in enumerate(settling)}
@@ -226,54 +243,6 @@ class ProbeExecutor:
         if settled:
             write_refused(target, clock.now(), settled)
 
-
-class ScanEngine:
-    """Scans targets with the registered probes, under the config's rules."""
-
-    def __init__(self, network: Network, source: int,
-                 config: Optional[EngineConfig] = None,
-                 ethics: Optional[EthicsPolicy] = None,
-                 registry: Optional[ProbeRegistry] = None,
-                 *, name: str = "engine") -> None:
-        self.network = network
-        self.source = source
-        self.config = config or EngineConfig()
-        self.ethics = ethics
-        self.registry = registry if registry is not None else default_registry()
-        #: Label stamped onto this engine's metric series and store
-        #: records (``"ntp"``, ``"hitlist"``, ...).
-        self.name = name
-        self.scheduler = ScanScheduler(network, self.config, name=name)
-        self.executor = ProbeExecutor(network, source, self.registry,
-                                      name=name)
-        network.add_host(source, reachable=True)
-
-    # -- durability taps ---------------------------------------------------
-
-    def attach_store(self, writer, *, label: str) -> None:
-        """Stream this engine's admissions and grabs into a store.
-
-        ``writer`` is a :class:`repro.store.writer.StoreWriter`;
-        ``label`` names the scan (e.g. ``"ntp"``/``"hitlist"``) in the
-        logged grab records.
-        """
-        self.scheduler.admit_hook = writer.admit_sink(self.name)
-        self.executor.attach_store(writer, label)
-
-    def cooldown_snapshots(self) -> Dict[str, Dict[str, float]]:
-        """This engine's cool-down map for checkpoints, keyed by its
-        name so several engines' maps merge into one dict."""
-        return {self.name: self.scheduler.cooldown_snapshot()}
-
-    # -- single target ----------------------------------------------------
-
-    def scan_address(self, target: int) -> List[Grab]:
-        """Run every registered probe against one address, in order;
-        returns the answered grabs, as :meth:`feed` would add them."""
-        grabs: List[Grab] = []
-        self.executor.execute_into(target, grabs.append)
-        return grabs
-
     # -- campaign feeding ---------------------------------------------------
 
     def feed(self, target: int, results: ScanResults) -> bool:
@@ -286,7 +255,7 @@ class ScanEngine:
             return False
         if not self.scheduler.admit(target):
             return False
-        self.executor.execute_into(target, results.add)
+        self.execute_into(target, results.add)
         return True
 
     def run(self, targets: Iterable[int], label: str = "") -> ScanResults:

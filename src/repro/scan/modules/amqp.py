@@ -14,8 +14,8 @@ from repro.proto.amqp import (
     ConnectionTune,
     parse_method,
 )
+from repro.scan.modules.tls import tls_handshake
 from repro.scan.result import BrokerGrab, TlsObservation
-from repro.tlslib.handshake import HandshakeStatus, perform_handshake
 
 
 def refused_amqp(address: int, time: float, port: int) -> BrokerGrab:
@@ -86,24 +86,8 @@ def scan_amqps(network: Network, source: int, target: int,
     stream = network.tcp_connect(source, target, port)
     if stream is None:
         return refused_amqps(target, now, port)
-    handshake = perform_handshake(stream, hostname=None)
-    if handshake.status is not HandshakeStatus.OK:
-        tls = TlsObservation(
-            ok=False,
-            alert=(handshake.alert_description
-                   if handshake.status is HandshakeStatus.ALERT else None),
-        )
+    tls, spoke_tls = tls_handshake(stream, now)
+    if not tls.ok:
         return BrokerGrab(address=target, time=now, port=port,
-                          protocol="amqps",
-                          ok=handshake.status is HandshakeStatus.ALERT,
-                          tls=tls)
-    certificate = handshake.certificate
-    tls = TlsObservation(
-        ok=True,
-        fingerprint=certificate.fingerprint,
-        subject=certificate.subject,
-        issuer=certificate.issuer,
-        self_signed=certificate.self_signed,
-        expired=certificate.expired(now),
-    )
+                          protocol="amqps", ok=spoke_tls, tls=tls)
     return _probe(stream, target, now, port, "amqps", tls=tls)

@@ -12,8 +12,8 @@ from typing import Optional
 
 from repro.net.simnet import Network
 from repro.proto.http import HttpDecodeError, HttpRequest, HttpResponse
+from repro.scan.modules.tls import tls_handshake
 from repro.scan.result import HttpGrab, TlsObservation
-from repro.tlslib.handshake import HandshakeStatus, perform_handshake
 
 #: User-Agent identifying the research scan (Appendix A.2.2).
 USER_AGENT = "repro-scan/1.0 (+https://research.sim/scan-info)"
@@ -61,23 +61,9 @@ def scan_https(network: Network, source: int, target: int,
     stream = network.tcp_connect(source, target, port)
     if stream is None:
         return refused_http(target, now, port)
-    handshake = perform_handshake(stream, hostname=None)
-    if handshake.status is not HandshakeStatus.OK:
-        tls = TlsObservation(
-            ok=False,
-            alert=(handshake.alert_description
-                   if handshake.status is HandshakeStatus.ALERT else None),
-        )
-        # The endpoint *spoke TLS* (alert) but no application data flows.
-        return HttpGrab(address=target, time=now, port=port,
-                        ok=handshake.status is HandshakeStatus.ALERT, tls=tls)
-    certificate = handshake.certificate
-    tls = TlsObservation(
-        ok=True,
-        fingerprint=certificate.fingerprint,
-        subject=certificate.subject,
-        issuer=certificate.issuer,
-        self_signed=certificate.self_signed,
-        expired=certificate.expired(now),
-    )
+    tls, spoke_tls = tls_handshake(stream, now)
+    if not tls.ok:
+        # No application data flows; an alert still shows TLS was spoken.
+        return HttpGrab(address=target, time=now, port=port, ok=spoke_tls,
+                        tls=tls)
     return _fetch(stream, now, target, port, tls=tls)

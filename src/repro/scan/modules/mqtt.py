@@ -11,8 +11,8 @@ from repro.proto.mqtt import (
     ConnectPacket,
     MqttDecodeError,
 )
+from repro.scan.modules.tls import tls_handshake
 from repro.scan.result import BrokerGrab, TlsObservation
-from repro.tlslib.handshake import HandshakeStatus, perform_handshake
 
 #: Client ID identifying the research scan.
 CLIENT_ID = "repro-scan"
@@ -67,24 +67,8 @@ def scan_mqtts(network: Network, source: int, target: int,
     stream = network.tcp_connect(source, target, port)
     if stream is None:
         return refused_mqtts(target, now, port)
-    handshake = perform_handshake(stream, hostname=None)
-    if handshake.status is not HandshakeStatus.OK:
-        tls = TlsObservation(
-            ok=False,
-            alert=(handshake.alert_description
-                   if handshake.status is HandshakeStatus.ALERT else None),
-        )
+    tls, spoke_tls = tls_handshake(stream, now)
+    if not tls.ok:
         return BrokerGrab(address=target, time=now, port=port,
-                          protocol="mqtts",
-                          ok=handshake.status is HandshakeStatus.ALERT,
-                          tls=tls)
-    certificate = handshake.certificate
-    tls = TlsObservation(
-        ok=True,
-        fingerprint=certificate.fingerprint,
-        subject=certificate.subject,
-        issuer=certificate.issuer,
-        self_signed=certificate.self_signed,
-        expired=certificate.expired(now),
-    )
+                          protocol="mqtts", ok=spoke_tls, tls=tls)
     return _probe(stream, target, now, port, "mqtts", tls=tls)

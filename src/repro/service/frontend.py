@@ -82,11 +82,16 @@ class WindowFrameCache:
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: Tuple[str, float, float]) -> Optional[Dict]:
+    def get(self, key: Tuple[str, float, float], *,
+            count_miss: bool = True) -> Optional[Dict]:
+        """The cached document, or None.  A hit is always counted, a
+        miss only with ``count_miss`` (a caller that looks again before
+        building counts its one miss at the second look)."""
         with self._lock:
             document = self._frames.get(key)
             if document is None:
-                self.misses += 1
+                if count_miss:
+                    self.misses += 1
                 return None
             self._frames.move_to_end(key)
             self.hits += 1
@@ -149,10 +154,14 @@ class QueryService:
     # -- queries -----------------------------------------------------------
 
     def frame_document(self, t0: float, t1: float) -> Dict:
-        """One window's document (seconds), through the frame cache."""
+        """One window's document (seconds), through the frame cache.
+
+        Each call counts one cache hit (served at either look) or one
+        miss (built by this call).
+        """
         anchor = self.reader.anchor_for(t0)
         key = (anchor.name, t0, t1)
-        cached = self.cache.get(key)
+        cached = self.cache.get(key, count_miss=False)
         if cached is not None:
             self._m_hits.inc()
             return cached

@@ -50,7 +50,7 @@ PathLike = Union[str, Path]
 META_NAME = "meta.json"
 META_VERSION = 1
 #: Admissions between sweeps of :meth:`RunStore.verify`'s cooldown map
-#: (the scan scheduler's default ``prune_every``).
+#: (the scan scheduler's :data:`repro.scan.engine.PRUNE_EVERY`).
 VERIFY_PRUNE_EVERY = 4096
 
 

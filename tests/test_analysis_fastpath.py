@@ -6,7 +6,8 @@ property here:
 * the banded DP returns the exact distance whenever the true distance
   fits the bound, and *some* value above the bound otherwise;
 * the pruned+banded clusterer emits byte-identical groups to the
-  unoptimized reference scan on arbitrary corpora.
+  unoptimized reference scan (:mod:`tests.levenshtein_oracle`) on
+  arbitrary corpora, comparing no more pairs.
 
 On top, the bundle :func:`run_analysis` assembles must agree with the
 security module's own headline computation.
@@ -18,8 +19,6 @@ from hypothesis import strategies as st
 from repro.analysis import devicetypes
 from repro.analysis.levenshtein import (
     ClusterStats,
-    DistanceCache,
-    TitleClusterer,
     cluster_counts,
     distance,
     distance_bound,
@@ -36,6 +35,8 @@ from repro.scan.result import (
     SshGrab,
     TlsObservation,
 )
+
+from tests.levenshtein_oracle import reference_cluster_counts
 
 #: Small alphabet so random strings actually collide within threshold.
 TITLES = st.text(alphabet="ab-XY 0123", max_size=14)
@@ -60,8 +61,7 @@ class TestBandedDistanceProperties:
         for threshold in (0.0, 0.1, 0.25, 0.5, 1.0):
             legacy = normalized_distance(left, right) <= threshold \
                 if max(len(left), len(right)) else True
-            assert within(left, right, threshold, banded=True) == legacy
-            assert within(left, right, threshold, banded=False) == legacy
+            assert within(left, right, threshold) == legacy
 
     @given(st.floats(min_value=0.0, max_value=1.0,
                      allow_nan=False, allow_infinity=False),
@@ -99,35 +99,6 @@ class TestBandedDistanceProperties:
             raise AssertionError("upper_bound=-1 accepted")
 
 
-class TestDistanceCache:
-    def test_symmetric_and_counted(self):
-        cache = DistanceCache()
-        cache.store("abc", "abd", 1)
-        assert cache.lookup("abd", "abc") == 1
-        assert cache.lookup("abc", "zzz") is None
-        assert len(cache) == 1
-
-    def test_clusterer_hits_cache_on_repeat_comparison(self):
-        stats = ClusterStats()
-        clusterer = TitleClusterer(stats=stats)
-        clusterer.add("Plesk Obsidian 18.0.50")
-        # One clustering pass compares each unordered pair at most once
-        # (assigned titles take the exact-title fast path), so force a
-        # repeat of the same (title, representative) test: the second
-        # run must answer from the cache without any DP cells.
-        assert clusterer._pair_matches("Plesk Obsidian 18.0.51", 0, None)
-        cells_after_first = stats.dp_cells
-        assert stats.cache_hits == 0
-        assert clusterer._pair_matches("Plesk Obsidian 18.0.51", 0, None)
-        assert stats.cache_hits == 1
-        assert stats.dp_cells == cells_after_first
-
-
-def _reference_groups(counts, threshold=0.25):
-    """The unoptimized seed-era scan: full DP, no pruning."""
-    return cluster_counts(counts, threshold, banded=False, prune=False)
-
-
 def _shape(groups):
     return [(g.representative, dict(g.members)) for g in groups]
 
@@ -140,26 +111,15 @@ class TestClustererEquivalence:
         fast_stats = ClusterStats()
         plain_stats = ClusterStats()
         fast = cluster_counts(counts, stats=fast_stats)
-        plain = _reference_groups(counts)
+        plain = reference_cluster_counts(counts, stats=plain_stats)
         assert _shape(fast) == _shape(plain)
-        assert fast_stats.pairs_compared <= plain_stats.pairs_compared \
-            or plain_stats.pairs_compared == 0
-
-    @given(st.lists(st.tuples(TITLES, st.integers(min_value=1, max_value=9)),
-                    max_size=25))
-    @settings(max_examples=100, deadline=None)
-    def test_each_prune_stage_alone_preserves_output(self, counts):
-        reference = _shape(_reference_groups(counts))
-        assert _shape(cluster_counts(counts, banded=True,
-                                     prune=False)) == reference
-        assert _shape(cluster_counts(counts, banded=False,
-                                     prune=True)) == reference
+        assert fast_stats.pairs_compared <= plain_stats.pairs_compared
 
     def test_version_variants_still_group(self):
         corpus = [("FRITZ!Box 7590", 10), ("FRITZ!Box 7490", 5),
                   ("FRITZ!Box 5590", 2), ("Plesk Obsidian", 4)]
         fast = cluster_counts(corpus)
-        assert _shape(fast) == _shape(_reference_groups(corpus))
+        assert _shape(fast) == _shape(reference_cluster_counts(corpus))
         assert fast[0].representative == "FRITZ!Box 7590"
         assert set(fast[0].members) == {"FRITZ!Box 7590", "FRITZ!Box 7490",
                                         "FRITZ!Box 5590"}
@@ -190,9 +150,9 @@ class TestMetricsPublication:
         for name in ("analysis_pairs_compared_total",
                      "analysis_dp_cells_total",
                      "analysis_band_exits_total",
-                     "analysis_cache_hits_total",
                      "analysis_candidates_pruned_total"):
             assert (name, expected_labels) in counters, name
+        assert not registry.find("analysis_cache_hits_total")
 
 
 def _synthetic_results(label, http=12, salt=0):

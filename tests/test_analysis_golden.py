@@ -1,12 +1,16 @@
 """Golden delta audit for the analysis-layer bugfixes.
 
-The banded/pruned fast path must change *nothing* (covered by the
-equivalence properties), but four deliberate bugfixes may move
+The banded/pruned fast path must change *nothing*: the equivalence
+properties cover it on random corpora, and here its Table-3 groups on
+the golden experiment must equal the unoptimized reference scan's
+(:mod:`tests.levenshtein_oracle`).  Four deliberate bugfixes may move
 seed-era headline values.  This suite replays the seed commit's buggy
 logic next to the fixed one on the golden experiment and asserts every
 delta is explained by exactly the bug that was fixed — no silent
 behaviour change rides along.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -15,6 +19,8 @@ from repro.analysis.security import _grab_outdated
 from repro.core.campaign import CampaignConfig
 from repro.core.pipeline import ExperimentConfig, run_experiment
 from repro.world.population import WorldConfig
+
+from tests.levenshtein_oracle import reference_cluster_counts
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +102,18 @@ def _seed_broker(results, protocol):
 
 
 # -- the audits ----------------------------------------------------------
+
+class TestClusteringOracle:
+    def test_title_groups_equal_the_reference_scan(self, golden):
+        for results in (golden.ntp_scan, golden.hitlist_scan):
+            counts = Counter(
+                devicetypes.http_titles_by_certificate(results).values())
+            assert len(counts) > 1
+            assert [(group.representative, group.members)
+                    for group in devicetypes.http_title_groups(results)] \
+                == [(group.representative, group.members)
+                    for group in reference_cluster_counts(counts.items())]
+
 
 class TestTitleDeltas:
     def test_labels_differ_only_on_empty_titles(self, golden):

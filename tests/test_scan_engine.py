@@ -12,7 +12,8 @@ from repro.net.clock import DAY, VirtualClock
 from repro.net.simnet import Network, SimpleSession
 from repro.obs.metrics import use_registry
 from repro.runtime.registry import ProbeRegistry, default_registry
-from repro.scan.engine import EngineConfig, ScanEngine
+import repro.scan.engine
+from repro.scan.engine import COOLDOWN, ScanEngine
 from repro.scan.result import PROTOCOLS, ScanResults
 from repro.world import devices as dev
 
@@ -33,11 +34,18 @@ def fritz(network, rng):
     return device
 
 
+def _probe(engine, target):
+    """The answered grabs of one run of the probe loop over ``target``."""
+    grabs = []
+    engine.execute_into(target, grabs.append)
+    return grabs
+
+
 class TestScanAddress:
     def test_all_protocols_probed(self, network, fritz):
         with use_registry() as metrics:
             engine = ScanEngine(network, SRC)
-            engine.scan_address(fritz.address)
+            _probe(engine, fritz.address)
         assert {protocol: metrics.value("probe_attempts_total",
                                         engine="engine", protocol=protocol)
                 for protocol in PROTOCOLS} == dict.fromkeys(PROTOCOLS, 1)
@@ -46,14 +54,14 @@ class TestScanAddress:
         # Only answered grabs come back: a refused probe leaves its
         # counters, not a grab.
         engine = ScanEngine(network, SRC)
-        grabs = engine.scan_address(fritz.address)
+        grabs = _probe(engine, fritz.address)
         assert [(grab.protocol, grab.ok) for grab in grabs] == \
             [("http", True), ("https", True)]
 
     def test_embedded_mode_freezes_clock(self, network, fritz):
         engine = ScanEngine(network, SRC)
         start = network.clock.now()
-        engine.scan_address(fritz.address)
+        _probe(engine, fritz.address)
         assert network.clock.now() == start
 
 
@@ -87,10 +95,11 @@ class TestCooldown:
 
 
 class TestCooldownPruning:
-    def test_expired_entries_evicted(self, network, rng, metrics):
+    def test_expired_entries_evicted(self, network, rng, metrics,
+                                     monkeypatch):
         """The last-scanned map stays bounded over a long campaign."""
-        config = EngineConfig(prune_every=10)
-        engine = ScanEngine(network, SRC, config)
+        monkeypatch.setattr(repro.scan.engine, "PRUNE_EVERY", 10)
+        engine = ScanEngine(network, SRC)
         results = ScanResults()
         prefix = parse("2001:db8:610::")
         # Feed batches of fresh (dead) addresses, advancing past the
@@ -98,7 +107,7 @@ class TestCooldownPruning:
         for batch in range(8):
             for index in range(10):
                 engine.feed(prefix + (batch << 32) + index, results)
-            network.clock.advance(engine.config.cooldown + 1)
+            network.clock.advance(COOLDOWN + 1)
         # Without pruning the map would hold all 80 entries.
         assert engine.scheduler.tracked_targets <= 20
         assert metrics.value("scheduler_pruned_total",
@@ -106,10 +115,11 @@ class TestCooldownPruning:
         assert metrics.value("scheduler_admitted_total",
                              engine="engine") == 80
 
-    def test_pruning_never_weakens_cooldown(self, network, fritz, metrics):
+    def test_pruning_never_weakens_cooldown(self, network, fritz, metrics,
+                                            monkeypatch):
         """An address inside its cool-down window survives sweeps."""
-        config = EngineConfig(prune_every=5)
-        engine = ScanEngine(network, SRC, config)
+        monkeypatch.setattr(repro.scan.engine, "PRUNE_EVERY", 5)
+        engine = ScanEngine(network, SRC)
         results = ScanResults()
         engine.feed(fritz.address, results)
         # Burn several sweep cycles without advancing time.
@@ -123,7 +133,7 @@ class TestCooldownPruning:
         engine = ScanEngine(network, SRC)
         engine.feed(fritz.address, ScanResults())
         assert engine.scheduler.prune() == 0
-        network.clock.advance(engine.config.cooldown + 1)
+        network.clock.advance(COOLDOWN + 1)
         assert engine.scheduler.prune() == 1
         assert engine.scheduler.tracked_targets == 0
 
@@ -181,8 +191,7 @@ class TestRefusedSettling:
         if not settle:
             registry = ProbeRegistry(dataclasses.replace(spec, refused=None)
                                      for spec in registry)
-        grabs = ScanEngine(network, SRC, registry=registry).scan_address(
-            target)
+        grabs = _probe(ScanEngine(network, SRC, registry=registry), target)
         return grabs, service.ports + udp_ports, network.ephemeral_port()
 
     def test_settled_probes_take_ports_in_probe_order(self):
@@ -200,7 +209,7 @@ class TestProbeSeries:
     #: latency or an admission wait would always read 0.
     DELETED = ("probe_seconds", "scheduler_wait_seconds")
 
-    @pytest.mark.parametrize("entry", ["feed", "scan_address", "run"])
+    @pytest.mark.parametrize("entry", ["feed", "execute_into", "run"])
     def test_series_appear_at_first_probe(self, network, entry):
         dead = parse("2001:db8:605::1")
         with use_registry() as metrics:
@@ -209,8 +218,8 @@ class TestProbeSeries:
                 assert not metrics.find(name)
             if entry == "feed":
                 engine.feed(dead, ScanResults())
-            elif entry == "scan_address":
-                engine.scan_address(dead)
+            elif entry == "execute_into":
+                _probe(engine, dead)
             else:
                 engine.run([dead], label="hitlist")
         for name in self.SERIES:

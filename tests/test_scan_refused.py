@@ -1,4 +1,4 @@
-"""The executor's refused-probe shortcut against the full probe path.
+"""The probe loop's refused-probe shortcut against the full probe path.
 
 A probe whose spec carries its module's refused grab is settled without
 running the module when the network settles the attempt as refused.  A
@@ -82,7 +82,7 @@ def _network(*, loss_rate=0.0, seed=9):
 
 
 def _scan(network, spec, target, *, shortcut, run_dir=None):
-    """One probe through the executor: (what it handed ``add``, the
+    """One probe through the probe loop: (what it handed ``add``, the
     grabs the module returned, the metrics snapshot).  With ``run_dir``
     the engine logs into a fresh store there."""
     returned = []
@@ -103,7 +103,7 @@ def _scan(network, spec, target, *, shortcut, run_dir=None):
                                                  cooldown_ttl=0.0))
             engine.attach_store(writer, label="ntp")
         added = []
-        engine.executor.execute_into(target, added.append)
+        engine.execute_into(target, added.append)
         if writer is not None:
             writer.close()
     return added, returned, metrics.snapshot()

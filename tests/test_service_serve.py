@@ -119,6 +119,51 @@ def test_frame_cache_evicts_least_recent(service_run):
         assert service.cache.hits == hits
 
 
+def test_each_frame_lookup_counts_one_hit_or_one_miss(service_run):
+    """A cold query misses once per window, each miss a build; a repeat
+    hits once per window."""
+    _, run_dir = service_run
+    with use_registry() as registry:
+        service = QueryService(str(run_dir), window_days=4, step_days=2)
+        windows = len(service.query()["windows"])
+        assert windows > 1
+        cold = service.stats()["cache"]
+        assert (cold["hits"], cold["misses"]) == (0, windows)
+        assert (counter_value(registry, "service_frames_built_total")
+                == windows)
+        service.query()
+        warm = service.stats()["cache"]
+    assert (warm["hits"], warm["misses"]) == (windows, windows)
+
+
+def test_racing_lookups_of_a_cold_frame_count_once_each(service_run):
+    """Two callers racing for one cold frame: one builds it (a miss),
+    the other is served the built frame (a hit)."""
+    _, run_dir = service_run
+    with use_registry() as registry:
+        service = QueryService(str(run_dir), window_days=4, step_days=2)
+        build = service.reader.window
+        racer = []
+
+        def slow_build(*args, **kwargs):
+            # The second caller starts while the first one builds.
+            if not racer:
+                racer.append(threading.Thread(
+                    target=lambda: racer.append(
+                        service.frame_document(0.0, 4 * DAY))))
+                racer[0].start()
+                time.sleep(0.2)
+            return build(*args, **kwargs)
+
+        service.reader.window = slow_build
+        document = service.frame_document(0.0, 4 * DAY)
+        racer[0].join(timeout=60)
+        assert racer[1:] == [document]
+        assert counter_value(registry, "service_frames_built_total") == 1
+    cache = service.stats()["cache"]
+    assert (cache["hits"], cache["misses"]) == (1, 1)
+
+
 def test_unknown_command_is_reported(service_run):
     _, run_dir = service_run
     with use_registry():

@@ -19,7 +19,7 @@ number, and must travel the same funnel:
   numbers up to 2^40;
 * a refused builder whose grab varies in more than address and time
   cannot be templated;
-* a store attached after the executor's first probe writes what one
+* a store attached after the engine's first probe writes what one
   attached before it writes, without encoding any settled grab;
 * the ``pre-append``/``post-append`` fault points and the store
   counters see each templated record once, whether its target's
@@ -273,7 +273,8 @@ def test_store_attached_after_first_probe_writes_the_same_bytes(
             engine = _engine()
             writer = _writer(tmp_path / when)
             if when == "after":
-                engine.scan_address(OPEN)  # builds the plan, no store
+                # Builds the plan, no store.
+                engine.execute_into(OPEN, [].append)
             engine.attach_store(writer, label="ntp")
             scans[when] = _scan(engine)
             writer.close()

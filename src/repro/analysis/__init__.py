@@ -15,7 +15,7 @@ from repro.analysis import (
 )
 from repro.analysis.bundle import AnalysisBundle, run_analysis
 from repro.analysis.devicetypes import DeviceTypeTable, build_table3
-from repro.analysis.levenshtein import TitleClusterer, normalized_distance
+from repro.analysis.levenshtein import TitleClusterer
 from repro.analysis.macs import MacReport, analyze_dataset
 from repro.analysis.security import (
     AccessControlReport,
@@ -50,7 +50,6 @@ __all__ = [
     "levenshtein",
     "lifetime",
     "macs",
-    "normalized_distance",
     "run_analysis",
     "secure_share",
     "security",

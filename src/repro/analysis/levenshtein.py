@@ -3,15 +3,15 @@
 The paper groups HTML page titles "if their Levenshtein distance
 normalized to 0–1 is at most 0.25", collapsing minor version-number
 variations into one device-type group (Section 4.3.1).  We implement
-the classic dynamic-programming distance with a banded (Ukkonen)
-early-exit variant and a greedy centroid clustering on top.
+the dynamic-programming distance as a banded (Ukkonen) early-exit
+threshold test and a greedy centroid clustering on top.
 
 Performance model (DESIGN.md §9):
 
-* :func:`distance` accepts an ``upper_bound``; the DP is then confined
-  to the diagonal band of width ``upper_bound`` and abandoned as soon
-  as every cell of a row exceeds the bound.  The result is exact
-  whenever the true distance is ``<= upper_bound`` and *some* value
+* :func:`distance` takes an ``upper_bound``; the DP is confined to the
+  diagonal band of width ``upper_bound`` and abandoned as soon as
+  every cell of a row exceeds the bound.  The result is exact whenever
+  the true distance is ``<= upper_bound`` and *some* value
   ``> upper_bound`` otherwise — which is all a threshold test needs.
 * :class:`TitleClusterer` prunes candidate groups before any DP runs:
   representatives are bucketed by length (only length bands that can
@@ -19,9 +19,9 @@ Performance model (DESIGN.md §9):
   character-multiset lower bound.  Pruning never changes which group
   wins: the first *feasible* match is the first match, because a
   pruned candidate can never satisfy :func:`within`.  The unoptimized
-  scan (every group in order, the full DP table) is kept only under
-  ``tests/``, as the oracle the equivalence properties and the Table-3
-  bench compare the clusterer against.
+  scan (every group in order, the full DP table) and the normalized
+  distance are kept only under ``tests/``, as the oracle the
+  equivalence properties and the Table-3 bench compare against.
 * All work is tallied into a :class:`ClusterStats` that can be
   published as ``analysis_*`` metrics through :mod:`repro.obs`.
 """
@@ -69,27 +69,6 @@ class ClusterStats:
                          **labels).inc(self.candidates_pruned)
 
 
-def _plain_distance(left: str, right: str,
-                    stats: Optional[ClusterStats]) -> int:
-    """The full O(n·m) DP table (the exact distance)."""
-    if len(left) < len(right):
-        left, right = right, left
-    if stats is not None:
-        stats.dp_cells += len(left) * len(right)
-    previous = list(range(len(right) + 1))
-    for row, char_left in enumerate(left, start=1):
-        current = [row]
-        for col, char_right in enumerate(right, start=1):
-            cost = 0 if char_left == char_right else 1
-            current.append(min(
-                previous[col] + 1,        # deletion
-                current[col - 1] + 1,     # insertion
-                previous[col - 1] + cost  # substitution
-            ))
-        previous = current
-    return previous[-1]
-
-
 def _banded_distance(left: str, right: str, bound: int,
                      stats: Optional[ClusterStats]) -> int:
     """Ukkonen band: only cells with ``|row - col| <= bound`` can lie on
@@ -131,39 +110,25 @@ def _banded_distance(left: str, right: str, bound: int,
     return previous[m] if previous[m] <= bound else infinity
 
 
-def distance(left: str, right: str, upper_bound: Optional[int] = None,
+def distance(left: str, right: str, upper_bound: int,
              stats: Optional[ClusterStats] = None) -> int:
-    """Levenshtein edit distance (insert/delete/substitute).
+    """Levenshtein edit distance (insert/delete/substitute), bounded.
 
-    Without ``upper_bound`` this is the exact classic DP.  With it, the
-    computation runs inside the Ukkonen band and abandons a row once
-    every cell exceeds the bound: the result is exact whenever the true
-    distance is ``<= upper_bound``, and *some* value ``> upper_bound``
-    (not necessarily the true distance) otherwise.  ``stats``, when
-    given, accumulates DP-cell and early-exit tallies.
+    The computation runs inside the Ukkonen band and abandons a row
+    once every cell exceeds ``upper_bound``: the result is exact
+    whenever the true distance is ``<= upper_bound``, and *some* value
+    ``> upper_bound`` (not necessarily the true distance) otherwise.
+    ``stats``, when given, accumulates DP-cell and early-exit tallies.
     """
-    if upper_bound is not None and upper_bound < 0:
+    if upper_bound < 0:
         raise ValueError(f"upper_bound must be >= 0, got {upper_bound}")
     if left == right:
         return 0
     if not left or not right:
         return max(len(left), len(right))
-    if upper_bound is None:
-        return _plain_distance(left, right, stats)
     if abs(len(left) - len(right)) > upper_bound:
         return upper_bound + 1
     return _banded_distance(left, right, upper_bound, stats)
-
-
-def normalized_distance(left: str, right: str) -> float:
-    """Distance scaled into [0, 1] by the longer string's length.
-
-    Two empty strings are identical (0.0).
-    """
-    longest = max(len(left), len(right))
-    if longest == 0:
-        return 0.0
-    return distance(left, right) / longest
 
 
 def distance_bound(threshold: float, longest: int) -> int:
@@ -171,10 +136,10 @@ def distance_bound(threshold: float, longest: int) -> int:
 
     This is the banded DP's ``upper_bound`` for a pair whose longer
     string has ``longest`` characters: ``d <= bound`` is *exactly*
-    equivalent to ``d / longest <= threshold`` under the float division
-    of :func:`normalized_distance`, so the banded verdict and the
-    normalized-distance test can never disagree (the adjustment loops
-    absorb any float rounding in ``threshold * longest``).
+    equivalent to ``d / longest <= threshold`` under float division,
+    so the banded verdict and the normalized-distance test can never
+    disagree (the adjustment loops absorb any float rounding in
+    ``threshold * longest``).
     """
     bound = min(int(threshold * longest), longest)
     while bound + 1 <= longest and (bound + 1) / longest <= threshold:
@@ -185,8 +150,7 @@ def distance_bound(threshold: float, longest: int) -> int:
 
 
 def within(left: str, right: str,
-           threshold: float = DEFAULT_THRESHOLD, *,
-           stats: Optional[ClusterStats] = None) -> bool:
+           threshold: float = DEFAULT_THRESHOLD) -> bool:
     """Whether two strings belong to the same group.
 
     Uses the length-difference lower bound to skip the DP for clearly
@@ -199,9 +163,7 @@ def within(left: str, right: str,
     bound = distance_bound(threshold, longest)
     if abs(len(left) - len(right)) > bound:
         return False
-    if stats is not None:
-        stats.pairs_compared += 1
-    return distance(left, right, upper_bound=bound, stats=stats) <= bound
+    return distance(left, right, bound) <= bound
 
 
 def _multiset_signature(text: str) -> Dict[str, int]:

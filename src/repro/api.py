@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import Counter as TallyCounter
 from dataclasses import asdict, dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.analysis import devicetypes
 from repro.analysis.bundle import run_analysis
@@ -34,7 +34,7 @@ from repro.core.actors import deploy_section5_actors
 from repro.core.attribution import AttributionReport, attribute_events
 from repro.core.campaign import CampaignConfig, CampaignReport, CollectionCampaign
 from repro.core.detection import ActorDetector, ActorVerdict
-from repro.core.ecosystem import ScannerPopulation, ScenarioConfig, leak_scenario
+from repro.core.ecosystem import ScannerPopulation, leak_scenario
 from repro.core.pipeline import ExperimentConfig, ExperimentResult, run_experiment
 from repro.core.telescope import Telescope
 from repro.net.clock import DAY, HOUR, EventScheduler
@@ -54,27 +54,27 @@ class CollectConfig:
     campaign: CampaignConfig = field(default_factory=CampaignConfig)
 
 
+#: Days a telescope run waits after its last sweep, so slow (covert)
+#: actors fire their delayed scans.
+TELESCOPE_SETTLE_DAYS = 4
+
+
 @dataclass
 class TelescopeConfig:
-    """Inputs of a Section-5 telescope + actor-detection run."""
+    """Inputs of a Section-5 telescope + actor-detection run.
+
+    The two actors deploy into :func:`deploy_section5_actors`' default
+    pool zones.
+    """
 
     world: WorldConfig = field(default_factory=WorldConfig)
     #: Daily telescope sweeps over the pool.
     sweep_days: int = 6
-    #: Extra days for slow (covert) actors to fire their delayed scans.
-    settle_days: int = 4
-    #: Pool zones the overt research actor deploys servers into.
-    research_zones: Tuple[str, ...] = ("us", "de", "jp")
-    #: Pool zones the covert cloud actor deploys servers into.
-    covert_zones: Tuple[str, ...] = ("us", "nl")
 
     def __post_init__(self) -> None:
         if self.sweep_days < 1:
             raise ValueError(
                 f"sweep_days={self.sweep_days}: must be >= 1")
-        if self.settle_days < 0:
-            raise ValueError(
-                f"settle_days={self.settle_days}: must be >= 0")
 
 
 @dataclass
@@ -83,9 +83,9 @@ class EcosystemConfig:
 
     Builds on :class:`TelescopeConfig`'s wiring (the same two
     NTP-sourcing actors and daily sweeps) and adds the five-strategy
-    leak population plus the attribution layer.  ``window_days``
-    additionally emits rolling attribution windows through the service
-    reader.
+    leak population of :func:`~repro.core.ecosystem.leak_scenario` plus
+    the attribution layer.  ``window_days`` additionally emits rolling
+    attribution windows through the service reader.
     """
 
     world: WorldConfig = field(default_factory=WorldConfig)
@@ -93,12 +93,6 @@ class EcosystemConfig:
     sweep_days: int = 4
     #: Extra days for slow (covert) actors to fire their delayed scans.
     settle_days: int = 2
-    #: Pool zones the overt research actor deploys servers into.
-    research_zones: Tuple[str, ...] = ("us", "de", "jp")
-    #: Pool zones the covert cloud actor deploys servers into.
-    covert_zones: Tuple[str, ...] = ("us", "nl")
-    #: The leak population's knobs (target counts, per-actor seeds).
-    scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     #: Rolling attribution windows (simulated days); None disables.
     window_days: Optional[float] = None
     step_days: Optional[float] = None
@@ -433,14 +427,11 @@ def telescope(config: Optional[TelescopeConfig] = None) -> TelescopeResult:
         campaign = CollectionCampaign(
             world, CampaignConfig(days=1, wire_fraction=0.0))
         scheduler = EventScheduler(world.clock)
-        deploy_section5_actors(
-            world, campaign.pool, scheduler,
-            research_zones=config.research_zones,
-            covert_zones=config.covert_zones)
+        deploy_section5_actors(world, campaign.pool, scheduler)
         scope = Telescope(world.network)
         scope.watch(campaign.pool, scheduler,
                     sweep_days=config.sweep_days,
-                    settle_days=config.settle_days)
+                    settle_days=TELESCOPE_SETTLE_DAYS)
 
         detector = ActorDetector(
             scope, world.asdb,
@@ -486,10 +477,8 @@ def ecosystem(config: Optional[EcosystemConfig] = None) -> EcosystemResult:
         campaign = CollectionCampaign(
             world, CampaignConfig(days=1, wire_fraction=0.0))
         scheduler = EventScheduler(world.clock)
-        overt, covert = deploy_section5_actors(
-            world, campaign.pool, scheduler,
-            research_zones=config.research_zones,
-            covert_zones=config.covert_zones)
+        overt, covert = deploy_section5_actors(world, campaign.pool,
+                                               scheduler)
         scope = Telescope(world.network)
 
         population = ScannerPopulation(world.network, scheduler)
@@ -512,8 +501,7 @@ def ecosystem(config: Optional[EcosystemConfig] = None) -> EcosystemResult:
             base = world.allocate_prefix64(system.number)
             sources[strategy] = [base + offset for offset in range(3)]
         leak_scenario(world.network, scheduler, world.rdns,
-                      scope.prefix48, sources=sources,
-                      config=config.scenario, start=10 * MINUTE,
+                      scope.prefix48, sources=sources, start=10 * MINUTE,
                       population=population)
 
         scope.watch(campaign.pool, scheduler,
@@ -757,9 +745,9 @@ def query_window(run_dir: str, *, since: float = 0.0,
                  cache_frames: Optional[int] = None) -> QueryResult:
     """One rolling windowed query against a run store (spans in days).
 
-    ``window``/``step`` default to the store's recorded service
-    defaults (7/7 for batch-study stores); results come from bounded
-    checkpoint-anchored replay, never a full-WAL scan.
+    ``window``/``step`` default to 7 days each and ``cache_frames`` to
+    32 (the constants of :mod:`repro.service.config`); results come
+    from bounded checkpoint-anchored replay, never a full-WAL scan.
     """
     from repro.service.frontend import QueryService
 

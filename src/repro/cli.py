@@ -73,7 +73,11 @@ def _world_config(args: argparse.Namespace) -> WorldConfig:
 
 
 def cmd_world(args: argparse.Namespace) -> int:
-    result = api.build_world(_world_config(args))
+    try:
+        result = api.build_world(_world_config(args))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.format == "json":
         return _emit_json(result.report)
     tables = result.report.tables
@@ -92,10 +96,14 @@ def cmd_world(args: argparse.Namespace) -> int:
 
 
 def cmd_collect(args: argparse.Namespace) -> int:
-    result = api.collect(api.CollectConfig(
-        world=_world_config(args),
-        campaign=CampaignConfig(days=args.days, wire_fraction=args.wire),
-    ))
+    try:
+        result = api.collect(api.CollectConfig(
+            world=_world_config(args),
+            campaign=CampaignConfig(days=args.days, wire_fraction=args.wire),
+        ))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     written = 0
     if args.out:
         from repro.io import save_dataset
@@ -358,8 +366,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_telescope(args: argparse.Namespace) -> int:
-    result = api.telescope(api.TelescopeConfig(
-        world=_world_config(args), sweep_days=args.days))
+    try:
+        result = api.telescope(api.TelescopeConfig(
+            world=_world_config(args), sweep_days=args.days))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.format == "json":
         return _emit_json(result.report)
     rows = []
@@ -566,14 +578,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port (default 0 = ephemeral, printed "
                             "on stderr)")
     serve.add_argument("--window", type=float, default=None,
-                       help="default window span in days (default: the "
-                            "store's recorded service setting)")
+                       help="default window span in days (default 7)")
     serve.add_argument("--step", type=float, default=None,
-                       help="default window stride in days")
+                       help="default window stride in days (default 7)")
     serve.add_argument("--cache-frames", type=int, default=None,
                        dest="cache_frames",
                        help="LRU capacity of the materialized-frame "
-                            "cache (default: the store's setting)")
+                            "cache (default 32)")
     serve.set_defaults(func=cmd_serve)
 
     telescope = sub.add_parser("telescope",

@@ -38,7 +38,6 @@ from repro.core.ecosystem import (
     ResidentialSweepActor,
     ScannerActor,
     ScannerPopulation,
-    ScenarioConfig,
     TgaActor,
     leak_scenario,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "ResidentialSweepActor",
     "ScannerActor",
     "ScannerPopulation",
-    "ScenarioConfig",
     "Telescope",
     "TgaActor",
     "attribute_events",

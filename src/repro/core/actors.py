@@ -193,15 +193,16 @@ class NtpSourcingActor:
 
 def deploy_section5_actors(world: World, pool: NtpPool,
                            scheduler: EventScheduler, *,
-                           research_zones: Sequence[str],
-                           covert_zones: Sequence[str],
+                           research_zones: Sequence[str] = ("us", "de", "jp"),
+                           covert_zones: Sequence[str] = ("us", "nl"),
                            ) -> Tuple[NtpSourcingActor, NtpSourcingActor]:
     """Deploy the paper's two Section-5 actors into ``pool``.
 
     The research actor "GT" (seed 1) runs its servers in the first
-    HyperCloud AS and scans from the research AS; the covert actor
-    (seed 2) runs its servers in the second HyperCloud AS and scans
-    from the third.  Returns ``(research, covert)``.
+    HyperCloud AS, in the pool zones ``research_zones``, and scans from
+    the research AS; the covert actor (seed 2) runs its servers in the
+    second HyperCloud AS, in ``covert_zones``, and scans from the
+    third.  Returns ``(research, covert)``.
     """
     research_as = next(s for s in world.asdb.systems
                        if s.category == "Educational/Research")

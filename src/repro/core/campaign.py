@@ -37,6 +37,16 @@ from repro.world.geo import DEPLOYMENT_COUNTRIES
 from repro.world.population import World
 
 
+#: Background (non-capture) pool members' weight.
+BACKGROUND_NETSPEED = 1000
+#: Times per day a client re-resolves the pool DNS.
+RESOLUTIONS_PER_DAY = 4
+#: Fraction of background pool members that are dead or flaky
+#: (registered but unresponsive).  The real pool always carries some:
+#: the paper's telescope saw only ~86 % of queries answered.
+BACKGROUND_DEAD_RATE = 0.12
+
+
 @dataclass
 class CampaignConfig:
     """Parameters of one collection campaign."""
@@ -48,21 +58,23 @@ class CampaignConfig:
     #: Our servers' operator-configured pool weight (the paper raises
     #: this until the request rate matches the scan budget).
     netspeed: int = 4000
-    #: Background (non-capture) pool members' weight.
-    background_netspeed: int = 1000
-    #: Times per day a client re-resolves the pool DNS.
-    resolutions_per_day: int = 4
     #: Fraction of devices whose every resolution does a real wire
     #: round trip (full codec + capture hook).
     wire_fraction: float = 0.02
     #: Run the pool's health monitoring once per collection day, so
     #: failed members drop out of rotation mid-campaign.
     monitor_daily: bool = False
-    #: Fraction of background pool members that are dead or flaky
-    #: (registered but unresponsive).  The real pool always carries
-    #: some: the paper's telescope saw only ~86 % of queries answered.
-    background_dead_rate: float = 0.12
     seed: int = 0xC0FFEE
+
+    def __post_init__(self) -> None:
+        # House style: errors lead with field=value so CLI exit-2
+        # output names the offending value.
+        if self.days < 1:
+            raise ValueError(f"days={self.days}: must be >= 1")
+        if not 0.0 <= self.wire_fraction <= 1.0:
+            raise ValueError(
+                f"wire_fraction={self.wire_fraction}: must be a fraction "
+                "in [0, 1]")
 
 
 @dataclass
@@ -130,7 +142,7 @@ class CollectionCampaign:
             for _ in range(country.competing_servers):
                 address = self._infrastructure_prefix(index)
                 index += 1
-                if self.rng.random() >= self.config.background_dead_rate:
+                if self.rng.random() >= BACKGROUND_DEAD_RATE:
                     server = self._background_server(
                         address, location=f"bg-{country.code}")
                     self._background_servers.append(server)
@@ -138,7 +150,7 @@ class CollectionCampaign:
                 # them out until monitoring catches up) but answer
                 # nothing — clients simply lose those polls.
                 self.pool.register(address, country.code.lower(),
-                                   netspeed=self.config.background_netspeed,
+                                   netspeed=BACKGROUND_NETSPEED,
                                    operator="background")
                 self._background_addresses.append(address)
         for code in self.config.deployment:
@@ -171,8 +183,8 @@ class CollectionCampaign:
         The real pool's membership is never static over a multi-week
         window: operators join, leave, and fail.  ``dead=True`` models a
         member that registers but answers nothing (same as the
-        ``background_dead_rate`` share at deployment).  Returns the new
-        member's address.
+        :data:`BACKGROUND_DEAD_RATE` share at deployment).  Returns the
+        new member's address.
         """
         address = self._infrastructure_prefix(self._infra_cursor)
         self._infra_cursor += 1
@@ -181,7 +193,7 @@ class CollectionCampaign:
                 self._background_server(address,
                                         location=f"bg-{country_code}"))
         self.pool.register(address, country_code.lower(),
-                           netspeed=self.config.background_netspeed,
+                           netspeed=BACKGROUND_NETSPEED,
                            operator="background")
         self._background_addresses.append(address)
         return address
@@ -362,7 +374,7 @@ class CollectionCampaign:
 
     def _run_day(self, day_start: float, clients, wire_devices) -> None:
         """One collection day: each client wakes at a random time of
-        day, resolves the pool ``min(resolutions_per_day, polls)``
+        day, resolves the pool ``min(RESOLUTIONS_PER_DAY, polls)``
         times and spreads its day's polls over what it got; the polls
         that reach a capture server are recorded there.
 
@@ -379,7 +391,7 @@ class CollectionCampaign:
         random_ = self.rng.random
         events = [(random_() * DAY, device) for device in clients]
         events.sort(key=lambda event: event[0])
-        resolutions = self.config.resolutions_per_day
+        resolutions = RESOLUTIONS_PER_DAY
         clock = self.world.clock
         tables: Dict[str, tuple] = {}
         for offset, device in events:

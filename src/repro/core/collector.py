@@ -99,9 +99,6 @@ class CollectedDataset:
     def iter_addresses(self) -> Iterator[int]:
         return iter(self.observations)
 
-    def server_locations(self) -> List[str]:
-        return list(self.per_server)
-
     def per_server_counts(self) -> Dict[str, int]:
         """Distinct addresses per capture server (Appendix D, Table 7)."""
         return {loc: len(addrs) for loc, addrs in self.per_server.items()}

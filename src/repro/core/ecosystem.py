@@ -38,7 +38,6 @@ hitlists and rDNS zones.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.ipv6 import address as addrmod
@@ -418,32 +417,23 @@ class ScannerPopulation:
 # -- the standard leak scenario ----------------------------------------------
 
 
-@dataclass
-class ScenarioConfig:
-    """Knobs of the standard mixed-population leak scenario."""
-
-    hitlist_targets: int = 12
-    hitlist_rounds: int = 2
-    tga_seeds: int = 3
-    tga_candidates: int = 6
-    rdns_names: int = 12
-    residential_subnets: int = 12
-    amplification_subnets: int = 10
-    seed: int = 7
-
-    def __post_init__(self) -> None:
-        for name in ("hitlist_targets", "hitlist_rounds", "tga_seeds",
-                     "tga_candidates", "rdns_names", "residential_subnets",
-                     "amplification_subnets"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name}={value}: must be >= 1")
+#: The standard leak scenario's shape: hitlist targets and sweep
+#: rounds, TGA seeds and candidates per seed, leaked rDNS names,
+#: residential and amplification subnets swept, and the seed the
+#: scenario's RNG and actors derive from.
+LEAK_HITLIST_TARGETS = 12
+LEAK_HITLIST_ROUNDS = 2
+LEAK_TGA_SEEDS = 3
+LEAK_TGA_CANDIDATES = 6
+LEAK_RDNS_NAMES = 12
+LEAK_RESIDENTIAL_SUBNETS = 12
+LEAK_AMPLIFICATION_SUBNETS = 10
+LEAK_SEED = 7
 
 
 def leak_scenario(network: Network, scheduler: EventScheduler,
                   rdns: ReverseDns, prefix48: int, *,
                   sources: Dict[str, Sequence[int]],
-                  config: Optional[ScenarioConfig] = None,
                   start: float = 10 * MINUTE,
                   population: Optional[ScannerPopulation] = None
                   ) -> ScannerPopulation:
@@ -455,11 +445,11 @@ def leak_scenario(network: Network, scheduler: EventScheduler,
     IID structure, revisit behaviour and PTR coverage separate cleanly.
     ``sources`` maps each strategy name to that actor's scanner
     addresses — give every actor a distinct source /48 so clustering
-    keeps the ground truth separable.
+    keeps the ground truth separable.  The population's shape is the
+    ``LEAK_*`` constants.
     """
-    config = config or ScenarioConfig()
     prefix48 = addrmod.prefix(prefix48, 48)
-    rng = random.Random(config.seed)
+    rng = random.Random(LEAK_SEED)
     population = population or ScannerPopulation(network, scheduler)
 
     def high_iid() -> int:
@@ -467,21 +457,21 @@ def leak_scenario(network: Network, scheduler: EventScheduler,
         return rng.randrange(1 << 32, 1 << 63)
 
     hitlist = [prefix48 + ((HITLIST_SUBNET_BASE + index) << 64) + high_iid()
-               for index in range(config.hitlist_targets)]
+               for index in range(LEAK_HITLIST_TARGETS)]
     population.add(HitlistSweepActor(
         network, scheduler, name="hitlist-sweeper",
         sources=sources["hitlist"], targets=hitlist,
-        rounds=config.hitlist_rounds, seed=config.seed + 1, start=start))
+        rounds=LEAK_HITLIST_ROUNDS, seed=LEAK_SEED + 1, start=start))
 
     seeds = [prefix48 + ((TGA_SUBNET_BASE + index) << 64) + high_iid()
-             for index in range(config.tga_seeds)]
+             for index in range(LEAK_TGA_SEEDS)]
     population.add(TgaActor(
         network, scheduler, name="tga-generator",
         sources=sources["tga"], seeds=seeds,
-        candidates_per_seed=config.tga_candidates,
-        seed=config.seed + 2, start=start))
+        candidates_per_seed=LEAK_TGA_CANDIDATES,
+        seed=LEAK_SEED + 2, start=start))
 
-    for index in range(config.rdns_names):
+    for index in range(LEAK_RDNS_NAMES):
         address = (prefix48 + ((RDNS_SUBNET_BASE + index // 4) << 64)
                    + high_iid())
         word = RDNS_DICTIONARY[index % len(RDNS_DICTIONARY)]
@@ -489,19 +479,19 @@ def leak_scenario(network: Network, scheduler: EventScheduler,
     population.add(RdnsWalkActor(
         network, scheduler, name="rdns-walker",
         sources=sources["rdns"], rdns=rdns, zone48=prefix48,
-        seed=config.seed + 3, start=start))
+        seed=LEAK_SEED + 3, start=start))
 
     population.add(ResidentialSweepActor(
         network, scheduler, name="residential-sweeper",
         sources=sources["residential"], base48=prefix48,
         subnet_start=RESIDENTIAL_SUBNET_BASE,
-        subnet_count=config.residential_subnets,
-        seed=config.seed + 4, start=start))
+        subnet_count=LEAK_RESIDENTIAL_SUBNETS,
+        seed=LEAK_SEED + 4, start=start))
 
     population.add(AmplificationReconActor(
         network, scheduler, name="amplification-recon",
         sources=sources["amplification"], base48=prefix48,
         subnet_start=AMPLIFICATION_SUBNET_BASE,
-        subnet_count=config.amplification_subnets,
-        seed=config.seed + 5, start=start))
+        subnet_count=LEAK_AMPLIFICATION_SUBNETS,
+        seed=LEAK_SEED + 5, start=start))
     return population

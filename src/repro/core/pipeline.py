@@ -25,37 +25,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.campaign import CampaignConfig, CollectionCampaign, rl_2022_config
 from repro.core.collector import CollectedDataset
 from repro.core.comparison import ComparisonTable, DatasetComparison
 from repro.core.realtime import RealTimeScanQueue
-from repro.obs.metrics import MetricsRegistry, current_registry, use_registry
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.runtime.registry import default_registry
 from repro.scan.engine import COOLDOWN, ScanEngine
 from repro.scan.ethics import publish_scanner_identity
 from repro.scan.result import PROTOCOLS, ScanResults
 from repro.world.hitlist import Hitlist, HitlistConfig, build_hitlist
 from repro.world.population import World, WorldConfig, build_world
-
-
-def check_protocols(protocols: Optional[Tuple[str, ...]]) -> None:
-    """Reject a probe-profile subset that is empty or names an unknown
-    protocol (None is the full registry); the message leads with
-    ``protocols=…`` so CLI exit-2 output names the offending value."""
-    if protocols is None:
-        return
-    if not protocols:
-        raise ValueError(
-            f"protocols={protocols!r}: must name at least one "
-            "protocol (or be None for the full registry)")
-    unknown = [name for name in protocols if name not in PROTOCOLS]
-    if unknown:
-        raise ValueError(
-            f"protocols={','.join(protocols)}: unknown "
-            f"protocol(s) {', '.join(sorted(unknown))}; "
-            f"choose from {', '.join(PROTOCOLS)}")
 
 
 @dataclass
@@ -94,7 +76,18 @@ class ExperimentConfig:
         if self.checkpoint_days < 1:
             raise ValueError(
                 f"checkpoint_days={self.checkpoint_days}: must be >= 1")
-        check_protocols(self.protocols)
+        if self.protocols is None:
+            return
+        if not self.protocols:
+            raise ValueError(
+                f"protocols={self.protocols!r}: must name at least one "
+                "protocol (or be None for the full registry)")
+        unknown = [name for name in self.protocols if name not in PROTOCOLS]
+        if unknown:
+            raise ValueError(
+                f"protocols={','.join(self.protocols)}: unknown "
+                f"protocol(s) {', '.join(sorted(unknown))}; "
+                f"choose from {', '.join(PROTOCOLS)}")
 
 
 @dataclass
@@ -159,38 +152,36 @@ class ScanRig:
 
     The batch study (:func:`run_experiment`) and the campaign daemon
     (:class:`~repro.service.daemon.CampaignDaemon`) both build their
-    scan path here: the scanner identity, the configured protocol
-    subset, the NTP-fed engine and its real-time queue, the collection
-    campaign, the hitlist engine (:meth:`add_hitlist_engine`) and, with
-    a ``writer``, the store taps, progress marks and checkpoints.
-    Without a writer, marks and checkpoints do nothing.
-
-    ``config`` is an :class:`ExperimentConfig` or a
-    :class:`~repro.service.config.ServiceConfig`; ``label`` names the
-    NTP-fed scan in engine series, store records and target counts.
+    scan path here: the scanner identity, the probe profile
+    (``protocols``, None for the full registry), the NTP-fed engine and
+    its real-time queue, the collection campaign run under ``campaign``
+    (a :class:`~repro.core.campaign.CampaignConfig`), the hitlist
+    engine (:meth:`add_hitlist_engine`) and, with a ``writer``, the
+    store taps, progress marks and checkpoints.  Without a writer,
+    marks and checkpoints do nothing.  ``label`` names the NTP-fed scan
+    in engine series, store records and target counts.
     """
 
-    def __init__(self, world: World, config, *, label: str = "ntp",
-                 writer=None) -> None:
+    def __init__(self, world: World, campaign: CampaignConfig, *,
+                 protocols: Optional[Tuple[str, ...]] = None,
+                 label: str = "ntp", writer=None) -> None:
         self.world = world
         self.label = label
         self.writer = writer
         self.registry = default_registry()
-        if config.protocols is not None:
-            self.registry = self.registry.subset(*config.protocols)
+        if protocols is not None:
+            self.registry = self.registry.subset(*protocols)
         # One scanner identity serves both scan paths (the paper scans
         # the NTP feed and the hitlist from the same research vantage
         # point).
         self.source = _scanner_source(world)
         publish_scanner_identity(world.network, self.source, world.rdns,
                                  ptr_name=SCANNER_PTR_NAME)
-        #: Every engine built so far; checkpoints hold their cool-downs.
-        self.engines: List[ScanEngine] = []
         self.hitlist_engine: Optional[ScanEngine] = None
         self.engine = self._engine(label)
         self.queue = RealTimeScanQueue(self.engine,
                                        results=ScanResults(label=label))
-        self.campaign = CollectionCampaign(world, config.campaign)
+        self.campaign = CollectionCampaign(world, campaign)
         dataset = self.campaign.dataset
         dataset.add_new_address_hook(self.queue.on_sighting)
         if writer is not None:
@@ -205,7 +196,6 @@ class ScanRig:
                             registry=self.registry, name=name)
         if self.writer is not None:
             engine.attach_store(self.writer, label=name)
-        self.engines.append(engine)
         return engine
 
     def add_hitlist_engine(self) -> None:
@@ -213,8 +203,7 @@ class ScanRig:
 
         The daemon builds it with the rig and sweeps with it all
         campaign long, so its cool-down map carries across sweeps.  The
-        batch study builds it after its final week, so the engine's
-        series and cool-downs first appear in the ``done`` checkpoint.
+        batch study builds it after its final week.
         """
         self.hitlist_engine = self._engine("hitlist")
 
@@ -236,43 +225,18 @@ class ScanRig:
         if self.writer is not None:
             self.writer.mark(phase, day, self.world.clock.now(), targets)
 
-    def checkpoint(self, phase: str, day: int, targets: Dict[str, int],
-                   **sections) -> None:
-        """Cut a store checkpoint; ``sections`` add runner-specific
-        state, such as the daemon's drift counters."""
-        if self.writer is not None:
-            self.writer.checkpoint(
-                lambda: self._state(phase, day, targets, sections))
+    def checkpoint(self, targets: Dict[str, int]) -> None:
+        """Cut a store checkpoint right after a progress mark.
 
-    def _state(self, phase: str, day: int, targets: Dict[str, int],
-               sections: Dict) -> Dict:
-        """The JSON state snapshot stored in a checkpoint.
-
-        Recovery does not *load* this state (deterministic replay
-        rebuilds it); it exists for offline inspection, as the windowed
-        queries' replay anchor and as the compaction anchor.
+        Its state is the windowed queries' replay anchor: the clock and
+        the cumulative ``targets`` denominators there.  Recovery does
+        not load it (deterministic replay rebuilds every other piece of
+        run state), and recovery, verify and compaction read only the
+        checkpoint's seq and chain.
         """
-        report = self.campaign.report()
-        cooldowns: Dict = {}
-        for engine in self.engines:
-            cooldowns.update(engine.cooldown_snapshots())
-        return {
-            "phase": phase,
-            "day": day,
-            "clock": self.world.clock.now(),
-            "campaign": {
-                "days_run": report.days_run,
-                "addresses": len(self.campaign.dataset),
-                "requests": self.campaign.dataset.total_requests,
-                "wire_queries": report.wire_queries,
-                "fast_queries": report.fast_queries,
-                "per_server_requests": report.per_server_requests,
-            },
-            "targets": targets,
-            **sections,
-            "cooldowns": cooldowns,
-            "metrics": current_registry().snapshot(),
-        }
+        if self.writer is not None:
+            self.writer.checkpoint({"clock": self.world.clock.now(),
+                                    "targets": targets})
 
 
 def run_experiment(config: Optional[ExperimentConfig] = None,
@@ -380,7 +344,8 @@ def _run_experiment(config: ExperimentConfig, writer=None) -> ExperimentResult:
     for _ in range(config.gap_days):
         world.churn.step_day()
 
-    rig = ScanRig(world, config, writer=writer)
+    rig = ScanRig(world, config.campaign, protocols=config.protocols,
+                  writer=writer)
     for phase, days in (("lead", config.lead_days),
                         ("final", config.final_days)):
         if phase == "final":
@@ -390,14 +355,14 @@ def _run_experiment(config: ExperimentConfig, writer=None) -> ExperimentResult:
             rig.campaign.advance_days(1)
             rig.mark(phase, day, rig.targets())
             if day % config.checkpoint_days == 0:
-                rig.checkpoint(phase, day, rig.targets())
+                rig.checkpoint(rig.targets())
 
     rig.add_hitlist_engine()
     hitlist_scan = rig.scan_hitlist(hitlist)
     # The done mark counts both scans; every batch checkpoint, this
     # last one included, counts the NTP-fed scan only.
     rig.mark("done", 0, rig.targets(hitlist_scan.targets_seen))
-    rig.checkpoint("done", 0, rig.targets())
+    rig.checkpoint(rig.targets())
     if writer is not None:
         writer.close()
 

@@ -66,11 +66,6 @@ def format_address(value: int) -> str:
     return str(ipaddress.IPv6Address(value))
 
 
-def is_valid(value: int) -> bool:
-    """Return whether ``value`` lies inside the IPv6 address space."""
-    return 0 <= value < ADDRESS_SPACE
-
-
 def prefix(value: int, length: int) -> int:
     """Return the address truncated to its first ``length`` bits.
 

@@ -96,17 +96,6 @@ class ScanScheduler:
         self._m_pruned.inc(len(expired))
         return len(expired)
 
-    def cooldown_snapshot(self) -> Dict[str, float]:
-        """The live cool-down map, JSON-shaped for checkpoints.
-
-        Keys are RFC 5952 address strings (the WAL's address form), in
-        sorted order so snapshots of equal state are byte-identical.
-        """
-        from repro.ipv6 import address as addrmod
-
-        return {addrmod.format_address(target): last
-                for target, last in sorted(self._last_scanned.items())}
-
 
 class ScanEngine:
     """Scans targets with the registered probes, under the cool-down.
@@ -159,11 +148,6 @@ class ScanEngine:
         self.grab_hook = writer.grab_sink(label)
         self._store = (writer, label)
         self._plan = None
-
-    def cooldown_snapshots(self) -> Dict[str, Dict[str, float]]:
-        """This engine's cool-down map for checkpoints, keyed by its
-        name so several engines' maps merge into one dict."""
-        return {self.name: self.scheduler.cooldown_snapshot()}
 
     # -- the probe loop -----------------------------------------------------
 

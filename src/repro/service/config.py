@@ -1,25 +1,45 @@
 """Configuration of the always-on measurement service.
 
-One dataclass covers both halves of the subsystem: the campaign
-daemon's longitudinal knobs (how many simulated days, how the world
-evolves per tick, how often to checkpoint and re-sweep the hitlist)
-and the query front end's defaults (window/step spans, frame-cache
-capacity).  The whole document persists in the run store's
-``meta.json`` — exactly like :class:`~repro.core.pipeline.
-ExperimentConfig` for batch studies — so a crashed daemon resumes from
-nothing but its run directory, and ``repro serve`` picks up the
-window defaults the campaign was designed around.
+:class:`ServiceConfig` holds the campaign daemon's settings: how many
+simulated days to run, how often to checkpoint and re-sweep the
+hitlist, and the seeds and WAL segment size of the run.  The whole
+document persists in the run store's ``meta.json``, exactly like
+:class:`~repro.core.pipeline.ExperimentConfig` for batch studies, so a
+crashed daemon resumes from nothing but its run directory.
+
+How the world evolves per tick (:data:`DRIFT_SPAWN_RATE`,
+:data:`DRIFT_RETIRE_RATE`, :data:`POOL_JOIN_RATE`,
+:data:`POOL_LEAVE_RATE`) and the query front end's defaults
+(:data:`WINDOW_DAYS`, :data:`STEP_DAYS`, :data:`SERVE_CACHE_FRAMES`)
+are module constants: no run sets them.  Stores written when they were
+config fields recorded them at these same values; loading such a
+store ignores the recorded keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.core.campaign import CampaignConfig
-from repro.core.pipeline import check_protocols
 from repro.world.hitlist import HitlistConfig
 from repro.world.population import WorldConfig
+
+#: Per-premises per-day probability that a new client device joins.
+DRIFT_SPAWN_RATE = 0.02
+#: Per-premises per-day probability that one client retires.
+DRIFT_RETIRE_RATE = 0.01
+#: Per-day probability that a background server joins the pool.
+POOL_JOIN_RATE = 0.25
+#: Per-day probability that a background server leaves the pool.
+POOL_LEAVE_RATE = 0.15
+
+#: Default query-window span and stride, in days (``repro serve``,
+#: ``analyze --window``, ``api.query_window``).
+WINDOW_DAYS = 7
+STEP_DAYS = 7
+#: LRU capacity of the serve front end's materialized-frame cache.
+SERVE_CACHE_FRAMES = 32
 
 
 @dataclass
@@ -44,30 +64,12 @@ class ServiceConfig:
     #: Changes nothing: the scan engine draws no random numbers.  Kept
     #: so stored configs and callers that set it still load.
     scan_seed: int = 0x51AB
-    #: Restrict the probe profile (None = the paper's full registry).
-    protocols: Optional[Tuple[str, ...]] = None
     #: Seed of the dedicated world-evolution RNG stream (device drift +
     #: pool churn).  Separate from every other stream so drift never
     #: perturbs the campaign/world sequences.
     drift_seed: int = 0xD21F7
-    #: Per-premises per-day probability that a new client device joins.
-    drift_spawn_rate: float = 0.02
-    #: Per-premises per-day probability that one client retires.
-    drift_retire_rate: float = 0.01
-    #: Per-day probability that a background server joins the pool.
-    pool_join_rate: float = 0.25
-    #: Per-day probability that a background server leaves the pool.
-    pool_leave_rate: float = 0.15
-    #: Default query-window span in days (``analyze --window``,
-    #: ``repro serve``).
-    window: int = 7
-    #: Default stride between successive windows, in days.
-    step: int = 7
-    #: LRU capacity of the serve front end's materialized-frame cache.
-    serve_cache_frames: int = 32
-    #: WAL tuning, passed through to :meth:`RunStore.create`.
+    #: WAL segment size, passed through to :meth:`RunStore.create`.
     segment_max_records: int = 4096
-    fsync_every: int = 256
 
     def __post_init__(self) -> None:
         # House style: validation on the config, errors lead with
@@ -86,28 +88,10 @@ class ServiceConfig:
             raise ValueError(
                 f"hitlist_days={self.hitlist_days}: must be >= 0 "
                 "(0 disables hitlist sweeps)")
-        for name in ("drift_spawn_rate", "drift_retire_rate",
-                     "pool_join_rate", "pool_leave_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(
-                    f"{name}={rate}: must be a probability in [0, 1]")
-        if self.window < 1:
-            raise ValueError(f"window={self.window}: must be >= 1 day")
-        if self.step < 1:
-            raise ValueError(f"step={self.step}: must be >= 1 day")
-        if self.serve_cache_frames < 1:
-            raise ValueError(
-                f"serve_cache_frames={self.serve_cache_frames}: "
-                "must be >= 1")
         if self.segment_max_records < 1:
             raise ValueError(
                 f"segment_max_records={self.segment_max_records}: "
                 "must be >= 1")
-        if self.fsync_every < 1:
-            raise ValueError(
-                f"fsync_every={self.fsync_every}: must be >= 1")
-        check_protocols(self.protocols)
 
 
 def is_service_document(document: dict) -> bool:

@@ -39,9 +39,17 @@ from __future__ import annotations
 import random
 from typing import Dict
 
+from repro.core.campaign import BACKGROUND_DEAD_RATE
 from repro.core.pipeline import ScanRig, config_from_document, open_store_writer
 from repro.obs.metrics import current_registry
-from repro.service.config import ServiceConfig, is_service_document
+from repro.service.config import (
+    DRIFT_RETIRE_RATE,
+    DRIFT_SPAWN_RATE,
+    POOL_JOIN_RATE,
+    POOL_LEAVE_RATE,
+    ServiceConfig,
+    is_service_document,
+)
 from repro.store.runstore import RunStore
 from repro.store.writer import StoreWriter
 from repro.world.hitlist import build_hitlist
@@ -75,8 +83,8 @@ class CampaignDaemon:
         self._closed = False
         self._final_seq = 0
 
-        self.rig = ScanRig(self.world, config, label=config.campaign.label,
-                           writer=writer)
+        self.rig = ScanRig(self.world, config.campaign,
+                           label=config.campaign.label, writer=writer)
         self.rig.campaign.start()
         # One persistent hitlist engine for every sweep: its cool-down
         # map carries across sweeps, so the store-verify invariant (no
@@ -105,8 +113,7 @@ class CampaignDaemon:
         """A fresh daemon over a newly created run store."""
         return cls(config, writer=open_store_writer(
             config, resume=False,
-            segment_max_records=config.segment_max_records,
-            fsync_every=config.fsync_every))
+            segment_max_records=config.segment_max_records))
 
     @classmethod
     def resume(cls, run_dir: str) -> "CampaignDaemon":
@@ -149,7 +156,7 @@ class CampaignDaemon:
         self.rig.campaign.advance_days(1)
         self.rig.mark("service", self.day, self._targets())
         if self.day % self.config.checkpoint_days == 0:
-            self._checkpoint()
+            self.rig.checkpoint(self._targets())
         self._m_ticks.inc()
         return self.day
 
@@ -170,7 +177,7 @@ class CampaignDaemon:
             return
         self._closed = True
         self.rig.mark("done", self.day, self._targets())
-        self._checkpoint()
+        self.rig.checkpoint(self._targets())
         self._final_seq = self.writer.last_seq
         self.writer.close()
 
@@ -178,19 +185,16 @@ class CampaignDaemon:
 
     def _evolve(self) -> None:
         """One day of longitudinal world evolution (drift RNG only)."""
-        config = self.config
         rng = self.drift_rng
         campaign = self.rig.campaign
         for site in self.world.premises:
-            if (config.drift_spawn_rate > 0
-                    and rng.random() < config.drift_spawn_rate):
+            if rng.random() < DRIFT_SPAWN_RATE:
                 device = spawn_client_device(self.world, site, rng)
                 if device is not None:
                     campaign.adopt_client(device)
                     self.drift["devices_spawned"] += 1
                     self._m_spawned.inc()
-            if (config.drift_retire_rate > 0
-                    and rng.random() < config.drift_retire_rate):
+            if rng.random() < DRIFT_RETIRE_RATE:
                 candidates = [device for device in site.devices
                               if device.type_name == "client"
                               and device.is_ntp_client]
@@ -200,15 +204,13 @@ class CampaignDaemon:
                     retire_client_device(self.world, site, device)
                     self.drift["devices_retired"] += 1
                     self._m_retired.inc()
-        if (config.pool_join_rate > 0
-                and rng.random() < config.pool_join_rate):
+        if rng.random() < POOL_JOIN_RATE:
             country = rng.choice(self._zone_codes)
-            dead = rng.random() < config.campaign.background_dead_rate
+            dead = rng.random() < BACKGROUND_DEAD_RATE
             campaign.add_background_server(country, dead=dead)
             self.drift["pool_joined"] += 1
             self._m_joined.inc()
-        if (config.pool_leave_rate > 0
-                and rng.random() < config.pool_leave_rate):
+        if rng.random() < POOL_LEAVE_RATE:
             if campaign.remove_random_background(rng) is not None:
                 self.drift["pool_left"] += 1
                 self._m_left.inc()
@@ -230,10 +232,6 @@ class CampaignDaemon:
     def _targets(self) -> Dict[str, int]:
         """Cumulative targets-seen denominators for marks and checkpoints."""
         return self.rig.targets(self.hitlist_seen)
-
-    def _checkpoint(self) -> None:
-        self.rig.checkpoint("service", self.day, self._targets(),
-                            drift=dict(self.drift))
 
     # -- reporting ---------------------------------------------------------
 

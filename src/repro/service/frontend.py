@@ -3,12 +3,13 @@
 :class:`QueryService` is the thin layer ``repro serve`` (and
 ``api.query_window``) put between clients and a
 :class:`~repro.service.query.WindowedStudyReader`: it resolves
-day-denominated query specs against the store's recorded defaults,
-shares one reader (window builds are stateless, so concurrent queries
-never contend on fold state), and keeps an LRU of materialized window
-frames keyed by ``(anchor checkpoint, t0, t1)`` — the key a frame is
-*valid* under, since a window's content can only change if a better
-anchor appears, and anchors are immutable once cut.
+day-denominated query specs against the default spans (7-day windows
+every 7 days, :mod:`repro.service.config`), shares one reader (window
+builds are stateless, so concurrent queries never contend on fold
+state), and keeps an LRU of materialized window frames keyed by
+``(anchor checkpoint, t0, t1)`` — the key a frame is *valid* under,
+since a window's content can only change if a better anchor appears,
+and anchors are immutable once cut.
 
 :class:`ServiceServer` wraps the service in a line-oriented JSON TCP
 server (one request object per line, one response per line; a line
@@ -36,7 +37,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.net.clock import DAY
 from repro.obs.metrics import current_registry
-from repro.service.config import is_service_document
+from repro.service.config import SERVE_CACHE_FRAMES, STEP_DAYS, WINDOW_DAYS
 from repro.service.query import WindowedStudyReader, complete_windows
 from repro.store.runstore import RunStore
 
@@ -121,23 +122,18 @@ class QueryService:
                  step_days: Optional[float] = None,
                  cache_frames: Optional[int] = None) -> None:
         self.store = RunStore.open(run_dir)
-        document = self.store.meta.get("config", {})
-        service_doc = document if is_service_document(document) else {}
         self.window_days = float(
-            window_days if window_days is not None
-            else service_doc.get("window", 7))
+            window_days if window_days is not None else WINDOW_DAYS)
         self.step_days = float(
-            step_days if step_days is not None
-            else service_doc.get("step", 7))
+            step_days if step_days is not None else STEP_DAYS)
         if self.window_days <= 0:
             raise ValueError(
                 f"window_days={self.window_days}: must be positive")
         if self.step_days <= 0:
             raise ValueError(f"step_days={self.step_days}: must be positive")
-        if cache_frames is None:
-            cache_frames = service_doc.get("serve_cache_frames", 32)
         self.reader = WindowedStudyReader(self.store)
-        self.cache = WindowFrameCache(cache_frames)
+        self.cache = WindowFrameCache(
+            cache_frames if cache_frames is not None else SERVE_CACHE_FRAMES)
         #: Single-flight build locks: concurrent queries that miss on
         #: the same frame wait for one build instead of replaying the
         #: same WAL span N times.

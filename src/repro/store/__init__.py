@@ -6,7 +6,7 @@ must survive process death without losing history or re-probing targets
 inside their cool-down.  This package provides that durability layer:
 
 * :mod:`repro.store.wal` — segmented, CRC'd, fsync-batched append log;
-* :mod:`repro.store.checkpoint` — atomic periodic state snapshots;
+* :mod:`repro.store.checkpoint` — atomic periodic replay anchors;
 * :mod:`repro.store.runstore` — the run directory (recovery, compaction,
   offline verify/inspect);
 * :mod:`repro.store.writer` — the writer streaming a run into the
@@ -37,7 +37,6 @@ from repro.store.wal import (
     list_segments,
     record_crc,
     segment_name,
-    verify_record,
 )
 from repro.store.writer import StoreWriter
 
@@ -62,5 +61,4 @@ __all__ = [
     "record_crc",
     "save_checkpoint",
     "segment_name",
-    "verify_record",
 ]

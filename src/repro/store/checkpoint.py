@@ -1,13 +1,21 @@
-"""Atomic checkpoints: periodic state snapshots keyed to a WAL position.
+"""Atomic checkpoints: replay anchors keyed to a WAL position.
 
 A checkpoint is one JSON document written atomically (temp file +
 ``os.replace``) under ``run_dir/checkpoints/``.  It names the WAL
-sequence number it covers, the chain CRC at that point, and a state
-snapshot (campaign counters, scheduler cool-down maps, metrics
-registry, clock position).  Its own CRC protects the document.
+sequence number it covers and the chain CRC at that point; its state,
+``{"clock", "targets"}``, is the clock and the cumulative targets-seen
+denominators at the progress mark it follows, the windowed queries'
+replay anchor.  Its own CRC protects the document.  Deterministic
+replay rebuilds every other piece of run state, so nothing else is
+stored; a store written when checkpoints also carried counters,
+cool-down maps and a metrics snapshot loads the same, because no
+reader looks past the anchor.
 
-Checkpoints serve two masters:
+Checkpoints serve three masters:
 
+* **windowed queries** — a window replays from the newest checkpoint
+  whose clock sits safely before its start
+  (:mod:`repro.service.query`);
 * **compaction** — segments wholly at or below the latest checkpoint's
   sequence number can be deleted, because the chain CRC lets recovery
   verify a replayed prefix without the records themselves;
@@ -37,7 +45,7 @@ CHECKPOINT_VERSION = 1
 
 @dataclass
 class Checkpoint:
-    """One durable snapshot of run state at WAL position ``seq``."""
+    """One durable replay anchor at WAL position ``seq``."""
 
     seq: int
     chain: int

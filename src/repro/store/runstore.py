@@ -6,7 +6,8 @@ Layout of a run directory::
       meta.json          — store identity: config snapshot, cooldown TTL,
                            WAL tuning, compaction horizon
       wal/wal-*.jsonl    — the segmented write-ahead log
-      checkpoints/ckpt-* — atomic state snapshots
+      checkpoints/ckpt-* — atomic replay anchors (WAL seq, chain, clock,
+                           targets)
 
 :class:`RunStore` owns the layout and the crash-safety protocol around
 it: creating a store, recovering one after a crash (torn-tail repair +

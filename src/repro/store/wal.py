@@ -25,8 +25,7 @@ one write and one seq per record.  The reader checks each CRC on
 the raw line bytes (:func:`parse_line`): cutting that member out must
 leave exactly the body the writer hashed, so a line that is not in
 canonical form fails as corrupt and no record is ever re-serialized
-to be checked.  :func:`verify_record` is the same check on a parsed
-record.
+to be checked.
 
 Records are grouped into segments (``wal-<firstseq>.jsonl``) of at most
 ``segment_max_records`` records; whole segments below a checkpoint can
@@ -256,8 +255,6 @@ def parse_line(raw: bytes) -> Optional[Dict]:
     in canonical form leaves the body the writer hashed, so whitespace
     edits, reordered keys or a nested ``crc`` member that the cut lands
     on fail like any other corruption, as do invalid UTF-8 and JSON.
-    On lines the writer wrote this accepts exactly what
-    :func:`verify_record` accepts after a parse.
     """
     at = raw.find(_CRC_MARK)
     end = at + _CRC_MEMBER
@@ -281,21 +278,6 @@ def parse_line(raw: bytes) -> Optional[Dict]:
 def chain_extend(chain: int, crc_hex: str) -> int:
     """Fold one record's CRC into the rolling chain CRC."""
     return zlib.crc32(crc_hex.encode("ascii"), chain) & 0xFFFFFFFF
-
-
-def verify_record(record: Dict) -> bool:
-    """Whether ``record``'s stored CRC matches its contents.
-
-    The dict-level form of the check :func:`parse_line` makes on raw
-    lines, by re-serializing the record; kept as its reference.
-    """
-    stored = record.get("crc")
-    seq = record.get("seq")
-    if not isinstance(stored, str) or not isinstance(seq, int):
-        return False
-    payload = {key: value for key, value in record.items()
-               if key not in ("seq", "crc")}
-    return record_crc(seq, payload) == stored
 
 
 def segment_name(first_seq: int) -> str:
@@ -562,10 +544,3 @@ class WalReader:
         tmp = path.with_suffix(path.suffix + ".tmp")
         tmp.write_bytes(b"".join(line + b"\n" for _, line in keep))
         os.replace(tmp, path)
-
-
-def read_all(wal_dir: PathLike, *, start_seq: int = 1, chain: int = 0,
-             repair: bool = False) -> Tuple[List[Dict], "WalReader"]:
-    """All surviving records plus the reader holding scan statistics."""
-    reader = WalReader(wal_dir, start_seq=start_seq, chain=chain)
-    return list(reader.records(repair=repair)), reader

@@ -239,14 +239,14 @@ class StoreWriter:
 
     # -- durability points -------------------------------------------------
 
-    def checkpoint(self, state_fn: Callable[[], Dict]) -> Optional[Checkpoint]:
-        """Sync the WAL and snapshot state.
+    def checkpoint(self, state: Dict) -> Optional[Checkpoint]:
+        """Sync the WAL and write a checkpoint holding ``state`` at the
+        last appended record.
 
-        ``state_fn`` is a thunk so resumed runs skip the snapshot cost:
-        in verify mode the checkpoints already exist for this prefix and
-        the call is a no-op.  A checkpoint never compacts: compaction
-        trades replayable/analyzable history for disk, so it is only
-        ever the explicit ``repro store compact``.
+        In verify mode the checkpoints of the replayed prefix already
+        exist and the call is a no-op.  A checkpoint never compacts:
+        compaction trades replayable/analyzable history for disk, so it
+        is only ever the explicit ``repro store compact``.
         """
         if self._mode != "live":
             return None
@@ -254,7 +254,7 @@ class StoreWriter:
 
         self._wal.sync()
         checkpoint = Checkpoint(seq=self._wal.last_seq, chain=self._wal.chain,
-                                state=state_fn())
+                                state=state)
         fault_point("checkpoint", checkpoint.seq, self._wal.acked_seq)
         self.store.write_checkpoint(checkpoint)
         return checkpoint

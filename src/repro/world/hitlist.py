@@ -50,24 +50,27 @@ class Hitlist:
         return len(self.public)
 
 
+#: Probability a DNS-named device actually appears.
+DNS_INCLUSION_RATE = 0.96
+#: TGA neighbours generated per seed address.
+TGA_PER_SEED = 5
+#: Share of TGA neighbours that use small structured IIDs (the rest
+#: perturb the seed's own IID).
+TGA_STRUCTURED_SHARE = 0.7
+#: Traceroute-derived router interface addresses per AS.  These give
+#: the hitlist its very broad AS coverage (the real list contains most
+#: routed ASes) without being application-layer responsive.
+ROUTERS_PER_AS = 25
+#: Probability that a dynamic-DNS record is resolved from a lagging
+#: cache, yielding the device's *previous* (dead) address.
+DDNS_STALENESS = 0.08
+
+
 @dataclass
 class HitlistConfig:
-    """Composition knobs of the synthetic hitlist."""
+    """The synthetic hitlist's seed; its composition is set by the
+    module constants above, modelled on the TUM hitlist's."""
 
-    #: Probability a DNS-named device actually appears.
-    dns_inclusion_rate: float = 0.96
-    #: TGA neighbours generated per seed address.
-    tga_per_seed: int = 5
-    #: Share of TGA neighbours that use small structured IIDs (the rest
-    #: perturb the seed's own IID).
-    tga_structured_share: float = 0.7
-    #: Traceroute-derived router interface addresses per AS.  These give
-    #: the hitlist its very broad AS coverage (the real list contains
-    #: most routed ASes) without being application-layer responsive.
-    routers_per_as: int = 25
-    #: Probability that a dynamic-DNS record is resolved from a lagging
-    #: cache, yielding the device's *previous* (dead) address.
-    ddns_staleness: float = 0.08
     seed: int = 0x711
 
 
@@ -88,10 +91,10 @@ def build_hitlist(world: World, config: Optional[HitlistConfig] = None) -> Hitli
     # of dynamic-DNS names comes out of lagging caches and points at
     # the device's previous, now-dead address.
     for record in world.dns:
-        if rng.random() >= config.dns_inclusion_rate:
+        if rng.random() >= DNS_INCLUSION_RATE:
             continue
         if record.previous is not None and \
-                rng.random() < config.ddns_staleness:
+                rng.random() < DDNS_STALENESS:
             address = world.dns.resolve_stale(record.name)
         else:
             address = world.dns.resolve(record.name)
@@ -110,7 +113,7 @@ def build_hitlist(world: World, config: Optional[HitlistConfig] = None) -> Hitli
     # /48 overlap with NTP-sourced data the paper reports).
     for system in world.asdb.systems:
         blocks = world.asdb.blocks_of(system.number)
-        for index in range(config.routers_per_as):
+        for index in range(ROUTERS_PER_AS):
             block = blocks[index % len(blocks)]
             net48 = rng.randrange(0, 256) << 80
             net64 = rng.randrange(0, 16) << 64
@@ -119,8 +122,8 @@ def build_hitlist(world: World, config: Optional[HitlistConfig] = None) -> Hitli
     # TGA extrapolation: bias towards low/structured IIDs near seeds.
     for seed_address in seeds:
         prefix64 = addrmod.prefix(seed_address, 64)
-        for _ in range(config.tga_per_seed):
-            if rng.random() < config.tga_structured_share:
+        for _ in range(TGA_PER_SEED):
+            if rng.random() < TGA_STRUCTURED_SHARE:
                 iid = rng.randrange(1, 0x2000)
             else:
                 iid = addrmod.iid(seed_address) ^ rng.randrange(1, 0x100)

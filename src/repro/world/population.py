@@ -41,51 +41,61 @@ from repro.world.geo import GeoDatabase, default_geo
 
 @dataclass
 class WorldConfig:
-    """Size and composition knobs for a generated world.
+    """Seed and size of a generated world.
 
     ``scale`` multiplies every population count; tests run ``scale≈0.1``
     (hundreds of devices), benchmarks the default (tens of thousands).
+    The counts and rates it scales are the module constants below,
+    calibrated to the populations the paper measured.
     """
 
     seed: int = 20240720
     scale: float = 1.0
-    #: Customer premises per unit of country client weight.
-    premises_base: float = 24.0
-    #: CDN front addresses (hitlist-only HTTP responders).
-    cdn_fronts: int = 2600
-    #: Aliased /64s: CDN edge subnets answering on *every* address
-    #: (Gasser et al.'s "clusters in the expanse").
-    aliased_64s: int = 30
-    #: Generic web servers per hosting AS.
-    web_per_hosting_as: int = 60
-    #: SSH servers per hosting AS.
-    ssh_per_hosting_as: int = 55
-    #: Managed MQTT/AMQP brokers per hosting AS.
-    mqtt_per_hosting_as: int = 8
-    amqp_per_hosting_as: int = 4
-    #: FreeBSD infrastructure hosts per research AS.
-    freebsd_per_research_as: int = 8
-    #: Probability that an eyeball premises keeps a static prefix.
-    static_prefix_rate: float = 0.45
-    #: Daily rotation probability for dynamic premises.
-    rotation_rate: float = 0.35
-    #: Probability that a consumer device has a (dynamic-)DNS name and is
-    #: therefore discoverable by hitlist-style sourcing.
-    consumer_dns_rate: float = 0.02
-    #: Probability that a *professionally managed* Debian-derived SSH
-    #: host runs the latest patch level.
-    managed_latest_rate: float = 0.55
-    #: Same for end-user administered hosts (Pis, home servers).
-    unmanaged_latest_rate: float = 0.15
-    #: Access-control rates for brokers (Figure 3's ground truth).
-    managed_mqtt_auth_rate: float = 0.82
-    unmanaged_mqtt_auth_rate: float = 0.34
-    amqp_auth_rate: float = 0.93
-    #: SSH host-key reuse (container/system images shipping secrets).
-    ssh_reuse_rate: float = 0.35
-    ssh_pool_size: int = 12
-    unmanaged_ssh_reuse_rate: float = 0.55
-    unmanaged_ssh_pool_size: int = 4
+
+    def __post_init__(self) -> None:
+        # House style: errors lead with field=value so CLI exit-2
+        # output names the offending value.
+        if not self.scale > 0:
+            raise ValueError(f"scale={self.scale}: must be > 0")
+
+
+#: Customer premises per unit of country client weight.
+PREMISES_BASE = 24.0
+#: CDN front addresses (hitlist-only HTTP responders).
+CDN_FRONTS = 2600
+#: Aliased /64s: CDN edge subnets answering on *every* address
+#: (Gasser et al.'s "clusters in the expanse").
+ALIASED_64S = 30
+#: Generic web servers per hosting AS.
+WEB_PER_HOSTING_AS = 60
+#: SSH servers per hosting AS.
+SSH_PER_HOSTING_AS = 55
+#: Managed MQTT/AMQP brokers per hosting AS.
+MQTT_PER_HOSTING_AS = 8
+AMQP_PER_HOSTING_AS = 4
+#: FreeBSD infrastructure hosts per research AS.
+FREEBSD_PER_RESEARCH_AS = 8
+#: Probability that an eyeball premises keeps a static prefix.
+STATIC_PREFIX_RATE = 0.45
+#: Daily rotation probability for dynamic premises.
+ROTATION_RATE = 0.35
+#: Probability that a consumer device has a (dynamic-)DNS name and is
+#: therefore discoverable by hitlist-style sourcing.
+CONSUMER_DNS_RATE = 0.02
+#: Probability that a *professionally managed* Debian-derived SSH
+#: host runs the latest patch level.
+MANAGED_LATEST_RATE = 0.55
+#: Same for end-user administered hosts (Pis, home servers).
+UNMANAGED_LATEST_RATE = 0.15
+#: Access-control rates for brokers (Figure 3's ground truth).
+MANAGED_MQTT_AUTH_RATE = 0.82
+UNMANAGED_MQTT_AUTH_RATE = 0.34
+AMQP_AUTH_RATE = 0.93
+#: SSH host-key reuse (container/system images shipping secrets).
+SSH_REUSE_RATE = 0.35
+SSH_POOL_SIZE = 12
+UNMANAGED_SSH_REUSE_RATE = 0.55
+UNMANAGED_SSH_POOL_SIZE = 4
 
 
 #: Router-type weights per region bucket.
@@ -405,7 +415,7 @@ def _make_router(world: World, rng: random.Random, index: int,
     )
 
 
-def _sample_ssh(rng: random.Random, config: WorldConfig, *, distro: str,
+def _sample_ssh(rng: random.Random, *, distro: str,
                 managed: bool, key: KeyIdentity, ntp: bool,
                 reachable: bool = True, segment: str = "server",
                 addressing: Optional[str] = None,
@@ -414,8 +424,8 @@ def _sample_ssh(rng: random.Random, config: WorldConfig, *, distro: str,
     # Newer releases dominate; stable tails linger.
     weights = [3.0, 1.6, 0.7][: len(releases)]
     release = rng.choices(releases, weights=weights, k=1)[0]
-    latest_rate = (config.managed_latest_rate if managed
-                   else config.unmanaged_latest_rate)
+    latest_rate = (MANAGED_LATEST_RATE if managed
+                   else UNMANAGED_LATEST_RATE)
     if rng.random() < latest_rate:
         patch = release.latest
     else:
@@ -434,7 +444,6 @@ def _sample_ssh(rng: random.Random, config: WorldConfig, *, distro: str,
 def _populate_premises(world: World, site: Premises, continent: str,
                        ssh_pool_unmanaged: KeyPool) -> None:
     rng = world.rng
-    config = world.config
     country = site.country
     slot = 0
 
@@ -446,7 +455,7 @@ def _populate_premises(world: World, site: Premises, continent: str,
         return _place(world, device, site.asn, country, prefix64)
 
     router = _make_router(world, rng, site.site_id, country, continent)
-    if rng.random() < config.consumer_dns_rate and router.has_services:
+    if rng.random() < CONSUMER_DNS_RATE and router.has_services:
         router.labels["dns"] = "yes"
     place(router)
 
@@ -482,7 +491,7 @@ def _populate_premises(world: World, site: Premises, continent: str,
     if rng.random() < 0.02:
         key = ssh_pool_unmanaged.draw(rng)
         pi = _sample_ssh(
-            rng, config, distro="Raspbian", managed=False, key=key,
+            rng, distro="Raspbian", managed=False, key=key,
             ntp=True, segment="consumer", addressing="eui64",
             mac=world.fresh_mac("Raspberry Pi Foundation"),
         )
@@ -495,7 +504,7 @@ def _populate_premises(world: World, site: Premises, continent: str,
     if rng.random() < 0.012:
         key = ssh_pool_unmanaged.draw(rng)
         place(_sample_ssh(
-            rng, config, distro=rng.choice(["Debian", "Ubuntu"]),
+            rng, distro=rng.choice(["Debian", "Ubuntu"]),
             managed=False, key=key, ntp=True, segment="consumer",
             addressing="structured",
         ))
@@ -560,7 +569,7 @@ def _populate_premises(world: World, site: Premises, continent: str,
     if rng.random() < 0.010:
         broker = dev.make_mqtt_broker(
             rng, site.site_id,
-            require_auth=rng.random() < config.unmanaged_mqtt_auth_rate,
+            require_auth=rng.random() < UNMANAGED_MQTT_AUTH_RATE,
             tls=rng.random() < 0.07, ntp=True, segment="consumer",
         )
         place(broker)
@@ -569,14 +578,13 @@ def _populate_premises(world: World, site: Premises, continent: str,
 def _populate_hosting_as(world: World, system: AutonomousSystem,
                          ssh_pool: KeyPool) -> None:
     rng = world.rng
-    config = world.config
-    scale = config.scale
+    scale = world.config.scale
 
     def place_standalone(device: dev.Device) -> dev.Device:
         prefix64 = world.allocate_dense_prefix64(system.number)
         return _place(world, device, system.number, system.country, prefix64)
 
-    web_count = max(1, round(config.web_per_hosting_as * scale))
+    web_count = max(1, round(WEB_PER_HOSTING_AS * scale))
     for index in range(web_count):
         title, _, https = _SERVER_TITLES[
             rng.choices(range(len(_SERVER_TITLES)),
@@ -589,31 +597,31 @@ def _populate_hosting_as(world: World, system: AutonomousSystem,
         )
         place_standalone(server)
 
-    ssh_count = max(1, round(config.ssh_per_hosting_as * scale))
+    ssh_count = max(1, round(SSH_PER_HOSTING_AS * scale))
     for index in range(ssh_count):
         distro = rng.choices(["Ubuntu", "Debian"], weights=[0.68, 0.32], k=1)[0]
         key = ssh_pool.draw(rng)
         host = _sample_ssh(
-            rng, config, distro=distro, managed=True, key=key,
+            rng, distro=distro, managed=True, key=key,
             ntp=rng.random() < 0.25,
         )
         host.labels["dns"] = "yes"
         place_standalone(host)
 
-    for index in range(max(1, round(config.mqtt_per_hosting_as * scale))):
+    for index in range(max(1, round(MQTT_PER_HOSTING_AS * scale))):
         broker = dev.make_mqtt_broker(
             rng, index,
-            require_auth=rng.random() < config.managed_mqtt_auth_rate,
+            require_auth=rng.random() < MANAGED_MQTT_AUTH_RATE,
             tls=rng.random() < 0.35, ntp=rng.random() < 0.12,
             segment="server",
         )
         broker.labels["dns"] = "yes"
         place_standalone(broker)
 
-    for index in range(max(1, round(config.amqp_per_hosting_as * scale))):
+    for index in range(max(1, round(AMQP_PER_HOSTING_AS * scale))):
         broker = dev.make_amqp_broker(
             rng, index,
-            require_auth=rng.random() < config.amqp_auth_rate,
+            require_auth=rng.random() < AMQP_AUTH_RATE,
             tls=rng.random() < 0.3, ntp=rng.random() < 0.3,
             segment="server",
         )
@@ -635,8 +643,7 @@ def _populate_hosting_as(world: World, system: AutonomousSystem,
 def _populate_research_as(world: World, system: AutonomousSystem,
                           ssh_pool: KeyPool) -> None:
     rng = world.rng
-    config = world.config
-    count = max(1, round(config.freebsd_per_research_as * config.scale))
+    count = max(1, round(FREEBSD_PER_RESEARCH_AS * world.config.scale))
     for index in range(count):
         key = ssh_pool.draw(rng)
         host = dev.make_ssh_host(
@@ -652,7 +659,7 @@ def _populate_research_as(world: World, system: AutonomousSystem,
 
 def _populate_cdn(world: World, cloud_systems: List[AutonomousSystem]) -> None:
     rng = world.rng
-    count = max(2, round(world.config.cdn_fronts * world.config.scale))
+    count = max(2, round(CDN_FRONTS * world.config.scale))
     for index in range(count):
         system = cloud_systems[index % len(cloud_systems)]
         front = dev.make_web_server(
@@ -667,7 +674,7 @@ def _populate_cdn(world: World, cloud_systems: List[AutonomousSystem]) -> None:
     # of the /64 with the same SNI-gated CDN personality.  They live in
     # the same dense CDN /56s, which is how hitlist TGAs stumble into
     # them.
-    aliased = max(1, round(world.config.aliased_64s * world.config.scale))
+    aliased = max(1, round(ALIASED_64S * world.config.scale))
     for index in range(aliased):
         system = cloud_systems[index % len(cloud_systems)]
         edge = dev.make_web_server(
@@ -695,14 +702,10 @@ def build_world(config: Optional[WorldConfig] = None) -> World:
         geo=geo, asdb=asdb, oui=default_registry(),
     )
 
-    ssh_pool_managed = KeyPool(
-        "managed", size=config.ssh_pool_size,
-        reuse_rate=config.ssh_reuse_rate,
-    )
-    ssh_pool_unmanaged = KeyPool(
-        "unmanaged", size=config.unmanaged_ssh_pool_size,
-        reuse_rate=config.unmanaged_ssh_reuse_rate,
-    )
+    ssh_pool_managed = KeyPool("managed", size=SSH_POOL_SIZE,
+                               reuse_rate=SSH_REUSE_RATE)
+    ssh_pool_unmanaged = KeyPool("unmanaged", size=UNMANAGED_SSH_POOL_SIZE,
+                                 reuse_rate=UNMANAGED_SSH_REUSE_RATE)
 
     eyeballs: Dict[str, List[AutonomousSystem]] = {}
     hosting: List[AutonomousSystem] = []
@@ -731,7 +734,7 @@ def build_world(config: Optional[WorldConfig] = None) -> World:
         if not systems:
             continue
         count = max(1, round(country.client_weight
-                             * config.premises_base * config.scale))
+                             * PREMISES_BASE * config.scale))
         for _ in range(count):
             system = rng.choice(systems)
             site = Premises(
@@ -739,8 +742,8 @@ def build_world(config: Optional[WorldConfig] = None) -> World:
                 asn=system.number,
                 country=country.code,
                 prefix56=world.allocate_prefix56(system.number),
-                rotation_rate=(0.0 if rng.random() < config.static_prefix_rate
-                               else config.rotation_rate),
+                rotation_rate=(0.0 if rng.random() < STATIC_PREFIX_RATE
+                               else ROTATION_RATE),
             )
             site_id += 1
             _populate_premises(world, site, country.continent,

@@ -1,4 +1,10 @@
-"""The unoptimized Table-3 title clustering: the clusterer's oracle.
+"""The unoptimized Levenshtein distance and Table-3 title clustering.
+
+:func:`full_distance` is the classic O(n·m) dynamic program over the
+whole table, and :func:`normalized_distance` scales it into [0, 1] by
+the longer string's length; the banded
+:func:`repro.analysis.levenshtein.distance` and
+:func:`~repro.analysis.levenshtein.within` are checked against them.
 
 :func:`reference_cluster_counts` clusters as Section 4.3.1 states it:
 titles, most frequent first, each join the first group (in insertion
@@ -15,12 +21,41 @@ test, and the full table of a pair fills ``len(left) * len(right)`` DP
 cells.
 """
 
-from repro.analysis.levenshtein import (
-    DEFAULT_THRESHOLD,
-    ClusterStats,
-    TitleGroup,
-    distance,
-)
+from repro.analysis.levenshtein import DEFAULT_THRESHOLD, ClusterStats, TitleGroup
+
+
+def full_distance(left, right, stats=None):
+    """The exact edit distance (insert/delete/substitute) from the full
+    DP table; ``stats`` counts the table's cells."""
+    if left == right:
+        return 0
+    if not left or not right:
+        return max(len(left), len(right))
+    if len(left) < len(right):
+        left, right = right, left
+    if stats is not None:
+        stats.dp_cells += len(left) * len(right)
+    previous = list(range(len(right) + 1))
+    for row, char_left in enumerate(left, start=1):
+        current = [row]
+        for col, char_right in enumerate(right, start=1):
+            cost = 0 if char_left == char_right else 1
+            current.append(min(
+                previous[col] + 1,        # deletion
+                current[col - 1] + 1,     # insertion
+                previous[col - 1] + cost  # substitution
+            ))
+        previous = current
+    return previous[-1]
+
+
+def normalized_distance(left, right):
+    """:func:`full_distance` scaled into [0, 1] by the longer string's
+    length; two empty strings are identical (0.0)."""
+    longest = max(len(left), len(right))
+    if longest == 0:
+        return 0.0
+    return full_distance(left, right) / longest
 
 
 def _matches(title, representative, threshold, stats):
@@ -30,7 +65,7 @@ def _matches(title, representative, threshold, stats):
     if abs(len(title) - len(representative)) / longest > threshold:
         return False
     stats.pairs_compared += 1
-    return distance(title, representative, stats=stats) / longest \
+    return full_distance(title, representative, stats) / longest \
         <= threshold
 
 

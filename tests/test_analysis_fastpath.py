@@ -22,7 +22,6 @@ from repro.analysis.levenshtein import (
     cluster_counts,
     distance,
     distance_bound,
-    normalized_distance,
     within,
 )
 from repro.analysis.bundle import run_analysis
@@ -36,7 +35,11 @@ from repro.scan.result import (
     TlsObservation,
 )
 
-from tests.levenshtein_oracle import reference_cluster_counts
+from tests.levenshtein_oracle import (
+    full_distance,
+    normalized_distance,
+    reference_cluster_counts,
+)
 
 #: Small alphabet so random strings actually collide within threshold.
 TITLES = st.text(alphabet="ab-XY 0123", max_size=14)
@@ -46,8 +49,8 @@ class TestBandedDistanceProperties:
     @given(TITLES, TITLES, st.integers(min_value=0, max_value=16))
     @settings(max_examples=300)
     def test_banded_exact_within_bound(self, left, right, bound):
-        """Banded result == plain result whenever the truth fits."""
-        true = distance(left, right)
+        """Banded result == the full table's whenever the truth fits."""
+        true = full_distance(left, right)
         banded = distance(left, right, upper_bound=bound)
         if true <= bound:
             assert banded == true
@@ -80,7 +83,7 @@ class TestBandedDistanceProperties:
         plain = ClusterStats()
         fast = ClusterStats()
         left, right = "FRITZ!Box 7590 Router", "totally different text!"
-        distance(left, right, stats=plain)
+        full_distance(left, right, plain)
         result = distance(left, right, upper_bound=3, stats=fast)
         assert result > 3
         assert fast.band_exits == 1

@@ -1,4 +1,10 @@
-"""Unit and property tests for Levenshtein distance and title clustering."""
+"""Unit and property tests for Levenshtein distance and title clustering.
+
+The banded :func:`distance` is exact whenever the true distance fits
+its bound, and no distance exceeds the longer string's length, so
+:func:`exact` (bounded there) is the edit distance; every property
+checks it against the full-table DP of :mod:`tests.levenshtein_oracle`.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +14,20 @@ from repro.analysis.levenshtein import (
     TitleClusterer,
     cluster_counts,
     distance,
-    normalized_distance,
     within,
 )
 
+from tests.levenshtein_oracle import full_distance, normalized_distance
+
 SHORT_TEXT = st.text(alphabet="abcdef !", max_size=12)
+
+
+def exact(left, right):
+    """The banded distance under a bound no distance exceeds, checked
+    against the oracle's full table."""
+    result = distance(left, right, max(len(left), len(right)))
+    assert result == full_distance(left, right)
+    return result
 
 
 class TestDistance:
@@ -26,25 +41,25 @@ class TestDistance:
         ("FRITZ!Box 7590", "FRITZ!Box 7490", 1),
     ])
     def test_known_values(self, left, right, expected):
-        assert distance(left, right) == expected
+        assert exact(left, right) == expected
 
     @given(SHORT_TEXT, SHORT_TEXT)
     def test_symmetry(self, left, right):
-        assert distance(left, right) == distance(right, left)
+        assert exact(left, right) == exact(right, left)
 
     @given(SHORT_TEXT, SHORT_TEXT)
     def test_bounds(self, left, right):
-        d = distance(left, right)
+        d = exact(left, right)
         assert abs(len(left) - len(right)) <= d <= max(len(left), len(right))
 
     @given(SHORT_TEXT, SHORT_TEXT, SHORT_TEXT)
     @settings(max_examples=40)
     def test_triangle_inequality(self, a, b, c):
-        assert distance(a, c) <= distance(a, b) + distance(b, c)
+        assert exact(a, c) <= exact(a, b) + exact(b, c)
 
     @given(SHORT_TEXT)
     def test_identity(self, text):
-        assert distance(text, text) == 0
+        assert exact(text, text) == 0
 
 
 class TestNormalized:
@@ -154,6 +169,6 @@ class TestBandedDistance:
     @given(SHORT_TEXT, SHORT_TEXT, st.integers(min_value=0, max_value=12))
     @settings(max_examples=200)
     def test_agrees_with_plain_distance(self, left, right, bound):
-        true = distance(left, right)
+        true = full_distance(left, right)
         banded = distance(left, right, upper_bound=bound)
         assert (banded == true) if true <= bound else (banded > bound)

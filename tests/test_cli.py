@@ -160,3 +160,21 @@ class TestSaveLoad:
         report = load_run_report(out / "run_report.jsonl")
         assert report.command == "study"
         assert report.tables["table1"]
+
+
+class TestOutOfRangeSettings:
+    """A world or campaign setting outside its range exits 2 with a
+    ``field=value`` message before anything runs."""
+
+    @pytest.mark.parametrize("argv,lead", [
+        (["world", "--scale", "-1"], "scale=-1.0"),
+        (["study", "--scale", "0.02", "--no-rl", "--wire", "5"],
+         "wire_fraction=5.0"),
+        (["collect", "--scale", "0.02", "--days", "-2", "--wire", "3.5"],
+         "days=-2"),
+    ])
+    def test_exits_2_naming_the_value(self, capsys, argv, lead):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {lead}:")
+        assert captured.out == ""

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.campaign import CampaignConfig, CollectionCampaign, rl_2022_config
+from repro.core.campaign import (
+    RESOLUTIONS_PER_DAY,
+    CampaignConfig,
+    CollectionCampaign,
+    rl_2022_config,
+)
 from repro.core.pipeline import build_world
 from repro.net.clock import DAY
 from repro.net.simnet import Network
@@ -206,7 +211,7 @@ class TestDayTables:
         day_campaign.rng = random.Random(seed)
         reference_rng = random.Random(seed)
         clock = day_campaign.world.clock
-        resolutions = day_campaign.config.resolutions_per_day
+        resolutions = RESOLUTIONS_PER_DAY
         for kind, *args in registrations + operations + [("resolve",)]:
             if kind != "resolve":
                 apply_operation(pool, network, kind, *args)

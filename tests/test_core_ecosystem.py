@@ -33,7 +33,6 @@ from repro.core.ecosystem import (
     RdnsWalkActor,
     ResidentialSweepActor,
     ScannerPopulation,
-    ScenarioConfig,
     TgaActor,
     leak_scenario,
 )
@@ -291,8 +290,7 @@ def run_leak_scenario():
     population = leak_scenario(
         network, scheduler, rdns, PREFIX48,
         sources={strategy: sources_for(strategy)
-                 for strategy in SOURCE_BASES},
-        config=ScenarioConfig(seed=7))
+                 for strategy in SOURCE_BASES})
     scheduler.run_all()
     report = attribute_events(
         scope.events, truth=population.ground_truth(), rdns=rdns)
@@ -369,7 +367,7 @@ class TestEcosystemApi:
                       "attribution_windows"):
             assert table in report.tables, table
         document = report.as_document()
-        assert document["config"]["scenario"]["hitlist_targets"] == 12
+        assert document["config"]["window_days"] == 2.0
 
     def test_windows_complete_only(self, ecosystem_run):
         windows = ecosystem_run.report.tables["attribution_windows"]
@@ -384,5 +382,3 @@ class TestEcosystemApi:
             api.EcosystemConfig(step_days=2.0)
         with pytest.raises(ValueError, match="window_days"):
             api.EcosystemConfig(window_days=-1.0)
-        with pytest.raises(ValueError, match="hitlist_targets"):
-            ScenarioConfig(hitlist_targets=0)

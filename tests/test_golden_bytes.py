@@ -45,9 +45,16 @@ analyze metrics digest were re-captured, by the same procedure, when
 the title clusterer lost its distance cache: each snapshot then
 equalled the previous code's without its two (zero-valued)
 ``analysis_cache_hits_total`` series, and every WAL segment and
-checkpoint stayed byte-identical.  Any change to what these entry
-points compute shows up here.  The amplification metrics are left out: their
-``engine`` label names the scan engine.
+checkpoint stayed byte-identical.  The three store-file digests were
+re-captured when checkpoints shrank to their replay anchor: before any
+``src/`` change, every WAL segment and checkpoint of the three stores
+was captured at the previous code; at the new code every WAL segment
+was byte-identical, and each checkpoint equalled the previous one in
+``kind``, ``version``, ``seq`` and ``chain``, with a ``state`` equal to
+the previous state's ``clock`` and ``targets`` and a new ``crc``.  Any
+change to what these entry points compute shows up here.  The
+amplification metrics are left out: their ``engine`` label names the
+scan engine.
 """
 
 import hashlib
@@ -77,7 +84,7 @@ GOLDEN_METRICS = (
 GOLDEN_STORE_METRICS = (
     "dbce0c9d64428bf54ce2114b89f99dafc5f39d8f50b77074178113dc14db6052")
 GOLDEN_STORE_FILES = (
-    "39e633881da50ad3bed0b7b3519eba5a96b7b24233f1d0c3cf71348d6339ecfa")
+    "05ba374b82b1638296b1a2273e87d8b95b22b65123b178a2b2bacaf8ed087fb0")
 GOLDEN_AMPLIFICATION_TABLES = (
     "01cc2e2f429ca298c0a9957b66d6dd368108a82260658c48626d53f27a921354")
 GOLDEN_ECOSYSTEM_TABLES = (
@@ -89,9 +96,11 @@ GOLDEN_ANALYZE_TABLES = (
 GOLDEN_ANALYZE_METRICS = (
     "454bbf559e0c6bf1d23222b50643d87102580dcb30939eb4e48971b727875a0f")
 GOLDEN_CAMPAIGN_STORE_FILES = (
-    "e77c3cd9a6cb7b693a34a9fafd31c4fd64bb6e33127d5cd285f56c1df40321a4")
-GOLDEN_RESUMED_CAMPAIGN_STORE_FILES = (
-    "25b216357dfbc9216f12dc34f7b94c019791e4d4467e88bfad0b8337634e1e4e")
+    "877fa7143ebce5e62e1379b2d74b1ad19dacbfbeb253a41e15fa02103980da62")
+#: The crashed and resumed campaign leaves the uninterrupted one's
+#: files byte for byte: its WAL always matched, and its checkpoints no
+#: longer carry the metrics snapshot that recovery's counters changed.
+GOLDEN_RESUMED_CAMPAIGN_STORE_FILES = GOLDEN_CAMPAIGN_STORE_FILES
 
 #: The record the crashed campaign dies after: a refused grab of the
 #: day-2 hitlist sweep.

@@ -4,6 +4,7 @@ import pytest
 
 from repro.ipv6 import parse
 from repro.net.dns import DnsZone
+from repro.world import hitlist as hitlist_module
 from repro.world.hitlist import HitlistConfig, build_hitlist
 from repro.world.population import build_world
 from tests.conftest import small_world_config
@@ -84,18 +85,18 @@ class TestWorldIntegration:
         assert world.dns.resolve(name) == target.address
         assert world.churn.ddns_updates > 0
 
-    def test_hitlist_contains_stale_ddns_targets(self):
+    def test_hitlist_contains_stale_ddns_targets(self, monkeypatch):
         """With heavy staleness, some list entries are dead previous
         addresses — real hitlists carry these too."""
         world = build_world(small_world_config())
         for _ in range(10):
             world.churn.step_day()
-        stale_list = build_hitlist(
-            world, HitlistConfig(ddns_staleness=1.0, routers_per_as=0,
-                                 tga_per_seed=0))
-        fresh_list = build_hitlist(
-            world, HitlistConfig(ddns_staleness=0.0, routers_per_as=0,
-                                 tga_per_seed=0))
+        monkeypatch.setattr(hitlist_module, "ROUTERS_PER_AS", 0)
+        monkeypatch.setattr(hitlist_module, "TGA_PER_SEED", 0)
+        monkeypatch.setattr(hitlist_module, "DDNS_STALENESS", 1.0)
+        stale_list = build_hitlist(world, HitlistConfig())
+        monkeypatch.setattr(hitlist_module, "DDNS_STALENESS", 0.0)
+        fresh_list = build_hitlist(world, HitlistConfig())
         assert stale_list.full != fresh_list.full
         # Stale entries are less often live.
         assert stale_list.public_size <= fresh_list.public_size

@@ -34,29 +34,11 @@ def test_store_dir_is_required():
     ("campaign_days", 0),
     ("checkpoint_days", 0),
     ("hitlist_days", -1),
-    ("drift_spawn_rate", 1.5),
-    ("drift_retire_rate", -0.1),
-    ("pool_join_rate", 2.0),
-    ("pool_leave_rate", -1.0),
-    ("window", 0),
-    ("step", 0),
-    ("serve_cache_frames", 0),
     ("segment_max_records", 0),
-    ("fsync_every", 0),
 ])
 def test_rejects_out_of_range_knobs(field, value):
     with pytest.raises(ValueError, match=f"{field}={value}"):
         make_config(**{field: value})
-
-
-def test_rejects_unknown_protocols():
-    with pytest.raises(ValueError, match="protocols=ssh,nope"):
-        make_config(protocols=("ssh", "nope"))
-
-
-def test_rejects_empty_protocol_tuple():
-    with pytest.raises(ValueError, match="protocols="):
-        make_config(protocols=())
 
 
 def test_hitlist_days_zero_disables_sweeps():
@@ -67,10 +49,10 @@ def test_hitlist_days_zero_disables_sweeps():
 
 def test_round_trips_through_json_document():
     config = make_config(
-        campaign=CampaignConfig(label="svc", wire_fraction=0.0),
+        campaign=CampaignConfig(label="svc", wire_fraction=0.0,
+                                deployment=("DE", "US")),
         campaign_days=14, checkpoint_days=2, hitlist_days=3,
-        protocols=("ssh", "http"), drift_spawn_rate=0.05,
-        window=3, step=1, serve_cache_frames=8)
+        drift_seed=5, segment_max_records=64)
     document = json.loads(json.dumps(asdict(config)))
     rebuilt = config_from_document(ServiceConfig, document)
     assert rebuilt == config

@@ -22,8 +22,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.io.jsonl import to_canonical_json
-from repro.store import WalError, WalWriter, list_segments, record_crc, verify_record
-from repro.store.wal import encode_record, parse_line, read_all
+from repro.store import WalError, WalWriter, list_segments, record_crc
+from repro.store.wal import encode_record, parse_line
+
+from tests.wal_reference import read_all, verify_record
 
 SCALARS = st.one_of(
     st.none(),

@@ -75,7 +75,7 @@ def _events(writer: StoreWriter, count: int) -> None:
         else:
             writer.sighting(address, now, "Germany")
         if i == count // 2:
-            writer.checkpoint(lambda: {"records": i})
+            writer.checkpoint({"records": i})
 
 
 def _traced_peak(action) -> int:
@@ -127,8 +127,8 @@ def test_resume_peak_grows_by_at_most_slope_per_record(peaks, phase):
 def _verify_peak(run_dir, count: int) -> int:
     """Traced peak of ``verify()`` over ``count`` distinct admissions,
     ``WINDOW`` to a TTL, with a checkpoint every ``CHECKPOINT_EVERY``
-    whose state holds the TTL window's admissions, as a scheduler's
-    cooldown snapshot does."""
+    whose state holds the TTL window's admissions, as the scheduler's
+    cool-down snapshot in checkpoints of older stores did."""
     ttl = 3 * 86400.0
     window = {}
     with use_registry():
@@ -142,7 +142,7 @@ def _verify_peak(run_dir, count: int) -> int:
             if len(window) > WINDOW:
                 del window[next(iter(window))]
             if i % CHECKPOINT_EVERY == CHECKPOINT_EVERY - 1:
-                writer.checkpoint(lambda: {"cooldown": dict(window)})
+                writer.checkpoint({"cooldown": dict(window)})
         writer.close()
         report = {}
         peak = _traced_peak(lambda: report.update(store.verify()))

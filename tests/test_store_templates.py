@@ -46,14 +46,10 @@ from repro.scan.engine import ScanEngine
 from repro.scan.modules.mqtt import refused_mqtt
 from repro.scan.result import ScanResults
 from repro.store import RecoveryError, RunStore, StoreWriter, fault_injection
-from repro.store.wal import (
-    RecordTemplate,
-    encode_group,
-    encode_record,
-    read_all,
-)
+from repro.store.wal import RecordTemplate, encode_group, encode_record
 
 from tests.test_store_codec import PAYLOADS, SEQS, VALUES
+from tests.wal_reference import read_all
 
 ADDRESSES = st.one_of(
     st.integers(min_value=0, max_value=2**128 - 1),

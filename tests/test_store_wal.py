@@ -29,9 +29,10 @@ from repro.store import (
     record_crc,
     save_checkpoint,
     segment_name,
-    verify_record,
 )
-from repro.store.wal import read_all, segment_first_seq
+from repro.store.wal import segment_first_seq
+
+from tests.wal_reference import read_all, verify_record
 
 COOLDOWN = 259_200.0  # the engine default: 3 simulated days
 
@@ -556,7 +557,7 @@ class TestStoreWriterUnit:
         writer = StoreWriter(store)
         for i in range(10):
             writer.emit(sighting(i))
-        writer.checkpoint(dict)
+        writer.checkpoint({})
         writer.close()
         if compacted:
             assert store.compact()["compacted_through"] == 8

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.ipv6 import iid as iidmod
+from repro.world import hitlist as hitlist_module
 from repro.world.hitlist import HitlistConfig, build_hitlist
 from repro.world.population import build_world
 from tests.conftest import small_world_config
@@ -57,10 +58,11 @@ class TestComposition:
 
 
 class TestConfig:
-    def test_no_routers(self, world):
-        bare = build_hitlist(world, HitlistConfig(routers_per_as=0,
-                                                  tga_per_seed=0))
+    def test_no_routers(self, world, monkeypatch):
         rich = build_hitlist(world, HitlistConfig())
+        monkeypatch.setattr(hitlist_module, "ROUTERS_PER_AS", 0)
+        monkeypatch.setattr(hitlist_module, "TGA_PER_SEED", 0)
+        bare = build_hitlist(world, HitlistConfig())
         assert bare.full_size < rich.full_size
 
     def test_deterministic(self, world):

@@ -41,8 +41,7 @@ def test_pipeline_end_to_end(benchmark):
 def _ecosystem_run():
     """One mixed-actor telescope campaign with strategy attribution."""
     return api.ecosystem(api.EcosystemConfig(
-        world=WorldConfig(seed=20240720, scale=0.1),
-        sweep_days=4, settle_days=2))
+        world=WorldConfig(seed=20240720, scale=0.1), sweep_days=4))
 
 
 def test_ecosystem_attribution_population(benchmark):

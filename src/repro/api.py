@@ -58,6 +58,9 @@ class CollectConfig:
 #: actors fire their delayed scans.
 TELESCOPE_SETTLE_DAYS = 4
 
+#: The same wait for an ecosystem run.
+ECOSYSTEM_SETTLE_DAYS = 2
+
 
 @dataclass
 class TelescopeConfig:
@@ -84,15 +87,14 @@ class EcosystemConfig:
     Builds on :class:`TelescopeConfig`'s wiring (the same two
     NTP-sourcing actors and daily sweeps) and adds the five-strategy
     leak population of :func:`~repro.core.ecosystem.leak_scenario` plus
-    the attribution layer.  ``window_days`` additionally emits rolling
+    the attribution layer, and waits :data:`ECOSYSTEM_SETTLE_DAYS`
+    after the last sweep.  ``window_days`` additionally emits rolling
     attribution windows through the service reader.
     """
 
     world: WorldConfig = field(default_factory=WorldConfig)
     #: Daily telescope sweeps over the pool.
     sweep_days: int = 4
-    #: Extra days for slow (covert) actors to fire their delayed scans.
-    settle_days: int = 2
     #: Rolling attribution windows (simulated days); None disables.
     window_days: Optional[float] = None
     step_days: Optional[float] = None
@@ -101,9 +103,6 @@ class EcosystemConfig:
         if self.sweep_days < 1:
             raise ValueError(
                 f"sweep_days={self.sweep_days}: must be >= 1")
-        if self.settle_days < 0:
-            raise ValueError(
-                f"settle_days={self.settle_days}: must be >= 0")
         if self.window_days is None:
             if self.step_days is not None:
                 raise ValueError(
@@ -506,7 +505,7 @@ def ecosystem(config: Optional[EcosystemConfig] = None) -> EcosystemResult:
 
         scope.watch(campaign.pool, scheduler,
                     sweep_days=config.sweep_days,
-                    settle_days=config.settle_days)
+                    settle_days=ECOSYSTEM_SETTLE_DAYS)
 
         detector = ActorDetector(
             scope, world.asdb, rdns=world.rdns,

@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.collector import CaptureServer, CollectedDataset
@@ -52,6 +53,11 @@ class CampaignConfig:
     """Parameters of one collection campaign."""
 
     label: str = "ntp"
+    #: Collection days of :meth:`CollectionCampaign.run`, its only
+    #: reader: ``api.collect`` and ``repro collect``, and the R&L
+    #: pre-campaign (:func:`rl_2022_config`).  Runs that step the
+    #: campaign with ``advance_days`` ignore it: a batch study runs its
+    #: ``lead_days + final_days`` and the daemon its ``campaign_days``.
     days: int = 28
     #: Countries receiving one capture server each.
     deployment: Tuple[str, ...] = DEPLOYMENT_COUNTRIES
@@ -386,18 +392,23 @@ class CollectionCampaign:
         rotation draws nothing.  A country's table is built at its
         first client and kept for this call only, because the pool
         changes (``register``, ``deregister``, ``set_netspeed``,
-        ``run_monitor``) only between days.
+        ``run_monitor``) only between days.  So is each
+        ``ntp_interval``'s poll plan, its draws and the polls per draw
+        (:func:`_poll_plan`), at its first client.
         """
         random_ = self.rng.random
         events = [(random_() * DAY, device) for device in clients]
-        events.sort(key=lambda event: event[0])
-        resolutions = RESOLUTIONS_PER_DAY
+        events.sort(key=itemgetter(0))
         clock = self.world.clock
         tables: Dict[str, tuple] = {}
+        plans: Dict[float, tuple] = {}
         for offset, device in events:
             clock.advance_to(max(day_start + offset, clock.now()))
-            polls = max(1, round(DAY / device.ntp_interval))
-            share = max(1, polls // resolutions)
+            plan = plans.get(device.ntp_interval)
+            if plan is None:
+                plan = plans[device.ntp_interval] = _poll_plan(
+                    device.ntp_interval)
+            draws, share = plan
             table = tables.get(device.country)
             if table is None:
                 table = tables[device.country] = self._zone_table(
@@ -405,7 +416,7 @@ class CollectionCampaign:
             if not table:
                 continue  # nothing in rotation: no lookup draws
             cum_weights, total, last, captures = table
-            for _ in range(min(resolutions, polls)):
+            for _ in draws:
                 capture = captures[bisect_right(cum_weights,
                                                 random_() * total, 0, last)]
                 if capture is None:
@@ -422,6 +433,15 @@ class CollectionCampaign:
                     capture.record_direct(device.address, clock.now(),
                                           requests=share)
                     self.fast_queries += share
+
+
+def _poll_plan(ntp_interval: float) -> tuple:
+    """``(draws, share)`` of a client polling every ``ntp_interval``
+    seconds: a range over its ``min(RESOLUTIONS_PER_DAY, polls)`` pool
+    draws a day, and the polls each draw stands for."""
+    polls = max(1, round(DAY / ntp_interval))
+    return (range(min(RESOLUTIONS_PER_DAY, polls)),
+            max(1, polls // RESOLUTIONS_PER_DAY))
 
 
 def rl_2022_config(days: int = 14, seed: int = 0x2022) -> CampaignConfig:

@@ -65,10 +65,14 @@ class CollectedDataset:
         Returns True when the address is new to the dataset.
         """
         self.total_requests += requests
-        self.per_server.setdefault(server_location, set()).add(address)
+        addresses = self.per_server.get(server_location)
+        if addresses is None:
+            addresses = self.per_server[server_location] = set()
+        addresses.add(address)
         observation = self.observations.get(address)
         if observation is not None:
-            observation.last_seen = max(observation.last_seen, time)
+            if time > observation.last_seen:
+                observation.last_seen = time
             observation.requests += requests
             return False
         self.observations[address] = AddressObservation(

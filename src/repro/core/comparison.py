@@ -11,13 +11,15 @@ come from the columnar bucketing kernel (the AS registry is /32
 granular, so grouping by /32 and resolving one lookup per distinct
 network is exactly equal to the seed-era per-address loop), and address
 overlaps are sorted-column intersections instead of
-``set(left) & set(right)``.
+``set(left) & set(right)``.  A dataset's per-/48 and per-AS counts are
+computed once, at first use, and shared by its summary and every
+overlap it takes part in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.ipv6.columnar import AddressColumn
 from repro.world.asdb import AsDatabase
@@ -51,6 +53,9 @@ class DatasetComparison:
     def __init__(self, asdb: AsDatabase) -> None:
         self.asdb = asdb
         self._columns: Dict[str, AddressColumn] = {}
+        #: label -> (per-/48 counts, per-AS counts), see :meth:`_counts`.
+        self._count_cache: Dict[str, Tuple[Dict[int, int],
+                                           Dict[int, int]]] = {}
 
     def add(self, label: str, addresses: Iterable[int]) -> None:
         if label in self._columns:
@@ -70,19 +75,21 @@ class DatasetComparison:
 
     # -- per-dataset metrics ------------------------------------------------
 
-    def _net48s(self, label: str) -> Set[int]:
-        return self._columns[label].distinct_network_keys(48)
-
-    def _asns(self, label: str) -> Set[int]:
-        return set(self.asdb.as_counts(self._columns[label]))
+    def _counts(self, label: str) -> Tuple[Dict[int, int], Dict[int, int]]:
+        """``(per48, per_as)``: the dataset's address count per /48 key
+        and per routed AS, computed at the first call for ``label``."""
+        counts = self._count_cache.get(label)
+        if counts is None:
+            column = self._columns[label]
+            counts = self._count_cache[label] = (
+                column.network_key_counts(48), self.asdb.as_counts(column))
+        return counts
 
     def summary(self, label: str) -> DatasetSummary:
-        column = self._columns[label]
-        per48 = column.network_key_counts(48)
-        per_as = self.asdb.as_counts(column)
+        per48, per_as = self._counts(label)
         return DatasetSummary(
             label=label,
-            address_count=len(column),
+            address_count=len(self._columns[label]),
             net48_count=len(per48),
             as_count=len(per_as),
             median_ips_per_48=_median(per48.values()),
@@ -93,11 +100,13 @@ class DatasetComparison:
 
     def overlap(self, reference: str, other: str) -> OverlapSummary:
         ref, oth = self._columns[reference], self._columns[other]
+        ref48, ref_as = self._counts(reference)
+        oth48, oth_as = self._counts(other)
         return OverlapSummary(
             other_label=other,
             address_overlap=ref.intersection_count(oth),
-            net48_overlap=len(self._net48s(reference) & self._net48s(other)),
-            as_overlap=len(self._asns(reference) & self._asns(other)),
+            net48_overlap=len(ref48.keys() & oth48.keys()),
+            as_overlap=len(ref_as.keys() & oth_as.keys()),
         )
 
     def table(self, reference: str) -> "ComparisonTable":

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import struct
 from collections import Counter
-from typing import Dict, Iterable, Iterator, List, Set, Tuple, Union
+from itertools import repeat
+from operator import lshift, or_, rshift
+from typing import Dict, Iterable, Iterator, List, Tuple, Union
 
 from repro.ipv6 import iid as iidmod
 from repro.ipv6._columnar_tables import (
@@ -168,20 +170,15 @@ class AddressColumn:
         words = struct.unpack(f">{2 * count}Q", self._data)
         high = words[0::2]
         if level <= 64:
-            shift = 64 - level
-            return dict(Counter(value >> shift for value in high))
+            return dict(Counter(map(rshift, high, repeat(64 - level))))
         low = words[1::2]
-        up, down = level - 64, 128 - level
-        return dict(Counter(
-            (h << up) | (l >> down) for h, l in zip(high, low)))
+        return dict(Counter(map(
+            or_, map(lshift, high, repeat(level - 64)),
+            map(rshift, low, repeat(128 - level)))))
 
     def network_key_counts_ordered(self, level: int) -> List[Tuple[int, int]]:
         """``(key, count)`` pairs in first-occurrence order."""
         return list(self.network_key_counts(level).items())
-
-    def distinct_network_keys(self, level: int) -> Set[int]:
-        """The set of ``/level`` keys covering the column."""
-        return set(self.network_key_counts(level))
 
     # -- set algebra -------------------------------------------------------
     #

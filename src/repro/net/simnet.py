@@ -242,6 +242,13 @@ class Network:
             self._ephemeral = 49152
         return port
 
+    def skip_ephemeral_ports(self, count: int) -> None:
+        """Take ``count`` client-side ports without returning them: the
+        next port is then the one ``count`` calls of
+        :meth:`ephemeral_port` would leave, with the same wrap from
+        65535 to 49152 (the range holds 16,384 ports)."""
+        self._ephemeral = 49152 + (self._ephemeral - 49152 + count) % 16384
+
     def ports_to_deliver(self, host: Optional[Host]
                          ) -> Optional[AbstractSet[int]]:
         """The ports whose attempts on ``host`` must really be delivered;
@@ -256,8 +263,9 @@ class Network:
         a reachable one accepts the ports bound on either transport, so
         a port bound on the other one takes the full path.  A settled
         attempt must still take the ephemeral port :meth:`tcp_connect`
-        or :meth:`udp_request` would have (:meth:`ephemeral_port`),
-        because servers see client ports, so later ports do not shift.
+        or :meth:`udp_request` would have (:meth:`ephemeral_port`, or
+        :meth:`skip_ephemeral_ports` for several at once), because
+        servers see client ports, so later ports do not shift.
         """
         if self._taps or self.loss_rate > 0:
             return None

@@ -102,9 +102,10 @@ class ScanEngine:
 
     A probe whose spec carries its module's refused grab, on a port the
     network would refuse, is settled without running the module (see
-    :meth:`execute_into`).  With a store attached, the settled probes of
-    a target reach it as runs of consecutive probes, each run in one
-    call of the plan's refused-record writer
+    :meth:`execute_into`); a target the network refuses on every port
+    of the plan is settled whole, in one step.  With a store attached,
+    the settled probes of a target reach it as runs of consecutive
+    probes, each run in one call of the plan's refused-record writer
     (:meth:`repro.store.writer.StoreWriter.refused_sink`).
     """
 
@@ -152,7 +153,7 @@ class ScanEngine:
     # -- the probe loop -----------------------------------------------------
 
     def _build_plan(self) -> tuple:
-        """The probe plan and its refused-record writer.
+        """The probe plan, its refused-record writer and its settle.
 
         The plan holds one ``(probe, member, port, attempts, successes)``
         per spec, in registry order: the spec's probe, its member index
@@ -162,6 +163,10 @@ class ScanEngine:
         ``probe_success_total`` counters, looked up once.  With a store
         attached, the writer is the store's refused-record writer over
         those specs, which takes member indices; otherwise it is None.
+        When every spec carries its module's refused grab, the settle is
+        ``(ports, attempts, members)``: the plan's ports, its attempt
+        counters and every member index in plan order, what settling a
+        whole target takes; otherwise it is None.
 
         Built at the first probe, so the series appear when they are
         first used, and fixed from then on (until a store is attached):
@@ -180,7 +185,12 @@ class ScanEngine:
             for spec in self.registry)
         write_refused = (None if store is None
                          else store[0].refused_sink(store[1], settling))
-        return plan, write_refused
+        settle = None
+        if len(settling) == len(plan):
+            settle = (frozenset(entry[2] for entry in plan),
+                      tuple(entry[3] for entry in plan),
+                      tuple(range(len(plan))))
+        return plan, write_refused, settle
 
     def execute_into(self, target: int,
                      add: Callable[[Grab], None]) -> None:
@@ -196,17 +206,32 @@ class ScanEngine:
         and its attempt count.  With a store attached, the member
         indices of consecutive settled probes are collected and handed,
         with ``(target, now)``, to the plan's refused-record writer
-        before the next dispatched probe and once at the end, so an
-        all-refused target makes one call.  A dispatched probe's grab
-        goes to the store whatever its outcome.  The clock stays put.
+        before the next dispatched probe and once at the end.  A
+        dispatched probe's grab goes to the store whatever its outcome.
+        The clock stays put.
+
+        When every probe would be settled (the plan has a settle and
+        no plan port is to be delivered), the target is settled in one
+        step with the same effects: each attempt counter goes up by
+        one, the plan's ephemeral ports are taken at once
+        (:meth:`~repro.net.simnet.Network.skip_ephemeral_ports`) and
+        the writer gets every member in one call.
         """
         if self._plan is None:
             self._plan = self._build_plan()
-        plan, write_refused = self._plan
-        network, source = self.network, self.source
-        clock = network.clock
-        grab_hook = self.grab_hook
+        plan, write_refused, settle = self._plan
+        network = self.network
         deliver = network.ports_to_deliver(network.host(target))
+        if (settle is not None and deliver is not None
+                and deliver.isdisjoint(settle[0])):
+            _, counters, members = settle
+            for attempts in counters:
+                attempts.value += 1  # Counter.inc(1), without the call
+            network.skip_ephemeral_ports(len(members))
+            if write_refused is not None:
+                write_refused(target, network.clock.now(), members)
+            return
+        source, clock, grab_hook = self.source, network.clock, self.grab_hook
         settled = []
         for probe, member, port, attempts, successes in plan:
             attempts.inc()

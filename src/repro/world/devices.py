@@ -132,10 +132,7 @@ class Device:
                 raise ValueError(f"{self.type_name}: eui64 addressing needs a MAC")
             return eui64.mac_to_iid(self.mac)
         if self.addressing == "privacy":
-            # RFC 8981 temporary IIDs are uniform random with the U/L
-            # bit clear; re-drawing models rotation.
-            iid = rng.getrandbits(64) & ~(1 << 57)
-            return iid | (1 << 63)  # keep entropy high and non-zero
+            return _privacy_iid(rng)
         if self.addressing == "structured":
             return rng.randrange(0x100, 0x10000)
         if self.addressing == "low-byte":
@@ -225,17 +222,37 @@ class Device:
         """Move the device to a new /64 (prefix churn), rebinding services."""
         old = self.address
         self.assign_address(new_prefix64, rng)
+        return self._move_from(network, old)
+
+    def rotate_iid(self, network: Network, rng: random.Random) -> int:
+        """Privacy-extension rotation: new IID inside the same /64.
+
+        The draw, host lookup and move ``rehome(network, self.prefix64,
+        rng)`` makes, with the IID drawn directly rather than through
+        :meth:`assign_address` and :meth:`make_iid`.
+        """
+        if self.addressing != "privacy":
+            raise ValueError("only privacy-addressed devices rotate IIDs")
+        old = self.address
+        prefix64 = self.prefix64 = self.prefix64 & addrmod.PREFIX_MASK
+        self.address = prefix64 | _privacy_iid(rng)
+        return self._move_from(network, old)
+
+    def _move_from(self, network: Network, old: int) -> int:
+        """Move the device's host from ``old`` to its current address,
+        or materialize it there when ``old`` has no host."""
         if network.host(old) is not None:
             network.move_host(old, self.address)
         else:
             self.materialize(network)
         return self.address
 
-    def rotate_iid(self, network: Network, rng: random.Random) -> int:
-        """Privacy-extension rotation: new IID inside the same /64."""
-        if self.addressing != "privacy":
-            raise ValueError("only privacy-addressed devices rotate IIDs")
-        return self.rehome(network, self.prefix64, rng)
+
+def _privacy_iid(rng: random.Random) -> int:
+    """An RFC 8981 temporary IID: uniform random with the U/L bit
+    clear; re-drawing models rotation."""
+    iid = rng.getrandbits(64) & ~(1 << 57)
+    return iid | (1 << 63)  # keep entropy high and non-zero
 
 
 # ---------------------------------------------------------------------------

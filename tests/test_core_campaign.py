@@ -171,6 +171,12 @@ def reference_day(pool, captures, rng, day_start, clients, resolutions):
     return log
 
 
+#: Polling intervals of the day-table clients: the world's own (every
+#: 30 min to once a day) and the edges, down to under one poll a day.
+NTP_INTERVALS = (64.0, 1024.0, 1800.0, 3600.0, 4096.0, 30_000.0, DAY,
+                 2 * DAY)
+
+
 @pytest.fixture(scope="module")
 def day_campaign():
     """A campaign whose pool, capture servers and RNG a test replaces."""
@@ -183,9 +189,10 @@ class TestDayTables:
     @given(_registrations(), st.lists(_operations, max_size=40),
            st.sets(st.integers(0, len(ADDRESSES) - 1)),
            st.lists(st.tuples(st.sampled_from(COUNTRIES + ("in",)),
-                              st.sampled_from((64.0, 1024.0, 30_000.0,
-                                               2 * DAY))),
-                    min_size=1, max_size=12),
+                              st.sampled_from(NTP_INTERVALS)),
+                    min_size=2, max_size=12).filter(
+               lambda devices: len({interval
+                                    for _, interval in devices}) > 1),
            st.integers(0, 2 ** 32))
     def test_day_draws_match_resolve(self, day_campaign, registrations,
                                      operations, captured, devices, seed):
@@ -196,7 +203,10 @@ class TestDayTables:
         ``resolve`` per poll from an identically seeded RNG finds, and
         leaves the RNG in the same state.  Every draw is one
         ``random()``, so together these pin every poll's pick, the
-        polls that reach no capture server (or no server) included."""
+        polls that reach no capture server (or no server) included.
+        Each day mixes clients of at least two polling intervals, so
+        each interval's poll plan (its draws and the polls per draw)
+        is pinned against the per-client one."""
         network = Network()
         pool = NtpPool(network, rng=random.Random(seed),
                        monitor_address=MONITOR)

@@ -1,8 +1,19 @@
 """Unit tests for the Table 1 dataset comparator."""
 
-import pytest
+from collections import Counter
 
-from repro.core.comparison import DatasetComparison
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.comparison import (
+    ComparisonTable,
+    DatasetComparison,
+    DatasetSummary,
+    OverlapSummary,
+    _median,
+)
+from repro.ipv6.columnar import AddressColumn
 from repro.world.asdb import EYEBALL, AsDatabase, AutonomousSystem
 
 
@@ -93,3 +104,91 @@ class TestTable:
             table.summary_for("nope")
         with pytest.raises(KeyError):
             table.overlap_for("nope")
+
+
+def _fresh_table(asdb, datasets, reference):
+    """Table 1 recomputed per address from plain sets, with no column
+    or count shared between rows."""
+    def counts(label):
+        distinct = set(datasets[label])
+        per48 = Counter(address >> 80 for address in distinct)
+        per_as = Counter(asdb.lookup_asn(address) for address in distinct
+                         if asdb.lookup_asn(address) is not None)
+        return distinct, per48, per_as
+
+    summaries = []
+    for label in datasets:
+        distinct, per48, per_as = counts(label)
+        summaries.append(DatasetSummary(
+            label=label, address_count=len(distinct),
+            net48_count=len(per48), as_count=len(per_as),
+            median_ips_per_48=_median(per48.values()),
+            median_ips_per_as=_median(per_as.values())))
+    ref = counts(reference)
+    overlaps = []
+    for label in datasets:
+        if label != reference:
+            other = counts(label)
+            overlaps.append(OverlapSummary(
+                other_label=label,
+                address_overlap=len(ref[0] & other[0]),
+                net48_overlap=len(ref[1].keys() & other[1].keys()),
+                as_overlap=len(ref[2].keys() & other[2].keys())))
+    return ComparisonTable(reference=reference, summaries=summaries,
+                           overlaps=overlaps)
+
+
+def _address(asdb):
+    """An address in AS 1 or AS 2 (or unrouted), in one of a few /48s."""
+    return st.builds(
+        lambda asn, net48, low: (asdb.blocks_of(asn)[0] if asn else 0)
+        + (net48 << 80) + low,
+        st.sampled_from((0, 1, 2)), st.integers(0, 3), st.integers(0, 40))
+
+
+class TestCountsComputedOnce:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_tables_match_a_fresh_recomputation(self, data):
+        """Every reference's table, in turn, on one comparator equals
+        Table 1 recomputed from fresh sets."""
+        asdb = AsDatabase()
+        asdb.register(AutonomousSystem(1, "A", EYEBALL, "DE"))
+        asdb.register(AutonomousSystem(2, "B", "Content", "US"))
+        labels = data.draw(st.lists(st.sampled_from("abcde"), min_size=1,
+                                    max_size=5, unique=True))
+        datasets = {label: data.draw(st.lists(_address(asdb), max_size=30))
+                    for label in labels}
+        comparison = DatasetComparison(asdb)
+        for label, addresses in datasets.items():
+            comparison.add(label, addresses)
+        order = data.draw(st.permutations(labels))
+        for reference in order:
+            assert comparison.table(reference) == \
+                _fresh_table(asdb, datasets, reference)
+
+    def test_each_count_is_computed_once_per_dataset(self, asdb,
+                                                     monkeypatch):
+        comparison = DatasetComparison(asdb)
+        for index, label in enumerate(("ntp", "rl", "full", "public")):
+            comparison.add(label, _addrs(asdb, 1 + index % 2, 3 + index))
+        calls = Counter()
+        as_counts = asdb.as_counts
+        key_counts = AddressColumn.network_key_counts
+
+        def counted_as(column):
+            calls["as", id(column)] += 1
+            return as_counts(column)
+
+        def counted_keys(column, level):
+            calls[level, id(column)] += 1
+            return key_counts(column, level)
+
+        monkeypatch.setattr(asdb, "as_counts", counted_as)
+        monkeypatch.setattr(AddressColumn, "network_key_counts",
+                            counted_keys)
+        comparison.table("ntp")
+        comparison.table("rl")
+        assert calls == Counter(
+            (kind, id(comparison.column(label)))
+            for kind in ("as", 32, 48) for label in comparison.labels)

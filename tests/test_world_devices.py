@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ipv6 import eui64, parse
+from repro.net.simnet import Network
 from repro.scan.modules import (
     scan_amqp,
     scan_coap,
@@ -198,3 +201,69 @@ class TestRehoming:
         place(network, device, rng)
         with pytest.raises(ValueError):
             device.rotate_iid(network, rng)
+
+
+def _recording_network():
+    """A network whose host lookups, moves and additions are logged."""
+    network, calls = Network(), []
+    for name in ("host", "move_host", "add_host"):
+        def logged(*args, _name=name, _inner=getattr(network, name),
+                   **kwargs):
+            calls.append((_name, args, kwargs))
+            return _inner(*args, **kwargs)
+        setattr(network, name, logged)
+    return network, calls
+
+
+def _host_map(network):
+    return {address: (host.address, host.reachable,
+                      sorted(host.tcp_services), sorted(host.udp_handlers))
+            for address, host in network._hosts.items()}
+
+
+class TestPrivacyRotation:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(0, 2 ** 64 - 1),
+           st.sampled_from(("coap", "cpe")), st.booleans(),
+           st.one_of(st.just(0), st.integers(1, 2 ** 64 - 1)),
+           st.lists(st.booleans(), min_size=1, max_size=6))
+    def test_rotate_iid_matches_rehome_in_place(self, seed, prefix_bits,
+                                                kind, materialized, stray,
+                                                steps):
+        """``rotate_iid`` equals ``rehome(network, prefix64, rng)``:
+        the address, the /64, the network's host map, the RNG state and
+        the host lookups, moves and additions, whether the device's
+        host is in the network (a move) or not (a fresh
+        materialization), and for a ``prefix64`` set with ``stray``
+        bits below the /64 too."""
+        sides = []
+        for _ in range(2):
+            rng = random.Random(seed)
+            if kind == "coap":
+                device = dev.make_coap_device(
+                    rng, 0, resources=("/ping",), group="plug", ntp=True)
+            else:
+                device = dev.make_generic_cpe(rng, 0, None)
+            network, calls = _recording_network()
+            device.assign_address(prefix_bits << 64, rng)
+            device.prefix64 |= stray
+            if materialized:
+                device.materialize(network)
+            sides.append((device, network, calls, rng))
+        assert sides[0][0].addressing == "privacy"
+        for drop in steps:
+            for index, (device, network, calls, rng) in enumerate(sides):
+                if drop:
+                    network.remove_host(device.address)
+                if index == 0:
+                    device.rotate_iid(network, rng)
+                else:
+                    device.rehome(network, device.prefix64, rng)
+            (rotated, net, calls, rng), (ref, ref_net, ref_calls,
+                                         ref_rng) = sides
+            assert (rotated.address, rotated.prefix64) == \
+                (ref.address, ref.prefix64)
+            assert rotated.address >> 64 == prefix_bits
+            assert _host_map(net) == _host_map(ref_net)
+            assert calls == ref_calls
+            assert rng.getstate() == ref_rng.getstate()

@@ -5,23 +5,24 @@ and the TUM-like hitlist variants) on the metrics the paper reports:
 distinct addresses, covering /48 networks and ASes, pairwise overlaps,
 and median address density per /48 and per AS.
 
-Each dataset is held as a deduplicated, sorted
-:class:`~repro.ipv6.columnar.AddressColumn`: per-/48 and per-AS counts
-come from the columnar bucketing kernel (the AS registry is /32
-granular, so grouping by /32 and resolving one lookup per distinct
-network is exactly equal to the seed-era per-address loop), and address
-overlaps are sorted-column intersections instead of
-``set(left) & set(right)``.  A dataset's per-/48 and per-AS counts are
+Each dataset is held as a ``frozenset`` of integer addresses.  Its
+per-/48 counts are one ``Counter`` over the addresses shifted down to
+their /48 key, and its per-AS counts fold the same kind of per-/32
+counts through the AS registry (which is /32 granular, so one lookup
+per distinct /32 equals one per address); an address overlap is the
+size of a set intersection.  A dataset's per-/48 and per-AS counts are
 computed once, at first use, and shared by its summary and every
 overlap it takes part in.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
+from operator import rshift
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.ipv6.columnar import AddressColumn
 from repro.world.asdb import AsDatabase
 
 
@@ -52,26 +53,22 @@ class DatasetComparison:
 
     def __init__(self, asdb: AsDatabase) -> None:
         self.asdb = asdb
-        self._columns: Dict[str, AddressColumn] = {}
+        self._sets: Dict[str, frozenset] = {}
         #: label -> (per-/48 counts, per-AS counts), see :meth:`_counts`.
         self._count_cache: Dict[str, Tuple[Dict[int, int],
                                            Dict[int, int]]] = {}
 
     def add(self, label: str, addresses: Iterable[int]) -> None:
-        if label in self._columns:
+        if label in self._sets:
             raise ValueError(f"dataset {label!r} already added")
-        self._columns[label] = AddressColumn.coerce(addresses).dedup()
+        self._sets[label] = frozenset(addresses)
 
     @property
     def labels(self) -> List[str]:
-        return list(self._columns)
+        return list(self._sets)
 
     def addresses(self, label: str) -> frozenset:
-        return frozenset(self._columns[label])
-
-    def column(self, label: str) -> AddressColumn:
-        """The dataset as a sorted-unique packed column."""
-        return self._columns[label]
+        return self._sets[label]
 
     # -- per-dataset metrics ------------------------------------------------
 
@@ -80,16 +77,17 @@ class DatasetComparison:
         and per routed AS, computed at the first call for ``label``."""
         counts = self._count_cache.get(label)
         if counts is None:
-            column = self._columns[label]
+            addresses = self._sets[label]
             counts = self._count_cache[label] = (
-                column.network_key_counts(48), self.asdb.as_counts(column))
+                network_counts(addresses, 48),
+                self.asdb.as_counts(network_counts(addresses, 32)))
         return counts
 
     def summary(self, label: str) -> DatasetSummary:
         per48, per_as = self._counts(label)
         return DatasetSummary(
             label=label,
-            address_count=len(self._columns[label]),
+            address_count=len(self._sets[label]),
             net48_count=len(per48),
             as_count=len(per_as),
             median_ips_per_48=_median(per48.values()),
@@ -99,23 +97,22 @@ class DatasetComparison:
     # -- overlaps ----------------------------------------------------------
 
     def overlap(self, reference: str, other: str) -> OverlapSummary:
-        ref, oth = self._columns[reference], self._columns[other]
         ref48, ref_as = self._counts(reference)
         oth48, oth_as = self._counts(other)
         return OverlapSummary(
             other_label=other,
-            address_overlap=ref.intersection_count(oth),
+            address_overlap=len(self._sets[reference] & self._sets[other]),
             net48_overlap=len(ref48.keys() & oth48.keys()),
             as_overlap=len(ref_as.keys() & oth_as.keys()),
         )
 
     def table(self, reference: str) -> "ComparisonTable":
         """Full Table 1: every dataset + overlaps against ``reference``."""
-        if reference not in self._columns:
+        if reference not in self._sets:
             raise KeyError(reference)
-        summaries = [self.summary(label) for label in self._columns]
+        summaries = [self.summary(label) for label in self._sets]
         overlaps = [self.overlap(reference, label)
-                    for label in self._columns if label != reference]
+                    for label in self._sets if label != reference]
         return ComparisonTable(reference=reference, summaries=summaries,
                                overlaps=overlaps)
 
@@ -139,6 +136,12 @@ class ComparisonTable:
             if overlap.other_label == label:
                 return overlap
         raise KeyError(label)
+
+
+def network_counts(addresses: Iterable[int], level: int) -> Counter:
+    """Addresses per ``/level`` network key (``address >> (128 - level)``,
+    as :func:`repro.ipv6.address.network_key` shifts it)."""
+    return Counter(map(rshift, addresses, repeat(128 - level)))
 
 
 def _median(values) -> float:

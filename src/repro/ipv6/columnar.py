@@ -4,17 +4,16 @@ The paper's corpus is 3.04 B NTP-observed addresses; walking Python
 integers one ``classify_iid`` call at a time does not survive that
 scale.  An :class:`AddressColumn` stores an address *sequence* as one
 contiguous buffer of 16 big-endian bytes per address and runs the
-address-set analyses the repo needs — IID-class counts (Figure 1),
-prefix bucketing at arbitrary levels (Table 1, dealiasing), sorted
-dedup and set intersection (Table 1 overlaps) — as whole-column
-kernels.  The kernels lean on C-level ``bytes`` operations — slicing,
-``set``, ``bytes.count``, ``struct.unpack`` — so the column beats the
-per-address scalar path several times over (gated in
-``benchmarks/bench_fig1_structure.py``).
+address-set analyses the repo needs — IID-class counts (Figure 1)
+and prefix bucketing at arbitrary levels (dealiasing, AS category
+shares) — as whole-column kernels.  The kernels lean on C-level
+``bytes`` operations — slicing, ``set``, ``bytes.count``,
+``struct.unpack`` — so the column beats the per-address scalar path
+several times over (gated in ``benchmarks/bench_fig1_structure.py``).
 
 The scalar functions in :mod:`repro.ipv6.iid` and
 :mod:`~repro.ipv6.address` remain the semantic reference; the
-equivalence contract (identical counts, buckets and overlaps) is
+equivalence contract (identical counts and buckets) is
 property-tested in ``tests/test_ipv6_columnar.py``.  See DESIGN.md §10.
 """
 
@@ -57,20 +56,16 @@ class AddressColumn:
     The column preserves input order and duplicates (it is a sequence,
     not a set) so that analyses which weight by occurrence — Figure 1
     shares, density denominators — match the scalar path exactly.
-    Set-like views (:meth:`dedup`, :meth:`intersect`) return new
-    sorted-unique columns.
     """
 
-    __slots__ = ("_data", "_sorted_unique")
+    __slots__ = ("_data",)
 
-    def __init__(self, data: bytes = b"", *,
-                 _sorted_unique: bool = False) -> None:
+    def __init__(self, data: bytes = b"") -> None:
         if len(data) % ITEM_BYTES:
             raise ValueError(
                 f"packed column length {len(data)} is not a multiple "
                 f"of {ITEM_BYTES}")
         self._data = bytes(data)
-        self._sorted_unique = _sorted_unique
 
     # -- construction ------------------------------------------------------
 
@@ -102,11 +97,6 @@ class AddressColumn:
 
     def __repr__(self) -> str:
         return f"AddressColumn(n={len(self)})"
-
-    def _rows(self) -> List[bytes]:
-        data = self._data
-        return [data[offset:offset + ITEM_BYTES]
-                for offset in range(0, len(data), ITEM_BYTES)]
 
     # -- structure kernels -------------------------------------------------
 
@@ -179,24 +169,3 @@ class AddressColumn:
     def network_key_counts_ordered(self, level: int) -> List[Tuple[int, int]]:
         """``(key, count)`` pairs in first-occurrence order."""
         return list(self.network_key_counts(level).items())
-
-    # -- set algebra -------------------------------------------------------
-    #
-    # Byte order on 16-byte big-endian rows equals numeric order, so
-    # sorting the packed rows sorts the addresses.
-
-    def dedup(self) -> "AddressColumn":
-        """Sorted copy with duplicates collapsed."""
-        if self._sorted_unique:
-            return self
-        return AddressColumn(b"".join(sorted(set(self._rows()))),
-                             _sorted_unique=True)
-
-    def intersect(self, other: "AddressColumn") -> "AddressColumn":
-        """Sorted-unique column of addresses present in both columns."""
-        common = set(self._rows()) & set(other._rows())
-        return AddressColumn(b"".join(sorted(common)), _sorted_unique=True)
-
-    def intersection_count(self, other: "AddressColumn") -> int:
-        """Number of exact addresses shared with ``other``."""
-        return len(self.intersect(other))

@@ -12,31 +12,35 @@ keys, raw unicode) with two extra fields per record:
 * ``crc`` — CRC-32 of the canonical record (without the ``crc`` field
   itself), so bit rot and torn writes are detected record-by-record.
 
-Each record is serialized once (:func:`encode_record`): the payload's
+Each record is serialized and UTF-8 encoded once, and handled as bytes
+from there to the segment file (:func:`encode_record`): the payload's
 keys that sort before ``crc`` and those after it (plus ``seq``) are
-encoded apart, their join is the CRC body, and the line is that join
-with the ``"crc": "<8 hex>", `` member inserted.  A record shape
-written over and over (a refused grab, an admission, a sighting) is
-compiled once into a :class:`RecordTemplate`, which renders the same
-line from its varying members alone; a group of templates sharing those
-members (a target's refused grabs) is rendered from one rendering of
-them (:func:`encode_group`) and appended in one call, still one line,
-one write and one seq per record.  The reader checks each CRC on
-the raw line bytes (:func:`parse_line`): cutting that member out must
-leave exactly the body the writer hashed, so a line that is not in
-canonical form fails as corrupt and no record is ever re-serialized
-to be checked.
+encoded apart, the CRC is folded over the two halves, and the line is
+their join with the ``"crc": "<8 hex>", `` member inserted.  A record
+shape written over and over (a refused grab, an admission, a sighting)
+is compiled once into a :class:`RecordTemplate`, whose two ``%``
+formats render the same line's bytes from its varying members alone; a
+group of templates sharing those members (a target's refused grabs) is
+rendered from one rendering of them (:func:`encode_group`) and appended
+in one call, still one line and one seq per record.  The reader checks
+each CRC on the raw line bytes (:func:`parse_line`): cutting that
+member out must leave exactly the body the writer hashed, so a line
+that is not in canonical form fails as corrupt and no record is ever
+re-serialized to be checked.  It decodes a segment's UTF-8 once, or
+line by line if the segment does not decode.
 
 Records are grouped into segments (``wal-<firstseq>.jsonl``) of at most
 ``segment_max_records`` records; whole segments below a checkpoint can
-be deleted by compaction without rewriting anything.  Durability is
-batched: the file is flushed + fsynced every ``fsync_every`` records,
-and a record counts as **acked** only once its batch is synced — the
-"no lost acked records" invariant the crash-injection tests enforce is
-stated in terms of :attr:`WalWriter.acked_seq`.
+be deleted by compaction without rewriting anything.  Segments are
+written unbuffered, and an append's lines reach the OS in one write
+(:meth:`WalWriter.append`).  Durability is batched: the file is
+fsynced every ``fsync_every`` records and at each segment roll, and a
+record counts as **acked** only once its batch is synced — the "no lost
+acked records" invariant the crash-injection tests enforce is stated in
+terms of :attr:`WalWriter.acked_seq`.
 
-A rolling **chain CRC** (CRC-32 folded over every record's ``crc``)
-summarizes the whole log prefix in one integer.  Checkpoints record the
+A rolling **chain CRC** (CRC-32 folded over every record's ``crc``, its
+8 hex digits as stored) summarizes the whole log prefix in one integer.  Checkpoints record the
 chain at their sequence number, which lets recovery verify a replayed
 prefix even after the segments that held it were compacted away.
 """
@@ -47,6 +51,7 @@ import json
 import os
 import zlib
 from contextlib import contextmanager
+from itertools import repeat
 from json.encoder import encode_basestring as _encode_str
 from math import isfinite
 from pathlib import Path
@@ -112,10 +117,9 @@ def fault_point(point: str, seq: int, acked: int) -> None:
 
 #: How a line's own CRC member starts: ``"crc": "<8 hex>", `` follows
 #: the payload keys that sort before ``crc`` and precedes the rest.
-_CRC_KEY = '"crc": "'
-_CRC_MARK = _CRC_KEY.encode("ascii")
+_CRC_MARK = b'"crc": "'
 #: Byte length of that member, ``"crc": "`` + 8 hex digits + ``", ``.
-_CRC_MEMBER = len(_CRC_KEY) + 8 + 3
+_CRC_MEMBER = len(_CRC_MARK) + 8 + 3
 #: ``json.loads`` without its whitespace handling: a canonical line
 #: has none around the object.
 _DECODER = json.JSONDecoder()
@@ -128,12 +132,12 @@ def record_crc(seq: int, payload: Dict) -> str:
     return f"{zlib.crc32(canonical.encode('utf-8')) & 0xFFFFFFFF:08x}"
 
 
-def encode_record(seq: int, payload: Dict) -> Tuple[str, str, int]:
+def encode_record(seq: int, payload: Dict) -> Tuple[bytes, bytes, int]:
     """Record ``seq``'s CRC, its line (newline included) and the line's
     size in bytes, from one canonical-JSON pass over ``payload``.
 
-    The CRC and line equal :func:`record_crc` and
-    ``to_canonical_json({"crc": crc, "seq": seq, **payload}) + "\\n"``.
+    The CRC and line are the UTF-8 bytes of :func:`record_crc` and of
+    ``to_canonical_json({"crc": crc, "seq": seq, **payload}) + "\n"``.
     Raises :class:`ValueError` for a payload the log could not read
     back: one with a top-level ``seq`` or ``crc`` key, or one nesting a
     string-valued ``crc`` key under a key that sorts before ``crc``
@@ -149,22 +153,22 @@ def encode_record(seq: int, payload: Dict) -> Tuple[str, str, int]:
             low[key] = value
         else:
             high[key] = value
-    tail = to_canonical_json(high)[1:]
+    tail = to_canonical_json(high)[1:].encode("utf-8")
     if low:
-        head = to_canonical_json(low)[:-1] + ", "
-        if _CRC_KEY in head:
+        head = (to_canonical_json(low)[:-1] + ", ").encode("utf-8")
+        if _CRC_MARK in head:
             raise ValueError(_NESTED_CRC)
     else:
-        head = "{"
+        head = b"{"
     return _frame(head, tail)
 
 
-def _frame(head: str, tail: str) -> Tuple[str, str, int]:
+def _frame(head: bytes, tail: bytes) -> Tuple[bytes, bytes, int]:
     """CRC, line and line size of the record whose canonical body is
     ``head + tail``, split where its ``crc`` member goes."""
-    body = (head + tail).encode("utf-8")
-    crc = f"{zlib.crc32(body):08x}"
-    return crc, f'{head}"crc": "{crc}", {tail}\n', len(body) + _CRC_MEMBER + 1
+    crc = b"%08x" % zlib.crc32(tail, zlib.crc32(head))
+    line = b"".join((head, _CRC_MARK, crc, b'", ', tail, b"\n"))
+    return crc, line, len(line)
 
 
 def json_text(value) -> str:
@@ -188,7 +192,7 @@ def json_text(value) -> str:
 class RecordTemplate:
     """One record shape, compiled once: :meth:`encode` returns what
     :func:`encode_record` returns for the payload with its varying
-    members ("holes") set, from two ``%`` formats.
+    members ("holes") set, from two ``%`` formats over bytes.
 
     ``sample`` is one payload of the shape and ``holes`` names its
     varying top-level members, in key order; :meth:`encode` takes their
@@ -214,38 +218,39 @@ class RecordTemplate:
         for key in holes + ("seq",):
             members[key] = to_canonical_json(key).replace("%", "%%") + ": %s"
         keys = sorted(members)
-        self._head = "{" + "".join(members[key] + ", "
-                                   for key in keys if key < "crc")
-        self._tail = ", ".join(members[key] for key in keys if key > "crc") + "}"
+        self._head = ("{" + "".join(members[key] + ", " for key in keys
+                                    if key < "crc")).encode("utf-8")
+        self._tail = (", ".join(members[key] for key in keys if key > "crc")
+                      + "}").encode("utf-8")
         #: Hole values before ``crc`` (in the head), and before ``seq``.
         self._low = sum(key < "crc" for key in holes)
         self._seq_at = sum(key < "seq" for key in holes)
 
-    def encode(self, seq: int, *holes) -> Tuple[str, str, int]:
+    def encode(self, seq: int, *holes) -> Tuple[bytes, bytes, int]:
         """Record ``seq``'s CRC, line and size, as :func:`encode_record`."""
         return encode_group(seq, (self,), holes)[0]
 
 
 def encode_group(seq: int, templates: Sequence[RecordTemplate],
-                 holes: Sequence) -> List[Tuple[str, str, int]]:
+                 holes: Sequence) -> List[Tuple[bytes, bytes, int]]:
     """Each of ``templates``' record, with the same hole values, at
     ``seq``, ``seq + 1``, ...: CRC, line and size, as
     :func:`encode_record` returns them for its payload.  The hole
-    values' texts are rendered once for the group."""
-    texts = tuple(map(json_text, holes))
+    values' texts are rendered and UTF-8 encoded once for the group."""
+    texts = tuple([json_text(hole).encode("utf-8") for hole in holes])
     records = []
     for template in templates:
         low, at = template._low, template._seq_at
         head = template._head % texts[:low]
-        if low and _CRC_KEY in head:
+        if low and _CRC_MARK in head:
             raise ValueError(_NESTED_CRC)
         records.append(_frame(head, template._tail % (
-            texts[low:at] + (int.__repr__(seq),) + texts[at:])))
+            texts[low:at] + (b"%d" % seq,) + texts[at:])))
         seq += 1
     return records
 
 
-def parse_line(raw: bytes) -> Optional[Dict]:
+def parse_line(raw: bytes, text: Optional[str] = None) -> Optional[Dict]:
     """The record on one raw WAL line (no newline), or ``None`` unless
     the line is exactly as :func:`encode_record` wrote it.
 
@@ -255,7 +260,17 @@ def parse_line(raw: bytes) -> Optional[Dict]:
     in canonical form leaves the body the writer hashed, so whitespace
     edits, reordered keys or a nested ``crc`` member that the cut lands
     on fail like any other corruption, as do invalid UTF-8 and JSON.
+    ``text``, when given, is ``raw`` already decoded from UTF-8 (the
+    reader decodes a whole segment at once); the line is then not
+    decoded again.
     """
+    parsed = _parse_line(raw, text)
+    return None if parsed is None else parsed[0]
+
+
+def _parse_line(raw: bytes, text: Optional[str]
+                ) -> Optional[Tuple[Dict, bytes]]:
+    """:func:`parse_line`'s record and the line's stored CRC bytes."""
     at = raw.find(_CRC_MARK)
     end = at + _CRC_MEMBER
     if at < 1 or raw[end - 3:end] != b'", ':
@@ -264,7 +279,8 @@ def parse_line(raw: bytes) -> Optional[Dict]:
     if b"%08x" % zlib.crc32(raw[end:], zlib.crc32(raw[:at])) != stored:
         return None
     try:
-        text = raw.decode("utf-8")
+        if text is None:
+            text = raw.decode("utf-8")
         record, stop = _DECODER.raw_decode(text)
     except ValueError:  # invalid UTF-8 or JSON
         return None
@@ -272,12 +288,14 @@ def parse_line(raw: bytes) -> Optional[Dict]:
             or not isinstance(record.get("seq"), int)
             or record.get("crc") != stored.decode("ascii")):
         return None
-    return record
+    return record, stored
 
 
 def chain_extend(chain: int, crc_hex: str) -> int:
-    """Fold one record's CRC into the rolling chain CRC."""
-    return zlib.crc32(crc_hex.encode("ascii"), chain) & 0xFFFFFFFF
+    """Fold one record's CRC, as text, into the rolling chain CRC.  The
+    store folds the CRC's stored bytes directly:
+    ``zlib.crc32(crc_bytes, chain)`` is the same fold."""
+    return zlib.crc32(crc_hex.encode("ascii"), chain)
 
 
 def segment_name(first_seq: int) -> str:
@@ -336,12 +354,8 @@ class WalWriter:
         self._segment_records = active_records
         self._handle = None
         if active_segment is not None:
-            # Line buffered: each record reaches the OS at append time;
-            # only the fsync (the ack) is batched.  A record must never
-            # linger in a userspace buffer where a crashed writer could
-            # replay it into the file after recovery has moved on.
-            self._handle = open(active_segment, "a", encoding="utf-8",
-                                buffering=1)
+            # Unbuffered, as every segment is: see :meth:`append`.
+            self._handle = open(active_segment, "ab", buffering=0)
         metrics = current_registry()
         self._m_segments = metrics.counter("store_segments_total")
         self._m_bytes = metrics.counter("store_bytes_total")
@@ -380,14 +394,18 @@ class WalWriter:
         (:func:`encode_group`); a single template is a group of one.
         Every record of a group gets its own seq and line, its own
         ``pre-append`` and ``post-append`` fault points, segment roll
-        check, line-buffered write and chain CRC, and its own place in
-        the fsync batch, exactly as if it were appended alone; the
-        ``store_records_total`` and ``store_bytes_total`` counters are
-        added once per group, for the records written even when a fault
-        hook raises mid-group.
+        check and chain CRC, and its own place in the fsync batch,
+        exactly as if it were appended alone; the ``store_records_total``
+        and ``store_bytes_total`` counters are added once per group, for
+        the records written even when a fault hook raises mid-group.
 
-        A record is durable only once its fsync batch completes — use
-        :attr:`acked_seq` (or call :meth:`sync`) for the durability
+        The group's lines reach the OS in one write: lines are collected
+        and written together at the end, and before anything that must
+        see them on disk (a fault point, a segment roll, an fsync).  No
+        record ever lingers in a user-space buffer, where a crashed
+        writer could replay it into the file after recovery has moved
+        on.  A record is durable only once its fsync batch completes —
+        use :attr:`acked_seq` (or call :meth:`sync`) for the durability
         horizon.  A payload :func:`encode_record` refuses, or hole
         values a template refuses, raise :class:`ValueError` before
         anything is written.
@@ -402,6 +420,7 @@ class WalWriter:
             records = encode_group(seq, group, holes)
             kind = group[0].kind
         hook = _fault_hook
+        lines: List[bytes] = []
         written = nbytes = 0
         try:
             for crc, line, size in records:
@@ -409,19 +428,23 @@ class WalWriter:
                     hook("pre-append", seq, self._acked_seq)
                 if (self._handle is None
                         or self._segment_records >= self.segment_max_records):
+                    self._write(lines)
                     self._roll(seq)
-                self._handle.write(line)
+                lines.append(line)
                 self._segment_records += 1
                 self._next_seq = seq + 1
-                self._chain = chain_extend(self._chain, crc)
+                self._chain = zlib.crc32(crc, self._chain)
                 self._pending += 1
                 written += 1
                 nbytes += size
                 if hook is not None:
+                    self._write(lines)
                     hook("post-append", seq, self._acked_seq)
                 if self._pending >= self.fsync_every:
+                    self._write(lines)
                     self.sync()
                 seq += 1
+            self._write(lines)
         finally:
             if written:
                 counter = self._m_records.get(kind)
@@ -433,21 +456,31 @@ class WalWriter:
                 self._m_bytes.inc(nbytes)
         return self._next_seq - 1
 
+    def _write(self, lines: List[bytes]) -> None:
+        """Hand ``lines`` to the OS in one write, and empty the list.  A
+        short write is completed, so no partial line is left behind."""
+        if lines:
+            data = b"".join(lines)
+            lines.clear()
+            done = self._handle.write(data)
+            while done < len(data):
+                done += self._handle.write(data[done:])
+
     def _roll(self, first_seq: int) -> None:
         """Close the active segment (synced) and start a new one."""
         if self._handle is not None:
             self.sync()
             self._handle.close()
         path = self.wal_dir / segment_name(first_seq)
-        self._handle = open(path, "w", encoding="utf-8", buffering=1)
+        self._handle = open(path, "wb", buffering=0)
         self._segment_records = 0
         self._m_segments.inc()
 
     def sync(self) -> int:
-        """Flush + fsync pending records; returns the new acked seq."""
+        """Fsync pending records; returns the new acked seq.  Appends
+        leave nothing in a user-space buffer, so nothing is flushed."""
         if self._handle is not None and self._pending:
             fault_point("pre-fsync", self.last_seq, self._acked_seq)
-            self._handle.flush()
             os.fsync(self._handle.fileno())
             self._acked_seq = self.last_seq
             self._pending = 0
@@ -511,15 +544,24 @@ class WalReader:
         for index, path in enumerate(selected):
             self.segments_read += 1
             last_segment = index == len(selected) - 1
-            lines = [(number, line) for number, line
-                     in enumerate(path.read_bytes().split(b"\n"), 1)
-                     if line.strip()]
-            for position, (line_number, line) in enumerate(lines):
-                record = parse_line(line)
-                if record is None:
+            data = path.read_bytes()
+            raws = data.split(b"\n")
+            try:
+                texts = data.decode("utf-8").split("\n")
+            except UnicodeDecodeError:
+                # A torn or corrupt line: each line decodes on its own.
+                texts = repeat(None)
+            del data
+            lines = [(number, raw, text) for number, (raw, text)
+                     in enumerate(zip(raws, texts), 1) if raw.strip()]
+            del raws, texts
+            for position, (line_number, raw, text) in enumerate(lines):
+                parsed = _parse_line(raw, text)
+                if parsed is None:
                     if last_segment and not any(
-                            parse_line(later) is not None
-                            for _, later in lines[position + 1:]):
+                            _parse_line(later, later_text) is not None
+                            for _, later, later_text
+                            in lines[position + 1:]):
                         # Torn tail: a crash interrupted the final write.
                         self.truncated_lines = len(lines) - position
                         if repair:
@@ -527,20 +569,26 @@ class WalReader:
                         return
                     raise WalError(
                         f"{path.name}:{line_number}: corrupt WAL record")
+                record, crc = parsed
                 if record["seq"] < self.start_seq:
                     continue  # pre-compaction leftovers
                 if record["seq"] != expected:
                     raise WalError(
                         f"{path.name}:{line_number}: sequence gap — "
                         f"expected {expected}, found {record['seq']}")
-                self.chain = chain_extend(self.chain, record["crc"])
+                self.chain = zlib.crc32(crc, self.chain)
                 self.last_seq = expected
                 expected += 1
                 yield record
             del lines  # one segment's lines in memory, not two
 
-    def _truncate(self, path: Path, keep: List[Tuple[int, bytes]]) -> None:
-        """Rewrite ``path`` with only its valid prefix (torn-tail repair)."""
+    def _truncate(self, path: Path, keep: List[tuple]) -> None:
+        """Rewrite ``path`` with only its valid prefix (torn-tail
+        repair).  The prefix holds acked records, so the rewrite is
+        fsynced before the rename makes it the segment."""
         tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_bytes(b"".join(line + b"\n" for _, line in keep))
+        with open(tmp, "wb") as handle:
+            handle.write(b"".join(raw + b"\n" for _, raw, _ in keep))
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)

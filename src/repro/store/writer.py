@@ -22,6 +22,7 @@ rather than as silently forked history.
 
 from __future__ import annotations
 
+import zlib
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Union
 
 from repro.ipv6 import address as addrmod
@@ -31,7 +32,6 @@ from repro.store.runstore import Recovery, RunStore
 from repro.store.wal import (
     RecordTemplate,
     RecoveryError,
-    chain_extend,
     encode_group,
     record_crc,
 )
@@ -104,7 +104,7 @@ class StoreWriter:
         recovery = self._recovery
         seq = self._seq + 1
         if isinstance(payload, dict):
-            crcs = (record_crc(seq, payload),)
+            crcs = (record_crc(seq, payload).encode("ascii"),)
         else:
             crcs = [crc for crc, _, _ in encode_group(
                 seq, (payload,) if isinstance(payload, RecordTemplate)
@@ -124,13 +124,13 @@ class StoreWriter:
             return self._wal.append(payload[checked:], *holes)
         return self._seq
 
-    def _check(self, seq: int, crc: str, recovery: Recovery) -> None:
+    def _check(self, seq: int, crc: bytes, recovery: Recovery) -> None:
         """Verify mode: the regenerated record ``seq`` with CRC ``crc``
-        against logged history."""
+        (its 8 hex digits, as stored) against logged history."""
         if seq <= recovery.compacted_through:
             # Compacted prefix: the records are gone; the chain CRC at
             # the horizon is the only (and sufficient) witness.
-            self._chain = chain_extend(self._chain, crc)
+            self._chain = zlib.crc32(crc, self._chain)
             if seq == recovery.compacted_through:
                 if self._chain != recovery.chain_at_compaction:
                     raise RecoveryError(
@@ -142,12 +142,13 @@ class StoreWriter:
         else:
             cursor = self._cursor
             logged_seq = recovery.compacted_through + 1 + cursor
-            logged = f"{recovery.crcs[cursor]:08x}"
+            logged = b"%08x" % recovery.crcs[cursor]
             if logged_seq != seq or logged != crc:
                 raise RecoveryError(
                     f"replay diverged at seq {seq}: regenerated record "
-                    f"(crc {crc}) does not match logged record "
-                    f"(seq {logged_seq}, crc {logged}) — "
+                    f"(crc {crc.decode('ascii')}) does not match logged "
+                    f"record (seq {logged_seq}, crc "
+                    f"{logged.decode('ascii')}) — "
                     "the store was written by a different config, seed, "
                     "or code version")
             self._cursor = cursor + 1
@@ -208,7 +209,8 @@ class StoreWriter:
         more than its address and time between two samples raises
         :class:`ValueError` here.  Per call, the address is formatted
         once, through the sinks' shared memo, and the group renders the
-        address and time texts once.
+        address and time texts once; a call with every member passes
+        the template list itself.
         """
         from repro.io.jsonl import grab_to_json, to_canonical_json
 
@@ -226,7 +228,9 @@ class StoreWriter:
                 {"t": "grab", "label": label, **sample}, ("addr", "time")))
 
         def write(target: int, now: float, members: Sequence[int]) -> None:
-            self.emit([templates[member] for member in members],
+            # Every member (a target settled whole) is the whole list.
+            self.emit(templates if len(members) == len(templates)
+                      else [templates[member] for member in members],
                       self._address_text(target), now)
 
         return write

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.ipv6 import address as addr
 from repro.ipv6.columnar import AddressColumn
@@ -121,10 +121,11 @@ class AsDatabase:
     # -- aggregate views --------------------------------------------------
     #
     # Allocations are /32-granular, so every per-address AS property is
-    # constant within a /32.  These views bucket a packed AddressColumn
-    # by /32 first and resolve one lookup per *distinct* network instead
-    # of one per address — exactly equal counts, since a per-address
-    # lookup only ever consults ``value >> 96``.
+    # constant within a /32.  These views take addresses bucketed by /32
+    # (a packed AddressColumn, or per-/32 counts) and resolve one lookup
+    # per *distinct* network instead of one per address — exactly equal
+    # counts, since a per-address lookup only ever consults
+    # ``value >> 96``.
 
     def category_share(self, addresses: AddressColumn, category: str) -> float:
         """Share of addresses whose origin AS has ``category``.
@@ -140,11 +141,12 @@ class AsDatabase:
                 matching += count
         return matching / total if total else 0.0
 
-    def as_counts(self, addresses: "AddressColumn") -> Dict[int, int]:
-        """``{asn: n addresses}`` for a packed column (routed only)."""
+    def as_counts(self, per32: Mapping[int, int]) -> Dict[int, int]:
+        """``{asn: n addresses}`` from per-/32 address counts (``{address
+        >> 96: n}``), routed addresses only."""
         per_as: Dict[int, int] = {}
         owners = self._prefix_owner
-        for key, count in addresses.network_key_counts(32).items():
+        for key, count in per32.items():
             asn = owners.get(key)
             if asn is not None:
                 per_as[asn] = per_as.get(asn, 0) + count

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.comparison as comparison_module
 from repro.core.comparison import (
     ComparisonTable,
     DatasetComparison,
@@ -13,7 +14,6 @@ from repro.core.comparison import (
     OverlapSummary,
     _median,
 )
-from repro.ipv6.columnar import AddressColumn
 from repro.world.asdb import EYEBALL, AsDatabase, AutonomousSystem
 
 
@@ -173,22 +173,28 @@ class TestCountsComputedOnce:
         for index, label in enumerate(("ntp", "rl", "full", "public")):
             comparison.add(label, _addrs(asdb, 1 + index % 2, 3 + index))
         calls = Counter()
+        #: id of each per-network count -> id of the dataset it counts.
+        counted_from = {}
+        kept = []  # every count stays alive, so no id is reused
         as_counts = asdb.as_counts
-        key_counts = AddressColumn.network_key_counts
+        network_counts = comparison_module.network_counts
 
-        def counted_as(column):
-            calls["as", id(column)] += 1
-            return as_counts(column)
+        def counted_as(per32):
+            calls["as", counted_from[id(per32)]] += 1
+            return as_counts(per32)
 
-        def counted_keys(column, level):
-            calls[level, id(column)] += 1
-            return key_counts(column, level)
+        def counted_keys(addresses, level):
+            calls[level, id(addresses)] += 1
+            counts = network_counts(addresses, level)
+            counted_from[id(counts)] = id(addresses)
+            kept.append(counts)
+            return counts
 
         monkeypatch.setattr(asdb, "as_counts", counted_as)
-        monkeypatch.setattr(AddressColumn, "network_key_counts",
+        monkeypatch.setattr(comparison_module, "network_counts",
                             counted_keys)
         comparison.table("ntp")
         comparison.table("rl")
         assert calls == Counter(
-            (kind, id(comparison.column(label)))
+            (kind, id(comparison.addresses(label)))
             for kind in ("as", 32, 48) for label in comparison.labels)

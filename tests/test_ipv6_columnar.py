@@ -3,8 +3,8 @@
 The contract under test (DESIGN §10): every kernel of
 :class:`repro.ipv6.columnar.AddressColumn` produces results identical
 to the scalar reference functions (`iid.classify_iid`/`profile_scalar`,
-`address.network_key`, Python set algebra).  The kernels are pure
-Python and need nothing beyond the standard library.
+`address.network_key`).  The kernels are pure Python and need nothing
+beyond the standard library.
 """
 
 from collections import Counter
@@ -135,17 +135,3 @@ class TestScalarEquivalence:
         first_seen = list(dict.fromkeys(
             addr.network_key(value, level) for value in values))
         assert [key for key, _ in ordered] == first_seen
-
-    @given(values=addresses_st)
-    def test_sort_dedup(self, values):
-        column = AddressColumn.from_ints(values)
-        deduped = column.dedup()
-        assert list(deduped) == sorted(set(values))
-        assert deduped.dedup() is deduped
-
-    @given(left=addresses_st, right=addresses_st)
-    def test_set_algebra(self, left, right):
-        lcol = AddressColumn.from_ints(left)
-        rcol = AddressColumn.from_ints(right)
-        assert list(lcol.intersect(rcol)) == sorted(set(left) & set(right))
-        assert lcol.intersection_count(rcol) == len(set(left) & set(right))

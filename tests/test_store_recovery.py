@@ -162,7 +162,7 @@ def torn_next_record(clean_dir, seq, seed):
     payload = {key: value for key, value in record.items()
                if key not in ("seq", "crc")}
     payload["server"] = "Köln"
-    raw = encode_record(seq + 1, payload)[1].encode("utf-8")
+    raw = encode_record(seq + 1, payload)[1]
     rng = random.Random(seed)
     if seed % 2:
         # Cutting before a continuation byte splits a character.

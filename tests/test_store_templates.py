@@ -129,8 +129,8 @@ class TestRecordTemplate:
 
     def test_int_and_float_times_keep_their_form(self):
         template = RecordTemplate({"t": "x", "time": 0.0}, ("time",))
-        assert '"time": 86400}' in template.encode(1, 86400)[1]
-        assert '"time": 86400.0}' in template.encode(1, 86400.0)[1]
+        assert b'"time": 86400}' in template.encode(1, 86400)[1]
+        assert b'"time": 86400.0}' in template.encode(1, 86400.0)[1]
 
 
 class _Encoder(StoreWriter):

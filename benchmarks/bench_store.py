@@ -3,11 +3,11 @@
 A store-backed study pays the WAL on every event: one canonical-JSON
 render, UTF-8 encode and CRC per record, one unbuffered write per
 append (a target's group of refused grabs included), an fsync per ack
-batch, and a full sequential verify on recovery.  These benches pin the costs that
-decide whether ``--store`` is affordable at paper scale: append
-throughput (of generic records, and of the refused grabs that make up
-most of a campaign's log), checkpoint latency, and recovery-scan speed
-and memory as a function of log length.
+batch, and a full sequential verify on recovery.  These benches pin
+the costs that decide whether ``--store`` is affordable at paper scale:
+append throughput (of generic records, and of the refused grabs that
+make up most of a campaign's log), checkpoint latency, and
+recovery-scan speed and memory as a function of log length.
 """
 
 import shutil

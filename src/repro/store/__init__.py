@@ -32,7 +32,6 @@ from repro.store.wal import (
     WalError,
     WalReader,
     WalWriter,
-    chain_extend,
     fault_injection,
     list_segments,
     record_crc,
@@ -51,7 +50,6 @@ __all__ = [
     "WalError",
     "WalReader",
     "WalWriter",
-    "chain_extend",
     "fault_injection",
     "latest_checkpoint",
     "list_checkpoints",

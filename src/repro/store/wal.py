@@ -26,8 +26,7 @@ in one call, still one line and one seq per record.  The reader checks
 each CRC on the raw line bytes (:func:`parse_line`): cutting that
 member out must leave exactly the body the writer hashed, so a line
 that is not in canonical form fails as corrupt and no record is ever
-re-serialized to be checked.  It decodes a segment's UTF-8 once, or
-line by line if the segment does not decode.
+re-serialized to be checked.
 
 Records are grouped into segments (``wal-<firstseq>.jsonl``) of at most
 ``segment_max_records`` records; whole segments below a checkpoint can
@@ -40,9 +39,10 @@ acked records" invariant the crash-injection tests enforce is stated in
 terms of :attr:`WalWriter.acked_seq`.
 
 A rolling **chain CRC** (CRC-32 folded over every record's ``crc``, its
-8 hex digits as stored) summarizes the whole log prefix in one integer.  Checkpoints record the
-chain at their sequence number, which lets recovery verify a replayed
-prefix even after the segments that held it were compacted away.
+8 hex digits as stored) summarizes the whole log prefix in one integer.
+Checkpoints record the chain at their sequence number, which lets
+recovery verify a replayed prefix even after the segments that held it
+were compacted away.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ import json
 import os
 import zlib
 from contextlib import contextmanager
-from itertools import repeat
 from json.encoder import encode_basestring as _encode_str
 from math import isfinite
 from pathlib import Path
@@ -250,7 +249,7 @@ def encode_group(seq: int, templates: Sequence[RecordTemplate],
     return records
 
 
-def parse_line(raw: bytes, text: Optional[str] = None) -> Optional[Dict]:
+def parse_line(raw: bytes) -> Optional[Dict]:
     """The record on one raw WAL line (no newline), or ``None`` unless
     the line is exactly as :func:`encode_record` wrote it.
 
@@ -260,17 +259,7 @@ def parse_line(raw: bytes, text: Optional[str] = None) -> Optional[Dict]:
     in canonical form leaves the body the writer hashed, so whitespace
     edits, reordered keys or a nested ``crc`` member that the cut lands
     on fail like any other corruption, as do invalid UTF-8 and JSON.
-    ``text``, when given, is ``raw`` already decoded from UTF-8 (the
-    reader decodes a whole segment at once); the line is then not
-    decoded again.
     """
-    parsed = _parse_line(raw, text)
-    return None if parsed is None else parsed[0]
-
-
-def _parse_line(raw: bytes, text: Optional[str]
-                ) -> Optional[Tuple[Dict, bytes]]:
-    """:func:`parse_line`'s record and the line's stored CRC bytes."""
     at = raw.find(_CRC_MARK)
     end = at + _CRC_MEMBER
     if at < 1 or raw[end - 3:end] != b'", ':
@@ -279,8 +268,7 @@ def _parse_line(raw: bytes, text: Optional[str]
     if b"%08x" % zlib.crc32(raw[end:], zlib.crc32(raw[:at])) != stored:
         return None
     try:
-        if text is None:
-            text = raw.decode("utf-8")
+        text = raw.decode("utf-8")
         record, stop = _DECODER.raw_decode(text)
     except ValueError:  # invalid UTF-8 or JSON
         return None
@@ -288,14 +276,7 @@ def _parse_line(raw: bytes, text: Optional[str]
             or not isinstance(record.get("seq"), int)
             or record.get("crc") != stored.decode("ascii")):
         return None
-    return record, stored
-
-
-def chain_extend(chain: int, crc_hex: str) -> int:
-    """Fold one record's CRC, as text, into the rolling chain CRC.  The
-    store folds the CRC's stored bytes directly:
-    ``zlib.crc32(crc_bytes, chain)`` is the same fold."""
-    return zlib.crc32(crc_hex.encode("ascii"), chain)
+    return record
 
 
 def segment_name(first_seq: int) -> str:
@@ -544,24 +525,15 @@ class WalReader:
         for index, path in enumerate(selected):
             self.segments_read += 1
             last_segment = index == len(selected) - 1
-            data = path.read_bytes()
-            raws = data.split(b"\n")
-            try:
-                texts = data.decode("utf-8").split("\n")
-            except UnicodeDecodeError:
-                # A torn or corrupt line: each line decodes on its own.
-                texts = repeat(None)
-            del data
-            lines = [(number, raw, text) for number, (raw, text)
-                     in enumerate(zip(raws, texts), 1) if raw.strip()]
-            del raws, texts
-            for position, (line_number, raw, text) in enumerate(lines):
-                parsed = _parse_line(raw, text)
-                if parsed is None:
+            lines = [(number, line) for number, line
+                     in enumerate(path.read_bytes().split(b"\n"), 1)
+                     if line.strip()]
+            for position, (line_number, line) in enumerate(lines):
+                record = parse_line(line)
+                if record is None:
                     if last_segment and not any(
-                            _parse_line(later, later_text) is not None
-                            for _, later, later_text
-                            in lines[position + 1:]):
+                            parse_line(later) is not None
+                            for _, later in lines[position + 1:]):
                         # Torn tail: a crash interrupted the final write.
                         self.truncated_lines = len(lines) - position
                         if repair:
@@ -569,26 +541,26 @@ class WalReader:
                         return
                     raise WalError(
                         f"{path.name}:{line_number}: corrupt WAL record")
-                record, crc = parsed
                 if record["seq"] < self.start_seq:
                     continue  # pre-compaction leftovers
                 if record["seq"] != expected:
                     raise WalError(
                         f"{path.name}:{line_number}: sequence gap — "
                         f"expected {expected}, found {record['seq']}")
-                self.chain = zlib.crc32(crc, self.chain)
+                self.chain = zlib.crc32(record["crc"].encode("ascii"),
+                                        self.chain)
                 self.last_seq = expected
                 expected += 1
                 yield record
             del lines  # one segment's lines in memory, not two
 
-    def _truncate(self, path: Path, keep: List[tuple]) -> None:
+    def _truncate(self, path: Path, keep: List[Tuple[int, bytes]]) -> None:
         """Rewrite ``path`` with only its valid prefix (torn-tail
         repair).  The prefix holds acked records, so the rewrite is
         fsynced before the rename makes it the segment."""
         tmp = path.with_suffix(path.suffix + ".tmp")
         with open(tmp, "wb") as handle:
-            handle.write(b"".join(raw + b"\n" for _, raw, _ in keep))
+            handle.write(b"".join(line + b"\n" for _, line in keep))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)

@@ -209,8 +209,7 @@ class StoreWriter:
         more than its address and time between two samples raises
         :class:`ValueError` here.  Per call, the address is formatted
         once, through the sinks' shared memo, and the group renders the
-        address and time texts once; a call with every member passes
-        the template list itself.
+        address and time texts once.
         """
         from repro.io.jsonl import grab_to_json, to_canonical_json
 
@@ -228,9 +227,7 @@ class StoreWriter:
                 {"t": "grab", "label": label, **sample}, ("addr", "time")))
 
         def write(target: int, now: float, members: Sequence[int]) -> None:
-            # Every member (a target settled whole) is the whole list.
-            self.emit(templates if len(members) == len(templates)
-                      else [templates[member] for member in members],
+            self.emit([templates[member] for member in members],
                       self._address_text(target), now)
 
         return write

@@ -1,4 +1,4 @@
-"""The WAL on bytes: what each append hands the OS, and how a segment
+"""The WAL on bytes: what each append hands the OS, and how a bad line
 is read back.
 
 Each record is encoded once, as bytes, and an append's lines reach the
@@ -14,10 +14,8 @@ or an fsync must see them on disk first.  These tests pin that:
   ``last_seq`` at ``pre-fsync`` and ``post-fsync``;
 * with no hook installed, a group of 8 records takes one write, and an
   fsync or a segment roll inside the group splits it there;
-* the reader decodes a segment at once: a line checked with its
-  decoded text passes or fails as it does alone, and an invalid UTF-8
-  line is still corruption in the middle of a segment and a torn tail
-  at its end;
+* an invalid UTF-8 line is corruption in the middle of a segment and
+  a torn tail at its end;
 * torn-tail repair fsyncs the kept prefix before renaming it over the
   segment.
 """
@@ -168,18 +166,6 @@ def test_a_group_of_eight_takes_one_write(tmp_path, monkeypatch,
     assert all(chunk.endswith(b"\n") for handle in opened
                for chunk in handle.writes)
     writer.close()
-
-
-def test_parse_line_given_the_decoded_text_agrees(tmp_path):
-    writer = WalWriter(tmp_path)
-    append_mixed(writer, range(12))
-    writer.close()
-    for raw in list_segments(tmp_path)[0].read_bytes().split(b"\n")[:-1]:
-        record = parse_line(raw)
-        assert record is not None
-        assert parse_line(raw, raw.decode("utf-8")) == record
-        spaced = raw.replace(b'", "', b'",  "', 1)
-        assert parse_line(spaced, spaced.decode("utf-8")) is None
 
 
 def test_invalid_utf8_line_is_corrupt_mid_segment_and_torn_at_its_end(

@@ -8,6 +8,7 @@ checkpoint atomicity, compaction arithmetic, and the CLI surface.
 
 import json
 import random
+import zlib
 
 import pytest
 
@@ -20,7 +21,6 @@ from repro.store import (
     WalError,
     WalReader,
     WalWriter,
-    chain_extend,
     fault_injection,
     latest_checkpoint,
     list_segments,
@@ -66,10 +66,16 @@ class TestRecordFraming:
         b = record_crc(1, {"t": "mark", "server": "Koln"})
         assert a != b
 
-    def test_chain_is_order_sensitive(self):
-        one, two = record_crc(1, sighting(1)), record_crc(2, sighting(2))
-        assert (chain_extend(chain_extend(0, one), two)
-                != chain_extend(chain_extend(0, two), one))
+    def test_chain_is_order_sensitive(self, tmp_path):
+        # The writer folds each record's 8 stored CRC digits in seq order.
+        writer = WalWriter(tmp_path)
+        for i in (1, 2):
+            writer.append(sighting(i))
+        writer.close()
+        one, two = (record_crc(i, sighting(i)).encode("ascii")
+                    for i in (1, 2))
+        assert writer.chain == zlib.crc32(two, zlib.crc32(one))
+        assert writer.chain != zlib.crc32(one, zlib.crc32(two))
 
     def test_segment_names_sort_with_sequence(self):
         names = [segment_name(seq) for seq in (1, 9, 10, 3000, 10**11)]

@@ -1,32 +1,18 @@
 """Figure 3: MQTT/AMQP access control + the combined security headline."""
 
 from benchmarks.conftest import write_report
-from repro.analysis import security
+from repro.analysis.bundle import run_analysis
 from repro.report import fmt_int, fmt_pct, render_table, shape_check
 
 
-def _all_reports(ntp_scan, hitlist_scan):
-    return {
-        ("mqtt", "ntp"): security.broker_access_control("ntp", ntp_scan,
-                                                        "mqtt"),
-        ("mqtt", "hitlist"): security.broker_access_control(
-            "hitlist", hitlist_scan, "mqtt"),
-        ("amqp", "ntp"): security.broker_access_control("ntp", ntp_scan,
-                                                        "amqp"),
-        ("amqp", "hitlist"): security.broker_access_control(
-            "hitlist", hitlist_scan, "amqp"),
-        "gap": security.security_gap(ntp_scan, hitlist_scan),
-    }
-
-
 def test_fig3_access_control(experiment, benchmark):
-    reports = benchmark(_all_reports, experiment.ntp_scan,
-                        experiment.hitlist_scan)
+    bundle = benchmark(run_analysis, experiment.ntp_scan,
+                       experiment.hitlist_scan)
 
     rows = []
     for protocol in ("mqtt", "amqp"):
         for side in ("ntp", "hitlist"):
-            report = reports[(protocol, side)]
+            report = bundle.brokers[(side, protocol)]
             rows.append([protocol.upper(), side, fmt_int(report.total),
                          fmt_int(report.open_count),
                          fmt_pct(report.access_control_share)])
@@ -34,7 +20,7 @@ def test_fig3_access_control(experiment, benchmark):
         ["protocol", "dataset", "brokers", "open", "access control"],
         rows, title="Figure 3 - NTP-sourced brokers show worse security")
 
-    ntp_gap, hitlist_gap = reports["gap"]
+    ntp_gap, hitlist_gap = bundle.security_gap()
     text += (f"\n\nCombined secure share (SSH up-to-date + brokers with "
              f"access control):\n"
              f"  hitlist: {fmt_pct(hitlist_gap.secure_share)} of "
@@ -43,10 +29,10 @@ def test_fig3_access_control(experiment, benchmark):
              f"  NTP:     {fmt_pct(ntp_gap.secure_share)} of "
              f"{fmt_int(ntp_gap.total)} hosts (paper: 28.4 % of 73 975)")
 
-    mqtt_ntp = reports[("mqtt", "ntp")]
-    mqtt_hit = reports[("mqtt", "hitlist")]
-    amqp_ntp = reports[("amqp", "ntp")]
-    amqp_hit = reports[("amqp", "hitlist")]
+    mqtt_ntp = bundle.brokers[("ntp", "mqtt")]
+    mqtt_hit = bundle.brokers[("hitlist", "mqtt")]
+    amqp_ntp = bundle.brokers[("ntp", "amqp")]
+    amqp_hit = bundle.brokers[("hitlist", "amqp")]
     checks = [
         shape_check("over half of NTP-found MQTT brokers lack access "
                     "control (paper: >50 % open)",

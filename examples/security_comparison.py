@@ -9,7 +9,7 @@ studies *overestimate* how well the IPv6 Internet is maintained.
 Run:  python examples/security_comparison.py
 """
 
-from repro.analysis import keyreuse, security
+from repro.analysis.bundle import run_analysis
 from repro.core.campaign import CampaignConfig
 from repro.core.pipeline import ExperimentConfig, run_experiment
 from repro.report import fmt_int, fmt_pct, render_table
@@ -24,13 +24,15 @@ def main() -> None:
         rl_days=0, gap_days=6, lead_days=21, final_days=7,
         include_rl=False,
     ))
-    ntp_scan, hitlist_scan = result.ntp_scan, result.hitlist_scan
+    # Every table and figure below formats from one analysis bundle.
+    bundle = run_analysis(result.ntp_scan, result.hitlist_scan,
+                          asdb=result.world.asdb)
+    sides = (("NTP-sourced", "ntp"), ("TUM-style hitlist", "hitlist"))
 
     # Figure 2: SSH patch levels (Debian-derived hosts, by unique key).
     rows = []
-    for label, scan in (("NTP-sourced", ntp_scan),
-                        ("TUM-style hitlist", hitlist_scan)):
-        report = security.ssh_outdatedness(label, scan)
+    for label, side in sides:
+        report = bundle.ssh[side]
         rows.append([label, fmt_int(report.assessed),
                      fmt_pct(report.outdated_share),
                      fmt_int(report.unassessable)])
@@ -41,9 +43,8 @@ def main() -> None:
     # Figure 3: broker access control.
     rows = []
     for protocol in ("mqtt", "amqp"):
-        for label, scan in (("NTP-sourced", ntp_scan),
-                            ("TUM-style hitlist", hitlist_scan)):
-            report = security.broker_access_control(label, scan, protocol)
+        for label, side in sides:
+            report = bundle.brokers[(side, protocol)]
             rows.append([protocol.upper(), label, fmt_int(report.total),
                          fmt_pct(report.access_control_share)])
     print("\n" + render_table(
@@ -51,7 +52,7 @@ def main() -> None:
         rows, title="Broker access control (Figure 3)"))
 
     # The headline.
-    ntp, hitlist = security.security_gap(ntp_scan, hitlist_scan)
+    ntp, hitlist = bundle.security_gap()
     print(f"\n=> Secure share: {fmt_pct(hitlist.secure_share)} of "
           f"{fmt_int(hitlist.total)} hitlist-found hosts vs only "
           f"{fmt_pct(ntp.secure_share)} of {fmt_int(ntp.total)} "
@@ -60,9 +61,8 @@ def main() -> None:
 
     # Section 6: key/certificate reuse.
     print("\nKey & certificate reuse across >2 ASes (Section 6):")
-    for label, scan in (("NTP-sourced", ntp_scan),
-                        ("hitlist", hitlist_scan)):
-        report = keyreuse.analyze(label, scan, result.world.asdb)
+    for label, side in (("NTP-sourced", "ntp"), ("hitlist", "hitlist")):
+        report = bundle.keyreuse[side]
         most = report.most_used
         line = (f"  {label:12s} {report.reused_key_count:4d} reused keys "
                 f"covering {fmt_int(report.total_reused_addresses)} addresses"

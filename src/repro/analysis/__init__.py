@@ -22,8 +22,6 @@ from repro.analysis.security import (
     OutdatednessReport,
     SecureShareReport,
     broker_access_control,
-    secure_share,
-    security_gap,
     ssh_outdatedness,
 )
 from repro.analysis.structure import StructureReport, analyze
@@ -51,9 +49,7 @@ __all__ = [
     "lifetime",
     "macs",
     "run_analysis",
-    "secure_share",
     "security",
-    "security_gap",
     "ssh_outdatedness",
     "structure",
 ]

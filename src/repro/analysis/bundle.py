@@ -1,25 +1,26 @@
 """The Section-4/6 analysis bundle of one pair of scan campaigns.
 
-The Table/Figure computations over a finished pair of scan campaigns
-are mutually independent — each side of Table 3 (HTTP title clustering,
-SSH OS buckets, CoAP resource groups), the Figure-2 SSH outdatedness
-assessment, the Figure-3 broker access-control classification, and the
-Section-6 key-reuse sweep each read only their own slice of the
-immutable :class:`~repro.scan.result.ScanResults`.
-:func:`run_analysis` runs them in a fixed order, the NTP side before
-the hitlist side, and collects the results in one
-:class:`AnalysisBundle`.
+:func:`run_analysis` is the one place that decides which computations
+make up Table 3, Figures 2–3, the combined secure share and key reuse:
+every table, window and report formats from its
+:class:`AnalysisBundle`, never from a second computation.  The
+computations are mutually independent — each reads only its own slice
+of the immutable :class:`~repro.scan.result.ScanResults` — and run in a
+fixed order: Table 3 (:func:`~repro.analysis.devicetypes.build_table3`),
+then per dataset, NTP before hitlist, Figure 2's SSH outdatedness,
+Figure 3's MQTT and AMQP access control and Section 6's key reuse.
 
-Every computation records into the current
-:class:`~repro.obs.metrics.MetricsRegistry`, and
-``analysis_jobs_total`` counts one per table or figure computation, so
-the ``analysis_*`` series are a deterministic tally of the work done.
+Every building block records into the current
+:class:`~repro.obs.metrics.MetricsRegistry` and counts itself in
+``analysis_jobs_total``, so the ``analysis_*`` series are a
+deterministic tally of the work done: 14 jobs with an AS database, 12
+without one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis import devicetypes, keyreuse, security
 from repro.analysis.devicetypes import DeviceTypeTable
@@ -29,7 +30,6 @@ from repro.analysis.security import (
     OutdatednessReport,
     SecureShareReport,
 )
-from repro.obs.metrics import current_registry
 from repro.scan.result import ScanResults
 from repro.world.asdb import AsDatabase
 
@@ -54,6 +54,34 @@ class AnalysisBundle:
         """The paper's headline pair: (NTP report, hitlist report)."""
         return self.secure["ntp"], self.secure["hitlist"]
 
+    def table3_rows(self) -> List[dict]:
+        """Table 3's JSON rows: certificates in the NTP side's eight
+        largest title groups, with the hitlist's count for each."""
+        return [
+            {"group": group.representative, "ntp_certs": group.count,
+             "hitlist_certs":
+                 self.table3.http_group_count("hitlist",
+                                              group.representative)}
+            for group in self.table3.http_ntp[:8]
+        ]
+
+    def secure_share_rows(self) -> Dict[str, dict]:
+        """The headline pair as JSON: share and total per side."""
+        return {side: {"secure_share": report.secure_share,
+                       "total": report.total}
+                for side, report in self.secure.items()}
+
+
+def table2_rows(ntp: ScanResults, hitlist: ScanResults,
+                protocols: Iterable[str]) -> List[dict]:
+    """Table 2's JSON rows: responsive addresses per protocol."""
+    return [
+        {"protocol": protocol,
+         "ntp_responsive": len(ntp.responsive_addresses(protocol)),
+         "hitlist_responsive": len(hitlist.responsive_addresses(protocol))}
+        for protocol in protocols
+    ]
+
 
 def run_analysis(ntp: ScanResults, hitlist: ScanResults, *,
                  asdb: Optional[AsDatabase] = None) -> AnalysisBundle:
@@ -62,45 +90,16 @@ def run_analysis(ntp: ScanResults, hitlist: ScanResults, *,
     Key reuse requires ``asdb`` and is skipped without one (offline
     re-analysis of saved scan files has no AS database).
     """
-    jobs = current_registry().counter("analysis_jobs_total")
-
-    def job(value):
-        jobs.inc()
-        return value
-
-    http, ssh_os, coap = {}, {}, {}
-    ssh, brokers, reuse = {}, {}, {}
+    table3 = devicetypes.build_table3(ntp, hitlist)
+    ssh, brokers, secure, reuse = {}, {}, {}, {}
     for side, results in zip(SIDES, (ntp, hitlist)):
-        http[side] = job(tuple(devicetypes.http_title_groups(
-            results, dataset=side)))
-        ssh_os[side] = job(devicetypes.ssh_os_counts(results))
-        coap[side] = job(devicetypes.coap_group_counts(results))
-        ssh[side] = job(security.ssh_outdatedness(side, results))
+        ssh[side] = security.ssh_outdatedness(side, results)
         for protocol in BROKER_PROTOCOLS:
-            brokers[(side, protocol)] = job(
-                security.broker_access_control(side, results, protocol))
+            brokers[(side, protocol)] = security.broker_access_control(
+                side, results, protocol)
+        secure[side] = SecureShareReport.combine(
+            ssh[side], brokers[(side, "mqtt")], brokers[(side, "amqp")])
         if asdb is not None:
-            reuse[side] = job(keyreuse.analyze(side, results, asdb))
-
-    secure = {}
-    for side in SIDES:
-        mqtt = brokers[(side, "mqtt")]
-        amqp = brokers[(side, "amqp")]
-        secure[side] = SecureShareReport(
-            label=side,
-            ssh_assessed=ssh[side].assessed,
-            ssh_secure=ssh[side].up_to_date,
-            brokers_total=mqtt.total + amqp.total,
-            brokers_secure=mqtt.controlled + amqp.controlled,
-        )
-    return AnalysisBundle(
-        table3=DeviceTypeTable(
-            http_ntp=http["ntp"], http_hitlist=http["hitlist"],
-            ssh_ntp=ssh_os["ntp"], ssh_hitlist=ssh_os["hitlist"],
-            coap_ntp=coap["ntp"], coap_hitlist=coap["hitlist"],
-        ),
-        ssh=ssh,
-        brokers=brokers,
-        secure=secure,
-        keyreuse=reuse,
-    )
+            reuse[side] = keyreuse.analyze(side, results, asdb)
+    return AnalysisBundle(table3=table3, ssh=ssh, brokers=brokers,
+                          secure=secure, keyreuse=reuse)

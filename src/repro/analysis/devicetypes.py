@@ -10,6 +10,9 @@ answered a probe:
 * **CoAP** — the advertised resource set, bucketed by well-known
   prefixes (castdevice, qlink, efento, nanoleaf, …), counted per
   address.
+
+Each column of one side counts one ``analysis_jobs_total`` on the
+current metrics registry.
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ SSH_OS_BUCKETS = ("Ubuntu", "Debian", "Raspbian", "FreeBSD", "other/unknown")
 
 #: Table 3's CoAP rows, in classification order.
 COAP_GROUPS = ("castdevice", "qlink", "efento", "nanoleaf", "empty", "other")
+
+#: A device group is underrepresented when its NTP count exceeds this
+#: many times its hitlist count.
+UNDERREPRESENTED_FACTOR = 5.0
 
 
 # -- HTTP ---------------------------------------------------------------
@@ -80,7 +87,6 @@ def http_titles_by_certificate(results: ScanResults) -> Dict[bytes, str]:
 
 
 def http_title_groups(results: ScanResults,
-                      threshold: float = 0.25,
                       dataset: str = "") -> List[TitleGroup]:
     """Table 3 (HTTP): title groups weighted by unique certificates.
 
@@ -88,13 +94,16 @@ def http_title_groups(results: ScanResults,
     pruned candidates) is published as ``analysis_*`` counters on the
     current metrics registry, labeled with ``dataset`` when given.
     """
+    registry = current_registry()
+    registry.counter("analysis_jobs_total").inc()
     counts = Counter(http_titles_by_certificate(results).values())
     stats = ClusterStats()
-    groups = cluster_counts(counts.items(), threshold=threshold, stats=stats)
+    groups = cluster_counts(counts.items(), threshold=DEFAULT_THRESHOLD,
+                            stats=stats)
     labels = {"table": "table3_http"}
     if dataset:
         labels["dataset"] = dataset
-    stats.publish(current_registry(), **labels)
+    stats.publish(registry, **labels)
     return groups
 
 
@@ -117,6 +126,7 @@ def ssh_os_by_key(results: ScanResults) -> Dict[bytes, str]:
 
 def ssh_os_counts(results: ScanResults) -> Dict[str, int]:
     """Table 3 (SSH): host keys per OS bucket."""
+    current_registry().counter("analysis_jobs_total").inc()
     counts = Counter(ssh_os_by_key(results).values())
     table = {bucket: 0 for bucket in SSH_OS_BUCKETS}
     for os_name, count in counts.items():
@@ -172,6 +182,7 @@ def coap_mac_dedup(results: ScanResults) -> Tuple[int, int]:
 
 def coap_group_counts(results: ScanResults) -> Dict[str, int]:
     """Table 3 (CoAP): responsive addresses per resource group."""
+    current_registry().counter("analysis_jobs_total").inc()
     table = {group: 0 for group in COAP_GROUPS}
     seen: set = set()
     for grab in results.coap:
@@ -224,7 +235,8 @@ class DeviceTypeTable:
 
 
 def build_table3(ntp: ScanResults, hitlist: ScanResults) -> DeviceTypeTable:
-    """Compute the full Table 3 from two scan campaigns."""
+    """Compute the full Table 3 from two scan campaigns, NTP column
+    before hitlist column: HTTP titles, then SSH OSes, then CoAP."""
     return DeviceTypeTable(
         http_ntp=tuple(http_title_groups(ntp, dataset="ntp")),
         http_hitlist=tuple(http_title_groups(hitlist, dataset="hitlist")),
@@ -235,16 +247,14 @@ def build_table3(ntp: ScanResults, hitlist: ScanResults) -> DeviceTypeTable:
     )
 
 
-def new_or_underrepresented(table: DeviceTypeTable,
-                            factor: float = 5.0,
-                            threshold: float = DEFAULT_THRESHOLD,
+def new_or_underrepresented(table: DeviceTypeTable
                             ) -> Dict[str, Tuple[int, int]]:
     """Device groups the hitlist misses or underrepresents.
 
     Returns ``{group: (ntp_count, hitlist_count)}`` for every HTTP
     title group, SSH OS, and CoAP group where the NTP count exceeds
-    ``factor`` × the hitlist count — the basis of the paper's
-    "283 867 new or underrepresented devices" headline.
+    :data:`UNDERREPRESENTED_FACTOR` × the hitlist count — the basis of
+    the paper's "283 867 new or underrepresented devices" headline.
 
     HTTP matching goes through :meth:`DeviceTypeTable.http_group`:
     the two sides are clustered independently, so the hitlist group
@@ -259,18 +269,18 @@ def new_or_underrepresented(table: DeviceTypeTable,
         if group.representative in (NO_TITLE, EMPTY_TITLE):
             continue
         match = table.http_group("hitlist", group.representative,
-                                 threshold=threshold)
+                                 threshold=DEFAULT_THRESHOLD)
         hit = match.count if match is not None else 0
-        if group.count > factor * hit:
+        if group.count > UNDERREPRESENTED_FACTOR * hit:
             findings[f"http:{group.representative}"] = (group.count, hit)
     for os_name in SSH_OS_BUCKETS[:-1]:
         ntp_count = table.ssh_ntp.get(os_name, 0)
         hit_count = table.ssh_hitlist.get(os_name, 0)
-        if ntp_count > factor * hit_count and ntp_count > 0:
+        if ntp_count > UNDERREPRESENTED_FACTOR * hit_count:
             findings[f"ssh:{os_name}"] = (ntp_count, hit_count)
     for group in COAP_GROUPS:
         ntp_count = table.coap_ntp.get(group, 0)
         hit_count = table.coap_hitlist.get(group, 0)
-        if ntp_count > factor * hit_count and ntp_count > 0:
+        if ntp_count > UNDERREPRESENTED_FACTOR * hit_count:
             findings[f"coap:{group}"] = (ntp_count, hit_count)
     return findings

@@ -12,6 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.obs.metrics import current_registry
 from repro.scan.result import ScanResults
 from repro.world.asdb import AsDatabase
 
@@ -84,14 +85,15 @@ def _collect_identities(results: ScanResults) -> Dict[bytes, Set[int]]:
 
 
 def analyze(label: str, results: ScanResults,
-            asdb: AsDatabase,
-            as_threshold: int = AS_THRESHOLD) -> ReuseReport:
-    """Find every secret shared across more than ``as_threshold`` ASes."""
+            asdb: AsDatabase) -> ReuseReport:
+    """Find every secret shared across more than :data:`AS_THRESHOLD`
+    ASes (one ``analysis_jobs_total`` on the current metrics registry)."""
+    current_registry().counter("analysis_jobs_total").inc()
     reused: List[ReusedKey] = []
     for fingerprint, addresses in _collect_identities(results).items():
         asns = {asn for value in addresses
                 if (asn := asdb.lookup_asn(value)) is not None}
-        if len(asns) > as_threshold:
+        if len(asns) > AS_THRESHOLD:
             reused.append(ReusedKey(
                 fingerprint=fingerprint,
                 addresses=len(addresses),

@@ -9,15 +9,21 @@
   broker *open*; refusals mark it access-controlled.
 * **Combined secure share** — the paper's headline (43.5 % of hitlist
   hosts vs 28.4 % of NTP-sourced hosts appear secure): up-to-date SSH
-  servers and access-controlled brokers over all assessable hosts.
+  servers and access-controlled brokers over all assessable hosts,
+  added up from one dataset's Figure-2 and Figure-3 reports by
+  :meth:`SecureShareReport.combine`.
+
+Each assessment counts one ``analysis_jobs_total`` on the current
+metrics registry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.data.ssh_releases import is_outdated
+from repro.obs.metrics import current_registry
 from repro.proto.ssh import SshIdentification, debian_patch_level
 from repro.scan.result import BrokerGrab, ScanResults, SshGrab
 
@@ -72,6 +78,7 @@ def ssh_outdatedness(label: str, results: ScanResults,
     the Appendix C (Figure 5) view, where key reuse inflates outdated
     hosts.
     """
+    current_registry().counter("analysis_jobs_total").inc()
     assessed = outdated = unassessable = 0
     if by_key:
         assessed_keys: set = set()
@@ -133,22 +140,21 @@ class AccessControlReport:
 
 def broker_access_control(label: str, results: ScanResults,
                           protocol: str,
-                          include_tls_variant: bool = True,
                           by_network: Optional[int] = None) -> AccessControlReport:
     """Classify broker deployments of one protocol family.
 
     Deduplicates by address (or by ``/by_network`` prefix for the
-    Appendix C view); the TLS variant's grabs are merged in by default,
-    as the paper reports one MQTT and one AMQP figure.  Per dedup key,
+    Appendix C view); the TLS variant's grabs are merged in, as the
+    paper reports one MQTT and one AMQP figure.  Per dedup key,
     the first *conclusive* verdict wins over any number of
     ``open_access=None`` grabs — the seed implementation consumed the
     key on the first grab regardless, so an inconclusive plaintext grab
     silently discarded the conclusive TLS-variant grab merged in after
     it.
     """
+    current_registry().counter("analysis_jobs_total").inc()
     grabs: List[BrokerGrab] = list(results.grabs(protocol))
-    if include_tls_variant:
-        grabs += list(results.grabs(protocol + "s"))
+    grabs += list(results.grabs(protocol + "s"))
     verdicts: dict = {}
     for grab in grabs:
         if not grab.ok:
@@ -195,22 +201,15 @@ class SecureShareReport:
     def secure_share(self) -> float:
         return self.secure / self.total if self.total else 0.0
 
-
-def secure_share(label: str, results: ScanResults) -> SecureShareReport:
-    """Combined SSH + IoT-broker security posture of one dataset."""
-    ssh_report = ssh_outdatedness(label, results, by_key=True)
-    mqtt_report = broker_access_control(label, results, "mqtt")
-    amqp_report = broker_access_control(label, results, "amqp")
-    return SecureShareReport(
-        label=label,
-        ssh_assessed=ssh_report.assessed,
-        ssh_secure=ssh_report.up_to_date,
-        brokers_total=mqtt_report.total + amqp_report.total,
-        brokers_secure=mqtt_report.controlled + amqp_report.controlled,
-    )
-
-
-def security_gap(ntp: ScanResults, hitlist: ScanResults) -> Tuple[
-        SecureShareReport, SecureShareReport]:
-    """The paper's headline pair: (NTP report, hitlist report)."""
-    return secure_share("ntp", ntp), secure_share("hitlist", hitlist)
+    @classmethod
+    def combine(cls, ssh: OutdatednessReport, mqtt: AccessControlReport,
+                amqp: AccessControlReport) -> "SecureShareReport":
+        """One dataset's headline: its up-to-date SSH keys and
+        access-controlled MQTT and AMQP brokers over all assessed."""
+        return cls(
+            label=ssh.label,
+            ssh_assessed=ssh.assessed,
+            ssh_secure=ssh.up_to_date,
+            brokers_total=mqtt.total + amqp.total,
+            brokers_secure=mqtt.controlled + amqp.controlled,
+        )

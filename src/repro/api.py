@@ -16,7 +16,8 @@ Quickstart::
 
     study = api.study(ExperimentConfig(world=WorldConfig(scale=0.1)))
     print(study.report.tables["hit_rates"])    # headline numbers
-    study.experiment.table1()                  # full result object
+    study.analysis.security_gap()              # Figures 2-3 headline
+    study.experiment                           # full result object
 
 Every entry point runs in the calling process, with one scan engine per
 scan path (DESIGN.md §8).
@@ -29,10 +30,11 @@ from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
 from repro.analysis import devicetypes
-from repro.analysis.bundle import run_analysis
+from repro.analysis.bundle import AnalysisBundle, run_analysis, table2_rows
 from repro.core.actors import deploy_section5_actors
 from repro.core.attribution import AttributionReport, attribute_events
 from repro.core.campaign import CampaignConfig, CampaignReport, CollectionCampaign
+from repro.core.comparison import ComparisonTable
 from repro.core.detection import ActorDetector, ActorVerdict
 from repro.core.ecosystem import ScannerPopulation, leak_scenario
 from repro.core.pipeline import ExperimentConfig, ExperimentResult, run_experiment
@@ -216,6 +218,10 @@ class CollectResult:
 class StudyResult:
     experiment: ExperimentResult
     report: RunReport
+    #: Table 1 and the analysis bundle the report's tables were
+    #: formatted from (``repro study --full-report`` formats them too).
+    table1: ComparisonTable
+    analysis: AnalysisBundle
 
 
 @dataclass
@@ -327,11 +333,7 @@ def study(config: Optional[ExperimentConfig] = None) -> StudyResult:
     :mod:`repro.store` directory that :func:`resume` can continue.
     """
     config = config or ExperimentConfig()
-    result = run_experiment(config)
-    with use_registry(result.metrics):
-        tables = study_tables(result)
-    report = RunReport.build("study", asdict(config), result.metrics, tables)
-    return StudyResult(experiment=result, report=report)
+    return _study_result(config, run_experiment(config))
 
 
 def resume(run_dir: str) -> StudyResult:
@@ -358,22 +360,28 @@ def resume(run_dir: str) -> StudyResult:
             "study; use api.resume_campaign() instead")
     config = config_from_document(ExperimentConfig, store.meta["config"],
                                   store_dir=str(run_dir))
-    result = run_experiment(config, resume=True)
+    return _study_result(config, run_experiment(config, resume=True))
+
+
+def _study_result(config: ExperimentConfig,
+                  result: ExperimentResult) -> StudyResult:
+    """Build a finished experiment's Table 1 and analysis bundle in its
+    metrics registry, and its run report from them."""
     with use_registry(result.metrics):
-        tables = study_tables(result)
-    report = RunReport.build("study", asdict(config), result.metrics, tables)
-    return StudyResult(experiment=result, report=report)
+        table1 = result.table1()
+        bundle = run_analysis(result.ntp_scan, result.hitlist_scan,
+                              asdb=result.world.asdb)
+    report = RunReport.build("study", asdict(config), result.metrics,
+                             study_tables(result, table1, bundle))
+    return StudyResult(experiment=result, report=report, table1=table1,
+                       analysis=bundle)
 
 
-def study_tables(result: ExperimentResult) -> dict:
-    """The headline tables of one experiment, as JSON-shaped rows."""
-    table1 = result.table1()
-    protocols = result.config.protocols or PROTOCOLS
-    bundle = run_analysis(result.ntp_scan, result.hitlist_scan,
-                          asdb=result.world.asdb)
-    ntp_gap, hitlist_gap = bundle.security_gap()
-    table3 = bundle.table3
-    findings = devicetypes.new_or_underrepresented(table3)
+def study_tables(result: ExperimentResult, table1: ComparisonTable,
+                 bundle: AnalysisBundle) -> dict:
+    """The headline tables of one experiment, as JSON-shaped rows
+    formatted from its Table 1 and analysis bundle."""
+    findings = devicetypes.new_or_underrepresented(bundle.table3)
     return {
         "table1": [
             {"label": s.label, "addresses": s.address_count,
@@ -382,24 +390,13 @@ def study_tables(result: ExperimentResult) -> dict:
              "median_ips_per_as": s.median_ips_per_as}
             for s in table1.summaries
         ],
-        "table2": [
-            {"protocol": protocol,
-             "ntp_responsive":
-                 len(result.ntp_scan.responsive_addresses(protocol)),
-             "hitlist_responsive":
-                 len(result.hitlist_scan.responsive_addresses(protocol))}
-            for protocol in protocols
-        ],
+        "table2": table2_rows(result.ntp_scan, result.hitlist_scan,
+                              result.config.protocols or PROTOCOLS),
         "hit_rates": {
             "ntp": result.ntp_scan.hit_rate(),
             "hitlist": result.hitlist_scan.hit_rate(),
         },
-        "security": {
-            "ntp": {"secure_share": ntp_gap.secure_share,
-                    "total": ntp_gap.total},
-            "hitlist": {"secure_share": hitlist_gap.secure_share,
-                        "total": hitlist_gap.total},
-        },
+        "security": bundle.secure_share_rows(),
         "device_gap": {
             "groups": len(findings),
             "devices": sum(count for count, _ in findings.values()),
@@ -650,22 +647,8 @@ def analyze(config: AnalyzeConfig) -> AnalyzeResult:
         # sweep is skipped (the bundle's keyreuse dict stays empty).
         bundle = run_analysis(ntp_scan, hitlist_scan)
 
-    table3 = bundle.table3
-    ntp_gap, hitlist_gap = bundle.security_gap()
-    tables = {
-        "device_types": [
-            {"group": group.representative, "ntp_certs": group.count,
-             "hitlist_certs":
-                 table3.http_group_count("hitlist", group.representative)}
-            for group in table3.http_ntp[:8]
-        ],
-        "security": {
-            "ntp": {"secure_share": ntp_gap.secure_share,
-                    "total": ntp_gap.total},
-            "hitlist": {"secure_share": hitlist_gap.secure_share,
-                        "total": hitlist_gap.total},
-        },
-    }
+    tables = {"device_types": bundle.table3_rows(),
+              "security": bundle.secure_share_rows()}
     report = RunReport.build("analyze", asdict(config), registry, tables)
     return AnalyzeResult(ntp_scan=ntp_scan, hitlist_scan=hitlist_scan,
                          report=report)

@@ -125,6 +125,10 @@ def cmd_collect(args: argparse.Namespace) -> int:
 
 
 def cmd_study(args: argparse.Namespace) -> int:
+    if args.full_report and args.format == "json":
+        print("error: --full-report: prints text tables and cannot be "
+              "combined with --format json", file=sys.stderr)
+        return 2
     protocols = tuple(args.protocols.split(",")) if args.protocols else None
     try:
         if args.resume:
@@ -167,7 +171,7 @@ def cmd_study(args: argparse.Namespace) -> int:
     if args.full_report:
         from repro.report.study import render_full_report
 
-        print(render_full_report(result))
+        print(render_full_report(result, study.table1, study.analysis))
         return 0
 
     tables = study.report.tables
@@ -500,7 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="save dataset + scan results + run report "
                             "as JSONL")
     study.add_argument("--full-report", action="store_true",
-                       help="print every paper table/figure")
+                       help="print every paper table/figure (text "
+                            "only: not with --format json)")
     study.add_argument("--store",
                        help="stream the run into a durable run-store "
                             "directory (resumable after a crash)")

@@ -1,16 +1,20 @@
-"""Render a complete study report from an :class:`ExperimentResult`.
+"""Render a complete study report from a finished study.
 
 One call produces every table and figure of the paper as aligned text —
 the same artefacts the benchmark harness writes, but as a library
-feature, so saved or freshly run experiments can be turned into a full
-report from code or via ``python -m repro study --full-report``.
+feature, so a freshly run study can be turned into a full report from
+code or via ``python -m repro study --full-report``.  Table 1 and the
+:class:`~repro.analysis.bundle.AnalysisBundle` come in as built for the
+study's run report (``api.StudyResult.table1`` and ``.analysis``); the
+sections only format them.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from repro.analysis import devicetypes, keyreuse, lifetime, macs, security, structure
+from repro.analysis import devicetypes, lifetime, macs, structure
+from repro.analysis.bundle import BROKER_PROTOCOLS, SIDES
 from repro.report.formatting import (
     fmt_float,
     fmt_int,
@@ -26,8 +30,7 @@ def _section(title: str) -> str:
     return f"\n{bar}\n## {title}\n{bar}\n"
 
 
-def render_table1(result) -> str:
-    table = result.table1()
+def render_table1(table) -> str:
     rows = [[s.label, fmt_int(s.address_count), fmt_int(s.net48_count),
              fmt_int(s.as_count), fmt_float(s.median_ips_per_48),
              fmt_float(s.median_ips_per_as)]
@@ -87,8 +90,8 @@ def render_table2(result) -> str:
     return text
 
 
-def render_table3(result) -> str:
-    table = devicetypes.build_table3(result.ntp_scan, result.hitlist_scan)
+def render_table3(analysis) -> str:
+    table = analysis.table3
     seen = set()
     rows = []
     for group in list(table.http_ntp[:10]) + list(table.http_hitlist[:8]):
@@ -120,32 +123,26 @@ def render_table3(result) -> str:
     return text
 
 
-def render_security(result) -> str:
-    rows = []
-    for label, scan in (("ntp", result.ntp_scan),
-                        ("hitlist", result.hitlist_scan)):
-        report = security.ssh_outdatedness(label, scan)
-        rows.append([label, fmt_int(report.assessed),
-                     fmt_pct(report.outdated_share)])
+def render_security(analysis) -> str:
+    rows = [[side, fmt_int(report.assessed), fmt_pct(report.outdated_share)]
+            for side, report in analysis.ssh.items()]
     text = render_table(["dataset", "assessed SSH keys", "outdated"], rows)
     rows = []
-    for protocol in ("mqtt", "amqp"):
-        for label, scan in (("ntp", result.ntp_scan),
-                            ("hitlist", result.hitlist_scan)):
-            report = security.broker_access_control(label, scan, protocol)
-            rows.append([protocol.upper(), label, fmt_int(report.total),
+    for protocol in BROKER_PROTOCOLS:
+        for side in SIDES:
+            report = analysis.brokers[(side, protocol)]
+            rows.append([protocol.upper(), side, fmt_int(report.total),
                          fmt_pct(report.access_control_share)])
     text += "\n\n" + render_table(
         ["protocol", "dataset", "brokers", "access control"], rows)
-    ntp, hitlist = security.security_gap(result.ntp_scan,
-                                         result.hitlist_scan)
+    ntp, hitlist = analysis.security_gap()
     text += (f"\n\nsecure share: hitlist {fmt_pct(hitlist.secure_share)} of "
              f"{fmt_int(hitlist.total)} vs NTP {fmt_pct(ntp.secure_share)} "
              f"of {fmt_int(ntp.total)} (paper: 43.5 % vs 28.4 %)")
     return text
 
 
-def render_appendices(result) -> str:
+def render_appendices(result, analysis) -> str:
     mac_report = macs.analyze_dataset(result.ntp_dataset, result.world.oui)
     text = render_table(
         ["manufacturer", "#MACs", "#IPs"],
@@ -156,7 +153,7 @@ def render_appendices(result) -> str:
     text += "\n\n" + render_table(
         ["capture server", "#addresses"],
         [[location, fmt_int(count)] for location, count in counts])
-    reuse = keyreuse.analyze("ntp", result.ntp_scan, result.world.asdb)
+    reuse = analysis.keyreuse["ntp"]
     life = lifetime.analyze(result.ntp_dataset)
     text += (f"\n\nkey reuse (ntp): {fmt_int(reuse.reused_key_count)} keys "
              f"across >2 ASes covering "
@@ -167,18 +164,22 @@ def render_appendices(result) -> str:
     return text
 
 
-def render_full_report(result) -> str:
-    """The whole study, every table/figure, as one text document."""
+def render_full_report(result, table1, analysis) -> str:
+    """The whole study, every table/figure, as one text document.
+
+    ``table1`` and ``analysis`` are the study's Table 1 and its
+    analysis bundle with key reuse (see :func:`repro.api.study`).
+    """
     parts: List[str] = [
         "TIME TO SCAN — full study report (simulated reproduction)",
-        _section("Table 1 — collected datasets"), render_table1(result),
+        _section("Table 1 — collected datasets"), render_table1(table1),
         _section("Figure 1 — address structure"), render_figure1(result),
         _section("Table 2 — scans by protocol"), render_table2(result),
-        _section("Table 3 — device types"), render_table3(result),
+        _section("Table 3 — device types"), render_table3(analysis),
         _section("Figures 2-3 — security configuration"),
-        render_security(result),
+        render_security(analysis),
         _section("Appendices — vendors, per-server volumes, reuse, "
                  "lifetimes"),
-        render_appendices(result),
+        render_appendices(result, analysis),
     ]
     return "\n".join(parts)

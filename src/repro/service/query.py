@@ -29,10 +29,9 @@ fold), so one reader instance serves many concurrent queries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.analysis.devicetypes import build_table3
-from repro.analysis.security import broker_access_control, ssh_outdatedness
+from repro.analysis.bundle import BROKER_PROTOCOLS, run_analysis, table2_rows
 from repro.net.clock import DAY
 from repro.obs.metrics import current_registry
 from repro.scan.result import PROTOCOLS, ScanResults
@@ -126,40 +125,40 @@ def window_document(results: Dict[str, ScanResults], *,
                     targets_start: Dict[str, int],
                     targets_end: Dict[str, int],
                     sightings: int, addresses: int,
-                    protocols: Iterable[str] = PROTOCOLS,
-                    ntp_label: str = "ntp",
-                    hitlist_label: str = "hitlist") -> Dict:
+                    ntp_label: str = "ntp") -> Dict:
     """The canonical tables of one window (Table 2/3, Fig 2/3).
 
     Shared by every producer — the windowed reader, the serve front
     end, and the golden tests' independent full-replay fold — so "byte
     identical" means one code path formats the numbers and a second
-    one only *selects the records*.  Mutates the per-label results'
-    ``targets_seen`` to the window delta (callers pass per-window
-    accumulators, never shared state).
+    one only *selects the records*.  Table 3 and Figures 2–3 come from
+    one :func:`~repro.analysis.bundle.run_analysis` of the window.
+    Mutates the per-label results' ``targets_seen`` to the window delta
+    (callers pass per-window accumulators, never shared state).
     """
     labels = sorted(set(targets_start) | set(targets_end) | set(results))
     deltas = {label: (targets_end.get(label, 0)
                       - targets_start.get(label, 0))
               for label in labels}
     ntp = results.get(ntp_label) or ScanResults(label=ntp_label)
-    hitlist = results.get(hitlist_label) or ScanResults(label=hitlist_label)
+    hitlist = results.get("hitlist") or ScanResults(label="hitlist")
     ntp.targets_seen = deltas.get(ntp_label, 0)
-    hitlist.targets_seen = deltas.get(hitlist_label, 0)
-    table3 = build_table3(ntp, hitlist)
+    hitlist.targets_seen = deltas.get("hitlist", 0)
+    analysis = run_analysis(ntp, hitlist)
+    sides = ((ntp_label, "ntp"), ("hitlist", "hitlist"))
     fig2 = {}
-    for side, scan in ((ntp_label, ntp), (hitlist_label, hitlist)):
-        report = ssh_outdatedness(side, scan, by_key=True)
-        fig2[side] = {"assessed": report.assessed,
-                      "outdated": report.outdated,
-                      "unassessable": report.unassessable,
-                      "outdated_share": report.outdated_share}
+    for label, side in sides:
+        report = analysis.ssh[side]
+        fig2[label] = {"assessed": report.assessed,
+                       "outdated": report.outdated,
+                       "unassessable": report.unassessable,
+                       "outdated_share": report.outdated_share}
     fig3 = {}
-    for protocol in ("mqtt", "amqp"):
+    for protocol in BROKER_PROTOCOLS:
         fig3[protocol] = {}
-        for side, scan in ((ntp_label, ntp), (hitlist_label, hitlist)):
-            report = broker_access_control(side, scan, protocol)
-            fig3[protocol][side] = {
+        for label, side in sides:
+            report = analysis.brokers[(side, protocol)]
+            fig3[protocol][label] = {
                 "open": report.open_count,
                 "controlled": report.controlled,
                 "unknown": report.unknown,
@@ -170,21 +169,10 @@ def window_document(results: Dict[str, ScanResults], *,
                    "days": (end - start) / DAY},
         "sourcing": {"sightings": sightings, "addresses": addresses},
         "targets": deltas,
-        "table2": [
-            {"protocol": protocol,
-             "ntp_responsive": len(ntp.responsive_addresses(protocol)),
-             "hitlist_responsive":
-                 len(hitlist.responsive_addresses(protocol))}
-            for protocol in protocols
-        ],
+        "table2": table2_rows(ntp, hitlist, PROTOCOLS),
         "hit_rates": {ntp_label: ntp.hit_rate(),
-                      hitlist_label: hitlist.hit_rate()},
-        "table3": [
-            {"group": group.representative, "ntp_certs": group.count,
-             "hitlist_certs":
-                 table3.http_group_count("hitlist", group.representative)}
-            for group in table3.http_ntp[:8]
-        ],
+                      "hitlist": hitlist.hit_rate()},
+        "table3": analysis.table3_rows(),
         "fig2": fig2,
         "fig3": fig3,
     }

@@ -123,7 +123,7 @@ class TestTable3:
         hitlist = ScanResults()
         hitlist.add(_https(200, "FRITZ!Box", b"h1"))
         table = devicetypes.build_table3(ntp, hitlist)
-        findings = devicetypes.new_or_underrepresented(table, factor=5.0)
+        findings = devicetypes.new_or_underrepresented(table)
         assert "http:FRITZ!Box" in findings
         assert findings["http:FRITZ!Box"] == (10, 1)
         assert "ssh:Raspbian" in findings
@@ -190,7 +190,7 @@ class TestBugfixRegressions:
         # Clustered under the more frequent 7490 representative…
         assert table.http_group("hitlist", "FRITZ!Box 7590").count == 4
         # …so the NTP group is covered: 6 certificates vs 4, no finding.
-        findings = devicetypes.new_or_underrepresented(table, factor=5.0)
+        findings = devicetypes.new_or_underrepresented(table)
         assert "http:FRITZ!Box 7590" not in findings
 
     def test_findings_match_hitlist_group_by_threshold(self):
@@ -204,7 +204,7 @@ class TestBugfixRegressions:
             hitlist.add(_https(200 + index, "FRITZ!Box 7490",
                                f"h{index}".encode()))
         table = devicetypes.build_table3(ntp, hitlist)
-        findings = devicetypes.new_or_underrepresented(table, factor=5.0)
+        findings = devicetypes.new_or_underrepresented(table)
         assert "http:FRITZ!Box 7590" not in findings
 
     def test_genuinely_new_group_still_reported(self):
@@ -215,5 +215,5 @@ class TestBugfixRegressions:
         hitlist = ScanResults()
         hitlist.add(_https(200, "FRITZ!Box 7490", b"h1"))
         table = devicetypes.build_table3(ntp, hitlist)
-        findings = devicetypes.new_or_underrepresented(table, factor=5.0)
+        findings = devicetypes.new_or_underrepresented(table)
         assert findings["http:Industrial PLC gateway"] == (6, 0)

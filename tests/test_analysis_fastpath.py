@@ -9,8 +9,8 @@ property here:
   unoptimized reference scan (:mod:`tests.levenshtein_oracle`) on
   arbitrary corpora, comparing no more pairs.
 
-On top, the bundle :func:`run_analysis` assembles must agree with the
-security module's own headline computation.
+On top, the secure share of the bundle :func:`run_analysis` assembles
+must add up the SSH and broker verdicts of the scans it was given.
 """
 
 from hypothesis import given, settings
@@ -189,12 +189,25 @@ class TestParallelAnalysisDriver:
     """:func:`run_analysis`, the analysis entry point behind
     ``api.study_tables`` and ``api.analyze``."""
 
-    def test_secure_share_matches_security_module(self):
-        from repro.analysis import security
+    def test_secure_share_sums_ssh_and_broker_verdicts(self):
+        from repro.analysis.security import SecureShareReport
 
         ntp = _synthetic_results("ntp")
         hitlist = _synthetic_results("hitlist", salt=3)
         with use_registry():
             bundle = run_analysis(ntp, hitlist)
-        expected = security.security_gap(ntp, hitlist)
-        assert bundle.security_gap() == expected
+        # Each side: one Debian SSH key below its release's latest patch
+        # level (assessed, outdated); an MQTT broker whose plaintext
+        # grab is inconclusive and whose TLS grab refuses (controlled);
+        # an open AMQP broker.
+        assert bundle.security_gap() == tuple(
+            SecureShareReport(label=label, ssh_assessed=1, ssh_secure=0,
+                              brokers_total=2, brokers_secure=1)
+            for label in ("ntp", "hitlist"))
+
+    def test_counts_twelve_jobs_without_an_as_database(self):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            run_analysis(_synthetic_results("ntp"),
+                         _synthetic_results("hitlist", salt=3))
+        assert registry.value("analysis_jobs_total") == 12

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import security
+from repro.analysis.bundle import run_analysis
 from repro.scan.result import BrokerGrab, ScanResults, SshGrab
 
 
@@ -89,14 +90,6 @@ class TestBrokerAccessControl:
         report = security.broker_access_control("x", results, "mqtt")
         assert report.total == 2
 
-    def test_tls_variant_excluded_on_request(self):
-        results = ScanResults()
-        results.add(_broker(1, "mqtt", True))
-        results.add(_broker(2, "mqtts", False, port=8883))
-        report = security.broker_access_control("x", results, "mqtt",
-                                                include_tls_variant=False)
-        assert report.total == 1
-
     def test_dedup_by_address(self):
         results = ScanResults()
         results.add(_broker(1, "mqtt", True))
@@ -122,6 +115,15 @@ class TestBrokerAccessControl:
         assert report.access_control_share == 0.0
 
 
+def _secure_share(label, results):
+    """One dataset's headline, combined from its Figure-2 and
+    Figure-3 reports."""
+    return security.SecureShareReport.combine(
+        security.ssh_outdatedness(label, results),
+        security.broker_access_control(label, results, "mqtt"),
+        security.broker_access_control(label, results, "amqp"))
+
+
 class TestSecureShare:
     def test_combination(self):
         results = ScanResults()
@@ -129,17 +131,22 @@ class TestSecureShare:
         results.add(_ssh(2, "Debian-2+deb12u1", key=b"b"))   # outdated
         results.add(_broker(3, "mqtt", False))               # secure
         results.add(_broker(4, "mqtt", True))                # open
-        report = security.secure_share("x", results)
-        assert report.total == 4
-        assert report.secure == 2
-        assert report.secure_share == 0.5
+        results.add(_broker(5, "amqp", False, port=5672))    # secure
+        report = _secure_share("x", results)
+        assert report.label == "x"
+        assert (report.ssh_assessed, report.ssh_secure) == (2, 1)
+        assert (report.brokers_total, report.brokers_secure) == (3, 2)
+        assert report.total == 5
+        assert report.secure == 3
+        assert report.secure_share == 0.6
 
     def test_empty(self):
-        report = security.secure_share("x", ScanResults())
+        report = _secure_share("x", ScanResults())
         assert report.secure_share == 0.0
 
     def test_gap_pair(self):
-        ntp, hitlist = security.security_gap(ScanResults(), ScanResults())
+        ntp, hitlist = run_analysis(ScanResults(),
+                                    ScanResults()).security_gap()
         assert ntp.label == "ntp"
         assert hitlist.label == "hitlist"
 

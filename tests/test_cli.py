@@ -55,6 +55,20 @@ class TestCommands:
         assert "secure share" in out
         assert "hit rates" in out
 
+    def test_study_full_report_is_the_library_report(self, capsys):
+        from repro import api
+        from repro.core.pipeline import ExperimentConfig
+        from repro.report.study import render_full_report
+        from repro.world.population import WorldConfig
+
+        assert main(["study", "--scale", "0.05", "--no-rl",
+                     "--full-report"]) == 0
+        out = capsys.readouterr().out
+        study = api.study(ExperimentConfig(
+            world=WorldConfig(seed=20240720, scale=0.05), include_rl=False))
+        assert out == render_full_report(
+            study.experiment, study.table1, study.analysis) + "\n"
+
     def test_determinism(self, capsys):
         main(["world", "--scale", "0.05", "--seed", "7"])
         first = capsys.readouterr().out
@@ -172,6 +186,8 @@ class TestOutOfRangeSettings:
          "wire_fraction=5.0"),
         (["collect", "--scale", "0.02", "--days", "-2", "--wire", "3.5"],
          "days=-2"),
+        (["study", "--scale", "0.02", "--no-rl", "--format", "json",
+          "--full-report"], "--full-report"),
     ])
     def test_exits_2_naming_the_value(self, capsys, argv, lead):
         assert main(argv) == 2

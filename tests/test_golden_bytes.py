@@ -11,6 +11,7 @@ small study's complete outputs instead:
 * every field of every grab (``repr``, which also covers the fields
   ``grab_to_json`` leaves out, such as a CoAP grab's port);
 * the canonical result tables and the deterministic metrics snapshot;
+* the text of the full study report (``repro study --full-report``);
 * for a store-backed run, the raw bytes of every WAL segment and
   checkpoint file;
 * the tables of ``api.amplification``, the tables and metrics of a
@@ -67,6 +68,7 @@ from repro import api
 from repro.core.campaign import CampaignConfig
 from repro.core.pipeline import ExperimentConfig
 from repro.io.jsonl import grab_to_json, load_results, save_results
+from repro.report.study import render_full_report
 from repro.store import fault_injection, read_study
 from repro.store.wal import WalReader
 from repro.world.population import WorldConfig
@@ -81,6 +83,9 @@ GOLDEN_TABLES = (
     "99fcf40541efdd983fd635c38bb0a371a37b67fd44ad5a3824e8c3b3e9a2b865")
 GOLDEN_METRICS = (
     "073c7070df375fce6f2993fe7720ed146b76620189eaa83bb527acb2aaf36386")
+#: sha256 of the full report's text (6,883 characters).
+GOLDEN_FULL_REPORT = (
+    "358e4a7900c9b0098128ba0430ca7b4c7c4d2c4fed63246ace07869b052e088c")
 GOLDEN_STORE_METRICS = (
     "dbce0c9d64428bf54ce2114b89f99dafc5f39d8f50b77074178113dc14db6052")
 GOLDEN_STORE_FILES = (
@@ -185,6 +190,13 @@ class TestGoldenBytes:
             "tables": GOLDEN_TABLES,
             "metrics": GOLDEN_METRICS,
         }
+
+    def test_full_report_matches_golden(self):
+        study = api.study(_config())
+        text = render_full_report(study.experiment, study.table1,
+                                  study.analysis)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            GOLDEN_FULL_REPORT
 
     def test_store_backed_study_matches_golden(self, tmp_path):
         run_dir = tmp_path / "run"

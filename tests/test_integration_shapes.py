@@ -10,6 +10,7 @@ full scale.
 import pytest
 
 from repro.analysis import devicetypes, keyreuse, macs, security, structure
+from repro.analysis.bundle import run_analysis
 
 
 class TestTable1Shapes:
@@ -141,8 +142,8 @@ class TestTable3Shapes:
 class TestSecurityShapes:
     def test_headline_gap(self, experiment):
         """The 43.5% vs 28.4% claim: NTP-sourced hosts are less secure."""
-        ntp, hitlist = security.security_gap(experiment.ntp_scan,
-                                             experiment.hitlist_scan)
+        ntp, hitlist = run_analysis(experiment.ntp_scan,
+                                    experiment.hitlist_scan).security_gap()
         assert ntp.total >= 5 and hitlist.total >= 5
         assert ntp.secure_share < hitlist.secure_share - 0.05
 

@@ -147,7 +147,8 @@ def test_cli_store_flags_reach_the_config(monkeypatch, capsys):
         from repro.obs.runreport import RunReport
 
         report = RunReport.build("study", {}, MetricsRegistry(), {})
-        return api.StudyResult(experiment=None, report=report)
+        return api.StudyResult(experiment=None, report=report,
+                               table1=None, analysis=None)
 
     monkeypatch.setattr(api, "study", fake_study)
     assert cli.main(["study", "--store", "/tmp/x", "--checkpoint-days",

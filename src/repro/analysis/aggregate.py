@@ -9,7 +9,7 @@ network) and Figures 5–6 (security by network).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping
 
 from repro.ipv6 import address as addrmod
 from repro.scan.result import PROTOCOLS, ScanResults
@@ -19,6 +19,9 @@ from repro.world.asdb import AsDatabase
 LEVELS = ("addrs", "/32", "/48", "/56", "/64", "ASes", "countries")
 
 _PREFIX_LEVELS = {"/32": 32, "/48": 48, "/56": 56, "/64": 64}
+
+#: Network lengths of Table 6's columns.
+NETWORK_LEVELS = (48, 56, 64)
 
 
 @dataclass(frozen=True)
@@ -51,11 +54,11 @@ def aggregate_protocol(results: ScanResults, protocol: str,
     return ProtocolAggregate(protocol=protocol, counts=counts)
 
 
-def table5(results: ScanResults, asdb: AsDatabase,
-           protocols: Sequence[str] = PROTOCOLS) -> Dict[str, ProtocolAggregate]:
+def table5(results: ScanResults,
+           asdb: AsDatabase) -> Dict[str, ProtocolAggregate]:
     """The full Table 5 block for one dataset."""
     return {protocol: aggregate_protocol(results, protocol, asdb)
-            for protocol in protocols}
+            for protocol in PROTOCOLS}
 
 
 def gap_factor(ntp: ProtocolAggregate, hitlist: ProtocolAggregate,
@@ -70,12 +73,11 @@ def gap_factor(ntp: ProtocolAggregate, hitlist: ProtocolAggregate,
 
 # -- Table 6: groups counted by networks -----------------------------------
 
-def count_by_networks(addresses: Iterable[int],
-                      levels: Tuple[int, ...] = (48, 56, 64)) -> Dict[str, int]:
+def count_by_networks(addresses: Iterable[int]) -> Dict[str, int]:
     """IPs plus distinct-network counts for one group of addresses."""
     materialized = set(addresses)
     counts = {"IPs": len(materialized)}
-    for bits in levels:
+    for bits in NETWORK_LEVELS:
         counts[f"/{bits}"] = len(addrmod.distinct_networks(materialized, bits))
     return counts
 
@@ -86,8 +88,7 @@ def group_network_table(groups: Mapping[str, Iterable[int]]) -> Dict[str, Dict[s
             for name, addresses in groups.items()}
 
 
-def http_title_group_addresses(results: ScanResults,
-                               threshold: float = 0.25) -> Dict[str, set]:
+def http_title_group_addresses(results: ScanResults) -> Dict[str, set]:
     """Group responsive HTTP(S) addresses by clustered page title.
 
     Unlike Table 3 this counts *addresses* (plain HTTP included), which
@@ -95,7 +96,7 @@ def http_title_group_addresses(results: ScanResults,
     """
     from repro.analysis.levenshtein import TitleClusterer
 
-    clusterer = TitleClusterer(threshold)
+    clusterer = TitleClusterer()
     groups: Dict[str, set] = {}
     for grab in results.merged_http():
         if not grab.ok or grab.status != 200 or grab.title is None:

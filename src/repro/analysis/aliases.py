@@ -22,21 +22,26 @@ from repro.ipv6.columnar import AddressColumn
 from repro.net.simnet import Network
 
 #: Random probes per candidate /64.
-DEFAULT_PROBES = 3
+PROBES = 3
+
+#: Fewest addresses a /64 must hold to be probed at all: single-address
+#: subnets cannot inflate a list, and probing every /64 would itself be
+#: a scan campaign.
+MIN_CLUSTER = 2
 
 #: TCP port used for detection probes (HTTP answers everywhere relevant).
 PROBE_PORT = 80
 
 
 def is_aliased(network: Network, source: int, prefix64: int, *,
-               probes: int = DEFAULT_PROBES,
                rng: Optional[random.Random] = None) -> bool:
-    """Probe ``probes`` random addresses of a /64; aliased iff all answer."""
-    if probes <= 0:
-        raise ValueError(f"probes must be positive, got {probes}")
+    """Probe :data:`PROBES` random addresses of a /64; aliased iff all
+    answer."""
+    if PROBES <= 0:
+        raise ValueError(f"probes must be positive, got {PROBES}")
     chooser = rng or random.Random(prefix64 & 0xFFFFFFFF)
     base = addrmod.prefix(prefix64, 64)
-    for _ in range(probes):
+    for _ in range(PROBES):
         iid = chooser.getrandbits(64) | 1  # never the base address
         stream = network.tcp_connect(source, addrmod.with_iid(base, iid),
                                      PROBE_PORT)
@@ -54,21 +59,13 @@ class AliasReport:
     aliased_prefixes: frozenset  # /64 base addresses
     removed: int
 
-    @property
-    def aliased_count(self) -> int:
-        return len(self.aliased_prefixes)
-
 
 def filter_aliased(network: Network, source: int,
                    addresses: Iterable[int], *,
-                   min_cluster: int = 2,
-                   probes: int = DEFAULT_PROBES,
                    rng: Optional[random.Random] = None) -> AliasReport:
     """Remove addresses living inside aliased /64s.
 
-    Only /64s holding at least ``min_cluster`` addresses are tested
-    (single-address subnets cannot inflate a list, and probing every
-    /64 would itself be a scan campaign).
+    Only /64s holding at least :data:`MIN_CLUSTER` addresses are tested.
     """
     column = AddressColumn.coerce(addresses)
     # Columnar /64 bucketing replaces the per-address grouping dict.
@@ -77,10 +74,10 @@ def filter_aliased(network: Network, source: int,
     # grouping loop did.
     aliased: Set[int] = set()
     for key, members in column.network_key_counts_ordered(64):
-        if members < min_cluster:
+        if members < MIN_CLUSTER:
             continue
         prefix64 = key << 64
-        if is_aliased(network, source, prefix64, probes=probes, rng=rng):
+        if is_aliased(network, source, prefix64, rng=rng):
             aliased.add(prefix64)
     aliased_keys = {prefix64 >> 64 for prefix64 in aliased}
     kept = frozenset(value for value in column

@@ -22,7 +22,7 @@ grabs arrived in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.report.formatting import fmt_float, fmt_int, fmt_pct, render_table
 from repro.scan.result import NtpGrab, ScanResults
@@ -31,7 +31,7 @@ from repro.scan.result import NtpGrab, ScanResults
 VERSION_GROUPS = ("ntpv3", "ntpd<4.2.7p26", "ntpd-patched", "unknown")
 
 #: Amplification-factor bucket edges (factors land in ``[lo, hi)``).
-DEFAULT_BUCKET_EDGES = (1.0, 5.0, 10.0, 15.0, 20.0, 30.0, 50.0)
+BUCKET_EDGES = (1.0, 5.0, 10.0, 15.0, 20.0, 30.0, 50.0)
 
 
 def version_group(version: str) -> str:
@@ -122,11 +122,10 @@ class AmplificationReport:
     maximum: float
 
 
-def amplification_distribution(
-        label: str, results: ScanResults, *,
-        edges: Sequence[float] = DEFAULT_BUCKET_EDGES
-) -> AmplificationReport:
+def amplification_distribution(label: str,
+                               results: ScanResults) -> AmplificationReport:
     """Bucket the amplification factors of monlist-answering servers."""
+    edges = BUCKET_EDGES
     if list(edges) != sorted(edges) or len(set(edges)) != len(edges):
         raise ValueError(f"bucket edges must strictly increase: {edges!r}")
     factors = sorted(

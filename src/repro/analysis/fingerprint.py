@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.ipv6 import address as addrmod
 from repro.ipv6 import eui64
@@ -131,19 +131,3 @@ def dedup_addresses(addresses: Iterable[int]) -> DedupReport:
     clusters.sort(key=lambda cluster: -cluster.address_count)
     return DedupReport(total_addresses=total, clusters=tuple(clusters),
                        unattributable=unattributable)
-
-
-def compare_with_key_bound(report: DedupReport,
-                           unique_keys: int) -> Mapping[str, float]:
-    """Relate the fingerprint bounds to the cert/key lower bound.
-
-    The paper observes fewer distinct MACs than certificates/keys; this
-    helper packages both estimates for reporting.
-    """
-    return {
-        "fingerprint_lower": float(report.lower_bound),
-        "fingerprint_upper": float(report.upper_bound),
-        "key_lower_bound": float(unique_keys),
-        "identified_hosts": float(report.identified_hosts),
-        "dedup_factor": report.deduplication_factor,
-    }

@@ -296,14 +296,6 @@ class TitleClusterer:
         group.add(title, count)
         return group
 
-    def top(self, n: int = 10) -> List[TitleGroup]:
-        """Largest groups first."""
-        return sorted(self.groups, key=lambda group: -group.count)[:n]
-
-    def group_of(self, title: str) -> Optional[TitleGroup]:
-        """The group a title was assigned to, if any."""
-        return self._assignments.get(title)
-
 
 def cluster_counts(titles: Iterable[Tuple[str, int]],
                    threshold: float = DEFAULT_THRESHOLD, *,

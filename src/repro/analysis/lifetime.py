@@ -12,10 +12,16 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.core.collector import CollectedDataset
 from repro.net.clock import DAY
+
+#: Span, in days, from which an address counts as long-lived.
+LONG_DAYS = 7.0
+
+#: Days after first sight at which the survival curve is read.
+DAY_POINTS = (1, 3, 7, 14, 21)
 
 
 @dataclass(frozen=True)
@@ -28,7 +34,8 @@ class LifetimeReport:
     median_span: float
     mean_span: float
     max_span: float
-    #: Share of addresses whose span covers at least ``long_days`` days.
+    #: Share of addresses whose span covers at least ``long_days`` days
+    #: (:data:`LONG_DAYS`).
     long_lived_share: float
     long_days: float
 
@@ -43,9 +50,9 @@ class LifetimeReport:
         return self.median_span / DAY
 
 
-def analyze(dataset: CollectedDataset, *,
-            long_days: float = 7.0) -> LifetimeReport:
+def analyze(dataset: CollectedDataset) -> LifetimeReport:
     """Compute lifetime statistics over every collected address."""
+    long_days = LONG_DAYS
     spans: List[float] = []
     single = 0
     for observation in dataset.observations.values():
@@ -70,9 +77,7 @@ def analyze(dataset: CollectedDataset, *,
     )
 
 
-def survival_curve(dataset: CollectedDataset,
-                   day_points: Sequence[int] = (1, 3, 7, 14, 21)
-                   ) -> Dict[int, float]:
+def survival_curve(dataset: CollectedDataset) -> Dict[int, float]:
     """Share of addresses still observed ``d`` days after first sight.
 
     The complement of this curve is the staleness a ``d``-day-old
@@ -81,9 +86,9 @@ def survival_curve(dataset: CollectedDataset,
     """
     total = len(dataset.observations)
     if total == 0:
-        return {day: 0.0 for day in day_points}
+        return {day: 0.0 for day in DAY_POINTS}
     curve: Dict[int, float] = {}
-    for day in day_points:
+    for day in DAY_POINTS:
         threshold = day * DAY
         alive = sum(
             1 for observation in dataset.observations.values()

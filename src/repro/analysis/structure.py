@@ -11,7 +11,7 @@ extensions on client devices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from repro.ipv6 import iid as iidmod
 from repro.ipv6.columnar import AddressColumn
@@ -58,13 +58,3 @@ def analyze(label: str, addresses: Iterable[int],
         class_shares=profile.as_dict(),
         eyeball_as_share=asdb.category_share(column, EYEBALL),
     )
-
-
-def compare(reports: Iterable[StructureReport]) -> Dict[str, Dict[str, float]]:
-    """Figure 1 as nested dicts: ``{dataset: {class: share, ...}}``."""
-    table: Dict[str, Dict[str, float]] = {}
-    for report in reports:
-        row = dict(report.class_shares)
-        row["cable-dsl-isp"] = report.eyeball_as_share
-        table[report.label] = row
-    return table

@@ -41,7 +41,7 @@ from repro.core.pipeline import ExperimentConfig, ExperimentResult, run_experime
 from repro.core.telescope import Telescope
 from repro.net.clock import DAY, HOUR, EventScheduler
 from repro.obs import MetricsRegistry, RunReport, use_registry
-from repro.scan.result import PROTOCOLS, ScanResults
+from repro.scan.result import ScanResults
 from repro.world.population import World, WorldConfig
 from repro.world.population import build_world as _build_world
 
@@ -391,7 +391,7 @@ def study_tables(result: ExperimentResult, table1: ComparisonTable,
             for s in table1.summaries
         ],
         "table2": table2_rows(result.ntp_scan, result.hitlist_scan,
-                              result.config.protocols or PROTOCOLS),
+                              result.protocols),
         "hit_rates": {
             "ntp": result.ntp_scan.hit_rate(),
             "hitlist": result.hitlist_scan.hit_rate(),
@@ -567,6 +567,7 @@ def amplification(config: Optional[AmplificationConfig] = None
         monlist_exposure,
     )
     from repro.net.simnet import Network
+    from repro.ntp.server import NTP_PORT
     from repro.ntp.service import control_service_for
     from repro.runtime.registry import ProbeRegistry
     from repro.scan.engine import ScanEngine
@@ -582,10 +583,10 @@ def amplification(config: Optional[AmplificationConfig] = None
         ]
         for address in addresses:
             host = network.add_host(address)
-            host.bind_udp(123, control_service_for(
+            host.bind_udp(NTP_PORT, control_service_for(
                 config.seed, address, max_entries=config.max_entries))
         probes = ProbeRegistry()
-        probes.register("ntp", scan_ntp, 123, refused=refused_ntp)
+        probes.register("ntp", scan_ntp, NTP_PORT, refused=refused_ntp)
         engine = ScanEngine(network, _AMPLIFICATION_SCANNER,
                             registry=probes, name="amplification")
         results = engine.run(addresses, label="amplification")
@@ -723,19 +724,19 @@ def resume_campaign(run_dir: str) -> CampaignResult:
 
 def query_window(run_dir: str, *, since: float = 0.0,
                  window: Optional[float] = None,
-                 step: Optional[float] = None,
-                 cache_frames: Optional[int] = None) -> QueryResult:
+                 step: Optional[float] = None) -> QueryResult:
     """One rolling windowed query against a run store (spans in days).
 
-    ``window``/``step`` default to 7 days each and ``cache_frames`` to
-    32 (the constants of :mod:`repro.service.config`); results come
-    from bounded checkpoint-anchored replay, never a full-WAL scan.
+    ``window``/``step`` default to 7 days each (the constants of
+    :mod:`repro.service.config`); results come from bounded
+    checkpoint-anchored replay, never a full-WAL scan.  The query
+    builds each frame once, so the frame cache keeps its default size.
     """
     from repro.service.frontend import QueryService
 
     with use_registry() as registry:
         service = QueryService(run_dir, window_days=window,
-                               step_days=step, cache_frames=cache_frames)
+                               step_days=step)
         document = service.query(since=since)
     inputs = {"run_dir": str(run_dir), "since": since,
               "window": service.window_days, "step": service.step_days}

@@ -46,6 +46,12 @@ RESOLUTIONS_PER_DAY = 4
 #: (registered but unresponsive).  The real pool always carries some:
 #: the paper's telescope saw only ~86 % of queries answered.
 BACKGROUND_DEAD_RATE = 0.12
+#: Netspeed auto-tuning: each round multiplies our servers' weight by
+#: the factor, capped at the ceiling.
+NETSPEED_FACTOR = 2.0
+NETSPEED_CEILING = 1_000_000
+#: Seed of the R&L-style pre-campaign (:func:`rl_2022_config`).
+RL_2022_SEED = 0x2022
 
 
 @dataclass
@@ -304,8 +310,7 @@ class CollectionCampaign:
     # -- operator weight tuning (paper Section 3.1) --------------------------
 
     def autotune_netspeed(self, target_daily_requests: int, *,
-                          max_days: int = 6, factor: float = 2.0,
-                          ceiling: int = 1_000_000) -> List[Dict[str, int]]:
+                          max_days: int = 6) -> List[Dict[str, int]]:
         """Raise our servers' netspeed until the request rate fits the
         scan budget.
 
@@ -337,7 +342,8 @@ class CollectionCampaign:
             for address in self.capture_servers:
                 current = self.pool.server(address).netspeed
                 self.pool.set_netspeed(
-                    address, min(ceiling, int(current * factor)))
+                    address,
+                    min(NETSPEED_CEILING, int(current * NETSPEED_FACTOR)))
         return log
 
     def report(self) -> CampaignReport:
@@ -444,7 +450,7 @@ def _poll_plan(ntp_interval: float) -> tuple:
             max(1, polls // RESOLUTIONS_PER_DAY))
 
 
-def rl_2022_config(days: int = 14, seed: int = 0x2022) -> CampaignConfig:
+def rl_2022_config(days: int = 14) -> CampaignConfig:
     """A Rye-&-Levin-style deployment profile.
 
     R&L ran 27 servers for seven months with a different (undisclosed)
@@ -463,5 +469,5 @@ def rl_2022_config(days: int = 14, seed: int = 0x2022) -> CampaignConfig:
         ),
         netspeed=1000,
         wire_fraction=0.0,
-        seed=seed,
+        seed=RL_2022_SEED,
     )

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Set
 
+from repro.net.clock import DAY
 from repro.net.simnet import Network
 from repro.ntp.packet import NtpPacket
 from repro.ntp.server import NtpServer
@@ -111,11 +112,11 @@ class CollectedDataset:
         observation = self.observations.get(address)
         return observation.first_seen if observation else None
 
-    def new_addresses_per_day(self, day_length: float = 86_400.0) -> Dict[int, int]:
+    def new_addresses_per_day(self) -> Dict[int, int]:
         """Histogram of first-sightings per day (collection-rate check)."""
         histogram: Dict[int, int] = {}
         for observation in self.observations.values():
-            day = int(observation.first_seen // day_length)
+            day = int(observation.first_seen // DAY)
             histogram[day] = histogram.get(day, 0) + 1
         return histogram
 

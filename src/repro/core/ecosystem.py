@@ -92,10 +92,6 @@ class ScannerActor:
         """The full probe stream ``(when, src, dst, port)``."""
         raise NotImplementedError
 
-    def address_pool(self) -> frozenset:
-        """Every destination this actor's strategy can ever produce."""
-        raise NotImplementedError
-
     def planned(self) -> Tuple[Tuple[float, int, int, int], ...]:
         """The frozen plan (computed once; deploy() freezes it too)."""
         if self._plan is None:
@@ -130,20 +126,20 @@ class HitlistSweepActor(ScannerActor):
     """Replays a published hitlist, port by port, in regular rounds."""
 
     strategy = "hitlist"
+    #: Ports probed per target, and seconds between probes.
+    ports = (22, 80, 443)
+    interval = 30.0
 
     def __init__(self, network: Network, scheduler: EventScheduler, *,
                  name: str, sources: Sequence[int],
-                 targets: Sequence[int], ports: Sequence[int] = (22, 80, 443),
-                 rounds: int = 2, interval: float = 30.0,
+                 targets: Sequence[int], rounds: int = 2,
                  seed: int = 0, start: float = 0.0) -> None:
         super().__init__(network, scheduler, name=name, sources=sources,
                          seed=seed, start=start)
         if rounds < 1:
             raise ValueError(f"rounds={rounds}: must be >= 1")
         self.targets = tuple(targets)
-        self.ports = tuple(ports)
         self.rounds = rounds
-        self.interval = interval
 
     def plan(self) -> List[Tuple[float, int, int, int]]:
         stream = []
@@ -154,9 +150,6 @@ class HitlistSweepActor(ScannerActor):
                     stream.append((when, self._source(), dst, port))
                     when += self.interval
         return stream
-
-    def address_pool(self) -> frozenset:
-        return frozenset(self.targets)
 
 
 class TgaActor(ScannerActor):
@@ -169,11 +162,13 @@ class TgaActor(ScannerActor):
     """
 
     strategy = "tga"
+    #: Ports probed per candidate, and mean seconds between probes.
+    ports = (443,)
+    interval = 20.0
 
     def __init__(self, network: Network, scheduler: EventScheduler, *,
                  name: str, sources: Sequence[int],
                  seeds: Sequence[int], candidates_per_seed: int = 6,
-                 ports: Sequence[int] = (443,), interval: float = 20.0,
                  seed: int = 0, start: float = 0.0) -> None:
         super().__init__(network, scheduler, name=name, sources=sources,
                          seed=seed, start=start)
@@ -182,8 +177,6 @@ class TgaActor(ScannerActor):
                 f"candidates_per_seed={candidates_per_seed}: must be >= 1")
         self.seeds = tuple(seeds)
         self.candidates_per_seed = candidates_per_seed
-        self.ports = tuple(ports)
-        self.interval = interval
 
     def _mutations(self, seed_address: int) -> List[int]:
         prefix64 = addrmod.prefix(seed_address, 64)
@@ -208,28 +201,22 @@ class TgaActor(ScannerActor):
                     when += self.interval * self.rng.uniform(0.5, 1.5)
         return stream
 
-    def address_pool(self) -> frozenset:
-        """Every address the mutator can reach: the seeds' /64s."""
-        return frozenset(addrmod.prefix(seed, 64) for seed in self.seeds)
-
 
 class RdnsWalkActor(ScannerActor):
     """Walks a reverse-DNS zone and probes dictionary-named hosts."""
 
     strategy = "rdns"
+    #: Ports probed per matched name, and seconds between probes.
+    ports = (80, 443)
+    interval = 45.0
 
     def __init__(self, network: Network, scheduler: EventScheduler, *,
                  name: str, sources: Sequence[int], rdns: ReverseDns,
-                 zone48: int, dictionary: Sequence[str] = RDNS_DICTIONARY,
-                 ports: Sequence[int] = (80, 443), interval: float = 45.0,
-                 seed: int = 0, start: float = 0.0) -> None:
+                 zone48: int, seed: int = 0, start: float = 0.0) -> None:
         super().__init__(network, scheduler, name=name, sources=sources,
                          seed=seed, start=start)
         self.rdns = rdns
         self.zone48 = addrmod.prefix(zone48, 48)
-        self.dictionary = tuple(dictionary)
-        self.ports = tuple(ports)
-        self.interval = interval
 
     def _walk(self) -> List[int]:
         """Zone addresses whose PTR names match the dictionary, sorted."""
@@ -238,7 +225,7 @@ class RdnsWalkActor(ScannerActor):
             if addrmod.prefix(address, 48) != self.zone48:
                 continue
             lowered = name.lower()
-            if any(word in lowered for word in self.dictionary):
+            if any(word in lowered for word in RDNS_DICTIONARY):
                 matched.append(address)
         return sorted(matched)
 
@@ -251,9 +238,6 @@ class RdnsWalkActor(ScannerActor):
                 when += self.interval
         return stream
 
-    def address_pool(self) -> frozenset:
-        return frozenset(self._walk())
-
 
 class ResidentialSweepActor(ScannerActor):
     """Sweeps low IIDs across consecutive residential /64s.
@@ -264,12 +248,14 @@ class ResidentialSweepActor(ScannerActor):
     """
 
     strategy = "residential"
+    #: IIDs probed per subnet, ports per address, seconds between probes.
+    iids = (1,)
+    ports = (443,)
+    interval = 15.0
 
     def __init__(self, network: Network, scheduler: EventScheduler, *,
                  name: str, sources: Sequence[int], base48: int,
-                 subnet_start: int, subnet_count: int,
-                 iids: Sequence[int] = (1,), ports: Sequence[int] = (443,),
-                 interval: float = 15.0, seed: int = 0,
+                 subnet_start: int, subnet_count: int, seed: int = 0,
                  start: float = 0.0) -> None:
         super().__init__(network, scheduler, name=name, sources=sources,
                          seed=seed, start=start)
@@ -278,9 +264,6 @@ class ResidentialSweepActor(ScannerActor):
         self.base48 = addrmod.prefix(base48, 48)
         self.subnet_start = subnet_start
         self.subnet_count = subnet_count
-        self.iids = tuple(iids)
-        self.ports = tuple(ports)
-        self.interval = interval
 
     def _targets(self) -> List[int]:
         return [self.base48 + ((self.subnet_start + index) << 64) + iid
@@ -295,9 +278,6 @@ class ResidentialSweepActor(ScannerActor):
                 stream.append((when, self._source(), dst, port))
                 when += self.interval
         return stream
-
-    def address_pool(self) -> frozenset:
-        return frozenset(self._targets())
 
 
 class AmplificationReconActor(ScannerActor):
@@ -312,12 +292,14 @@ class AmplificationReconActor(ScannerActor):
     """
 
     strategy = "amplification"
+    #: IIDs probed per subnet, the monlist port, seconds between probes.
+    iids = (1,)
+    port = 123
+    interval = 12.0
 
     def __init__(self, network: Network, scheduler: EventScheduler, *,
                  name: str, sources: Sequence[int], base48: int,
-                 subnet_start: int, subnet_count: int,
-                 iids: Sequence[int] = (1,), port: int = 123,
-                 interval: float = 12.0, seed: int = 0,
+                 subnet_start: int, subnet_count: int, seed: int = 0,
                  start: float = 0.0) -> None:
         super().__init__(network, scheduler, name=name, sources=sources,
                          seed=seed, start=start)
@@ -326,9 +308,6 @@ class AmplificationReconActor(ScannerActor):
         self.base48 = addrmod.prefix(base48, 48)
         self.subnet_start = subnet_start
         self.subnet_count = subnet_count
-        self.iids = tuple(iids)
-        self.port = port
-        self.interval = interval
 
     def _targets(self) -> List[int]:
         return [self.base48 + ((self.subnet_start + index) << 64) + iid
@@ -342,9 +321,6 @@ class AmplificationReconActor(ScannerActor):
             stream.append((when, self._source(), dst, self.port))
             when += self.interval
         return stream
-
-    def address_pool(self) -> frozenset:
-        return frozenset(self._targets())
 
     def _probe(self, src: int, dst: int, port: int) -> None:
         # UDP, not TCP: a monlist request, the telescope records the
@@ -401,9 +377,6 @@ class ScannerPopulation:
     def ground_truth(self) -> Dict[int, str]:
         """source address → strategy, for attribution scoring."""
         return dict(self._truth)
-
-    def actor_of(self, source: int) -> Optional[str]:
-        return self._names.get(source)
 
     def rows(self) -> List[dict]:
         """One summary row per deployed actor (report table shape)."""

@@ -118,6 +118,11 @@ class ExperimentResult:
     def table1(self) -> ComparisonTable:
         return self.comparison().table("ntp")
 
+    @property
+    def protocols(self) -> Tuple[str, ...]:
+        """The protocols the study scanned, in scan order."""
+        return self.config.protocols or PROTOCOLS
+
 
 #: The study scanner's self-identifying PTR name (Appendix A.2.2).
 SCANNER_PTR_NAME = "ipv6-research-scan.comsys.example.edu"
@@ -240,13 +245,12 @@ class ScanRig:
 
 
 def run_experiment(config: Optional[ExperimentConfig] = None,
-                   metrics: Optional[MetricsRegistry] = None,
                    *, resume: bool = False) -> ExperimentResult:
     """Run the complete study; deterministic in ``config``.
 
-    Every run records into its own :class:`MetricsRegistry` (or the one
-    passed as ``metrics``), returned on ``result.metrics`` — identical
-    snapshots for identical configs, so runs can be diffed.
+    Every run records into its own :class:`MetricsRegistry`, returned
+    on ``result.metrics`` — identical snapshots for identical configs,
+    so runs can be diffed.
 
     With ``config.store_dir`` set, the run streams into a durable
     :mod:`repro.store` run directory; ``resume=True`` recovers an
@@ -255,7 +259,7 @@ def run_experiment(config: Optional[ExperimentConfig] = None,
     record against the surviving log, then keeps going live).
     """
     config = config or ExperimentConfig()
-    registry = metrics if metrics is not None else MetricsRegistry()
+    registry = MetricsRegistry()
     with use_registry(registry):
         writer = None
         if config.store_dir is not None:

@@ -23,6 +23,9 @@ from repro.ntp.client import NtpClient
 from repro.ntp.pool import NtpPool
 from repro.ntp.server import NTP_PORT
 
+#: The bait /48 every telescope queries from.
+BAIT_PREFIX48 = addrmod.parse("2001:6d0:babe::")
+
 
 @dataclass(frozen=True)
 class BaitRecord:
@@ -46,19 +49,13 @@ class InboundEvent:
     #: None when the destination was never used for a query (scatter).
     bait: Optional[BaitRecord] = None
 
-    @property
-    def is_scatter(self) -> bool:
-        return self.bait is None
-
 
 class Telescope:
     """Owns a bait /48, queries servers, and records inbound traffic."""
 
-    def __init__(self, network: Network, *,
-                 prefix48: Optional[int] = None) -> None:
+    def __init__(self, network: Network) -> None:
         self.network = network
-        self.prefix48 = (prefix48 if prefix48 is not None
-                         else addrmod.parse("2001:6d0:babe::"))
+        self.prefix48 = BAIT_PREFIX48
         self._iid_counter = itertools.count(0x1000)
         self._baits: Dict[int, BaitRecord] = {}
         self.events: List[InboundEvent] = []

@@ -6,9 +6,7 @@ from repro.io.jsonl import (
     document_to_json,
     grab_from_json,
     grab_to_json,
-    load_dataset,
     load_results,
-    load_run_report,
     save_dataset,
     save_results,
     save_run_report,
@@ -21,9 +19,7 @@ __all__ = [
     "document_to_json",
     "grab_from_json",
     "grab_to_json",
-    "load_dataset",
     "load_results",
-    "load_run_report",
     "save_dataset",
     "save_results",
     "save_run_report",

@@ -16,7 +16,7 @@ import json
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, Optional, Union
 
-from repro.core.collector import AddressObservation, CollectedDataset
+from repro.core.collector import CollectedDataset
 from repro.ipv6 import address as addrmod
 from repro.obs.runreport import RunReport
 from repro.scan.result import (
@@ -123,32 +123,6 @@ def save_dataset(dataset: CollectedDataset, path: PathLike) -> int:
             yield record
 
     return _write_lines(path, records())
-
-
-def load_dataset(path: PathLike) -> CollectedDataset:
-    """Read a dataset written by :func:`save_dataset`."""
-    records = _read_lines(path)
-    try:
-        label = _check_header(next(records), "dataset")
-    except StopIteration as exc:
-        raise FormatError(f"{path}: empty file") from exc
-    dataset = CollectedDataset(label=label)
-    for record in records:
-        if record.get("type") == "server":
-            dataset.per_server.setdefault(record["location"], set())
-        elif record.get("type") == "address":
-            value = addrmod.parse(record["addr"])
-            dataset.observations[value] = AddressObservation(
-                first_seen=record["first_seen"],
-                last_seen=record["last_seen"],
-                requests=record["requests"],
-            )
-            dataset.total_requests += record["requests"]
-            for location in record.get("servers", []):
-                dataset.per_server.setdefault(location, set()).add(value)
-        else:
-            raise FormatError(f"unknown record type {record.get('type')!r}")
-    return dataset
 
 
 # -- scan results -------------------------------------------------------------
@@ -364,42 +338,6 @@ def save_run_report(report: RunReport, path: PathLike) -> int:
                    "data": report.tables[name]}
 
     return _write_lines(path, records())
-
-
-def load_run_report(path: PathLike) -> RunReport:
-    """Read a report written by :func:`save_run_report`."""
-    records = _read_lines(path)
-    try:
-        _check_header(next(records), "run-report")
-    except StopIteration as exc:
-        raise FormatError(f"{path}: empty file") from exc
-    command, version = "", None
-    config: Dict = {}
-    metrics: Dict[str, list] = {"counters": [], "gauges": [],
-                                "histograms": []}
-    tables: Dict = {}
-    for record in records:
-        kind = record.get("type")
-        if kind == "meta":
-            command = record.get("command", "")
-            version = record.get("report_version")
-        elif kind == "config":
-            config = record.get("config", {})
-        elif kind == "metric":
-            series_kind = record.get("kind")
-            if series_kind not in metrics:
-                raise FormatError(f"unknown metric kind {series_kind!r}")
-            entry = {key: value for key, value in record.items()
-                     if key not in ("type", "kind")}
-            metrics[series_kind].append(entry)
-        elif kind == "table":
-            tables[record["name"]] = record.get("data")
-        else:
-            raise FormatError(f"unknown record type {kind!r}")
-    return RunReport.from_document({
-        "command": command, "version": version, "config": config,
-        "metrics": metrics, "tables": tables,
-    })
 
 
 def load_results(path: PathLike) -> ScanResults:

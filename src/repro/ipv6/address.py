@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import ipaddress
 from socket import AF_INET6, inet_ntop, inet_pton
-from typing import Iterable, Iterator
+from typing import Iterable
 
 #: Number of bits in an IPv6 address.
 ADDRESS_BITS = 128
@@ -92,11 +92,6 @@ def network_key(value: int, length: int) -> int:
     return value >> (ADDRESS_BITS - length) if length else 0
 
 
-def from_network_key(key: int, length: int) -> int:
-    """Inverse of :func:`network_key`: the first address of the network."""
-    return key << (ADDRESS_BITS - length) if length else 0
-
-
 def iid(value: int) -> int:
     """Return the 64-bit interface identifier (low half) of an address."""
     return value & IID_MASK
@@ -107,39 +102,10 @@ def with_iid(prefix_value: int, iid_value: int) -> int:
     return (prefix_value & PREFIX_MASK) | (iid_value & IID_MASK)
 
 
-def format_network(value: int, length: int) -> str:
-    """Render ``value``'s ``/length`` network in CIDR notation.
-
-    >>> format_network(parse("2001:db8:1:2::5"), 48)
-    '2001:db8:1::/48'
-    """
-    return f"{format_address(prefix(value, length))}/{length}"
-
-
 def parse_network(text: str) -> tuple[int, int]:
     """Parse CIDR notation into ``(base_address, prefix_length)``."""
     net = ipaddress.IPv6Network(text, strict=False)
     return int(net.network_address), net.prefixlen
-
-
-def contains(base: int, length: int, value: int) -> bool:
-    """Return whether ``value`` falls inside the network ``base/length``."""
-    return prefix(base, length) == prefix(value, length)
-
-
-def iter_subnets(base: int, length: int, sub_length: int) -> Iterator[int]:
-    """Yield the base addresses of every ``/sub_length`` inside ``base/length``.
-
-    Intended for small fan-outs (e.g. enumerating /48s of a /40); the
-    iterator is lazy so callers can slice it.
-    """
-    if sub_length < length:
-        raise ValueError("sub_length must be >= length")
-    step = 1 << (ADDRESS_BITS - sub_length)
-    start = prefix(base, length)
-    count = 1 << (sub_length - length)
-    for index in range(count):
-        yield start + index * step
 
 
 def distinct_networks(addresses: Iterable[int], length: int) -> set[int]:

@@ -81,21 +81,3 @@ def is_multicast(mac: int) -> bool:
 def oui_of(mac: int) -> int:
     """Return the 24-bit Organizationally Unique Identifier of a MAC."""
     return (mac >> 24) & 0xFFFFFF
-
-
-def format_mac(mac: int) -> str:
-    """Render a MAC in colon-separated lowercase hex.
-
-    >>> format_mac(0x0024FE123456)
-    '00:24:fe:12:34:56'
-    """
-    raw = mac.to_bytes(6, "big")
-    return ":".join(f"{octet:02x}" for octet in raw)
-
-
-def parse_mac(text: str) -> int:
-    """Parse ``aa:bb:cc:dd:ee:ff`` (or ``-``-separated) MAC notation."""
-    cleaned = text.replace("-", ":").split(":")
-    if len(cleaned) != 6:
-        raise ValueError(f"malformed MAC address: {text!r}")
-    return int.from_bytes(bytes(int(part, 16) for part in cleaned), "big")

@@ -78,10 +78,6 @@ class OuiRegistry:
                     )
                 self._by_oui[oui] = vendor
 
-    @property
-    def vendors(self) -> tuple[Vendor, ...]:
-        return self._vendors
-
     def lookup(self, oui: int) -> Optional[Vendor]:
         """Resolve an OUI; ``None`` if not registered."""
         return self._by_oui.get(oui)
@@ -96,9 +92,6 @@ class OuiRegistry:
             if vendor.name == name:
                 return vendor
         raise KeyError(name)
-
-    def is_listed(self, oui: int) -> bool:
-        return oui in self._by_oui
 
     def __len__(self) -> int:
         return len(self._by_oui)

@@ -4,7 +4,7 @@ from repro.net.clock import DAY, HOUR, MINUTE, SECOND, WEEK, EventScheduler, Vir
 from repro.net.dns import DnsRecord, DnsZone
 from repro.net.packet import Datagram, PacketRecord, Transport
 from repro.net.rdns import ReverseDns
-from repro.net.simnet import Host, Network, SimpleSession, Stream
+from repro.net.simnet import Host, Network, Stream
 
 __all__ = [
     "DAY",
@@ -19,7 +19,6 @@ __all__ = [
     "PacketRecord",
     "ReverseDns",
     "SECOND",
-    "SimpleSession",
     "Stream",
     "Transport",
     "VirtualClock",

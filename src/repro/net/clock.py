@@ -24,13 +24,6 @@ class VirtualClock:
         """Current simulated time in seconds."""
         return self._now
 
-    def advance(self, seconds: float) -> float:
-        """Move time forward; negative steps are rejected."""
-        if seconds < 0:
-            raise ValueError(f"cannot move time backwards by {seconds}")
-        self._now += seconds
-        return self._now
-
     def advance_to(self, timestamp: float) -> float:
         """Jump to an absolute time at or after the current time."""
         if timestamp < self._now:
@@ -46,15 +39,14 @@ class _Event:
     when: float
     sequence: int
     action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
 
 
 class EventScheduler:
     """A tiny discrete-event loop on top of :class:`VirtualClock`.
 
-    Components schedule callbacks at absolute or relative simulated
-    times; :meth:`run_until` executes them in order while advancing the
-    clock.  This is what lets the NTP pool emit client request streams
+    Components schedule callbacks at absolute simulated times;
+    :meth:`run_until` executes them in order while advancing the clock.
+    This is what lets the NTP pool emit client request streams
     and third-party actors scan "days" after sourcing an address — all
     inside one process.
     """
@@ -74,21 +66,6 @@ class EventScheduler:
         heapq.heappush(self._heap, event)
         return event
 
-    def call_later(self, delay: float, action: Callable[[], None]) -> _Event:
-        """Schedule ``action`` after ``delay`` simulated seconds."""
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
-        return self.call_at(self.clock.now() + delay, action)
-
-    def cancel(self, event: _Event) -> None:
-        """Cancel a pending event (lazy removal)."""
-        event.cancelled = True
-
-    @property
-    def pending(self) -> int:
-        """Number of not-yet-cancelled scheduled events."""
-        return sum(1 for event in self._heap if not event.cancelled)
-
     def run_until(self, deadline: float) -> int:
         """Run all events scheduled up to and including ``deadline``.
 
@@ -98,26 +75,10 @@ class EventScheduler:
         executed = 0
         while self._heap and self._heap[0].when <= deadline:
             event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
             self.clock.advance_to(max(event.when, self.clock.now()))
             event.action()
             executed += 1
         self.clock.advance_to(max(deadline, self.clock.now()))
-        return executed
-
-    def run_all(self, limit: int = 10_000_000) -> int:
-        """Drain the queue completely (with a runaway guard)."""
-        executed = 0
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            if executed >= limit:
-                raise RuntimeError("event limit exceeded; runaway schedule?")
-            self.clock.advance_to(max(event.when, self.clock.now()))
-            event.action()
-            executed += 1
         return executed
 
 

@@ -11,7 +11,7 @@ history to model exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
 
 @dataclass
@@ -67,9 +67,6 @@ class DnsZone:
 
     def record(self, name: str) -> DnsRecord:
         return self._records[name]
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(self._records)
 
     def __iter__(self) -> Iterator[DnsRecord]:
         return iter(self._records.values())

@@ -14,9 +14,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-#: Substrings that mark a PTR name as self-identifying research.
-RESEARCH_MARKERS = ("research", "scan", "survey", "measurement")
-
 
 class ReverseDns:
     """address → PTR name mappings."""
@@ -57,14 +54,6 @@ class ReverseDns:
         """
         return [address for address, ptr in self._records.items()
                 if ptr == name]
-
-    def identifies_research(self, address: int) -> bool:
-        """Whether the address self-identifies as a research scanner."""
-        name = self.lookup(address)
-        if name is None:
-            return False
-        lowered = name.lower()
-        return any(marker in lowered for marker in RESEARCH_MARKERS)
 
     def __len__(self) -> int:
         return len(self._records)

@@ -65,21 +65,6 @@ class TcpService(Protocol):
     def accept(self, peer: int, peer_port: int) -> TcpSession: ...
 
 
-@dataclass
-class SimpleSession:
-    """A canned session: fixed greeting, function-driven responses."""
-
-    respond: Callable[[bytes], Optional[bytes]]
-    banner: bytes = b""
-    closed: bool = False
-
-    def greeting(self) -> bytes:
-        return self.banner
-
-    def on_data(self, data: bytes) -> Optional[bytes]:
-        return self.respond(data)
-
-
 class Stream:
     """Client handle on an established simulated TCP connection."""
 
@@ -189,7 +174,7 @@ class Network:
             return host
         return self._wildcards.get(address >> 64)
 
-    def add_wildcard_host(self, prefix64: int, reachable: bool = True) -> Host:
+    def add_wildcard_host(self, prefix64: int) -> Host:
         """Register a host answering for *every* address of a /64.
 
         This models aliased prefixes: load balancers and CDN edges that
@@ -200,14 +185,9 @@ class Network:
         key = prefix64 >> 64
         host = self._wildcards.get(key)
         if host is None:
-            host = Host(address=prefix64, reachable=reachable)
+            host = Host(address=prefix64)
             self._wildcards[key] = host
         return host
-
-    def is_wildcard(self, address: int) -> bool:
-        """Whether an address is served by an aliased /64."""
-        return address not in self._hosts and \
-            (address >> 64) in self._wildcards
 
     def move_host(self, old_address: int, new_address: int) -> Host:
         """Re-home a host under a new address, keeping its services.
@@ -223,16 +203,9 @@ class Network:
         self._hosts[new_address] = host
         return host
 
-    @property
-    def host_count(self) -> int:
-        return len(self._hosts)
-
     def add_tap(self, tap: Tap) -> None:
         """Attach a passive observer to every delivery attempt."""
         self._taps.append(tap)
-
-    def remove_tap(self, tap: Tap) -> None:
-        self._taps.remove(tap)
 
     def ephemeral_port(self) -> int:
         """Allocate a client-side port (wraps within the dynamic range)."""
@@ -347,18 +320,17 @@ class Network:
         return responses[0] if responses else None
 
     def udp_request(self, src: int, dst: int, dst_port: int,
-                    payload: bytes, src_port: Optional[int] = None) -> Optional[bytes]:
+                    payload: bytes) -> Optional[bytes]:
         """Convenience: one UDP round trip, returning the response payload."""
         datagram = Datagram(
-            src=src, src_port=src_port or self.ephemeral_port(),
+            src=src, src_port=self.ephemeral_port(),
             dst=dst, dst_port=dst_port, payload=payload,
         )
         response = self.send_datagram(datagram)
         return response.payload if response else None
 
     def udp_request_multi(self, src: int, dst: int, dst_port: int,
-                          payload: bytes,
-                          src_port: Optional[int] = None) -> List[bytes]:
+                          payload: bytes) -> List[bytes]:
         """One request, every response payload (fragmented protocols).
 
         Returns the full response train in send order — empty on
@@ -367,16 +339,16 @@ class Network:
         failure mode a real monlist train exhibits.
         """
         datagram = Datagram(
-            src=src, src_port=src_port or self.ephemeral_port(),
+            src=src, src_port=self.ephemeral_port(),
             dst=dst, dst_port=dst_port, payload=payload,
         )
         return [response.payload
                 for response in self._deliver_datagram(datagram)]
 
-    def tcp_connect(self, src: int, dst: int, dst_port: int,
-                    src_port: Optional[int] = None) -> Optional[Stream]:
+    def tcp_connect(self, src: int, dst: int,
+                    dst_port: int) -> Optional[Stream]:
         """Attempt a TCP connection; ``None`` models refusal/timeout."""
-        port = src_port or self.ephemeral_port()
+        port = self.ephemeral_port()
         lost = self._lost()
         self._record(Transport.TCP, src, port, dst, dst_port, 0,
                      syn=True, delivered=not lost)

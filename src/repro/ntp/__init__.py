@@ -2,8 +2,6 @@
 
 from repro.ntp.client import NtpClient, SyncResult
 from repro.ntp.packet import (
-    KISS_DENY,
-    KISS_RATE,
     LeapIndicator,
     Mode,
     NtpDecodeError,
@@ -11,7 +9,6 @@ from repro.ntp.packet import (
     client_request,
     from_ntp_time,
     kiss_code,
-    kiss_of_death,
     server_response,
     to_ntp_time,
 )
@@ -19,8 +16,6 @@ from repro.ntp.pool import NtpPool, PoolServer, weighted_request_rates
 from repro.ntp.server import NTP_PORT, NtpServer, ServerStats
 
 __all__ = [
-    "KISS_DENY",
-    "KISS_RATE",
     "LeapIndicator",
     "Mode",
     "NTP_PORT",
@@ -35,7 +30,6 @@ __all__ = [
     "client_request",
     "from_ntp_time",
     "kiss_code",
-    "kiss_of_death",
     "server_response",
     "to_ntp_time",
     "weighted_request_rates",

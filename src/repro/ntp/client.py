@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.net.clock import VirtualClock
 from repro.net.simnet import Network
 from repro.ntp.packet import (
     Mode,
@@ -38,19 +37,18 @@ class SyncResult:
 class NtpClient:
     """Fire-and-collect SNTP client bound to one source address."""
 
-    def __init__(self, network: Network, address: int,
-                 clock: Optional[VirtualClock] = None) -> None:
+    def __init__(self, network: Network, address: int) -> None:
         self.network = network
         self.address = address
-        self.clock = clock or network.clock
+        self.clock = network.clock
         #: Kiss codes received (RFC 5905: the client MUST back off).
         self.kisses: list = []
         network.add_host(address, reachable=True)
 
-    def query(self, server: int, version: int = 4) -> Optional[SyncResult]:
+    def query(self, server: int) -> Optional[SyncResult]:
         """Send one mode-3 request; returns ``None`` on timeout/garbage."""
         t1 = self.clock.now()
-        request = client_request(t1, version=version)
+        request = client_request(t1)
         payload = self.network.udp_request(
             self.address, server, NTP_PORT, request.encode()
         )

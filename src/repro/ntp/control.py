@@ -151,20 +151,12 @@ class ControlPacket:
         )
 
 
-def readvar_request(sequence: int = 0,
-                    association_id: int = 0) -> ControlPacket:
-    """The ``ntpq -c rv`` request: read the peer/system variables."""
-    return ControlPacket(opcode=OP_READVAR, sequence=sequence,
-                         association_id=association_id)
-
-
-def readstat_request(sequence: int = 0) -> ControlPacket:
-    """The ``ntpq -c as`` request: read association status words."""
-    return ControlPacket(opcode=OP_READSTAT, sequence=sequence)
+def readvar_request(sequence: int = 0) -> ControlPacket:
+    """The ``ntpq -c rv`` request: read the system variables."""
+    return ControlPacket(opcode=OP_READVAR, sequence=sequence)
 
 
 def fragment_response(request: ControlPacket, data: bytes, *,
-                      status: int = 0,
                       mtu: int = MAX_CONTROL_DATA) -> List[ControlPacket]:
     """Window ``data`` into the request's response fragments.
 
@@ -180,7 +172,7 @@ def fragment_response(request: ControlPacket, data: bytes, *,
     return [
         ControlPacket(
             opcode=request.opcode, sequence=request.sequence,
-            status=status, association_id=request.association_id,
+            association_id=request.association_id,
             offset=index * mtu, data=window, response=True,
             more=index < len(windows) - 1, version=request.version)
         for index, window in enumerate(windows)
@@ -481,10 +473,3 @@ def decode_monlist(payloads: Iterable[bytes]
             entries.append(MonlistEntry.decode(
                 packet.data[start:start + MONLIST_ENTRY_SIZE]))
     return entries, ERR_NONE
-
-
-def amplification_factor(request_bytes: int, response_bytes: int) -> float:
-    """Bytes returned per byte sent — the DRDoS amplification metric."""
-    if request_bytes <= 0:
-        return 0.0
-    return response_bytes / request_bytes

@@ -147,39 +147,18 @@ class NtpPacket:
         )
 
 
-def client_request(transmit_time: float, version: int = 4,
-                   poll: int = 6) -> NtpPacket:
-    """Build the mode-3 request an SNTP client sends."""
+def client_request(transmit_time: float) -> NtpPacket:
+    """Build the mode-3 request an SNTP client sends (NTPv4, poll 2^6 s,
+    the :class:`NtpPacket` defaults)."""
     return NtpPacket(
         mode=Mode.CLIENT,
-        version=version,
-        poll=poll,
         transmit_timestamp=to_ntp_time(transmit_time),
     )
 
 
-#: Kiss codes (RFC 5905 §7.4), packed as 4 ASCII bytes in the refid.
-KISS_RATE = int.from_bytes(b"RATE", "big")
-KISS_DENY = int.from_bytes(b"DENY", "big")
-
-
-def kiss_of_death(request: NtpPacket, code: int = KISS_RATE) -> NtpPacket:
-    """Build a kiss-o'-death packet: stratum 0, the kiss code in the
-    reference ID, telling the client to back off (RATE) or go away
-    (DENY)."""
-    return NtpPacket(
-        leap=LeapIndicator.UNSYNCHRONIZED,
-        version=min(request.version, 4),
-        mode=Mode.SERVER,
-        stratum=0,
-        poll=request.poll,
-        reference_id=code,
-        origin_timestamp=request.transmit_timestamp,
-    )
-
-
 def kiss_code(packet: NtpPacket) -> Optional[str]:
-    """Decode the kiss code of a stratum-0 server packet (else None)."""
+    """Decode the kiss code (RFC 5905 §7.4: 4 ASCII bytes in the
+    reference ID) of a stratum-0 server packet (else None)."""
     if packet.stratum != 0 or packet.mode is not Mode.SERVER:
         return None
     raw = packet.reference_id.to_bytes(4, "big")

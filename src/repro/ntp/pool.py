@@ -128,15 +128,10 @@ class NtpPool:
     def servers(self) -> tuple:
         return tuple(self._servers.values())
 
-    def zone_servers(self, zone: str, rotation_only: bool = True) -> List[PoolServer]:
-        servers = self._zones.get(zone, [])
-        if rotation_only:
-            return [server for server in servers if server.in_rotation]
-        return list(servers)
-
-    def populated_zones(self) -> List[str]:
-        """Zones with at least one in-rotation server."""
-        return [zone for zone in self._zones if self.zone_servers(zone)]
+    def zone_servers(self, zone: str) -> List[PoolServer]:
+        """The zone's in-rotation servers."""
+        return [server for server in self._zones.get(zone, [])
+                if server.in_rotation]
 
     # -- resolution -----------------------------------------------------
 

@@ -87,14 +87,15 @@ class NtpControlService:
     study probes the control plane only.
     """
 
+    #: The stratum ``readvar`` reports, and the largest data window of
+    #: one response fragment.
+    stratum = 2
+    control_mtu = MAX_CONTROL_DATA
+
     def __init__(self, profile: NtpServerProfile,
-                 entries: List[MonlistEntry], *,
-                 stratum: int = 2,
-                 control_mtu: int = MAX_CONTROL_DATA) -> None:
+                 entries: List[MonlistEntry]) -> None:
         self.profile = profile
         self.entries = list(entries)
-        self.stratum = stratum
-        self.control_mtu = control_mtu
 
     def system_variables(self) -> str:
         """The readvar payload: the daemon's advertised variables."""
@@ -146,12 +147,9 @@ class NtpControlService:
 
 
 def control_service_for(seed: int, address: int, *,
-                        max_entries: int = DEFAULT_MAX_ENTRIES,
-                        control_mtu: int = MAX_CONTROL_DATA
+                        max_entries: int = DEFAULT_MAX_ENTRIES
                         ) -> NtpControlService:
     """Build the deterministic service of the server at ``address``."""
     return NtpControlService(
         profile_for(seed, address),
-        seeded_entries(seed, address, max_entries=max_entries),
-        control_mtu=control_mtu,
-    )
+        seeded_entries(seed, address, max_entries=max_entries))

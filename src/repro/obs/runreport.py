@@ -70,19 +70,6 @@ class RunReport:
             "tables": self.tables,
         }
 
-    @classmethod
-    def from_document(cls, document: Dict[str, Any]) -> "RunReport":
-        version = document.get("version")
-        if version != RUN_REPORT_VERSION:
-            raise ValueError(f"unsupported run-report version {version!r}")
-        return cls(
-            command=document["command"],
-            config=document.get("config", {}),
-            metrics=document.get("metrics", {}),
-            tables=document.get("tables", {}),
-            version=version,
-        )
-
     # -- comparison -------------------------------------------------------
 
     def counter_values(self) -> Dict[str, float]:

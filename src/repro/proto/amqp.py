@@ -62,10 +62,10 @@ def _read_short_str(data: bytes, offset: int) -> Tuple[str, int]:
         raise AmqpDecodeError("short string is not valid UTF-8") from exc
 
 
-def encode_frame(channel: int, payload: bytes, frame_type: int = FRAME_METHOD) -> bytes:
-    """Wrap a payload in the AMQP frame envelope."""
+def encode_frame(channel: int, payload: bytes) -> bytes:
+    """Wrap a method payload in the AMQP frame envelope."""
     return (
-        struct.pack("!BHI", frame_type, channel, len(payload))
+        struct.pack("!BHI", FRAME_METHOD, channel, len(payload))
         + payload
         + bytes((FRAME_END,))
     )
@@ -204,10 +204,11 @@ class AmqpBrokerSession:
     only, anonymous refused) from open ones (ANONYMOUS accepted).
     """
 
-    def __init__(self, *, require_auth: bool,
-                 product: str = "SimRabbit 3.12") -> None:
+    #: The product name ``Connection.Start`` advertises.
+    product = "SimRabbit 3.12"
+
+    def __init__(self, *, require_auth: bool) -> None:
         self.require_auth = require_auth
-        self.product = product
         self.closed = False
         self._started = False
 

@@ -149,14 +149,14 @@ class CoapMessage:
         return "/" + "/".join(segments)
 
 
-def get_request(path: str, message_id: int, token: bytes = b"\x01") -> CoapMessage:
-    """Build a confirmable GET for ``path``."""
+def get_request(path: str, message_id: int) -> CoapMessage:
+    """Build a confirmable GET for ``path`` (token ``0x01``)."""
     options = [
         (OPT_URI_PATH, segment.encode("utf-8"))
         for segment in path.strip("/").split("/") if segment
     ]
     return CoapMessage(mtype=CON, code=GET, message_id=message_id,
-                       token=token, options=options)
+                       token=b"\x01", options=options)
 
 
 def content_response(request: CoapMessage, payload: bytes,
@@ -195,10 +195,12 @@ class CoapResourceServer:
     direct GETs on known resources with a small canned payload.
     """
 
-    def __init__(self, resources: Sequence[str],
-                 payloads: Optional[Dict[str, bytes]] = None) -> None:
+    #: Canned bodies by resource path; any other known resource
+    #: answers ``{}``.
+    payloads: Dict[str, bytes] = {}
+
+    def __init__(self, resources: Sequence[str]) -> None:
         self.resources = list(resources)
-        self.payloads = dict(payloads or {})
 
     def __call__(self, datagram) -> Optional[bytes]:
         try:

@@ -122,20 +122,21 @@ class HttpServerSession:
     Parameters mirror what the device models need: a page title, a
     status code (CDN error fronts answer 200-with-empty-title or
     404-style pages), optional server header, and optional host-based
-    virtual hosting (unknown ``Host`` yields ``not_found_page``).
+    virtual hosting (a request without ``Host`` gets a 404 page titled
+    :attr:`not_found_title`).
     """
+
+    not_found_title = "Unknown Domain"
 
     def __init__(self, title: Optional[str], *, status: int = 200,
                  server: str = "sim-httpd/1.0",
                  body_extra: str = "",
-                 requires_host: bool = False,
-                 not_found_title: str = "Unknown Domain") -> None:
+                 requires_host: bool = False) -> None:
         self.title = title
         self.status = status
         self.server = server
         self.body_extra = body_extra
         self.requires_host = requires_host
-        self.not_found_title = not_found_title
         self.closed = False
 
     def greeting(self) -> bytes:

@@ -158,10 +158,6 @@ class ConnackPacket:
             raise MqttDecodeError("not a CONNACK packet")
         return cls(return_code=data[3], session_present=bool(data[2] & 0x01))
 
-    @property
-    def accepted(self) -> bool:
-        return self.return_code == ACCEPTED
-
 
 class MqttBrokerSession:
     """Server side of one broker connection.
@@ -172,11 +168,12 @@ class MqttBrokerSession:
     guess yields 4).
     """
 
-    def __init__(self, *, require_auth: bool,
-                 username: str = "admin", password: str = "admin") -> None:
+    #: The one credential pair a secured broker accepts.
+    username = "admin"
+    password = "admin"
+
+    def __init__(self, *, require_auth: bool) -> None:
         self.require_auth = require_auth
-        self._username = username
-        self._password = password
         self.closed = False
 
     def greeting(self) -> bytes:
@@ -193,7 +190,7 @@ class MqttBrokerSession:
         if connect.username is None:
             self.closed = True
             return ConnackPacket(return_code=REFUSED_NOT_AUTHORIZED).encode()
-        if (connect.username, connect.password) == (self._username, self._password):
+        if (connect.username, connect.password) == (self.username, self.password):
             return ConnackPacket(return_code=ACCEPTED).encode()
         self.closed = True
         return ConnackPacket(return_code=REFUSED_BAD_CREDENTIALS).encode()

@@ -70,11 +70,6 @@ class SshIdentification:
         return f"{text} {self.comment}" if self.comment else text
 
 
-def banner_for(software: str, comment: Optional[str] = None) -> SshIdentification:
-    """Convenience constructor for an SSH-2.0 server identification."""
-    return SshIdentification(protocol="2.0", software=software, comment=comment)
-
-
 def encode_keyreply(key: KeyIdentity) -> bytes:
     """Encode the condensed host-key packet."""
     algo = key.algorithm.encode("ascii")

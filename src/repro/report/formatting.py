@@ -28,9 +28,10 @@ def fmt_pct(fraction: float, digits: int = 1) -> str:
     return f"{fraction * 100:.{digits}f} %"
 
 
-def fmt_permille(fraction: float, digits: int = 2) -> str:
-    """Render a fraction in permille (the paper's hit-rate unit)."""
-    return f"{fraction * 1000:.{digits}f} ‰"
+def fmt_permille(fraction: float) -> str:
+    """Render a fraction in permille (the paper's hit-rate unit), to two
+    decimals."""
+    return f"{fraction * 1000:.2f} ‰"
 
 
 def fmt_float(value: float, digits: int = 1) -> str:

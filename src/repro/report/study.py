@@ -22,7 +22,7 @@ from repro.report.formatting import (
     fmt_permille,
     render_table,
 )
-from repro.scan.result import PROTOCOLS, TLS_PROTOCOLS
+from repro.scan.result import TLS_PROTOCOLS
 
 
 def _section(title: str) -> str:
@@ -65,8 +65,9 @@ def render_figure1(result) -> str:
 
 
 def render_table2(result) -> str:
+    """Table 2 over the protocols the study scanned."""
     rows = []
-    for protocol in PROTOCOLS:
+    for protocol in result.protocols:
         ntp, hitlist = result.ntp_scan, result.hitlist_scan
         ntp_keys = len(ntp.unique_fingerprints(protocol))
         hit_keys = len(hitlist.unique_fingerprints(protocol))
@@ -123,12 +124,16 @@ def render_table3(analysis) -> str:
     return text
 
 
-def render_security(analysis) -> str:
+def render_security(analysis, protocols) -> str:
+    """Figures 2-3; a broker family shows only when ``protocols``, the
+    scanned protocols, hold its plain or TLS variant."""
     rows = [[side, fmt_int(report.assessed), fmt_pct(report.outdated_share)]
             for side, report in analysis.ssh.items()]
     text = render_table(["dataset", "assessed SSH keys", "outdated"], rows)
     rows = []
     for protocol in BROKER_PROTOCOLS:
+        if protocol not in protocols and protocol + "s" not in protocols:
+            continue
         for side in SIDES:
             report = analysis.brokers[(side, protocol)]
             rows.append([protocol.upper(), side, fmt_int(report.total),
@@ -177,7 +182,7 @@ def render_full_report(result, table1, analysis) -> str:
         _section("Table 2 — scans by protocol"), render_table2(result),
         _section("Table 3 — device types"), render_table3(analysis),
         _section("Figures 2-3 — security configuration"),
-        render_security(analysis),
+        render_security(analysis, result.protocols),
         _section("Appendices — vendors, per-server volumes, reuse, "
                  "lifetimes"),
         render_appendices(result, analysis),

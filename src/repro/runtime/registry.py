@@ -29,7 +29,7 @@ golden-value pipeline tests rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Optional
 
 from repro.net.simnet import Network
 from repro.scan.modules.amqp import (
@@ -104,13 +104,6 @@ class ProbeRegistry:
         return self.add(ProbeSpec(name=name, probe=probe, port=port,
                                   refused=refused))
 
-    def unregister(self, name: str) -> ProbeSpec:
-        """Remove a probe (e.g. a campaign dropping a protocol)."""
-        try:
-            return self._specs.pop(name)
-        except KeyError:
-            raise KeyError(f"no probe named {name!r}") from None
-
     # -- derivation -------------------------------------------------------
 
     def subset(self, *names: str) -> "ProbeRegistry":
@@ -127,10 +120,6 @@ class ProbeRegistry:
             return self._specs[name]
         except KeyError:
             raise KeyError(f"no probe named {name!r}") from None
-
-    @property
-    def names(self) -> Tuple[str, ...]:
-        return tuple(self._specs)
 
     def __iter__(self) -> Iterator[ProbeSpec]:
         return iter(self._specs.values())

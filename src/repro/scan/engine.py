@@ -63,11 +63,6 @@ class ScanScheduler:
         self._m_pruned = metrics.counter("scheduler_pruned_total",
                                          engine=name)
 
-    @property
-    def tracked_targets(self) -> int:
-        """Size of the cool-down map (bounded-memory regression hook)."""
-        return len(self._last_scanned)
-
     def admit(self, target: int) -> bool:
         """Whether ``target`` may be scanned now; records the scan time."""
         now = self.network.clock.now()

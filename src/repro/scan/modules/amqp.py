@@ -15,7 +15,7 @@ from repro.proto.amqp import (
     parse_method,
 )
 from repro.scan.modules.tls import tls_handshake
-from repro.scan.result import BrokerGrab, TlsObservation
+from repro.scan.result import PROTOCOL_PORTS, BrokerGrab, TlsObservation
 
 
 def refused_amqp(address: int, time: float, port: int) -> BrokerGrab:
@@ -69,9 +69,9 @@ def _probe(stream: Stream, address: int, now: float, port: int,
     )
 
 
-def scan_amqp(network: Network, source: int, target: int,
-              port: int = 5672) -> BrokerGrab:
+def scan_amqp(network: Network, source: int, target: int) -> BrokerGrab:
     """Plain AMQP broker probe."""
+    port = PROTOCOL_PORTS["amqp"]
     now = network.clock.now()
     stream = network.tcp_connect(source, target, port)
     if stream is None:
@@ -79,9 +79,9 @@ def scan_amqp(network: Network, source: int, target: int,
     return _probe(stream, target, now, port, "amqp", tls=None)
 
 
-def scan_amqps(network: Network, source: int, target: int,
-               port: int = 5671) -> BrokerGrab:
+def scan_amqps(network: Network, source: int, target: int) -> BrokerGrab:
     """AMQP-over-TLS broker probe."""
+    port = PROTOCOL_PORTS["amqps"]
     now = network.clock.now()
     stream = network.tcp_connect(source, target, port)
     if stream is None:

@@ -12,7 +12,7 @@ from repro.proto.coap import (
     get_request,
     parse_link_format,
 )
-from repro.scan.result import CoapGrab
+from repro.scan.result import PROTOCOL_PORTS, CoapGrab
 
 _message_ids = itertools.count(0x1000)
 
@@ -23,9 +23,9 @@ def refused_coap(address: int, time: float, port: int) -> CoapGrab:
     return CoapGrab(address=address, time=time, ok=False)
 
 
-def scan_coap(network: Network, source: int, target: int,
-              port: int = 5683) -> CoapGrab:
+def scan_coap(network: Network, source: int, target: int) -> CoapGrab:
     """Send a confirmable GET for the resource directory."""
+    port = PROTOCOL_PORTS["coap"]
     now = network.clock.now()
     message_id = next(_message_ids) & 0xFFFF
     request = get_request("/.well-known/core", message_id=message_id)

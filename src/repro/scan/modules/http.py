@@ -13,7 +13,7 @@ from typing import Optional
 from repro.net.simnet import Network
 from repro.proto.http import HttpDecodeError, HttpRequest, HttpResponse
 from repro.scan.modules.tls import tls_handshake
-from repro.scan.result import HttpGrab, TlsObservation
+from repro.scan.result import PROTOCOL_PORTS, HttpGrab, TlsObservation
 
 #: User-Agent identifying the research scan (Appendix A.2.2).
 USER_AGENT = "repro-scan/1.0 (+https://research.sim/scan-info)"
@@ -44,9 +44,9 @@ def _fetch(stream, now: float, address: int, port: int,
     )
 
 
-def scan_http(network: Network, source: int, target: int,
-              port: int = 80) -> HttpGrab:
+def scan_http(network: Network, source: int, target: int) -> HttpGrab:
     """Plain-HTTP banner/page grab."""
+    port = PROTOCOL_PORTS["http"]
     now = network.clock.now()
     stream = network.tcp_connect(source, target, port)
     if stream is None:
@@ -54,9 +54,9 @@ def scan_http(network: Network, source: int, target: int,
     return _fetch(stream, now, target, port, tls=None)
 
 
-def scan_https(network: Network, source: int, target: int,
-               port: int = 443) -> HttpGrab:
+def scan_https(network: Network, source: int, target: int) -> HttpGrab:
     """TLS handshake (no SNI) followed by a page grab on success."""
+    port = PROTOCOL_PORTS["https"]
     now = network.clock.now()
     stream = network.tcp_connect(source, target, port)
     if stream is None:

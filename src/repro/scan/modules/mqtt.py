@@ -12,7 +12,7 @@ from repro.proto.mqtt import (
     MqttDecodeError,
 )
 from repro.scan.modules.tls import tls_handshake
-from repro.scan.result import BrokerGrab, TlsObservation
+from repro.scan.result import PROTOCOL_PORTS, BrokerGrab, TlsObservation
 
 #: Client ID identifying the research scan.
 CLIENT_ID = "repro-scan"
@@ -50,9 +50,9 @@ def _probe(stream: Stream, address: int, now: float, port: int,
     )
 
 
-def scan_mqtt(network: Network, source: int, target: int,
-              port: int = 1883) -> BrokerGrab:
+def scan_mqtt(network: Network, source: int, target: int) -> BrokerGrab:
     """Plain MQTT broker probe."""
+    port = PROTOCOL_PORTS["mqtt"]
     now = network.clock.now()
     stream = network.tcp_connect(source, target, port)
     if stream is None:
@@ -60,9 +60,9 @@ def scan_mqtt(network: Network, source: int, target: int,
     return _probe(stream, target, now, port, "mqtt", tls=None)
 
 
-def scan_mqtts(network: Network, source: int, target: int,
-               port: int = 8883) -> BrokerGrab:
+def scan_mqtts(network: Network, source: int, target: int) -> BrokerGrab:
     """MQTT-over-TLS broker probe."""
+    port = PROTOCOL_PORTS["mqtts"]
     now = network.clock.now()
     stream = network.tcp_connect(source, target, port)
     if stream is None:

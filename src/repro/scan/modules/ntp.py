@@ -28,6 +28,7 @@ from repro.ntp.control import (
     readvar_request,
     reassemble,
 )
+from repro.ntp.server import NTP_PORT
 from repro.scan.result import NtpGrab
 
 _sequences = itertools.count(0x10)
@@ -58,9 +59,9 @@ def refused_ntp(address: int, time: float, port: int) -> NtpGrab:
     return NtpGrab(address=address, time=time, ok=False)
 
 
-def scan_ntp(network: Network, source: int, target: int,
-             port: int = 123) -> NtpGrab:
+def scan_ntp(network: Network, source: int, target: int) -> NtpGrab:
     """Probe one address: readvar for the version, monlist for exposure."""
+    port = NTP_PORT
     now = network.clock.now()
     sequence = next(_sequences)
     version = _query_version(network, source, target, port, sequence)

@@ -8,7 +8,7 @@ from repro.proto.ssh import (
     SshIdentification,
     decode_keyreply,
 )
-from repro.scan.result import SshGrab
+from repro.scan.result import PROTOCOL_PORTS, SshGrab
 
 #: The identification string our scanner presents (identifies us as a
 #: research scan, per the paper's ethics appendix).
@@ -21,9 +21,9 @@ def refused_ssh(address: int, time: float, port: int) -> SshGrab:
     return SshGrab(address=address, time=time, ok=False)
 
 
-def scan_ssh(network: Network, source: int, target: int,
-             port: int = 22) -> SshGrab:
+def scan_ssh(network: Network, source: int, target: int) -> SshGrab:
     """Grab the server banner and host key."""
+    port = PROTOCOL_PORTS["ssh"]
     now = network.clock.now()
     stream = network.tcp_connect(source, target, port)
     if stream is None:

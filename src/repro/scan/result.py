@@ -14,7 +14,8 @@ from typing import Dict, List, Optional, Tuple
 #: Protocol labels in Table 2 / Table 5 column order.
 PROTOCOLS = ("http", "https", "ssh", "mqtt", "mqtts", "amqp", "amqps", "coap")
 
-#: protocol label → (transport port, uses TLS).
+#: protocol label → the port its probe connects to, and the port the
+#: default registry registers it under.
 PROTOCOL_PORTS: Dict[str, int] = {
     "http": 80, "https": 443, "ssh": 22, "mqtt": 1883, "mqtts": 8883,
     "amqp": 5672, "amqps": 5671, "coap": 5683,

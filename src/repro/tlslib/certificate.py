@@ -39,30 +39,13 @@ class Certificate:
     def self_signed(self) -> bool:
         return self.subject == self.issuer
 
-    @property
-    def publicly_trusted(self) -> bool:
-        return self.issuer == PUBLIC_CA
-
     def expired(self, now: float) -> bool:
         return now > self.not_after
-
-    def valid_at(self, now: float) -> bool:
-        return self.not_before <= now <= self.not_after
 
     @property
     def fingerprint(self) -> bytes:
         """SHA-256 over the encoded form — the dedup identity."""
         return hashlib.sha256(self.encode()).digest()
-
-    def matches_hostname(self, hostname: str) -> bool:
-        """Simple SAN matching with single-label wildcard support."""
-        for name in self.san or (self.subject,):
-            if name == hostname:
-                return True
-            if name.startswith("*.") and "." in hostname:
-                if hostname.split(".", 1)[1] == name[2:]:
-                    return True
-        return False
 
     # -- wire form ------------------------------------------------------
 
@@ -127,29 +110,34 @@ class Certificate:
         )
 
 
-def issue_public(subject: str, key: Optional[KeyIdentity] = None, *,
-                 issued_at: float = 0.0,
-                 lifetime: float = 90 * 86_400.0) -> Certificate:
+#: Lifetimes, in seconds, of a publicly trusted (ACME-style) and of a
+#: device-style self-signed certificate.  Every certificate is issued
+#: at time 0.
+PUBLIC_LIFETIME = 90 * 86_400.0
+SELF_SIGNED_LIFETIME = 3650 * 86_400.0
+
+
+def issue_public(subject: str,
+                 key: Optional[KeyIdentity] = None) -> Certificate:
     """A publicly trusted (ACME-style) 90-day certificate."""
     return Certificate(
         subject=subject,
         issuer=PUBLIC_CA,
-        not_before=issued_at,
-        not_after=issued_at + lifetime,
-        key=key or derive_key(f"cert|{subject}|{issued_at}", "rsa-2048"),
+        not_before=0.0,
+        not_after=PUBLIC_LIFETIME,
+        key=key or derive_key(f"cert|{subject}|0.0", "rsa-2048"),
         san=(subject,),
     )
 
 
-def issue_self_signed(subject: str, key: Optional[KeyIdentity] = None, *,
-                      issued_at: float = 0.0,
-                      lifetime: float = 3650 * 86_400.0) -> Certificate:
-    """A device-style self-signed certificate (often very long-lived)."""
+def issue_self_signed(subject: str,
+                      key: Optional[KeyIdentity] = None) -> Certificate:
+    """A device-style self-signed certificate (very long-lived)."""
     return Certificate(
         subject=subject,
         issuer=subject,
-        not_before=issued_at,
-        not_after=issued_at + lifetime,
-        key=key or derive_key(f"selfsigned|{subject}|{issued_at}", "rsa-2048"),
+        not_before=0.0,
+        not_after=SELF_SIGNED_LIFETIME,
+        key=key or derive_key(f"selfsigned|{subject}|0.0", "rsa-2048"),
         san=(subject,),
     )

@@ -39,6 +39,11 @@ VERSION = 0x0303
 ALERT_HANDSHAKE_FAILURE = 40
 ALERT_UNRECOGNIZED_NAME = 112
 
+#: The fixed 32-byte randoms of every ClientHello and ServerHello (the
+#: simulation needs no fresh key exchange).
+CLIENT_RANDOM = b"\x00" * 32
+SERVER_RANDOM = b"\x01" * 32
+
 
 class TlsDecodeError(ValueError):
     """Raised on malformed TLS records."""
@@ -61,13 +66,10 @@ def _parse_record(data: bytes) -> tuple[int, bytes, bytes]:
     return content_type, payload, data[5 + length:]
 
 
-def client_hello(hostname: Optional[str] = None,
-                 client_random: bytes = b"\x00" * 32) -> bytes:
+def client_hello(hostname: Optional[str] = None) -> bytes:
     """Encode a ClientHello record, optionally carrying SNI."""
-    if len(client_random) != 32:
-        raise ValueError("client_random must be 32 bytes")
     sni = (hostname or "").encode("idna" if hostname else "ascii")
-    body = client_random + struct.pack("!H", len(sni)) + sni
+    body = CLIENT_RANDOM + struct.pack("!H", len(sni)) + sni
     message = struct.pack("!B", HS_CLIENT_HELLO)
     message += len(body).to_bytes(3, "big") + body
     return _record(RECORD_HANDSHAKE, message)
@@ -97,10 +99,9 @@ def parse_client_hello(data: bytes) -> Optional[str]:
         raise TlsDecodeError("SNI is not an ASCII hostname") from exc
 
 
-def server_hello(certificate: Certificate,
-                 server_random: bytes = b"\x01" * 32) -> bytes:
+def server_hello(certificate: Certificate) -> bytes:
     """Encode ServerHello + Certificate as one flight of records."""
-    hello_body = server_random
+    hello_body = SERVER_RANDOM
     hello = struct.pack("!B", HS_SERVER_HELLO)
     hello += len(hello_body).to_bytes(3, "big") + hello_body
     cert_blob = certificate.encode()
@@ -130,10 +131,6 @@ class HandshakeResult:
     status: HandshakeStatus
     certificate: Optional[Certificate] = None
     alert_description: Optional[int] = None
-
-    @property
-    def succeeded(self) -> bool:
-        return self.status is HandshakeStatus.OK
 
 
 def perform_handshake(stream: Stream,

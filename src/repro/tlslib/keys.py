@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,10 @@ class KeyPool:
     generated lazily on first draw so small experiments stay small.
     """
 
-    def __init__(self, name: str, size: int, reuse_rate: float,
-                 algorithm: str = "ssh-ed25519") -> None:
+    #: Every pool holds SSH host keys.
+    algorithm = "ssh-ed25519"
+
+    def __init__(self, name: str, size: int, reuse_rate: float) -> None:
         if size <= 0:
             raise ValueError(f"pool size must be positive, got {size}")
         if not 0.0 <= reuse_rate <= 1.0:
@@ -63,7 +65,6 @@ class KeyPool:
         self.name = name
         self.size = size
         self.reuse_rate = reuse_rate
-        self.algorithm = algorithm
         self._unique_counter = 0
 
     def _pool_key(self, index: int) -> KeyIdentity:
@@ -78,11 +79,6 @@ class KeyPool:
             f"unique|{self.name}|{self._unique_counter}|{rng.getrandbits(64)}",
             self.algorithm,
         )
-
-    def shared_keys(self) -> List[KeyIdentity]:
-        """All keys in the shared portion of the pool."""
-        return [self._pool_key(index) for index in range(self.size)]
-
 
 def unique_fingerprints(keys: Sequence[KeyIdentity]) -> int:
     """Number of distinct keys in a sequence (Table 2's #Certs/Keys)."""

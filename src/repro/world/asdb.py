@@ -86,14 +86,6 @@ class AsDatabase:
     def lookup_asn(self, address_value: int) -> Optional[int]:
         return self._prefix_owner.get(address_value >> 96)
 
-    def country_of(self, address_value: int) -> Optional[str]:
-        """Country of an address, via its origin AS."""
-        system = self.lookup(address_value)
-        return system.country if system else None
-
-    def system(self, asn: int) -> AutonomousSystem:
-        return self._systems[asn]
-
     @property
     def systems(self) -> Tuple[AutonomousSystem, ...]:
         return tuple(self._systems.values())
@@ -157,11 +149,19 @@ def _eyeball_name(country: str, index: int) -> str:
     return f"{country} Broadband-{index}"
 
 
-def build_asdb(geo_codes: Iterable[str], *, eyeballs_per_country: int = 3,
-               hosting_count: int = 12, cloud_count: int = 3,
-               education_count: int = 4, nsp_count: int = 6,
-               rng: Optional[random.Random] = None,
-               base_asn: int = 64500) -> AsDatabase:
+#: The standard AS layout: eyeball ISPs per country; hosting
+#: providers, hyperscale clouds, research networks and transit NSPs
+#: overall; and the first AS number handed out.
+EYEBALLS_PER_COUNTRY = 3
+HOSTING_COUNT = 12
+CLOUD_COUNT = 3
+EDUCATION_COUNT = 4
+NSP_COUNT = 6
+BASE_ASN = 64500
+
+
+def build_asdb(geo_codes: Iterable[str], *,
+               rng: Optional[random.Random] = None) -> AsDatabase:
     """Construct the standard AS layout for a world.
 
     Per country: a handful of eyeball ISPs (Cable/DSL/ISP).  Globally:
@@ -170,34 +170,34 @@ def build_asdb(geo_codes: Iterable[str], *, eyeballs_per_country: int = 3,
     """
     rng = rng or random.Random(0xA5DB)
     db = AsDatabase()
-    asn = base_asn
+    asn = BASE_ASN
     codes = list(geo_codes)
     for country in codes:
-        for index in range(eyeballs_per_country):
+        for index in range(EYEBALLS_PER_COUNTRY):
             db.register(AutonomousSystem(
                 number=asn, name=_eyeball_name(country, index + 1),
                 category=EYEBALL, country=country,
             ), block_count=rng.randint(1, 2))
             asn += 1
-    for index in range(hosting_count):
+    for index in range(HOSTING_COUNT):
         db.register(AutonomousSystem(
             number=asn, name=f"SimHost-{index + 1}",
             category="Content", country=rng.choice(codes),
         ), block_count=1)
         asn += 1
-    for index in range(cloud_count):
+    for index in range(CLOUD_COUNT):
         db.register(AutonomousSystem(
             number=asn, name=f"HyperCloud-{index + 1}",
             category="Content", country="US",
         ), block_count=4)
         asn += 1
-    for index in range(education_count):
+    for index in range(EDUCATION_COUNT):
         db.register(AutonomousSystem(
             number=asn, name=f"SimResearchNet-{index + 1}",
             category="Educational/Research", country=rng.choice(codes),
         ), block_count=1)
         asn += 1
-    for index in range(nsp_count):
+    for index in range(NSP_COUNT):
         db.register(AutonomousSystem(
             number=asn, name=f"SimTransit-{index + 1}",
             category="NSP", country=rng.choice(codes),

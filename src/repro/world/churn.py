@@ -103,8 +103,3 @@ class ChurnModel:
             if device.addressing == "privacy":
                 device.rotate_iid(self.network, self.rng)
                 self.iid_rotations += 1
-
-
-def stable_premises(site: Premises) -> bool:
-    """Whether a premises keeps its prefix for the whole experiment."""
-    return site.rotation_rate == 0.0

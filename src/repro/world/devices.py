@@ -260,11 +260,12 @@ def _privacy_iid(rng: random.Random) -> int:
 # builder assigns AS/prefix/country and materializes it.
 # ---------------------------------------------------------------------------
 
-def _device_cert(subject: str, key_seed: str, *, public: bool = False,
-                 issued_at: float = 0.0) -> Certificate:
+def _device_cert(subject: str, key_seed: str, *,
+                 public: bool = False) -> Certificate:
     key = derive_key(key_seed, "rsa-2048")
-    factory = issue_public if public else issue_self_signed
-    return factory(subject, key, issued_at=issued_at)
+    if public:
+        return issue_public(subject, key)
+    return issue_self_signed(subject, key)
 
 
 def make_fritzbox(rng: random.Random, index: int, mac: int) -> Device:
@@ -413,7 +414,7 @@ def make_web_server(rng: random.Random, index: int, *, title: Optional[str],
 def make_ssh_host(rng: random.Random, index: int, *, os_name: str,
                   software: str, comment: Optional[str],
                   host_key: KeyIdentity, ntp: bool,
-                  reachable: bool = True, segment: str = "server",
+                  segment: str = "server",
                   addressing: Optional[str] = None,
                   mac: Optional[int] = None,
                   outdated: bool = False) -> Device:
@@ -423,7 +424,7 @@ def make_ssh_host(rng: random.Random, index: int, *, os_name: str,
         addressing=addressing or rng.choice(["low-byte", "structured"]),
         mac=mac,
         ntp_interval=3600.0 if ntp else None,
-        reachable=reachable,
+        reachable=True,
         ssh=SshConfig(
             identification=SshIdentification("2.0", software, comment),
             host_key=host_key,
@@ -471,15 +472,14 @@ def make_amqp_broker(rng: random.Random, index: int, *, require_auth: bool,
 
 def make_coap_device(rng: random.Random, index: int, *,
                      resources: Sequence[str], group: str,
-                     ntp: bool, mac: Optional[int] = None,
-                     reachable: bool = True) -> Device:
+                     ntp: bool, mac: Optional[int] = None) -> Device:
     """A CoAP endpoint advertising a fixed resource directory."""
     return Device(
         type_name=f"coap_{group}",
         addressing="eui64" if mac is not None else "privacy",
         mac=mac,
         ntp_interval=1800.0 if ntp else None,
-        reachable=reachable,
+        reachable=True,
         coap=CoapConfig(resources=tuple(resources)),
         labels={"segment": "iot", "coap_group": group},
     )

@@ -71,8 +71,8 @@ DEPLOYMENT_COUNTRIES: Tuple[str, ...] = (
 class GeoDatabase:
     """Country lookups (the GeoLite2 stand-in)."""
 
-    def __init__(self, countries: Tuple[Country, ...] = COUNTRIES) -> None:
-        self._by_code: Dict[str, Country] = {c.code: c for c in countries}
+    def __init__(self) -> None:
+        self._by_code: Dict[str, Country] = {c.code: c for c in COUNTRIES}
 
     def country(self, code: str) -> Country:
         return self._by_code[code]

@@ -45,10 +45,6 @@ class Hitlist:
     def full_size(self) -> int:
         return len(self.full)
 
-    @property
-    def public_size(self) -> int:
-        return len(self.public)
-
 
 #: Probability a DNS-named device actually appears.
 DNS_INCLUSION_RATE = 0.96

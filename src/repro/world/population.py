@@ -417,7 +417,7 @@ def _make_router(world: World, rng: random.Random, index: int,
 
 def _sample_ssh(rng: random.Random, *, distro: str,
                 managed: bool, key: KeyIdentity, ntp: bool,
-                reachable: bool = True, segment: str = "server",
+                segment: str = "server",
                 addressing: Optional[str] = None,
                 mac: Optional[int] = None) -> dev.Device:
     releases = ssh_releases.releases_for(distro)
@@ -436,7 +436,7 @@ def _sample_ssh(rng: random.Random, *, distro: str,
         rng, 0, os_name=distro,
         software=release.banner_software(),
         comment=release.banner_comment(patch),
-        host_key=key, ntp=ntp, reachable=reachable, segment=segment,
+        host_key=key, ntp=ntp, segment=segment,
         addressing=addressing, mac=mac, outdated=outdated,
     )
 

@@ -30,7 +30,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 #: Nybbles per IPv6 address.
 NYBBLES = 32
@@ -40,6 +40,11 @@ FIXED_THRESHOLD = 0.05
 
 #: Entropy below which a nybble is "dirty" (structured but variable).
 DIRTY_THRESHOLD = 2.5
+
+#: Leading bits a candidate copies verbatim from its seed (a multiple
+#: of 4), and the probability a free nybble keeps its seed value.
+PREFIX_LOCK = 56
+KEEP_FREE = 0.5
 
 
 def _nybble(value: int, index: int) -> int:
@@ -100,30 +105,24 @@ class EntropyTga:
         """Sum of per-nybble entropies (address-space spread proxy)."""
         return sum(model.entropy for model in self.models)
 
-    def generate(self, count: int, *, keep_free: float = 0.5,
-                 exclude_seeds: bool = True,
-                 prefix_lock: int = 56,
-                 rng: Optional[random.Random] = None) -> List[int]:
-        """Emit up to ``count`` distinct candidates.
+    def generate(self, count: int) -> List[int]:
+        """Emit up to ``count`` distinct candidates, none of them a seed.
 
         Candidates start from a random seed and keep its first
-        ``prefix_lock`` bits verbatim (an independent per-nybble model
-        would otherwise tear apart the prefix correlations and generate
-        into unrouted space — real TGAs expand *within* dense observed
-        regions).  Beyond the lock, dirty nybbles are resampled from
-        their learned distributions, free nybbles with probability
-        ``1 - keep_free``; fixed nybbles never change.
+        :data:`PREFIX_LOCK` bits verbatim (an independent per-nybble
+        model would otherwise tear apart the prefix correlations and
+        generate into unrouted space — real TGAs expand *within* dense
+        observed regions).  Beyond the lock, dirty nybbles are resampled
+        from their learned distributions, free nybbles with probability
+        ``1 - KEEP_FREE``; fixed nybbles never change.
         """
         if count <= 0:
             raise ValueError(f"count must be positive, got {count}")
-        if not 0 <= prefix_lock <= 128 or prefix_lock % 4:
-            raise ValueError("prefix_lock must be a multiple of 4 in "
-                             f"[0, 128], got {prefix_lock}")
         if not self.seeds:
             return []
-        chooser = rng or random.Random(self.seed)
-        seen: Set[int] = set(self.seeds) if exclude_seeds else set()
-        first_mutable = prefix_lock // 4
+        chooser = random.Random(self.seed)
+        seen: Set[int] = set(self.seeds)
+        first_mutable = PREFIX_LOCK // 4
         candidates: List[int] = []
         attempts = 0
         limit = count * 20
@@ -135,7 +134,7 @@ class EntropyTga:
                     candidate = _with_nybble(candidate, model.index,
                                              model.sample(chooser))
                 elif model.segment == "free" and \
-                        chooser.random() >= keep_free:
+                        chooser.random() >= KEEP_FREE:
                     candidate = _with_nybble(candidate, model.index,
                                              model.sample(chooser))
             if candidate in seen:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.analysis import aliases
 from repro.analysis.aliases import filter_aliased, is_aliased
 from repro.ipv6 import parse, prefix
 from repro.proto.http import HttpServerSession
@@ -12,6 +13,7 @@ from repro.scan.modules.http import scan_http
 from repro.world.hitlist import build_hitlist
 from repro.world.population import build_world
 from tests.conftest import small_world_config
+from tests.net_reference import is_wildcard
 
 SRC = parse("2001:db8:50::1")
 ALIASED = parse("2001:db8:a11a:5ed::")
@@ -39,8 +41,8 @@ class TestWildcardHosts:
         assert scan_http(aliased_network, SRC, ALIASED + 7).title == "exact"
 
     def test_is_wildcard(self, aliased_network):
-        assert aliased_network.is_wildcard(ALIASED + 99)
-        assert not aliased_network.is_wildcard(NORMAL + 1)
+        assert is_wildcard(aliased_network, ALIASED + 99)
+        assert not is_wildcard(aliased_network, NORMAL + 1)
 
 
 class TestDetection:
@@ -53,9 +55,10 @@ class TestDetection:
     def test_empty_subnet_not_aliased(self, aliased_network):
         assert not is_aliased(aliased_network, SRC, parse("2001:db8:77::"))
 
-    def test_probe_validation(self, aliased_network):
+    def test_probe_validation(self, aliased_network, monkeypatch):
+        monkeypatch.setattr(aliases, "PROBES", 0)
         with pytest.raises(ValueError):
-            is_aliased(aliased_network, SRC, ALIASED, probes=0)
+            is_aliased(aliased_network, SRC, ALIASED)
 
 
 class TestFiltering:
@@ -72,14 +75,14 @@ class TestFiltering:
         report = filter_aliased(aliased_network, SRC, [ALIASED + 1],
                                 rng=random.Random(1))
         assert report.kept == frozenset({ALIASED + 1})
-        assert report.aliased_count == 0
+        assert len(report.aliased_prefixes) == 0
 
 
 class TestWorldIntegration:
     def test_world_has_aliased_prefixes(self, world):
         assert world.aliased_prefixes
         for prefix64 in world.aliased_prefixes:
-            assert world.network.is_wildcard(prefix64 + 0x1234)
+            assert is_wildcard(world.network, prefix64 + 0x1234)
 
     def test_hitlist_public_dealiased(self):
         world = build_world(small_world_config())

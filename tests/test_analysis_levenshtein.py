@@ -22,6 +22,12 @@ from tests.levenshtein_oracle import full_distance, normalized_distance
 SHORT_TEXT = st.text(alphabet="abcdef !", max_size=12)
 
 
+def group_of(clusterer, title):
+    """The group a title was assigned to, if any."""
+    return next((group for group in clusterer.groups
+                 if title in group.members), None)
+
+
 def exact(left, right):
     """The banded distance under a bound no distance exceeds, checked
     against the oracle's full table."""
@@ -100,7 +106,7 @@ class TestClusterer:
         clusterer = TitleClusterer()
         clusterer.add("FRITZ!Box", count=10)
         clusterer.add("FRITZ!Box", count=5)
-        group = clusterer.group_of("FRITZ!Box")
+        group = group_of(clusterer, "FRITZ!Box")
         assert group.count == 15
 
     def test_representative_is_first(self):
@@ -130,7 +136,7 @@ class TestClusterer:
         assert groups[1].count == 10
 
     def test_group_of_unknown(self):
-        assert TitleClusterer().group_of("nope") is None
+        assert group_of(TitleClusterer(), "nope") is None
 
 
 class TestBandedDistance:

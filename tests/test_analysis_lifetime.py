@@ -28,7 +28,7 @@ class TestLifetimeReport:
         assert report.max_span == 10 * DAY
 
     def test_long_lived_share(self):
-        report = lifetime.analyze(_dataset([0, 3, 8, 20]), long_days=7.0)
+        report = lifetime.analyze(_dataset([0, 3, 8, 20]))
         assert report.long_lived_share == pytest.approx(0.5)
 
     def test_empty(self):
@@ -44,9 +44,9 @@ class TestSurvivalCurve:
         values = [curve[day] for day in sorted(curve)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
-    def test_known_values(self):
-        curve = lifetime.survival_curve(_dataset([0, 2, 10]),
-                                        day_points=(1, 7))
+    def test_known_values(self, monkeypatch):
+        monkeypatch.setattr(lifetime, "DAY_POINTS", (1, 7))
+        curve = lifetime.survival_curve(_dataset([0, 2, 10]))
         assert curve[1] == pytest.approx(2 / 3)
         assert curve[7] == pytest.approx(1 / 3)
 

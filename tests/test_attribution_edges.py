@@ -32,12 +32,18 @@ from repro.core.attribution import (
     classify_features,
     derive_features,
 )
-from repro.core.telescope import BaitRecord, InboundEvent, Telescope
+from repro.core.telescope import (
+    BAIT_PREFIX48,
+    BaitRecord,
+    InboundEvent,
+    Telescope,
+)
 from repro.ipv6 import address as addrmod
 from repro.net.simnet import Network
 from repro.ntp.server import NtpServer
+from tests.net_reference import advance
 
-PREFIX48 = addrmod.parse("2001:6d0:babe::")
+PREFIX48 = BAIT_PREFIX48  # the telescope's bait /48
 SERVER = addrmod.parse("2001:500::77")
 SCANNER = addrmod.parse("2001:db8:bad::1")
 
@@ -111,7 +117,7 @@ def captured(drive):
     """Run ``drive(network, telescope)`` and return the capture."""
     network = Network()
     NtpServer(network, SERVER, location="XX")
-    telescope = Telescope(network, prefix48=PREFIX48)
+    telescope = Telescope(network)
     drive(network, telescope)
     return telescope
 
@@ -119,7 +125,7 @@ def captured(drive):
 def wander(network, *, count, start_subnet=0x9000, port=443):
     """Sweep ``count`` guard-band addresses (never-queried /64s)."""
     for index in range(count):
-        network.clock.advance(30.0)
+        advance(network.clock, 30.0)
         network.tcp_connect(
             SCANNER, PREFIX48 + ((start_subnet + index) << 64) + 1, port)
 
@@ -147,7 +153,7 @@ class TestTelescopeEdgeCases:
         def drive(network, telescope):
             record = telescope.query(SERVER)
             wander(network, count=11)
-            network.clock.advance(30.0)
+            advance(network.clock, 30.0)
             network.tcp_connect(SCANNER, record.address, 443)
 
         telescope = captured(drive)
@@ -163,7 +169,7 @@ class TestTelescopeEdgeCases:
         def drive(network, telescope):
             records = [telescope.query(SERVER) for _ in range(4)]
             for record in records:
-                network.clock.advance(30.0)
+                advance(network.clock, 30.0)
                 network.tcp_connect(SCANNER, record.address, 443)
 
         telescope = captured(drive)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.obs import RUN_REPORT_VERSION
+from tests.io_reference import load_dataset, load_run_report
 
 
 class TestParser:
@@ -68,6 +69,27 @@ class TestCommands:
             world=WorldConfig(seed=20240720, scale=0.05), include_rl=False))
         assert out == render_full_report(
             study.experiment, study.table1, study.analysis) + "\n"
+
+    def test_study_full_report_lists_only_scanned_protocols(self, capsys):
+        """Table 2 and the broker table of a study scanning a subset
+        show the scanned protocols alone, as the JSON Table 2 does: a
+        zero row for an unscanned protocol would read as scanned and
+        silent."""
+        assert main(["study", "--scale", "0.05", "--no-rl",
+                     "--protocols", "ssh,mqtt,https", "--full-report"]) == 0
+        out = capsys.readouterr().out
+
+        def first_column(section, header):
+            """The first cell of each row of the table under ``header``
+            in the report section titled ``section``."""
+            text = out.split(f"## {section}", 1)[1].split("\n## ", 1)[0]
+            table = text.split(header, 1)[1].split("\n\n", 1)[0]
+            return [line.split()[0] for line in table.splitlines()[2:]]
+
+        assert first_column("Table 2", "protocol  NTP #addrs") == \
+            ["ssh", "mqtt", "https"]
+        assert first_column("Figures 2-3", "protocol  dataset") == \
+            ["MQTT", "MQTT"]
 
     def test_determinism(self, capsys):
         main(["world", "--scale", "0.05", "--seed", "7"])
@@ -151,7 +173,6 @@ class TestSaveLoad:
         assert main(["collect", "--scale", "0.05", "--days", "1",
                      "--wire", "0", "--out", str(out)]) == 0
         assert out.exists()
-        from repro.io import load_dataset
         assert len(load_dataset(out)) > 0
 
     def test_study_out_dir_then_analyze(self, capsys, tmp_path):
@@ -169,8 +190,6 @@ class TestSaveLoad:
         out = tmp_path / "artefacts"
         assert main(["study", "--scale", "0.05", "--no-rl", "--wire", "0",
                      "--out-dir", str(out)]) == 0
-        from repro.io import load_run_report
-
         report = load_run_report(out / "run_report.jsonl")
         assert report.command == "study"
         assert report.tables["table1"]

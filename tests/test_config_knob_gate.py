@@ -14,14 +14,15 @@ settings.  CI runs this test in the lint job.
 
 The check is AST-based: a construction is a call whose callee is the
 class name, bare or as an attribute (``api.EcosystemConfig(...)``).
+It reads the parse and call index it shares with the caller gate
+(:mod:`tests.source_index`).
 """
 
 import ast
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from tests.source_index import ROOT, index, parse_tree
+
 SRC = ROOT / "src" / "repro"
-CALLER_DIRS = ("src", "benchmarks", "perfbench", "examples")
 
 #: Modules (relative to src/repro) whose ``*Config`` classes are exempt.
 EXEMPT_MODULES = ("world/devices.py",)
@@ -33,10 +34,6 @@ ALLOWED = {
         "removing it would leave the monitor reachable only from tests, "
         "which is a model decision of its own"),
 }
-
-
-def _parse(path: Path) -> ast.Module:
-    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -53,10 +50,10 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 def _config_fields():
     """``{class name: [field, ...]}`` of every run-config dataclass."""
     configs = {}
-    for path in sorted(SRC.rglob("*.py")):
+    for path, module in parse_tree(SRC):
         if path.relative_to(SRC).as_posix() in EXEMPT_MODULES:
             continue
-        for node in ast.walk(_parse(path)):
+        for node in ast.walk(module):
             if (isinstance(node, ast.ClassDef)
                     and node.name.endswith("Config")
                     and _is_dataclass(node)):
@@ -71,23 +68,12 @@ def _set_fields(configs):
     """``Class.field`` names some construction under the caller
     directories passes."""
     seen = set()
-    for directory in CALLER_DIRS:
-        for path in sorted((ROOT / directory).rglob("*.py")):
-            for node in ast.walk(_parse(path)):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) \
-                    else getattr(func, "id", None)
-                if name not in configs:
-                    continue
-                positional = [arg for arg in node.args
-                              if not isinstance(arg, ast.Starred)]
-                for field in configs[name][:len(positional)]:
-                    seen.add(f"{name}.{field}")
-                for keyword in node.keywords:
-                    if keyword.arg is not None:
-                        seen.add(f"{name}.{keyword.arg}")
+    calls = index().calls
+    for name, fields in configs.items():
+        for site in calls.get(name, ()):
+            for field in fields[:site.positional]:
+                seen.add(f"{name}.{field}")
+            seen.update(f"{name}.{keyword}" for keyword in site.keywords)
     return seen
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import campaign as campaign_module
 from repro.core.campaign import CampaignConfig, CollectionCampaign
 
 
@@ -42,11 +43,12 @@ class TestAutotune:
         high.run()
         assert high.dataset.total_requests > low.dataset.total_requests
 
-    def test_ceiling_respected(self, fresh_world):
+    def test_ceiling_respected(self, fresh_world, monkeypatch):
+        monkeypatch.setattr(campaign_module, "NETSPEED_CEILING", 2000)
         campaign = CollectionCampaign(
             fresh_world, CampaignConfig(days=10, netspeed=900,
                                         wire_fraction=0.0, seed=5))
-        campaign.autotune_netspeed(10_000_000, max_days=4, ceiling=2000)
+        campaign.autotune_netspeed(10_000_000, max_days=4)
         for address in campaign.capture_servers:
             assert campaign.pool.server(address).netspeed <= 2000
 

@@ -36,15 +36,16 @@ from repro.core.ecosystem import (
     TgaActor,
     leak_scenario,
 )
-from repro.core.telescope import Telescope
+from repro.core.telescope import BAIT_PREFIX48, Telescope
 from repro.ipv6 import address as addrmod
 from repro.net.clock import EventScheduler
 from repro.net.packet import PacketRecord
 from repro.net.rdns import ReverseDns
 from repro.net.simnet import Network
 from tests.conftest import small_world_config
+from tests.net_reference import run_all
 
-PREFIX48 = addrmod.parse("2001:6d0:babe::")
+PREFIX48 = BAIT_PREFIX48  # the telescope's bait /48
 
 SOURCE_BASES = {
     "hitlist": addrmod.parse("2001:db8:aa00::10"),
@@ -60,6 +61,23 @@ ALL_STRATEGIES = ("hitlist", "tga", "rdns", "residential", "amplification")
 def fresh_sim():
     network = Network()
     return network, EventScheduler(network.clock)
+
+
+def address_pool(actor):
+    """Every destination an actor's strategy can ever produce; for the
+    TGA, every /64 its mutator can reach (the seeds' /64s)."""
+    if isinstance(actor, HitlistSweepActor):
+        return frozenset(actor.targets)
+    if isinstance(actor, TgaActor):
+        return frozenset(addrmod.prefix(seed, 64) for seed in actor.seeds)
+    if isinstance(actor, RdnsWalkActor):
+        return frozenset(actor._walk())
+    return frozenset(actor._targets())
+
+
+def actor_of(population, source):
+    """The name of the actor a source address belongs to, if any."""
+    return population._names.get(source)
 
 
 def sources_for(strategy: str, count: int = 3):
@@ -135,7 +153,7 @@ def run_actor(factory, seed):
     network.add_tap(tap)
     actor = factory(network, scheduler, seed=seed)
     actor.deploy()
-    scheduler.run_all()
+    run_all(scheduler)
     return actor.planned(), tuple(taps), actor
 
 
@@ -180,7 +198,7 @@ class TestStrategyProperties:
             targets=targets, rounds=rounds,
             seed=data.draw(st.integers(0, 1000)))
         plan = actor.planned()
-        assert {dst for _, _, dst, _ in plan} <= actor.address_pool()
+        assert {dst for _, _, dst, _ in plan} <= address_pool(actor)
         assert len(plan) == len(targets) * len(actor.ports) * rounds
 
     @given(data=st.data())
@@ -195,7 +213,7 @@ class TestStrategyProperties:
                          candidates_per_seed=data.draw(
                              st.integers(min_value=1, max_value=8)),
                          seed=data.draw(st.integers(0, 1000)))
-        pool = actor.address_pool()
+        pool = address_pool(actor)
         for _, _, dst, _ in actor.planned():
             assert addrmod.prefix(dst, 64) in pool
             assert dst not in seeds  # mutations, never the seed itself
@@ -233,7 +251,7 @@ class TestStrategyProperties:
             subnet_start=0x6000, subnet_count=count,
             seed=data.draw(st.integers(0, 1000)))
         plan = actor.planned()
-        assert {dst for _, _, dst, _ in plan} == actor.address_pool()
+        assert {dst for _, _, dst, _ in plan} == address_pool(actor)
         for _, _, dst, _ in plan:
             assert addrmod.prefix(dst, 48) == PREFIX48
             assert addrmod.iid(dst) in actor.iids
@@ -251,7 +269,7 @@ class TestStrategyProperties:
             subnet_start=0xA000, subnet_count=count,
             seed=data.draw(st.integers(0, 1000)))
         plan = actor.planned()
-        assert {dst for _, _, dst, _ in plan} == actor.address_pool()
+        assert {dst for _, _, dst, _ in plan} == address_pool(actor)
         for _, _, dst, port in plan:
             assert port == 123
             assert addrmod.prefix(dst, 48) == PREFIX48
@@ -266,7 +284,7 @@ class TestStrategyProperties:
         network.add_tap(lambda record: taps.append(record))
         actor = make_amplification(network, scheduler, seed=3)
         actor.deploy()
-        scheduler.run_all()
+        run_all(scheduler)
         assert taps
         for record in taps:
             assert record.transport.value == "udp"
@@ -286,12 +304,12 @@ def run_leak_scenario():
     """One labeled mixed-population run; returns (population, report)."""
     network, scheduler = fresh_sim()
     rdns = ReverseDns()
-    scope = Telescope(network, prefix48=PREFIX48)
+    scope = Telescope(network)
     population = leak_scenario(
         network, scheduler, rdns, PREFIX48,
         sources={strategy: sources_for(strategy)
                  for strategy in SOURCE_BASES})
-    scheduler.run_all()
+    run_all(scheduler)
     report = attribute_events(
         scope.events, truth=population.ground_truth(), rdns=rdns)
     return population, report
@@ -325,7 +343,7 @@ class TestLabeledScenario:
         for actor in population.actors:
             for source in actor.sources:
                 assert truth[source] == actor.strategy
-                assert population.actor_of(source) == actor.name
+                assert actor_of(population, source) == actor.name
 
     def test_population_rows_report_probe_counts(self):
         population, _ = run_leak_scenario()
@@ -337,7 +355,7 @@ class TestLabeledScenario:
         population = ScannerPopulation(network, scheduler)
         population.add_external("GT", "ntp", [1, 2])
         assert population.ground_truth() == {1: "ntp", 2: "ntp"}
-        assert population.actor_of(1) == "GT"
+        assert actor_of(population, 1) == "GT"
 
 
 @pytest.fixture(scope="module")

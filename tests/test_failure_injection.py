@@ -11,6 +11,7 @@ from repro.ntp.server import NtpServer
 from repro.scan.engine import ScanEngine
 from repro.scan.result import ScanResults
 from repro.world import devices as dev
+from tests.net_reference import SimpleSession, advance
 
 SRC = parse("2001:db8:5c::1")
 PREFIX = parse("2001:db8:700::")
@@ -70,7 +71,7 @@ class TestMidScanChurn:
         assert engine.feed(old, results)
         device.rehome(network, parse("2001:db8:701::"), rng)
         # A stale re-discovery of the old address now fails everywhere.
-        network.clock.advance(4 * 86_400)
+        advance(network.clock, 4 * 86_400)
         assert engine.feed(old, results)
         assert len(results.responsive_addresses("http")) == 1
 
@@ -99,7 +100,6 @@ class TestBrokenServices:
         assert len(dataset) == 0
 
     def test_garbage_speaking_service_yields_failed_grabs(self, network):
-        from repro.net.simnet import SimpleSession
 
         class GarbageService:
             def accept(self, peer, peer_port):

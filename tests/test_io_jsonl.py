@@ -14,7 +14,6 @@ from repro.io import (
     FormatError,
     grab_from_json,
     grab_to_json,
-    load_dataset,
     load_results,
     save_dataset,
     save_results,
@@ -30,6 +29,7 @@ from repro.scan.result import (
     SshGrab,
     TlsObservation,
 )
+from tests.io_reference import load_dataset
 
 
 @pytest.fixture()

@@ -25,7 +25,7 @@ class TestDefaultRegistry:
 
     def test_unlisted_oui_is_absent(self, registry):
         assert registry.lookup(UNLISTED_OUI) is None
-        assert not registry.is_listed(UNLISTED_OUI)
+        assert UNLISTED_OUI not in registry._by_oui
 
     def test_local_oui_is_absent(self, registry):
         assert registry.lookup(LOCAL_OUI) is None
@@ -58,14 +58,14 @@ class TestDefaultRegistry:
 
     def test_no_multicast_ouis(self, registry):
         """Registry OUIs must be unicast and universally administered."""
-        for vendor in registry.vendors:
+        for vendor in registry._vendors:
             for oui in vendor.ouis:
                 top_byte = oui >> 16
                 assert not top_byte & eui64.IG_BIT
                 assert not top_byte & eui64.UL_BIT
 
     def test_len_counts_ouis(self, registry):
-        assert len(registry) == sum(len(v.ouis) for v in registry.vendors)
+        assert len(registry) == sum(len(v.ouis) for v in registry._vendors)
 
 
 class TestConstruction:

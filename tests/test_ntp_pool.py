@@ -80,7 +80,8 @@ class TestGeoDnsResolution:
         pool.register(S1, "de")
         pool.register(S2, "us")
         pool.deregister(S2)
-        assert pool.populated_zones() == ["de"]
+        assert [zone for zone in pool._zones
+                if pool.zone_servers(zone)] == ["de"]
 
 
 class TestMonitoring:

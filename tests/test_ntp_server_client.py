@@ -6,6 +6,7 @@ from repro.ipv6 import parse
 from repro.ntp.client import NtpClient
 from repro.ntp.packet import Mode, NtpPacket
 from repro.ntp.server import NTP_PORT, NtpServer
+from tests.net_reference import advance
 
 SERVER = parse("2001:db8::123")
 CLIENT = parse("2001:db8:ffff::5")
@@ -53,7 +54,7 @@ class TestCapture:
         server.add_capture_hook(
             lambda address, port, request, time: times.append(time)
         )
-        network.clock.advance(42.0)
+        advance(network.clock, 42.0)
         client.query(SERVER)
         assert times == [42.0]
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.ipv6 import address as addrmod
 from repro.scan.ethics import OptOutList
-from repro.world.tga import train
+from repro.world.tga import PREFIX_LOCK, train
 
 ADDRESSES = st.integers(min_value=0, max_value=2**128 - 1)
 
@@ -53,9 +53,9 @@ class TestTgaProperties:
     @settings(max_examples=30)
     def test_prefix_lock_respected(self, seeds):
         tga = train(seeds)
-        locked = {addrmod.prefix(seed, 56) for seed in seeds}
-        for candidate in tga.generate(20, prefix_lock=56):
-            assert addrmod.prefix(candidate, 56) in locked
+        locked = {addrmod.prefix(seed, PREFIX_LOCK) for seed in seeds}
+        for candidate in tga.generate(20):
+            assert addrmod.prefix(candidate, PREFIX_LOCK) in locked
 
     @given(st.lists(ADDRESSES, min_size=1, max_size=30, unique=True))
     @settings(max_examples=30)
@@ -75,4 +75,5 @@ class TestDeterminismProperties:
         second = build_world(WorldConfig(seed=seed, scale=0.02))
         assert [d.address for d in first.devices] == \
             [d.address for d in second.devices]
-        assert first.dns.names() == second.dns.names()
+        assert [record.name for record in first.dns] == \
+            [record.name for record in second.dns]

@@ -133,6 +133,7 @@ class TestBrokerSession:
         assert session.closed
 
     def test_product_advertised(self):
-        session = AmqpBrokerSession(require_auth=False, product="TestBroker")
+        session = AmqpBrokerSession(require_auth=False)
+        session.product = "TestBroker"
         start = parse_method(session.on_data(PROTOCOL_HEADER))
         assert start.product == "TestBroker"

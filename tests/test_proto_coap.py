@@ -1,5 +1,7 @@
 """Unit tests for the RFC 7252 CoAP codec and resource server."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -76,7 +78,8 @@ class TestCodec:
     )
     def test_roundtrip_property(self, message_id, token, segments):
         path = "/" + "/".join(segments)
-        request = get_request(path, message_id=message_id, token=token)
+        request = dataclasses.replace(
+            get_request(path, message_id=message_id), token=token)
         decoded = CoapMessage.decode(request.encode())
         assert decoded.message_id == message_id
         assert decoded.token == token
@@ -118,7 +121,8 @@ class TestResourceServer:
         assert response.message_id == 77
 
     def test_known_resource(self):
-        server = CoapResourceServer(["/a"], payloads={"/a": b"value"})
+        server = CoapResourceServer(["/a"])
+        server.payloads = {"/a": b"value"}
         response = self._ask(server, "/a")
         assert response.code == CONTENT_205
         assert response.payload == b"value"

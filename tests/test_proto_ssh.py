@@ -7,7 +7,6 @@ from repro.proto.ssh import (
     SshDecodeError,
     SshIdentification,
     SshServerSession,
-    banner_for,
     debian_patch_level,
     decode_keyreply,
     encode_keyreply,
@@ -16,6 +15,12 @@ from repro.proto.ssh import (
 from repro.tlslib.keys import KeyIdentity, derive_key
 
 from tests.conftest import mutations_of
+
+def banner_for(software, comment=None):
+    """An SSH-2.0 server identification."""
+    return SshIdentification(protocol="2.0", software=software,
+                             comment=comment)
+
 
 #: A valid key reply.
 KEYREPLY = encode_keyreply(KeyIdentity(fingerprint=b"\x01" * 16,

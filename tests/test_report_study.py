@@ -47,8 +47,8 @@ class TestSections:
         assert "castdevice" in text
         assert "missed or underrepresented" in text
 
-    def test_security_headline(self, analysis):
-        text = render_security(analysis)
+    def test_security_headline(self, experiment, analysis):
+        text = render_security(analysis, experiment.protocols)
         assert "secure share" in text
         assert "MQTT" in text
 

@@ -9,13 +9,14 @@ import pytest
 
 from repro.ipv6 import parse
 from repro.net.clock import DAY, VirtualClock
-from repro.net.simnet import Network, SimpleSession
+from repro.net.simnet import Network
 from repro.obs.metrics import use_registry
 from repro.runtime.registry import ProbeRegistry, default_registry
 import repro.scan.engine
 from repro.scan.engine import COOLDOWN, ScanEngine
 from repro.scan.result import PROTOCOLS, ScanResults
 from repro.world import devices as dev
+from tests.net_reference import SimpleSession, advance
 
 SRC = parse("2001:db8:5c::1")
 PREFIX = parse("2001:db8:600::")
@@ -79,7 +80,7 @@ class TestCooldown:
         engine = ScanEngine(network, SRC)
         results = ScanResults()
         engine.feed(fritz.address, results)
-        network.clock.advance(3 * DAY + 1)
+        advance(network.clock, 3 * DAY + 1)
         assert engine.feed(fritz.address, results) is True
 
     def test_distinct_addresses_not_cooled(self, network, rng, metrics):
@@ -107,9 +108,9 @@ class TestCooldownPruning:
         for batch in range(8):
             for index in range(10):
                 engine.feed(prefix + (batch << 32) + index, results)
-            network.clock.advance(COOLDOWN + 1)
+            advance(network.clock, COOLDOWN + 1)
         # Without pruning the map would hold all 80 entries.
-        assert engine.scheduler.tracked_targets <= 20
+        assert len(engine.scheduler._last_scanned) <= 20
         assert metrics.value("scheduler_pruned_total",
                              engine="engine") >= 60
         assert metrics.value("scheduler_admitted_total",
@@ -133,9 +134,9 @@ class TestCooldownPruning:
         engine = ScanEngine(network, SRC)
         engine.feed(fritz.address, ScanResults())
         assert engine.scheduler.prune() == 0
-        network.clock.advance(COOLDOWN + 1)
+        advance(network.clock, COOLDOWN + 1)
         assert engine.scheduler.prune() == 1
-        assert engine.scheduler.tracked_targets == 0
+        assert len(engine.scheduler._last_scanned) == 0
 
 
 class TestRun:

@@ -16,6 +16,7 @@ from repro.scan.ethics import (
 from repro.scan.modules.http import scan_http
 from repro.scan.result import ScanResults
 from repro.world import devices as dev
+from tests.net_reference import advance, identifies_research
 
 SRC = parse("2001:db8:5c::1")
 PREFIX = parse("2001:db8:900::")
@@ -76,7 +77,7 @@ class TestPolicyInEngine:
         results = ScanResults()
         assert engine.feed(device.address, results) is True
         policy.opt_out.add_network("2001:db8:900::/48")
-        network.clock.advance(4 * 86_400)
+        advance(network.clock, 4 * 86_400)
         assert engine.feed(device.address, results) is False
 
     def test_engine_without_policy_unchanged(self, network, metrics):
@@ -96,7 +97,7 @@ class TestScannerIdentity:
     def test_rdns_published(self, network):
         rdns = ReverseDns()
         publish_scanner_identity(network, SRC, rdns)
-        assert rdns.identifies_research(SRC)
+        assert identifies_research(rdns, SRC)
 
     def test_idempotent(self, network):
         publish_scanner_identity(network, SRC)
@@ -107,7 +108,7 @@ class TestScannerIdentity:
         rdns = experiment.world.rdns
         candidates = [
             address for address in getattr(rdns, "_records", {})
-            if rdns.identifies_research(address)
+            if identifies_research(rdns, address)
         ]
         assert candidates
         grab = scan_http(experiment.world.network,

@@ -13,6 +13,7 @@ import pickle
 import pytest
 
 from repro import api
+from repro.analysis import amplification
 from repro.analysis.amplification import (
     amplification_distribution,
     amplification_table,
@@ -27,11 +28,7 @@ from repro.ntp.control import (
     monlist_request,
     readvar_request,
 )
-from repro.ntp.service import (
-    NtpControlService,
-    control_service_for,
-    seeded_entries,
-)
+from repro.ntp.service import control_service_for, seeded_entries
 from repro.runtime.registry import ProbeRegistry
 from repro.scan.engine import ScanEngine
 from repro.scan.modules.ntp import refused_ntp, scan_ntp
@@ -167,9 +164,10 @@ class TestAnalyses:
         assert distribution.mean == pytest.approx(880 / 72)
         assert sum(bucket.count for bucket in distribution.buckets) == 1
 
-    def test_rejects_unsorted_edges(self):
+    def test_rejects_unsorted_edges(self, monkeypatch):
+        monkeypatch.setattr(amplification, "BUCKET_EDGES", (5.0, 1.0))
         with pytest.raises(ValueError):
-            amplification_distribution("t", self.grabs(), edges=(5.0, 1.0))
+            amplification_distribution("t", self.grabs())
 
     def test_scan_no_server_answered_reports_none(self):
         """A refused probe leaves no grab, so a scan that no server

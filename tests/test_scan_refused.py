@@ -26,13 +26,14 @@ import pytest
 
 from repro.ipv6 import parse
 from repro.net.clock import VirtualClock
-from repro.net.simnet import Network, SimpleSession
+from repro.net.simnet import Network
 from repro.obs.metrics import use_registry
 from repro.runtime.registry import ProbeRegistry, ProbeSpec, default_registry
 from repro.scan.engine import ScanEngine
 from repro.scan.modules.ntp import refused_ntp, scan_ntp
 from repro.store.runstore import RunStore
 from repro.store.writer import StoreWriter
+from tests.net_reference import SimpleSession
 
 SRC = parse("2001:db8:5c::1")
 NO_HOST = parse("2001:db8:700::1")

@@ -18,7 +18,7 @@ import pytest
 
 from repro.ipv6 import parse
 from repro.net.clock import VirtualClock
-from repro.net.simnet import Network, SimpleSession
+from repro.net.simnet import Network
 from repro.obs.metrics import use_registry
 from repro.proto.http import HttpSessionFactory
 from repro.proto.tls_session import PlainService
@@ -26,6 +26,7 @@ from repro.runtime.registry import default_registry
 from repro.scan.engine import ScanEngine
 from repro.store.runstore import RunStore
 from repro.store.writer import StoreWriter
+from tests.net_reference import SimpleSession
 
 SRC = parse("2001:db8:5d::1")
 NOW = 4321.0

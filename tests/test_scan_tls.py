@@ -14,7 +14,7 @@ import pytest
 
 from repro.ipv6 import parse
 from repro.net.clock import VirtualClock
-from repro.net.simnet import Network, SimpleSession
+from repro.net.simnet import Network
 from repro.scan.modules import scan_amqps, scan_https, scan_mqtts
 from repro.scan.result import BrokerGrab, HttpGrab, TlsObservation
 from repro.tlslib.certificate import PUBLIC_CA, Certificate
@@ -27,6 +27,7 @@ from repro.tlslib.handshake import (
     server_hello,
 )
 from repro.tlslib.keys import derive_key
+from tests.net_reference import SimpleSession
 
 SRC = parse("2001:db8:5c::1")
 TARGET = parse("2001:db8:607::1")

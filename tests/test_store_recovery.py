@@ -24,12 +24,13 @@ from repro.core.campaign import CampaignConfig
 from repro.core.pipeline import ExperimentConfig
 from repro.ipv6 import parse
 from repro.net.clock import VirtualClock
-from repro.net.simnet import Network, SimpleSession
+from repro.net.simnet import Network
 from repro.scan.engine import ScanEngine
 from repro.scan.result import ScanResults
 from repro.store import RunStore, StoreWriter, WalReader, fault_injection
 from repro.world.population import WorldConfig
 from tests.conftest import patch_stored_config, store_bytes
+from tests.net_reference import SimpleSession
 
 CRASH_SEEDS = [int(seed) for seed in
                os.environ.get("REPRO_CRASH_SEEDS", "1").split(",")]

@@ -39,7 +39,7 @@ from hypothesis import strategies as st
 from repro.io.jsonl import grab_to_json
 from repro.ipv6 import format_address, parse
 from repro.net.clock import VirtualClock
-from repro.net.simnet import Network, SimpleSession
+from repro.net.simnet import Network
 from repro.obs.metrics import use_registry
 from repro.runtime.registry import ProbeRegistry, ProbeSpec, default_registry
 from repro.scan.engine import ScanEngine
@@ -50,6 +50,7 @@ from repro.store.wal import RecordTemplate, encode_group, encode_record
 
 from tests.test_store_codec import PAYLOADS, SEQS, VALUES
 from tests.wal_reference import read_all
+from tests.net_reference import SimpleSession
 
 ADDRESSES = st.one_of(
     st.integers(min_value=0, max_value=2**128 - 1),

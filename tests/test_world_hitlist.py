@@ -18,7 +18,7 @@ class TestComposition:
     def test_public_subset_of_full(self, built):
         hitlist, world = built
         assert hitlist.public <= hitlist.full
-        assert hitlist.public_size < hitlist.full_size
+        assert len(hitlist.public) < hitlist.full_size
 
     def test_public_entries_alive(self, built):
         hitlist, world = built

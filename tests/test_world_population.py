@@ -76,7 +76,7 @@ class TestPlacement:
 
     def test_device_country_matches_as(self, world):
         for device in world.devices:
-            assert world.asdb.system(device.asn).country == device.country
+            assert world.asdb._systems[device.asn].country == device.country
 
     def test_addresses_unique(self, world):
         addresses = [device.address for device in world.devices]

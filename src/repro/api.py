@@ -478,8 +478,8 @@ def ecosystem(config: Optional[EcosystemConfig] = None) -> EcosystemResult:
         scope = Telescope(world.network)
 
         population = ScannerPopulation(world.network, scheduler)
-        population.add_external("GT", "ntp", overt.scanner_addresses)
-        population.add_external("covert", "ntp", covert.scanner_addresses)
+        population.add_external("ntp", overt.scanner_addresses)
+        population.add_external("ntp", covert.scanner_addresses)
         # One eyeball AS per leak strategy: distinct ASes live in
         # distinct /32 blocks, so source /48 clustering keeps the
         # ground truth separable by construction.
@@ -633,9 +633,9 @@ def analyze(config: AnalyzeConfig) -> AnalyzeResult:
         if config.run_dir is not None:
             from repro.store import read_study
 
-            reader = read_study(config.run_dir)
-            ntp_scan = reader.scan("ntp")
-            hitlist_scan = reader.scan("hitlist")
+            stored = read_study(config.run_dir)
+            ntp_scan = stored.scan("ntp")
+            hitlist_scan = stored.scan("hitlist")
         else:
             ntp_scan = load_results(config.ntp_path)
             hitlist_scan = load_results(config.hitlist_path)

@@ -354,25 +354,17 @@ class ScannerPopulation:
         self.scheduler = scheduler
         self.actors: List[ScannerActor] = []
         self._truth: Dict[int, str] = {}
-        self._names: Dict[int, str] = {}
 
     def add(self, actor: ScannerActor) -> ScannerActor:
         """Deploy an actor and record its sources' ground truth."""
         actor.deploy()
         self.actors.append(actor)
-        self._label(actor.name, actor.strategy, actor.sources)
+        self._truth.update(dict.fromkeys(actor.sources, actor.strategy))
         return actor
 
-    def add_external(self, name: str, strategy: str,
-                     sources: Iterable[int]) -> None:
+    def add_external(self, strategy: str, sources: Iterable[int]) -> None:
         """Register ground truth for an actor deployed elsewhere."""
-        self._label(name, strategy, sources)
-
-    def _label(self, name: str, strategy: str,
-               sources: Iterable[int]) -> None:
-        for source in sources:
-            self._truth[source] = strategy
-            self._names[source] = name
+        self._truth.update(dict.fromkeys(sources, strategy))
 
     def ground_truth(self) -> Dict[int, str]:
         """source address → strategy, for attribution scoring."""

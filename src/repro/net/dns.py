@@ -30,16 +30,16 @@ class DnsZone:
     def __init__(self) -> None:
         self._records: Dict[str, DnsRecord] = {}
 
-    def register(self, name: str, address: int, now: float = 0.0) -> None:
+    def register(self, name: str, address: int) -> None:
         """Create a record; re-registering behaves like an update."""
         if not name:
             raise ValueError("DNS name must be non-empty")
         existing = self._records.get(name)
         if existing is not None:
-            self.update(name, address, now)
+            self.update(name, address)
             return
         self._records[name] = DnsRecord(name=name, address=address,
-                                        updated_at=now)
+                                        updated_at=0.0)
 
     def update(self, name: str, address: int, now: float = 0.0) -> None:
         """Dynamic-DNS update: the old address becomes history."""

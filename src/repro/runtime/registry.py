@@ -110,9 +110,6 @@ class ProbeRegistry:
         """A new registry with only ``names``, in the order given."""
         return ProbeRegistry(self.get(name) for name in names)
 
-    def copy(self) -> "ProbeRegistry":
-        return ProbeRegistry(iter(self))
-
     # -- access -----------------------------------------------------------
 
     def get(self, name: str) -> ProbeSpec:

@@ -1,11 +1,12 @@
-"""Windowed incremental queries: rolling tables without full replay.
+"""Windowed queries: rolling tables without full replay.
 
 :class:`WindowedStudyReader` is a query engine over a run store's
 WAL in *simulated-time spans*: ``window(t0, t1)`` materializes
 the paper's Table 2/3 and Figure 2/3 for exactly the grabs whose
 timestamps fall in ``[t0, t1)``, with targets-seen denominators taken
 as the difference of the cumulative counters carried by the daily
-``mark`` records.
+``mark`` records.  The records are selected by the store's one replay,
+:func:`~repro.store.reader.replay_span`.
 
 The cost contract is the whole point: a window query replays the WAL
 from the **nearest usable checkpoint** to the **first mark at or past
@@ -28,8 +29,9 @@ fold), so one reader instance serves many concurrent queries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.bundle import BROKER_PROTOCOLS, run_analysis, table2_rows
 from repro.net.clock import DAY
@@ -37,9 +39,9 @@ from repro.obs.metrics import current_registry
 from repro.scan.result import PROTOCOLS, ScanResults
 from repro.service.config import is_service_document
 from repro.store.checkpoint import list_checkpoints, load_checkpoint
-from repro.store.reader import CompactedBehindReader
+from repro.store.reader import EPS, CompactedBehindReader, replay_span
 from repro.store.runstore import RunStore
-from repro.store.wal import WalError, WalReader
+from repro.store.wal import WalError
 
 #: How far a window anchor must sit before the window start.  Records
 #: stamped with a checkpoint's own clock can be logged before it, so a
@@ -47,9 +49,6 @@ from repro.store.wal import WalError, WalReader
 #: Any positive margin covers that; 600 s is wider than it needs to be
 #: and is kept so anchors, and with them every replay count, stay put.
 WINDOW_ANCHOR_SLACK = 600.0
-
-#: Float-comparison slack for day-aligned window arithmetic.
-_EPS = 1e-9
 
 #: Most windows one rolling series may build.  Each window is a WAL
 #: replay, so a client-chosen step far below the window span must not
@@ -109,7 +108,7 @@ def complete_windows(*, since: float, window: float, step: float,
     end = horizon()
     spans = []
     t0 = since
-    while t0 + window <= end + _EPS:
+    while t0 + window <= end + EPS:
         if len(spans) == MAX_WINDOWS:
             raise ValueError(
                 f"step={step / DAY}: more than {MAX_WINDOWS} windows "
@@ -224,7 +223,7 @@ class WindowedStudyReader:
         best = WindowAnchor(seq=0, chain=0, clock=float("-inf"),
                             name=GENESIS)
         for anchor in self.anchors():
-            if (anchor.clock + WINDOW_ANCHOR_SLACK <= t0 + _EPS
+            if (anchor.clock + WINDOW_ANCHOR_SLACK <= t0 + EPS
                     and anchor.seq > best.seq):
                 best = anchor
         return best
@@ -242,23 +241,18 @@ class WindowedStudyReader:
     def horizon(self) -> float:
         """Clock of the newest day-end mark (the complete-data frontier).
 
-        Bounded: replays only the tail past the latest checkpoint.
+        Bounded: replays only the tail past the latest checkpoint, over
+        the empty span at +inf (no grab is decoded, no mark stops it).
         """
         anchors = self.anchors()
         start = anchors[-1] if anchors else WindowAnchor(
             seq=0, chain=0, clock=float("-inf"), name=GENESIS)
         self._check_compaction(start)
-        reader = WalReader(self.store.wal_dir, start_seq=start.seq + 1,
-                           chain=start.chain)
-        clock = start.clock if start.clock > float("-inf") else 0.0
-        replayed = 0
-        for record in reader.records():
-            replayed += 1
-            if record.get("t") == "mark":
-                clock = max(clock, record["clock"])
-        self._m_replayed.inc(replayed)
+        tail = replay_span(self.store, seq=start.seq, chain=start.chain,
+                           targets=start.targets, t0=math.inf, t1=math.inf)
+        self._m_replayed.inc(tail.records)
         self._m_horizons.inc()
-        return clock
+        return max(0.0, start.clock, tail.clock)
 
     def window(self, t0: float, t1: float, *,
                anchor: Optional[WindowAnchor] = None) -> WindowFrame:
@@ -268,59 +262,17 @@ class WindowedStudyReader:
         if anchor is None:
             anchor = self.anchor_for(t0)
         self._check_compaction(anchor)
-        from repro.io.jsonl import grab_from_json
-
-        reader = WalReader(self.store.wal_dir, start_seq=anchor.seq + 1,
-                           chain=anchor.chain)
-        results: Dict[str, ScanResults] = {}
-        baseline = dict(anchor.targets)
-        end_targets = dict(anchor.targets)
-        sightings = 0
-        window_addresses: Set[str] = set()
-        replayed = 0
-        for record in reader.records():
-            replayed += 1
-            kind = record.get("t")
-            if kind == "grab":
-                # A grab's time is its record's: decode only in-window
-                # answered ones (a result set holds no refused grab).
-                if (t0 <= record["time"] < t1
-                        and record.get("ok") is not False):
-                    grab = grab_from_json(record)
-                    label = record["label"]
-                    bucket = results.get(label)
-                    if bucket is None:
-                        bucket = results[label] = ScanResults(label=label)
-                    bucket.bucket(grab.protocol).append(grab)
-            elif kind == "sighting":
-                if t0 <= record["time"] < t1:
-                    sightings += 1
-                    window_addresses.add(record["addr"])
-            elif kind == "mark":
-                clock = record["clock"]
-                if clock <= t0 + _EPS:
-                    baseline.update(record["targets"])
-                if clock <= t1 + _EPS:
-                    end_targets.update(record["targets"])
-                if clock >= t1 - _EPS:
-                    break
+        span = replay_span(self.store, seq=anchor.seq, chain=anchor.chain,
+                           targets=anchor.targets, t0=t0, t1=t1)
         document = window_document(
-            results, start=t0, end=t1,
-            targets_start=baseline, targets_end=end_targets,
-            sightings=sightings, addresses=len(window_addresses),
+            span.results, start=t0, end=t1,
+            targets_start=span.baseline, targets_end=span.targets,
+            sightings=span.sightings, addresses=span.addresses,
             ntp_label=self.ntp_label)
-        self._m_replayed.inc(replayed)
+        self._m_replayed.inc(span.records)
         self._m_windows.inc()
         return WindowFrame(start=t0, end=t1, document=document,
-                           anchor=anchor, replayed=replayed)
-
-    def series(self, *, since: float, window: float,
-               step: float) -> List[WindowFrame]:
-        """Every complete window of a rolling span (seconds, simulated;
-        see :func:`complete_windows`)."""
-        _, spans = complete_windows(since=since, window=window, step=step,
-                                    horizon=self.horizon)
-        return [self.window(t0, t1) for t0, t1 in spans]
+                           anchor=anchor, replayed=span.records)
 
 
 class WindowedAttributionReader:

@@ -11,7 +11,8 @@ inside their cool-down.  This package provides that durability layer:
   offline verify/inspect);
 * :mod:`repro.store.writer` — the writer streaming a run into the
   store, with deterministic-replay recovery;
-* :mod:`repro.store.reader` — incremental analysis over stored segments.
+* :mod:`repro.store.reader` — the one replay that reads a stored span
+  back as scan results.
 """
 
 from repro.store.checkpoint import (
@@ -23,7 +24,6 @@ from repro.store.checkpoint import (
 )
 from repro.store.reader import (
     CompactedBehindReader,
-    IncrementalStudyReader,
     read_study,
 )
 from repro.store.runstore import Recovery, RunStore
@@ -42,7 +42,6 @@ from repro.store.writer import StoreWriter
 __all__ = [
     "Checkpoint",
     "CompactedBehindReader",
-    "IncrementalStudyReader",
     "Recovery",
     "RecoveryError",
     "RunStore",

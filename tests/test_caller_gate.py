@@ -22,13 +22,19 @@ callee's name passes it, by keyword, by position, or through
 name.  Dataclass fields are not parameters: run-config fields are the
 knob gate's, and other dataclass fields are state.
 
-The check is by name, so it can only err towards passing: a name
-shared by two definitions counts as a use of both.
+The check is by name, narrowed by what a call or attribute can reach:
+a bare-name call reaches functions and classes, never a method; an
+attribute of an imported module outside ``repro`` reaches nothing under
+``src/repro``; ``self.x`` reaches only ``x`` of the enclosing class,
+its bases and the classes derived from it; and ``v.x`` after
+``v = Cls(...)`` only that of ``Cls`` and its bases.  Past those rules
+it errs towards passing: a name shared by two definitions counts as a
+use of both.
 """
 
 import ast
 from pathlib import Path
-from typing import Dict, List, NamedTuple
+from typing import Dict, List, NamedTuple, Optional
 
 from tests.source_index import ROOT, index, parse_tree
 
@@ -108,12 +114,14 @@ def _is_staticmethod(node) -> bool:
 class Option(NamedTuple):
     """A defaulted parameter; ``position`` counts the arguments a call
     passes (``self`` and ``cls`` are not counted), -1 for a
-    keyword-only one."""
+    keyword-only one.  ``klass`` is the class of a method, None for a
+    function or a class's ``__init__``."""
 
     module: str
     callee: str
     position: int
     parameter: str
+    klass: Optional[str]
 
 
 def options(root: Path = ROOT) -> Dict[str, Option]:
@@ -126,6 +134,8 @@ def options(root: Path = ROOT) -> Dict[str, Option]:
         if _is_dunder(node.name) and node.name != "__init__":
             continue
         callee = klass.name if node.name == "__init__" else node.name
+        method = (klass.name if klass is not None
+                  and node.name != "__init__" else None)
         skip = 1 if klass is not None and not _is_staticmethod(node) else 0
         arguments = node.args
         positional = arguments.posonlyargs + arguments.args
@@ -133,16 +143,26 @@ def options(root: Path = ROOT) -> Dict[str, Option]:
         for position, arg in enumerate(positional):
             if position >= first_default:
                 found[f"{qualname}({arg.arg})"] = Option(
-                    module, callee, position - skip, arg.arg)
+                    module, callee, position - skip, arg.arg, method)
         for arg, default in zip(arguments.kwonlyargs,
                                 arguments.kw_defaults):
             if default is not None:
                 found[f"{qualname}({arg.arg})"] = Option(
-                    module, callee, -1, arg.arg)
+                    module, callee, -1, arg.arg, method)
     return found
 
 
+def _reaches(site, option: Option) -> bool:
+    """Whether a call matched by name can call the option's definition."""
+    if option.klass is None:
+        return site.receiver is None
+    return not site.bare and (site.receiver is None
+                              or option.klass in site.receiver)
+
+
 def _passes(site, option: Option) -> bool:
+    if not _reaches(site, option):
+        return False
     if option.parameter in site.keywords or site.double_star:
         return True
     if option.position < 0:
@@ -155,8 +175,10 @@ def unnamed_definitions(root: Path = ROOT) -> Dict[str, int]:
     found, lines = index(root), definitions(root)
     return {qualname: lines[qualname]
             for _, qualname, node, klass in _walk_definitions(root)
-            if qualname in lines and node.name not in (
-                found.names if klass is None else found.attributes)}
+            if qualname in lines and not (
+                node.name in found.names if klass is None
+                else node.name in found.attributes
+                or klass.name in found.receivers.get(node.name, ()))}
 
 
 def unset_options(root: Path = ROOT) -> List[str]:
@@ -231,16 +253,72 @@ def test_gate_flags_exactly_the_unused_on_a_small_tree(tmp_path):
     assert unset_options(tmp_path) == ["mod.configured(option)"]
 
 
-def test_a_method_counts_only_as_an_attribute(tmp_path):
-    """A local variable spelled like a method does not name it."""
+def _small_tree(tmp_path, module: str, caller: str) -> Path:
+    """A tree with ``src/repro/mod.py`` and ``examples/demo.py``."""
     package = tmp_path / "src" / "repro"
     package.mkdir(parents=True)
-    (package / "mod.py").write_text(
+    (package / "mod.py").write_text(module)
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text(caller)
+    return tmp_path
+
+
+def test_a_method_counts_only_as_an_attribute(tmp_path):
+    """A local variable spelled like a method does not name it."""
+    root = _small_tree(
+        tmp_path,
         "class Box:\n"
         "    def size(self):\n        return 0\n\n"
-        "    def used(self):\n        return 1\n")
-    (tmp_path / "examples").mkdir()
-    (tmp_path / "examples" / "demo.py").write_text(
+        "    def used(self):\n        return 1\n",
         "from repro.mod import Box\n\n"
         "size = 3\nprint(Box().used(), size)\n")
-    assert set(unnamed_definitions(tmp_path)) == {"mod.Box.size"}
+    assert set(unnamed_definitions(root)) == {"mod.Box.size"}
+
+
+def test_a_bare_call_reaches_no_method(tmp_path):
+    """A function of the caller's own spelled like a method does not
+    pass the method's option."""
+    root = _small_tree(
+        tmp_path,
+        "class Scheduler:\n"
+        "    def run_all(self, limit=None):\n        return limit\n",
+        "from repro.mod import Scheduler\n\n\n"
+        "def run_all(args):\n    return args\n\n\n"
+        "run_all(1)\nScheduler().run_all()\n")
+    assert unset_options(root) == ["mod.Scheduler.run_all(limit)"]
+
+
+def test_a_foreign_module_attribute_names_nothing(tmp_path):
+    """``shutil.copy`` does not name a method ``copy`` of the program."""
+    root = _small_tree(
+        tmp_path,
+        "class Registry:\n"
+        "    def copy(self):\n        return Registry()\n\n"
+        "    def names(self):\n        return []\n",
+        "import shutil\n\nfrom repro.mod import Registry\n\n"
+        "shutil.copy('a', 'b')\nprint(Registry().names())\n")
+    assert set(unnamed_definitions(root)) == {"mod.Registry.copy"}
+
+
+def test_a_resolved_receiver_reaches_only_its_classes(tmp_path):
+    """``self.x`` reaches the enclosing class, its bases and its
+    overrides; ``v.x`` after ``v = Cls(...)`` reaches ``Cls``."""
+    root = _small_tree(
+        tmp_path,
+        "class Zone:\n"
+        "    def register(self, name, now=0.0):\n        return now\n\n"
+        "    def records(self):\n        return []\n\n\n"
+        "class Probes:\n"
+        "    def register(self, name, port=0):\n        return port\n\n"
+        "    def register_all(self):\n"
+        "        self.records()\n        return self.register('a', 1)\n\n\n"
+        "class Actor:\n"
+        "    def deploy(self):\n        return self.plan()\n\n"
+        "    def plan(self):\n        return []\n\n\n"
+        "class Sweep(Actor):\n"
+        "    def plan(self):\n        return [1]\n",
+        "from repro.mod import Probes, Sweep, Zone\n\n"
+        "probes = Probes()\nprobes.register('x', 2)\nprobes.register_all()\n"
+        "zone = Zone()\nzone.register('y')\nSweep().deploy()\n")
+    assert set(unnamed_definitions(root)) == {"mod.Zone.records"}
+    assert unset_options(root) == ["mod.Zone.register(now)"]

@@ -75,11 +75,6 @@ def address_pool(actor):
     return frozenset(actor._targets())
 
 
-def actor_of(population, source):
-    """The name of the actor a source address belongs to, if any."""
-    return population._names.get(source)
-
-
 def sources_for(strategy: str, count: int = 3):
     base = SOURCE_BASES[strategy]
     return [base + offset for offset in range(count)]
@@ -343,7 +338,6 @@ class TestLabeledScenario:
         for actor in population.actors:
             for source in actor.sources:
                 assert truth[source] == actor.strategy
-                assert actor_of(population, source) == actor.name
 
     def test_population_rows_report_probe_counts(self):
         population, _ = run_leak_scenario()
@@ -353,9 +347,8 @@ class TestLabeledScenario:
     def test_external_truth_registration(self):
         network, scheduler = fresh_sim()
         population = ScannerPopulation(network, scheduler)
-        population.add_external("GT", "ntp", [1, 2])
+        population.add_external("ntp", [1, 2])
         assert population.ground_truth() == {1: "ntp", 2: "ntp"}
-        assert actor_of(population, 1) == "GT"
 
 
 @pytest.fixture(scope="module")

@@ -28,7 +28,7 @@ class TestZone:
 
     def test_update_keeps_history(self):
         zone = DnsZone()
-        zone.register("host.sim", A1, now=0.0)
+        zone.register("host.sim", A1)
         zone.update("host.sim", A2, now=100.0)
         assert zone.resolve("host.sim") == A2
         assert zone.resolve_stale("host.sim") == A1

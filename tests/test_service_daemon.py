@@ -21,6 +21,7 @@ from repro.store import RunStore, fault_injection
 from repro.store.wal import WalReader
 
 from tests.conftest import patch_stored_config, service_config, store_bytes
+from tests.service_reference import series
 
 
 class SimulatedCrash(BaseException):
@@ -28,9 +29,9 @@ class SimulatedCrash(BaseException):
 
 
 def series_bytes(run_dir, *, window_days=4, step_days=2):
-    reader = WindowedStudyReader(RunStore.open(run_dir))
-    frames = reader.series(since=0.0, window=window_days * DAY,
-                           step=step_days * DAY)
+    frames = series(WindowedStudyReader(RunStore.open(run_dir)),
+                    since=0.0, window=window_days * DAY,
+                    step=step_days * DAY)
     return [to_canonical_json(frame.document) for frame in frames]
 
 

@@ -27,6 +27,8 @@ from repro.service import (
 from repro.store import CompactedBehindReader, RunStore, read_study
 from repro.store.wal import WalReader
 
+from tests.service_reference import series
+
 
 @pytest.fixture(scope="module")
 def service_store(service_run):
@@ -144,12 +146,12 @@ def test_horizon_is_last_closed_day(reader, service_run):
 def test_series_materializes_only_complete_windows(reader, service_run):
     result, _ = service_run
     days = result.daemon.config.campaign_days
-    frames = reader.series(since=0.0, window=4 * DAY, step=2 * DAY)
+    frames = series(reader, since=0.0, window=4 * DAY, step=2 * DAY)
     assert len(frames) == (days - 4) // 2 + 1
     assert frames[-1].end <= days * DAY + 1e-9
     # A window extending past the horizon is not built at all.
-    assert reader.series(since=(days - 2) * DAY,
-                         window=4 * DAY, step=2 * DAY) == []
+    assert series(reader, since=(days - 2) * DAY,
+                  window=4 * DAY, step=2 * DAY) == []
 
 
 def test_window_rejects_empty_span(reader):
@@ -179,22 +181,6 @@ def compactable_store(service_run, tmp_path):
     return copy_dir
 
 
-def test_incremental_reader_detects_compaction(compactable_store):
-    from repro.store import IncrementalStudyReader
-
-    # Two readers open pre-compaction: one never refreshed (still at
-    # genesis), one fully caught up.
-    behind = IncrementalStudyReader(RunStore.open(compactable_store))
-    ahead = read_study(compactable_store)
-    compacted = RunStore.open(compactable_store).compact()
-    assert compacted["segments_deleted"] > 0
-    # A reader already past the new horizon keeps refreshing fine...
-    ahead.refresh()
-    # ...but one behind it gets the typed error, not silent skips.
-    with pytest.raises(CompactedBehindReader, match="compacted through"):
-        behind.refresh()
-
-
 def test_windowed_query_detects_compacted_anchor(compactable_store):
     reader = WindowedStudyReader(RunStore.open(compactable_store))
     before = reader.window(0.0, 4 * DAY)  # genesis anchor, still there
@@ -217,6 +203,19 @@ def test_failed_frame_builds_leave_no_build_lock(compactable_store):
 
 
 def test_read_study_survives_compaction(compactable_store):
-    RunStore.open(compactable_store).compact()
-    reader = read_study(compactable_store)
-    assert reader.last_seq > 0
+    compacted = RunStore.open(compactable_store).compact()
+    assert compacted["segments_deleted"] > 0
+    meta = RunStore.open(compactable_store).meta
+    surviving = list(WalReader(
+        compactable_store / "wal", start_seq=meta["compacted_through"] + 1,
+        chain=meta["chain_at_compaction"]).records())
+    answered = sum(1 for record in surviving
+                   if record["t"] == "grab" and record["ok"])
+    newest_mark = [record for record in surviving
+                   if record["t"] == "mark"][-1]
+    stored = read_study(compactable_store)
+    assert stored.records == len(surviving) > 0
+    assert sum(len(results.grabs(protocol))
+               for results in stored.results.values()
+               for protocol in results.protocols()) == answered
+    assert stored.targets == newest_mark["targets"]

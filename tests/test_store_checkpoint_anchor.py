@@ -30,6 +30,7 @@ from repro.store.checkpoint import (
 )
 from repro.store.wal import WalReader
 
+from tests.service_reference import series
 from tests.test_golden_bytes import (
     CAMPAIGN_CRASH_SEQ,
     SimulatedCrash,
@@ -114,8 +115,9 @@ def _window_documents(run_dir):
     documents = []
     for window_days, step_days in ((1, 1), (2, 1), (3, 1)):
         documents.extend(
-            to_canonical_json(frame.document) for frame in reader.series(
-                since=0.0, window=window_days * DAY, step=step_days * DAY))
+            to_canonical_json(frame.document) for frame in series(
+                reader, since=0.0, window=window_days * DAY,
+                step=step_days * DAY))
     anchors = [(anchor.seq, anchor.chain, anchor.clock, anchor.targets)
                for anchor in reader.anchors()]
     return documents, anchors

@@ -602,24 +602,14 @@ class TestStoreWriterUnit:
         assert "pre-fsync" in points and "post-fsync" in points
 
 
-class TestIncrementalReader:
-    def test_refresh_folds_only_the_new_tail(self, tmp_path):
+class TestReadStudy:
+    def test_a_read_after_the_first_mark_counts_its_targets(self, tmp_path):
         store = make_store(tmp_path)
         writer = StoreWriter(store)
         writer.emit(sighting(0))
         writer.mark("lead", 1, 86400.0, {"ntp": 1})
         writer.close()
-        reader = read_study(store.run_dir)
-        assert reader.scan("ntp").targets_seen == 1
-
-        recovery = store.recover()
-        append = store.writer_for_append(recovery)
-        append.append(sighting(1))
-        append.append({"t": "mark", "phase": "lead", "day": 2,
-                       "clock": 2 * 86400.0, "targets": {"ntp": 2}})
-        append.close()
-        assert reader.refresh() == 2  # only the two new records
-        assert reader.scan("ntp").targets_seen == 2
+        assert read_study(store.run_dir).scan("ntp").targets_seen == 1
 
 
 class TestStoreCli:
